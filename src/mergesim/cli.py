@@ -23,12 +23,6 @@ EXIT_CONFIG = 2
 EXIT_COLLISION = 3
 EXIT_FORCED_STOP = 4
 
-_CONFIG_FLAGS = {
-    "dt": float, "epoch": float, "t_max": float, "noise_sigma": float,
-    "jobs": int,
-}
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with config values")
     parser.add_argument("--scenario", help="built-in name or scenario file")
@@ -110,7 +104,8 @@ def _summarize(log, world, cfg) -> dict:
             "final_x_lat": round(rows[-1][2], 4),
             "final_y_long": round(rows[-1][3], 4),
             "final_v": round(rows[-1][4], 4),
-            "min_gap_m": round(min(_sat_distance(r[10]) for r in rows), 4),
+            "min_gap_m": round(min(_sat_distance(c) for c in
+                                   log.vehicle_icol(veh.vehicle_id)), 4),
         }
         if veh.kind == DECISION:
             merge_events = [e for e in log.events

@@ -77,6 +77,10 @@ class RunConfig:
     understeer_gradient: float = 2.0
 
     def validate(self) -> "RunConfig":
+        for name in ("dt", "epoch", "t_max"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if not self.dt > 0:
             raise ConfigError("dt must be positive")
         ratio = self.epoch / self.dt

@@ -34,6 +34,11 @@ class OrientedRect:
             (self.cx - fx * hl - lx * hw, self.cy - fy * hl - ly * hw),
         ]
 
+    def pose(self):
+        """Flat (cx, cy, sin, cos, half_width, half_length) tuple."""
+        return (self.cx, self.cy, math.sin(self.heading),
+                math.cos(self.heading), self.half_width, self.half_length)
+
 
 def perceived_bounds(rect: OrientedRect, observer_q: float,
                      max_scale: float = 1.3) -> OrientedRect:
@@ -73,10 +78,33 @@ def projection_gap(rect_a: OrientedRect, rect_b: OrientedRect,
     return max(0.0, centers - extent_a - extent_b)
 
 
+def pose_gaps(a, b):
+    """Projection gaps of two poses along all four separating axes.
+
+    A pose is the flat tuple (cx, cy, sin(heading), cos(heading),
+    half_width, half_length), so callers take each heading's sine and
+    cosine once.  Returns the gaps along a's length and width axes, then
+    along b's.  Each gap is computed with the same floating-point
+    operations, in the same order, as projection_gap, so the results are
+    bit-identical to it.
+    """
+    ax, ay, sa, ca, hwa, hla = a
+    bx, by, sb, cb, hwb, hlb = b
+    dx, dy = bx - ax, by - ay
+    # |cos| and |sin| of the relative heading: the projections of one
+    # rectangle's axes onto the other's.
+    dot = abs(sb * sa + cb * ca)
+    cross = abs(cb * sa - sb * ca)
+    return (max(0.0, abs(dx * sa + dy * ca) - hla - (hlb * dot + hwb * cross)),
+            max(0.0, abs(dx * ca - dy * sa) - hwa - (hlb * cross + hwb * dot)),
+            max(0.0, abs(dx * sb + dy * cb) - hlb - (hla * dot + hwa * cross)),
+            max(0.0, abs(dx * cb - dy * sb) - hwb - (hla * cross + hwa * dot)))
+
+
 def rect_gap_norm(rect_a: OrientedRect, rect_b: OrientedRect) -> float:
     """Euclidean norm of the two projection gaps measured on rect_a's axes."""
-    return math.hypot(projection_gap(rect_a, rect_b, 0),
-                      projection_gap(rect_a, rect_b, 1))
+    gaps = pose_gaps(rect_a.pose(), rect_b.pose())
+    return math.hypot(gaps[0], gaps[1])
 
 
 def index_from_separations(gap_a: float, gap_b: float) -> float:
@@ -84,18 +112,20 @@ def index_from_separations(gap_a: float, gap_b: float) -> float:
     return math.exp(-math.sqrt((gap_a * gap_a + gap_b * gap_b) / 2.0))
 
 
+def pose_collision_index(a, b) -> float:
+    """collision_index of two poses (see pose_gaps)."""
+    ga0, ga1, gb0, gb1 = pose_gaps(a, b)
+    return index_from_separations(math.hypot(ga0, ga1), math.hypot(gb0, gb1))
+
+
 def collision_index(rect_a: OrientedRect, rect_b: OrientedRect) -> float:
     """Collision possibility in [0, 1]: 1 iff the rectangles overlap."""
-    return index_from_separations(rect_gap_norm(rect_a, rect_b),
-                                  rect_gap_norm(rect_b, rect_a))
+    return pose_collision_index(rect_a.pose(), rect_b.pose())
 
 
 def rects_intersect(rect_a: OrientedRect, rect_b: OrientedRect) -> bool:
     """True geometric overlap (separating-axis test on all four axes)."""
-    return (projection_gap(rect_a, rect_b, 0) == 0.0
-            and projection_gap(rect_a, rect_b, 1) == 0.0
-            and projection_gap(rect_b, rect_a, 0) == 0.0
-            and projection_gap(rect_b, rect_a, 1) == 0.0)
+    return pose_gaps(rect_a.pose(), rect_b.pose()) == (0.0, 0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)

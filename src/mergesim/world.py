@@ -4,14 +4,17 @@ from dataclasses import dataclass, replace, field
 import json
 import math
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .config import ConfigError, RunConfig
 from .driver import (ControllerGains, DriverProfile, blended_error,
                      longitudinal_accel, profile_from_q, steering_command)
 from .dynamics import Controls, VehicleParams, VehicleState, step
+# collision_index is re-exported, not called: perfbench probes the name
+# mergesim.world.collision_index.
 from .perception import (PerceptionNoise, VehicleView, bumper_gap,
-                         classify_vicinity, collision_index, rects_intersect)
+                         classify_vicinity, collision_index,
+                         pose_collision_index, rects_intersect)
 from .planner import (ACCELERATE, CHANGE, DECELERATE, HOLD, KEEP, MERGE,
                       BrainState, decide, entrance_threat, merged_speed_ref)
 from .road import LaneGeometry, lane_of
@@ -80,17 +83,26 @@ class SimVehicle:
 
 
 class TrajectoryLog:
-    """Complete per-step record of a run on a uniform time grid."""
+    """Complete per-step record of a run on a uniform time grid.
+
+    Each row holds every TRAJECTORY_COLUMNS field except i_col, which is
+    derived from the logged poses and the vehicle sizes in `bodies` on
+    first read (see icol), so runs whose readers never ask for it never
+    pay for it.  Rows come in whole steps, one per vehicle in `bodies`
+    order.
+    """
 
     def __init__(self, dt: float, geometry: LaneGeometry, cfg: RunConfig):
         self.dt = dt
         self.geometry = geometry
         self.cfg = cfg
         self.rows: List[tuple] = []
+        self.bodies: Dict[str, Tuple[float, float]] = {}  # id -> (length, width)
         self.events: List[dict] = []
         self.collision: Optional[dict] = None
         self.forced_stop: bool = False
         self.end_time: float = 0.0
+        self._icol: List[float] = []
 
     def append(self, row: tuple) -> None:
         self.rows.append(row)
@@ -101,12 +113,18 @@ class TrajectoryLog:
             raise KeyError(f"no such vehicle in log: {vehicle_id!r}")
         return out
 
-    def vehicle_ids(self) -> List[str]:
-        seen = []
-        for r in self.rows:
-            if r[1] not in seen:
-                seen.append(r[1])
-        return seen
+    def icol(self) -> List[float]:
+        """The i_col column, aligned with rows.
+
+        Each vehicle's collision index against its nearest neighbour (by
+        centre distance) at the same step; 0 for a vehicle alone.
+        """
+        if len(self._icol) != len(self.rows):
+            self._icol = _icol_column(self.rows, self.bodies)
+        return self._icol
+
+    def vehicle_icol(self, vehicle_id: str) -> List[float]:
+        return [c for r, c in zip(self.rows, self.icol()) if r[1] == vehicle_id]
 
     def write_csv(self, path: str) -> None:
         from .logio import write_atomic
@@ -114,11 +132,53 @@ class TrajectoryLog:
 
     def to_csv(self) -> str:
         lines = [",".join(TRAJECTORY_COLUMNS)]
-        for r in self.rows:
+        for r, icol in zip(self.rows, self.icol()):
             lines.append(
                 f"{r[0]:.2f},{r[1]},{r[2]:.6f},{r[3]:.6f},{r[4]:.6f},"
-                f"{r[5]:.6f},{r[6]},{r[7]},{r[8]},{r[9]},{r[10]:.6f},{r[11]}")
+                f"{r[5]:.6f},{r[6]},{r[7]},{r[8]},{r[9]},{icol:.6f},{r[10]}")
         return "\n".join(lines) + "\n"
+
+
+def _icol_column(rows: List[tuple], bodies: Dict[str, Tuple[float, float]]):
+    """i_col for every row, one whole step of len(bodies) rows at a time."""
+    halves = {vid: (width / 2.0, length / 2.0)
+              for vid, (length, width) in bodies.items()}
+    n = len(bodies)
+    out: List[float] = []
+    for start in range(0, len(rows), n):
+        poses = []
+        for r in rows[start:start + n]:
+            theta = r[5]
+            poses.append((r[2], r[3], math.sin(theta), math.cos(theta))
+                         + halves[r[1]])
+        nearest = _nearest_pairs(poses)
+        step_icol = [0.0] * n
+        for i, j in enumerate(nearest):
+            if j is None:
+                continue
+            if j < i and nearest[j] == i:
+                # The index is symmetric in its two rectangles.
+                step_icol[i] = step_icol[j]
+            else:
+                step_icol[i] = pose_collision_index(poses[i], poses[j])
+        out.extend(step_icol)
+    return out
+
+
+def _nearest_pairs(poses: List[tuple]):
+    """Index of the nearest other vehicle for every (x, y, ...) pose."""
+    n = len(poses)
+    nearest = [None] * n
+    best = [math.inf] * n
+    for i in range(n):
+        xi, yi = poses[i][0], poses[i][1]
+        for j in range(i + 1, n):
+            d = math.hypot(xi - poses[j][0], yi - poses[j][1])
+            if d < best[i]:
+                best[i], nearest[i] = d, j
+            if d < best[j]:
+                best[j], nearest[j] = d, i
+    return nearest
 
 
 class World:
@@ -147,6 +207,17 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _number(item: dict, key: str, default: float, where: str) -> float:
+    """item[key] (or default) as a finite float, else a ConfigError at where.key."""
+    value = item.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}.{key}: must be a number, got {value!r}")
+    _require(math.isfinite(number), f"{where}.{key}: must be finite, got {value!r}")
+    return number
+
+
 def scenario_definition(source) -> dict:
     """Scenario dict from a built-in name, a path, or a dict."""
     if isinstance(source, dict):
@@ -155,18 +226,22 @@ def scenario_definition(source) -> dict:
         return BUILTIN_SCENARIOS[source]
     try:
         with open(source) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"scenario: no built-in or file named {source!r}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario {source!r}: invalid JSON ({exc})")
+    _require(isinstance(data, dict), "scenario: top level must be an object")
+    return data
 
 
 def load_scenario(source, cfg: RunConfig) -> World:
     """Build a world from a scenario definition, validating every field."""
     data = scenario_definition(source)
     geo = data.get("geometry", {})
+    _require(isinstance(geo, dict), "geometry: must be an object")
     merge = geo.get("merge", {})
+    _require(isinstance(merge, dict), "geometry.merge: must be an object")
     try:
         geometry = LaneGeometry(
             centers=tuple(geo.get("lane_centers", (0.0, 3.3, 6.6, 9.9))),
@@ -174,32 +249,35 @@ def load_scenario(source, cfg: RunConfig) -> World:
             merge_start=float(merge.get("start", 50.0)),
             entrance_length=float(merge.get("entrance_length", 100.0)),
             extension=float(merge.get("extension", 20.0)))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"geometry: {exc}")
     params = cfg.vehicle_params()
     profile_cfg = cfg.profile_config()
     vehicles = []
     seen = set()
-    for i, item in enumerate(data.get("vehicles", [])):
+    items = data.get("vehicles", [])
+    _require(isinstance(items, list), "vehicles: must be a list")
+    for i, item in enumerate(items):
         where = f"vehicles[{i}]"
+        _require(isinstance(item, dict), f"{where}: must be an object")
         vid = item.get("id")
         _require(isinstance(vid, str) and vid, f"{where}.id: missing or empty")
         _require(vid not in seen, f"{where}.id: duplicate id {vid!r}")
         seen.add(vid)
-        x0 = float(item.get("x0_m", 0.0))
+        x0 = _number(item, "x0_m", 0.0, where)
         _require(any(abs(x0 - c) < 1e-6 for c in geometry.centers),
                  f"{where}.x0_m: {x0} is not on a lane center")
-        y0 = float(item.get("y0_m", 0.0))
-        v0_kmh = float(item.get("v0_kmh", 0.0))
+        y0 = _number(item, "y0_m", 0.0, where)
+        v0_kmh = _number(item, "v0_kmh", 0.0, where)
         _require(v0_kmh > 0, f"{where}.v0_kmh: must be positive, got {v0_kmh}")
         kind = item.get("kind", SCRIPTED)
         _require(kind in (SCRIPTED, DECISION),
                  f"{where}.kind: must be scripted or decision, got {kind!r}")
-        q = item.get("q", 0.5)
         if vid in cfg.q_overrides:
-            q = cfg.q_overrides[vid]
-        _require(0.0 <= float(q) <= 1.0, f"{where}.q: must be in [0, 1], got {q}")
-        q = float(q)
+            q = float(cfg.q_overrides[vid])
+        else:
+            q = _number(item, "q", 0.5, where)
+        _require(0.0 <= q <= 1.0, f"{where}.q: must be in [0, 1], got {q}")
         v0 = v0_kmh * KMH
         lane = lane_of(x0, geometry)
         state = VehicleState(x=x0, y=y0, heading=0.0, v_long=v0)
@@ -367,21 +445,6 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views_by_id,
 # --- simulation loop -------------------------------------------------------
 
 
-def _nearest_pairs(views: List[VehicleView]):
-    """Index of the nearest other vehicle for every vehicle."""
-    n = len(views)
-    nearest = [None] * n
-    best = [math.inf] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = math.hypot(views[i].x - views[j].x, views[i].y - views[j].y)
-            if d < best[i]:
-                best[i], nearest[i] = d, j
-            if d < best[j]:
-                best[j], nearest[j] = d, i
-    return nearest
-
-
 def _find_collision(views: List[VehicleView]):
     n = len(views)
     for i in range(n):
@@ -405,13 +468,15 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
     cfg = world.cfg
     if t_max is None:
         t_max = cfg.t_max
-    if not t_max > 0:
-        raise ConfigError("t_max must be positive")
+    if not (t_max > 0 and math.isfinite(t_max)):
+        raise ConfigError("t_max must be positive and finite")
     dt = cfg.dt
     geometry = world.geometry
     gains = world.gains
     steps_per_epoch = round(cfg.epoch / dt)
     log = TrajectoryLog(dt, geometry, cfg)
+    log.bodies = {v.vehicle_id: (v.params.length, v.params.width)
+                  for v in world.vehicles}
     if not world.vehicles:
         return log
     n_steps = round(t_max / dt)
@@ -463,12 +528,7 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
                 attentions[veh.vehicle_id] = attention
 
         # Log the current grid point, then advance.
-        nearest = _nearest_pairs(views)
-        for i, veh in enumerate(world.vehicles):
-            view = views[i]
-            icol = 0.0
-            if nearest[i] is not None:
-                icol = collision_index(view.rect(), views[nearest[i]].rect())
+        for veh, view in zip(world.vehicles, views):
             brain = veh.brain
             flags = []
             if brain.guard:
@@ -480,7 +540,7 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
                         brain.maneuver if veh.kind == DECISION else "",
                         brain.directive if veh.kind == DECISION else "",
                         brain.competing_id or "",
-                        icol, ";".join(flags)))
+                        ";".join(flags)))
 
         for veh in world.vehicles:
             if veh.kind == SCRIPTED:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -119,6 +120,74 @@ class TestRunCommand:
         assert cfg.scenario == "scenario2"
         assert cfg.q_overrides == {"merging": 0.25}
         assert cfg.dt == 0.02
+
+
+# sha256 of the trajectory CSV and the summary of `mergesim run` for the
+# built-in scenarios without noise, copied from perfbench/expected.json.
+PINNED_DIGESTS = {
+    ("scenario1", 0.1): ("adde3af92455089ebfa2d24fc38c223487aa0db5a7fda19505ce96f6b1992aba",
+                         "8ea50e6b080da59ca40364c764b8d91ea27fbfa50561f4a28d1253df0c86f292"),
+    ("scenario1", 0.5): ("09798e6c39c1839bb8a8b2c671c3a21c3c5e7bcdb1bf9c2ecf9df466b4378e1b",
+                         "545fd171540e0f08857427809587c8c53791b6a744c4caa6c37b0a03fdc2364b"),
+    ("scenario1", 0.9): ("5e8bb9a89279697e24514c3fe9ff6ee5753d001845e12dba14ef128d9a5d33a5",
+                         "119acaad3b4736975c9985f3a96375d432edb17e8a69aa9130a33d2c2cef66cc"),
+    ("scenario2", 0.1): ("ba422ab06ead2f5b3bc99d28eaf7ea70b7dd157448dc4f50d8cd71d6117eda3d",
+                         "1c531684c522046d2ca74cc66ffc2b25f65fce9783bc338c4f6bac8ba8759b3d"),
+    ("scenario2", 0.5): ("d318e2e9767076d263044ef8d89a01ce2dde95436616d8290ca5fe3174f19540",
+                         "a15d9ac0e52907e81fd3b6f32f23d771fa251b340147babb4b923e40b7a20433"),
+    ("scenario2", 0.9): ("459dd1972b8e5c1f88c9d460f751bfef030c2bc61fdec59fa4f1014968923aea",
+                         "8990e281b743f82066f3c78f5589dce2b3942a225f42d40f973a700aead0bbe1"),
+}
+
+
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("scenario, q", sorted(PINNED_DIGESTS))
+def test_run_outputs_match_pinned_digests(tmp_path, monkeypatch, scenario, q):
+    monkeypatch.delenv("MERGE_SIM_SEED", raising=False)
+    base = str(tmp_path / "out")
+    assert run_cli("run", "--scenario", scenario, "--q", f"merging={q}",
+                   "--output", base) == 0
+    assert (_sha256(base + ".csv"), _sha256(base + ".summary.json")) == \
+        PINNED_DIGESTS[(scenario, q)]
+
+
+class TestRejectsBadInput:
+    @pytest.mark.parametrize("argv", [("--set", "t_max=inf"),
+                                      ("--t-max", "inf"),
+                                      ("--set", "epoch=inf")])
+    def test_non_finite_times(self, tmp_path, capsys, argv):
+        out = str(tmp_path / "x")
+        assert run_cli("run", "--scenario", "scenario1", "--output", out,
+                       *argv) == 2
+        err = capsys.readouterr().err
+        assert "must be a finite number" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: [d], "scenario: top level must be an object"),
+        (lambda d: {**d, "geometry": []}, "geometry: must be an object"),
+        (lambda d: {**d, "vehicles": {}}, "vehicles: must be a list"),
+        (lambda d: {**d, "vehicles": [1]}, "vehicles[0]: must be an object"),
+        *[(lambda d, key=key: {**d, "vehicles": [{**d["vehicles"][0],
+                                                  key: "abc"}]},
+           f"vehicles[0].{key}: must be a number")
+          for key in ("x0_m", "y0_m", "v0_kmh", "q")],
+        (lambda d: {**d, "vehicles": [{**d["vehicles"][0], "y0_m": None}]},
+         "vehicles[0].y0_m: must be a number"),
+    ])
+    def test_malformed_scenario(self, tmp_path, capsys, mutate, message):
+        good = json.loads(open(crash_scenario_file(tmp_path)).read())
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(mutate(good)))
+        out = str(tmp_path / "x")
+        assert run_cli("run", "--scenario", str(path), "--output", out) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
 
 
 class TestSweepCommand:

@@ -15,7 +15,7 @@ def synthetic_log(samples, dt=0.01, vid="v"):
     """Log with a prescribed (t, v, x_lat, lane, maneuver) series."""
     log = TrajectoryLog(dt, GEOMETRY, RunConfig())
     for t, v, x, lane, maneuver in samples:
-        log.append((t, vid, x, 0.0, v, 0.0, lane, maneuver, "hold", "", 0.0, ""))
+        log.append((t, vid, x, 0.0, v, 0.0, lane, maneuver, "hold", "", ""))
     return log
 
 

@@ -2,12 +2,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mergesim.perception import (OrientedRect, PerceptionNoise,
                                  VehicleView, classify_vicinity,
                                  collision_index, index_from_separations,
-                                 perceived_bounds, projection_gap,
-                                 rects_intersect)
+                                 perceived_bounds, pose_gaps, projection_gap,
+                                 rect_gap_norm, rects_intersect)
 from mergesim.road import LaneGeometry
 
 GEOMETRY = LaneGeometry()
@@ -152,6 +153,29 @@ def test_index_one_iff_geometric_intersection():
         assert touches == polygons_intersect(a, b)
         agree += 1
     assert agree == 10_000
+
+
+_coord = st.floats(-12.0, 12.0, allow_nan=False)
+_half = st.floats(0.05, 5.0, allow_nan=False)
+_rects = st.builds(OrientedRect, cx=_coord, cy=_coord,
+                   heading=st.floats(-math.pi, math.pi, allow_nan=False),
+                   half_width=_half, half_length=_half)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_rects, _rects)
+def test_pose_kernel_is_bit_identical_to_projection_gap(a, b):
+    """pose_gaps and everything built on it equal the readable reference
+    exactly, not approximately: i_col and collision verdicts must not move
+    by one bit."""
+    gaps = tuple(projection_gap(p, o, k) for p, o in ((a, b), (b, a))
+                 for k in (0, 1))
+    assert pose_gaps(a.pose(), b.pose()) == gaps
+    norm_ab = math.hypot(gaps[0], gaps[1])
+    assert rect_gap_norm(a, b) == norm_ab
+    assert collision_index(a, b) == index_from_separations(
+        norm_ab, math.hypot(gaps[2], gaps[3]))
+    assert rects_intersect(a, b) == all(g == 0.0 for g in gaps)
 
 
 def test_rigid_motion_invariance():

@@ -1,9 +1,13 @@
+import math
+
 import pytest
 
+from mergesim import metrics, world as world_module
 from mergesim.config import ConfigError, RunConfig
-from mergesim.perception import VehicleView, rects_intersect
+from mergesim.perception import VehicleView, collision_index, rects_intersect
 from mergesim.road import LaneGeometry, distance_to_merge_end, lane_of
-from mergesim.world import DECISION, SCRIPTED, load_scenario, run
+from mergesim.world import (BUILTIN_SCENARIOS, DECISION, SCRIPTED,
+                            load_scenario, run)
 
 GEOMETRY = LaneGeometry()
 
@@ -171,3 +175,72 @@ class TestRun:
             "scenario1", RunConfig(q_overrides={"merging": 0.5}, noise=True,
                                    noise_sigma=0.5, seed=10)))
         assert other.rows != logs[0].rows
+
+
+def eager_icol(log, world):
+    """Reference i_col from VehicleView rectangles: per step, the nearest
+    other vehicle by centre distance, then collision_index of the two."""
+    params = {v.vehicle_id: v.params for v in world.vehicles}
+    n = len(world.vehicles)
+    out = []
+    for start in range(0, len(log.rows), n):
+        views = [VehicleView(r[1], r[2], r[3], r[4], r[5],
+                             params[r[1]].length, params[r[1]].width, r[6])
+                 for r in log.rows[start:start + n]]
+        for i, view in enumerate(views):
+            others = [k for k in range(n) if k != i]
+            if not others:
+                out.append(0.0)
+                continue
+            j = min(others, key=lambda k: math.hypot(view.x - views[k].x,
+                                                     view.y - views[k].y))
+            out.append(collision_index(view.rect(), views[j].rect()))
+    return out
+
+
+class TestDerivedIcol:
+    @pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_derived_column_equals_eager_recomputation(self, scenario, q,
+                                                       noise):
+        cfg = RunConfig(q_overrides={"merging": q}, noise=noise)
+        world = load_scenario(scenario, cfg)
+        log = run(world)
+        assert log.icol() == eager_icol(log, world)
+
+    def test_lone_vehicle_scores_zero(self):
+        scenario = minimal_scenario([{"id": "a", "x0_m": 0.0, "y0_m": 0.0,
+                                      "v0_kmh": 80.0, "kind": SCRIPTED}])
+        log = run(load_scenario(scenario, RunConfig(t_max=1.0)))
+        assert log.icol() == [0.0] * len(log.rows)
+
+    def test_sweep_never_derives_icol(self, monkeypatch):
+        derived = []
+        real = world_module.pose_collision_index
+
+        def counting(a, b):
+            derived.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(world_module, "pose_collision_index", counting)
+        logs = []
+        real_run = metrics.run
+
+        def keeping_run(world, *args):
+            log = real_run(world, *args)
+            logs.append((log, len(world.vehicles)))
+            return log
+
+        monkeypatch.setattr(metrics, "run", keeping_run)
+        cfg = RunConfig()
+        base = BUILTIN_SCENARIOS["scenario1"]
+        metrics.measure_cell(base, 0.5, 0.5, cfg)
+        metrics.aggressiveness_sweep(base, (0.0, 1.0), (0.5,), cfg, jobs=1)
+        assert derived == []
+        assert len(logs) == 3
+        for log, vehicles in logs:
+            steps = round(log.end_time / cfg.dt)
+            assert len(log.rows) == vehicles * steps
+        logs[0][0].to_csv()
+        assert derived  # the counter sits on the path that derives i_col
