@@ -6,7 +6,7 @@ means the vehicle points straight down the road; positive heading swings
 the nose toward +x.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import math
 
 GRAVITY = 9.81  # m/s^2
@@ -93,44 +93,69 @@ def pose_derivative(state: VehicleState):
     return v * math.cos(state.heading), v * math.sin(state.heading), state.yaw_rate
 
 
-def _derivative(state: VehicleState, params: VehicleParams, controls: Controls):
-    dy, dx, dheading = pose_derivative(state)
-    dv_lat, dr = lateral_derivative(state, params, controls.steer)
-    # Never drive v_long below zero.
-    dv_long = controls.accel
-    if state.v_long <= 0.0 and dv_long < 0.0:
-        dv_long = 0.0
-    return (dx, dy, dheading, dv_long, dv_lat, dr)
-
-
 def step(state: VehicleState, params: VehicleParams, controls: Controls,
          dt: float) -> VehicleState:
-    """One classical fourth-order fixed step of the full vehicle model."""
-    if not (math.isfinite(controls.accel) and math.isfinite(controls.steer)):
+    """One classical fourth-order fixed step of the full vehicle model.
+
+    The stages run on flat floats.  Each stage rate does the same float
+    operations, in the same order, as pose_derivative and
+    lateral_derivative on the stage state, so the result is bit-identical
+    to that textbook form without building the stage states.
+    """
+    accel, steer = controls.accel, controls.steer
+    if not (math.isfinite(accel) and math.isfinite(steer)):
         raise ValueError("non-finite controls")
     if dt < 0:
         raise ValueError("dt must be non-negative")
     if dt == 0.0:
         return state
 
-    def plus(s: VehicleState, d, h):
-        return VehicleState(
-            x=s.x + d[0] * h, y=s.y + d[1] * h, heading=s.heading + d[2] * h,
-            v_long=s.v_long + d[3] * h, v_lat=s.v_lat + d[4] * h,
-            yaw_rate=s.yaw_rate + d[5] * h)
+    cf = params.corner_stiff_front
+    cr = params.corner_stiff_rear
+    lf = params.dist_front
+    lr = params.dist_rear
+    m = params.mass
+    iz = params.yaw_inertia
+    # The numerators of lateral_matrices do not depend on speed.
+    n11 = cf + cr
+    n12 = -lf * cf + lr * cr
+    n21 = lf * cf - lr * cr
+    n22 = -lf * lf * cf + lr * lr * cr
+    b1_steer = cf / m * steer
+    b2_steer = lf * cf / iz * steer
 
-    k1 = _derivative(state, params, controls)
-    k2 = _derivative(plus(state, k1, dt / 2.0), params, controls)
-    k3 = _derivative(plus(state, k2, dt / 2.0), params, controls)
-    k4 = _derivative(plus(state, k3, dt), params, controls)
+    def rates(heading, v_long, v_lat, yaw_rate):
+        """(dx, dy, dheading, dv_long, dv_lat, dyaw_rate) of a stage state."""
+        v = math.hypot(v_long, v_lat)
+        if v_long <= LOW_SPEED_FLOOR:
+            dv_lat = dr = 0.0
+        else:
+            mu = m * v_long
+            iu = iz * v_long
+            dv_lat = n11 / mu * v_lat + (n12 / mu - v_long) * yaw_rate + b1_steer
+            dr = n21 / iu * v_lat + n22 / iu * yaw_rate + b2_steer
+        # Never drive v_long below zero.
+        dv_long = 0.0 if v_long <= 0.0 and accel < 0.0 else accel
+        return (v * math.sin(heading), v * math.cos(heading), yaw_rate,
+                dv_long, dv_lat, dr)
+
+    heading, v_long = state.heading, state.v_long
+    v_lat, yaw_rate = state.v_lat, state.yaw_rate
+    half = dt / 2.0
+    k1 = rates(heading, v_long, v_lat, yaw_rate)
+    k2 = rates(heading + k1[2] * half, v_long + k1[3] * half,
+               v_lat + k1[4] * half, yaw_rate + k1[5] * half)
+    k3 = rates(heading + k2[2] * half, v_long + k2[3] * half,
+               v_lat + k2[4] * half, yaw_rate + k2[5] * half)
+    k4 = rates(heading + k3[2] * dt, v_long + k3[3] * dt,
+               v_lat + k3[4] * dt, yaw_rate + k3[5] * dt)
     sixth = dt / 6.0
-    out = VehicleState(
-        x=state.x + sixth * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-        y=state.y + sixth * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-        heading=state.heading + sixth * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
-        v_long=state.v_long + sixth * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]),
-        v_lat=state.v_lat + sixth * (k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4]),
-        yaw_rate=state.yaw_rate + sixth * (k1[5] + 2 * k2[5] + 2 * k3[5] + k4[5]))
-    if out.v_long < 0.0:
-        out = replace(out, v_long=0.0, v_lat=0.0, yaw_rate=0.0)
-    return out
+    x = state.x + sixth * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+    y = state.y + sixth * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    heading += sixth * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+    v_long += sixth * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
+    if v_long < 0.0:
+        return VehicleState(x, y, heading, 0.0, 0.0, 0.0)
+    return VehicleState(x, y, heading, v_long,
+                        v_lat + sixth * (k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4]),
+                        yaw_rate + sixth * (k1[5] + 2 * k2[5] + 2 * k3[5] + k4[5]))

@@ -411,6 +411,33 @@ def merged_speed_ref(preset_ref: float, speed_now: float,
     return max(preset_ref, achievable)
 
 
+def complete_maneuver(ego: VehicleView, views: List[VehicleView],
+                      brain: BrainState, geometry: LaneGeometry,
+                      cfg) -> BrainState:
+    """The latch once ego has settled on its maneuver's target lane center.
+
+    The maneuver ends in KEEP on the target lane; a completed merge also
+    clears needs_merge and adopts merged_speed_ref against the slot leader
+    in views.  The latch comes back unchanged (the same object) while no
+    merge or change runs or ego is still outside the settle band.
+    """
+    if (brain.maneuver not in (MERGE, CHANGE)
+            or abs(ego.x - geometry.centers[brain.target_lane])
+            >= cfg.lane_settle_tol):
+        return brain
+    completed_merge = brain.maneuver == MERGE
+    leader = next((v for v in views
+                   if v.vehicle_id == brain.slot_leader_id), None)
+    return replace(
+        brain, maneuver=KEEP, current_lane=brain.target_lane,
+        target_lane=None, directive=HOLD, competing_id=None,
+        slot_leader_id=None, slot_follower_id=None, guard=False,
+        needs_merge=brain.needs_merge and not completed_merge,
+        v_ref=(merged_speed_ref(brain.v_ref, ego.v,
+                                leader.v if leader else None)
+               if completed_merge else brain.v_ref))
+
+
 def sinking_threat(ego: VehicleView, threat: Optional[VehicleView],
                    brain: BrainState, profile: DriverProfile, cfg) -> bool:
     """A braking ramp vehicle about to drop into the ego's slot.
@@ -435,20 +462,9 @@ def decide(ego: VehicleView, views: List[VehicleView], brain: BrainState,
            threat: Optional[VehicleView] = None) -> BrainState:
     """One decision epoch for one vehicle; returns the updated latch."""
     # A running lateral maneuver is never reversed, only completed.
-    if brain.maneuver in (MERGE, CHANGE):
-        if abs(ego.x - geometry.centers[brain.target_lane]) >= cfg.lane_settle_tol:
-            return brain
-        completed_merge = brain.maneuver == MERGE
-        leader = next((v for v in views
-                       if v.vehicle_id == brain.slot_leader_id), None)
-        brain = replace(
-            brain, maneuver=KEEP, current_lane=brain.target_lane,
-            target_lane=None, directive=HOLD, competing_id=None,
-            slot_leader_id=None, slot_follower_id=None, guard=False,
-            needs_merge=brain.needs_merge and not completed_merge,
-            v_ref=(merged_speed_ref(brain.v_ref, ego.v,
-                                    leader.v if leader else None)
-                   if completed_merge else brain.v_ref))
+    brain = complete_maneuver(ego, views, brain, geometry, cfg)
+    if brain.maneuver != KEEP:
+        return brain
 
     if brain.needs_merge and ego.lane == geometry.merge_lane:
         return _merge_lane_epoch(ego, views, brain, profile, geometry,

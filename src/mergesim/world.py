@@ -15,8 +15,8 @@ from .dynamics import Controls, VehicleParams, VehicleState, step
 from .perception import (PerceptionNoise, VehicleView, bumper_gap,
                          classify_vicinity, collision_index,
                          pose_collision_index, rects_intersect)
-from .planner import (ACCELERATE, CHANGE, DECELERATE, HOLD, KEEP, MERGE,
-                      BrainState, decide, entrance_threat, merged_speed_ref)
+from .planner import (ACCELERATE, CHANGE, DECELERATE, KEEP, MERGE,
+                      BrainState, complete_maneuver, decide, entrance_threat)
 from .road import LaneGeometry, lane_of
 
 SCRIPTED = "scripted"
@@ -74,12 +74,26 @@ class SimVehicle:
     q: float
     profile: DriverProfile
     brain: BrainState
+    # (state, geometry, view) of the last view built.
+    _view: Optional[tuple] = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def view(self, geometry: LaneGeometry) -> VehicleView:
+        """This vehicle as a view; one view per state and geometry object.
+
+        States and views are frozen, so while `state` and `geometry` are
+        the very objects the last view was built from, that view is
+        returned again; any new state object builds a new view.
+        """
         s = self.state
-        return VehicleView(self.vehicle_id, s.x, s.y, s.v_long, s.heading,
+        cached = self._view
+        if cached is not None and cached[0] is s and cached[1] is geometry:
+            return cached[2]
+        view = VehicleView(self.vehicle_id, s.x, s.y, s.v_long, s.heading,
                            self.params.length, self.params.width,
                            lane_of(s.x, geometry), self.kind, self.q)
+        self._view = (s, geometry, view)
+        return view
 
 
 class TrajectoryLog:
@@ -207,15 +221,19 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _number(item: dict, key: str, default: float, where: str) -> float:
-    """item[key] (or default) as a finite float, else a ConfigError at where.key."""
-    value = item.get(key, default)
+def _finite(value, path: str) -> float:
+    """value as a finite float, else a ConfigError at path."""
     try:
         number = float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{where}.{key}: must be a number, got {value!r}")
-    _require(math.isfinite(number), f"{where}.{key}: must be finite, got {value!r}")
+        raise ConfigError(f"{path}: must be a number, got {value!r}")
+    _require(math.isfinite(number), f"{path}: must be finite, got {value!r}")
     return number
+
+
+def _number(item: dict, key: str, default: float, where: str) -> float:
+    """item[key] (or default) as a finite float, else a ConfigError at where.key."""
+    return _finite(item.get(key, default), f"{where}.{key}")
 
 
 def scenario_definition(source) -> dict:
@@ -242,14 +260,25 @@ def load_scenario(source, cfg: RunConfig) -> World:
     _require(isinstance(geo, dict), "geometry: must be an object")
     merge = geo.get("merge", {})
     _require(isinstance(merge, dict), "geometry.merge: must be an object")
+    centers = geo.get("lane_centers", (0.0, 3.3, 6.6, 9.9))
+    _require(isinstance(centers, (list, tuple)) and len(centers) >= 2,
+             "geometry.lane_centers: must be a list of at least 2 numbers, "
+             f"got {centers!r}")
+    centers = tuple(_finite(c, f"geometry.lane_centers[{i}]")
+                    for i, c in enumerate(centers))
+    lane_width = _number(geo, "lane_width", 3.3, "geometry")
+    _require(lane_width > 0,
+             f"geometry.lane_width: must be positive, got {lane_width}")
+    merge_start = _number(merge, "start", 50.0, "geometry.merge")
+    entrance_length = _number(merge, "entrance_length", 100.0, "geometry.merge")
+    extension = _number(merge, "extension", 20.0, "geometry.merge")
+    _require(extension >= 0, "geometry.merge.extension: must not be negative, "
+             f"got {extension}")
     try:
         geometry = LaneGeometry(
-            centers=tuple(geo.get("lane_centers", (0.0, 3.3, 6.6, 9.9))),
-            lane_width=float(geo.get("lane_width", 3.3)),
-            merge_start=float(merge.get("start", 50.0)),
-            entrance_length=float(merge.get("entrance_length", 100.0)),
-            extension=float(merge.get("extension", 20.0)))
-    except (TypeError, ValueError) as exc:
+            centers=centers, lane_width=lane_width, merge_start=merge_start,
+            entrance_length=entrance_length, extension=extension)
+    except ValueError as exc:
         raise ConfigError(f"geometry: {exc}")
     params = cfg.vehicle_params()
     profile_cfg = cfg.profile_config()
@@ -544,8 +573,10 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
 
         for veh in world.vehicles:
             if veh.kind == SCRIPTED:
-                veh.state = replace(veh.state,
-                                    y=veh.state.y + veh.v_preset * dt)
+                s = veh.state
+                veh.state = VehicleState(s.x, s.y + veh.v_preset * dt,
+                                         s.heading, s.v_long, s.v_lat,
+                                         s.yaw_rate)
                 continue
             controls = _controls_for(
                 veh, views_by_id[veh.vehicle_id], views_by_id,
@@ -573,28 +604,15 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
         # Maneuver completion events feed the run summary.
         for veh in decision_vehicles:
             brain = veh.brain
-            if brain.maneuver in (MERGE, CHANGE):
-                target_x = geometry.centers[brain.target_lane]
-                if abs(veh.state.x - target_x) < cfg.lane_settle_tol:
-                    kind = ("merge_complete" if brain.maneuver == MERGE
-                            else "change_complete")
-                    completed_merge = brain.maneuver == MERGE
-                    leader = next(
-                        (v for v in moved
-                         if v.vehicle_id == brain.slot_leader_id), None)
-                    veh.brain = replace(
-                        brain, maneuver=KEEP, current_lane=brain.target_lane,
-                        target_lane=None, directive=HOLD, competing_id=None,
-                        slot_leader_id=None, slot_follower_id=None,
-                        guard=False,
-                        needs_merge=brain.needs_merge and not completed_merge,
-                        v_ref=(merged_speed_ref(brain.v_ref, veh.state.v_long,
-                                                leader.v if leader else None)
-                               if completed_merge else brain.v_ref))
-                    log.events.append({"t": world.time,
-                                       "vehicle": veh.vehicle_id,
-                                       "event": kind,
-                                       "lane": brain.target_lane})
+            veh.brain = complete_maneuver(veh.view(geometry), moved, brain,
+                                          geometry, cfg)
+            if veh.brain is not brain:
+                kind = ("merge_complete" if brain.maneuver == MERGE
+                        else "change_complete")
+                log.events.append({"t": world.time,
+                                   "vehicle": veh.vehicle_id,
+                                   "event": kind,
+                                   "lane": brain.target_lane})
 
         if decision_vehicles and _all_settled(world):
             quiet_accum += dt

@@ -1,12 +1,14 @@
+from dataclasses import replace
 import math
 import random
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from mergesim.dynamics import (Controls, VehicleParams, VehicleState,
-                               lateral_derivative, lateral_matrices,
-                               pose_derivative, step)
+from mergesim.dynamics import (LOW_SPEED_FLOOR, Controls, VehicleParams,
+                               VehicleState, lateral_derivative,
+                               lateral_matrices, pose_derivative, step)
 
 PARAMS = VehicleParams()
 
@@ -142,3 +144,89 @@ def test_straight_line_stays_straight():
     assert abs(state.v_lat) < 1e-12
     assert abs(state.yaw_rate) < 1e-12
     assert state.y == pytest.approx(250.0, abs=1e-9)
+
+
+def reference_step(state, params, controls, dt):
+    """Textbook RK4 whose stages are VehicleStates fed to the public rates."""
+    def derivative(s):
+        dy, dx, dheading = pose_derivative(s)
+        dv_lat, dr = lateral_derivative(s, params, controls.steer)
+        dv_long = controls.accel
+        if s.v_long <= 0.0 and dv_long < 0.0:
+            dv_long = 0.0
+        return (dx, dy, dheading, dv_long, dv_lat, dr)
+
+    def plus(s, d, h):
+        return VehicleState(
+            x=s.x + d[0] * h, y=s.y + d[1] * h, heading=s.heading + d[2] * h,
+            v_long=s.v_long + d[3] * h, v_lat=s.v_lat + d[4] * h,
+            yaw_rate=s.yaw_rate + d[5] * h)
+
+    k1 = derivative(state)
+    k2 = derivative(plus(state, k1, dt / 2.0))
+    k3 = derivative(plus(state, k2, dt / 2.0))
+    k4 = derivative(plus(state, k3, dt))
+    sixth = dt / 6.0
+    out = VehicleState(*(
+        getattr(state, name) + sixth * (a + 2 * b + 2 * c + d)
+        for name, a, b, c, d in zip(
+            ("x", "y", "heading", "v_long", "v_lat", "yaw_rate"),
+            k1, k2, k3, k4)))
+    if out.v_long < 0.0:
+        out = replace(out, v_long=0.0, v_lat=0.0, yaw_rate=0.0)
+    return out
+
+
+_params = st.one_of(st.just(PARAMS), st.builds(
+    VehicleParams, mass=st.floats(900, 2500), yaw_inertia=st.floats(1200, 5000),
+    dist_front=st.floats(0.8, 1.8), dist_rear=st.floats(1.0, 2.0),
+    corner_stiff_front=st.floats(-90000, -30000),
+    corner_stiff_rear=st.floats(-90000, -30000)))
+_speeds = st.one_of(st.sampled_from([0.0, LOW_SPEED_FLOOR / 2, LOW_SPEED_FLOOR]),
+                    st.floats(0.0, 0.5), st.floats(0.0, 45.0))
+_states = st.builds(VehicleState, x=st.floats(-5, 15), y=st.floats(-200, 400),
+                    heading=st.floats(-0.4, 0.4), v_long=_speeds,
+                    v_lat=st.floats(-2, 2), yaw_rate=st.floats(-0.6, 0.6))
+_controls = st.builds(Controls, accel=st.floats(-12, 4),
+                      steer=st.floats(-0.3, 0.3))
+_dts = st.one_of(st.sampled_from([0.01, 0.02, 0.1]), st.floats(1e-4, 0.5))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_states, _params, _controls, _dts)
+@example(VehicleState(v_long=LOW_SPEED_FLOOR / 2, v_lat=0.3, yaw_rate=0.1),
+         PARAMS, Controls(accel=1.0, steer=0.1), 0.01)
+@example(VehicleState(v_long=LOW_SPEED_FLOOR, v_lat=0.3, yaw_rate=0.1),
+         PARAMS, Controls(accel=1.0, steer=0.1), 0.01)
+@example(VehicleState(v_long=0.0, v_lat=0.2), PARAMS,
+         Controls(accel=-3.0, steer=0.05), 0.01)
+@example(VehicleState(v_long=0.3, v_lat=0.2, yaw_rate=0.1), PARAMS,
+         Controls(accel=-40.0, steer=0.05), 0.01)
+@example(VehicleState(v_long=20.0, heading=0.05, v_lat=0.4, yaw_rate=-0.2),
+         VehicleParams(mass=1100.0, yaw_inertia=1800.0, dist_front=1.0,
+                       dist_rear=1.5, corner_stiff_front=-45000.0,
+                       corner_stiff_rear=-70000.0),
+         Controls(accel=-2.0, steer=0.08), 0.02)
+def test_step_is_bit_identical_to_reference_rk4(state, params, controls, dt):
+    assert step(state, params, controls, dt) == \
+        reference_step(state, params, controls, dt)
+
+
+def test_reference_example_triggers_the_clamp():
+    # The -40 m/s^2 example above ends below zero speed before the clamp.
+    state = VehicleState(v_long=0.3, v_lat=0.2, yaw_rate=0.1)
+    out = step(state, PARAMS, Controls(accel=-40.0, steer=0.05), 0.01)
+    assert (out.v_long, out.v_lat, out.yaw_rate) == (0.0, 0.0, 0.0)
+    assert out.y > state.y
+
+
+def test_trajectory_is_bit_identical_to_reference_rk4():
+    params = VehicleParams(mass=1300.0, corner_stiff_rear=-75000.0)
+    state = ref = VehicleState(x=9.9, v_long=19.4)
+    for i in range(400):
+        controls = Controls(accel=1.5 if i < 150 else -10.0,
+                            steer=0.02 * math.sin(i / 40.0))
+        state = step(state, params, controls, 0.01)
+        ref = reference_step(ref, params, controls, 0.01)
+        assert state == ref, i
+    assert state.v_long == 0.0  # the run ends braked to rest

@@ -1,3 +1,4 @@
+from dataclasses import replace
 import math
 
 import pytest
@@ -175,6 +176,38 @@ class TestRun:
             "scenario1", RunConfig(q_overrides={"merging": 0.5}, noise=True,
                                    noise_sigma=0.5, seed=10)))
         assert other.rows != logs[0].rows
+
+
+class TestViewCache:
+    def test_snapshots_of_one_state_share_views(self):
+        world = load_scenario("scenario1", RunConfig())
+        first, second = world.snapshot(), world.snapshot()
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_moved_vehicles_get_fresh_views(self):
+        world = load_scenario("scenario1", RunConfig())
+        before = world.snapshot()
+        run(world, t_max=world.cfg.dt)  # one step: every vehicle moves
+        after = world.snapshot()
+        kinds = set()
+        for veh, old, new in zip(world.vehicles, before, after):
+            kinds.add(veh.kind)
+            assert new is not old
+            assert new.y > old.y
+            assert new == replace(veh).view(world.geometry)  # built anew
+        assert kinds == {SCRIPTED, DECISION}
+
+    def test_other_geometry_object_misses_the_cache(self):
+        world = load_scenario("scenario1", RunConfig())
+        veh = world.vehicles[0]
+        cached = veh.view(world.geometry)
+        equal = replace(world.geometry)
+        assert veh.view(equal) is not cached
+        assert veh.view(equal) == cached
+        shifted = LaneGeometry(centers=(-3.3, 0.0, 3.3, 6.6))
+        assert veh.view(shifted).lane == 1
+        assert veh.view(world.geometry).lane == 0
 
 
 def eager_icol(log, world):
