@@ -16,7 +16,8 @@ from .metrics import (aggressiveness_sweep, grid_to_csv, lane_change_count,
                       longitudinal_disturbance)
 from .road import LaneGeometry
 from .svgplot import render
-from .world import DECISION, load_scenario, run as run_world
+from .world import (DECISION, geometry_from_dict, load_scenario,
+                    run as run_world)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -224,14 +225,15 @@ def _geometry_for_plot(args) -> LaneGeometry:
         return LaneGeometry()
     try:
         with open(summary_path) as fh:
-            geo = json.load(fh)["geometry"]
-        return LaneGeometry(
-            centers=tuple(geo["lane_centers"]), lane_width=geo["lane_width"],
-            merge_start=geo["merge"]["start"],
-            entrance_length=geo["merge"]["entrance_length"],
-            extension=geo["merge"]["extension"])
-    except (OSError, KeyError, ValueError) as exc:
+            summary = json.load(fh)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read geometry from {summary_path}: {exc}")
+    if not isinstance(summary, dict) or "geometry" not in summary:
+        raise ConfigError(f"{summary_path}: no geometry object")
+    try:
+        return geometry_from_dict(summary["geometry"])
+    except ConfigError as exc:
+        raise ConfigError(f"{summary_path}: {exc}")
 
 
 def cmd_dump_config(args) -> int:

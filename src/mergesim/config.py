@@ -77,10 +77,14 @@ class RunConfig:
     understeer_gradient: float = 2.0
 
     def validate(self) -> "RunConfig":
-        for name in ("dt", "epoch", "t_max"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not _is_finite_number(value):
+                raise ConfigError(
+                    f"{f.name} must be a finite number, got {value!r}")
+            if f.type is int and not (isinstance(value, int)
+                                      and not isinstance(value, bool)):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         if not self.dt > 0:
             raise ConfigError("dt must be positive")
         ratio = self.epoch / self.dt
@@ -88,9 +92,12 @@ class RunConfig:
             raise ConfigError("epoch must be a positive multiple of dt")
         if not self.t_max > 0:
             raise ConfigError("t_max must be positive")
+        if not isinstance(self.q_overrides, dict):
+            raise ConfigError("q_overrides must be an object of id -> q")
         for vid, q in self.q_overrides.items():
-            if not (isinstance(q, (int, float)) and 0.0 <= q <= 1.0):
-                raise ConfigError(f"q override for {vid!r} must be in [0, 1]")
+            if not (is_number(q) and 0.0 <= q <= 1.0):
+                raise ConfigError(
+                    f"q_overrides[{vid!r}] must be a number in [0, 1], got {q!r}")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
         return self
@@ -167,6 +174,18 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data).validate()
+
+
+def is_number(value) -> bool:
+    """True for int and float values; booleans are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    try:
+        return is_number(value) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 class ConfigError(ValueError):

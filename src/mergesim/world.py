@@ -6,7 +6,7 @@ import math
 import random
 from typing import Dict, List, Optional, Tuple
 
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, is_number
 from .driver import (ControllerGains, DriverProfile, blended_error,
                      longitudinal_accel, profile_from_q, steering_command)
 from .dynamics import Controls, VehicleParams, VehicleState, step
@@ -14,7 +14,7 @@ from .dynamics import Controls, VehicleParams, VehicleState, step
 # mergesim.world.collision_index.
 from .perception import (PerceptionNoise, VehicleView, bumper_gap,
                          classify_vicinity, collision_index,
-                         pose_collision_index, rects_intersect)
+                         pose_collision_index, pose_gaps, rects_intersect)
 from .planner import (ACCELERATE, CHANGE, DECELERATE, KEEP, MERGE,
                       BrainState, complete_maneuver, decide, entrance_threat)
 from .road import LaneGeometry, lane_of
@@ -83,15 +83,22 @@ class SimVehicle:
 
         States and views are frozen, so while `state` and `geometry` are
         the very objects the last view was built from, that view is
-        returned again; any new state object builds a new view.
+        returned again; any new state object builds a new view, which
+        keeps the last view's lane while x and the geometry are unchanged.
         """
         s = self.state
         cached = self._view
-        if cached is not None and cached[0] is s and cached[1] is geometry:
-            return cached[2]
+        if cached is not None and cached[1] is geometry:
+            if cached[0] is s:
+                return cached[2]
+            # lane_of is a pure function of x and the geometry.
+            lane = (cached[2].lane if cached[0].x == s.x
+                    else lane_of(s.x, geometry))
+        else:
+            lane = lane_of(s.x, geometry)
         view = VehicleView(self.vehicle_id, s.x, s.y, s.v_long, s.heading,
                            self.params.length, self.params.width,
-                           lane_of(s.x, geometry), self.kind, self.q)
+                           lane, self.kind, self.q)
         self._view = (s, geometry, view)
         return view
 
@@ -222,11 +229,16 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _finite(value, path: str) -> float:
-    """value as a finite float, else a ConfigError at path."""
+    """value as a finite float, else a ConfigError at path.
+
+    Only JSON numbers qualify: booleans and numeric strings are rejected
+    even though float() would take them.
+    """
+    _require(is_number(value), f"{path}: must be a number, got {value!r}")
     try:
         number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: must be a number, got {value!r}")
+    except OverflowError:
+        number = math.inf
     _require(math.isfinite(number), f"{path}: must be finite, got {value!r}")
     return number
 
@@ -253,10 +265,9 @@ def scenario_definition(source) -> dict:
     return data
 
 
-def load_scenario(source, cfg: RunConfig) -> World:
-    """Build a world from a scenario definition, validating every field."""
-    data = scenario_definition(source)
-    geo = data.get("geometry", {})
+def geometry_from_dict(geo) -> LaneGeometry:
+    """LaneGeometry from a scenario's "geometry" object, validating every
+    field; missing fields take the defaults of the built-in scenarios."""
     _require(isinstance(geo, dict), "geometry: must be an object")
     merge = geo.get("merge", {})
     _require(isinstance(merge, dict), "geometry.merge: must be an object")
@@ -275,11 +286,17 @@ def load_scenario(source, cfg: RunConfig) -> World:
     _require(extension >= 0, "geometry.merge.extension: must not be negative, "
              f"got {extension}")
     try:
-        geometry = LaneGeometry(
+        return LaneGeometry(
             centers=centers, lane_width=lane_width, merge_start=merge_start,
             entrance_length=entrance_length, extension=extension)
     except ValueError as exc:
         raise ConfigError(f"geometry: {exc}")
+
+
+def load_scenario(source, cfg: RunConfig) -> World:
+    """Build a world from a scenario definition, validating every field."""
+    data = scenario_definition(source)
+    geometry = geometry_from_dict(data.get("geometry", {}))
     params = cfg.vehicle_params()
     profile_cfg = cfg.profile_config()
     vehicles = []
@@ -303,7 +320,7 @@ def load_scenario(source, cfg: RunConfig) -> World:
         _require(kind in (SCRIPTED, DECISION),
                  f"{where}.kind: must be scripted or decision, got {kind!r}")
         if vid in cfg.q_overrides:
-            q = float(cfg.q_overrides[vid])
+            q = _finite(cfg.q_overrides[vid], f"q_overrides[{vid!r}]")
         else:
             q = _number(item, "q", 0.5, where)
         _require(0.0 <= q <= 1.0, f"{where}.q: must be in [0, 1], got {q}")
@@ -319,6 +336,14 @@ def load_scenario(source, cfg: RunConfig) -> World:
             brain=brain))
     unknown = set(cfg.q_overrides) - seen
     _require(not unknown, f"q override for unknown vehicle ids: {sorted(unknown)}")
+    # The run checks poses only after each step, so the start poses are
+    # checked here: rectangles overlap when all four gaps are zero.
+    poses = [v.view(geometry).rect().pose() for v in vehicles]
+    for j, b in enumerate(poses):
+        for i in range(j):
+            _require(max(pose_gaps(poses[i], b)) > 0,
+                     f"vehicles[{j}]: overlaps vehicles[{i}] "
+                     f"({vehicles[i].vehicle_id!r}) at the start")
     return World(geometry, vehicles, cfg)
 
 
@@ -474,17 +499,36 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views_by_id,
 # --- simulation loop -------------------------------------------------------
 
 
-def _find_collision(views: List[VehicleView]):
-    n = len(views)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = views[i], views[j]
-            if abs(a.y - b.y) > (a.length + b.length) / 2.0 + 2.0:
+def _collision_pairs(views: List[VehicleView]) -> List[Tuple[int, int]]:
+    """Index pairs (i, j), i < j in order, that can collide during a run.
+
+    A scripted vehicle keeps its lateral position and heading for the whole
+    run, so two scripted vehicles at heading 0 with a positive gap along the
+    width axis can never touch: that gap depends only on their constant
+    lateral offset and half widths.  Every other pair is kept.
+    """
+    pairs = []
+    for i, a in enumerate(views):
+        for j in range(i + 1, len(views)):
+            b = views[j]
+            if (a.kind == SCRIPTED and b.kind == SCRIPTED
+                    and a.heading == 0.0 and b.heading == 0.0
+                    and pose_gaps(a.rect().pose(), b.rect().pose())[1] > 0):
                 continue
-            if abs(a.x - b.x) > (a.width + b.width) / 2.0 + 2.0:
-                continue
-            if rects_intersect(a.rect(), b.rect()):
-                return a.vehicle_id, b.vehicle_id
+            pairs.append((i, j))
+    return pairs
+
+
+def _find_collision(views: List[VehicleView], pairs: List[Tuple[int, int]]):
+    """Ids of the first pair, in `pairs` order, whose rectangles overlap."""
+    for i, j in pairs:
+        a, b = views[i], views[j]
+        if abs(a.y - b.y) > (a.length + b.length) / 2.0 + 2.0:
+            continue
+        if abs(a.x - b.x) > (a.width + b.width) / 2.0 + 2.0:
+            continue
+        if rects_intersect(a.rect(), b.rect()):
+            return a.vehicle_id, b.vehicle_id
     return None
 
 
@@ -513,6 +557,7 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
     quiet_accum = 0.0
 
     decision_vehicles = [v for v in world.vehicles if v.kind == DECISION]
+    pairs = _collision_pairs([v.view(geometry) for v in world.vehicles])
     attentions: Dict[str, Attention] = {}
 
     for step_index in range(n_steps):
@@ -594,7 +639,7 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
         log.end_time = world.time
 
         moved = world.snapshot()
-        hit = _find_collision(moved)
+        hit = _find_collision(moved, pairs)
         if hit is not None:
             log.collision = {"t": world.time, "vehicles": list(hit)}
             log.events.append({"t": world.time, "event": "collision",

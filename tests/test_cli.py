@@ -6,7 +6,7 @@ import pytest
 from mergesim.cli import main, parse_grid
 from mergesim.config import ConfigError, RunConfig
 from mergesim.metrics import GRID_COLUMNS, aggressiveness_sweep, grid_to_csv
-from mergesim.world import TRAJECTORY_COLUMNS
+from mergesim.world import TRAJECTORY_COLUMNS, load_scenario
 
 
 def run_cli(*argv):
@@ -246,6 +246,23 @@ class TestRejectsBadInput:
                         "extension": -50}},
              "geometry.merge.extension: must not be negative"),
         )],
+        (lambda d: {**d, "geometry": {**d["geometry"], "lane_width": True}},
+         "geometry.lane_width: must be a number, got True"),
+        (lambda d: {**d, "geometry": {**d["geometry"],
+                                      "lane_centers": [0.0, "3.3"]}},
+         "geometry.lane_centers[1]: must be a number, got '3.3'"),
+        *[(lambda d, key=key, value=value: {
+            **d, "vehicles": [{**d["vehicles"][0], key: value}]},
+           f"vehicles[0].{key}: must be a number, got {value!r}")
+          for key, value in (("x0_m", "0"), ("y0_m", "30"), ("v0_kmh", "80"),
+                             ("q", "0.5"), ("x0_m", True), ("y0_m", False),
+                             ("v0_kmh", True), ("q", True))],
+        (lambda d: {**d, "vehicles": [{**d["vehicles"][0],
+                                        "v0_kmh": 10 ** 400}]},
+         "vehicles[0].v0_kmh: must be finite"),
+        (lambda d: {**d, "vehicles": [d["vehicles"][0], {
+            **d["vehicles"][1], "y0_m": d["vehicles"][0]["y0_m"] - 4.5}]},
+         "vehicles[1]: overlaps vehicles[0] ('slow') at the start"),
     ])
     def test_malformed_scenario(self, tmp_path, capsys, mutate, message):
         good = json.loads(open(crash_scenario_file(tmp_path)).read())
@@ -256,6 +273,38 @@ class TestRejectsBadInput:
         err = capsys.readouterr().err
         assert f"error: {message}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("config, message", [
+        ({"dt": True}, "dt must be a finite number, got True"),
+        ({"epoch": True}, "epoch must be a finite number, got True"),
+        ({"t_max": True}, "t_max must be a finite number, got True"),
+        ({"t_max": "40"}, "t_max must be a finite number, got '40'"),
+        ({"noise_sigma": "0.5"},
+         "noise_sigma must be a finite number, got '0.5'"),
+        ({"jobs": True}, "jobs must be an integer, got True"),
+        ({"seed": "0"}, "seed must be an integer, got '0'"),
+        ({"q_overrides": {"slow": True}},
+         "q_overrides['slow'] must be a number in [0, 1], got True"),
+        ({"q_overrides": {"slow": "0.5"}},
+         "q_overrides['slow'] must be a number in [0, 1], got '0.5'"),
+        ({"q_overrides": [0.5]}, "q_overrides must be an object"),
+    ])
+    def test_booleans_and_numeric_strings_in_config(self, tmp_path, capsys,
+                                                    config, message):
+        scenario = crash_scenario_file(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = str(tmp_path / "x")
+        assert run_cli("run", "--scenario", scenario, "--config", str(path),
+                       "--output", out) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+
+    def test_q_override_must_be_a_number(self, tmp_path):
+        cfg = RunConfig(q_overrides={"slow": True}, t_max=1.0)
+        with pytest.raises(ConfigError, match=r"q_overrides\['slow'\]: must be a number"):
+            load_scenario(crash_scenario_file(tmp_path), cfg)
 
 
 class TestSweepCommand:
@@ -309,6 +358,32 @@ class TestPlotCommand:
         run_cli("plot", out + ".csv", "--output", a)
         run_cli("plot", out + ".csv", "--output", b)
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda s: {**s, "geometry": {**s["geometry"], "lane_centers": 5}},
+         "geometry.lane_centers: must be a list"),
+        (lambda s: {**s, "geometry": {**s["geometry"], "lane_width": "3.3"}},
+         "geometry.lane_width: must be a number"),
+        (lambda s: {**s, "geometry": {**s["geometry"], "merge": None}},
+         "geometry.merge: must be an object"),
+        (lambda s: {**s, "geometry": [1]}, "geometry: must be an object"),
+        (lambda s: {k: v for k, v in s.items() if k != "geometry"},
+         "no geometry object"),
+        (lambda s: [s], "no geometry object"),
+    ])
+    def test_malformed_summary_geometry(self, tmp_path, capsys, mutate,
+                                        message):
+        out = str(tmp_path / "traj")
+        run_cli("run", "--scenario", "scenario1", "--output", out,
+                "--t-max", "1")
+        summary = json.load(open(out + ".summary.json"))
+        with open(out + ".summary.json", "w") as fh:
+            json.dump(mutate(summary), fh)
+        capsys.readouterr()
+        assert run_cli("plot", out + ".csv") == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
     def test_malformed_file_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -1,0 +1,211 @@
+"""Collision checking over the run-start pair list, on generated scenarios."""
+
+from contextlib import contextmanager
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mergesim import world as world_module
+from mergesim.config import ConfigError, RunConfig
+from mergesim.perception import OrientedRect, rects_intersect
+from mergesim.world import (DECISION, SCRIPTED, _collision_pairs,
+                            load_scenario, run)
+
+BODY_WIDTH = RunConfig().body_width
+
+
+def all_pairs_collision(views):
+    """Reference: the first overlapping pair over every (i, j), i < j."""
+    n = len(views)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = views[i], views[j]
+            if abs(a.y - b.y) > (a.length + b.length) / 2.0 + 2.0:
+                continue
+            if abs(a.x - b.x) > (a.width + b.width) / 2.0 + 2.0:
+                continue
+            if rects_intersect(a.rect(), b.rect()):
+                return a.vehicle_id, b.vehicle_id
+    return None
+
+
+@contextmanager
+def checked_against_all_pairs():
+    """Check every _find_collision call of a run against the reference;
+    yields the list of (pairs, result) seen."""
+    real = world_module._find_collision
+    seen = []
+
+    def checked(views, pairs):
+        got = real(views, pairs)
+        assert got == all_pairs_collision(views)
+        seen.append((pairs, got))
+        return got
+
+    with mock.patch.object(world_module, "_find_collision", checked):
+        yield seen
+
+
+def scenario(spacing, vehicles, lanes=4):
+    """Scenario dict with `lanes` centers `spacing` apart; each vehicle is
+    (id, lane, y0_m, v0_kmh, kind, q)."""
+    centers = [lane * spacing for lane in range(lanes)]
+    return {
+        "geometry": {"lane_centers": centers, "lane_width": spacing,
+                     "merge": {"start": 50.0, "entrance_length": 100.0,
+                               "extension": 20.0}},
+        "vehicles": [{"id": vid, "x0_m": centers[lane], "y0_m": y0,
+                      "v0_kmh": v0, "kind": kind, "q": q}
+                     for vid, lane, y0, v0, kind, q in vehicles]}
+
+
+def logged_overlaps(log):
+    """(t, id, id) of every pair of logged rectangles that overlap."""
+    n = len(log.bodies)
+    out = []
+    for start in range(0, len(log.rows), n):
+        rects = []
+        for r in log.rows[start:start + n]:
+            length, width = log.bodies[r[1]]
+            rects.append((r[1], OrientedRect(r[2], r[3], r[5], width / 2.0,
+                                             length / 2.0)))
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rects_intersect(rects[i][1], rects[j][1]):
+                    out.append((log.rows[start][0], rects[i][0], rects[j][0]))
+    return out
+
+
+_kinds = st.sampled_from((SCRIPTED, DECISION))
+
+
+@st.composite
+def generated_scenarios(draw):
+    """2-6 vehicles on 2-4 lanes whose spacing lies above or below one body
+    width, optionally with a faster scripted follower in a lead vehicle's
+    lane, and a short run time."""
+    lanes = draw(st.integers(2, 4))
+    spacing = draw(st.one_of(
+        st.floats(1.0, BODY_WIDTH - 0.05), st.floats(BODY_WIDTH + 0.05, 4.0),
+        st.sampled_from((BODY_WIDTH, 3.3))))
+    count = draw(st.integers(2, 6))
+    vehicles = []
+    for k in range(count):
+        vehicles.append((f"v{k}", draw(st.integers(0, lanes - 1)),
+                         draw(st.floats(-60.0, 120.0)),
+                         draw(st.floats(40.0, 130.0)), draw(_kinds),
+                         draw(st.floats(0.0, 1.0))))
+    if count < 6 and draw(st.booleans()):
+        _, lane, y0, v0, _, _ = vehicles[0]
+        vehicles.append(("follower", lane, y0 - draw(st.floats(5.0, 25.0)),
+                         v0 + draw(st.floats(20.0, 60.0)), SCRIPTED, 0.5))
+    t_max = draw(st.sampled_from((0.5, 1.0, 2.0, 3.0)))
+    return scenario(spacing, vehicles, lanes), t_max
+
+
+def overlap_at_start(data):
+    """Whether two vehicles of a scenario dict overlap in their start poses."""
+    half_w, half_l = BODY_WIDTH / 2.0, RunConfig().body_length / 2.0
+    rects = [OrientedRect(v["x0_m"], v["y0_m"], 0.0, half_w, half_l)
+             for v in data["vehicles"]]
+    return any(rects_intersect(a, b)
+               for i, a in enumerate(rects) for b in rects[i + 1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_scenarios())
+def test_pair_list_matches_all_pairs_on_generated_scenarios(case):
+    data, t_max = case
+    if overlap_at_start(data):
+        with pytest.raises(ConfigError, match=r"vehicles\[\d+\]: overlaps"):
+            load_scenario(data, RunConfig())
+        return
+    logs = []
+    for _ in range(2):
+        with checked_against_all_pairs() as seen:
+            logs.append(run(load_scenario(data, RunConfig()), t_max))
+        # One collision check per step, and the run stops at the first hit.
+        steps = round(logs[-1].end_time / 0.01)
+        assert len(seen) == steps
+        assert [hit for _, hit in seen[:-1]] == [None] * (steps - 1)
+    first, second = logs
+    assert first.rows == second.rows
+    assert first.events == second.events
+    assert first.collision == second.collision
+    # The start poses were checked by load_scenario and every later pose by
+    # the run, which stops before logging the poses of a collision.
+    assert logged_overlaps(first) == []
+
+
+class TestPairList:
+    def test_builtin_scenario_drops_only_scripted_side_by_side_pairs(self):
+        world = load_scenario("scenario1", RunConfig())
+        views = world.snapshot()
+        ids = [v.vehicle_id for v in views]
+        dropped = {(ids[i], ids[j]) for i in range(len(ids))
+                   for j in range(i + 1, len(ids))} - {
+            (ids[i], ids[j]) for i, j in _collision_pairs(views)}
+        # vehicle1..3 share y = 30 in lanes 0..2; vehicle4 and vehicle5 share
+        # lane 2 with vehicle3 and can meet it.
+        assert dropped == {(a, b) for a in ("vehicle1", "vehicle2")
+                           for b in ("vehicle2", "vehicle3", "vehicle4",
+                                     "vehicle5") if a < b}
+
+    def test_pairs_keep_the_all_pairs_order(self):
+        views = load_scenario("scenario2", RunConfig()).snapshot()
+        pairs = _collision_pairs(views)
+        assert pairs == sorted(pairs)
+        assert all(i < j for i, j in pairs)
+
+    def test_scripted_lanes_closer_than_a_body_width_keep_their_pair(self):
+        data = scenario(1.5, [("a", 0, 0.0, 80.0, SCRIPTED, 0.5),
+                              ("b", 1, 50.0, 80.0, SCRIPTED, 0.5)])
+        views = load_scenario(data, RunConfig()).snapshot()
+        assert _collision_pairs(views) == [(0, 1)]
+
+
+class TestScriptedCollisions:
+    def test_side_by_side_overlap_is_a_collision(self):
+        # Lanes 1.5 m apart, narrower than a 1.8 m body: the faster vehicle
+        # draws level with the slower one in the next lane.
+        data = scenario(1.5, [("ahead", 0, 20.0, 60.0, SCRIPTED, 0.5),
+                              ("behind", 1, 0.0, 100.0, SCRIPTED, 0.5)])
+        with checked_against_all_pairs() as seen:
+            log = run(load_scenario(data, RunConfig()), 5.0)
+        assert log.collision is not None
+        assert log.collision["vehicles"] == ["ahead", "behind"]
+        assert seen[-1][1] == ("ahead", "behind")
+        assert logged_overlaps(log) == []
+
+    @pytest.mark.parametrize("spacing", [1.5, BODY_WIDTH])
+    def test_side_by_side_overlap_at_start_is_rejected(self, spacing):
+        # At exactly one body width apart the rectangles touch, which counts
+        # as an overlap.
+        data = scenario(spacing, [("left", 0, 0.0, 80.0, SCRIPTED, 0.5),
+                                  ("right", 1, 3.0, 80.0, DECISION, 0.5)])
+        with pytest.raises(ConfigError, match=r"vehicles\[1\]: overlaps "
+                           r"vehicles\[0\] \('left'\) at the start"):
+            load_scenario(data, RunConfig())
+
+    def test_rear_end_is_a_collision(self):
+        # The same rear-end in lanes 0 and 1 at the same step: the first
+        # pair in all-pairs order is reported.
+        data = scenario(3.3, [("slow", 0, 30.0, 50.0, SCRIPTED, 0.5),
+                              ("side", 1, 30.0, 50.0, SCRIPTED, 0.5),
+                              ("fast", 0, 0.0, 120.0, SCRIPTED, 0.5),
+                              ("fast_side", 1, 0.0, 120.0, SCRIPTED, 0.5)])
+        with checked_against_all_pairs() as seen:
+            log = run(load_scenario(data, RunConfig()), 5.0)
+        assert seen[0][0] == [(0, 2), (1, 3)]  # only same-lane pairs
+        assert log.collision["vehicles"] == ["slow", "fast"]
+        # Closing at 70 km/h over 30 m less one body length: 1.311 s.
+        assert log.collision["t"] == 1.32
+
+    def test_adjacent_lanes_wider_than_a_body_never_collide(self):
+        data = scenario(3.3, [("ahead", 0, 20.0, 60.0, SCRIPTED, 0.5),
+                              ("behind", 1, 0.0, 100.0, SCRIPTED, 0.5)])
+        with checked_against_all_pairs() as seen:
+            log = run(load_scenario(data, RunConfig()), 5.0)
+        assert log.collision is None
+        assert seen[0][0] == []

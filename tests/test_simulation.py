@@ -198,6 +198,19 @@ class TestViewCache:
             assert new == replace(veh).view(world.geometry)  # built anew
         assert kinds == {SCRIPTED, DECISION}
 
+    def test_lane_follows_x_for_each_new_state(self):
+        world = load_scenario("scenario1", RunConfig())
+        veh = world.vehicles[0]
+        assert veh.view(world.geometry).lane == 0
+        veh.state = replace(veh.state, x=3.3)
+        assert veh.view(world.geometry).lane == 1
+        veh.state = replace(veh.state, y=veh.state.y + 1.0)  # same x
+        assert veh.view(world.geometry).lane == 1
+        veh.state = replace(veh.state, x=4.95)  # a midpoint: lower index
+        assert veh.view(world.geometry).lane == 1
+        veh.state = replace(veh.state, x=5.0)
+        assert veh.view(world.geometry).lane == 2
+
     def test_other_geometry_object_misses_the_cache(self):
         world = load_scenario("scenario1", RunConfig())
         veh = world.vehicles[0]
