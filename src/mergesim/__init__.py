@@ -1,39 +1,1 @@
 """Deterministic microscopic simulator of game-theoretic highway merging."""
-
-from .config import ConfigError, RunConfig
-from .driver import (ControllerGains, DriverProfile, ProfileConfig,
-                     longitudinal_accel, profile_from_q, steering_command,
-                     steering_limit)
-from .dynamics import (GRAVITY, Controls, VehicleParams, VehicleState,
-                       lateral_derivative, pose_derivative, step)
-from .game import (LEFT, STRAIGHT, PayoffBimatrix, headway_utility,
-                   merge_cost_left, merge_cost_stay, net_utility,
-                   solve_stackelberg)
-from .metrics import (DisturbanceGrid, DisturbanceReport, aggressiveness_sweep,
-                      lateral_disturbance, longitudinal_disturbance)
-from .perception import (Neighbor, OrientedRect, VehicleView, Vicinity,
-                         classify_vicinity, collision_index, perceived_bounds,
-                         projection_gap, rects_intersect)
-from .planner import (BrainState, acceleration_game, decide,
-                      discretionary_lane_change, merging_game, predict_states)
-from .road import LaneGeometry, distance_to_merge_end, lane_of
-from .world import TrajectoryLog, World, load_scenario, run
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ConfigError", "RunConfig", "ControllerGains", "DriverProfile",
-    "ProfileConfig", "longitudinal_accel", "profile_from_q",
-    "steering_command", "steering_limit", "GRAVITY", "Controls",
-    "VehicleParams", "VehicleState", "lateral_derivative", "pose_derivative",
-    "step", "LEFT", "STRAIGHT", "PayoffBimatrix", "headway_utility",
-    "merge_cost_left", "merge_cost_stay", "net_utility", "solve_stackelberg",
-    "DisturbanceGrid", "DisturbanceReport", "aggressiveness_sweep",
-    "lateral_disturbance", "longitudinal_disturbance", "Neighbor",
-    "OrientedRect", "VehicleView", "Vicinity", "classify_vicinity",
-    "collision_index", "perceived_bounds", "projection_gap",
-    "rects_intersect", "BrainState", "acceleration_game", "decide",
-    "discretionary_lane_change", "merging_game", "predict_states",
-    "LaneGeometry", "distance_to_merge_end", "lane_of", "TrajectoryLog",
-    "World", "load_scenario", "run",
-]

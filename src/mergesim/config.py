@@ -1,11 +1,15 @@
-"""Run configuration: every tunable constant in one flat, serializable record."""
+"""Run configuration: every tunable constant in one flat, serializable record.
+
+RunConfig is the only calibration table: the driver profiles, controller
+gains and vehicle parameters of a run are all derived from its fields.
+"""
 
 from dataclasses import dataclass, field, asdict, fields
 import math
 from typing import Dict
 
 from .dynamics import GRAVITY, VehicleParams
-from .driver import ControllerGains, ProfileConfig
+from .driver import ControllerGains, DriverProfile
 
 
 @dataclass
@@ -112,23 +116,6 @@ class RunConfig:
             width=self.body_width, length=self.body_length,
             understeer_gradient=self.understeer_gradient)
 
-    def profile_config(self) -> ProfileConfig:
-        return ProfileConfig(
-            visibility_range=self.visibility_range,
-            visibility_scale_span=(self.visibility_scale_cautious,
-                                   self.visibility_scale_aggressive),
-            prediction_time_span=(self.prediction_time_cautious,
-                                  self.prediction_time_aggressive),
-            accel_limit_g_span=(self.accel_limit_g_cautious,
-                                self.accel_limit_g_aggressive),
-            lat_accel_g_span=(self.lat_accel_g_cautious,
-                              self.lat_accel_g_aggressive),
-            bound_scale_max=self.bound_scale_max,
-            clearance_diagonals=self.clearance_diagonals,
-            follow_headway_span=(self.follow_headway_cautious,
-                                 self.follow_headway_aggressive),
-            vehicle_diagonal=math.hypot(self.body_length, self.body_width))
-
     def gains(self) -> ControllerGains:
         return ControllerGains(
             kp_long=self.kp_long, kd_long=self.kd_long,
@@ -136,6 +123,36 @@ class RunConfig:
             accel_cap=self.accel_cap_g * GRAVITY,
             steer_cap=math.radians(self.steer_cap_deg),
             brake_factor=self.brake_factor)
+
+    def profile(self, q: float) -> DriverProfile:
+        """Expand the aggressiveness index into a full behavioral profile.
+
+        Every map runs linearly from its cautious value at q=0 to its
+        aggressive value at q=1.
+        """
+        if not (is_number(q) and math.isfinite(q) and 0.0 <= q <= 1.0):
+            raise ConfigError(f"aggressiveness must be in [0, 1], got {q!r}")
+
+        def lerp(cautious: float, aggressive: float) -> float:
+            return cautious + (aggressive - cautious) * q
+
+        return DriverProfile(
+            aggressiveness=q,
+            visibility_scale=lerp(self.visibility_scale_cautious,
+                                  self.visibility_scale_aggressive),
+            prediction_time=lerp(self.prediction_time_cautious,
+                                 self.prediction_time_aggressive),
+            accel_limit=lerp(self.accel_limit_g_cautious,
+                             self.accel_limit_g_aggressive) * GRAVITY,
+            lat_accel_limit=lerp(self.lat_accel_g_cautious,
+                                 self.lat_accel_g_aggressive) * GRAVITY,
+            bound_scale=1.0 + (self.bound_scale_max - 1.0) * q,
+            visibility_range=self.visibility_range,
+            lane_change_clearance=(self.clearance_diagonals
+                                   * math.hypot(self.body_length,
+                                                self.body_width)),
+            follow_headway=lerp(self.follow_headway_cautious,
+                                self.follow_headway_aggressive))
 
     def nominal_accel(self, profile) -> float:
         """Throttle authority of a directive: grows with aggressiveness."""

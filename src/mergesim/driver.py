@@ -1,35 +1,17 @@
-"""Driver disposition maps and the saturated PD manipulation layer.
+"""Driver profiles and the saturated PD manipulation layer.
 
-A single aggressiveness knob in [0, 1] (0 = completely cautious, 1 =
-completely aggressive) is stretched over linear maps into every behavioral
-parameter a driver needs: comfort limits, look-ahead time, usable headway,
-perception magnification and lane-change clearance.  All endpoints are
-configurable; the dataclass defaults are the stock calibration.
+A DriverProfile holds every behavioral parameter one driver needs: comfort
+limits, look-ahead time, usable headway, perception magnification and
+lane-change clearance.  RunConfig.profile expands a single aggressiveness
+index in [0, 1] (0 = completely cautious, 1 = completely aggressive) into
+one.  The PD laws below turn tracking errors into acceleration and steering
+commands bounded by the profile and by the ControllerGains of the run.
 """
 
 from dataclasses import dataclass
 import math
 
 from .dynamics import GRAVITY, VehicleParams
-
-
-def lerp(lo: float, hi: float, t: float) -> float:
-    return lo + (hi - lo) * t
-
-
-@dataclass(frozen=True)
-class ProfileConfig:
-    """Endpoints of the aggressiveness maps (value at q=0, value at q=1)."""
-
-    visibility_range: float = 100.0            # m, nominal sensing range
-    visibility_scale_span: tuple = (1.0, 0.3)  # usable fraction of the range
-    prediction_time_span: tuple = (2.2, 0.6)   # s, look-ahead horizon
-    accel_limit_g_span: tuple = (0.1, 0.3)     # comfort acceleration bound
-    lat_accel_g_span: tuple = (0.1, 0.4)       # lateral comfort bound
-    bound_scale_max: float = 1.3               # perception magnification at q=1
-    clearance_diagonals: float = 2.0           # lane-change clearance, in diagonals
-    follow_headway_span: tuple = (0.45, 0.25)  # s, gap-keeping time headway
-    vehicle_diagonal: float = math.hypot(4.5, 1.8)
 
 
 @dataclass(frozen=True)
@@ -39,7 +21,7 @@ class DriverProfile:
     prediction_time: float       # s
     accel_limit: float           # m/s^2
     lat_accel_limit: float       # m/s^2
-    bound_scale: float           # perceived-rectangle magnification, 1..1.3
+    bound_scale: float           # perceived-rectangle magnification, >= 1
     visibility_range: float      # m
     lane_change_clearance: float  # m, room needed to change lanes
     follow_headway: float        # s
@@ -47,31 +29,13 @@ class DriverProfile:
 
 @dataclass(frozen=True)
 class ControllerGains:
-    kp_long: float = 0.3    # longitudinal proportional gain (1/s on velocity error)
-    kd_long: float = 0.6    # longitudinal derivative gain
-    kp_lat: float = 0.25    # lateral proportional gain (rad/m)
-    kd_lat: float = 0.15    # lateral derivative gain (rad s/m)
-    accel_cap: float = 0.5 * GRAVITY     # physical acceleration bound (m/s^2)
-    steer_cap: float = math.radians(30)  # physical steering bound (rad)
-    brake_factor: float = 1.0            # deceleration limit = brake_factor * comfort limit
-
-
-def profile_from_q(q: float, config: ProfileConfig = ProfileConfig()) -> DriverProfile:
-    """Expand the aggressiveness index into a full behavioral profile."""
-    if not (isinstance(q, (int, float)) and math.isfinite(q) and 0.0 <= q <= 1.0):
-        raise ValueError(f"aggressiveness must be in [0, 1], got {q!r}")
-    c = config
-    return DriverProfile(
-        aggressiveness=q,
-        visibility_scale=lerp(*c.visibility_scale_span, q),
-        prediction_time=lerp(*c.prediction_time_span, q),
-        accel_limit=lerp(*c.accel_limit_g_span, q) * GRAVITY,
-        lat_accel_limit=lerp(*c.lat_accel_g_span, q) * GRAVITY,
-        bound_scale=1.0 + (c.bound_scale_max - 1.0) * q,
-        visibility_range=c.visibility_range,
-        lane_change_clearance=c.clearance_diagonals * c.vehicle_diagonal,
-        follow_headway=lerp(*c.follow_headway_span, q),
-    )
+    kp_long: float       # longitudinal proportional gain (1/s on velocity error)
+    kd_long: float       # longitudinal derivative gain
+    kp_lat: float        # lateral proportional gain (rad/m)
+    kd_lat: float        # lateral derivative gain (rad s/m)
+    accel_cap: float     # physical acceleration bound (m/s^2)
+    steer_cap: float     # physical steering bound (rad)
+    brake_factor: float  # deceleration limit = brake_factor * comfort limit
 
 
 def longitudinal_accel(profile: DriverProfile, gains: ControllerGains,
@@ -119,7 +83,7 @@ def steering_command(profile: DriverProfile, gains: ControllerGains,
 
 
 def blended_error(speed_error: float, gap_error: float, gap_error_rate: float,
-                  speed_weight: float = 0.5):
+                  speed_weight: float):
     """Weighted mean of the speed-tracking and gap-keeping error channels.
 
     Returns an (error, error_rate) pair ready for longitudinal_accel; the

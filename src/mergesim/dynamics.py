@@ -32,23 +32,19 @@ class VehicleState:
 
 @dataclass(frozen=True)
 class VehicleParams:
-    mass: float = 1500.0               # kg
-    yaw_inertia: float = 2500.0        # kg m^2
-    dist_front: float = 1.2            # front axle to CG (m)
-    dist_rear: float = 1.6             # rear axle to CG (m)
-    corner_stiff_front: float = -60000.0  # N/rad; negative sign keeps the plant stable
-    corner_stiff_rear: float = -60000.0
-    width: float = 1.8                 # m
-    length: float = 4.5                # m
-    understeer_gradient: float = 2.0   # deg/g
+    mass: float                 # kg
+    yaw_inertia: float          # kg m^2
+    dist_front: float           # front axle to CG (m)
+    dist_rear: float            # rear axle to CG (m)
+    corner_stiff_front: float   # N/rad; negative sign keeps the plant stable
+    corner_stiff_rear: float
+    width: float                # m
+    length: float               # m
+    understeer_gradient: float  # deg/g
 
     @property
     def wheelbase(self) -> float:
         return self.dist_front + self.dist_rear
-
-    @property
-    def diagonal(self) -> float:
-        return math.hypot(self.length, self.width)
 
 
 @dataclass(frozen=True)

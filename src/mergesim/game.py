@@ -50,10 +50,8 @@ def merge_cost_left(gap_behind: float, closing_speed: float,
 
 
 def merge_cost_stay(dist_to_end: float, ego_speed: float,
-                    profile: DriverProfile, is_merging: bool = True) -> float:
-    """Penalty for staying put; only merging vehicles pay for the lane end."""
-    if not is_merging:
-        return 0.0
+                    profile: DriverProfile) -> float:
+    """Penalty for a merging vehicle staying put as its lane end nears."""
     return (profile.lane_change_clearance
             + ego_speed * profile.prediction_time - dist_to_end)
 

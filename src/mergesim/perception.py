@@ -40,20 +40,6 @@ class OrientedRect:
                 math.cos(self.heading), self.half_width, self.half_length)
 
 
-def perceived_bounds(rect: OrientedRect, observer_q: float,
-                     max_scale: float = 1.3) -> OrientedRect:
-    """Rectangle as recognized by an observer of given aggressiveness.
-
-    Both half extents grow linearly with q, from exact bounds at q=0 to
-    max_scale at q=1; the center and heading are unchanged.
-    """
-    if not 0.0 <= observer_q <= 1.0:
-        raise ValueError(f"observer aggressiveness must be in [0, 1], got {observer_q!r}")
-    scale = 1.0 + (max_scale - 1.0) * observer_q
-    return replace(rect, half_width=rect.half_width * scale,
-                   half_length=rect.half_length * scale)
-
-
 def _extent_along(rect: OrientedRect, axis) -> float:
     """Half-extent of the rectangle's projection onto a unit axis."""
     (fx, fy), (lx, ly) = rect.axes()
@@ -151,7 +137,6 @@ class VehicleView:
 class Neighbor:
     vehicle_id: str
     gap: float        # bumper-to-bumper (m), floored at 0
-    rel_speed: float  # neighbor speed minus ego speed (m/s)
 
 
 class Vicinity:
@@ -181,20 +166,23 @@ def lateral_reach(view: VehicleView, scale: float = 1.0) -> float:
 
 
 class PerceptionNoise:
-    """Seeded additive gap noise; sigma shrinks with observer aggressiveness."""
+    """Seeded recognition errors of one observer; sigma shrinks with the
+    observer's aggressiveness."""
 
     def __init__(self, rng, sigma0: float, observer_q: float):
         self.rng = rng
         self.sigma = sigma0 * (1.0 - 0.5 * observer_q)
 
-    def perturb(self, gap: float) -> float:
-        return max(0.0, gap + self.rng.gauss(0.0, self.sigma))
+    def observe(self, ego_id: str, views):
+        """views as this observer sees them: every other vehicle's
+        longitudinal position is perturbed, one draw per vehicle in order."""
+        return [v if v.vehicle_id == ego_id
+                else replace(v, y=v.y + self.rng.gauss(0.0, self.sigma))
+                for v in views]
 
 
-def classify_vicinity(ego_id: str, views, geometry, *,
-                      visibility: float = 100.0,
-                      observer_scale: float = 1.0,
-                      noise: Optional[PerceptionNoise] = None) -> Vicinity:
+def classify_vicinity(ego_id: str, views, geometry, *, visibility: float,
+                      observer_scale: float = 1.0) -> Vicinity:
     """Partition surrounding vehicles into per-lane leader/follower slots.
 
     A vehicle registers in its own lane and, when observer_scale > 1, in
@@ -232,8 +220,6 @@ def classify_vicinity(ego_id: str, views, geometry, *,
                 entries.append(None)
             else:
                 gap, other = hit
-                if noise is not None:
-                    gap = noise.perturb(gap)
-                entries.append(Neighbor(other.vehicle_id, gap, other.v - ego.v))
+                entries.append(Neighbor(other.vehicle_id, gap))
         slots[lane] = tuple(entries)
     return Vicinity(slots)

@@ -18,7 +18,7 @@ from .driver import DriverProfile
 from .game import (LEFT, STRAIGHT, IMPOSSIBLE, PayoffBimatrix, headway_utility,
                    merge_cost_left, merge_cost_stay, net_utility, solve_stackelberg)
 from .perception import OrientedRect, VehicleView, bumper_gap, rects_intersect
-from .road import LaneGeometry
+from .road import LaneGeometry, distance_to_merge_end
 
 ACCELERATE = "accel"
 DECELERATE = "decel"
@@ -64,10 +64,6 @@ class SlotEval:
         return front_ok and self.squeeze <= tolerance
 
 
-def view_of(views: List[VehicleView], vehicle_id: str) -> VehicleView:
-    return next(v for v in views if v.vehicle_id == vehicle_id)
-
-
 def slot_around(ego: VehicleView, views: List[VehicleView], lane: int,
                 exclude: Tuple[str, ...] = ()) -> Tuple[Optional[VehicleView], Optional[VehicleView]]:
     """(leader, follower) in a lane around ego's longitudinal position."""
@@ -109,7 +105,7 @@ def stay_utility(ego: VehicleView, views: List[VehicleView],
     if leader is not None:
         ahead = min(ahead, bumper_gap(ego, leader))
     u_pos = headway_utility(ahead, profile)
-    return net_utility(u_pos, merge_cost_stay(dist_to_end, ego.v, profile, True))
+    return net_utility(u_pos, merge_cost_stay(dist_to_end, ego.v, profile))
 
 
 def _escape_lane(p2_lane: int, entering_from: int,
@@ -270,7 +266,7 @@ def acceleration_game(ego: VehicleView, views: List[VehicleView],
             continue  # already past the last possible merge point
         pred = predict_states(views, ego.vehicle_id, directive, profile,
                               horizon, a_nom)
-        pego = view_of(pred, ego.vehicle_id)
+        pego = next(v for v in pred if v.vehicle_id == ego.vehicle_id)
         slot = evaluate_slot(pego, pred, target, profile)
         if not slot.feasible(tol):
             continue
@@ -488,7 +484,7 @@ def decide(ego: VehicleView, views: List[VehicleView], brain: BrainState,
 
 
 def _merge_lane_epoch(ego, views, brain, profile, geometry, profiles, cfg):
-    dist_to_end = max(0.0, geometry.entrance_end - ego.y)
+    dist_to_end = distance_to_merge_end(ego, geometry)
     tol = cfg.risk_tolerance(profile.aggressiveness)
     action, p2_id = merging_game(ego, views, profile, dist_to_end,
                                  geometry, profiles, risk_discount=tol)

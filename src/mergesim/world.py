@@ -8,7 +8,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .config import ConfigError, RunConfig, is_number
 from .driver import (ControllerGains, DriverProfile, blended_error,
-                     longitudinal_accel, profile_from_q, steering_command)
+                     longitudinal_accel, steering_command)
 from .dynamics import Controls, VehicleParams, VehicleState, step
 # collision_index is re-exported, not called: perfbench probes the name
 # mergesim.world.collision_index.
@@ -23,6 +23,7 @@ SCRIPTED = "scripted"
 DECISION = "decision"
 
 KMH = 1.0 / 3.6
+MAX_SPEED_KMH = 250.0  # fastest start speed a scenario may give a vehicle
 
 BUILTIN_SCENARIOS = {
     "scenario1": {
@@ -113,10 +114,8 @@ class TrajectoryLog:
     order.
     """
 
-    def __init__(self, dt: float, geometry: LaneGeometry, cfg: RunConfig):
-        self.dt = dt
+    def __init__(self, geometry: LaneGeometry):
         self.geometry = geometry
-        self.cfg = cfg
         self.rows: List[tuple] = []
         self.bodies: Dict[str, Tuple[float, float]] = {}  # id -> (length, width)
         self.events: List[dict] = []
@@ -267,22 +266,24 @@ def scenario_definition(source) -> dict:
 
 def geometry_from_dict(geo) -> LaneGeometry:
     """LaneGeometry from a scenario's "geometry" object, validating every
-    field; missing fields take the defaults of the built-in scenarios."""
+    field; missing fields take LaneGeometry's defaults."""
     _require(isinstance(geo, dict), "geometry: must be an object")
     merge = geo.get("merge", {})
     _require(isinstance(merge, dict), "geometry.merge: must be an object")
-    centers = geo.get("lane_centers", (0.0, 3.3, 6.6, 9.9))
+    default = LaneGeometry()
+    centers = geo.get("lane_centers", default.centers)
     _require(isinstance(centers, (list, tuple)) and len(centers) >= 2,
              "geometry.lane_centers: must be a list of at least 2 numbers, "
              f"got {centers!r}")
     centers = tuple(_finite(c, f"geometry.lane_centers[{i}]")
                     for i, c in enumerate(centers))
-    lane_width = _number(geo, "lane_width", 3.3, "geometry")
+    lane_width = _number(geo, "lane_width", default.lane_width, "geometry")
     _require(lane_width > 0,
              f"geometry.lane_width: must be positive, got {lane_width}")
-    merge_start = _number(merge, "start", 50.0, "geometry.merge")
-    entrance_length = _number(merge, "entrance_length", 100.0, "geometry.merge")
-    extension = _number(merge, "extension", 20.0, "geometry.merge")
+    merge_start = _number(merge, "start", default.merge_start, "geometry.merge")
+    entrance_length = _number(merge, "entrance_length",
+                              default.entrance_length, "geometry.merge")
+    extension = _number(merge, "extension", default.extension, "geometry.merge")
     _require(extension >= 0, "geometry.merge.extension: must not be negative, "
              f"got {extension}")
     try:
@@ -298,7 +299,6 @@ def load_scenario(source, cfg: RunConfig) -> World:
     data = scenario_definition(source)
     geometry = geometry_from_dict(data.get("geometry", {}))
     params = cfg.vehicle_params()
-    profile_cfg = cfg.profile_config()
     vehicles = []
     seen = set()
     items = data.get("vehicles", [])
@@ -316,14 +316,17 @@ def load_scenario(source, cfg: RunConfig) -> World:
         y0 = _number(item, "y0_m", 0.0, where)
         v0_kmh = _number(item, "v0_kmh", 0.0, where)
         _require(v0_kmh > 0, f"{where}.v0_kmh: must be positive, got {v0_kmh}")
+        _require(v0_kmh <= MAX_SPEED_KMH, f"{where}.v0_kmh: must be at most "
+                 f"{MAX_SPEED_KMH:g}, got {v0_kmh:g}")
         kind = item.get("kind", SCRIPTED)
         _require(kind in (SCRIPTED, DECISION),
                  f"{where}.kind: must be scripted or decision, got {kind!r}")
         if vid in cfg.q_overrides:
-            q = _finite(cfg.q_overrides[vid], f"q_overrides[{vid!r}]")
+            q, q_path = cfg.q_overrides[vid], f"q_overrides[{vid!r}]"
         else:
-            q = _number(item, "q", 0.5, where)
-        _require(0.0 <= q <= 1.0, f"{where}.q: must be in [0, 1], got {q}")
+            q, q_path = item.get("q", 0.5), f"{where}.q"
+        q = _finite(q, q_path)
+        _require(0.0 <= q <= 1.0, f"{q_path}: must be in [0, 1], got {q}")
         v0 = v0_kmh * KMH
         lane = lane_of(x0, geometry)
         state = VehicleState(x=x0, y=y0, heading=0.0, v_long=v0)
@@ -332,7 +335,7 @@ def load_scenario(source, cfg: RunConfig) -> World:
                                         and lane == geometry.merge_lane))
         vehicles.append(SimVehicle(
             vehicle_id=vid, kind=kind, params=params, state=state,
-            v_preset=v0, q=q, profile=profile_from_q(q, profile_cfg),
+            v_preset=v0, q=q, profile=cfg.profile(q),
             brain=brain))
     unknown = set(cfg.q_overrides) - seen
     _require(not unknown, f"q override for unknown vehicle ids: {sorted(unknown)}")
@@ -547,7 +550,7 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
     geometry = world.geometry
     gains = world.gains
     steps_per_epoch = round(cfg.epoch / dt)
-    log = TrajectoryLog(dt, geometry, cfg)
+    log = TrajectoryLog(geometry)
     log.bodies = {v.vehicle_id: (v.params.length, v.params.width)
                   for v in world.vehicles}
     if not world.vehicles:
@@ -569,15 +572,8 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
         if step_index % steps_per_epoch == 0:
             for veh in decision_vehicles:
                 noise = world.noise.get(veh.vehicle_id)
-                if noise is None:
-                    seen = views
-                else:
-                    # Recognition errors: every other vehicle's position is
-                    # perturbed once per epoch for this observer.
-                    seen = [v if v.vehicle_id == veh.vehicle_id
-                            else replace(v, y=v.y + noise.rng.gauss(0.0,
-                                                                    noise.sigma))
-                            for v in views]
+                seen = (views if noise is None
+                        else noise.observe(veh.vehicle_id, views))
                 ego = next(v for v in seen if v.vehicle_id == veh.vehicle_id)
                 vic = classify_vicinity(
                     veh.vehicle_id, seen, geometry,

@@ -11,8 +11,7 @@ import time
 import pytest
 
 from mergesim.config import RunConfig
-from mergesim.dynamics import Controls, VehicleParams, VehicleState, \
-    lateral_derivative, step
+from mergesim.dynamics import Controls, VehicleState, lateral_derivative, step
 from mergesim.game import ACTIONS, solve_stackelberg
 from mergesim.metrics import (aggressiveness_sweep, grid_to_csv,
                               lane_change_count, lateral_disturbance,
@@ -86,7 +85,7 @@ def test_acceptance_2_collision_index_correctness():
 
 
 def test_acceptance_3_dynamics():
-    params = VehicleParams()
+    params = RunConfig().vehicle_params()
     # straight line for one second
     state = VehicleState(v_long=25.0)
     for _ in range(100):

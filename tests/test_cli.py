@@ -1,12 +1,15 @@
+import argparse
 import hashlib
 import json
 
 import pytest
 
-from mergesim.cli import main, parse_grid
+from mergesim.cli import _add_common, build_config, main, parse_grid
 from mergesim.config import ConfigError, RunConfig
 from mergesim.metrics import GRID_COLUMNS, aggressiveness_sweep, grid_to_csv
-from mergesim.world import TRAJECTORY_COLUMNS, load_scenario
+from mergesim.road import LaneGeometry
+from mergesim.world import (MAX_SPEED_KMH, TRAJECTORY_COLUMNS,
+                            geometry_from_dict, load_scenario)
 
 
 def run_cli(*argv):
@@ -260,6 +263,10 @@ class TestRejectsBadInput:
         (lambda d: {**d, "vehicles": [{**d["vehicles"][0],
                                         "v0_kmh": 10 ** 400}]},
          "vehicles[0].v0_kmh: must be finite"),
+        *[(lambda d, v0=v0: {**d, "vehicles": [d["vehicles"][0], {
+            **d["vehicles"][1], "v0_kmh": v0}]},
+           f"vehicles[1].v0_kmh: must be at most 250, got {got}")
+          for v0, got in ((1e9, "1e+09"), (250.5, "250.5"))],
         (lambda d: {**d, "vehicles": [d["vehicles"][0], {
             **d["vehicles"][1], "y0_m": d["vehicles"][0]["y0_m"] - 4.5}]},
          "vehicles[1]: overlaps vehicles[0] ('slow') at the start"),
@@ -305,6 +312,46 @@ class TestRejectsBadInput:
         cfg = RunConfig(q_overrides={"slow": True}, t_max=1.0)
         with pytest.raises(ConfigError, match=r"q_overrides\['slow'\]: must be a number"):
             load_scenario(crash_scenario_file(tmp_path), cfg)
+
+    @pytest.mark.parametrize("q", [2.0, -0.5])
+    def test_out_of_range_q_override_names_the_override(self, q):
+        # The scenario's own q for this vehicle is fine; RunConfig.validate,
+        # which would catch the override first, is not run here.
+        cfg = RunConfig(q_overrides={"merging": q})
+        with pytest.raises(ConfigError) as info:
+            load_scenario("scenario1", cfg)
+        assert str(info.value) == \
+            f"q_overrides['merging']: must be in [0, 1], got {q}"
+
+    def test_top_speed_is_accepted(self, tmp_path):
+        data = json.loads(open(crash_scenario_file(tmp_path)).read())
+        data["vehicles"][0]["v0_kmh"] = MAX_SPEED_KMH
+        world = load_scenario(data, RunConfig())
+        assert world.vehicles[0].v_preset == MAX_SPEED_KMH / 3.6
+
+
+def cli_default_config(monkeypatch):
+    """The config `mergesim run` builds when given no flags."""
+    monkeypatch.delenv("MERGE_SIM_SEED", raising=False)
+    parser = argparse.ArgumentParser()
+    _add_common(parser)
+    return build_config(parser.parse_args([]))
+
+
+class TestLibraryDefaultIsCliDefault:
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    def test_loaded_driver_is_the_library_driver(self, monkeypatch, q):
+        cfg = cli_default_config(monkeypatch)
+        cfg.q_overrides["merging"] = q
+        world = load_scenario("scenario1", cfg)
+        merging = next(v for v in world.vehicles if v.vehicle_id == "merging")
+        assert merging.profile == RunConfig().profile(q)
+        assert merging.params == RunConfig().vehicle_params()
+        assert world.gains == RunConfig().gains()
+
+    def test_missing_geometry_fields_take_lane_geometry_defaults(self):
+        assert geometry_from_dict({}) == LaneGeometry()
+        assert geometry_from_dict({"merge": {}}) == LaneGeometry()
 
 
 class TestSweepCommand:

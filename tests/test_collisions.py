@@ -77,6 +77,15 @@ def logged_overlaps(log):
     return out
 
 
+def unmerged_past_hard_end(log, decision_ids):
+    """(t, id) of every logged row of a decision vehicle still in the merge
+    lane with its centre beyond the end of the pavement."""
+    geometry = log.geometry
+    return [(r[0], r[1]) for r in log.rows
+            if r[1] in decision_ids and r[6] == geometry.merge_lane
+            and r[3] > geometry.hard_end]
+
+
 _kinds = st.sampled_from((SCRIPTED, DECISION))
 
 
@@ -136,6 +145,12 @@ def test_pair_list_matches_all_pairs_on_generated_scenarios(case):
     # The start poses were checked by load_scenario and every later pose by
     # the run, which stops before logging the poses of a collision.
     assert logged_overlaps(first) == []
+    # A vehicle that has to merge never drives past the end of its lane
+    # unless the run reports that it was forced to stop.
+    if not first.forced_stop:
+        decision_ids = {v["id"] for v in data["vehicles"]
+                        if v["kind"] == DECISION}
+        assert unmerged_past_hard_end(first, decision_ids) == []
 
 
 class TestPairList:

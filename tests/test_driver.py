@@ -1,43 +1,47 @@
+from dataclasses import replace
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mergesim.driver import (ControllerGains, ProfileConfig, profile_from_q,
-                             longitudinal_accel, steering_command,
+from mergesim.config import ConfigError, RunConfig
+from mergesim.driver import (longitudinal_accel, steering_command,
                              steering_limit, blended_error)
-from mergesim.dynamics import GRAVITY, VehicleParams
+from mergesim.dynamics import GRAVITY
 
-CONFIG = ProfileConfig()
+CFG = RunConfig()
+GAINS = CFG.gains()
+PARAMS = CFG.vehicle_params()
 
 
 def make_profile(q=0.5, **kw):
-    profile = profile_from_q(q, CONFIG)
-    return profile if not kw else type(profile)(**{**profile.__dict__, **kw})
+    profile = CFG.profile(q)
+    return profile if not kw else replace(profile, **kw)
 
 
 class TestProfileFromQ:
     def test_magnification_endpoints(self):
-        assert profile_from_q(1.0).bound_scale == pytest.approx(1.3)
-        assert profile_from_q(0.0).bound_scale == pytest.approx(1.0)
-        assert profile_from_q(0.5).bound_scale == pytest.approx(1.15)
+        assert CFG.profile(1.0).bound_scale == pytest.approx(1.3)
+        assert CFG.profile(0.0).bound_scale == pytest.approx(1.0)
+        assert CFG.profile(0.5).bound_scale == pytest.approx(1.15)
 
     def test_accel_limit_endpoints(self):
-        assert profile_from_q(0.0).accel_limit == pytest.approx(0.1 * GRAVITY)
-        assert profile_from_q(1.0).accel_limit == pytest.approx(0.3 * GRAVITY)
+        assert CFG.profile(0.0).accel_limit == pytest.approx(0.1 * GRAVITY)
+        assert CFG.profile(1.0).accel_limit == pytest.approx(0.3 * GRAVITY)
 
     def test_prediction_time_midpoint(self):
-        cfg = ProfileConfig(prediction_time_span=(2.2, 0.6))
-        assert profile_from_q(0.5, cfg).prediction_time == pytest.approx(1.4)
+        cfg = RunConfig(prediction_time_cautious=2.2,
+                        prediction_time_aggressive=0.6)
+        assert cfg.profile(0.5).prediction_time == pytest.approx(1.4)
 
     def test_rejects_out_of_range(self):
-        for bad in (-0.1, 1.0001, float("nan")):
-            with pytest.raises(ValueError):
-                profile_from_q(bad)
+        for bad in (-0.1, 1.0001, float("nan"), True):
+            with pytest.raises(ConfigError):
+                CFG.profile(bad)
 
     def test_monotone_maps(self):
         qs = [i / 100 for i in range(101)]
-        profiles = [profile_from_q(q) for q in qs]
+        profiles = [CFG.profile(q) for q in qs]
         for a, b in zip(profiles, profiles[1:]):
             assert b.prediction_time <= a.prediction_time
             assert b.accel_limit >= a.accel_limit
@@ -48,48 +52,48 @@ class TestProfileFromQ:
 
     def test_continuity(self):
         for q in (0.0, 0.25, 0.5, 0.999):
-            a, b = profile_from_q(q), profile_from_q(q + 1e-6)
+            a, b = CFG.profile(q), CFG.profile(q + 1e-6)
             assert abs(a.prediction_time - b.prediction_time) < 1e-4
             assert abs(a.accel_limit - b.accel_limit) < 1e-4
 
 
 class TestLongitudinalAccel:
     def test_zero_error_zero_output(self):
-        assert longitudinal_accel(make_profile(), ControllerGains(), 0.0, 0.0) == 0.0
+        assert longitudinal_accel(make_profile(), GAINS, 0.0, 0.0) == 0.0
 
     def test_comfort_limit_selected(self):
         profile = make_profile(0.0)  # accel limit 0.1 g = 0.981
-        gains = ControllerGains(kp_long=1.0, kd_long=0.0)
+        gains = replace(GAINS, kp_long=1.0, kd_long=0.0)
         assert longitudinal_accel(profile, gains, 5.0, 0.0) == pytest.approx(0.981)
 
     def test_direct_pd_value(self):
         profile = make_profile(1.0)
-        gains = ControllerGains(kp_long=0.5, kd_long=0.0, accel_cap=100.0)
+        gains = replace(GAINS, kp_long=0.5, kd_long=0.0, accel_cap=100.0)
         assert longitudinal_accel(profile, gains, 2.0, 0.0) == pytest.approx(1.0)
 
     def test_symmetric_braking_clamp(self):
         profile = make_profile(0.0)
-        gains = ControllerGains(kp_long=1.0, kd_long=0.0)
+        gains = replace(GAINS, kp_long=1.0, kd_long=0.0)
         assert longitudinal_accel(profile, gains, -50.0, 0.0) == pytest.approx(-0.981)
 
     @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(0, 1))
     def test_bounded_by_limits(self, e, e_dot, q):
-        profile = profile_from_q(q)
-        gains = ControllerGains()
+        profile = CFG.profile(q)
+        gains = GAINS
         a = longitudinal_accel(profile, gains, e, e_dot)
         assert abs(a) <= min(profile.accel_limit, gains.accel_cap) + 1e-12
 
 
 class TestSteering:
     def test_zero_error_zero_output(self):
-        params = VehicleParams()
-        assert steering_command(make_profile(), ControllerGains(), 0.0, 0.0,
+        params = PARAMS
+        assert steering_command(make_profile(), GAINS, 0.0, 0.0,
                                 params, 20.0) == 0.0
 
     def test_clamped_at_lateral_limit(self):
-        params = VehicleParams()
+        params = PARAMS
         profile = make_profile(0.5)
-        gains = ControllerGains(kp_lat=10.0, kd_lat=0.0)
+        gains = replace(GAINS, kp_lat=10.0, kd_lat=0.0)
         limit = min(steering_limit(profile.lat_accel_limit, 25.0, params),
                     gains.steer_cap)
         assert steering_command(profile, gains, 3.3, 0.0, params, 25.0) == \
@@ -98,9 +102,9 @@ class TestSteering:
             pytest.approx(-limit)
 
     def test_direct_pd_value(self):
-        params = VehicleParams()
+        params = PARAMS
         profile = make_profile(1.0)
-        gains = ControllerGains(kp_lat=0.05, kd_lat=0.0, steer_cap=10.0)
+        gains = replace(GAINS, kp_lat=0.05, kd_lat=0.0, steer_cap=10.0)
         # slow enough that the lateral-acceleration limit is huge
         assert steering_command(profile, gains, 1.0, 0.0, params, 1.0) == \
             pytest.approx(0.05)
@@ -108,9 +112,9 @@ class TestSteering:
     @given(st.floats(-100, 100), st.floats(-50, 50), st.floats(0, 1),
            st.floats(0.5, 40.0))
     def test_bounded(self, e, e_dot, q, v):
-        params = VehicleParams()
-        profile = profile_from_q(q)
-        gains = ControllerGains()
+        params = PARAMS
+        profile = CFG.profile(q)
+        gains = GAINS
         delta = steering_command(profile, gains, e, e_dot, params, v)
         bound = min(steering_limit(profile.lat_accel_limit, v, params),
                     gains.steer_cap)
@@ -119,8 +123,8 @@ class TestSteering:
 
 class TestSteeringLimit:
     def test_known_value(self):
-        params = VehicleParams(dist_front=1.2, dist_rear=1.5,
-                               understeer_gradient=0.0)  # wheelbase 2.7
+        params = replace(PARAMS, dist_front=1.2, dist_rear=1.5,
+                         understeer_gradient=0.0)  # wheelbase 2.7
         got = steering_limit(0.3 * GRAVITY, 20.0, params)
         # independent evaluation of the lateral acceleration gain relation
         gain = 20.0 ** 2 / (57.3 * 2.7 * GRAVITY)
@@ -129,8 +133,8 @@ class TestSteeringLimit:
         assert got == pytest.approx(0.019868, abs=1e-4)
 
     def test_inactive_at_standstill(self):
-        assert steering_limit(3.0, 0.0, VehicleParams()) == math.inf
-        assert steering_limit(3.0, -1.0, VehicleParams()) == math.inf
+        assert steering_limit(3.0, 0.0, PARAMS) == math.inf
+        assert steering_limit(3.0, -1.0, PARAMS) == math.inf
 
     def test_monotone_in_understeer_gradient(self):
         import random
@@ -142,8 +146,10 @@ class TestSteeringLimit:
             k0, k1 = sorted((rng.uniform(0, 4), rng.uniform(0, 4)))
             if k1 - k0 < 1e-6:
                 continue
-            p0 = VehicleParams(dist_front=lf, dist_rear=lr, understeer_gradient=k0)
-            p1 = VehicleParams(dist_front=lf, dist_rear=lr, understeer_gradient=k1)
+            p0 = replace(PARAMS, dist_front=lf, dist_rear=lr,
+                         understeer_gradient=k0)
+            p1 = replace(PARAMS, dist_front=lf, dist_rear=lr,
+                         understeer_gradient=k1)
             assert steering_limit(a_yl, v, p1) > steering_limit(a_yl, v, p0)
 
     def test_matches_independent_evaluation(self):
@@ -152,9 +158,9 @@ class TestSteeringLimit:
         for _ in range(300):
             v = rng.uniform(0.5, 45.0)
             a_yl = rng.uniform(0.2, 6.0)
-            params = VehicleParams(dist_front=rng.uniform(0.8, 1.8),
-                                   dist_rear=rng.uniform(0.9, 2.0),
-                                   understeer_gradient=rng.uniform(0.0, 5.0))
+            params = replace(PARAMS, dist_front=rng.uniform(0.8, 1.8),
+                             dist_rear=rng.uniform(0.9, 2.0),
+                             understeer_gradient=rng.uniform(0.0, 5.0))
             gain = v * v / (57.3 * params.wheelbase * GRAVITY
                             + params.understeer_gradient * v * v)
             want = math.radians((a_yl / GRAVITY) / gain)

@@ -6,11 +6,12 @@ from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from mergesim.dynamics import (LOW_SPEED_FLOOR, Controls, VehicleParams,
-                               VehicleState, lateral_derivative,
-                               lateral_matrices, pose_derivative, step)
+from mergesim.config import RunConfig
+from mergesim.dynamics import (LOW_SPEED_FLOOR, Controls, VehicleState,
+                               lateral_derivative, lateral_matrices,
+                               pose_derivative, step)
 
-PARAMS = VehicleParams()
+PARAMS = RunConfig().vehicle_params()
 
 
 def test_lateral_equilibrium_is_zero():
@@ -31,8 +32,8 @@ def test_lateral_steering_column_only():
 def test_lateral_matches_elementwise_oracle():
     rng = random.Random(42)
     for _ in range(300):
-        params = VehicleParams(
-            mass=rng.uniform(900, 2500), yaw_inertia=rng.uniform(1200, 5000),
+        params = replace(
+            PARAMS, mass=rng.uniform(900, 2500), yaw_inertia=rng.uniform(1200, 5000),
             dist_front=rng.uniform(0.8, 1.8), dist_rear=rng.uniform(1.0, 2.0),
             corner_stiff_front=-rng.uniform(30000, 90000),
             corner_stiff_rear=-rng.uniform(30000, 90000))
@@ -178,8 +179,8 @@ def reference_step(state, params, controls, dt):
 
 
 _params = st.one_of(st.just(PARAMS), st.builds(
-    VehicleParams, mass=st.floats(900, 2500), yaw_inertia=st.floats(1200, 5000),
-    dist_front=st.floats(0.8, 1.8), dist_rear=st.floats(1.0, 2.0),
+    replace, st.just(PARAMS), mass=st.floats(900, 2500),
+    yaw_inertia=st.floats(1200, 5000), dist_front=st.floats(0.8, 1.8), dist_rear=st.floats(1.0, 2.0),
     corner_stiff_front=st.floats(-90000, -30000),
     corner_stiff_rear=st.floats(-90000, -30000)))
 _speeds = st.one_of(st.sampled_from([0.0, LOW_SPEED_FLOOR / 2, LOW_SPEED_FLOOR]),
@@ -203,9 +204,9 @@ _dts = st.one_of(st.sampled_from([0.01, 0.02, 0.1]), st.floats(1e-4, 0.5))
 @example(VehicleState(v_long=0.3, v_lat=0.2, yaw_rate=0.1), PARAMS,
          Controls(accel=-40.0, steer=0.05), 0.01)
 @example(VehicleState(v_long=20.0, heading=0.05, v_lat=0.4, yaw_rate=-0.2),
-         VehicleParams(mass=1100.0, yaw_inertia=1800.0, dist_front=1.0,
-                       dist_rear=1.5, corner_stiff_front=-45000.0,
-                       corner_stiff_rear=-70000.0),
+         replace(PARAMS, mass=1100.0, yaw_inertia=1800.0, dist_front=1.0,
+                 dist_rear=1.5, corner_stiff_front=-45000.0,
+                 corner_stiff_rear=-70000.0),
          Controls(accel=-2.0, steer=0.08), 0.02)
 def test_step_is_bit_identical_to_reference_rk4(state, params, controls, dt):
     assert step(state, params, controls, dt) == \
@@ -221,7 +222,7 @@ def test_reference_example_triggers_the_clamp():
 
 
 def test_trajectory_is_bit_identical_to_reference_rk4():
-    params = VehicleParams(mass=1300.0, corner_stiff_rear=-75000.0)
+    params = replace(PARAMS, mass=1300.0, corner_stiff_rear=-75000.0)
     state = ref = VehicleState(x=9.9, v_long=19.4)
     for i in range(400):
         controls = Controls(accel=1.5 if i < 150 else -10.0,

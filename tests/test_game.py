@@ -62,9 +62,6 @@ class TestMergeCostLeft:
 
 
 class TestMergeCostStay:
-    def test_zero_when_not_merging(self):
-        assert merge_cost_stay(5.0, 30.0, profile(), is_merging=False) == 0.0
-
     def test_direct_value(self):
         assert merge_cost_stay(25.0, 20.0, profile(prediction=1.0)) == \
             pytest.approx(5.0)

@@ -11,9 +11,9 @@ from mergesim.world import BUILTIN_SCENARIOS, TrajectoryLog, load_scenario, run
 GEOMETRY = LaneGeometry()
 
 
-def synthetic_log(samples, dt=0.01, vid="v"):
+def synthetic_log(samples, vid="v"):
     """Log with a prescribed (t, v, x_lat, lane, maneuver) series."""
-    log = TrajectoryLog(dt, GEOMETRY, RunConfig())
+    log = TrajectoryLog(GEOMETRY)
     for t, v, x, lane, maneuver in samples:
         log.append((t, vid, x, 0.0, v, 0.0, lane, maneuver, "hold", "", ""))
     return log

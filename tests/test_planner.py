@@ -1,7 +1,6 @@
 import pytest
 
 from mergesim.config import RunConfig
-from mergesim.driver import profile_from_q
 from mergesim.game import LEFT, STRAIGHT
 from mergesim.perception import VehicleView
 from mergesim.planner import (ACCELERATE, DECELERATE, HOLD, KEEP, MERGE,
@@ -27,27 +26,27 @@ def scenario_views(name):
 class TestPredictStates:
     def test_zero_horizon_is_identity(self):
         views = [view("a", 6.6, 10.0, 20.0), view("b", 9.9, 0.0, 19.0)]
-        pred = predict_states(views, "b", ACCELERATE, profile_from_q(0.5),
+        pred = predict_states(views, "b", ACCELERATE, CFG.profile(0.5),
                               0.0, 1.5)
         assert [(v.y, v.v) for v in pred] == [(10.0, 20.0), (0.0, 19.0)]
 
     def test_constant_speed_propagation(self):
         views = [view("a", 6.6, 10.0, 22.2)]
-        pred = predict_states(views, "none", ACCELERATE, profile_from_q(0.5),
+        pred = predict_states(views, "none", ACCELERATE, CFG.profile(0.5),
                               2.0, 1.5)
         assert pred[0].y == pytest.approx(10.0 + 44.4)
         assert pred[0].v == pytest.approx(22.2)
 
     def test_ego_constant_acceleration(self):
         views = [view("ego", 9.9, 0.0, 19.4)]
-        profile = profile_from_q(1.0)  # comfort limit far above 1.5
+        profile = CFG.profile(1.0)  # comfort limit far above 1.5
         pred = predict_states(views, "ego", ACCELERATE, profile, 2.0, 1.5)
         assert pred[0].y == pytest.approx(41.8)
         assert pred[0].v == pytest.approx(22.4)
 
     def test_speed_floors_at_zero(self):
         views = [view("ego", 9.9, 0.0, 1.0)]
-        pred = predict_states(views, "ego", DECELERATE, profile_from_q(1.0),
+        pred = predict_states(views, "ego", DECELERATE, CFG.profile(1.0),
                               5.0, 1.0)
         assert pred[0].v == 0.0
         assert pred[0].y == pytest.approx(0.5)
@@ -55,13 +54,13 @@ class TestPredictStates:
     def test_rejects_negative_horizon(self):
         with pytest.raises(ValueError):
             predict_states([view("ego", 9.9, 0.0, 1.0)], "ego", ACCELERATE,
-                           profile_from_q(0.5), -1.0, 1.0)
+                           CFG.profile(0.5), -1.0, 1.0)
 
 
 class TestMergingGame:
     def test_empty_adjacent_lane_merges(self):
         ego = view("ego", 9.9, 60.0, 20.0)
-        action, competitor = merging_game(ego, [ego], profile_from_q(0.5),
+        action, competitor = merging_game(ego, [ego], CFG.profile(0.5),
                                           90.0, GEOMETRY, {})
         assert action == LEFT and competitor is None
 
@@ -71,7 +70,7 @@ class TestMergingGame:
         ego = next(v for v in views if v.vehicle_id == "merging")
         for q in (0.1, 0.5, 0.9):
             action, competitor = merging_game(
-                ego, views, profile_from_q(q), 140.0, GEOMETRY, profiles)
+                ego, views, CFG.profile(q), 140.0, GEOMETRY, profiles)
             assert action == STRAIGHT
             assert competitor == "vehicle4"
 
@@ -80,13 +79,13 @@ class TestAccelerationGame:
     def test_aggressive_accelerates_at_start(self):
         views, _ = scenario_views("scenario1")
         ego = next(v for v in views if v.vehicle_id == "merging")
-        plan = acceleration_game(ego, views, profile_from_q(0.9), GEOMETRY, CFG)
+        plan = acceleration_game(ego, views, CFG.profile(0.9), GEOMETRY, CFG)
         assert plan.name == ACCELERATE
 
     def test_cautious_decelerates_behind_last_vehicle(self):
         views, _ = scenario_views("scenario1")
         ego = next(v for v in views if v.vehicle_id == "merging")
-        plan = acceleration_game(ego, views, profile_from_q(0.1), GEOMETRY, CFG)
+        plan = acceleration_game(ego, views, CFG.profile(0.1), GEOMETRY, CFG)
         assert plan.name == DECELERATE
         assert plan.competing_id == "vehicle5"
 
@@ -94,8 +93,8 @@ class TestAccelerationGame:
         # The decelerate slot sits behind the accelerate slot.
         views, _ = scenario_views("scenario1")
         ego = next(v for v in views if v.vehicle_id == "merging")
-        accel = acceleration_game(ego, views, profile_from_q(0.9), GEOMETRY, CFG)
-        decel = acceleration_game(ego, views, profile_from_q(0.1), GEOMETRY, CFG)
+        accel = acceleration_game(ego, views, CFG.profile(0.9), GEOMETRY, CFG)
+        decel = acceleration_game(ego, views, CFG.profile(0.1), GEOMETRY, CFG)
         order = {"vehicle3": 3, "vehicle4": 2, "vehicle5": 1}
         assert order[decel.competing_id] < order[accel.competing_id]
 
@@ -104,7 +103,7 @@ class TestAccelerationGame:
         views = [view("ego", 9.9, 60.0, 20.0)]
         for i, y in enumerate(range(-100, 260, 10)):
             views.append(view(f"wall{i}", 6.6, float(y), 20.0))
-        plan = acceleration_game(views[0], views, profile_from_q(0.5),
+        plan = acceleration_game(views[0], views, CFG.profile(0.5),
                                  GEOMETRY, CFG)
         assert plan.name == HOLD
         assert plan.competing_id is None
@@ -115,21 +114,21 @@ class TestLaneChangeSafety:
         ego = view("ego", 9.9, 60.0, 20.0)
         blocker = view("blocker", 6.6, 60.0, 20.0)  # exactly alongside
         assert not lane_change_safe(ego, [ego, blocker], 2,
-                                    profile_from_q(0.9), GEOMETRY)
+                                    CFG.profile(0.9), GEOMETRY)
 
     def test_accepts_clear_lane(self):
         ego = view("ego", 9.9, 60.0, 20.0)
         far = view("far", 6.6, 120.0, 20.0)
-        assert lane_change_safe(ego, [ego, far], 2, profile_from_q(0.9),
+        assert lane_change_safe(ego, [ego, far], 2, CFG.profile(0.9),
                                 GEOMETRY)
 
     def test_no_merge_decision_while_predicted_overlap(self):
         ego = view("ego", 9.9, 60.0, 20.0)
         blocker = view("blocker", 6.6, 62.0, 20.0)
         brain = BrainState(current_lane=3, v_ref=20.0, needs_merge=True)
-        profile = profile_from_q(1.0)
+        profile = CFG.profile(1.0)
         out = decide(ego, [ego, blocker], brain, profile, GEOMETRY,
-                     {"ego": profile, "blocker": profile_from_q(0.5)}, CFG)
+                     {"ego": profile, "blocker": CFG.profile(0.5)}, CFG)
         assert out.maneuver != MERGE
 
 
@@ -138,17 +137,17 @@ class TestDiscretionary:
         ego = view("ego", 6.6, 0.0, 22.2)
         lead = view("lead", 6.6, 60.0, 22.2)
         twin = view("twin", 3.3, 60.0, 22.2)
-        profiles = {v.vehicle_id: profile_from_q(0.5) for v in (ego, lead, twin)}
+        profiles = {v.vehicle_id: CFG.profile(0.5) for v in (ego, lead, twin)}
         assert discretionary_lane_change(ego, [ego, lead, twin],
-                                         profile_from_q(0.5), GEOMETRY,
+                                         CFG.profile(0.5), GEOMETRY,
                                          profiles, CFG, own_gap=55.5) is None
 
     def test_tight_leader_with_open_lane_changes(self):
         ego = view("ego", 6.6, 0.0, 22.2)
         lead = view("lead", 6.6, 8.0, 22.2)
-        profiles = {v.vehicle_id: profile_from_q(0.5) for v in (ego, lead)}
+        profiles = {v.vehicle_id: CFG.profile(0.5) for v in (ego, lead)}
         target = discretionary_lane_change(ego, [ego, lead],
-                                           profile_from_q(0.5), GEOMETRY,
+                                           CFG.profile(0.5), GEOMETRY,
                                            profiles, CFG, own_gap=3.5)
         assert target == 1
 
@@ -156,10 +155,10 @@ class TestDiscretionary:
         ego = view("ego", 6.6, 0.0, 22.2)
         lead = view("lead", 6.6, 8.0, 22.2)
         chaser = view("chaser", 3.3, -8.0, 30.0)
-        profiles = {v.vehicle_id: profile_from_q(0.5)
+        profiles = {v.vehicle_id: CFG.profile(0.5)
                     for v in (ego, lead, chaser)}
         target = discretionary_lane_change(ego, [ego, lead, chaser],
-                                           profile_from_q(0.5), GEOMETRY,
+                                           CFG.profile(0.5), GEOMETRY,
                                            profiles, CFG, own_gap=3.5)
         # Entering ahead of a fast, close follower is dominated: the
         # squeeze penalty exceeds any headway gain.
@@ -171,7 +170,7 @@ class TestDecide:
         ego = view("ego", 8.5, 80.0, 21.0)  # between lane centers
         brain = BrainState(current_lane=3, v_ref=20.0, needs_merge=True,
                            maneuver=MERGE, target_lane=2, competing_id="x")
-        profile = profile_from_q(0.5)
+        profile = CFG.profile(0.5)
         out = decide(ego, [ego], brain, profile, GEOMETRY, {"ego": profile}, CFG)
         assert out is brain
 
@@ -179,7 +178,7 @@ class TestDecide:
         views, profiles = scenario_views("scenario1")
         ego = next(v for v in views if v.vehicle_id == "merging")
         brain = BrainState(current_lane=3, v_ref=ego.v, needs_merge=True)
-        profile = profile_from_q(0.7)
+        profile = CFG.profile(0.7)
         first = decide(ego, views, brain, profile, GEOMETRY, profiles, CFG)
         second = decide(ego, views, brain, profile, GEOMETRY, profiles, CFG)
         assert first == second
@@ -188,7 +187,7 @@ class TestDecide:
         ego = view("ego", 6.65, 100.0, 22.0)  # within the settle band
         brain = BrainState(current_lane=3, v_ref=19.4, needs_merge=True,
                            maneuver=MERGE, target_lane=2)
-        profile = profile_from_q(0.5)
+        profile = CFG.profile(0.5)
         out = decide(ego, [ego], brain, profile, GEOMETRY, {"ego": profile}, CFG)
         assert out.maneuver == KEEP
         assert out.current_lane == 2
