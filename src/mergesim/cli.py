@@ -10,7 +10,7 @@ import math
 import os
 import sys
 
-from .config import ConfigError, RunConfig
+from .config import Q_RANGE, ConfigError, RunConfig, check, parse_text
 from .logio import TrajectoryFileError, read_trajectory, write_atomic
 from .metrics import (aggressiveness_sweep, grid_to_csv, lane_change_count,
                       longitudinal_disturbance)
@@ -46,46 +46,31 @@ def build_config(args) -> RunConfig:
         try:
             with open(args.config) as fh:
                 data = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {args.config}: invalid JSON ({exc})")
-    cfg = RunConfig.from_dict(data) if data else RunConfig()
-    if args.scenario is not None:
-        cfg.scenario = args.scenario
-    for name in ("dt", "epoch", "t_max", "noise_sigma", "out_dir"):
+        except (OSError, ValueError) as exc:  # ValueError: not JSON text
+            raise ConfigError(f"config file {args.config}: cannot read ({exc})")
+        if not isinstance(data, dict):
+            raise ConfigError(
+                f"config file {args.config}: top level must be an object")
+    cfg = RunConfig.from_dict(data)
+    for name in ("scenario", "dt", "epoch", "t_max", "seed", "noise",
+                 "noise_sigma", "out_dir", "jobs"):
         value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)
-    if getattr(args, "jobs", None) is not None:
-        cfg.jobs = args.jobs
-    if args.noise is not None:
-        cfg.noise = args.noise
-    if args.seed is not None:
-        cfg.seed = args.seed
-    elif "MERGE_SIM_SEED" in os.environ and "seed" not in data:
-        try:
-            cfg.seed = int(os.environ["MERGE_SIM_SEED"])
-        except ValueError:
-            raise ConfigError("MERGE_SIM_SEED must be an integer")
+    env_seed = os.environ.get("MERGE_SIM_SEED")
+    if args.seed is None and env_seed is not None and "seed" not in data:
+        cfg.seed = check("MERGE_SIM_SEED", parse_text(env_seed, int), int)
     for raw in args.q:
         vid, _, value = raw.partition("=")
         if not _ or not vid:
             raise ConfigError(f"--q expects ID=VALUE, got {raw!r}")
-        try:
-            cfg.q_overrides[vid] = float(value)
-        except ValueError:
-            raise ConfigError(f"--q {raw!r}: value must be a number")
+        cfg.q_overrides[vid] = parse_text(value, float)
     for raw in args.set:
         key, _, value = raw.partition("=")
-        if not _ or not hasattr(cfg, key):
+        declared = RunConfig.__dataclass_fields__.get(key)
+        if not _ or declared is None:
             raise ConfigError(f"--set: unknown config field {key!r}")
-        current = getattr(cfg, key)
-        caster = type(current) if not isinstance(current, bool) else lambda s: s == "true"
-        try:
-            setattr(cfg, key, caster(value))
-        except (TypeError, ValueError):
-            raise ConfigError(f"--set {raw!r}: cannot parse value")
+        setattr(cfg, key, parse_text(value, declared.type))
     return cfg.validate()
 
 
@@ -173,19 +158,22 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+MAX_GRID_POINTS = 101  # q values per --grid axis
+
+
 def parse_grid(raw: str):
+    """q values from START:STOP:STEP; their count is checked against
+    MAX_GRID_POINTS before any value is built."""
     parts = raw.split(":")
     if len(parts) != 3:
         raise ConfigError(f"--grid expects start:stop:step, got {raw!r}")
-    try:
-        start, stop, step_size = (float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"--grid {raw!r}: values must be numbers")
-    if not (0.0 <= start <= stop <= 1.0):
-        raise ConfigError(f"--grid {raw!r}: need 0 <= start <= stop <= 1")
-    if step_size <= 0:
-        raise ConfigError(f"--grid {raw!r}: step must be positive")
-    count = int(round((stop - start) / step_size))
+    start, stop, step_size = (parse_text(p, float) for p in parts)
+    check("--grid start", start, float, Q_RANGE)
+    check("--grid stop", stop, float, f"[{start!r}, 1]")
+    check("--grid step", step_size, float, "(0, inf)")
+    intervals = (stop - start) / step_size
+    count = round(intervals) if math.isfinite(intervals) else intervals
+    check("--grid points", count + 1, float, f"[1, {MAX_GRID_POINTS}]")
     values = [round(start + i * step_size, 10) for i in range(count + 1)]
     return tuple(v for v in values if v <= 1.0 + 1e-9)
 

@@ -2,108 +2,115 @@
 
 RunConfig is the only calibration table: the driver profiles, controller
 gains and vehicle parameters of a run are all derived from its fields.
+Each field declares its valid range next to its default; check() is the
+one checker of config, scenario and command-line values.
 """
 
 from dataclasses import dataclass, field, asdict, fields
 import math
-from typing import Dict
+import os
 
 from .dynamics import GRAVITY, VehicleParams
 from .driver import ControllerGains, DriverProfile
 
+Q_RANGE = "[0, 1]"  # an aggressiveness index
 
+
+def ranged(default, interval: str):
+    """A dataclass field valid in `interval`: "[lo, hi]", "(" or ")" for an
+    open end."""
+    return field(default=default, metadata={"range": interval})
+
+
+# Each range follows from what the value is: masses, lengths and times are
+# positive or at least 0, shares lie in [0, 1], accelerations in g are at
+# most the 1 g of tyre-road friction.  dt spans the steps at which
+# test_acceptance.py shows fourth-order RK4; with t_max and epoch at most
+# 600 s a run is at most 240k steps.
 @dataclass
 class RunConfig:
     # run controls
     scenario: str = "scenario1"          # built-in name or path to a scenario file
-    q_overrides: Dict[str, float] = field(default_factory=dict)  # vehicle id -> q
-    dt: float = 0.01                     # s, physics step
-    epoch: float = 0.1                   # s, decision period (multiple of dt)
-    t_max: float = 40.0                  # s
+    q_overrides: dict = field(default_factory=dict)  # vehicle id -> q
+    dt: float = ranged(0.01, "[0.0025, 0.04]")  # s, physics step
+    epoch: float = ranged(0.1, "(0, 600]")  # s, decision period (multiple of dt)
+    t_max: float = ranged(40.0, "(0, 600]")  # s
     seed: int = 0
     noise: bool = False                  # perception noise toggle
-    noise_sigma: float = 0.5             # m, gap noise scale at q=0
+    noise_sigma: float = ranged(0.5, "[0, inf)")  # m, gap noise scale at q=0
     out_dir: str = "."
-    jobs: int = 1                        # sweep parallelism
+    jobs: int = ranged(1, f"[1, {os.cpu_count() or 1}]")  # sweep parallelism
 
     # disposition maps (value at q=0, value at q=1)
-    visibility_range: float = 100.0
-    visibility_scale_cautious: float = 1.0
-    visibility_scale_aggressive: float = 0.3
-    prediction_time_cautious: float = 1.7
-    prediction_time_aggressive: float = 0.8
-    accel_limit_g_cautious: float = 0.1
-    accel_limit_g_aggressive: float = 0.3
-    lat_accel_g_cautious: float = 0.1
-    lat_accel_g_aggressive: float = 0.5
-    bound_scale_max: float = 1.3
-    clearance_diagonals: float = 2.0
-    follow_headway_cautious: float = 0.45
-    follow_headway_aggressive: float = 0.25
+    visibility_range: float = ranged(100.0, "(0, inf)")
+    visibility_scale_cautious: float = ranged(1.0, "(0, 1]")
+    visibility_scale_aggressive: float = ranged(0.3, "(0, 1]")
+    prediction_time_cautious: float = ranged(1.7, "[0, inf)")
+    prediction_time_aggressive: float = ranged(0.8, "[0, inf)")
+    accel_limit_g_cautious: float = ranged(0.1, "(0, 1]")
+    accel_limit_g_aggressive: float = ranged(0.3, "(0, 1]")
+    lat_accel_g_cautious: float = ranged(0.1, "(0, 1]")
+    lat_accel_g_aggressive: float = ranged(0.5, "(0, 1]")
+    bound_scale_max: float = ranged(1.3, "[1, inf)")
+    clearance_diagonals: float = ranged(2.0, "[0, inf)")
+    follow_headway_cautious: float = ranged(0.45, "[0, inf)")
+    follow_headway_aggressive: float = ranged(0.25, "[0, inf)")
 
     # controller gains and physical bounds
-    kp_long: float = 0.3
-    kd_long: float = 0.6
-    kp_lat: float = 0.25
-    kd_lat: float = 0.15
-    accel_cap_g: float = 0.5
-    steer_cap_deg: float = 30.0
-    brake_factor: float = 1.0
-    speed_weight: float = 0.5            # weighted-mean share of the speed channel
+    kp_long: float = ranged(0.3, "[0, inf)")
+    kd_long: float = ranged(0.6, "[0, inf)")
+    kp_lat: float = ranged(0.25, "[0, inf)")
+    kd_lat: float = ranged(0.15, "[0, inf)")
+    accel_cap_g: float = ranged(0.5, "(0, 1]")
+    steer_cap_deg: float = ranged(30.0, "(0, 90)")
+    brake_factor: float = ranged(1.0, "(0, inf)")
+    speed_weight: float = ranged(0.5, "[0, 1]")  # weighted-mean share of the speed channel
 
     # decision layer
-    nominal_accel_g: float = 0.15        # directive acceleration magnitude
-    prediction_horizon: float = 5.0      # s, look-ahead for the directive games
-    directive_switch_margin: float = 3.0  # m, advantage needed to flip a directive
-    risk_tolerance_max: float = 12.0     # m, admissible squeeze at q=1 (0 at q=0)
-    hysteresis_base: float = 16.8        # m, discretionary-change margin at q=0
-    hysteresis_curve: float = 17.0       # m, quadratic margin reduction with q
-    lane_settle_tol: float = 0.2         # m, |lateral error| ending a maneuver
-    settle_speed_tol: float = 0.3        # m/s, speed tolerance for quiescence
-    settle_time: float = 2.0             # s of quiescence before early termination
-    yield_zone_margin: float = 30.0      # m of ramp before the entrance that triggers yielding
-    yield_lookback: float = 5.0          # m, how far behind ego a ramp threat may sit
-    stop_speed: float = 1.0              # m/s, below this an unmerged vehicle is stopped
-    evade_near: float = 12.0             # m, |dy| below which a sinking ramp vehicle alarms
-    evade_decel_threshold: float = 0.3   # m/s^2, observed braking that marks a sinking threat
-    slot_ride_cautious: float = 0.3      # share of free slot kept ahead at q=0
-    slot_ride_aggressive: float = 0.85   # share kept ahead at q=1 (small rear gap)
-    directive_accel_gain: float = 0.5    # throttle hypothesis scales with (gain + q)
+    nominal_accel_g: float = ranged(0.15, "(0, 1]")  # directive acceleration magnitude
+    prediction_horizon: float = ranged(5.0, "[0, inf)")  # s, look-ahead for the directive games
+    directive_switch_margin: float = ranged(3.0, "[0, inf)")  # m, advantage needed to flip a directive
+    risk_tolerance_max: float = ranged(12.0, "[0, inf)")  # m, admissible squeeze at q=1 (0 at q=0)
+    hysteresis_base: float = ranged(16.8, "[0, inf)")  # m, discretionary-change margin at q=0
+    hysteresis_curve: float = ranged(17.0, "[0, inf)")  # m, quadratic margin reduction with q
+    lane_settle_tol: float = ranged(0.2, "(0, inf)")  # m, |lateral error| ending a maneuver
+    settle_speed_tol: float = ranged(0.3, "[0, inf)")  # m/s, speed tolerance for quiescence
+    settle_time: float = ranged(2.0, "[0, inf)")  # s of quiescence before early termination
+    yield_zone_margin: float = ranged(30.0, "[0, inf)")  # m of ramp before the entrance that triggers yielding
+    yield_lookback: float = ranged(5.0, "[0, inf)")  # m, how far behind ego a ramp threat may sit
+    stop_speed: float = ranged(1.0, "[0, inf)")  # m/s, below this an unmerged vehicle is stopped
+    evade_near: float = ranged(12.0, "[0, inf)")  # m, |dy| below which a sinking ramp vehicle alarms
+    evade_decel_threshold: float = ranged(0.3, "[0, inf)")  # m/s^2, observed braking that marks a sinking threat
+    slot_ride_cautious: float = ranged(0.3, "[0, 1]")  # share of free slot kept ahead at q=0
+    slot_ride_aggressive: float = ranged(0.85, "[0, 1]")  # share kept ahead at q=1 (small rear gap)
+    directive_accel_gain: float = ranged(0.5, "[0, inf)")  # throttle hypothesis scales with (gain + q)
 
     # vehicle body/plant defaults
-    mass: float = 1500.0
-    yaw_inertia: float = 2500.0
-    dist_front: float = 1.2
-    dist_rear: float = 1.6
-    corner_stiff: float = -60000.0
-    body_width: float = 1.8
-    body_length: float = 4.5
-    understeer_gradient: float = 2.0
+    mass: float = ranged(1500.0, "(0, inf)")
+    yaw_inertia: float = ranged(2500.0, "(0, inf)")
+    dist_front: float = ranged(1.2, "(0, inf)")
+    dist_rear: float = ranged(1.6, "(0, inf)")
+    corner_stiff: float = ranged(-60000.0, "(-inf, 0)")  # negative keeps the plant stable
+    body_width: float = ranged(1.8, "(0, inf)")
+    body_length: float = ranged(4.5, "(0, inf)")
+    understeer_gradient: float = ranged(2.0, "[0, 90)")  # deg/g; 1 g must not take a 90 deg steer
 
     def validate(self) -> "RunConfig":
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is float and not _is_finite_number(value):
-                raise ConfigError(
-                    f"{f.name} must be a finite number, got {value!r}")
-            if f.type is int and not (isinstance(value, int)
-                                      and not isinstance(value, bool)):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-        if not self.dt > 0:
-            raise ConfigError("dt must be positive")
-        ratio = self.epoch / self.dt
-        if not (self.epoch > 0 and abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1):
-            raise ConfigError("epoch must be a positive multiple of dt")
-        if not self.t_max > 0:
-            raise ConfigError("t_max must be positive")
-        if not isinstance(self.q_overrides, dict):
-            raise ConfigError("q_overrides must be an object of id -> q")
+            check_field(RunConfig, f.name, getattr(self, f.name))
         for vid, q in self.q_overrides.items():
-            if not (is_number(q) and 0.0 <= q <= 1.0):
-                raise ConfigError(
-                    f"q_overrides[{vid!r}] must be a number in [0, 1], got {q!r}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
+            check(f"q_overrides[{vid!r}]", q, float, Q_RANGE)
+        ratio = self.epoch / self.dt
+        if not (abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1):
+            raise ConfigError(f"epoch: must be a whole multiple of dt "
+                              f"({self.dt!r}), got {self.epoch!r}")
+        if self.t_max < self.dt:
+            raise ConfigError(f"t_max: must be at least dt ({self.dt!r}), "
+                              f"got {self.t_max!r}")
+        wheelbase = self.dist_front + self.dist_rear
+        if not wheelbase < self.body_length:
+            raise ConfigError(f"dist_front + dist_rear: must be below "
+                              f"body_length ({self.body_length!r}), got {wheelbase!r}")
         return self
 
     # Derived bundles ----------------------------------------------------
@@ -130,8 +137,7 @@ class RunConfig:
         Every map runs linearly from its cautious value at q=0 to its
         aggressive value at q=1.
         """
-        if not (is_number(q) and math.isfinite(q) and 0.0 <= q <= 1.0):
-            raise ConfigError(f"aggressiveness must be in [0, 1], got {q!r}")
+        check("q", q, float, Q_RANGE)
 
         def lerp(cautious: float, aggressive: float) -> float:
             return cautious + (aggressive - cautious) * q
@@ -186,24 +192,57 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data).validate()
 
 
-def is_number(value) -> bool:
-    """True for int and float values; booleans are not numbers."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_finite_number(value) -> bool:
-    try:
-        return is_number(value) and math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
 class ConfigError(ValueError):
     """Invalid run configuration or scenario definition."""
+
+
+_KINDS = {float: "a number", int: "an integer", bool: "true or false",
+          str: "a string", dict: "an object", list: "a list"}
+_WORDS = {"(0, inf)": "positive", "(-inf, 0)": "negative",
+          "[0, inf)": "at least 0"}
+
+
+def check(path: str, value, kind=float, interval: str = None):
+    """`value` if it is a `kind` inside `interval` (see ranged), else a
+    ConfigError "<path>: must be ..., got <value>".  Booleans and numeric
+    strings are not numbers; numbers must be finite and come back as floats."""
+    if (isinstance(value, bool) and kind is not bool) or not isinstance(
+            value, (int, float) if kind is float else kind):
+        raise ConfigError(f"{path}: must be {_KINDS[kind]}, got {value!r}")
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:  # an int too large for a float
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: must be finite, got {value!r}")
+    if interval is not None:
+        lo, hi = (float(bound) for bound in interval[1:-1].split(","))
+        if not ((lo < value if interval[0] == "(" else lo <= value)
+                and (value < hi if interval[-1] == ")" else value <= hi)):
+            what = _WORDS.get(interval, "in " + interval)
+            raise ConfigError(f"{path}: must be {what}, got {value!r}")
+    return value
+
+
+def check_field(cls, name: str, value, path: str = None):
+    """check() against the type and range of dataclass field `name`."""
+    f = cls.__dataclass_fields__[name]
+    return check(path or name, value, f.type, f.metadata.get("range"))
+
+
+def parse_text(text: str, kind):
+    """Command-line text as a `kind` value, or unchanged when it does not
+    parse, for check() to reject.  A bool takes only true or false."""
+    if kind is bool:
+        return {"true": True, "false": False}.get(text, text)
+    try:
+        return kind(text) if kind in (int, float) else text
+    except ValueError:
+        return text

@@ -4,7 +4,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from .config import ConfigError, RunConfig
+from .config import Q_RANGE, ConfigError, RunConfig, check, check_field
 from .world import (DECISION, TrajectoryLog, load_scenario,
                     scenario_definition, run)
 
@@ -148,11 +148,13 @@ def aggressiveness_sweep(base_scenario, q_merge_grid, q_mainline_grid,
     """
     q_merge_grid = tuple(q_merge_grid)
     q_mainline_grid = tuple(q_mainline_grid)
-    if not q_merge_grid or not q_mainline_grid:
-        raise ConfigError("sweep grids must be non-empty")
-    for q in (*q_merge_grid, *q_mainline_grid):
-        if not 0.0 <= q <= 1.0:
-            raise ConfigError(f"grid aggressiveness {q} outside [0, 1]")
+    for name, axis in (("q_merge_grid", q_merge_grid),
+                       ("q_mainline_grid", q_mainline_grid)):
+        if not axis:
+            raise ConfigError(f"{name}: must be non-empty, got {axis!r}")
+        for i, q in enumerate(axis):
+            check(f"{name}[{i}]", q, float, Q_RANGE)
+    check_field(RunConfig, "jobs", jobs)
     base = scenario_definition(base_scenario)
     grid = DisturbanceGrid(q_merge_grid, q_mainline_grid)
     pairs = [(qm, ql) for ql in q_mainline_grid for qm in q_merge_grid]

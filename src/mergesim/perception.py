@@ -19,49 +19,10 @@ class OrientedRect:
     half_width: float
     half_length: float
 
-    def axes(self):
-        """Unit length-axis and width-axis as (x, y) vectors."""
-        s, c = math.sin(self.heading), math.cos(self.heading)
-        return (s, c), (c, -s)
-
-    def corners(self):
-        (fx, fy), (lx, ly) = self.axes()
-        hl, hw = self.half_length, self.half_width
-        return [
-            (self.cx + fx * hl + lx * hw, self.cy + fy * hl + ly * hw),
-            (self.cx + fx * hl - lx * hw, self.cy + fy * hl - ly * hw),
-            (self.cx - fx * hl + lx * hw, self.cy - fy * hl + ly * hw),
-            (self.cx - fx * hl - lx * hw, self.cy - fy * hl - ly * hw),
-        ]
-
     def pose(self):
         """Flat (cx, cy, sin, cos, half_width, half_length) tuple."""
         return (self.cx, self.cy, math.sin(self.heading),
                 math.cos(self.heading), self.half_width, self.half_length)
-
-
-def _extent_along(rect: OrientedRect, axis) -> float:
-    """Half-extent of the rectangle's projection onto a unit axis."""
-    (fx, fy), (lx, ly) = rect.axes()
-    ax, ay = axis
-    return (rect.half_length * abs(fx * ax + fy * ay)
-            + rect.half_width * abs(lx * ax + ly * ay))
-
-
-def projection_gap(rect_a: OrientedRect, rect_b: OrientedRect,
-                   axis_index: int) -> float:
-    """Separation of the two projected intervals along one of rect_a's axes.
-
-    Zero when the projections overlap, otherwise the positive distance
-    between the intervals.  axis_index 0 selects rect_a's length axis,
-    1 its width axis.
-    """
-    axis = rect_a.axes()[axis_index]
-    extent_a = rect_a.half_length if axis_index == 0 else rect_a.half_width
-    extent_b = _extent_along(rect_b, axis)
-    centers = abs((rect_b.cx - rect_a.cx) * axis[0]
-                  + (rect_b.cy - rect_a.cy) * axis[1])
-    return max(0.0, centers - extent_a - extent_b)
 
 
 def pose_gaps(a, b):
@@ -70,9 +31,8 @@ def pose_gaps(a, b):
     A pose is the flat tuple (cx, cy, sin(heading), cos(heading),
     half_width, half_length), so callers take each heading's sine and
     cosine once.  Returns the gaps along a's length and width axes, then
-    along b's.  Each gap is computed with the same floating-point
-    operations, in the same order, as projection_gap, so the results are
-    bit-identical to it.
+    along b's: each is zero when the two rectangles' projections onto
+    that axis overlap, else the distance between them.
     """
     ax, ay, sa, ca, hwa, hla = a
     bx, by, sb, cb, hwb, hlb = b
@@ -85,12 +45,6 @@ def pose_gaps(a, b):
             max(0.0, abs(dx * ca - dy * sa) - hwa - (hlb * cross + hwb * dot)),
             max(0.0, abs(dx * sb + dy * cb) - hlb - (hla * dot + hwa * cross)),
             max(0.0, abs(dx * cb - dy * sb) - hwb - (hla * cross + hwa * dot)))
-
-
-def rect_gap_norm(rect_a: OrientedRect, rect_b: OrientedRect) -> float:
-    """Euclidean norm of the two projection gaps measured on rect_a's axes."""
-    gaps = pose_gaps(rect_a.pose(), rect_b.pose())
-    return math.hypot(gaps[0], gaps[1])
 
 
 def index_from_separations(gap_a: float, gap_b: float) -> float:

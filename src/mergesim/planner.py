@@ -506,8 +506,10 @@ def _merge_lane_epoch(ego, views, brain, profile, geometry, profiles, cfg):
                              incumbent=brain.directive)
     directive = plan.name
     guard = False
-    if directive == HOLD and plan.competing_id is None:
-        # No slot in hand and none promised: brake in time to stop.
+    if directive == DECELERATE or (directive == HOLD
+                                   and plan.competing_id is None):
+        # A decel directive, or a hold with no slot in hand and none
+        # promised, keeps a stop in reach: brake in time to stop.
         room = dist_to_end
         if room < (stopping_distance(ego.v, 0.3 * GRAVITY)
                    + profile.lane_change_clearance):

@@ -1,7 +1,9 @@
 """Straight multi-lane road with one ending merge lane."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Tuple
+
+from .config import check_field, ranged
 
 
 @dataclass(frozen=True)
@@ -12,18 +14,16 @@ class LaneGeometry:
     the extension beyond it exists only to finish an already-started merge.
     """
     centers: Tuple[float, ...] = (0.0, 3.3, 6.6, 9.9)
-    lane_width: float = 3.3
+    lane_width: float = ranged(3.3, "(0, inf)")
     merge_start: float = 50.0
-    entrance_length: float = 100.0
-    extension: float = 20.0
+    entrance_length: float = ranged(100.0, "(0, inf)")
+    extension: float = ranged(20.0, "[0, inf)")
 
     def __post_init__(self):
-        if list(self.centers) != sorted(self.centers):
+        for f in fields(self)[1:]:  # the numbers after centers
+            check_field(LaneGeometry, f.name, getattr(self, f.name))
+        if any(a >= b for a, b in zip(self.centers, self.centers[1:])):
             raise ValueError("lane centers must be strictly increasing")
-        if len(set(self.centers)) != len(self.centers):
-            raise ValueError("lane centers must be distinct")
-        if self.entrance_length <= 0:
-            raise ValueError("entrance_length must be positive")
 
     @property
     def merge_lane(self) -> int:

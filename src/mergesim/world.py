@@ -6,17 +6,18 @@ import math
 import random
 from typing import Dict, List, Optional, Tuple
 
-from .config import ConfigError, RunConfig, is_number
+from .config import Q_RANGE, ConfigError, RunConfig, check, check_field
 from .driver import (ControllerGains, DriverProfile, blended_error,
                      longitudinal_accel, steering_command)
-from .dynamics import Controls, VehicleParams, VehicleState, step
+from .dynamics import GRAVITY, Controls, VehicleParams, VehicleState, step
 # collision_index is re-exported, not called: perfbench probes the name
 # mergesim.world.collision_index.
 from .perception import (PerceptionNoise, VehicleView, bumper_gap,
                          classify_vicinity, collision_index,
                          pose_collision_index, pose_gaps, rects_intersect)
 from .planner import (ACCELERATE, CHANGE, DECELERATE, KEEP, MERGE,
-                      BrainState, complete_maneuver, decide, entrance_threat)
+                      BrainState, complete_maneuver, decide, entrance_threat,
+                      stopping_distance)
 from .road import LaneGeometry, lane_of
 
 SCRIPTED = "scripted"
@@ -227,39 +228,19 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _finite(value, path: str) -> float:
-    """value as a finite float, else a ConfigError at path.
-
-    Only JSON numbers qualify: booleans and numeric strings are rejected
-    even though float() would take them.
-    """
-    _require(is_number(value), f"{path}: must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    _require(math.isfinite(number), f"{path}: must be finite, got {value!r}")
-    return number
-
-
-def _number(item: dict, key: str, default: float, where: str) -> float:
-    """item[key] (or default) as a finite float, else a ConfigError at where.key."""
-    return _finite(item.get(key, default), f"{where}.{key}")
-
-
 def scenario_definition(source) -> dict:
     """Scenario dict from a built-in name, a path, or a dict."""
     if isinstance(source, dict):
         return source
-    if source in BUILTIN_SCENARIOS:
+    if check("scenario", source, str) in BUILTIN_SCENARIOS:
         return BUILTIN_SCENARIOS[source]
     try:
         with open(source) as fh:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"scenario: no built-in or file named {source!r}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario {source!r}: invalid JSON ({exc})")
+    except (OSError, ValueError) as exc:  # ValueError: not JSON text
+        raise ConfigError(f"scenario {source!r}: cannot read ({exc})")
     _require(isinstance(data, dict), "scenario: top level must be an object")
     return data
 
@@ -267,25 +248,26 @@ def scenario_definition(source) -> dict:
 def geometry_from_dict(geo) -> LaneGeometry:
     """LaneGeometry from a scenario's "geometry" object, validating every
     field; missing fields take LaneGeometry's defaults."""
-    _require(isinstance(geo, dict), "geometry: must be an object")
-    merge = geo.get("merge", {})
-    _require(isinstance(merge, dict), "geometry.merge: must be an object")
+    check("geometry", geo, dict)
+    merge = check("geometry.merge", geo.get("merge", {}), dict)
     default = LaneGeometry()
     centers = geo.get("lane_centers", default.centers)
     _require(isinstance(centers, (list, tuple)) and len(centers) >= 2,
              "geometry.lane_centers: must be a list of at least 2 numbers, "
              f"got {centers!r}")
-    centers = tuple(_finite(c, f"geometry.lane_centers[{i}]")
+    centers = tuple(check(f"geometry.lane_centers[{i}]", c)
                     for i, c in enumerate(centers))
-    lane_width = _number(geo, "lane_width", default.lane_width, "geometry")
-    _require(lane_width > 0,
-             f"geometry.lane_width: must be positive, got {lane_width}")
-    merge_start = _number(merge, "start", default.merge_start, "geometry.merge")
-    entrance_length = _number(merge, "entrance_length",
-                              default.entrance_length, "geometry.merge")
-    extension = _number(merge, "extension", default.extension, "geometry.merge")
-    _require(extension >= 0, "geometry.merge.extension: must not be negative, "
-             f"got {extension}")
+
+    def number(name, source, key, path):
+        return check_field(LaneGeometry, name,
+                           source.get(key, getattr(default, name)), path)
+
+    lane_width = number("lane_width", geo, "lane_width", "geometry.lane_width")
+    merge_start = number("merge_start", merge, "start", "geometry.merge.start")
+    entrance_length = number("entrance_length", merge, "entrance_length",
+                             "geometry.merge.entrance_length")
+    extension = number("extension", merge, "extension",
+                       "geometry.merge.extension")
     try:
         return LaneGeometry(
             centers=centers, lane_width=lane_width, merge_start=merge_start,
@@ -296,37 +278,33 @@ def geometry_from_dict(geo) -> LaneGeometry:
 
 def load_scenario(source, cfg: RunConfig) -> World:
     """Build a world from a scenario definition, validating every field."""
+    cfg.validate()
     data = scenario_definition(source)
     geometry = geometry_from_dict(data.get("geometry", {}))
     params = cfg.vehicle_params()
     vehicles = []
     seen = set()
-    items = data.get("vehicles", [])
-    _require(isinstance(items, list), "vehicles: must be a list")
+    items = check("vehicles", data.get("vehicles", []), list)
     for i, item in enumerate(items):
         where = f"vehicles[{i}]"
-        _require(isinstance(item, dict), f"{where}: must be an object")
+        check(where, item, dict)
         vid = item.get("id")
         _require(isinstance(vid, str) and vid, f"{where}.id: missing or empty")
         _require(vid not in seen, f"{where}.id: duplicate id {vid!r}")
         seen.add(vid)
-        x0 = _number(item, "x0_m", 0.0, where)
+        x0 = check(f"{where}.x0_m", item.get("x0_m", 0.0))
         _require(any(abs(x0 - c) < 1e-6 for c in geometry.centers),
                  f"{where}.x0_m: {x0} is not on a lane center")
-        y0 = _number(item, "y0_m", 0.0, where)
-        v0_kmh = _number(item, "v0_kmh", 0.0, where)
-        _require(v0_kmh > 0, f"{where}.v0_kmh: must be positive, got {v0_kmh}")
-        _require(v0_kmh <= MAX_SPEED_KMH, f"{where}.v0_kmh: must be at most "
-                 f"{MAX_SPEED_KMH:g}, got {v0_kmh:g}")
+        y0 = check(f"{where}.y0_m", item.get("y0_m", 0.0))
+        v0_kmh = check(f"{where}.v0_kmh", item.get("v0_kmh", 0.0), float,
+                       f"(0, {MAX_SPEED_KMH:g}]")
         kind = item.get("kind", SCRIPTED)
         _require(kind in (SCRIPTED, DECISION),
                  f"{where}.kind: must be scripted or decision, got {kind!r}")
         if vid in cfg.q_overrides:
-            q, q_path = cfg.q_overrides[vid], f"q_overrides[{vid!r}]"
+            q = float(cfg.q_overrides[vid])
         else:
-            q, q_path = item.get("q", 0.5), f"{where}.q"
-        q = _finite(q, q_path)
-        _require(0.0 <= q <= 1.0, f"{q_path}: must be in [0, 1], got {q}")
+            q = check(f"{where}.q", item.get("q", 0.5), float, Q_RANGE)
         v0 = v0_kmh * KMH
         lane = lane_of(x0, geometry)
         state = VehicleState(x=x0, y=y0, heading=0.0, v_long=v0)
@@ -338,7 +316,7 @@ def load_scenario(source, cfg: RunConfig) -> World:
             v_preset=v0, q=q, profile=cfg.profile(q),
             brain=brain))
     unknown = set(cfg.q_overrides) - seen
-    _require(not unknown, f"q override for unknown vehicle ids: {sorted(unknown)}")
+    _require(not unknown, f"q_overrides: unknown vehicle ids {sorted(unknown)}")
     # The run checks poses only after each step, so the start poses are
     # checked here: rectangles overlap when all four gaps are zero.
     poses = [v.view(geometry).rect().pose() for v in vehicles]
@@ -346,7 +324,18 @@ def load_scenario(source, cfg: RunConfig) -> World:
         for i in range(j):
             _require(max(pose_gaps(poses[i], b)) > 0,
                      f"vehicles[{j}]: overlaps vehicles[{i}] "
-                     f"({vehicles[i].vehicle_id!r}) at the start")
+                     f"({vehicles[i].vehicle_id!r}) at the start with "
+                     f"body_length {params.length:g} m and body_width "
+                     f"{params.width:g} m")
+    # A vehicle that has to merge must be able to stop before the end of
+    # the pavement, braking at the physical cap from its start speed.
+    for i, veh in enumerate(vehicles):
+        room = geometry.hard_end - veh.state.y - veh.params.length / 2.0 - 1.0
+        need = stopping_distance(veh.v_preset, cfg.accel_cap_g * GRAVITY)
+        _require(not veh.brain.needs_merge or room > need,
+                 f"vehicles[{i}]: must be able to stop before hard_end "
+                 f"{geometry.hard_end:g} m at accel_cap_g, needs "
+                 f"{need:.2f} m, has {room:.2f} m")
     return World(geometry, vehicles, cfg)
 
 
@@ -544,8 +533,7 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
     cfg = world.cfg
     if t_max is None:
         t_max = cfg.t_max
-    if not (t_max > 0 and math.isfinite(t_max)):
-        raise ConfigError("t_max must be positive and finite")
+    replace(cfg, t_max=t_max).validate()
     dt = cfg.dt
     geometry = world.geometry
     gains = world.gains

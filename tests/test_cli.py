@@ -1,15 +1,26 @@
 import argparse
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 import hashlib
+import io
 import json
+import math
+import os
+import re
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from mergesim.cli import _add_common, build_config, main, parse_grid
+from mergesim.cli import (MAX_GRID_POINTS, _add_common, build_config, main,
+                          parse_grid)
 from mergesim.config import ConfigError, RunConfig
 from mergesim.metrics import GRID_COLUMNS, aggressiveness_sweep, grid_to_csv
 from mergesim.road import LaneGeometry
 from mergesim.world import (MAX_SPEED_KMH, TRAJECTORY_COLUMNS,
-                            geometry_from_dict, load_scenario)
+                            geometry_from_dict, load_scenario,
+                            run as run_world)
 
 
 def run_cli(*argv):
@@ -214,7 +225,7 @@ class TestRejectsBadInput:
         assert run_cli("run", "--scenario", "scenario1", "--output", out,
                        *argv) == 2
         err = capsys.readouterr().err
-        assert "must be a finite number" in err
+        assert "must be finite, got inf" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("mutate, message", [
@@ -247,7 +258,7 @@ class TestRejectsBadInput:
                                   ("abc", "a number"))],
             ({"merge": {"start": 50.0, "entrance_length": 100.0,
                         "extension": -50}},
-             "geometry.merge.extension: must not be negative"),
+             "geometry.merge.extension: must be at least 0"),
         )],
         (lambda d: {**d, "geometry": {**d["geometry"], "lane_width": True}},
          "geometry.lane_width: must be a number, got True"),
@@ -265,8 +276,8 @@ class TestRejectsBadInput:
          "vehicles[0].v0_kmh: must be finite"),
         *[(lambda d, v0=v0: {**d, "vehicles": [d["vehicles"][0], {
             **d["vehicles"][1], "v0_kmh": v0}]},
-           f"vehicles[1].v0_kmh: must be at most 250, got {got}")
-          for v0, got in ((1e9, "1e+09"), (250.5, "250.5"))],
+           f"vehicles[1].v0_kmh: must be in (0, 250], got {got}")
+          for v0, got in ((1e9, "1000000000.0"), (250.5, "250.5"))],
         (lambda d: {**d, "vehicles": [d["vehicles"][0], {
             **d["vehicles"][1], "y0_m": d["vehicles"][0]["y0_m"] - 4.5}]},
          "vehicles[1]: overlaps vehicles[0] ('slow') at the start"),
@@ -282,19 +293,19 @@ class TestRejectsBadInput:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("config, message", [
-        ({"dt": True}, "dt must be a finite number, got True"),
-        ({"epoch": True}, "epoch must be a finite number, got True"),
-        ({"t_max": True}, "t_max must be a finite number, got True"),
-        ({"t_max": "40"}, "t_max must be a finite number, got '40'"),
+        ({"dt": True}, "dt: must be a number, got True"),
+        ({"epoch": True}, "epoch: must be a number, got True"),
+        ({"t_max": True}, "t_max: must be a number, got True"),
+        ({"t_max": "40"}, "t_max: must be a number, got '40'"),
         ({"noise_sigma": "0.5"},
-         "noise_sigma must be a finite number, got '0.5'"),
-        ({"jobs": True}, "jobs must be an integer, got True"),
-        ({"seed": "0"}, "seed must be an integer, got '0'"),
+         "noise_sigma: must be a number, got '0.5'"),
+        ({"jobs": True}, "jobs: must be an integer, got True"),
+        ({"seed": "0"}, "seed: must be an integer, got '0'"),
         ({"q_overrides": {"slow": True}},
-         "q_overrides['slow'] must be a number in [0, 1], got True"),
+         "q_overrides['slow']: must be a number, got True"),
         ({"q_overrides": {"slow": "0.5"}},
-         "q_overrides['slow'] must be a number in [0, 1], got '0.5'"),
-        ({"q_overrides": [0.5]}, "q_overrides must be an object"),
+         "q_overrides['slow']: must be a number, got '0.5'"),
+        ({"q_overrides": [0.5]}, "q_overrides: must be an object"),
     ])
     def test_booleans_and_numeric_strings_in_config(self, tmp_path, capsys,
                                                     config, message):
@@ -315,8 +326,8 @@ class TestRejectsBadInput:
 
     @pytest.mark.parametrize("q", [2.0, -0.5])
     def test_out_of_range_q_override_names_the_override(self, q):
-        # The scenario's own q for this vehicle is fine; RunConfig.validate,
-        # which would catch the override first, is not run here.
+        # The scenario's own q for this vehicle is fine; the override is
+        # named (load_scenario validates the config it is given).
         cfg = RunConfig(q_overrides={"merging": q})
         with pytest.raises(ConfigError) as info:
             load_scenario("scenario1", cfg)
@@ -328,6 +339,163 @@ class TestRejectsBadInput:
         data["vehicles"][0]["v0_kmh"] = MAX_SPEED_KMH
         world = load_scenario(data, RunConfig())
         assert world.vehicles[0].v_preset == MAX_SPEED_KMH / 3.6
+
+
+class TestRangeChecks:
+    """Values that once ended in a traceback, a hang or a run without
+    sense end in exit code 2 with the path of the field."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--set", "mass=-1"), "mass: must be positive, got -1.0"),
+        (("--set", "yaw_inertia=0"), "yaw_inertia: must be positive, got 0.0"),
+        (("--set", "lane_settle_tol=-1"),
+         "lane_settle_tol: must be positive, got -1.0"),
+        (("--set", "dt=0.5", "--set", "epoch=0.5"),
+         "dt: must be in [0.0025, 0.04], got 0.5"),
+        (("--set", "body_length=0"), "body_length: must be positive, got 0.0"),
+        (("--set", "accel_cap_g=0"), "accel_cap_g: must be in (0, 1], got 0.0"),
+        (("--set", "corner_stiff=0"),
+         "corner_stiff: must be negative, got 0.0"),
+        (("--set", "steer_cap_deg=-30"),
+         "steer_cap_deg: must be in (0, 90), got -30.0"),
+        (("--set", "noise_sigma=-1"), "noise_sigma: must be at least 0, got -1.0"),
+        (("--set", "settle_time=-5"), "settle_time: must be at least 0, got -5.0"),
+        (("--set", "noise=True"), "noise: must be true or false, got 'True'"),
+        (("--set", "dt=0.03"),
+         "epoch: must be a whole multiple of dt (0.03), got 0.1"),
+        (("--set", "t_max=0.004"), "t_max: must be at least dt (0.01), got 0.004"),
+        (("--set", "dist_front=3"), "dist_front + dist_rear: must be below "
+         "body_length (4.5), got 4.6"),
+        (({"scenario": 0},), "scenario: must be a string, got 0"),
+        (({"scenario": None},), "scenario: must be a string, got None"),
+        (({"scenario": 12345},), "scenario: must be a string, got 12345"),
+    ])
+    def test_probe_values(self, tmp_path, capsys, argv, message):
+        if isinstance(argv[0], dict):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(argv[0]))
+            argv = ("--config", str(path))
+        out = str(tmp_path / "x")
+        assert run_cli("run", "--t-max", "1", "--output", out, *argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
+    def test_tiny_dt_is_rejected_without_running(self, capsys):
+        # At dt = 1e-9 a run would take 4e10 steps: never start one.
+        with pytest.raises(ConfigError,
+                           match=r"^dt: must be in \[0.0025, 0.04\], got 1e-09$"):
+            RunConfig(dt=1e-9).validate()
+        assert run_cli("dump-config", "--set", "dt=1e-9") == 2
+        assert capsys.readouterr().err.startswith("error: dt: must be in")
+
+    @pytest.mark.parametrize("text", ["null", "0", '""', "[]", "[1, 2]"])
+    def test_config_top_level_must_be_an_object(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert run_cli("dump-config", "--config", str(path)) == 2
+        assert capsys.readouterr().err == \
+            f"error: config file {path}: top level must be an object\n"
+
+    def test_library_callers_get_the_same_checks(self):
+        with pytest.raises(ConfigError, match=r"^mass: must be positive"):
+            load_scenario("scenario1", RunConfig(mass=-1.0))
+
+    def test_run_checks_its_t_max(self):
+        world = load_scenario("scenario1", RunConfig())
+        with pytest.raises(ConfigError, match=r"^t_max: must be in \(0, 600\]"):
+            run_world(world, t_max=601.0)
+
+    def test_sweep_checks_jobs_without_starting_a_pool(self):
+        with mock.patch("multiprocessing.Pool") as pool:
+            with pytest.raises(ConfigError, match=r"^jobs: must be in \[1, "):
+                aggressiveness_sweep("scenario1", (0.5,), (0.5,), RunConfig(),
+                                     jobs=(os.cpu_count() or 1) + 1)
+            with pytest.raises(ConfigError, match=r"^jobs: must be an integer"):
+                aggressiveness_sweep("scenario1", (0.5,), (0.5,), RunConfig(),
+                                     jobs=True)
+        pool.assert_not_called()
+
+
+_FIELD_NAMES = [f.name for f in fields(RunConfig)]
+_SCENARIO_NAMES = st.sampled_from(("scenario1", "scenario2", "no_such_file", ""))
+_SET_TEXT = st.one_of(
+    st.floats().map(repr), st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from(("true", "false", "True", "", "nan", "-inf", "1e400")),
+    st.text(max_size=6))
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.integers(-10 ** 6, 10 ** 6),
+    st.sampled_from((10 ** 400, -10 ** 400)), st.text(max_size=6),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.sampled_from(("merging", "vehicle1", "nobody")),
+                    st.one_of(st.floats(), st.booleans()), max_size=2))
+_REJECTED_T_MAX = st.sampled_from(("0", "-1", "nan", "inf", "601", "x"))
+
+
+def inside_range(key):
+    """Floats inside the declared range of a float field, ends included
+    when they are; t_max is held to at most 1 s."""
+    interval = RunConfig.__dataclass_fields__[key].metadata["range"]
+    lo, hi = (float(bound) for bound in interval[1:-1].split(","))
+    if key == "t_max":
+        hi = 1.0
+    return st.floats(
+        lo if math.isfinite(lo) else None, hi if math.isfinite(hi) else None,
+        exclude_min=interval[0] == "(" and math.isfinite(lo),
+        exclude_max=interval[-1] == ")" and math.isfinite(hi),
+        allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def generated_inputs(draw):
+    """(--set pairs, --config object) over up to three fields each.  Values
+    are arbitrary text or JSON, or lie inside the field's range.  Only t_max
+    values that are rejected or at most 1 s are passed by --set, which
+    overrides --t-max 1, so no run covers more than 1 s."""
+    sets, config = {}, {}
+    for key in draw(st.lists(st.sampled_from(_FIELD_NAMES), max_size=3,
+                             unique=True)):
+        if key == "scenario":
+            sets[key] = draw(_SCENARIO_NAMES)
+        elif RunConfig.__dataclass_fields__[key].type is not float:
+            sets[key] = draw(_SET_TEXT)
+        elif key == "t_max":
+            sets[key] = draw(st.one_of(inside_range(key).map(repr),
+                                       _REJECTED_T_MAX))
+        else:
+            sets[key] = draw(st.one_of(inside_range(key).map(repr), _SET_TEXT))
+    for key in draw(st.lists(st.sampled_from(_FIELD_NAMES), max_size=3,
+                             unique=True)):
+        config[key] = draw(st.one_of(_SCENARIO_NAMES, _JSON_VALUES)
+                           if key == "scenario" else _JSON_VALUES)
+    return sets, config
+
+
+@settings(max_examples=200, deadline=None)
+@given(generated_inputs())
+def test_generated_values_run_or_name_the_field(inputs):
+    """A run ends in exit 0, 3 or 4, or in exit 2 naming a field it was
+    given; any traceback fails the test."""
+    sets, config = inputs
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ), \
+            redirect_stdout(io.StringIO()), redirect_stderr(err):
+        os.environ.pop("MERGE_SIM_SEED", None)
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        argv = ["run", "--config", path, "--t-max", "1",
+                "--output", os.path.join(tmp, "out")]
+        for key, text in sets.items():
+            argv += ["--set", f"{key}={text}"]
+        code = main(argv)
+    event(f"exit {code}")
+    if code == 2:
+        named = set(sets) | set(config)
+        assert any(re.search(rf"\b{name}\b", err.getvalue())
+                   for name in named), err.getvalue()
+    else:
+        assert code in (0, 3, 4)
 
 
 def cli_default_config(monkeypatch):
@@ -372,6 +540,13 @@ class TestSweepCommand:
         assert run_cli("sweep", "--grid", "1:0:0.5") == 2
         assert run_cli("sweep", "--grid", "0:0.5") == 2
         assert run_cli("sweep", "--grid", "0:2:0.5") == 2
+
+    def test_grid_is_bounded_before_any_value_is_built(self):
+        assert len(parse_grid("0:1:0.01")) == MAX_GRID_POINTS == 101
+        assert len(parse_grid("0.5:1:0.005")) == 101
+        for raw in ("0:1:0.0099", "0:1:1e-9", "0:1:5e-324"):
+            with pytest.raises(ConfigError, match=r"^--grid points: must be"):
+                parse_grid(raw)
 
     def test_parse_grid_values(self):
         assert parse_grid("0:1:0.5") == (0.0, 0.5, 1.0)

@@ -4,12 +4,13 @@ from contextlib import contextmanager
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mergesim import world as world_module
 from mergesim.config import ConfigError, RunConfig
+from mergesim.dynamics import GRAVITY
 from mergesim.perception import OrientedRect, rects_intersect
-from mergesim.world import (DECISION, SCRIPTED, _collision_pairs,
+from mergesim.world import (DECISION, KMH, SCRIPTED, _collision_pairs,
                             load_scenario, run)
 
 BODY_WIDTH = RunConfig().body_width
@@ -122,12 +123,41 @@ def overlap_at_start(data):
                for i, a in enumerate(rects) for b in rects[i + 1:])
 
 
+def cannot_stop_at_start(data):
+    """Whether a decision vehicle of a scenario dict starts in the merge lane
+    too fast to stop before hard_end, braking at accel_cap_g."""
+    cfg = RunConfig()
+    geometry = data["geometry"]
+    merge = geometry["merge"]
+    hard_end = merge["start"] + merge["entrance_length"] + merge["extension"]
+    for v in data["vehicles"]:
+        if v["kind"] == DECISION and v["x0_m"] == geometry["lane_centers"][-1]:
+            room = hard_end - v["y0_m"] - cfg.body_length / 2.0 - 1.0
+            v0 = v["v0_kmh"] * KMH
+            if room <= v0 * v0 / (2.0 * cfg.accel_cap_g * GRAVITY):
+                return True
+    return False
+
+
 @settings(max_examples=60, deadline=None)
 @given(generated_scenarios())
+# A decel directive with a competitor once skipped the end-of-lane guard, so
+# this merger reached the end of its window too fast and crossed hard_end.
+@example((scenario(2.0, [("v0", 0, 101.0, 95.0, SCRIPTED, 0.5),
+                         ("v1", 1, 103.0, 86.0, DECISION, 0.0),
+                         ("v2", 0, 0.0, 40.0, SCRIPTED, 0.5)], lanes=2), 3.0))
+# Needs 132.9 m to stop at accel_cap_g and has 76.75 m: rejected at load.
+@example((scenario(3.3, [("v0", 3, 90.0, 130.0, DECISION, 0.5),
+                         ("v1", 2, 90.0, 130.0, SCRIPTED, 0.5)]), 3.0))
 def test_pair_list_matches_all_pairs_on_generated_scenarios(case):
     data, t_max = case
     if overlap_at_start(data):
         with pytest.raises(ConfigError, match=r"vehicles\[\d+\]: overlaps"):
+            load_scenario(data, RunConfig())
+        return
+    if cannot_stop_at_start(data):
+        with pytest.raises(ConfigError,
+                           match=r"vehicles\[\d+\]: must be able to stop"):
             load_scenario(data, RunConfig())
         return
     logs = []

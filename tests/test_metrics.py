@@ -140,11 +140,14 @@ class TestSweep:
                              "merge": {"start": 50.0, "entrance_length": 100.0,
                                        "extension": 20.0}},
                 "vehicles": [
-                    {"id": "merging", "x0_m": 9.9, "y0_m": 300.0,
+                    {"id": "merging", "x0_m": 9.9, "y0_m": 10.0,
                      "v0_kmh": 70.0, "kind": "decision", "q": 0.5},
                     {"id": "vehicle4", "x0_m": 6.6, "y0_m": 0.0,
                      "v0_kmh": 70.0, "kind": "scripted"},
-                    {"id": "rear", "x0_m": 6.6, "y0_m": -30.0,
+                    # A scripted rear-end in lane 0.
+                    {"id": "slow", "x0_m": 0.0, "y0_m": 30.0,
+                     "v0_kmh": 50.0, "kind": "scripted"},
+                    {"id": "rear", "x0_m": 0.0, "y0_m": 0.0,
                      "v0_kmh": 120.0, "kind": "scripted"},
                 ]}
         report = measure_cell(base, 0.5, 0.5, RunConfig(t_max=10.0))

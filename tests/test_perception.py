@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mergesim.perception import (OrientedRect, PerceptionNoise,
                                  VehicleView, classify_vicinity,
                                  collision_index, index_from_separations,
-                                 pose_gaps, projection_gap,
-                                 rect_gap_norm, rects_intersect)
+                                 pose_gaps, rects_intersect)
 from mergesim.road import LaneGeometry
 
 GEOMETRY = LaneGeometry()
@@ -18,19 +17,66 @@ GEOMETRY = LaneGeometry()
 # --- independent oracles -----------------------------------------------------
 
 
+def axes(rect):
+    """Unit length-axis and width-axis as (x, y) vectors."""
+    s, c = math.sin(rect.heading), math.cos(rect.heading)
+    return (s, c), (c, -s)
+
+
+def corners(rect):
+    (fx, fy), (lx, ly) = axes(rect)
+    hl, hw = rect.half_length, rect.half_width
+    return [
+        (rect.cx + fx * hl + lx * hw, rect.cy + fy * hl + ly * hw),
+        (rect.cx + fx * hl - lx * hw, rect.cy + fy * hl - ly * hw),
+        (rect.cx - fx * hl + lx * hw, rect.cy - fy * hl + ly * hw),
+        (rect.cx - fx * hl - lx * hw, rect.cy - fy * hl - ly * hw),
+    ]
+
+
+def _extent_along(rect, axis):
+    """Half-extent of the rectangle's projection onto a unit axis."""
+    (fx, fy), (lx, ly) = axes(rect)
+    ax, ay = axis
+    return (rect.half_length * abs(fx * ax + fy * ay)
+            + rect.half_width * abs(lx * ax + ly * ay))
+
+
+def projection_gap(rect_a, rect_b, axis_index):
+    """Readable reference for one gap of pose_gaps: the separation of the
+    two projected intervals along one of rect_a's axes.
+
+    Zero when the projections overlap, otherwise the positive distance
+    between the intervals.  axis_index 0 selects rect_a's length axis,
+    1 its width axis.
+    """
+    axis = axes(rect_a)[axis_index]
+    extent_a = rect_a.half_length if axis_index == 0 else rect_a.half_width
+    extent_b = _extent_along(rect_b, axis)
+    centers = abs((rect_b.cx - rect_a.cx) * axis[0]
+                  + (rect_b.cy - rect_a.cy) * axis[1])
+    return max(0.0, centers - extent_a - extent_b)
+
+
+def rect_gap_norm(rect_a, rect_b):
+    """Euclidean norm of the two projection gaps measured on rect_a's axes."""
+    gaps = pose_gaps(rect_a.pose(), rect_b.pose())
+    return math.hypot(gaps[0], gaps[1])
+
+
 def corner_projection_gap(rect_a, rect_b, axis_index):
     """Oracle: project all four corners of both rectangles, measure the
     separation of the two intervals."""
-    axis = rect_a.axes()[axis_index]
-    proj_a = [c[0] * axis[0] + c[1] * axis[1] for c in rect_a.corners()]
-    proj_b = [c[0] * axis[0] + c[1] * axis[1] for c in rect_b.corners()]
+    axis = axes(rect_a)[axis_index]
+    proj_a = [c[0] * axis[0] + c[1] * axis[1] for c in corners(rect_a)]
+    proj_b = [c[0] * axis[0] + c[1] * axis[1] for c in corners(rect_b)]
     lo_a, hi_a = min(proj_a), max(proj_a)
     lo_b, hi_b = min(proj_b), max(proj_b)
     return max(0.0, lo_b - hi_a, lo_a - hi_b)
 
 
 def _segments(rect):
-    c = rect.corners()
+    c = corners(rect)
     order = [c[0], c[1], c[3], c[2]]  # walk the perimeter
     return list(zip(order, order[1:] + order[:1]))
 
@@ -45,7 +91,7 @@ def _segments_cross(p1, p2, p3, p4):
 
 
 def _point_inside(point, rect):
-    (fx, fy), (lx, ly) = rect.axes()
+    (fx, fy), (lx, ly) = axes(rect)
     dx, dy = point[0] - rect.cx, point[1] - rect.cy
     return (abs(dx * fx + dy * fy) <= rect.half_length + 1e-12
             and abs(dx * lx + dy * ly) <= rect.half_width + 1e-12)
@@ -58,8 +104,8 @@ def polygons_intersect(rect_a, rect_b):
         for s2 in _segments(rect_b):
             if _segments_cross(s1[0], s1[1], s2[0], s2[1]):
                 return True
-    return (_point_inside(rect_a.corners()[0], rect_b)
-            or _point_inside(rect_b.corners()[0], rect_a))
+    return (_point_inside(corners(rect_a)[0], rect_b)
+            or _point_inside(corners(rect_b)[0], rect_a))
 
 
 def random_rect(rng, span=10.0):
