@@ -121,10 +121,9 @@ def _summarize(log, world, cfg) -> dict:
 
 
 def cmd_run(args) -> int:
-    cfg = build_config(args)
     if args.dump_config:
-        print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
-        return EXIT_OK
+        return cmd_dump_config(args)
+    cfg = build_config(args)
     world = load_scenario(cfg.scenario, cfg)
     log = run_world(world)
     base = args.output or os.path.join(
@@ -132,7 +131,7 @@ def cmd_run(args) -> int:
     traj_path = base + ".csv"
     summary_path = base + ".summary.json"
     summary = _summarize(log, world, cfg)
-    log.write_csv(traj_path)
+    write_atomic(traj_path, log.to_csv())
     write_atomic(summary_path,
                  json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"trajectory: {traj_path}")

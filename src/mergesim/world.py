@@ -147,10 +147,6 @@ class TrajectoryLog:
     def vehicle_icol(self, vehicle_id: str) -> List[float]:
         return [c for r, c in zip(self.rows, self.icol()) if r[1] == vehicle_id]
 
-    def write_csv(self, path: str) -> None:
-        from .logio import write_atomic
-        write_atomic(path, self.to_csv())
-
     def to_csv(self) -> str:
         lines = [",".join(TRAJECTORY_COLUMNS)]
         for r, icol in zip(self.rows, self.icol()):
@@ -211,7 +207,6 @@ class World:
         self.profiles: Dict[str, DriverProfile] = {
             v.vehicle_id: v.profile for v in vehicles}
         self.gains: ControllerGains = cfg.gains()
-        self.time = 0.0
         self.noise: Dict[str, PerceptionNoise] = {}
         if cfg.noise:
             for v in vehicles:
@@ -342,28 +337,23 @@ def load_scenario(source, cfg: RunConfig) -> World:
 # --- per-step control -----------------------------------------------------
 
 
-def _follow_gap_ref(profile: DriverProfile, v: float) -> float:
-    return profile.lane_change_clearance + profile.follow_headway * v
-
-
 def _brake_channel(profile, gains, gap, rel_speed, gap_ref) -> float:
     if gap >= gap_ref:
         return math.inf
     return longitudinal_accel(profile, gains, gap - gap_ref, rel_speed)
 
 
-def _boxed_gap_ref(ego, leader, follower, follow_ref,
-                   ahead_share: float = 0.5) -> float:
+def _boxed_gap_ref(ego, leader, follower, follow_ref) -> float:
     """Leader-gap reference when boxed between two vehicles.
 
-    A span shorter than two comfortable gaps is straddled at ahead_share
-    of its free room rather than braking into the trailing vehicle;
-    open-ended situations keep the plain following reference.
+    A span shorter than two comfortable gaps is straddled at half of its
+    free room rather than braking into the trailing vehicle; open-ended
+    situations keep the plain following reference.
     """
     if follower is None or leader is None:
         return follow_ref
     free = bumper_gap(ego, leader) + bumper_gap(ego, follower)
-    return min(follow_ref, max(free * ahead_share, 1.0))
+    return min(follow_ref, max(free * 0.5, 1.0))
 
 
 def _slot_gap_ref(ego, veh, views_by_id, follow_ref, cfg) -> float:
@@ -392,20 +382,27 @@ class Attention:
     threat_id: Optional[str] = None
 
 
-def _fresh_gap(ego: VehicleView, other_id: Optional[str], views_by_id):
-    other = views_by_id.get(other_id)
-    if other is None:
-        return None
-    return bumper_gap(ego, other), other.v - ego.v
+def _controls_for(veh: SimVehicle, ego: VehicleView, views_by_id,
+                  attention: Attention, geometry: LaneGeometry,
+                  cfg: RunConfig, gains: ControllerGains) -> Controls:
+    """Steering toward the target lane and the bounded longitudinal command."""
+    brain, profile, st = veh.brain, veh.profile, veh.state
+    v = st.v_long
+    changing = brain.maneuver in (MERGE, CHANGE)
+    lane_target = brain.target_lane if changing else brain.current_lane
+    e_lat = st.x - geometry.centers[lane_target]
+    e_rate = st.speed * math.sin(st.heading)
+    steer = steering_command(profile, gains, e_lat, e_rate, veh.params, v)
 
-
-def _longitudinal_command(veh: SimVehicle, ego: VehicleView, views_by_id,
-                          attention: Attention, geometry: LaneGeometry,
-                          cfg: RunConfig, gains: ControllerGains) -> float:
-    brain, profile = veh.brain, veh.profile
-    v = veh.state.v_long
-    follow_ref = _follow_gap_ref(profile, v)
     merging_phase = brain.needs_merge
+    follow_ref = profile.lane_change_clearance + profile.follow_headway * v
+    follower = views_by_id.get(attention.own_follower_id)
+    slot_leader = (views_by_id.get(brain.slot_leader_id) if merging_phase
+                   else None)
+    if slot_leader is not None:
+        slot_gap = bumper_gap(ego, slot_leader)
+        slot_rel = slot_leader.v - v
+        slot_ref = _slot_gap_ref(ego, veh, views_by_id, follow_ref, cfg)
 
     # Base command: directive, slot keeping, or plain cruise.
     if merging_phase and brain.directive == ACCELERATE:
@@ -413,44 +410,36 @@ def _longitudinal_command(veh: SimVehicle, ego: VehicleView, views_by_id,
     elif merging_phase and brain.directive == DECELERATE:
         base = -cfg.nominal_decel(profile)
         if brain.guard:
-            room = geometry.hard_end - veh.state.y - veh.params.length / 2.0 - 1.0
+            room = geometry.hard_end - st.y - veh.params.length / 2.0 - 1.0
             if room > 0.1:
                 base = min(base, -v * v / (2.0 * room))
             else:
                 base = -gains.accel_cap
-    elif merging_phase and brain.slot_leader_id in views_by_id:
-        gap, rel = _fresh_gap(ego, brain.slot_leader_id, views_by_id)
-        ref = _slot_gap_ref(ego, veh, views_by_id, follow_ref, cfg)
-        base = longitudinal_accel(profile, gains, gap - ref, rel)
+    elif slot_leader is not None:
+        base = longitudinal_accel(profile, gains, slot_gap - slot_ref, slot_rel)
     else:
         speed_err = brain.v_ref - v
         leader = views_by_id.get(attention.lane_leaders.get(brain.current_lane))
-        follower = views_by_id.get(attention.own_follower_id)
         ref = _boxed_gap_ref(ego, leader, follower, follow_ref)
-        if leader is not None and bumper_gap(ego, leader) < ref:
-            err, rate = blended_error(speed_err, bumper_gap(ego, leader) - ref,
-                                      leader.v - v, cfg.speed_weight)
+        gap = bumper_gap(ego, leader) if leader is not None else math.inf
+        if gap < ref:
+            err, rate = blended_error(speed_err, gap - ref, leader.v - v,
+                                      cfg.speed_weight)
             base = longitudinal_accel(profile, gains, err, rate)
         else:
             base = longitudinal_accel(profile, gains, speed_err, 0.0)
 
     # Safety channels: never outrun anything ahead in the lanes we occupy.
-    if merging_phase:
-        slot_ref = _slot_gap_ref(ego, veh, views_by_id, follow_ref, cfg)
-        hit = _fresh_gap(ego, brain.slot_leader_id, views_by_id)
-        if hit is not None:
-            base = min(base, _brake_channel(profile, gains, hit[0], hit[1],
-                                            slot_ref))
+    if slot_leader is not None:
+        base = min(base, _brake_channel(profile, gains, slot_gap, slot_rel,
+                                        slot_ref))
     lanes = {brain.current_lane}
-    if brain.maneuver in (MERGE, CHANGE) and brain.target_lane is not None:
+    if changing and brain.target_lane is not None:
         lanes.add(brain.target_lane)
     for lane in lanes:
         leader = views_by_id.get(attention.lane_leaders.get(lane))
-        if leader is None:
-            continue
-        if merging_phase and leader.vehicle_id == brain.slot_leader_id:
-            continue  # already constrained at the slot reference
-        follower = views_by_id.get(attention.own_follower_id)
+        if leader is None or leader is slot_leader:
+            continue  # the slot leader is held at the slot reference above
         ref = _boxed_gap_ref(ego, leader, follower, follow_ref)
         base = min(base, _brake_channel(profile, gains, bumper_gap(ego, leader),
                                         leader.v - v, ref))
@@ -469,30 +458,16 @@ def _longitudinal_command(veh: SimVehicle, ego: VehicleView, views_by_id,
     hi = min(profile.accel_limit, gains.accel_cap)
     lo = -gains.accel_cap if brain.guard else -min(
         profile.accel_limit * gains.brake_factor, gains.accel_cap)
-    return min(max(base, lo), hi)
-
-
-def _controls_for(veh: SimVehicle, ego: VehicleView, views_by_id,
-                  attention: Attention, geometry: LaneGeometry,
-                  cfg: RunConfig, gains: ControllerGains) -> Controls:
-    brain = veh.brain
-    st = veh.state
-    lane_target = brain.target_lane if brain.maneuver in (MERGE, CHANGE) \
-        else brain.current_lane
-    e_lat = st.x - geometry.centers[lane_target]
-    e_rate = st.speed * math.sin(st.heading)
-    steer = steering_command(veh.profile, gains, e_lat, e_rate, veh.params,
-                             st.v_long)
-    accel = _longitudinal_command(veh, ego, views_by_id, attention, geometry,
-                                  cfg, gains)
-    return Controls(accel=accel, steer=steer)
+    return Controls(accel=min(max(base, lo), hi), steer=steer)
 
 
 # --- simulation loop -------------------------------------------------------
 
 
-def _collision_pairs(views: List[VehicleView]) -> List[Tuple[int, int]]:
-    """Index pairs (i, j), i < j in order, that can collide during a run.
+def _collision_pairs(views: List[VehicleView]) -> List[tuple]:
+    """(i, j, reach_y, reach_x), i < j in order, for each pair that can
+    collide during a run; its rectangles cannot meet while their centres are
+    more than reach_y apart along the road or reach_x across it.
 
     A scripted vehicle keeps its lateral position and heading for the whole
     run, so two scripted vehicles at heading 0 with a positive gap along the
@@ -507,28 +482,127 @@ def _collision_pairs(views: List[VehicleView]) -> List[Tuple[int, int]]:
                     and a.heading == 0.0 and b.heading == 0.0
                     and pose_gaps(a.rect().pose(), b.rect().pose())[1] > 0):
                 continue
-            pairs.append((i, j))
+            pairs.append((i, j, (a.length + b.length) / 2.0 + 2.0,
+                          (a.width + b.width) / 2.0 + 2.0))
     return pairs
 
 
-def _find_collision(views: List[VehicleView], pairs: List[Tuple[int, int]]):
+def _find_collision(views: List[VehicleView], pairs: List[tuple]):
     """Ids of the first pair, in `pairs` order, whose rectangles overlap."""
-    for i, j in pairs:
+    for i, j, reach_y, reach_x in pairs:
         a, b = views[i], views[j]
-        if abs(a.y - b.y) > (a.length + b.length) / 2.0 + 2.0:
+        if abs(a.y - b.y) > reach_y:
             continue
-        if abs(a.x - b.x) > (a.width + b.width) / 2.0 + 2.0:
+        if abs(a.x - b.x) > reach_x:
             continue
         if rects_intersect(a.rect(), b.rect()):
             return a.vehicle_id, b.vehicle_id
     return None
 
 
+def _decide(world, decision_vehicles, views, attentions) -> None:
+    """Decision epoch: perceive, play the games, pick whom to attend to."""
+    geometry, cfg = world.geometry, world.cfg
+    for veh in decision_vehicles:
+        noise = world.noise.get(veh.vehicle_id)
+        seen = views if noise is None else noise.observe(veh.vehicle_id, views)
+        ego = next(v for v in seen if v.vehicle_id == veh.vehicle_id)
+        vic = classify_vicinity(
+            veh.vehicle_id, seen, geometry,
+            visibility=veh.profile.visibility_range,
+            observer_scale=veh.profile.bound_scale)
+        threat = entrance_threat(ego, seen, geometry, cfg)
+        own_gap = None
+        own_leader = vic.leader(veh.brain.current_lane)
+        if own_leader is not None:
+            own_gap = own_leader.gap
+        veh.brain = decide(ego, seen, veh.brain, veh.profile, geometry,
+                           world.profiles, cfg, own_gap=own_gap, threat=threat)
+        own_follower = vic.follower(veh.brain.current_lane)
+        attentions[veh.vehicle_id] = Attention(
+            lane_leaders={lane: vic.leader(lane).vehicle_id
+                          for lane in vic.lanes() if vic.leader(lane)},
+            own_follower_id=own_follower.vehicle_id if own_follower else None,
+            threat_id=threat.vehicle_id if threat else None)
+
+
+def _record(log, vehicles, views, t) -> None:
+    """One row per vehicle: its state at the start of the step at t."""
+    for veh, view in zip(vehicles, views):
+        brain = veh.brain
+        flags = []
+        if brain.guard:
+            flags.append("guard")
+        if brain.forced_stop:
+            flags.append("forced_stop")
+        log.append((t, veh.vehicle_id, view.x, view.y, veh.state.v_long,
+                    veh.state.heading, view.lane,
+                    brain.maneuver if veh.kind == DECISION else "",
+                    brain.directive if veh.kind == DECISION else "",
+                    brain.competing_id or "",
+                    ";".join(flags)))
+
+
+def _advance(world, views_by_id, attentions, log, t) -> None:
+    """Control and integrate every vehicle over the step from t."""
+    cfg, dt = world.cfg, world.cfg.dt
+    for veh in world.vehicles:
+        if veh.kind == SCRIPTED:
+            s = veh.state
+            veh.state = VehicleState(s.x, s.y + veh.v_preset * dt, s.heading,
+                                     s.v_long, s.v_lat, s.yaw_rate)
+            continue
+        controls = _controls_for(
+            veh, views_by_id[veh.vehicle_id], views_by_id,
+            attentions[veh.vehicle_id], world.geometry, cfg, world.gains)
+        veh.state = step(veh.state, veh.params, controls, dt)
+        if (veh.brain.needs_merge and veh.state.v_long < cfg.stop_speed
+                and not veh.brain.forced_stop):
+            veh.brain = replace(veh.brain, forced_stop=True)
+            log.forced_stop = True
+            log.events.append({"t": t, "vehicle": veh.vehicle_id,
+                               "event": "forced_stop"})
+
+
+def _complete_maneuvers(world, decision_vehicles, moved, log, t) -> None:
+    """End, and log at t, each maneuver that the moved poses complete."""
+    geometry, cfg = world.geometry, world.cfg
+    for veh in decision_vehicles:
+        brain = veh.brain
+        veh.brain = complete_maneuver(veh.view(geometry), moved, brain,
+                                      geometry, cfg)
+        if veh.brain is not brain:
+            kind = ("merge_complete" if brain.maneuver == MERGE
+                    else "change_complete")
+            log.events.append({"t": t, "vehicle": veh.vehicle_id,
+                               "event": kind, "lane": brain.target_lane})
+
+
+def _settle(world, decision_vehicles, quiet) -> Optional[float]:
+    """Seconds for which every decision vehicle has been settled, given the
+    `quiet` seconds before this step: 0 if one is not, or if there is none;
+    None once settle_time is reached, which ends the run."""
+    if not decision_vehicles:
+        return 0.0
+    centers, cfg = world.geometry.centers, world.cfg
+    for veh in decision_vehicles:
+        b = veh.brain
+        if b.needs_merge or b.maneuver != KEEP:
+            return 0.0
+        if abs(veh.state.x - centers[b.current_lane]) > cfg.lane_settle_tol:
+            return 0.0
+        if abs(veh.state.v_long - b.v_ref) > cfg.settle_speed_tol:
+            return 0.0
+    quiet += cfg.dt
+    return None if quiet >= cfg.settle_time else quiet
+
+
 def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
     """Advance the world at a fixed step until t_max, a collision, or rest.
 
-    Decisions fire on epoch boundaries; controllers and dynamics run every
-    step; every step of every vehicle is logged.
+    Each step records the state at its start, then moves every vehicle;
+    collisions, maneuver completions and settling are judged on the moved
+    poses.  Decisions fire on epoch boundaries.
     """
     cfg = world.cfg
     if t_max is None:
@@ -536,133 +610,35 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
     replace(cfg, t_max=t_max).validate()
     dt = cfg.dt
     geometry = world.geometry
-    gains = world.gains
     steps_per_epoch = round(cfg.epoch / dt)
     log = TrajectoryLog(geometry)
     log.bodies = {v.vehicle_id: (v.params.length, v.params.width)
                   for v in world.vehicles}
     if not world.vehicles:
         return log
-    n_steps = round(t_max / dt)
-    quiet_needed = cfg.settle_time
-    quiet_accum = 0.0
-
     decision_vehicles = [v for v in world.vehicles if v.kind == DECISION]
     pairs = _collision_pairs([v.view(geometry) for v in world.vehicles])
     attentions: Dict[str, Attention] = {}
+    quiet = 0.0
 
-    for step_index in range(n_steps):
+    for step_index in range(round(t_max / dt)):
         t = step_index * dt
-        world.time = t
         views = world.snapshot()
-        views_by_id = {v.vehicle_id: v for v in views}
-
         if step_index % steps_per_epoch == 0:
-            for veh in decision_vehicles:
-                noise = world.noise.get(veh.vehicle_id)
-                seen = (views if noise is None
-                        else noise.observe(veh.vehicle_id, views))
-                ego = next(v for v in seen if v.vehicle_id == veh.vehicle_id)
-                vic = classify_vicinity(
-                    veh.vehicle_id, seen, geometry,
-                    visibility=veh.profile.visibility_range,
-                    observer_scale=veh.profile.bound_scale)
-                threat = entrance_threat(ego, seen, geometry, cfg)
-                own_gap = None
-                own_leader = vic.leader(veh.brain.current_lane)
-                if own_leader is not None:
-                    own_gap = own_leader.gap
-                veh.brain = decide(ego, seen, veh.brain, veh.profile,
-                                   geometry, world.profiles, cfg,
-                                   own_gap=own_gap, threat=threat)
-                own_follower = vic.follower(veh.brain.current_lane)
-                attention = Attention(
-                    lane_leaders={
-                        lane: vic.leader(lane).vehicle_id
-                        for lane in vic.lanes() if vic.leader(lane)},
-                    own_follower_id=(own_follower.vehicle_id
-                                     if own_follower else None),
-                    threat_id=threat.vehicle_id if threat else None)
-                attentions[veh.vehicle_id] = attention
-
-        # Log the current grid point, then advance.
-        for veh, view in zip(world.vehicles, views):
-            brain = veh.brain
-            flags = []
-            if brain.guard:
-                flags.append("guard")
-            if brain.forced_stop:
-                flags.append("forced_stop")
-            log.append((t, veh.vehicle_id, view.x, view.y, veh.state.v_long,
-                        veh.state.heading, view.lane,
-                        brain.maneuver if veh.kind == DECISION else "",
-                        brain.directive if veh.kind == DECISION else "",
-                        brain.competing_id or "",
-                        ";".join(flags)))
-
-        for veh in world.vehicles:
-            if veh.kind == SCRIPTED:
-                s = veh.state
-                veh.state = VehicleState(s.x, s.y + veh.v_preset * dt,
-                                         s.heading, s.v_long, s.v_lat,
-                                         s.yaw_rate)
-                continue
-            controls = _controls_for(
-                veh, views_by_id[veh.vehicle_id], views_by_id,
-                attentions[veh.vehicle_id], geometry, cfg, gains)
-            veh.state = step(veh.state, veh.params, controls, dt)
-            if (veh.brain.needs_merge
-                    and veh.state.v_long < cfg.stop_speed
-                    and not veh.brain.forced_stop):
-                veh.brain = replace(veh.brain, forced_stop=True)
-                log.forced_stop = True
-                log.events.append({"t": t, "vehicle": veh.vehicle_id,
-                                   "event": "forced_stop"})
-
-        world.time = t + dt
-        log.end_time = world.time
+            _decide(world, decision_vehicles, views, attentions)
+        _record(log, world.vehicles, views, t)
+        _advance(world, {v.vehicle_id: v for v in views}, attentions, log, t)
+        log.end_time = t_end = t + dt
 
         moved = world.snapshot()
         hit = _find_collision(moved, pairs)
         if hit is not None:
-            log.collision = {"t": world.time, "vehicles": list(hit)}
-            log.events.append({"t": world.time, "event": "collision",
+            log.collision = {"t": t_end, "vehicles": list(hit)}
+            log.events.append({"t": t_end, "event": "collision",
                                "vehicles": list(hit)})
             break
-
-        # Maneuver completion events feed the run summary.
-        for veh in decision_vehicles:
-            brain = veh.brain
-            veh.brain = complete_maneuver(veh.view(geometry), moved, brain,
-                                          geometry, cfg)
-            if veh.brain is not brain:
-                kind = ("merge_complete" if brain.maneuver == MERGE
-                        else "change_complete")
-                log.events.append({"t": world.time,
-                                   "vehicle": veh.vehicle_id,
-                                   "event": kind,
-                                   "lane": brain.target_lane})
-
-        if decision_vehicles and _all_settled(world):
-            quiet_accum += dt
-            if quiet_accum >= quiet_needed:
-                break
-        else:
-            quiet_accum = 0.0
-
+        _complete_maneuvers(world, decision_vehicles, moved, log, t_end)
+        quiet = _settle(world, decision_vehicles, quiet)
+        if quiet is None:
+            break
     return log
-
-
-def _all_settled(world: World) -> bool:
-    for veh in world.vehicles:
-        if veh.kind != DECISION:
-            continue
-        b = veh.brain
-        if b.needs_merge or b.maneuver != KEEP:
-            return False
-        center = world.geometry.centers[b.current_lane]
-        if abs(veh.state.x - center) > world.cfg.lane_settle_tol:
-            return False
-        if abs(veh.state.v_long - b.v_ref) > world.cfg.settle_speed_tol:
-            return False
-    return True

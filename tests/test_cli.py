@@ -125,15 +125,19 @@ class TestRunCommand:
         assert summary["config"]["seed"] == 77
 
     def test_dump_config_round_trip(self, capsys):
-        assert run_cli("run", "--dump-config", "--scenario", "scenario2",
-                       "--q", "merging=0.25", "--dt", "0.02",
-                       "--epoch", "0.2") == 0
-        data = json.loads(capsys.readouterr().out)
+        flags = ("--scenario", "scenario2", "--q", "merging=0.25",
+                 "--dt", "0.02", "--epoch", "0.2")
+        assert run_cli("run", "--dump-config", *flags) == 0
+        out = capsys.readouterr().out
+        data = json.loads(out)
         cfg = RunConfig.from_dict(data)
         assert cfg.to_dict() == data
         assert cfg.scenario == "scenario2"
         assert cfg.q_overrides == {"merging": 0.25}
         assert cfg.dt == 0.02
+        # `run --dump-config` and `dump-config` print the same bytes.
+        assert run_cli("dump-config", *flags) == 0
+        assert capsys.readouterr().out == out
 
 
 # sha256 of the trajectory CSV and the summary of `mergesim run` for the

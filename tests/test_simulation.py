@@ -178,6 +178,32 @@ class TestRun:
         assert other.rows != logs[0].rows
 
 
+def settled_end_time(settle_time):
+    cfg = RunConfig(settle_time=settle_time)
+    return run(load_scenario("scenario1", cfg)).end_time
+
+
+class TestSettle:
+    def test_no_decision_vehicle_runs_to_t_max(self):
+        scenario = minimal_scenario([
+            {"id": "a", "x0_m": 0.0, "y0_m": 0.0, "v0_kmh": 80.0},
+            {"id": "b", "x0_m": 3.3, "y0_m": 20.0, "v0_kmh": 90.0}])
+        log = run(load_scenario(scenario, RunConfig(settle_time=0.0)), 3.0)
+        assert len(log.rows) == 2 * 300
+        assert log.end_time == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("settle_time", [2.0, 5.0])
+    def test_run_lasts_at_least_settle_time_past_the_first_settled_step(
+            self, settle_time):
+        assert (settled_end_time(settle_time)
+                >= settled_end_time(0.0) + settle_time)
+
+    @pytest.mark.parametrize("settle_time, end_time", [
+        (0.0, 7.75), (2.0, 16.240000000000002), (5.0, 19.250000000000004)])
+    def test_scenario1_end_times_are_pinned(self, settle_time, end_time):
+        assert settled_end_time(settle_time) == end_time
+
+
 class TestViewCache:
     def test_snapshots_of_one_state_share_views(self):
         world = load_scenario("scenario1", RunConfig())
