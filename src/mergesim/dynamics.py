@@ -8,6 +8,7 @@ the nose toward +x.
 
 from dataclasses import dataclass
 import math
+from typing import NamedTuple
 
 GRAVITY = 9.81  # m/s^2
 
@@ -16,8 +17,7 @@ GRAVITY = 9.81  # m/s^2
 LOW_SPEED_FLOOR = 0.1
 
 
-@dataclass(frozen=True)
-class VehicleState:
+class VehicleState(NamedTuple):
     x: float = 0.0         # lateral position (m)
     y: float = 0.0         # longitudinal position (m)
     heading: float = 0.0   # rad, 0 = straight ahead
@@ -47,8 +47,7 @@ class VehicleParams:
         return self.dist_front + self.dist_rear
 
 
-@dataclass(frozen=True)
-class Controls:
+class Controls(NamedTuple):
     accel: float = 0.0  # commanded longitudinal acceleration (m/s^2)
     steer: float = 0.0  # steering angle (rad)
 
@@ -96,7 +95,8 @@ def step(state: VehicleState, params: VehicleParams, controls: Controls,
     The stages run on flat floats.  Each stage rate does the same float
     operations, in the same order, as pose_derivative and
     lateral_derivative on the stage state, so the result is bit-identical
-    to that textbook form without building the stage states.
+    to that textbook form without building the stage states.  Raises
+    ValueError if the new state is not finite.
     """
     accel, steer = controls.accel, controls.steer
     if not (math.isfinite(accel) and math.isfinite(steer)):
@@ -151,7 +151,12 @@ def step(state: VehicleState, params: VehicleParams, controls: Controls,
     heading += sixth * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
     v_long += sixth * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
     if v_long < 0.0:
-        return VehicleState(x, y, heading, 0.0, 0.0, 0.0)
-    return VehicleState(x, y, heading, v_long,
-                        v_lat + sixth * (k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4]),
-                        yaw_rate + sixth * (k1[5] + 2 * k2[5] + 2 * k3[5] + k4[5]))
+        v_long = v_lat = yaw_rate = 0.0
+    else:
+        v_lat += sixth * (k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4])
+        yaw_rate += sixth * (k1[5] + 2 * k2[5] + 2 * k3[5] + k4[5])
+    # A plant too light for dt leaves RK4's stability region and
+    # overflows within a few steps; stop at the first non-finite state.
+    if not math.isfinite(x + y + heading + v_long + v_lat + yaw_rate):
+        raise ValueError("non-finite state")
+    return VehicleState(x, y, heading, v_long, v_lat, yaw_rate)

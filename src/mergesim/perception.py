@@ -6,13 +6,12 @@ separating-axis candidates: 1 on overlap, decaying exponentially toward 0
 with separation.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import math
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class OrientedRect:
+class OrientedRect(NamedTuple):
     cx: float           # center, lateral (m)
     cy: float           # center, longitudinal (m)
     heading: float      # rad, 0 = pointing down the road (+y)
@@ -68,8 +67,7 @@ def rects_intersect(rect_a: OrientedRect, rect_b: OrientedRect) -> bool:
     return pose_gaps(rect_a.pose(), rect_b.pose()) == (0.0, 0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class VehicleView:
+class VehicleView(NamedTuple):
     """Immutable per-vehicle record of a world snapshot."""
     vehicle_id: str
     x: float
@@ -131,7 +129,7 @@ class PerceptionNoise:
         """views as this observer sees them: every other vehicle's
         longitudinal position is perturbed, one draw per vehicle in order."""
         return [v if v.vehicle_id == ego_id
-                else replace(v, y=v.y + self.rng.gauss(0.0, self.sigma))
+                else v._replace(y=v.y + self.rng.gauss(0.0, self.sigma))
                 for v in views]
 
 

@@ -9,9 +9,9 @@ followers.  All decisions are pure functions of the snapshot plus a small
 latch record, so identical inputs always reproduce identical choices.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import math
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .dynamics import GRAVITY
 from .driver import DriverProfile
@@ -29,8 +29,7 @@ CHANGE = "change"
 KEEP = "keep"
 
 
-@dataclass(frozen=True)
-class BrainState:
+class BrainState(NamedTuple):
     """Decision latch carried by one vehicle between epochs."""
     current_lane: int
     v_ref: float                      # reference speed for the cruise channel
@@ -130,7 +129,7 @@ def _competitor_utility(p2: VehicleView, p2_profile: DriverProfile,
     esc = _escape_lane(p2.lane, entering_from, geometry)
     if esc is None:
         return IMPOSSIBLE
-    ghost = replace(p2, x=geometry.centers[esc], lane=esc)
+    ghost = p2._replace(x=geometry.centers[esc], lane=esc)
     side = evaluate_slot(ghost, views, esc, p2_profile, exclude=(p2.vehicle_id,))
     return side.utility
 
@@ -146,7 +145,7 @@ def build_entry_bimatrix(ego: VehicleView, target_lane: int, p2: VehicleView,
     drivers shrug off part of the squeeze penalty when the change is
     mandatory.
     """
-    ghost = replace(ego, x=geometry.centers[target_lane], lane=target_lane)
+    ghost = ego._replace(x=geometry.centers[target_lane], lane=target_lane)
     entry_vs_stay = evaluate_slot(ghost, views, target_lane, profile)
     entry_vs_vacate = evaluate_slot(ghost, views, target_lane, profile,
                                     exclude=(p2.vehicle_id,))
@@ -217,9 +216,9 @@ def predict_states(views: List[VehicleView], ego_id: str, directive: str,
             else:
                 dy = v.v * horizon + 0.5 * a * horizon * horizon
                 speed = v.v + a * horizon
-            out.append(replace(v, y=v.y + dy, v=speed))
+            out.append(v._replace(y=v.y + dy, v=speed))
         else:
-            out.append(replace(v, y=v.y + v.v * horizon))
+            out.append(v._replace(y=v.y + v.v * horizon))
     return out
 
 
@@ -349,9 +348,9 @@ def discretionary_lane_change(ego: VehicleView, views: List[VehicleView],
         if cand not in geometry.mainline_lanes or cand == ego.lane:
             continue
         _, follower = slot_around(
-            replace(ego, x=geometry.centers[cand], lane=cand), views, cand)
+            ego._replace(x=geometry.centers[cand], lane=cand), views, cand)
         if follower is None:
-            ghost = replace(ego, x=geometry.centers[cand], lane=cand)
+            ghost = ego._replace(x=geometry.centers[cand], lane=cand)
             u_change = evaluate_slot(ghost, views, cand, profile).utility
         else:
             bim = build_entry_bimatrix(ego, cand, follower, views, geometry,
@@ -424,8 +423,8 @@ def complete_maneuver(ego: VehicleView, views: List[VehicleView],
     completed_merge = brain.maneuver == MERGE
     leader = next((v for v in views
                    if v.vehicle_id == brain.slot_leader_id), None)
-    return replace(
-        brain, maneuver=KEEP, current_lane=brain.target_lane,
+    return brain._replace(
+        maneuver=KEEP, current_lane=brain.target_lane,
         target_lane=None, directive=HOLD, competing_id=None,
         slot_leader_id=None, slot_follower_id=None, guard=False,
         needs_merge=brain.needs_merge and not completed_merge,
@@ -469,18 +468,18 @@ def decide(ego: VehicleView, views: List[VehicleView], brain: BrainState,
     evading = sinking_threat(ego, threat, brain, profile, cfg)
     if evading:
         own_gap = 0.0  # the current slot is about to be taken
-    brain = replace(brain, evading=evading,
-                    threat_memo_id=threat.vehicle_id if threat else None,
-                    threat_memo_speed=threat.v if threat else 0.0)
+    brain = brain._replace(
+        evading=evading, threat_memo_id=threat.vehicle_id if threat else None,
+        threat_memo_speed=threat.v if threat else 0.0)
 
     target = discretionary_lane_change(ego, views, profile, geometry,
                                        profiles, cfg, own_gap)
     if target is not None:
-        return replace(brain, maneuver=CHANGE, target_lane=target,
-                       maneuver_start_x=ego.x, directive=HOLD,
-                       competing_id=None, slot_leader_id=None,
-                       slot_follower_id=None)
-    return replace(brain, maneuver=KEEP, directive=HOLD, target_lane=None)
+        return brain._replace(maneuver=CHANGE, target_lane=target,
+                              maneuver_start_x=ego.x, directive=HOLD,
+                              competing_id=None, slot_leader_id=None,
+                              slot_follower_id=None)
+    return brain._replace(maneuver=KEEP, directive=HOLD, target_lane=None)
 
 
 def _merge_lane_epoch(ego, views, brain, profile, geometry, profiles, cfg):
@@ -494,8 +493,8 @@ def _merge_lane_epoch(ego, views, brain, profile, geometry, profiles, cfg):
         if (in_window and slot.feasible(tol)
                 and lane_change_safe(ego, views, geometry.merge_target_lane,
                                      profile, geometry)):
-            return replace(
-                brain, maneuver=MERGE, target_lane=geometry.merge_target_lane,
+            return brain._replace(
+                maneuver=MERGE, target_lane=geometry.merge_target_lane,
                 maneuver_start_x=ego.x, directive=HOLD, competing_id=p2_id,
                 slot_leader_id=slot.leader.vehicle_id if slot.leader else None,
                 slot_follower_id=(slot.follower.vehicle_id
@@ -518,8 +517,8 @@ def _merge_lane_epoch(ego, views, brain, profile, geometry, profiles, cfg):
         hard_room = geometry.hard_end - ego.y - ego.length / 2.0 - 1.0
         if hard_room < stopping_distance(ego.v, cfg.accel_cap_g * GRAVITY):
             directive, guard = DECELERATE, True
-    return replace(brain, maneuver=KEEP, directive=directive,
-                   competing_id=plan.competing_id or p2_id,
-                   slot_leader_id=plan.slot_leader_id,
-                   slot_follower_id=plan.slot_follower_id,
-                   guard=guard, target_lane=None)
+    return brain._replace(maneuver=KEEP, directive=directive,
+                          competing_id=plan.competing_id or p2_id,
+                          slot_leader_id=plan.slot_leader_id,
+                          slot_follower_id=plan.slot_follower_id,
+                          guard=guard, target_lane=None)

@@ -83,7 +83,7 @@ class SimVehicle:
     def view(self, geometry: LaneGeometry) -> VehicleView:
         """This vehicle as a view; one view per state and geometry object.
 
-        States and views are frozen, so while `state` and `geometry` are
+        States and views are immutable, so while `state` and `geometry` are
         the very objects the last view was built from, that view is
         returned again; any new state object builds a new view, which
         keeps the last view's lane while x and the geometry are unchanged.
@@ -343,31 +343,32 @@ def _brake_channel(profile, gains, gap, rel_speed, gap_ref) -> float:
     return longitudinal_accel(profile, gains, gap - gap_ref, rel_speed)
 
 
-def _boxed_gap_ref(ego, leader, follower, follow_ref) -> float:
-    """Leader-gap reference when boxed between two vehicles.
+def _boxed_gap_ref(leader_gap, follower_gap, follow_ref) -> float:
+    """Leader-gap reference when boxed between two vehicles, given the
+    bumper gaps to both (None where there is no vehicle).
 
     A span shorter than two comfortable gaps is straddled at half of its
     free room rather than braking into the trailing vehicle; open-ended
     situations keep the plain following reference.
     """
-    if follower is None or leader is None:
+    if follower_gap is None or leader_gap is None:
         return follow_ref
-    free = bumper_gap(ego, leader) + bumper_gap(ego, follower)
+    free = leader_gap + follower_gap
     return min(follow_ref, max(free * 0.5, 1.0))
 
 
-def _slot_gap_ref(ego, veh, views_by_id, follow_ref, cfg) -> float:
-    """Leader-gap target while aligning with an insertion slot.
+def _slot_gap_ref(ego, veh, slot_gap, views_by_id, follow_ref, cfg) -> float:
+    """Leader-gap target while aligning with an insertion slot, given the
+    bumper gap to the slot leader.
 
     Aggressive drivers ride the back of the slot, leaving the vehicle
     they cut ahead of very little headway, but never so far back that the
     slot stops being enterable for them.
     """
-    leader = views_by_id.get(veh.brain.slot_leader_id)
     follower = views_by_id.get(veh.brain.slot_follower_id)
-    if leader is None or follower is None:
-        return _boxed_gap_ref(ego, leader, follower, follow_ref)
-    free = bumper_gap(ego, leader) + bumper_gap(ego, follower)
+    if follower is None:
+        return follow_ref
+    free = slot_gap + bumper_gap(ego, follower)
     rear_min = max(1.0, veh.profile.lane_change_clearance
                    - 0.8 * cfg.risk_tolerance(veh.q))
     front_ref = min(free * cfg.slot_ride_fraction(veh.q), free - rear_min)
@@ -397,12 +398,17 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views_by_id,
     merging_phase = brain.needs_merge
     follow_ref = profile.lane_change_clearance + profile.follow_headway * v
     follower = views_by_id.get(attention.own_follower_id)
+    follower_gap = bumper_gap(ego, follower) if follower is not None else None
     slot_leader = (views_by_id.get(brain.slot_leader_id) if merging_phase
                    else None)
     if slot_leader is not None:
         slot_gap = bumper_gap(ego, slot_leader)
         slot_rel = slot_leader.v - v
-        slot_ref = _slot_gap_ref(ego, veh, views_by_id, follow_ref, cfg)
+        slot_ref = _slot_gap_ref(ego, veh, slot_gap, views_by_id, follow_ref,
+                                 cfg)
+    # The cruise command's own-lane leader, whose gap and reference the
+    # safety loop below reuses.
+    cruise_leader = None
 
     # Base command: directive, slot keeping, or plain cruise.
     if merging_phase and brain.directive == ACCELERATE:
@@ -419,12 +425,14 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views_by_id,
         base = longitudinal_accel(profile, gains, slot_gap - slot_ref, slot_rel)
     else:
         speed_err = brain.v_ref - v
-        leader = views_by_id.get(attention.lane_leaders.get(brain.current_lane))
-        ref = _boxed_gap_ref(ego, leader, follower, follow_ref)
-        gap = bumper_gap(ego, leader) if leader is not None else math.inf
-        if gap < ref:
-            err, rate = blended_error(speed_err, gap - ref, leader.v - v,
-                                      cfg.speed_weight)
+        cruise_leader = views_by_id.get(
+            attention.lane_leaders.get(brain.current_lane))
+        if cruise_leader is not None:
+            cruise_gap = bumper_gap(ego, cruise_leader)
+            cruise_ref = _boxed_gap_ref(cruise_gap, follower_gap, follow_ref)
+        if cruise_leader is not None and cruise_gap < cruise_ref:
+            err, rate = blended_error(speed_err, cruise_gap - cruise_ref,
+                                      cruise_leader.v - v, cfg.speed_weight)
             base = longitudinal_accel(profile, gains, err, rate)
         else:
             base = longitudinal_accel(profile, gains, speed_err, 0.0)
@@ -440,9 +448,12 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views_by_id,
         leader = views_by_id.get(attention.lane_leaders.get(lane))
         if leader is None or leader is slot_leader:
             continue  # the slot leader is held at the slot reference above
-        ref = _boxed_gap_ref(ego, leader, follower, follow_ref)
-        base = min(base, _brake_channel(profile, gains, bumper_gap(ego, leader),
-                                        leader.v - v, ref))
+        if leader is cruise_leader:
+            gap, ref = cruise_gap, cruise_ref
+        else:
+            gap = bumper_gap(ego, leader)
+            ref = _boxed_gap_ref(gap, follower_gap, follow_ref)
+        base = min(base, _brake_channel(profile, gains, gap, leader.v - v, ref))
     threat = views_by_id.get(attention.threat_id)
     if threat is not None:
         ahead = threat.y - ego.y > (threat.length + ego.length) / 2.0
@@ -555,10 +566,18 @@ def _advance(world, views_by_id, attentions, log, t) -> None:
         controls = _controls_for(
             veh, views_by_id[veh.vehicle_id], views_by_id,
             attentions[veh.vehicle_id], world.geometry, cfg, world.gains)
-        veh.state = step(veh.state, veh.params, controls, dt)
+        try:
+            veh.state = step(veh.state, veh.params, controls, dt)
+        except ValueError as exc:
+            raise ConfigError(
+                f"{veh.vehicle_id}: integration diverged at t={t:.2f} s "
+                f"({exc}) with mass {cfg.mass:g} kg, yaw_inertia "
+                f"{cfg.yaw_inertia:g} kg m^2, corner_stiff "
+                f"{cfg.corner_stiff:g} N/rad and dt {dt:g} s: the plant is "
+                "too light or too stiff for RK4 at this dt")
         if (veh.brain.needs_merge and veh.state.v_long < cfg.stop_speed
                 and not veh.brain.forced_stop):
-            veh.brain = replace(veh.brain, forced_stop=True)
+            veh.brain = veh.brain._replace(forced_stop=True)
             log.forced_stop = True
             log.events.append({"t": t, "vehicle": veh.vehicle_id,
                                "event": "forced_stop"})

@@ -420,6 +420,43 @@ class TestRangeChecks:
         pool.assert_not_called()
 
 
+class TestDivergedIntegration:
+    """A plant too light or too stiff for RK4 at dt blows up; the run stops
+    at the first non-finite state with one error line naming the plant."""
+
+    @pytest.mark.parametrize("setting, plant", [
+        ("mass=10", "mass 10 kg, yaw_inertia 2500 kg m^2, corner_stiff -60000"),
+        ("mass=1", "mass 1 kg, yaw_inertia 2500 kg m^2, corner_stiff -60000"),
+        ("yaw_inertia=1",
+         "mass 1500 kg, yaw_inertia 1 kg m^2, corner_stiff -60000"),
+        # Once a "collision" of non-finite poses at t=0.01 s, found by
+        # test_generated_values_run_or_name_the_field.
+        ("corner_stiff=-7e307",
+         "mass 1500 kg, yaw_inertia 2500 kg m^2, corner_stiff -7e+307")])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, command,
+                                         setting, plant):
+        extra = ("--grid", "0.5:0.5:1") if command == "sweep" else ()
+        assert run_cli(command, "--set", setting, "--output",
+                       str(tmp_path / "x"), *extra) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        # The state overflows at the end of a step (non-finite state) or
+        # inside one of its stages (math domain error).
+        assert re.search(r": integration diverged at t=\d+\.\d\d s \(.+\) "
+                         rf"with {re.escape(plant)} N/rad and dt 0\.01 s",
+                         lines[0]), lines[0]
+        assert not os.listdir(tmp_path)  # nothing written
+
+    def test_library_callers_get_a_config_error(self):
+        world = load_scenario("scenario1", RunConfig(mass=10.0))
+        with pytest.raises(ConfigError, match=r"^merging: integration "
+                           r"diverged at t=\d+\.\d\d s \(non-finite state\)"):
+            run_world(world)
+
+
 _FIELD_NAMES = [f.name for f in fields(RunConfig)]
 _SCENARIO_NAMES = st.sampled_from(("scenario1", "scenario2", "no_such_file", ""))
 _SET_TEXT = st.one_of(

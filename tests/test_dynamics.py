@@ -174,7 +174,7 @@ def reference_step(state, params, controls, dt):
             ("x", "y", "heading", "v_long", "v_lat", "yaw_rate"),
             k1, k2, k3, k4)))
     if out.v_long < 0.0:
-        out = replace(out, v_long=0.0, v_lat=0.0, yaw_rate=0.0)
+        out = out._replace(v_long=0.0, v_lat=0.0, yaw_rate=0.0)
     return out
 
 

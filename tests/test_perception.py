@@ -1,4 +1,3 @@
-from dataclasses import replace
 import math
 import random
 
@@ -296,5 +295,19 @@ def test_noise_moves_only_others_along_the_road_in_seeded_order():
     rng = random.Random(4)
     for got, true in zip((seen[0], seen[2]), (views[0], views[2])):
         assert got.y == true.y + rng.gauss(0.0, 1.0)
-        assert got == replace(true, y=got.y)
+        assert got == true._replace(y=got.y)
     assert PerceptionNoise(random.Random(0), 1.0, 1.0).sigma == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("ego_index", [0, 1, 2])
+def test_noise_returns_the_ego_view_object_itself(ego_index):
+    views = [view(f"v{i}", 6.6, 10.0 * i, 20.0) for i in range(3)]
+    rng = random.Random(7)
+    seen = PerceptionNoise(rng, 2.0, 0.3).observe(f"v{ego_index}", views)
+    for i, (got, true) in enumerate(zip(seen, views)):
+        assert (got is true) == (i == ego_index)
+    # The ego costs no draw: two draws for the two others.
+    spent = random.Random(7)
+    spent.gauss(0.0, 1.0)
+    spent.gauss(0.0, 1.0)
+    assert rng.getstate() == spent.getstate()

@@ -228,13 +228,13 @@ class TestViewCache:
         world = load_scenario("scenario1", RunConfig())
         veh = world.vehicles[0]
         assert veh.view(world.geometry).lane == 0
-        veh.state = replace(veh.state, x=3.3)
+        veh.state = veh.state._replace(x=3.3)
         assert veh.view(world.geometry).lane == 1
-        veh.state = replace(veh.state, y=veh.state.y + 1.0)  # same x
+        veh.state = veh.state._replace(y=veh.state.y + 1.0)  # same x
         assert veh.view(world.geometry).lane == 1
-        veh.state = replace(veh.state, x=4.95)  # a midpoint: lower index
+        veh.state = veh.state._replace(x=4.95)  # a midpoint: lower index
         assert veh.view(world.geometry).lane == 1
-        veh.state = replace(veh.state, x=5.0)
+        veh.state = veh.state._replace(x=5.0)
         assert veh.view(world.geometry).lane == 2
 
     def test_other_geometry_object_misses_the_cache(self):
