@@ -70,6 +70,9 @@ def build_config(args) -> RunConfig:
         declared = RunConfig.__dataclass_fields__.get(key)
         if not _ or declared is None:
             raise ConfigError(f"--set: unknown config field {key!r}")
+        if declared.type is dict:  # q_overrides, the one field of this kind
+            raise ConfigError(f"--set: {key} takes no single value; give "
+                              "each override as --q ID=VALUE")
         setattr(cfg, key, parse_text(value, declared.type))
     return cfg.validate()
 

@@ -5,11 +5,13 @@ limits, look-ahead time, usable headway, perception magnification and
 lane-change clearance.  RunConfig.profile expands a single aggressiveness
 index in [0, 1] (0 = completely cautious, 1 = completely aggressive) into
 one.  The PD laws below turn tracking errors into acceleration and steering
-commands bounded by the profile and by the ControllerGains of the run.
+commands bounded by the ControlBounds that the profile, the ControllerGains
+of the run and the vehicle's parameters fix.
 """
 
 from dataclasses import dataclass
 import math
+from typing import NamedTuple
 
 from .dynamics import GRAVITY, VehicleParams
 
@@ -38,21 +40,46 @@ class ControllerGains:
     brake_factor: float  # deceleration limit = brake_factor * comfort limit
 
 
-def longitudinal_accel(profile: DriverProfile, gains: ControllerGains,
-                       error: float, error_rate: float) -> float:
-    """Saturated PD acceleration command.
+class ControlBounds(NamedTuple):
+    """The constants of one vehicle's PD laws: they depend only on its
+    DriverProfile, the run's ControllerGains and its VehicleParams, so a
+    run derives them once per vehicle (see control_bounds)."""
+    accel_hi: float     # comfort and physical acceleration bound (m/s^2)
+    brake_lo: float     # comfort deceleration bound (m/s^2, negative)
+    guard_lo: float     # emergency deceleration bound: the physical cap
+    steer_scale: float  # 57.3 L g of the lateral acceleration gain
+    lat_accel_g: float  # lateral acceleration limit (g)
 
-    The raw PD output is limited by the driver's comfort bound and the
-    vehicle's physical bound; deceleration is clamped symmetrically at
-    brake_factor times the comfort bound.
+
+def control_bounds(profile: DriverProfile, gains: ControllerGains,
+                   params: VehicleParams) -> ControlBounds:
+    """The bounds of a driver with this profile in a vehicle with these
+    gains and params.
+
+    Acceleration is limited by the driver's comfort bound and the vehicle's
+    physical bound; comfortable deceleration is clamped symmetrically at
+    brake_factor times the comfort bound, and emergency braking may use the
+    whole physical bound.
     """
+    return ControlBounds(
+        accel_hi=min(profile.accel_limit, gains.accel_cap),
+        brake_lo=-min(profile.accel_limit * gains.brake_factor,
+                      gains.accel_cap),
+        guard_lo=-gains.accel_cap,
+        steer_scale=57.3 * params.wheelbase * GRAVITY,
+        lat_accel_g=profile.lat_accel_limit / GRAVITY)
+
+
+def longitudinal_accel(bounds: ControlBounds, gains: ControllerGains,
+                       error: float, error_rate: float) -> float:
+    """Saturated PD acceleration command, clamped to the comfort bounds
+    [brake_lo, accel_hi]."""
     raw = gains.kp_long * error + gains.kd_long * error_rate
-    hi = min(profile.accel_limit, gains.accel_cap)
-    lo = -min(profile.accel_limit * gains.brake_factor, gains.accel_cap)
-    return min(max(raw, lo), hi)
+    return min(max(raw, bounds.brake_lo), bounds.accel_hi)
 
 
-def steering_limit(lat_accel_limit: float, v: float, params: VehicleParams) -> float:
+def steering_limit(bounds: ControlBounds, v: float,
+                   params: VehicleParams) -> float:
     """Steering angle (rad) at which lateral acceleration hits its limit.
 
     Uses the lateral acceleration gain of a understeering vehicle,
@@ -62,13 +89,13 @@ def steering_limit(lat_accel_limit: float, v: float, params: VehicleParams) -> f
     """
     if v <= 0.0:
         return math.inf
-    gain = v * v / (57.3 * params.wheelbase * GRAVITY
+    gain = v * v / (bounds.steer_scale
                     + params.understeer_gradient * v * v)  # g per deg
-    delta_deg = (lat_accel_limit / GRAVITY) / gain
+    delta_deg = bounds.lat_accel_g / gain
     return math.radians(delta_deg)
 
 
-def steering_command(profile: DriverProfile, gains: ControllerGains,
+def steering_command(bounds: ControlBounds, gains: ControllerGains,
                      e_lat: float, e_lat_rate: float,
                      params: VehicleParams, v: float) -> float:
     """Saturated PD steering command.
@@ -78,7 +105,7 @@ def steering_command(profile: DriverProfile, gains: ControllerGains,
     symmetrically.
     """
     raw = gains.kp_lat * e_lat + gains.kd_lat * e_lat_rate
-    bound = min(steering_limit(profile.lat_accel_limit, v, params), gains.steer_cap)
+    bound = min(steering_limit(bounds, v, params), gains.steer_cap)
     return min(max(raw, -bound), bound)
 
 

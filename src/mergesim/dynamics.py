@@ -6,8 +6,9 @@ means the vehicle points straight down the road; positive heading swings
 the nose toward +x.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
+from math import cos, hypot, sin
 from typing import NamedTuple
 
 GRAVITY = 9.81  # m/s^2
@@ -41,6 +42,28 @@ class VehicleParams:
     width: float                # m
     length: float               # m
     understeer_gradient: float  # deg/g
+    # The speed-free parts of lateral_matrices, derived from the fields above
+    # once, when the params are built, for dynamics.step: the numerators of
+    # A, and B.
+    n11: float = field(init=False, repr=False, compare=False)
+    n12: float = field(init=False, repr=False, compare=False)
+    n21: float = field(init=False, repr=False, compare=False)
+    n22: float = field(init=False, repr=False, compare=False)
+    b1: float = field(init=False, repr=False, compare=False)
+    b2: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        cf = self.corner_stiff_front
+        cr = self.corner_stiff_rear
+        lf = self.dist_front
+        lr = self.dist_rear
+        for name, value in (("n11", cf + cr),
+                            ("n12", -lf * cf + lr * cr),
+                            ("n21", lf * cf - lr * cr),
+                            ("n22", -lf * lf * cf + lr * lr * cr),
+                            ("b1", cf / self.mass),
+                            ("b2", lf * cf / self.yaw_inertia)):
+            object.__setattr__(self, name, value)
 
     @property
     def wheelbase(self) -> float:
@@ -92,8 +115,8 @@ def step(state: VehicleState, params: VehicleParams, controls: Controls,
          dt: float) -> VehicleState:
     """One classical fourth-order fixed step of the full vehicle model.
 
-    The stages run on flat floats.  Each stage rate does the same float
-    operations, in the same order, as pose_derivative and
+    The four stages are written out on flat floats.  Each stage rate does
+    the same float operations, in the same order, as pose_derivative and
     lateral_derivative on the stage state, so the result is bit-identical
     to that textbook form without building the stage states.  Raises
     ValueError if the new state is not finite.
@@ -106,55 +129,74 @@ def step(state: VehicleState, params: VehicleParams, controls: Controls,
     if dt == 0.0:
         return state
 
-    cf = params.corner_stiff_front
-    cr = params.corner_stiff_rear
-    lf = params.dist_front
-    lr = params.dist_rear
-    m = params.mass
-    iz = params.yaw_inertia
-    # The numerators of lateral_matrices do not depend on speed.
-    n11 = cf + cr
-    n12 = -lf * cf + lr * cr
-    n21 = lf * cf - lr * cr
-    n22 = -lf * lf * cf + lr * lr * cr
-    b1_steer = cf / m * steer
-    b2_steer = lf * cf / iz * steer
-
-    def rates(heading, v_long, v_lat, yaw_rate):
-        """(dx, dy, dheading, dv_long, dv_lat, dyaw_rate) of a stage state."""
-        v = math.hypot(v_long, v_lat)
-        if v_long <= LOW_SPEED_FLOOR:
-            dv_lat = dr = 0.0
-        else:
-            mu = m * v_long
-            iu = iz * v_long
-            dv_lat = n11 / mu * v_lat + (n12 / mu - v_long) * yaw_rate + b1_steer
-            dr = n21 / iu * v_lat + n22 / iu * yaw_rate + b2_steer
-        # Never drive v_long below zero.
-        dv_long = 0.0 if v_long <= 0.0 and accel < 0.0 else accel
-        return (v * math.sin(heading), v * math.cos(heading), yaw_rate,
-                dv_long, dv_lat, dr)
-
-    heading, v_long = state.heading, state.v_long
-    v_lat, yaw_rate = state.v_lat, state.yaw_rate
+    m, iz = params.mass, params.yaw_inertia
+    n11, n12, n21, n22 = params.n11, params.n12, params.n21, params.n22
+    b1_steer = params.b1 * steer
+    b2_steer = params.b2 * steer
+    # Never drive v_long below zero.
+    braking = accel < 0.0
     half = dt / 2.0
-    k1 = rates(heading, v_long, v_lat, yaw_rate)
-    k2 = rates(heading + k1[2] * half, v_long + k1[3] * half,
-               v_lat + k1[4] * half, yaw_rate + k1[5] * half)
-    k3 = rates(heading + k2[2] * half, v_long + k2[3] * half,
-               v_lat + k2[4] * half, yaw_rate + k2[5] * half)
-    k4 = rates(heading + k3[2] * dt, v_long + k3[3] * dt,
-               v_lat + k3[4] * dt, yaw_rate + k3[5] * dt)
+
+    # Stage k evaluates the rates at its state (hk, uk, wk, rk) = (heading,
+    # v_long, v_lat, yaw_rate): pxk and pyk of x and y, duk, dwk and drk of
+    # v_long, v_lat and yaw_rate; the heading's rate is rk itself.
+    h1, u1, w1, r1 = state.heading, state.v_long, state.v_lat, state.yaw_rate
+    v = hypot(u1, w1)
+    px1, py1 = v * sin(h1), v * cos(h1)
+    du1 = 0.0 if braking and u1 <= 0.0 else accel
+    if u1 <= LOW_SPEED_FLOOR:
+        dw1 = dr1 = 0.0
+    else:
+        mu, iu = m * u1, iz * u1
+        dw1 = n11 / mu * w1 + (n12 / mu - u1) * r1 + b1_steer
+        dr1 = n21 / iu * w1 + n22 / iu * r1 + b2_steer
+
+    h2, u2 = h1 + r1 * half, u1 + du1 * half
+    w2, r2 = w1 + dw1 * half, r1 + dr1 * half
+    v = hypot(u2, w2)
+    px2, py2 = v * sin(h2), v * cos(h2)
+    du2 = 0.0 if braking and u2 <= 0.0 else accel
+    if u2 <= LOW_SPEED_FLOOR:
+        dw2 = dr2 = 0.0
+    else:
+        mu, iu = m * u2, iz * u2
+        dw2 = n11 / mu * w2 + (n12 / mu - u2) * r2 + b1_steer
+        dr2 = n21 / iu * w2 + n22 / iu * r2 + b2_steer
+
+    h3, u3 = h1 + r2 * half, u1 + du2 * half
+    w3, r3 = w1 + dw2 * half, r1 + dr2 * half
+    v = hypot(u3, w3)
+    px3, py3 = v * sin(h3), v * cos(h3)
+    du3 = 0.0 if braking and u3 <= 0.0 else accel
+    if u3 <= LOW_SPEED_FLOOR:
+        dw3 = dr3 = 0.0
+    else:
+        mu, iu = m * u3, iz * u3
+        dw3 = n11 / mu * w3 + (n12 / mu - u3) * r3 + b1_steer
+        dr3 = n21 / iu * w3 + n22 / iu * r3 + b2_steer
+
+    h4, u4 = h1 + r3 * dt, u1 + du3 * dt
+    w4, r4 = w1 + dw3 * dt, r1 + dr3 * dt
+    v = hypot(u4, w4)
+    px4, py4 = v * sin(h4), v * cos(h4)
+    du4 = 0.0 if braking and u4 <= 0.0 else accel
+    if u4 <= LOW_SPEED_FLOOR:
+        dw4 = dr4 = 0.0
+    else:
+        mu, iu = m * u4, iz * u4
+        dw4 = n11 / mu * w4 + (n12 / mu - u4) * r4 + b1_steer
+        dr4 = n21 / iu * w4 + n22 / iu * r4 + b2_steer
+
     sixth = dt / 6.0
-    x = state.x + sixth * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    y = state.y + sixth * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    heading += sixth * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    v_long += sixth * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
+    x = state.x + sixth * (px1 + 2 * px2 + 2 * px3 + px4)
+    y = state.y + sixth * (py1 + 2 * py2 + 2 * py3 + py4)
+    heading = h1 + sixth * (r1 + 2 * r2 + 2 * r3 + r4)
+    v_long = u1 + sixth * (du1 + 2 * du2 + 2 * du3 + du4)
     if v_long < 0.0:
         v_long = v_lat = yaw_rate = 0.0
     else:
-        v_lat += sixth * (k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4])
-        yaw_rate += sixth * (k1[5] + 2 * k2[5] + 2 * k3[5] + k4[5])
+        v_lat = w1 + sixth * (dw1 + 2 * dw2 + 2 * dw3 + dw4)
+        yaw_rate = r1 + sixth * (dr1 + 2 * dr2 + 2 * dr3 + dr4)
     # A plant too light for dt leaves RK4's stability region and
     # overflows within a few steps; stop at the first non-finite state.
     if not math.isfinite(x + y + heading + v_long + v_lat + yaw_rate):

@@ -158,9 +158,11 @@ def aggressiveness_sweep(base_scenario, q_merge_grid, q_mainline_grid,
     base = scenario_definition(base_scenario)
     grid = DisturbanceGrid(q_merge_grid, q_mainline_grid)
     pairs = [(qm, ql) for ql in q_mainline_grid for qm in q_merge_grid]
-    if jobs > 1:
+    # More workers than cells would only start idle processes.
+    workers = min(jobs, len(pairs))
+    if workers > 1:
         import multiprocessing
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             reports = pool.starmap(
                 _cell_job, [(base, qm, ql, cfg) for qm, ql in pairs])
         for (qm, ql), report in zip(pairs, reports):

@@ -6,7 +6,6 @@ separating-axis candidates: 1 on overlap, decaying exponentially toward 0
 with separation.
 """
 
-from dataclasses import dataclass
 import math
 from typing import NamedTuple, Optional
 
@@ -85,8 +84,7 @@ class VehicleView(NamedTuple):
                             self.width / 2.0, self.length / 2.0)
 
 
-@dataclass(frozen=True)
-class Neighbor:
+class Neighbor(NamedTuple):
     vehicle_id: str
     gap: float        # bumper-to-bumper (m), floored at 0
 

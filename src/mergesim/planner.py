@@ -9,7 +9,6 @@ followers.  All decisions are pure functions of the snapshot plus a small
 latch record, so identical inputs always reproduce identical choices.
 """
 
-from dataclasses import dataclass
 import math
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -48,8 +47,7 @@ class BrainState(NamedTuple):
     threat_memo_speed: float = 0.0
 
 
-@dataclass(frozen=True)
-class SlotEval:
+class SlotEval(NamedTuple):
     """Quality of one insertion slot around a (possibly hypothetical) ego."""
     leader: Optional[VehicleView]
     front_gap: float
@@ -222,8 +220,7 @@ def predict_states(views: List[VehicleView], ego_id: str, directive: str,
     return out
 
 
-@dataclass(frozen=True)
-class Directive:
+class Directive(NamedTuple):
     name: str
     competing_id: Optional[str] = None
     slot_leader_id: Optional[str] = None

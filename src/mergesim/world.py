@@ -7,8 +7,9 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from .config import Q_RANGE, ConfigError, RunConfig, check, check_field
-from .driver import (ControllerGains, DriverProfile, blended_error,
-                     longitudinal_accel, steering_command)
+from .driver import (ControlBounds, ControllerGains, DriverProfile,
+                     blended_error, control_bounds, longitudinal_accel,
+                     steering_command)
 from .dynamics import GRAVITY, Controls, VehicleParams, VehicleState, step
 # collision_index is re-exported, not called: perfbench probes the name
 # mergesim.world.collision_index.
@@ -337,10 +338,10 @@ def load_scenario(source, cfg: RunConfig) -> World:
 # --- per-step control -----------------------------------------------------
 
 
-def _brake_channel(profile, gains, gap, rel_speed, gap_ref) -> float:
+def _brake_channel(bounds, gains, gap, rel_speed, gap_ref) -> float:
     if gap >= gap_ref:
         return math.inf
-    return longitudinal_accel(profile, gains, gap - gap_ref, rel_speed)
+    return longitudinal_accel(bounds, gains, gap - gap_ref, rel_speed)
 
 
 def _boxed_gap_ref(leader_gap, follower_gap, follow_ref) -> float:
@@ -385,15 +386,17 @@ class Attention:
 
 def _controls_for(veh: SimVehicle, ego: VehicleView, views_by_id,
                   attention: Attention, geometry: LaneGeometry,
-                  cfg: RunConfig, gains: ControllerGains) -> Controls:
-    """Steering toward the target lane and the bounded longitudinal command."""
+                  cfg: RunConfig, gains: ControllerGains,
+                  bounds: ControlBounds) -> Controls:
+    """Steering toward the target lane and the bounded longitudinal command,
+    given the vehicle's control_bounds."""
     brain, profile, st = veh.brain, veh.profile, veh.state
     v = st.v_long
     changing = brain.maneuver in (MERGE, CHANGE)
     lane_target = brain.target_lane if changing else brain.current_lane
     e_lat = st.x - geometry.centers[lane_target]
     e_rate = st.speed * math.sin(st.heading)
-    steer = steering_command(profile, gains, e_lat, e_rate, veh.params, v)
+    steer = steering_command(bounds, gains, e_lat, e_rate, veh.params, v)
 
     merging_phase = brain.needs_merge
     follow_ref = profile.lane_change_clearance + profile.follow_headway * v
@@ -420,9 +423,9 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views_by_id,
             if room > 0.1:
                 base = min(base, -v * v / (2.0 * room))
             else:
-                base = -gains.accel_cap
+                base = bounds.guard_lo
     elif slot_leader is not None:
-        base = longitudinal_accel(profile, gains, slot_gap - slot_ref, slot_rel)
+        base = longitudinal_accel(bounds, gains, slot_gap - slot_ref, slot_rel)
     else:
         speed_err = brain.v_ref - v
         cruise_leader = views_by_id.get(
@@ -433,17 +436,17 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views_by_id,
         if cruise_leader is not None and cruise_gap < cruise_ref:
             err, rate = blended_error(speed_err, cruise_gap - cruise_ref,
                                       cruise_leader.v - v, cfg.speed_weight)
-            base = longitudinal_accel(profile, gains, err, rate)
+            base = longitudinal_accel(bounds, gains, err, rate)
         else:
-            base = longitudinal_accel(profile, gains, speed_err, 0.0)
+            base = longitudinal_accel(bounds, gains, speed_err, 0.0)
 
     # Safety channels: never outrun anything ahead in the lanes we occupy.
     if slot_leader is not None:
-        base = min(base, _brake_channel(profile, gains, slot_gap, slot_rel,
+        base = min(base, _brake_channel(bounds, gains, slot_gap, slot_rel,
                                         slot_ref))
-    lanes = {brain.current_lane}
-    if changing and brain.target_lane is not None:
-        lanes.add(brain.target_lane)
+    lanes = (brain.current_lane,)
+    if changing and brain.target_lane not in (None, brain.current_lane):
+        lanes += (brain.target_lane,)
     for lane in lanes:
         leader = views_by_id.get(attention.lane_leaders.get(lane))
         if leader is None or leader is slot_leader:
@@ -453,23 +456,21 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views_by_id,
         else:
             gap = bumper_gap(ego, leader)
             ref = _boxed_gap_ref(gap, follower_gap, follow_ref)
-        base = min(base, _brake_channel(profile, gains, gap, leader.v - v, ref))
+        base = min(base, _brake_channel(bounds, gains, gap, leader.v - v, ref))
     threat = views_by_id.get(attention.threat_id)
     if threat is not None:
         ahead = threat.y - ego.y > (threat.length + ego.length) / 2.0
         if ahead or brain.evading:
             ref = (profile.lane_change_clearance
                    + profile.prediction_time * max(0.0, v - threat.v))
-            base = min(base, _brake_channel(profile, gains,
+            base = min(base, _brake_channel(bounds, gains,
                                             bumper_gap(ego, threat),
                                             threat.v - v, ref))
 
     # Comfort bounds acceleration; emergencies may brake up to the
     # physical cap.
-    hi = min(profile.accel_limit, gains.accel_cap)
-    lo = -gains.accel_cap if brain.guard else -min(
-        profile.accel_limit * gains.brake_factor, gains.accel_cap)
-    return Controls(accel=min(max(base, lo), hi), steer=steer)
+    lo = bounds.guard_lo if brain.guard else bounds.brake_lo
+    return Controls(min(max(base, lo), bounds.accel_hi), steer)
 
 
 # --- simulation loop -------------------------------------------------------
@@ -537,25 +538,27 @@ def _decide(world, decision_vehicles, views, attentions) -> None:
             threat_id=threat.vehicle_id if threat else None)
 
 
+# The flags column of a row, by the latch's (guard, forced_stop).
+_FLAGS = {(False, False): "", (True, False): "guard",
+          (False, True): "forced_stop", (True, True): "guard;forced_stop"}
+
+
 def _record(log, vehicles, views, t) -> None:
     """One row per vehicle: its state at the start of the step at t."""
     for veh, view in zip(vehicles, views):
-        brain = veh.brain
-        flags = []
-        if brain.guard:
-            flags.append("guard")
-        if brain.forced_stop:
-            flags.append("forced_stop")
-        log.append((t, veh.vehicle_id, view.x, view.y, veh.state.v_long,
-                    veh.state.heading, view.lane,
-                    brain.maneuver if veh.kind == DECISION else "",
-                    brain.directive if veh.kind == DECISION else "",
+        brain, state = veh.brain, veh.state
+        decision = veh.kind == DECISION
+        log.append((t, veh.vehicle_id, view.x, view.y, state.v_long,
+                    state.heading, view.lane,
+                    brain.maneuver if decision else "",
+                    brain.directive if decision else "",
                     brain.competing_id or "",
-                    ";".join(flags)))
+                    _FLAGS[brain.guard, brain.forced_stop]))
 
 
-def _advance(world, views_by_id, attentions, log, t) -> None:
-    """Control and integrate every vehicle over the step from t."""
+def _advance(world, views_by_id, attentions, bounds, log, t) -> None:
+    """Control and integrate every vehicle over the step from t, given each
+    decision vehicle's control_bounds by id."""
     cfg, dt = world.cfg, world.cfg.dt
     for veh in world.vehicles:
         if veh.kind == SCRIPTED:
@@ -563,9 +566,10 @@ def _advance(world, views_by_id, attentions, log, t) -> None:
             veh.state = VehicleState(s.x, s.y + veh.v_preset * dt, s.heading,
                                      s.v_long, s.v_lat, s.yaw_rate)
             continue
+        vid = veh.vehicle_id
         controls = _controls_for(
-            veh, views_by_id[veh.vehicle_id], views_by_id,
-            attentions[veh.vehicle_id], world.geometry, cfg, world.gains)
+            veh, views_by_id[vid], views_by_id, attentions[vid],
+            world.geometry, cfg, world.gains, bounds[vid])
         try:
             veh.state = step(veh.state, veh.params, controls, dt)
         except ValueError as exc:
@@ -636,6 +640,8 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
     if not world.vehicles:
         return log
     decision_vehicles = [v for v in world.vehicles if v.kind == DECISION]
+    bounds = {v.vehicle_id: control_bounds(v.profile, world.gains, v.params)
+              for v in decision_vehicles}
     pairs = _collision_pairs([v.view(geometry) for v in world.vehicles])
     attentions: Dict[str, Attention] = {}
     quiet = 0.0
@@ -646,7 +652,8 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
         if step_index % steps_per_epoch == 0:
             _decide(world, decision_vehicles, views, attentions)
         _record(log, world.vehicles, views, t)
-        _advance(world, {v.vehicle_id: v for v in views}, attentions, log, t)
+        _advance(world, {v.vehicle_id: v for v in views}, attentions, bounds,
+                 log, t)
         log.end_time = t_end = t + dt
 
         moved = world.snapshot()

@@ -370,6 +370,10 @@ class TestRangeChecks:
         (("--set", "t_max=0.004"), "t_max: must be at least dt (0.01), got 0.004"),
         (("--set", "dist_front=3"), "dist_front + dist_rear: must be below "
          "body_length (4.5), got 4.6"),
+        # --set cannot give a dict field a value; the message must not call
+        # an object "not an object".
+        (("--set", 'q_overrides={"merging":0.2}'), "--set: q_overrides takes "
+         "no single value; give each override as --q ID=VALUE"),
         (({"scenario": 0},), "scenario: must be a string, got 0"),
         (({"scenario": None},), "scenario: must be a string, got None"),
         (({"scenario": 12345},), "scenario: must be a string, got 12345"),

@@ -1,0 +1,243 @@
+"""_controls_for against a copy of the control law that derives its bounds
+on every call.
+
+world.run derives each decision vehicle's ControlBounds once, at the start
+of the run.  The oracle below is the control law as it read before that:
+it recomputes the acceleration, brake and steering bounds from the profile,
+the gains and the vehicle params inside every PD-law call.  The two must
+give bit-identical Controls for every state, latch, attention and set of
+neighbours.
+"""
+
+import math
+
+from hypothesis import example, given, settings, strategies as st
+
+from mergesim.config import RunConfig
+from mergesim.driver import blended_error, control_bounds
+from mergesim.dynamics import GRAVITY, VehicleState
+from mergesim.perception import VehicleView, bumper_gap
+from mergesim.planner import (ACCELERATE, CHANGE, DECELERATE, HOLD, KEEP,
+                              MERGE, BrainState)
+from mergesim.road import LaneGeometry
+from mergesim.world import (DECISION, Attention, SimVehicle, _boxed_gap_ref,
+                            _controls_for, _slot_gap_ref)
+
+GEOMETRY = LaneGeometry()
+LANES = range(len(GEOMETRY.centers))
+
+
+# --- the oracle ------------------------------------------------------------
+
+
+def oracle_longitudinal_accel(profile, gains, error, error_rate):
+    raw = gains.kp_long * error + gains.kd_long * error_rate
+    hi = min(profile.accel_limit, gains.accel_cap)
+    lo = -min(profile.accel_limit * gains.brake_factor, gains.accel_cap)
+    return min(max(raw, lo), hi)
+
+
+def oracle_steering_limit(lat_accel_limit, v, params):
+    if v <= 0.0:
+        return math.inf
+    gain = v * v / (57.3 * params.wheelbase * GRAVITY
+                    + params.understeer_gradient * v * v)
+    delta_deg = (lat_accel_limit / GRAVITY) / gain
+    return math.radians(delta_deg)
+
+
+def oracle_steering_command(profile, gains, e_lat, e_lat_rate, params, v):
+    raw = gains.kp_lat * e_lat + gains.kd_lat * e_lat_rate
+    bound = min(oracle_steering_limit(profile.lat_accel_limit, v, params),
+                gains.steer_cap)
+    return min(max(raw, -bound), bound)
+
+
+def oracle_brake_channel(profile, gains, gap, rel_speed, gap_ref):
+    if gap >= gap_ref:
+        return math.inf
+    return oracle_longitudinal_accel(profile, gains, gap - gap_ref, rel_speed)
+
+
+def oracle_controls_for(veh, ego, views_by_id, attention, geometry, cfg,
+                        gains):
+    brain, profile, st_ = veh.brain, veh.profile, veh.state
+    v = st_.v_long
+    changing = brain.maneuver in (MERGE, CHANGE)
+    lane_target = brain.target_lane if changing else brain.current_lane
+    e_lat = st_.x - geometry.centers[lane_target]
+    e_rate = st_.speed * math.sin(st_.heading)
+    steer = oracle_steering_command(profile, gains, e_lat, e_rate, veh.params,
+                                    v)
+
+    merging_phase = brain.needs_merge
+    follow_ref = profile.lane_change_clearance + profile.follow_headway * v
+    follower = views_by_id.get(attention.own_follower_id)
+    follower_gap = bumper_gap(ego, follower) if follower is not None else None
+    slot_leader = (views_by_id.get(brain.slot_leader_id) if merging_phase
+                   else None)
+    if slot_leader is not None:
+        slot_gap = bumper_gap(ego, slot_leader)
+        slot_rel = slot_leader.v - v
+        slot_ref = _slot_gap_ref(ego, veh, slot_gap, views_by_id, follow_ref,
+                                 cfg)
+    cruise_leader = None
+
+    if merging_phase and brain.directive == ACCELERATE:
+        base = cfg.nominal_accel(profile)
+    elif merging_phase and brain.directive == DECELERATE:
+        base = -cfg.nominal_decel(profile)
+        if brain.guard:
+            room = geometry.hard_end - st_.y - veh.params.length / 2.0 - 1.0
+            if room > 0.1:
+                base = min(base, -v * v / (2.0 * room))
+            else:
+                base = -gains.accel_cap
+    elif slot_leader is not None:
+        base = oracle_longitudinal_accel(profile, gains, slot_gap - slot_ref,
+                                         slot_rel)
+    else:
+        speed_err = brain.v_ref - v
+        cruise_leader = views_by_id.get(
+            attention.lane_leaders.get(brain.current_lane))
+        if cruise_leader is not None:
+            cruise_gap = bumper_gap(ego, cruise_leader)
+            cruise_ref = _boxed_gap_ref(cruise_gap, follower_gap, follow_ref)
+        if cruise_leader is not None and cruise_gap < cruise_ref:
+            err, rate = blended_error(speed_err, cruise_gap - cruise_ref,
+                                      cruise_leader.v - v, cfg.speed_weight)
+            base = oracle_longitudinal_accel(profile, gains, err, rate)
+        else:
+            base = oracle_longitudinal_accel(profile, gains, speed_err, 0.0)
+
+    if slot_leader is not None:
+        base = min(base, oracle_brake_channel(profile, gains, slot_gap,
+                                              slot_rel, slot_ref))
+    lanes = {brain.current_lane}
+    if changing and brain.target_lane is not None:
+        lanes.add(brain.target_lane)
+    for lane in lanes:
+        leader = views_by_id.get(attention.lane_leaders.get(lane))
+        if leader is None or leader is slot_leader:
+            continue
+        if leader is cruise_leader:
+            gap, ref = cruise_gap, cruise_ref
+        else:
+            gap = bumper_gap(ego, leader)
+            ref = _boxed_gap_ref(gap, follower_gap, follow_ref)
+        base = min(base, oracle_brake_channel(profile, gains, gap,
+                                              leader.v - v, ref))
+    threat = views_by_id.get(attention.threat_id)
+    if threat is not None:
+        ahead = threat.y - ego.y > (threat.length + ego.length) / 2.0
+        if ahead or brain.evading:
+            ref = (profile.lane_change_clearance
+                   + profile.prediction_time * max(0.0, v - threat.v))
+            base = min(base, oracle_brake_channel(profile, gains,
+                                                  bumper_gap(ego, threat),
+                                                  threat.v - v, ref))
+
+    hi = min(profile.accel_limit, gains.accel_cap)
+    lo = -gains.accel_cap if brain.guard else -min(
+        profile.accel_limit * gains.brake_factor, gains.accel_cap)
+    return min(max(base, lo), hi), steer
+
+
+# --- generated inputs ------------------------------------------------------
+
+OTHER_IDS = ("leader_a", "leader_b", "slot_leader", "slot_follower",
+             "follower", "threat")
+_ids = st.one_of(st.none(), st.sampled_from(OTHER_IDS + ("absent",)))
+
+_configs = st.builds(
+    RunConfig,
+    brake_factor=st.floats(0.2, 3.0), accel_cap_g=st.floats(0.05, 1.0),
+    steer_cap_deg=st.floats(1.0, 89.0),
+    understeer_gradient=st.floats(0.0, 8.0),
+    dist_front=st.floats(0.8, 1.8), dist_rear=st.floats(0.8, 2.0),
+    kp_long=st.floats(0.0, 2.0), kd_long=st.floats(0.0, 2.0),
+    kp_lat=st.floats(0.0, 2.0), kd_lat=st.floats(0.0, 2.0),
+    speed_weight=st.floats(0.0, 1.0))
+
+_states = st.builds(
+    VehicleState, x=st.floats(-1.0, 11.0), y=st.floats(-50.0, 180.0),
+    heading=st.floats(-0.3, 0.3),
+    # Below about 1e-154 m/s, v * v underflows to 0 and the steering limit
+    # divides by zero, in the oracle as in the library.
+    v_long=st.one_of(st.just(0.0), st.floats(-1.0, 0.0),
+                     st.floats(1e-100, 40.0)),
+    v_lat=st.floats(-2.0, 2.0), yaw_rate=st.floats(-0.5, 0.5))
+
+
+@st.composite
+def _brains(draw):
+    maneuver = draw(st.sampled_from((KEEP, MERGE, CHANGE)))
+    target = draw(st.sampled_from(LANES)) if maneuver != KEEP else draw(
+        st.one_of(st.none(), st.sampled_from(LANES)))
+    return BrainState(
+        current_lane=draw(st.sampled_from(LANES)),
+        v_ref=draw(st.floats(0.0, 40.0)),
+        needs_merge=draw(st.booleans()), maneuver=maneuver,
+        target_lane=target,
+        directive=draw(st.sampled_from((ACCELERATE, DECELERATE, HOLD))),
+        slot_leader_id=draw(_ids), slot_follower_id=draw(_ids),
+        guard=draw(st.booleans()), evading=draw(st.booleans()))
+
+
+# Other vehicles by id: (lane, offset from the lane centre, offset along the
+# road from the ego, speed, heading).
+_neighbours = st.dictionaries(
+    st.sampled_from(OTHER_IDS),
+    st.tuples(st.sampled_from(LANES), st.floats(-1.0, 1.0),
+              st.floats(-60.0, 60.0), st.floats(0.0, 40.0),
+              st.floats(-0.2, 0.2)))
+
+
+_attention = st.builds(
+    Attention,
+    lane_leaders=st.dictionaries(st.sampled_from(LANES),
+                                 st.sampled_from(OTHER_IDS + ("absent",))),
+    own_follower_id=_ids, threat_id=_ids)
+
+
+@settings(max_examples=600, deadline=None)
+@given(cfg=_configs, q=st.floats(0.0, 1.0), state=_states, brain=_brains(),
+       attention=_attention, others=_neighbours)
+# Guard braking with no room left before the pavement ends.
+@example(cfg=RunConfig(), q=0.5,
+         state=VehicleState(x=9.9, y=165.0, v_long=5.0),
+         brain=BrainState(3, 19.4, needs_merge=True, directive=DECELERATE,
+                          guard=True),
+         attention=Attention(), others={})
+# A lane change boxed in by the slot leader, a leader in the target lane
+# and a threat ahead.
+@example(cfg=RunConfig(), q=0.9,
+         state=VehicleState(x=8.0, y=80.0, heading=-0.05, v_long=20.0),
+         brain=BrainState(3, 19.4, needs_merge=True, maneuver=MERGE,
+                          target_lane=2, slot_leader_id="slot_leader",
+                          slot_follower_id="slot_follower"),
+         attention=Attention({2: "leader_a", 3: "slot_leader"}, "follower",
+                             "threat"),
+         others={"slot_leader": (2, 0.0, 8.0, 18.0, 0.0),
+                 "slot_follower": (2, 0.0, -9.0, 22.0, 0.0),
+                 "leader_a": (2, 0.0, 7.0, 15.0, 0.0),
+                 "follower": (3, 0.0, -7.0, 21.0, 0.0),
+                 "threat": (3, 0.0, 6.0, 10.0, 0.0)})
+def test_controls_are_bit_identical_to_the_per_call_bounds(
+        cfg, q, state, brain, attention, others):
+    profile = cfg.profile(q)
+    params = cfg.vehicle_params()
+    gains = cfg.gains()
+    veh = SimVehicle("ego", DECISION, params, state, 19.4, q, profile, brain)
+    ego = veh.view(GEOMETRY)
+    views_by_id = {
+        vid: VehicleView(vid, GEOMETRY.centers[lane] + dx, state.y + dy, v,
+                         heading, 4.5, 1.8, lane)
+        for vid, (lane, dx, dy, v, heading) in others.items()}
+    views_by_id["ego"] = ego
+
+    got = _controls_for(veh, ego, views_by_id, attention, GEOMETRY, cfg,
+                        gains, control_bounds(profile, gains, params))
+    want = oracle_controls_for(veh, ego, views_by_id, attention, GEOMETRY,
+                               cfg, gains)
+    assert (got.accel.hex(), got.steer.hex()) == tuple(w.hex() for w in want)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mergesim.config import ConfigError, RunConfig
-from mergesim.driver import (longitudinal_accel, steering_command,
-                             steering_limit, blended_error)
+from mergesim.driver import (blended_error, control_bounds,
+                             longitudinal_accel, steering_command,
+                             steering_limit)
 from mergesim.dynamics import GRAVITY
 
 CFG = RunConfig()
@@ -17,6 +18,22 @@ PARAMS = CFG.vehicle_params()
 def make_profile(q=0.5, **kw):
     profile = CFG.profile(q)
     return profile if not kw else replace(profile, **kw)
+
+
+# The PD laws of a driver with this profile, these gains and these params.
+def accel(profile, gains, error, error_rate):
+    return longitudinal_accel(control_bounds(profile, gains, PARAMS), gains,
+                              error, error_rate)
+
+
+def steer(profile, gains, e_lat, e_lat_rate, params, v):
+    return steering_command(control_bounds(profile, gains, params), gains,
+                            e_lat, e_lat_rate, params, v)
+
+
+def steer_limit(lat_accel_limit, v, params):
+    profile = make_profile(lat_accel_limit=lat_accel_limit)
+    return steering_limit(control_bounds(profile, GAINS, params), v, params)
 
 
 class TestProfileFromQ:
@@ -59,46 +76,45 @@ class TestProfileFromQ:
 
 class TestLongitudinalAccel:
     def test_zero_error_zero_output(self):
-        assert longitudinal_accel(make_profile(), GAINS, 0.0, 0.0) == 0.0
+        assert accel(make_profile(), GAINS, 0.0, 0.0) == 0.0
 
     def test_comfort_limit_selected(self):
         profile = make_profile(0.0)  # accel limit 0.1 g = 0.981
         gains = replace(GAINS, kp_long=1.0, kd_long=0.0)
-        assert longitudinal_accel(profile, gains, 5.0, 0.0) == pytest.approx(0.981)
+        assert accel(profile, gains, 5.0, 0.0) == pytest.approx(0.981)
 
     def test_direct_pd_value(self):
         profile = make_profile(1.0)
         gains = replace(GAINS, kp_long=0.5, kd_long=0.0, accel_cap=100.0)
-        assert longitudinal_accel(profile, gains, 2.0, 0.0) == pytest.approx(1.0)
+        assert accel(profile, gains, 2.0, 0.0) == pytest.approx(1.0)
 
     def test_symmetric_braking_clamp(self):
         profile = make_profile(0.0)
         gains = replace(GAINS, kp_long=1.0, kd_long=0.0)
-        assert longitudinal_accel(profile, gains, -50.0, 0.0) == pytest.approx(-0.981)
+        assert accel(profile, gains, -50.0, 0.0) == pytest.approx(-0.981)
 
     @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(0, 1))
     def test_bounded_by_limits(self, e, e_dot, q):
         profile = CFG.profile(q)
         gains = GAINS
-        a = longitudinal_accel(profile, gains, e, e_dot)
+        a = accel(profile, gains, e, e_dot)
         assert abs(a) <= min(profile.accel_limit, gains.accel_cap) + 1e-12
 
 
 class TestSteering:
     def test_zero_error_zero_output(self):
         params = PARAMS
-        assert steering_command(make_profile(), GAINS, 0.0, 0.0,
-                                params, 20.0) == 0.0
+        assert steer(make_profile(), GAINS, 0.0, 0.0, params, 20.0) == 0.0
 
     def test_clamped_at_lateral_limit(self):
         params = PARAMS
         profile = make_profile(0.5)
         gains = replace(GAINS, kp_lat=10.0, kd_lat=0.0)
-        limit = min(steering_limit(profile.lat_accel_limit, 25.0, params),
+        limit = min(steer_limit(profile.lat_accel_limit, 25.0, params),
                     gains.steer_cap)
-        assert steering_command(profile, gains, 3.3, 0.0, params, 25.0) == \
+        assert steer(profile, gains, 3.3, 0.0, params, 25.0) == \
             pytest.approx(limit)
-        assert steering_command(profile, gains, -3.3, 0.0, params, 25.0) == \
+        assert steer(profile, gains, -3.3, 0.0, params, 25.0) == \
             pytest.approx(-limit)
 
     def test_direct_pd_value(self):
@@ -106,7 +122,7 @@ class TestSteering:
         profile = make_profile(1.0)
         gains = replace(GAINS, kp_lat=0.05, kd_lat=0.0, steer_cap=10.0)
         # slow enough that the lateral-acceleration limit is huge
-        assert steering_command(profile, gains, 1.0, 0.0, params, 1.0) == \
+        assert steer(profile, gains, 1.0, 0.0, params, 1.0) == \
             pytest.approx(0.05)
 
     @given(st.floats(-100, 100), st.floats(-50, 50), st.floats(0, 1),
@@ -115,8 +131,8 @@ class TestSteering:
         params = PARAMS
         profile = CFG.profile(q)
         gains = GAINS
-        delta = steering_command(profile, gains, e, e_dot, params, v)
-        bound = min(steering_limit(profile.lat_accel_limit, v, params),
+        delta = steer(profile, gains, e, e_dot, params, v)
+        bound = min(steer_limit(profile.lat_accel_limit, v, params),
                     gains.steer_cap)
         assert abs(delta) <= bound + 1e-12
 
@@ -125,7 +141,7 @@ class TestSteeringLimit:
     def test_known_value(self):
         params = replace(PARAMS, dist_front=1.2, dist_rear=1.5,
                          understeer_gradient=0.0)  # wheelbase 2.7
-        got = steering_limit(0.3 * GRAVITY, 20.0, params)
+        got = steer_limit(0.3 * GRAVITY, 20.0, params)
         # independent evaluation of the lateral acceleration gain relation
         gain = 20.0 ** 2 / (57.3 * 2.7 * GRAVITY)
         want = math.radians(0.3 / gain)
@@ -133,8 +149,8 @@ class TestSteeringLimit:
         assert got == pytest.approx(0.019868, abs=1e-4)
 
     def test_inactive_at_standstill(self):
-        assert steering_limit(3.0, 0.0, PARAMS) == math.inf
-        assert steering_limit(3.0, -1.0, PARAMS) == math.inf
+        assert steer_limit(3.0, 0.0, PARAMS) == math.inf
+        assert steer_limit(3.0, -1.0, PARAMS) == math.inf
 
     def test_monotone_in_understeer_gradient(self):
         import random
@@ -150,7 +166,7 @@ class TestSteeringLimit:
                          understeer_gradient=k0)
             p1 = replace(PARAMS, dist_front=lf, dist_rear=lr,
                          understeer_gradient=k1)
-            assert steering_limit(a_yl, v, p1) > steering_limit(a_yl, v, p0)
+            assert steer_limit(a_yl, v, p1) > steer_limit(a_yl, v, p0)
 
     def test_matches_independent_evaluation(self):
         import random
@@ -164,8 +180,8 @@ class TestSteeringLimit:
             gain = v * v / (57.3 * params.wheelbase * GRAVITY
                             + params.understeer_gradient * v * v)
             want = math.radians((a_yl / GRAVITY) / gain)
-            assert steering_limit(a_yl, v, params) == pytest.approx(want,
-                                                                    abs=1e-12)
+            assert steer_limit(a_yl, v, params) == pytest.approx(want,
+                                                                 abs=1e-12)
 
 
 def test_blended_error_weights():

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import pytest
 
 from mergesim.config import ConfigError, RunConfig
@@ -184,3 +187,25 @@ class TestSweep:
         serial = aggressiveness_sweep("scenario1", axis, axis, cfg, jobs=1)
         parallel = aggressiveness_sweep("scenario1", axis, axis, cfg, jobs=2)
         assert grid_to_csv(serial) == grid_to_csv(parallel)
+
+    def test_pool_has_no_more_workers_than_cells(self, monkeypatch):
+        jobs = os.cpu_count() or 1
+        if jobs < 2:
+            pytest.skip("jobs above 1 needs two CPUs")
+        real_pool = multiprocessing.Pool
+        sizes = []
+
+        def recording_pool(processes):
+            sizes.append(processes)
+            return real_pool(processes)
+
+        monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
+        cfg = RunConfig(t_max=5.0)
+        for merge_axis in ((0.5,), (0.0, 1.0)):
+            serial = aggressiveness_sweep("scenario1", merge_axis, (0.5,), cfg,
+                                          jobs=1)
+            parallel = aggressiveness_sweep("scenario1", merge_axis, (0.5,),
+                                            cfg, jobs=jobs)
+            assert grid_to_csv(parallel) == grid_to_csv(serial)
+        # One cell runs in this process; two cells start at most two workers.
+        assert sizes == [2]

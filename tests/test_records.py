@@ -1,4 +1,5 @@
-"""The records the step loop builds are immutable named tuples.
+"""The records the step loop and the decision epochs build are immutable
+named tuples.
 
 Each keeps the fields, the field order and the defaults it had as a frozen
 dataclass, so positional and keyword construction read the same, and the
@@ -8,8 +9,9 @@ view cache in SimVehicle.view can key on object identity.
 import pytest
 
 from mergesim.dynamics import Controls, VehicleState
-from mergesim.perception import OrientedRect, VehicleView
-from mergesim.planner import HOLD, KEEP, BrainState
+from mergesim.perception import Neighbor, OrientedRect, VehicleView
+from mergesim.planner import (ACCELERATE, HOLD, KEEP, BrainState, Directive,
+                              SlotEval)
 
 REQUIRED = object()  # a field without a default
 
@@ -40,6 +42,17 @@ RECORDS = [
       ("forced_stop", False), ("evading", False), ("threat_memo_id", None),
       ("threat_memo_speed", 0.0)],
      BrainState(3, 19.4, needs_merge=True, competing_id="vehicle4")),
+    (Neighbor,
+     [("vehicle_id", REQUIRED), ("gap", REQUIRED)],
+     Neighbor("vehicle4", 12.5)),
+    (SlotEval,
+     [("leader", REQUIRED), ("front_gap", REQUIRED), ("follower", REQUIRED),
+      ("rear_gap", REQUIRED), ("squeeze", REQUIRED), ("utility", REQUIRED)],
+     SlotEval(None, 100.0, None, 100.0, 0.0, 3.5)),
+    (Directive,
+     [("name", REQUIRED), ("competing_id", None), ("slot_leader_id", None),
+      ("slot_follower_id", None)],
+     Directive(ACCELERATE, "vehicle4", "vehicle3", "vehicle4")),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
@@ -74,3 +87,19 @@ def test_replace_returns_a_new_record(cls, spec, sample):
     assert tuple(changed)[1:] == before[1:]
     assert tuple(sample) == before
 
+
+
+LEADER = VehicleView("vehicle3", 6.6, 30.0, 22.0, 0.0, 4.5, 1.8, 2)
+
+
+@pytest.mark.parametrize("leader, front_gap, squeeze, tolerance, feasible", [
+    (None, 0.0, 0.0, 0.0, True),        # no leader: any front gap will do
+    (LEADER, 0.0, 0.0, 0.0, False),     # a leader needs room in front
+    (LEADER, 0.1, 0.0, 0.0, True),
+    (LEADER, 5.0, 2.0, 2.0, True),      # the squeeze may reach the tolerance
+    (LEADER, 5.0, 2.5, 2.0, False),
+    (None, 5.0, -1.0, 0.0, True),       # room to spare behind
+])
+def test_slot_feasible(leader, front_gap, squeeze, tolerance, feasible):
+    slot = SlotEval(leader, front_gap, None, 10.0, squeeze, 0.0)
+    assert slot.feasible(tolerance) is feasible
