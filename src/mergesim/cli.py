@@ -93,8 +93,10 @@ def _summarize(log, world, cfg) -> dict:
             "final_x_lat": round(rows[-1][2], 4),
             "final_y_long": round(rows[-1][3], 4),
             "final_v": round(rows[-1][4], 4),
-            "min_gap_m": round(min(_sat_distance(c) for c in
-                                   log.vehicle_icol(veh.vehicle_id)), 4),
+            # _sat_distance is non-increasing, so the largest index maps
+            # to the smallest distance.
+            "min_gap_m": round(
+                _sat_distance(max(log.vehicle_icol(veh.vehicle_id))), 4),
         }
         if veh.kind == DECISION:
             merge_events = [e for e in log.events

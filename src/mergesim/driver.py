@@ -84,13 +84,16 @@ def steering_limit(bounds: ControlBounds, v: float,
 
     Uses the lateral acceleration gain of a understeering vehicle,
     a_y[g]/delta[deg] = v^2 / (57.3 L g + K_us v^2).  At standstill the
-    gain vanishes, so the limit is inactive (returns +inf; callers clamp
-    with the physical steering bound).
+    gain vanishes, and so it does in floating point once v * v underflows
+    (v below about 1.5e-154 m/s); then the limit is inactive (returns +inf;
+    callers clamp with the physical steering bound).
     """
     if v <= 0.0:
         return math.inf
     gain = v * v / (bounds.steer_scale
                     + params.understeer_gradient * v * v)  # g per deg
+    if gain == 0.0:
+        return math.inf
     delta_deg = bounds.lat_accel_g / gain
     return math.radians(delta_deg)
 

@@ -4,7 +4,7 @@ from dataclasses import dataclass, replace, field
 import json
 import math
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .config import Q_RANGE, ConfigError, RunConfig, check, check_field
 from .driver import (ControlBounds, ControllerGains, DriverProfile,
@@ -109,31 +109,39 @@ class SimVehicle:
 class TrajectoryLog:
     """Complete per-step record of a run on a uniform time grid.
 
-    Each row holds every TRAJECTORY_COLUMNS field except i_col, which is
-    derived from the logged poses and the vehicle sizes in `bodies` on
-    first read (see icol), so runs whose readers never ask for it never
-    pay for it.  Rows come in whole steps, one per vehicle in `bodies`
-    order.
+    `bodies` maps each vehicle id to its (length, width).  Rows come in
+    whole steps, one per vehicle in `bodies` order, so a vehicle's rows are
+    a stride of the log.  Each row holds every TRAJECTORY_COLUMNS field
+    except i_col, which is derived from the logged poses and the vehicle
+    sizes on first read (see icol), so runs whose readers never ask for it
+    never pay for it.
     """
 
-    def __init__(self, geometry: LaneGeometry):
+    def __init__(self, geometry: LaneGeometry,
+                 bodies: Dict[str, Tuple[float, float]]):
         self.geometry = geometry
+        self.bodies = bodies
         self.rows: List[tuple] = []
-        self.bodies: Dict[str, Tuple[float, float]] = {}  # id -> (length, width)
         self.events: List[dict] = []
         self.collision: Optional[dict] = None
         self.forced_stop: bool = False
         self.end_time: float = 0.0
         self._icol: List[float] = []
+        self._slot = {vid: k for k, vid in enumerate(bodies)}
 
     def append(self, row: tuple) -> None:
         self.rows.append(row)
 
-    def vehicle_rows(self, vehicle_id: str) -> List[tuple]:
-        out = [r for r in self.rows if r[1] == vehicle_id]
+    def _stride(self, column: list, vehicle_id: str) -> list:
+        """The entries of a row-aligned column that belong to one vehicle."""
+        k = self._slot.get(vehicle_id)
+        out = [] if k is None else column[k::len(self._slot)]
         if not out:
             raise KeyError(f"no such vehicle in log: {vehicle_id!r}")
         return out
+
+    def vehicle_rows(self, vehicle_id: str) -> List[tuple]:
+        return self._stride(self.rows, vehicle_id)
 
     def icol(self) -> List[float]:
         """The i_col column, aligned with rows.
@@ -146,29 +154,66 @@ class TrajectoryLog:
         return self._icol
 
     def vehicle_icol(self, vehicle_id: str) -> List[float]:
-        return [c for r, c in zip(self.rows, self.icol()) if r[1] == vehicle_id]
+        return self._stride(self.icol(), vehicle_id)
 
     def to_csv(self) -> str:
+        """The log as CSV text, one line per row.
+
+        Each step's time is formatted once.  A vehicle's x_lat, v, theta
+        and i_col text is reused while its row holds the very same float
+        object as its previous row: a scripted vehicle carries the same x,
+        speed and heading objects for the whole run, and a reused index
+        (see _icol_column) is the same object.  An equal but distinct float
+        is formatted anew, since 0.0 == -0.0 yet the two print differently.
+        """
+        rows, n = self.rows, len(self.bodies)
+        icol = self.icol()
+        times = [f"{r[0]:.2f}" for r in rows[::n]] if n else []
+        columns = []  # each vehicle's lines, one per step
+        for k in range(n):
+            x = v = theta = c = None  # no row holds None: the first formats
+            lines = []
+            for t, r, index in zip(times, rows[k::n], icol[k::n]):
+                if r[2] is not x:
+                    x = r[2]
+                    x_text = f"{x:.6f}"
+                if r[4] is not v:
+                    v = r[4]
+                    v_text = f"{v:.6f}"
+                if r[5] is not theta:
+                    theta = r[5]
+                    theta_text = f"{theta:.6f}"
+                if index is not c:
+                    c = index
+                    c_text = f"{c:.6f}"
+                lines.append(
+                    f"{t},{r[1]},{x_text},{r[3]:.6f},{v_text},{theta_text},"
+                    f"{r[6]},{r[7]},{r[8]},{r[9]},{c_text},{r[10]}")
+            columns.append(lines)
         lines = [",".join(TRAJECTORY_COLUMNS)]
-        for r, icol in zip(self.rows, self.icol()):
-            lines.append(
-                f"{r[0]:.2f},{r[1]},{r[2]:.6f},{r[3]:.6f},{r[4]:.6f},"
-                f"{r[5]:.6f},{r[6]},{r[7]},{r[8]},{r[9]},{icol:.6f},{r[10]}")
+        for step in zip(*columns):
+            lines.extend(step)
         return "\n".join(lines) + "\n"
 
 
 def _icol_column(rows: List[tuple], bodies: Dict[str, Tuple[float, float]]):
-    """i_col for every row, one whole step of len(bodies) rows at a time."""
-    halves = {vid: (width / 2.0, length / 2.0)
-              for vid, (length, width) in bodies.items()}
+    """i_col for every row, one whole step of len(bodies) rows at a time.
+
+    pose_gaps reads two poses only through the offset (bx - ax, by - ay),
+    the four sines and cosines and the half sizes, and each slot's half
+    sizes are fixed.  So each ordered slot pair keeps the key (offset,
+    sines, cosines) of its last pose_collision_index call and the index it
+    got, and reuses that index while the key is equal: scripted vehicles
+    keep their offsets for long stretches.  The reuse is exact: keys
+    compare with ==, so two equal keys differ at most in the sign of a
+    zero, and such a zero reaches the index only through abs().
+    """
     n = len(bodies)
+    steps = zip(*[_poses(rows[k::n], length, width)
+                  for k, (length, width) in enumerate(bodies.values())])
+    last = [[None] * n for _ in range(n)]  # (key, index) by slot pair
     out: List[float] = []
-    for start in range(0, len(rows), n):
-        poses = []
-        for r in rows[start:start + n]:
-            theta = r[5]
-            poses.append((r[2], r[3], math.sin(theta), math.cos(theta))
-                         + halves[r[1]])
+    for poses in steps:
         nearest = _nearest_pairs(poses)
         step_icol = [0.0] * n
         for i, j in enumerate(nearest):
@@ -177,10 +222,30 @@ def _icol_column(rows: List[tuple], bodies: Dict[str, Tuple[float, float]]):
             if j < i and nearest[j] == i:
                 # The index is symmetric in its two rectangles.
                 step_icol[i] = step_icol[j]
+                continue
+            a, b = poses[i], poses[j]
+            key = (b[0] - a[0], b[1] - a[1], a[2], a[3], b[2], b[3])
+            seen = last[i][j]
+            if seen is not None and seen[0] == key:
+                step_icol[i] = seen[1]
             else:
-                step_icol[i] = pose_collision_index(poses[i], poses[j])
+                step_icol[i] = index = pose_collision_index(a, b)
+                last[i][j] = (key, index)
         out.extend(step_icol)
     return out
+
+
+def _poses(rows: List[tuple], length: float, width: float):
+    """The pose (see pose_gaps) of each of one vehicle's rows.  A scripted
+    vehicle's heading is one object for the whole run, so a row whose
+    heading is its previous row's object reuses that sine and cosine."""
+    half_width, half_length = width / 2.0, length / 2.0
+    theta = None
+    for r in rows:
+        if r[5] is not theta:
+            theta = r[5]
+            sin, cos = math.sin(theta), math.cos(theta)
+        yield r[2], r[3], sin, cos, half_width, half_length
 
 
 def _nearest_pairs(poses: List[tuple]):
@@ -358,21 +423,46 @@ def _boxed_gap_ref(leader_gap, follower_gap, follow_ref) -> float:
     return min(follow_ref, max(free * 0.5, 1.0))
 
 
-def _slot_gap_ref(ego, veh, slot_gap, views_by_id, follow_ref, cfg) -> float:
+class DirectiveBounds(NamedTuple):
+    """The constants of a decision vehicle's directive commands and slot
+    keeping: they depend only on the run's config and the vehicle's q, so a
+    run derives them once per vehicle (see directive_bounds)."""
+    accel: float          # command of an accelerate directive (m/s^2)
+    decel: float          # command of a decelerate directive (m/s^2, <= 0)
+    slot_rear_min: float  # least room kept behind the ego in a slot (m)
+    slot_ride: float      # share of a slot's free room kept ahead of the ego
+
+
+def directive_bounds(veh: SimVehicle, cfg: RunConfig) -> DirectiveBounds:
+    """The directive and slot constants of this vehicle in a run with this
+    config.
+
+    Aggressive drivers push harder on an accelerate directive, brake less
+    on a decelerate one and ride the back of a slot, but never so far back
+    that the slot stops being enterable for them.
+    """
+    profile = veh.profile
+    return DirectiveBounds(
+        accel=cfg.nominal_accel(profile),
+        decel=-cfg.nominal_decel(profile),
+        slot_rear_min=max(1.0, profile.lane_change_clearance
+                          - 0.8 * cfg.risk_tolerance(veh.q)),
+        slot_ride=cfg.slot_ride_fraction(veh.q))
+
+
+def _slot_gap_ref(ego, veh, slot_gap, views_by_id, follow_ref,
+                  directive: DirectiveBounds) -> float:
     """Leader-gap target while aligning with an insertion slot, given the
-    bumper gap to the slot leader.
+    bumper gap to the slot leader and the vehicle's directive_bounds.
 
     Aggressive drivers ride the back of the slot, leaving the vehicle
-    they cut ahead of very little headway, but never so far back that the
-    slot stops being enterable for them.
+    they cut ahead of very little headway.
     """
     follower = views_by_id.get(veh.brain.slot_follower_id)
     if follower is None:
         return follow_ref
     free = slot_gap + bumper_gap(ego, follower)
-    rear_min = max(1.0, veh.profile.lane_change_clearance
-                   - 0.8 * cfg.risk_tolerance(veh.q))
-    front_ref = min(free * cfg.slot_ride_fraction(veh.q), free - rear_min)
+    front_ref = min(free * directive.slot_ride, free - directive.slot_rear_min)
     return min(follow_ref, max(front_ref, 1.0))
 
 
@@ -387,9 +477,10 @@ class Attention:
 def _controls_for(veh: SimVehicle, ego: VehicleView, views_by_id,
                   attention: Attention, geometry: LaneGeometry,
                   cfg: RunConfig, gains: ControllerGains,
-                  bounds: ControlBounds) -> Controls:
+                  bounds: ControlBounds,
+                  directive: DirectiveBounds) -> Controls:
     """Steering toward the target lane and the bounded longitudinal command,
-    given the vehicle's control_bounds."""
+    given the vehicle's control_bounds and directive_bounds."""
     brain, profile, st = veh.brain, veh.profile, veh.state
     v = st.v_long
     changing = brain.maneuver in (MERGE, CHANGE)
@@ -408,16 +499,16 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views_by_id,
         slot_gap = bumper_gap(ego, slot_leader)
         slot_rel = slot_leader.v - v
         slot_ref = _slot_gap_ref(ego, veh, slot_gap, views_by_id, follow_ref,
-                                 cfg)
+                                 directive)
     # The cruise command's own-lane leader, whose gap and reference the
     # safety loop below reuses.
     cruise_leader = None
 
     # Base command: directive, slot keeping, or plain cruise.
     if merging_phase and brain.directive == ACCELERATE:
-        base = cfg.nominal_accel(profile)
+        base = directive.accel
     elif merging_phase and brain.directive == DECELERATE:
-        base = -cfg.nominal_decel(profile)
+        base = directive.decel
         if brain.guard:
             room = geometry.hard_end - st.y - veh.params.length / 2.0 - 1.0
             if room > 0.1:
@@ -558,7 +649,7 @@ def _record(log, vehicles, views, t) -> None:
 
 def _advance(world, views_by_id, attentions, bounds, log, t) -> None:
     """Control and integrate every vehicle over the step from t, given each
-    decision vehicle's control_bounds by id."""
+    decision vehicle's (control_bounds, directive_bounds) by id."""
     cfg, dt = world.cfg, world.cfg.dt
     for veh in world.vehicles:
         if veh.kind == SCRIPTED:
@@ -569,7 +660,7 @@ def _advance(world, views_by_id, attentions, bounds, log, t) -> None:
         vid = veh.vehicle_id
         controls = _controls_for(
             veh, views_by_id[vid], views_by_id, attentions[vid],
-            world.geometry, cfg, world.gains, bounds[vid])
+            world.geometry, cfg, world.gains, *bounds[vid])
         try:
             veh.state = step(veh.state, veh.params, controls, dt)
         except ValueError as exc:
@@ -634,13 +725,14 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
     dt = cfg.dt
     geometry = world.geometry
     steps_per_epoch = round(cfg.epoch / dt)
-    log = TrajectoryLog(geometry)
-    log.bodies = {v.vehicle_id: (v.params.length, v.params.width)
-                  for v in world.vehicles}
+    log = TrajectoryLog(geometry, {
+        v.vehicle_id: (v.params.length, v.params.width)
+        for v in world.vehicles})
     if not world.vehicles:
         return log
     decision_vehicles = [v for v in world.vehicles if v.kind == DECISION]
-    bounds = {v.vehicle_id: control_bounds(v.profile, world.gains, v.params)
+    bounds = {v.vehicle_id: (control_bounds(v.profile, world.gains, v.params),
+                             directive_bounds(v, cfg))
               for v in decision_vehicles}
     pairs = _collision_pairs([v.view(geometry) for v in world.vehicles])
     attentions: Dict[str, Attention] = {}

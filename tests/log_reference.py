@@ -1,0 +1,55 @@
+"""Reference readers of a TrajectoryLog, written the slow, obvious way.
+
+i_col is recomputed from VehicleView rectangles, a vehicle's rows and i_col
+are found by checking the id of every row, and the CSV formats every field
+of every row.  Tests compare the log's own readers against these.
+"""
+
+import math
+
+from mergesim.perception import VehicleView, collision_index
+from mergesim.world import TRAJECTORY_COLUMNS
+
+
+def eager_icol(log, world):
+    """Reference i_col from VehicleView rectangles: per step, the nearest
+    other vehicle by centre distance, then collision_index of the two."""
+    params = {v.vehicle_id: v.params for v in world.vehicles}
+    n = len(world.vehicles)
+    out = []
+    for start in range(0, len(log.rows), n):
+        views = [VehicleView(r[1], r[2], r[3], r[4], r[5],
+                             params[r[1]].length, params[r[1]].width, r[6])
+                 for r in log.rows[start:start + n]]
+        for i, view in enumerate(views):
+            others = [k for k in range(n) if k != i]
+            if not others:
+                out.append(0.0)
+                continue
+            j = min(others, key=lambda k: math.hypot(view.x - views[k].x,
+                                                     view.y - views[k].y))
+            out.append(collision_index(view.rect(), views[j].rect()))
+    return out
+
+
+def scanned_rows(log, vehicle_id):
+    """The rows of one vehicle, found by checking every row's id."""
+    out = [r for r in log.rows if r[1] == vehicle_id]
+    if not out:
+        raise KeyError(f"no such vehicle in log: {vehicle_id!r}")
+    return out
+
+
+def scanned_icol(log, vehicle_id):
+    """The i_col of one vehicle's rows, found by checking every row's id."""
+    return [c for r, c in zip(log.rows, log.icol()) if r[1] == vehicle_id]
+
+
+def formatted_csv(log):
+    """The trajectory CSV with every field of every row formatted."""
+    lines = [",".join(TRAJECTORY_COLUMNS)]
+    for r, icol in zip(log.rows, log.icol()):
+        lines.append(
+            f"{r[0]:.2f},{r[1]},{r[2]:.6f},{r[3]:.6f},{r[4]:.6f},"
+            f"{r[5]:.6f},{r[6]},{r[7]},{r[8]},{r[9]},{icol:.6f},{r[10]}")
+    return "\n".join(lines) + "\n"

@@ -1,12 +1,13 @@
 """_controls_for against a copy of the control law that derives its bounds
 on every call.
 
-world.run derives each decision vehicle's ControlBounds once, at the start
-of the run.  The oracle below is the control law as it read before that:
-it recomputes the acceleration, brake and steering bounds from the profile,
-the gains and the vehicle params inside every PD-law call.  The two must
-give bit-identical Controls for every state, latch, attention and set of
-neighbours.
+world.run derives each decision vehicle's ControlBounds and DirectiveBounds
+once, at the start of the run.  The oracle below is the control law as it
+read before that: it recomputes the acceleration, brake and steering bounds
+from the profile, the gains and the vehicle params inside every PD-law
+call, and the directive commands and slot constants from the config and q
+at every step.  The two must give bit-identical Controls for every state,
+latch, attention and set of neighbours.
 """
 
 import math
@@ -21,7 +22,7 @@ from mergesim.planner import (ACCELERATE, CHANGE, DECELERATE, HOLD, KEEP,
                               MERGE, BrainState)
 from mergesim.road import LaneGeometry
 from mergesim.world import (DECISION, Attention, SimVehicle, _boxed_gap_ref,
-                            _controls_for, _slot_gap_ref)
+                            _controls_for, directive_bounds)
 
 GEOMETRY = LaneGeometry()
 LANES = range(len(GEOMETRY.centers))
@@ -42,6 +43,8 @@ def oracle_steering_limit(lat_accel_limit, v, params):
         return math.inf
     gain = v * v / (57.3 * params.wheelbase * GRAVITY
                     + params.understeer_gradient * v * v)
+    if gain == 0.0:
+        return math.inf
     delta_deg = (lat_accel_limit / GRAVITY) / gain
     return math.radians(delta_deg)
 
@@ -57,6 +60,17 @@ def oracle_brake_channel(profile, gains, gap, rel_speed, gap_ref):
     if gap >= gap_ref:
         return math.inf
     return oracle_longitudinal_accel(profile, gains, gap - gap_ref, rel_speed)
+
+
+def oracle_slot_gap_ref(ego, veh, slot_gap, views_by_id, follow_ref, cfg):
+    follower = views_by_id.get(veh.brain.slot_follower_id)
+    if follower is None:
+        return follow_ref
+    free = slot_gap + bumper_gap(ego, follower)
+    rear_min = max(1.0, veh.profile.lane_change_clearance
+                   - 0.8 * cfg.risk_tolerance(veh.q))
+    front_ref = min(free * cfg.slot_ride_fraction(veh.q), free - rear_min)
+    return min(follow_ref, max(front_ref, 1.0))
 
 
 def oracle_controls_for(veh, ego, views_by_id, attention, geometry, cfg,
@@ -79,8 +93,8 @@ def oracle_controls_for(veh, ego, views_by_id, attention, geometry, cfg,
     if slot_leader is not None:
         slot_gap = bumper_gap(ego, slot_leader)
         slot_rel = slot_leader.v - v
-        slot_ref = _slot_gap_ref(ego, veh, slot_gap, views_by_id, follow_ref,
-                                 cfg)
+        slot_ref = oracle_slot_gap_ref(ego, veh, slot_gap, views_by_id,
+                                       follow_ref, cfg)
     cruise_leader = None
 
     if merging_phase and brain.directive == ACCELERATE:
@@ -162,10 +176,8 @@ _configs = st.builds(
 _states = st.builds(
     VehicleState, x=st.floats(-1.0, 11.0), y=st.floats(-50.0, 180.0),
     heading=st.floats(-0.3, 0.3),
-    # Below about 1e-154 m/s, v * v underflows to 0 and the steering limit
-    # divides by zero, in the oracle as in the library.
     v_long=st.one_of(st.just(0.0), st.floats(-1.0, 0.0),
-                     st.floats(1e-100, 40.0)),
+                     st.floats(5e-324, 40.0)),
     v_lat=st.floats(-2.0, 2.0), yaw_rate=st.floats(-0.5, 0.5))
 
 
@@ -237,7 +249,8 @@ def test_controls_are_bit_identical_to_the_per_call_bounds(
     views_by_id["ego"] = ego
 
     got = _controls_for(veh, ego, views_by_id, attention, GEOMETRY, cfg,
-                        gains, control_bounds(profile, gains, params))
+                        gains, control_bounds(profile, gains, params),
+                        directive_bounds(veh, cfg))
     want = oracle_controls_for(veh, ego, views_by_id, attention, GEOMETRY,
                                cfg, gains)
     assert (got.accel.hex(), got.steer.hex()) == tuple(w.hex() for w in want)

@@ -152,6 +152,14 @@ class TestSteeringLimit:
         assert steer_limit(3.0, 0.0, PARAMS) == math.inf
         assert steer_limit(3.0, -1.0, PARAMS) == math.inf
 
+    @pytest.mark.parametrize("v", [1e-200, 5e-324])
+    def test_inactive_where_the_gain_underflows(self, v):
+        # v * v underflows to 0, so the gain vanishes as at standstill.
+        assert v * v == 0.0
+        assert steer_limit(3.0, v, PARAMS) == math.inf
+        assert steer(make_profile(), GAINS, 5.0, 0.0, PARAMS, v) == \
+            GAINS.steer_cap
+
     def test_monotone_in_understeer_gradient(self):
         import random
         rng = random.Random(7)

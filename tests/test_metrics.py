@@ -16,7 +16,7 @@ GEOMETRY = LaneGeometry()
 
 def synthetic_log(samples, vid="v"):
     """Log with a prescribed (t, v, x_lat, lane, maneuver) series."""
-    log = TrajectoryLog(GEOMETRY)
+    log = TrajectoryLog(GEOMETRY, {vid: (4.5, 1.8)})
     for t, v, x, lane, maneuver in samples:
         log.append((t, vid, x, 0.0, v, 0.0, lane, maneuver, "hold", "", ""))
     return log

@@ -1,14 +1,15 @@
 from dataclasses import replace
-import math
 
 import pytest
 
 from mergesim import metrics, world as world_module
 from mergesim.config import ConfigError, RunConfig
-from mergesim.perception import VehicleView, collision_index, rects_intersect
+from mergesim.perception import VehicleView, rects_intersect
 from mergesim.road import LaneGeometry, distance_to_merge_end, lane_of
 from mergesim.world import (BUILTIN_SCENARIOS, DECISION, SCRIPTED,
                             load_scenario, run)
+
+from log_reference import eager_icol
 
 GEOMETRY = LaneGeometry()
 
@@ -247,27 +248,6 @@ class TestViewCache:
         shifted = LaneGeometry(centers=(-3.3, 0.0, 3.3, 6.6))
         assert veh.view(shifted).lane == 1
         assert veh.view(world.geometry).lane == 0
-
-
-def eager_icol(log, world):
-    """Reference i_col from VehicleView rectangles: per step, the nearest
-    other vehicle by centre distance, then collision_index of the two."""
-    params = {v.vehicle_id: v.params for v in world.vehicles}
-    n = len(world.vehicles)
-    out = []
-    for start in range(0, len(log.rows), n):
-        views = [VehicleView(r[1], r[2], r[3], r[4], r[5],
-                             params[r[1]].length, params[r[1]].width, r[6])
-                 for r in log.rows[start:start + n]]
-        for i, view in enumerate(views):
-            others = [k for k in range(n) if k != i]
-            if not others:
-                out.append(0.0)
-                continue
-            j = min(others, key=lambda k: math.hypot(view.x - views[k].x,
-                                                     view.y - views[k].y))
-            out.append(collision_index(view.rect(), views[j].rect()))
-    return out
 
 
 class TestDerivedIcol:
