@@ -195,10 +195,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    try:
-        rows = read_trajectory(args.trajectory)
-    except FileNotFoundError:
-        raise ConfigError(f"trajectory file not found: {args.trajectory}")
+    rows = read_trajectory(args.trajectory)
     geometry = _geometry_for_plot(args)
     svg = render(rows, geometry)
     out = args.output or os.path.splitext(args.trajectory)[0] + ".svg"

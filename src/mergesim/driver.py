@@ -105,9 +105,13 @@ def steering_command(bounds: ControlBounds, gains: ControllerGains,
 
     The bound is the tighter of the disposition-dependent lateral
     acceleration limit and the physical steering limit, applied
-    symmetrically.
+    symmetrically.  A raw command of zero, as on a lane centre at heading
+    0, is its own clamp: it is returned, sign and all, before the limit is
+    computed.
     """
     raw = gains.kp_lat * e_lat + gains.kd_lat * e_lat_rate
+    if raw == 0.0:
+        return raw
     bound = min(steering_limit(bounds, v, params), gains.steer_cap)
     return min(max(raw, -bound), bound)
 

@@ -8,7 +8,7 @@ the nose toward +x.
 
 from dataclasses import dataclass, field
 import math
-from math import cos, hypot, sin
+from math import copysign, cos, hypot, sin
 from typing import NamedTuple
 
 GRAVITY = 9.81  # m/s^2
@@ -51,6 +51,10 @@ class VehicleParams:
     n22: float = field(init=False, repr=False, compare=False)
     b1: float = field(init=False, repr=False, compare=False)
     b2: float = field(init=False, repr=False, compare=False)
+    # Whether every coefficient of A and B is finite at every speed above
+    # LOW_SPEED_FLOOR.  Then zero lateral states under zero steer have
+    # zero rates; otherwise some are not a number (see dynamics.step).
+    finite_lateral: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cf = self.corner_stiff_front
@@ -64,6 +68,13 @@ class VehicleParams:
                             ("b1", cf / self.mass),
                             ("b2", lf * cf / self.yaw_inertia)):
             object.__setattr__(self, name, value)
+        # n / (m v) is largest in size at the floor itself.
+        mu = self.mass * LOW_SPEED_FLOOR
+        iu = self.yaw_inertia * LOW_SPEED_FLOOR
+        finite = mu > 0.0 and iu > 0.0 and all(map(math.isfinite, (
+            self.n11 / mu, self.n12 / mu, self.n21 / iu, self.n22 / iu,
+            self.b1, self.b2)))
+        object.__setattr__(self, "finite_lateral", finite)
 
     @property
     def wheelbase(self) -> float:
@@ -120,6 +131,12 @@ def step(state: VehicleState, params: VehicleParams, controls: Controls,
     lateral_derivative on the stage state, so the result is bit-identical
     to that textbook form without building the stage states.  Raises
     ValueError if the new state is not finite.
+
+    An exactly straight step, with heading, v_lat and yaw_rate +0.0, zero
+    steer and finite_lateral params, skips the lateral stages: each of
+    their rates is a signed zero, so every stage's heading, v_lat and
+    yaw_rate stay +0.0, x gains +0.0, and each stage's y rate is
+    hypot(uk, +0.0) * cos(+0.0), where cos(+0.0) is 1.0.
     """
     accel, steer = controls.accel, controls.steer
     if not (math.isfinite(accel) and math.isfinite(steer)):
@@ -129,74 +146,85 @@ def step(state: VehicleState, params: VehicleParams, controls: Controls,
     if dt == 0.0:
         return state
 
-    m, iz = params.mass, params.yaw_inertia
-    n11, n12, n21, n22 = params.n11, params.n12, params.n21, params.n22
-    b1_steer = params.b1 * steer
-    b2_steer = params.b2 * steer
     # Never drive v_long below zero.
     braking = accel < 0.0
     half = dt / 2.0
+    sixth = dt / 6.0
 
     # Stage k evaluates the rates at its state (hk, uk, wk, rk) = (heading,
     # v_long, v_lat, yaw_rate): pxk and pyk of x and y, duk, dwk and drk of
-    # v_long, v_lat and yaw_rate; the heading's rate is rk itself.
+    # v_long, v_lat and yaw_rate; the heading's rate is rk itself.  The
+    # v_long stages do not depend on the others, so they come first.
     h1, u1, w1, r1 = state.heading, state.v_long, state.v_lat, state.yaw_rate
-    v = hypot(u1, w1)
-    px1, py1 = v * sin(h1), v * cos(h1)
     du1 = 0.0 if braking and u1 <= 0.0 else accel
-    if u1 <= LOW_SPEED_FLOOR:
-        dw1 = dr1 = 0.0
-    else:
-        mu, iu = m * u1, iz * u1
-        dw1 = n11 / mu * w1 + (n12 / mu - u1) * r1 + b1_steer
-        dr1 = n21 / iu * w1 + n22 / iu * r1 + b2_steer
-
-    h2, u2 = h1 + r1 * half, u1 + du1 * half
-    w2, r2 = w1 + dw1 * half, r1 + dr1 * half
-    v = hypot(u2, w2)
-    px2, py2 = v * sin(h2), v * cos(h2)
+    u2 = u1 + du1 * half
     du2 = 0.0 if braking and u2 <= 0.0 else accel
-    if u2 <= LOW_SPEED_FLOOR:
-        dw2 = dr2 = 0.0
-    else:
-        mu, iu = m * u2, iz * u2
-        dw2 = n11 / mu * w2 + (n12 / mu - u2) * r2 + b1_steer
-        dr2 = n21 / iu * w2 + n22 / iu * r2 + b2_steer
-
-    h3, u3 = h1 + r2 * half, u1 + du2 * half
-    w3, r3 = w1 + dw2 * half, r1 + dr2 * half
-    v = hypot(u3, w3)
-    px3, py3 = v * sin(h3), v * cos(h3)
+    u3 = u1 + du2 * half
     du3 = 0.0 if braking and u3 <= 0.0 else accel
-    if u3 <= LOW_SPEED_FLOOR:
-        dw3 = dr3 = 0.0
-    else:
-        mu, iu = m * u3, iz * u3
-        dw3 = n11 / mu * w3 + (n12 / mu - u3) * r3 + b1_steer
-        dr3 = n21 / iu * w3 + n22 / iu * r3 + b2_steer
-
-    h4, u4 = h1 + r3 * dt, u1 + du3 * dt
-    w4, r4 = w1 + dw3 * dt, r1 + dr3 * dt
-    v = hypot(u4, w4)
-    px4, py4 = v * sin(h4), v * cos(h4)
+    u4 = u1 + du3 * dt
     du4 = 0.0 if braking and u4 <= 0.0 else accel
-    if u4 <= LOW_SPEED_FLOOR:
-        dw4 = dr4 = 0.0
-    else:
-        mu, iu = m * u4, iz * u4
-        dw4 = n11 / mu * w4 + (n12 / mu - u4) * r4 + b1_steer
-        dr4 = n21 / iu * w4 + n22 / iu * r4 + b2_steer
-
-    sixth = dt / 6.0
-    x = state.x + sixth * (px1 + 2 * px2 + 2 * px3 + px4)
-    y = state.y + sixth * (py1 + 2 * py2 + 2 * py3 + py4)
-    heading = h1 + sixth * (r1 + 2 * r2 + 2 * r3 + r4)
     v_long = u1 + sixth * (du1 + 2 * du2 + 2 * du3 + du4)
-    if v_long < 0.0:
-        v_long = v_lat = yaw_rate = 0.0
+
+    if (steer == 0.0 and h1 == 0.0 and w1 == 0.0 and r1 == 0.0
+            and params.finite_lateral
+            and copysign(1.0, h1) == copysign(1.0, w1) == copysign(1.0, r1)
+            == 1.0):
+        x = state.x + 0.0
+        y = state.y + sixth * (hypot(u1, 0.0) + 2 * hypot(u2, 0.0)
+                               + 2 * hypot(u3, 0.0) + hypot(u4, 0.0))
+        heading = v_lat = yaw_rate = 0.0
     else:
+        m, iz = params.mass, params.yaw_inertia
+        n11, n12, n21, n22 = params.n11, params.n12, params.n21, params.n22
+        b1_steer = params.b1 * steer
+        b2_steer = params.b2 * steer
+
+        v = hypot(u1, w1)
+        px1, py1 = v * sin(h1), v * cos(h1)
+        if u1 <= LOW_SPEED_FLOOR:
+            dw1 = dr1 = 0.0
+        else:
+            mu, iu = m * u1, iz * u1
+            dw1 = n11 / mu * w1 + (n12 / mu - u1) * r1 + b1_steer
+            dr1 = n21 / iu * w1 + n22 / iu * r1 + b2_steer
+
+        h2, w2, r2 = h1 + r1 * half, w1 + dw1 * half, r1 + dr1 * half
+        v = hypot(u2, w2)
+        px2, py2 = v * sin(h2), v * cos(h2)
+        if u2 <= LOW_SPEED_FLOOR:
+            dw2 = dr2 = 0.0
+        else:
+            mu, iu = m * u2, iz * u2
+            dw2 = n11 / mu * w2 + (n12 / mu - u2) * r2 + b1_steer
+            dr2 = n21 / iu * w2 + n22 / iu * r2 + b2_steer
+
+        h3, w3, r3 = h1 + r2 * half, w1 + dw2 * half, r1 + dr2 * half
+        v = hypot(u3, w3)
+        px3, py3 = v * sin(h3), v * cos(h3)
+        if u3 <= LOW_SPEED_FLOOR:
+            dw3 = dr3 = 0.0
+        else:
+            mu, iu = m * u3, iz * u3
+            dw3 = n11 / mu * w3 + (n12 / mu - u3) * r3 + b1_steer
+            dr3 = n21 / iu * w3 + n22 / iu * r3 + b2_steer
+
+        h4, w4, r4 = h1 + r3 * dt, w1 + dw3 * dt, r1 + dr3 * dt
+        v = hypot(u4, w4)
+        px4, py4 = v * sin(h4), v * cos(h4)
+        if u4 <= LOW_SPEED_FLOOR:
+            dw4 = dr4 = 0.0
+        else:
+            mu, iu = m * u4, iz * u4
+            dw4 = n11 / mu * w4 + (n12 / mu - u4) * r4 + b1_steer
+            dr4 = n21 / iu * w4 + n22 / iu * r4 + b2_steer
+
+        x = state.x + sixth * (px1 + 2 * px2 + 2 * px3 + px4)
+        y = state.y + sixth * (py1 + 2 * py2 + 2 * py3 + py4)
+        heading = h1 + sixth * (r1 + 2 * r2 + 2 * r3 + r4)
         v_lat = w1 + sixth * (dw1 + 2 * dw2 + 2 * dw3 + dw4)
         yaw_rate = r1 + sixth * (dr1 + 2 * dr2 + 2 * dr3 + dr4)
+    if v_long < 0.0:
+        v_long = v_lat = yaw_rate = 0.0
     # A plant too light for dt leaves RK4's stability region and
     # overflows within a few steps; stop at the first non-finite state.
     if not math.isfinite(x + y + heading + v_long + v_lat + yaw_rate):

@@ -3,6 +3,7 @@
 import os
 import tempfile
 
+from .config import ConfigError
 from .world import TRAJECTORY_COLUMNS
 
 
@@ -15,25 +16,35 @@ class TrajectoryFileError(ValueError):
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write via a temp file and rename, so readers never see partial files."""
+    """Write via a temp file and rename, so readers never see partial files.
+    A path that cannot be written raises ConfigError naming it."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    except OSError as exc:  # names the part of the path in the way
+        raise ConfigError(f"cannot write {path}: {exc}")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
         raise
 
 
 def read_trajectory(path: str):
-    """Rows of a trajectory CSV as dicts with typed fields."""
+    """Rows of a trajectory CSV as dicts with typed fields.  A file that
+    cannot be read as text raises ConfigError naming it."""
     rows = []
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"trajectory file {path}: cannot read ({exc})")
     if not lines:
         raise TrajectoryFileError(1, "empty file")
     header = lines[0].split(",")

@@ -77,33 +77,13 @@ class SimVehicle:
     q: float
     profile: DriverProfile
     brain: BrainState
-    # (state, geometry, view) of the last view built.
-    _view: Optional[tuple] = field(default=None, init=False, repr=False,
-                                   compare=False)
 
     def view(self, geometry: LaneGeometry) -> VehicleView:
-        """This vehicle as a view; one view per state and geometry object.
-
-        States and views are immutable, so while `state` and `geometry` are
-        the very objects the last view was built from, that view is
-        returned again; any new state object builds a new view, which
-        keeps the last view's lane while x and the geometry are unchanged.
-        """
+        """This vehicle's current state as a view on this geometry."""
         s = self.state
-        cached = self._view
-        if cached is not None and cached[1] is geometry:
-            if cached[0] is s:
-                return cached[2]
-            # lane_of is a pure function of x and the geometry.
-            lane = (cached[2].lane if cached[0].x == s.x
-                    else lane_of(s.x, geometry))
-        else:
-            lane = lane_of(s.x, geometry)
-        view = VehicleView(self.vehicle_id, s.x, s.y, s.v_long, s.heading,
+        return VehicleView(self.vehicle_id, s.x, s.y, s.v_long, s.heading,
                            self.params.length, self.params.width,
-                           lane, self.kind, self.q)
-        self._view = (s, geometry, view)
-        return view
+                           lane_of(s.x, geometry), self.kind, self.q)
 
 
 class TrajectoryLog:
@@ -279,9 +259,13 @@ class World:
                 rng = random.Random(f"{cfg.seed}:{v.vehicle_id}")
                 self.noise[v.vehicle_id] = PerceptionNoise(
                     rng, cfg.noise_sigma, v.q)
+        # Each vehicle's current view, in vehicle order: run rebuilds them
+        # from the states when it starts, and _advance as the vehicles move.
+        self.views: List[VehicleView] = [v.view(geometry) for v in vehicles]
 
     def snapshot(self) -> List[VehicleView]:
-        return [v.view(self.geometry) for v in self.vehicles]
+        """A new list of every vehicle's current view."""
+        return self.views[:]
 
 
 def _require(cond: bool, message: str) -> None:
@@ -378,9 +362,10 @@ def load_scenario(source, cfg: RunConfig) -> World:
             brain=brain))
     unknown = set(cfg.q_overrides) - seen
     _require(not unknown, f"q_overrides: unknown vehicle ids {sorted(unknown)}")
+    world = World(geometry, vehicles, cfg)
     # The run checks poses only after each step, so the start poses are
     # checked here: rectangles overlap when all four gaps are zero.
-    poses = [v.view(geometry).rect().pose() for v in vehicles]
+    poses = [v.rect().pose() for v in world.views]
     for j, b in enumerate(poses):
         for i in range(j):
             _require(max(pose_gaps(poses[i], b)) > 0,
@@ -397,7 +382,7 @@ def load_scenario(source, cfg: RunConfig) -> World:
                  f"vehicles[{i}]: must be able to stop before hard_end "
                  f"{geometry.hard_end:g} m at accel_cap_g, needs "
                  f"{need:.2f} m, has {room:.2f} m")
-    return World(geometry, vehicles, cfg)
+    return world
 
 
 # --- per-step control -----------------------------------------------------
@@ -635,34 +620,50 @@ _FLAGS = {(False, False): "", (True, False): "guard",
 
 
 def _record(log, vehicles, views, t) -> None:
-    """One row per vehicle: its state at the start of the step at t."""
+    """One row per vehicle: its view at the start of the step at t.  A
+    scripted vehicle's brain never changes, so its decision fields are
+    empty."""
     for veh, view in zip(vehicles, views):
-        brain, state = veh.brain, veh.state
-        decision = veh.kind == DECISION
-        log.append((t, veh.vehicle_id, view.x, view.y, state.v_long,
-                    state.heading, view.lane,
-                    brain.maneuver if decision else "",
-                    brain.directive if decision else "",
+        if veh.kind == SCRIPTED:
+            log.append((t, view.vehicle_id, view.x, view.y, view.v,
+                        view.heading, view.lane, "", "", "", ""))
+            continue
+        brain = veh.brain
+        log.append((t, view.vehicle_id, view.x, view.y, view.v, view.heading,
+                    view.lane, brain.maneuver, brain.directive,
                     brain.competing_id or "",
                     _FLAGS[brain.guard, brain.forced_stop]))
 
 
-def _advance(world, views_by_id, attentions, bounds, log, t) -> None:
+def _advance(world, views, attentions, bounds, log, t) -> None:
     """Control and integrate every vehicle over the step from t, given each
-    decision vehicle's (control_bounds, directive_bounds) by id."""
-    cfg, dt = world.cfg, world.cfg.dt
-    for veh in world.vehicles:
+    decision vehicle's (control_bounds, directive_bounds) by id.
+
+    Controls read the start-of-step `views`; world.views gets a new list
+    with each vehicle's view of its new state.  A scripted vehicle only
+    moves along the road at its preset speed, so its state and view are its
+    previous ones with a new y.  A moved view keeps its lane while x is
+    unchanged.
+    """
+    cfg, dt, geometry = world.cfg, world.cfg.dt, world.geometry
+    views_by_id = {v.vehicle_id: v for v in views}
+    moved = []
+    for veh, view in zip(world.vehicles, views):
+        s = veh.state
         if veh.kind == SCRIPTED:
-            s = veh.state
-            veh.state = VehicleState(s.x, s.y + veh.v_preset * dt, s.heading,
-                                     s.v_long, s.v_lat, s.yaw_rate)
+            y = s.y + veh.v_preset * dt
+            veh.state = VehicleState(s.x, y, s.heading, s.v_long, s.v_lat,
+                                     s.yaw_rate)
+            moved.append(VehicleView(view.vehicle_id, view.x, y, view.v,
+                                     view.heading, view.length, view.width,
+                                     view.lane, view.kind, view.q))
             continue
         vid = veh.vehicle_id
         controls = _controls_for(
-            veh, views_by_id[vid], views_by_id, attentions[vid],
-            world.geometry, cfg, world.gains, *bounds[vid])
+            veh, view, views_by_id, attentions[vid], geometry, cfg,
+            world.gains, *bounds[vid])
         try:
-            veh.state = step(veh.state, veh.params, controls, dt)
+            veh.state = s = step(s, veh.params, controls, dt)
         except ValueError as exc:
             raise ConfigError(
                 f"{veh.vehicle_id}: integration diverged at t={t:.2f} s "
@@ -670,21 +671,27 @@ def _advance(world, views_by_id, attentions, bounds, log, t) -> None:
                 f"{cfg.yaw_inertia:g} kg m^2, corner_stiff "
                 f"{cfg.corner_stiff:g} N/rad and dt {dt:g} s: the plant is "
                 "too light or too stiff for RK4 at this dt")
-        if (veh.brain.needs_merge and veh.state.v_long < cfg.stop_speed
+        lane = view.lane if s.x == view.x else lane_of(s.x, geometry)
+        moved.append(VehicleView(vid, s.x, s.y, s.v_long, s.heading,
+                                 view.length, view.width, lane, view.kind,
+                                 view.q))
+        if (veh.brain.needs_merge and s.v_long < cfg.stop_speed
                 and not veh.brain.forced_stop):
             veh.brain = veh.brain._replace(forced_stop=True)
             log.forced_stop = True
             log.events.append({"t": t, "vehicle": veh.vehicle_id,
                                "event": "forced_stop"})
+    world.views = moved
 
 
-def _complete_maneuvers(world, decision_vehicles, moved, log, t) -> None:
-    """End, and log at t, each maneuver that the moved poses complete."""
+def _complete_maneuvers(world, decision_slots, moved, log, t) -> None:
+    """End, and log at t, each maneuver that the moved poses complete;
+    `decision_slots` are the decision vehicles' indices in world.vehicles."""
     geometry, cfg = world.geometry, world.cfg
-    for veh in decision_vehicles:
+    for i in decision_slots:
+        veh = world.vehicles[i]
         brain = veh.brain
-        veh.brain = complete_maneuver(veh.view(geometry), moved, brain,
-                                      geometry, cfg)
+        veh.brain = complete_maneuver(moved[i], moved, brain, geometry, cfg)
         if veh.brain is not brain:
             kind = ("merge_complete" if brain.maneuver == MERGE
                     else "change_complete")
@@ -731,10 +738,14 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
     if not world.vehicles:
         return log
     decision_vehicles = [v for v in world.vehicles if v.kind == DECISION]
+    decision_slots = [i for i, v in enumerate(world.vehicles)
+                      if v.kind == DECISION]
     bounds = {v.vehicle_id: (control_bounds(v.profile, world.gains, v.params),
                              directive_bounds(v, cfg))
               for v in decision_vehicles}
-    pairs = _collision_pairs([v.view(geometry) for v in world.vehicles])
+    # States may have been set since the world was built.
+    world.views = [v.view(geometry) for v in world.vehicles]
+    pairs = _collision_pairs(world.views)
     attentions: Dict[str, Attention] = {}
     quiet = 0.0
 
@@ -744,8 +755,7 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
         if step_index % steps_per_epoch == 0:
             _decide(world, decision_vehicles, views, attentions)
         _record(log, world.vehicles, views, t)
-        _advance(world, {v.vehicle_id: v for v in views}, attentions, bounds,
-                 log, t)
+        _advance(world, views, attentions, bounds, log, t)
         log.end_time = t_end = t + dt
 
         moved = world.snapshot()
@@ -755,7 +765,7 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
             log.events.append({"t": t_end, "event": "collision",
                                "vehicles": list(hit)})
             break
-        _complete_maneuvers(world, decision_vehicles, moved, log, t_end)
+        _complete_maneuvers(world, decision_slots, moved, log, t_end)
         quiet = _settle(world, decision_vehicles, quiet)
         if quiet is None:
             break

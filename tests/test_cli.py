@@ -659,6 +659,56 @@ class TestPlotCommand:
         assert "line 2" in capsys.readouterr().err
 
 
+class TestFileErrors:
+    """A path the CLI cannot read or write ends in one error line naming it
+    and exit code 2: no traceback, and no temp file left behind."""
+
+    @staticmethod
+    def assert_one_error(capsys, tmp_path, argv, message):
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert message in lines[0], lines[0]
+        assert list(tmp_path.rglob(".tmp-*")) == []
+
+    def test_plot_of_a_directory(self, tmp_path, capsys):
+        path = tmp_path / "DIR"
+        path.mkdir()
+        self.assert_one_error(capsys, tmp_path, ("plot", str(path)),
+                              f"trajectory file {path}: cannot read")
+
+    def test_plot_of_a_binary_file(self, tmp_path, capsys):
+        path = tmp_path / "binary"
+        path.write_bytes(b"\x7fELF\x02\x01\x01\x00\xd0\xff\xfe")
+        self.assert_one_error(capsys, tmp_path, ("plot", str(path)),
+                              f"trajectory file {path}: cannot read")
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_output_below_a_file(self, tmp_path, capsys, command):
+        blocker = tmp_path / "FILE"
+        blocker.write_text("")
+        extra = ("--grid", "0.5:0.5:1") if command == "sweep" else ()
+        out = str(blocker / "x")
+        self.assert_one_error(
+            capsys, tmp_path,
+            (command, "--t-max", "0.1", "--output", out, *extra),
+            f"cannot write {out}.csv: ")
+        assert blocker.read_text() == ""
+
+    def test_plot_output_onto_a_directory(self, tmp_path, capsys):
+        out = str(tmp_path / "traj")
+        assert run_cli("run", "--t-max", "0.1", "--output", out) == 0
+        target = tmp_path / "DIR"
+        target.mkdir()
+        self.assert_one_error(
+            capsys, tmp_path, ("plot", out + ".csv", "--output", str(target)),
+            f"cannot write {target}: ")
+        assert list(target.iterdir()) == []
+
+
 class TestDumpConfigCommand:
     def test_prints_full_config(self, capsys):
         assert run_cli("dump-config") == 0

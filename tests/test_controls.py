@@ -235,6 +235,32 @@ _attention = st.builds(
                  "leader_a": (2, 0.0, 7.0, 15.0, 0.0),
                  "follower": (3, 0.0, -7.0, 21.0, 0.0),
                  "threat": (3, 0.0, 6.0, 10.0, 0.0)})
+# The ego exactly on its lane centre at heading 0, so the raw steering
+# command is zero and steering_command returns it before its limit: plain
+# cruise behind a leader, slot keeping beside the merge slot, and guard
+# braking with room left before the pavement ends.
+@example(cfg=RunConfig(), q=0.5,
+         state=VehicleState(x=6.6, y=40.0, v_long=20.0, v_lat=0.1),
+         brain=BrainState(2, 22.0),
+         attention=Attention({2: "leader_a"}, "follower"),
+         others={"leader_a": (2, 0.0, 15.0, 18.0, 0.0),
+                 "follower": (2, 0.0, -10.0, 21.0, 0.0)})
+@example(cfg=RunConfig(), q=0.3,
+         state=VehicleState(x=9.9, y=80.0, v_long=19.0),
+         brain=BrainState(3, 19.4, needs_merge=True, directive=HOLD,
+                          slot_leader_id="slot_leader",
+                          slot_follower_id="slot_follower"),
+         attention=Attention({2: "leader_a", 3: "leader_b"}),
+         others={"slot_leader": (2, 0.0, 6.0, 20.0, 0.0),
+                 "slot_follower": (2, 0.0, -8.0, 19.0, 0.0),
+                 "leader_a": (2, 0.0, 6.0, 20.0, 0.0),
+                 "leader_b": (3, 0.0, 30.0, 18.0, 0.0)})
+@example(cfg=RunConfig(), q=0.8,
+         state=VehicleState(x=9.9, y=150.0, v_long=12.0),
+         brain=BrainState(3, 19.4, needs_merge=True, directive=DECELERATE,
+                          guard=True),
+         attention=Attention({3: "leader_b"}),
+         others={"leader_b": (3, 0.0, 12.0, 10.0, 0.0)})
 def test_controls_are_bit_identical_to_the_per_call_bounds(
         cfg, q, state, brain, attention, others):
     profile = cfg.profile(q)

@@ -106,6 +106,19 @@ class TestSteering:
         params = PARAMS
         assert steer(make_profile(), GAINS, 0.0, 0.0, params, 20.0) == 0.0
 
+    @pytest.mark.parametrize("e_lat, e_rate", [
+        (0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0)])
+    @pytest.mark.parametrize("v", [0.0, 5e-324, 20.0])
+    def test_zero_command_keeps_the_sign_the_clamp_gives(self, e_lat, e_rate,
+                                                         v):
+        # A zero raw command returns before the limit; the clamp of the
+        # full law, min(max(raw, -bound), bound), returns raw itself.
+        raw = GAINS.kp_lat * e_lat + GAINS.kd_lat * e_rate
+        bound = min(steer_limit(make_profile().lat_accel_limit, v, PARAMS),
+                    GAINS.steer_cap)
+        got = steer(make_profile(), GAINS, e_lat, e_rate, PARAMS, v)
+        assert got.hex() == min(max(raw, -bound), bound).hex() == raw.hex()
+
     def test_clamped_at_lateral_limit(self):
         params = PARAMS
         profile = make_profile(0.5)

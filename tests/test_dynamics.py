@@ -147,6 +147,12 @@ def test_straight_line_stays_straight():
     assert state.y == pytest.approx(250.0, abs=1e-9)
 
 
+def bits(state):
+    """A state's six floats as their exact bits: == cannot tell 0.0 from
+    -0.0, and the two print differently in the trajectory CSV."""
+    return tuple(value.hex() for value in state)
+
+
 def reference_step(state, params, controls, dt):
     """Textbook RK4 whose stages are VehicleStates fed to the public rates."""
     def derivative(s):
@@ -209,8 +215,54 @@ _dts = st.one_of(st.sampled_from([0.01, 0.02, 0.1]), st.floats(1e-4, 0.5))
                  corner_stiff_rear=-70000.0),
          Controls(accel=-2.0, steer=0.08), 0.02)
 def test_step_is_bit_identical_to_reference_rk4(state, params, controls, dt):
-    assert step(state, params, controls, dt) == \
-        reference_step(state, params, controls, dt)
+    assert bits(step(state, params, controls, dt)) == \
+        bits(reference_step(state, params, controls, dt))
+
+
+_zeros = st.sampled_from([0.0, -0.0])
+_straight_states = st.builds(
+    VehicleState, x=_zeros, y=st.floats(-200, 400), heading=_zeros,
+    v_long=st.one_of(st.sampled_from([0.0, LOW_SPEED_FLOOR / 2,
+                                      LOW_SPEED_FLOOR]),
+                     st.floats(15.0, 40.0)),
+    v_lat=_zeros, yaw_rate=_zeros)
+# -40 m/s^2 brakes LOW_SPEED_FLOOR / 2 below zero speed within a step.
+_straight_controls = st.builds(
+    Controls, accel=st.one_of(st.floats(-12, 4), st.just(-40.0)),
+    steer=_zeros)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_straight_states, _params, _straight_controls, _dts)
+@example(VehicleState(x=-0.0, v_long=LOW_SPEED_FLOOR / 2), PARAMS,
+         Controls(accel=-40.0), 0.01)
+def test_straight_step_is_bit_identical_to_reference_rk4(state, params,
+                                                          controls, dt):
+    """Exactly straight inputs take step's short path when their zeros are
+    +0.0; every sign of zero must give the reference's bits."""
+    assert bits(step(state, params, controls, dt)) == \
+        bits(reference_step(state, params, controls, dt))
+
+
+def test_straight_example_triggers_the_clamp():
+    state = VehicleState(x=-0.0, v_long=LOW_SPEED_FLOOR / 2)
+    out = step(state, PARAMS, Controls(accel=-40.0), 0.01)
+    assert bits(out)[3:] == bits(VehicleState())[3:]
+    assert bits(out)[0] == (0.0).hex()  # -0.0 + 0.0 is +0.0
+
+
+@pytest.mark.parametrize("params", [
+    replace(PARAMS, corner_stiff_front=-1.7e308, corner_stiff_rear=-1.7e308),
+    replace(PARAMS, mass=1e-306)])
+def test_straight_step_with_infinite_coefficients_diverges_as_before(params):
+    # A lateral coefficient overflows, so even zero lateral states get
+    # not-a-number rates, and step raises where the reference leaves them.
+    assert not params.finite_lateral
+    state = VehicleState(x=9.9, v_long=20.0)
+    assert not all(map(math.isfinite,
+                       reference_step(state, params, Controls(), 0.01)))
+    with pytest.raises(ValueError, match="non-finite state"):
+        step(state, params, Controls(), 0.01)
 
 
 def test_reference_example_triggers_the_clamp():

@@ -2,8 +2,7 @@
 named tuples.
 
 Each keeps the fields, the field order and the defaults it had as a frozen
-dataclass, so positional and keyword construction read the same, and the
-view cache in SimVehicle.view can key on object identity.
+dataclass, so positional and keyword construction read the same.
 """
 
 import pytest

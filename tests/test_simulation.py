@@ -1,15 +1,19 @@
 from dataclasses import replace
 
+from hypothesis import assume, given, settings, strategies as st
 import pytest
 
 from mergesim import metrics, world as world_module
 from mergesim.config import ConfigError, RunConfig
 from mergesim.perception import VehicleView, rects_intersect
+from mergesim.planner import MERGE
 from mergesim.road import LaneGeometry, distance_to_merge_end, lane_of
 from mergesim.world import (BUILTIN_SCENARIOS, DECISION, SCRIPTED,
                             load_scenario, run)
 
 from log_reference import eager_icol
+from test_collisions import (cannot_stop_at_start, generated_scenarios,
+                             overlap_at_start)
 
 GEOMETRY = LaneGeometry()
 
@@ -205,7 +209,22 @@ class TestSettle:
         assert settled_end_time(settle_time) == end_time
 
 
-class TestViewCache:
+def view_bits(view):
+    """A view's fields, each float as its exact bits (float.hex)."""
+    return tuple(f.hex() if isinstance(f, float) else f for f in view)
+
+
+def assert_views_track_states(world):
+    views = world.snapshot()
+    assert len(views) == len(world.vehicles)
+    for veh, view in zip(world.vehicles, views):
+        assert view_bits(view) == view_bits(veh.view(world.geometry))
+
+
+class TestViews:
+    """The world holds one view per vehicle; the run moves each view with
+    its vehicle, and SimVehicle.view builds a view of the current state."""
+
     def test_snapshots_of_one_state_share_views(self):
         world = load_scenario("scenario1", RunConfig())
         first, second = world.snapshot(), world.snapshot()
@@ -238,16 +257,55 @@ class TestViewCache:
         veh.state = veh.state._replace(x=5.0)
         assert veh.view(world.geometry).lane == 2
 
-    def test_other_geometry_object_misses_the_cache(self):
+    def test_each_view_takes_the_lane_of_its_geometry(self):
         world = load_scenario("scenario1", RunConfig())
         veh = world.vehicles[0]
-        cached = veh.view(world.geometry)
+        built = veh.view(world.geometry)
         equal = replace(world.geometry)
-        assert veh.view(equal) is not cached
-        assert veh.view(equal) == cached
+        assert veh.view(equal) is not built
+        assert veh.view(equal) == built
         shifted = LaneGeometry(centers=(-3.3, 0.0, 3.3, 6.6))
         assert veh.view(shifted).lane == 1
         assert veh.view(world.geometry).lane == 0
+
+    # Steps 550, 700 and 850 fall inside the merges of scenario1 and
+    # scenario2 and inside scenario2's later lane change.
+    @pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
+    @pytest.mark.parametrize("steps", [1, 2, 550, 700, 850])
+    def test_views_track_states_on_builtin_scenarios(self, scenario, steps):
+        world = load_scenario(scenario, RunConfig())
+        run(world, t_max=steps * world.cfg.dt)
+        assert_views_track_states(world)
+
+    def test_a_tracked_view_can_be_mid_lane_change(self):
+        world = load_scenario("scenario1", RunConfig())
+        run(world, t_max=550 * world.cfg.dt)
+        merging = world.vehicles[-1]
+        view = world.snapshot()[-1]
+        assert merging.brain.maneuver == MERGE
+        assert view.heading != 0.0 and view.x not in GEOMETRY.centers
+        assert_views_track_states(world)
+
+    @settings(max_examples=40, deadline=None)
+    @given(generated_scenarios(), st.sampled_from((1, 7, None)))
+    def test_views_track_states_on_generated_scenarios(self, case, steps):
+        data, t_max = case
+        assume(not overlap_at_start(data) and not cannot_stop_at_start(data))
+        world = load_scenario(data, RunConfig())
+        run(world, t_max if steps is None else steps * world.cfg.dt)
+        assert_views_track_states(world)
+
+    def test_a_state_set_before_the_run_is_the_first_row(self):
+        world = load_scenario("scenario1", RunConfig())
+        scripted, merging = world.vehicles[0], world.vehicles[-1]
+        scripted.state = scripted.state._replace(y=12.5, v_long=20.0)
+        merging.state = merging.state._replace(x=8.0, y=11.0, heading=0.02,
+                                               v_long=18.0)
+        log = run(world, t_max=world.cfg.dt)
+        first = log.rows[:len(world.vehicles)]
+        assert first[0][1:7] == ("vehicle1", 0.0, 12.5, 20.0, 0.0, 0)
+        assert first[-1][1:7] == ("merging", 8.0, 11.0, 18.0, 0.02,
+                                  lane_of(8.0, GEOMETRY))
 
 
 class TestDerivedIcol:
