@@ -31,6 +31,10 @@ class VehicleState(NamedTuple):
         return math.hypot(self.v_long, self.v_lat)
 
 
+# Per-step records are built through _make (see world._new_view).
+_new_state = VehicleState._make
+
+
 @dataclass(frozen=True)
 class VehicleParams:
     mass: float                 # kg
@@ -229,4 +233,4 @@ def step(state: VehicleState, params: VehicleParams, controls: Controls,
     # overflows within a few steps; stop at the first non-finite state.
     if not math.isfinite(x + y + heading + v_long + v_lat + yaw_rate):
         raise ValueError("non-finite state")
-    return VehicleState(x, y, heading, v_long, v_lat, yaw_rate)
+    return _new_state((x, y, heading, v_long, v_lat, yaw_rate))

@@ -23,6 +23,10 @@ class OrientedRect(NamedTuple):
                 math.cos(self.heading), self.half_width, self.half_length)
 
 
+# Per-step records are built through _make (see world._new_view).
+_new_rect = OrientedRect._make
+
+
 def pose_gaps(a, b):
     """Projection gaps of two poses along all four separating axes.
 
@@ -80,13 +84,16 @@ class VehicleView(NamedTuple):
     q: Optional[float] = None
 
     def rect(self) -> OrientedRect:
-        return OrientedRect(self.x, self.y, self.heading,
-                            self.width / 2.0, self.length / 2.0)
+        return _new_rect((self.x, self.y, self.heading, self.width / 2.0,
+                          self.length / 2.0))
 
 
 class Neighbor(NamedTuple):
     vehicle_id: str
     gap: float        # bumper-to-bumper (m), floored at 0
+
+
+_new_neighbor = Neighbor._make
 
 
 class Vicinity:
@@ -170,6 +177,6 @@ def classify_vicinity(ego_id: str, views, geometry, *, visibility: float,
                 entries.append(None)
             else:
                 gap, other = hit
-                entries.append(Neighbor(other.vehicle_id, gap))
+                entries.append(_new_neighbor((other.vehicle_id, gap)))
         slots[lane] = tuple(entries)
     return Vicinity(slots)

@@ -61,6 +61,10 @@ class SlotEval(NamedTuple):
         return front_ok and self.squeeze <= tolerance
 
 
+# Per-step records are built through _make (see world._new_view).
+_new_slot_eval = SlotEval._make
+
+
 def slot_around(ego: VehicleView, views: List[VehicleView], lane: int,
                 exclude: Tuple[str, ...] = ()) -> Tuple[Optional[VehicleView], Optional[VehicleView]]:
     """(leader, follower) in a lane around ego's longitudinal position."""
@@ -89,7 +93,7 @@ def evaluate_slot(ego: VehicleView, views: List[VehicleView], lane: int,
         rear = profile.visibility_range
         squeeze = 0.0
     utility = net_utility(headway_utility(front, profile), squeeze)
-    return SlotEval(leader, front, follower, rear, squeeze, utility)
+    return _new_slot_eval((leader, front, follower, rear, squeeze, utility))
 
 
 def stay_utility(ego: VehicleView, views: List[VehicleView],

@@ -1,7 +1,8 @@
 """Straight multi-lane road with one ending merge lane."""
 
 from dataclasses import dataclass, fields
-from typing import Tuple
+import sys
+from typing import List, Tuple
 
 from .config import check_field, ranged
 
@@ -57,6 +58,33 @@ def lane_of(x: float, geometry: LaneGeometry) -> int:
             best = i
             best_dist = d
     return best
+
+
+def lane_bands(geometry: LaneGeometry) -> List[Tuple[float, float]]:
+    """One open interval (lo, hi) per lane, inside which lane_of is that lane.
+
+    The intervals run between the midpoints of adjacent centres, and the
+    outer two end one span of the centres beyond the outer centres.  Each is
+    pulled in at both ends by a guard: 1e-9, lane_of's tie tolerance, plus
+    64 epsilons of the largest bound, which is more than the rounding of the
+    midpoints and of abs(x - c) for any x inside.  A lane less than two
+    guards from the one before it gets an empty interval, since lane_of
+    never picks it past that one.
+    """
+    centers = geometry.centers
+    span = centers[-1] - centers[0]
+    edges = ([centers[0] - span]
+             + [(a + b) / 2.0 for a, b in zip(centers, centers[1:])]
+             + [centers[-1] + span])
+    guard = 1e-9 + 64 * sys.float_info.epsilon * max(abs(edges[0]),
+                                                     abs(edges[-1]))
+    bands = [(edges[0] + guard, edges[1] - guard)]
+    for i in range(1, len(centers)):
+        lo, hi = edges[i] + guard, edges[i + 1] - guard
+        if centers[i] - centers[i - 1] <= 2.0 * guard:
+            lo = hi
+        bands.append((lo, hi))
+    return bands
 
 
 def distance_to_merge_end(view, geometry: LaneGeometry) -> float:

@@ -19,7 +19,7 @@ from .perception import (PerceptionNoise, VehicleView, bumper_gap,
 from .planner import (ACCELERATE, CHANGE, DECELERATE, KEEP, MERGE,
                       BrainState, complete_maneuver, decide, entrance_threat,
                       stopping_distance)
-from .road import LaneGeometry, lane_of
+from .road import LaneGeometry, lane_bands, lane_of
 
 SCRIPTED = "scripted"
 DECISION = "decision"
@@ -61,6 +61,12 @@ BUILTIN_SCENARIOS = {
         ],
     },
 }
+
+# The step loop builds its records through _make: it takes one tuple and
+# checks its length, and skips the generated __new__'s call through the
+# class, which costs more per record.
+_new_view = VehicleView._make
+_new_controls = Controls._make
 
 TRAJECTORY_COLUMNS = ("t", "id", "x_lat", "y_long", "v", "theta", "lane",
                       "maneuver", "accel_directive", "competing_id", "i_col",
@@ -261,6 +267,7 @@ class World:
                     rng, cfg.noise_sigma, v.q)
         # Each vehicle's current view, in vehicle order: run rebuilds them
         # from the states when it starts, and _advance as the vehicles move.
+        # While a run lasts, a scripted vehicle's state keeps its start y.
         self.views: List[VehicleView] = [v.view(geometry) for v in vehicles]
 
     def snapshot(self) -> List[VehicleView]:
@@ -471,7 +478,7 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views_by_id,
     changing = brain.maneuver in (MERGE, CHANGE)
     lane_target = brain.target_lane if changing else brain.current_lane
     e_lat = st.x - geometry.centers[lane_target]
-    e_rate = st.speed * math.sin(st.heading)
+    e_rate = math.hypot(v, st.v_lat) * math.sin(st.heading)
     steer = steering_command(bounds, gains, e_lat, e_rate, veh.params, v)
 
     merging_phase = brain.needs_merge
@@ -546,7 +553,7 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views_by_id,
     # Comfort bounds acceleration; emergencies may brake up to the
     # physical cap.
     lo = bounds.guard_lo if brain.guard else bounds.brake_lo
-    return Controls(min(max(base, lo), bounds.accel_hi), steer)
+    return _new_controls((min(max(base, lo), bounds.accel_hi), steer))
 
 
 # --- simulation loop -------------------------------------------------------
@@ -635,51 +642,49 @@ def _record(log, vehicles, views, t) -> None:
                     _FLAGS[brain.guard, brain.forced_stop]))
 
 
-def _advance(world, views, attentions, bounds, log, t) -> None:
+def _advance(world, views, attentions, bounds, bands, log, t) -> None:
     """Control and integrate every vehicle over the step from t, given each
-    decision vehicle's (control_bounds, directive_bounds) by id.
+    decision vehicle's (control_bounds, directive_bounds) by id and the
+    run's lane_bands.
 
     Controls read the start-of-step `views`; world.views gets a new list
     with each vehicle's view of its new state.  A scripted vehicle only
-    moves along the road at its preset speed, so its state and view are its
-    previous ones with a new y.  A moved view keeps its lane while x is
-    unchanged.
+    moves along the road at its preset speed, so its view is its previous
+    one with a new y, and it gets no new state (run writes the y back).  A
+    moved view keeps its lane while x stays inside that lane's band.
     """
     cfg, dt, geometry = world.cfg, world.cfg.dt, world.geometry
     views_by_id = {v.vehicle_id: v for v in views}
     moved = []
     for veh, view in zip(world.vehicles, views):
-        s = veh.state
-        if veh.kind == SCRIPTED:
-            y = s.y + veh.v_preset * dt
-            veh.state = VehicleState(s.x, y, s.heading, s.v_long, s.v_lat,
-                                     s.yaw_rate)
-            moved.append(VehicleView(view.vehicle_id, view.x, y, view.v,
-                                     view.heading, view.length, view.width,
-                                     view.lane, view.kind, view.q))
+        vid, x, y, v, heading, length, width, lane, kind, q = view
+        if kind == SCRIPTED:
+            moved.append(_new_view((vid, x, y + veh.v_preset * dt, v, heading,
+                                    length, width, lane, kind, q)))
             continue
-        vid = veh.vehicle_id
         controls = _controls_for(
             veh, view, views_by_id, attentions[vid], geometry, cfg,
             world.gains, *bounds[vid])
         try:
-            veh.state = s = step(s, veh.params, controls, dt)
+            veh.state = s = step(veh.state, veh.params, controls, dt)
         except ValueError as exc:
             raise ConfigError(
-                f"{veh.vehicle_id}: integration diverged at t={t:.2f} s "
+                f"{vid}: integration diverged at t={t:.2f} s "
                 f"({exc}) with mass {cfg.mass:g} kg, yaw_inertia "
                 f"{cfg.yaw_inertia:g} kg m^2, corner_stiff "
                 f"{cfg.corner_stiff:g} N/rad and dt {dt:g} s: the plant is "
                 "too light or too stiff for RK4 at this dt")
-        lane = view.lane if s.x == view.x else lane_of(s.x, geometry)
-        moved.append(VehicleView(vid, s.x, s.y, s.v_long, s.heading,
-                                 view.length, view.width, lane, view.kind,
-                                 view.q))
+        x = s.x
+        lo, hi = bands[lane]
+        if not lo < x < hi:
+            lane = lane_of(x, geometry)
+        moved.append(_new_view((vid, x, s.y, s.v_long, s.heading, length,
+                                width, lane, kind, q)))
         if (veh.brain.needs_merge and s.v_long < cfg.stop_speed
                 and not veh.brain.forced_stop):
             veh.brain = veh.brain._replace(forced_stop=True)
             log.forced_stop = True
-            log.events.append({"t": t, "vehicle": veh.vehicle_id,
+            log.events.append({"t": t, "vehicle": vid,
                                "event": "forced_stop"})
     world.views = moved
 
@@ -723,7 +728,9 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
 
     Each step records the state at its start, then moves every vehicle;
     collisions, maneuver completions and settling are judged on the moved
-    poses.  Decisions fire on epoch boundaries.
+    poses.  Decisions fire on epoch boundaries.  Scripted vehicles move only
+    their views; their states get the views' y when the run returns or
+    raises.
     """
     cfg = world.cfg
     if t_max is None:
@@ -743,30 +750,38 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
     bounds = {v.vehicle_id: (control_bounds(v.profile, world.gains, v.params),
                              directive_bounds(v, cfg))
               for v in decision_vehicles}
+    bands = lane_bands(geometry)
     # States may have been set since the world was built.
     world.views = [v.view(geometry) for v in world.vehicles]
     pairs = _collision_pairs(world.views)
     attentions: Dict[str, Attention] = {}
     quiet = 0.0
 
-    for step_index in range(round(t_max / dt)):
-        t = step_index * dt
-        views = world.snapshot()
-        if step_index % steps_per_epoch == 0:
-            _decide(world, decision_vehicles, views, attentions)
-        _record(log, world.vehicles, views, t)
-        _advance(world, views, attentions, bounds, log, t)
-        log.end_time = t_end = t + dt
+    try:
+        for step_index in range(round(t_max / dt)):
+            t = step_index * dt
+            views = world.snapshot()
+            if step_index % steps_per_epoch == 0:
+                _decide(world, decision_vehicles, views, attentions)
+            _record(log, world.vehicles, views, t)
+            _advance(world, views, attentions, bounds, bands, log, t)
+            log.end_time = t_end = t + dt
 
-        moved = world.snapshot()
-        hit = _find_collision(moved, pairs)
-        if hit is not None:
-            log.collision = {"t": t_end, "vehicles": list(hit)}
-            log.events.append({"t": t_end, "event": "collision",
-                               "vehicles": list(hit)})
-            break
-        _complete_maneuvers(world, decision_slots, moved, log, t_end)
-        quiet = _settle(world, decision_vehicles, quiet)
-        if quiet is None:
-            break
+            moved = world.snapshot()
+            hit = _find_collision(moved, pairs)
+            if hit is not None:
+                log.collision = {"t": t_end, "vehicles": list(hit)}
+                log.events.append({"t": t_end, "event": "collision",
+                                   "vehicles": list(hit)})
+                break
+            _complete_maneuvers(world, decision_slots, moved, log, t_end)
+            quiet = _settle(world, decision_vehicles, quiet)
+            if quiet is None:
+                break
+    finally:
+        # A scripted vehicle's view is its only per-step record: its state
+        # takes the view's y once the run ends, however it ends.
+        for veh, view in zip(world.vehicles, world.views):
+            if veh.kind == SCRIPTED:
+                veh.state = veh.state._replace(y=view.y)
     return log

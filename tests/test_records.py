@@ -7,10 +7,14 @@ dataclass, so positional and keyword construction read the same.
 
 import pytest
 
-from mergesim.dynamics import Controls, VehicleState
-from mergesim.perception import Neighbor, OrientedRect, VehicleView
+from mergesim import world as world_module
+from mergesim.config import RunConfig
+from mergesim.dynamics import Controls, VehicleState, step
+from mergesim.perception import (Neighbor, OrientedRect, VehicleView,
+                                 classify_vicinity)
 from mergesim.planner import (ACCELERATE, HOLD, KEEP, BrainState, Directive,
-                              SlotEval)
+                              SlotEval, evaluate_slot)
+from mergesim.world import load_scenario, run
 
 REQUIRED = object()  # a field without a default
 
@@ -102,3 +106,49 @@ LEADER = VehicleView("vehicle3", 6.6, 30.0, 22.0, 0.0, 4.5, 1.8, 2)
 def test_slot_feasible(leader, front_gap, squeeze, tolerance, feasible):
     slot = SlotEval(leader, front_gap, None, 10.0, squeeze, 0.0)
     assert slot.feasible(tolerance) is feasible
+
+
+# The step loop builds its records through _make; == compares them as plain
+# tuples, so these check the type itself.
+
+
+def test_views_and_states_after_a_run_keep_their_types():
+    world = load_scenario("scenario1", RunConfig())
+    run(world, t_max=550 * world.cfg.dt)  # mid-merge
+    views = world.snapshot()
+    assert {type(v) for v in views} == {VehicleView}
+    assert {type(v.rect()) for v in views} == {OrientedRect}
+    assert {type(veh.state) for veh in world.vehicles} == {VehicleState}
+    vicinity = classify_vicinity("merging", views, world.geometry,
+                                 visibility=100.0)
+    neighbours = [vicinity.leader(lane) for lane in vicinity.lanes()]
+    assert {type(n) for n in neighbours if n is not None} == {Neighbor}
+    profile = world.vehicles[-1].profile
+    assert type(evaluate_slot(views[-1], views, 2, profile)) is SlotEval
+
+
+@pytest.mark.parametrize("state, controls", [
+    (VehicleState(6.6, 10.0, 0.0, 20.0), Controls(0.5, 0.0)),   # straight
+    (VehicleState(6.6, 10.0, 0.01, 20.0, 0.1, 0.02), Controls(0.5, 0.01)),
+])
+def test_step_returns_a_vehicle_state(state, controls):
+    params = RunConfig().vehicle_params()
+    assert type(step(state, params, controls, 0.01)) is VehicleState
+
+
+def test_a_run_steps_and_controls_with_records_of_their_types(monkeypatch):
+    seen = []
+
+    def typed(fn):
+        def wrapper(*args):
+            result = fn(*args)
+            seen.append((fn.__name__, type(result)))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(world_module, "step", typed(world_module.step))
+    monkeypatch.setattr(world_module, "_controls_for",
+                        typed(world_module._controls_for))
+    world = load_scenario("scenario1", RunConfig())
+    run(world, t_max=600 * world.cfg.dt)  # through the merge: both paths
+    assert set(seen) == {("step", VehicleState), ("_controls_for", Controls)}

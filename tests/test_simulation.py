@@ -1,4 +1,5 @@
 from dataclasses import replace
+import math
 
 from hypothesis import assume, given, settings, strategies as st
 import pytest
@@ -7,7 +8,8 @@ from mergesim import metrics, world as world_module
 from mergesim.config import ConfigError, RunConfig
 from mergesim.perception import VehicleView, rects_intersect
 from mergesim.planner import MERGE
-from mergesim.road import LaneGeometry, distance_to_merge_end, lane_of
+from mergesim.road import (LaneGeometry, distance_to_merge_end, lane_bands,
+                           lane_of)
 from mergesim.world import (BUILTIN_SCENARIOS, DECISION, SCRIPTED,
                             load_scenario, run)
 
@@ -106,6 +108,56 @@ class TestLaneGeometry:
             LaneGeometry(centers=(3.3, 0.0))
         with pytest.raises(ValueError):
             LaneGeometry(entrance_length=0.0)
+
+
+# Lane centres: an offset, near 0 or far from it, plus uneven steps, some
+# of them about as small as lane_of's tie tolerance.
+_centers = st.builds(
+    lambda offset, steps: tuple(offset + sum(steps[:k])
+                                for k in range(len(steps) + 1)),
+    st.one_of(st.just(0.0), st.floats(-50.0, 50.0), st.floats(-1e7, 1e7)),
+    st.lists(st.one_of(st.floats(0.5, 20.0), st.floats(1e-10, 1e-8),
+                       st.sampled_from((3.3, 1e-9, 2e-9))),
+             min_size=1, max_size=5))
+
+
+def _around(x):
+    """x and the floats next to it, then points beyond it either way."""
+    return (x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf),
+            x - 1e-9, x + 1e-9, x - 1.0, x + 1.0)
+
+
+class TestLaneBands:
+    """Inside its lane's band, a moved view keeps its lane without a
+    lane_of call; every x in a band must be that lane for lane_of."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_centers)
+    def test_every_x_inside_a_band_is_that_lane(self, centers):
+        assume(all(a < b for a, b in zip(centers, centers[1:])))
+        geometry = LaneGeometry(centers=centers)
+        bands = lane_bands(geometry)
+        assert len(bands) == len(centers)
+        points = list(centers)
+        points += [(a + b) / 2.0 for a, b in zip(centers, centers[1:])]
+        points += [edge for band in bands for edge in band]
+        for x in [p for point in points for p in _around(point)]:
+            inside = [k for k, (lo, hi) in enumerate(bands) if lo < x < hi]
+            assert len(inside) <= 1
+            if inside:
+                assert lane_of(x, geometry) == inside[0], (x, bands)
+
+    def test_builtin_bands_reach_close_to_the_midpoints(self):
+        bands = lane_bands(GEOMETRY)
+        assert bands[0][0] < 0.0 and bands[-1][1] > 9.9
+        for (_, hi), (lo, _), mid in zip(bands, bands[1:], (1.65, 4.95, 8.25)):
+            assert mid - 2e-9 < hi < mid < lo < mid + 2e-9
+
+    def test_a_lane_closer_than_the_tolerance_gets_no_band(self):
+        geometry = LaneGeometry(centers=(0.0, 5e-10, 3.3))
+        lo, hi = lane_bands(geometry)[1]
+        assert not lo < hi
+        assert lane_of(1.0, geometry) == 0  # never lane 1 past lane 0
 
 
 class TestRun:
@@ -306,6 +358,88 @@ class TestViews:
         assert first[0][1:7] == ("vehicle1", 0.0, 12.5, 20.0, 0.0, 0)
         assert first[-1][1:7] == ("merging", 8.0, 11.0, 18.0, 0.02,
                                   lane_of(8.0, GEOMETRY))
+
+
+def summed_y(y0, v_preset, dt, steps):
+    """y0 plus v_preset * dt, once per step, the way a run sums it."""
+    y = y0
+    for _ in range(steps):
+        y = y + v_preset * dt
+    return y
+
+
+def state_bits(state):
+    return tuple(f.hex() for f in state)
+
+
+def assert_scripted_states_summed(world, starts, steps):
+    """Each scripted vehicle's state is its start state with y summed once
+    per completed step, field for field, and matches its view."""
+    scripted = 0
+    for veh, start, view in zip(world.vehicles, starts, world.views):
+        if veh.kind != SCRIPTED:
+            continue
+        scripted += 1
+        want = start._replace(y=summed_y(start.y, veh.v_preset,
+                                         world.cfg.dt, steps))
+        assert state_bits(veh.state) == state_bits(want), veh.vehicle_id
+        assert view_bits(veh.view(world.geometry)) == view_bits(view)
+    assert scripted
+
+
+class TestScriptedStateWriteBack:
+    """A run moves a scripted vehicle's view only; its state gets the
+    view's y when the run ends, however it ends."""
+
+    def run_and_check(self, world, t_max=None):
+        starts = [veh.state for veh in world.vehicles]
+        log = run(world, t_max)
+        assert_scripted_states_summed(
+            world, starts, len(log.rows) // len(world.vehicles))
+        return log
+
+    def test_after_settling(self):
+        world = load_scenario("scenario1", RunConfig())
+        log = self.run_and_check(world)
+        assert log.collision is None
+        assert log.end_time < world.cfg.t_max - world.cfg.dt
+
+    def test_after_t_max(self):
+        world = load_scenario("scenario1", RunConfig())
+        log = self.run_and_check(world, 3.0)
+        assert log.collision is None
+        assert len(log.rows) == 300 * len(world.vehicles)
+
+    def test_after_a_collision(self):
+        scenario = minimal_scenario([
+            {"id": "fast", "x0_m": 6.6, "y0_m": 0.0, "v0_kmh": 120.0},
+            {"id": "slow", "x0_m": 6.6, "y0_m": 20.0, "v0_kmh": 40.0},
+            {"id": "merging", "x0_m": 9.9, "y0_m": 10.0, "v0_kmh": 70.0,
+             "kind": DECISION}])
+        world = load_scenario(scenario, RunConfig())
+        log = self.run_and_check(world)
+        assert log.collision is not None
+        assert log.collision["vehicles"] == ["fast", "slow"]
+
+    def test_after_the_integration_diverges(self, monkeypatch):
+        completed = []
+        real_step = world_module.step
+
+        def counting_step(*args):
+            state = real_step(*args)
+            completed.append(1)
+            return state
+
+        monkeypatch.setattr(world_module, "step", counting_step)
+        world = load_scenario("scenario1", RunConfig(mass=10.0))
+        starts = [veh.state for veh in world.vehicles]
+        with pytest.raises(ConfigError, match="integration diverged"):
+            run(world)
+        # One decision vehicle, the last one: the diverging step moved no
+        # view, and no state of a scripted vehicle either.
+        assert [v.kind for v in world.vehicles].count(DECISION) == 1
+        assert len(completed) > 0
+        assert_scripted_states_summed(world, starts, len(completed))
 
 
 class TestDerivedIcol:
