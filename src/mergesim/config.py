@@ -135,55 +135,55 @@ class RunConfig:
         """Expand the aggressiveness index into a full behavioral profile.
 
         Every map runs linearly from its cautious value at q=0 to its
-        aggressive value at q=1.
+        aggressive value at q=1, except the decision constants noted below.
         """
         check("q", q, float, Q_RANGE)
 
         def lerp(cautious: float, aggressive: float) -> float:
             return cautious + (aggressive - cautious) * q
 
+        accel_limit = lerp(self.accel_limit_g_cautious,
+                           self.accel_limit_g_aggressive) * GRAVITY
+        clearance = (self.clearance_diagonals
+                     * math.hypot(self.body_length, self.body_width))
+        # Hinged: only drivers beyond the nominal disposition accept any
+        # squeeze below the sufficient lane-change clearance.
+        risk_tolerance = self.risk_tolerance_max * max(0.0, 2.0 * q - 1.0)
+        directive_accel = self.nominal_accel_g * GRAVITY
         return DriverProfile(
             aggressiveness=q,
             visibility_scale=lerp(self.visibility_scale_cautious,
                                   self.visibility_scale_aggressive),
             prediction_time=lerp(self.prediction_time_cautious,
                                  self.prediction_time_aggressive),
-            accel_limit=lerp(self.accel_limit_g_cautious,
-                             self.accel_limit_g_aggressive) * GRAVITY,
+            accel_limit=accel_limit,
             lat_accel_limit=lerp(self.lat_accel_g_cautious,
                                  self.lat_accel_g_aggressive) * GRAVITY,
             bound_scale=1.0 + (self.bound_scale_max - 1.0) * q,
             visibility_range=self.visibility_range,
-            lane_change_clearance=(self.clearance_diagonals
-                                   * math.hypot(self.body_length,
-                                                self.body_width)),
+            lane_change_clearance=clearance,
             follow_headway=lerp(self.follow_headway_cautious,
-                                self.follow_headway_aggressive))
-
-    def nominal_accel(self, profile) -> float:
-        """Throttle authority of a directive: grows with aggressiveness."""
-        scale = self.directive_accel_gain + profile.aggressiveness
-        return min(self.nominal_accel_g * GRAVITY * scale, profile.accel_limit)
-
-    def nominal_decel(self, profile) -> float:
-        """Brake authority of a directive: shrinks with aggressiveness."""
-        scale = 1.0 + self.directive_accel_gain - profile.aggressiveness
-        return min(self.nominal_accel_g * GRAVITY * scale, profile.accel_limit)
-
-    def slot_ride_fraction(self, q: float) -> float:
-        # Quadratic: only genuinely aggressive drivers crowd the vehicle
-        # they cut ahead of.
-        return (self.slot_ride_cautious
-                + (self.slot_ride_aggressive - self.slot_ride_cautious) * q * q)
-
-    def risk_tolerance(self, q: float) -> float:
-        # Hinged: only drivers beyond the nominal disposition accept any
-        # squeeze below the sufficient lane-change clearance.
-        return self.risk_tolerance_max * max(0.0, 2.0 * q - 1.0)
-
-    def hysteresis(self, q: float) -> float:
-        # Cubic: the change margin collapses only toward the aggressive end.
-        return max(0.0, self.hysteresis_base - self.hysteresis_curve * q ** 3)
+                                self.follow_headway_aggressive),
+            risk_tolerance=risk_tolerance,
+            # Cubic: the change margin collapses only toward the aggressive
+            # end.
+            hysteresis=max(0.0, self.hysteresis_base
+                           - self.hysteresis_curve * q ** 3),
+            # Aggressive drivers push harder on an accelerate directive and
+            # brake less on a decelerate one.
+            nominal_accel=min(
+                directive_accel * (self.directive_accel_gain + q),
+                accel_limit),
+            nominal_decel=min(
+                directive_accel * (1.0 + self.directive_accel_gain - q),
+                accel_limit),
+            # Quadratic: only genuinely aggressive drivers crowd the vehicle
+            # they cut ahead of, and never so far that the slot stops being
+            # enterable for them.
+            slot_ride=(self.slot_ride_cautious
+                       + (self.slot_ride_aggressive
+                          - self.slot_ride_cautious) * q * q),
+            slot_rear_min=max(1.0, clearance - 0.8 * risk_tolerance))
 
     # Serialization ------------------------------------------------------
 

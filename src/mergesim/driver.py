@@ -1,12 +1,16 @@
 """Driver profiles and the saturated PD manipulation layer.
 
 A DriverProfile holds every behavioral parameter one driver needs: comfort
-limits, look-ahead time, usable headway, perception magnification and
-lane-change clearance.  RunConfig.profile expands a single aggressiveness
-index in [0, 1] (0 = completely cautious, 1 = completely aggressive) into
-one.  The PD laws below turn tracking errors into acceleration and steering
-commands bounded by the ControlBounds that the profile, the ControllerGains
-of the run and the vehicle's parameters fix.
+limits, look-ahead time, usable headway, perception magnification,
+lane-change clearance, and the decision constants: the tolerated squeeze
+(risk_tolerance), the discretionary-change margin (hysteresis), the
+commands of the accelerate and decelerate directives (nominal_accel,
+nominal_decel) and the slot-keeping constants (slot_ride, slot_rear_min).
+RunConfig.profile expands a single aggressiveness index in [0, 1]
+(0 = completely cautious, 1 = completely aggressive) into one.  The PD laws
+below turn tracking errors into acceleration and steering commands bounded
+by the ControlBounds that the profile, the ControllerGains of the run and
+the vehicle's parameters fix.
 """
 
 from dataclasses import dataclass
@@ -27,6 +31,12 @@ class DriverProfile:
     visibility_range: float      # m
     lane_change_clearance: float  # m, room needed to change lanes
     follow_headway: float        # s
+    risk_tolerance: float        # m, admissible squeeze below the clearance
+    hysteresis: float            # m, utility margin a lane change must beat
+    nominal_accel: float         # m/s^2, command of an accelerate directive
+    nominal_decel: float         # m/s^2, brake of a decelerate directive
+    slot_ride: float             # share of a slot's free room kept ahead
+    slot_rear_min: float         # m, least room kept behind in a slot
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,6 @@ class VehicleState(NamedTuple):
     v_lat: float = 0.0     # body-frame lateral speed (m/s)
     yaw_rate: float = 0.0  # rad/s
 
-    @property
-    def speed(self) -> float:
-        return math.hypot(self.v_long, self.v_lat)
-
 
 # Per-step records are built through _make (see world._new_view).
 _new_state = VehicleState._make
@@ -46,9 +42,9 @@ class VehicleParams:
     width: float                # m
     length: float               # m
     understeer_gradient: float  # deg/g
-    # The speed-free parts of lateral_matrices, derived from the fields above
-    # once, when the params are built, for dynamics.step: the numerators of
-    # A, and B.
+    # The speed-free parts of lateral_matrices (tests/dynamics_reference.py),
+    # derived from the fields above once, when the params are built, for
+    # dynamics.step: the numerators of A, and B.
     n11: float = field(init=False, repr=False, compare=False)
     n12: float = field(init=False, repr=False, compare=False)
     n21: float = field(init=False, repr=False, compare=False)
@@ -90,51 +86,16 @@ class Controls(NamedTuple):
     steer: float = 0.0  # steering angle (rad)
 
 
-def lateral_matrices(params: VehicleParams, v_long: float):
-    """State matrix A and input column B of the lateral dynamics at v_long."""
-    cf = params.corner_stiff_front
-    cr = params.corner_stiff_rear
-    lf = params.dist_front
-    lr = params.dist_rear
-    m = params.mass
-    iz = params.yaw_inertia
-    a11 = (cf + cr) / (m * v_long)
-    a12 = (-lf * cf + lr * cr) / (m * v_long) - v_long
-    a21 = (lf * cf - lr * cr) / (iz * v_long)
-    a22 = (-lf * lf * cf + lr * lr * cr) / (iz * v_long)
-    b1 = cf / m
-    b2 = lf * cf / iz
-    return ((a11, a12), (a21, a22)), (b1, b2)
-
-
-def lateral_derivative(state: VehicleState, params: VehicleParams, steer: float):
-    """Time derivatives (dv_lat, dyaw_rate) of the lateral states.
-
-    Frozen (returns zeros) when v_long is at or below LOW_SPEED_FLOOR.
-    """
-    if state.v_long <= LOW_SPEED_FLOOR:
-        return 0.0, 0.0
-    ((a11, a12), (a21, a22)), (b1, b2) = lateral_matrices(params, state.v_long)
-    dv_lat = a11 * state.v_lat + a12 * state.yaw_rate + b1 * steer
-    dr = a21 * state.v_lat + a22 * state.yaw_rate + b2 * steer
-    return dv_lat, dr
-
-
-def pose_derivative(state: VehicleState):
-    """Pose rates (dy_long, dx_lat, dheading) from speed magnitude and heading."""
-    v = state.speed
-    return v * math.cos(state.heading), v * math.sin(state.heading), state.yaw_rate
-
-
 def step(state: VehicleState, params: VehicleParams, controls: Controls,
          dt: float) -> VehicleState:
     """One classical fourth-order fixed step of the full vehicle model.
 
     The four stages are written out on flat floats.  Each stage rate does
-    the same float operations, in the same order, as pose_derivative and
-    lateral_derivative on the stage state, so the result is bit-identical
-    to that textbook form without building the stage states.  Raises
-    ValueError if the new state is not finite.
+    the same float operations, in the same order, as the textbook rates
+    pose_derivative and lateral_derivative in tests/dynamics_reference.py
+    on the stage state, so the result is bit-identical to that form without
+    building the stage states.  Raises ValueError if the new state is not
+    finite.
 
     An exactly straight step, with heading, v_lat and yaw_rate +0.0, zero
     steer and finite_lateral params, skips the lateral stages: each of

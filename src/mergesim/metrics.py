@@ -144,8 +144,13 @@ def aggressiveness_sweep(base_scenario, q_merge_grid, q_mainline_grid,
     """Disturbance of the adjacent mainline vehicle per aggressiveness pair.
 
     Cells are independent runs; a collision flags its cell but the grid is
-    still returned in full.
+    still returned in full.  Each cell sets the q of merging and vehicle4,
+    so a config with q_overrides is refused rather than ignored.
     """
+    if cfg.q_overrides:
+        raise ConfigError(
+            f"q_overrides: a sweep sets the q of 'merging' and 'vehicle4' "
+            f"per cell and takes no overrides, got {sorted(cfg.q_overrides)}")
     q_merge_grid = tuple(q_merge_grid)
     q_mainline_grid = tuple(q_mainline_grid)
     for name, axis in (("q_merge_grid", q_merge_grid),

@@ -96,22 +96,6 @@ class Neighbor(NamedTuple):
 _new_neighbor = Neighbor._make
 
 
-class Vicinity:
-    """Nearest leading/following vehicle per lane around an ego vehicle."""
-
-    def __init__(self, slots):
-        self._slots = slots  # lane -> (leader, follower)
-
-    def leader(self, lane: int) -> Optional[Neighbor]:
-        return self._slots.get(lane, (None, None))[0]
-
-    def follower(self, lane: int) -> Optional[Neighbor]:
-        return self._slots.get(lane, (None, None))[1]
-
-    def lanes(self):
-        return sorted(self._slots)
-
-
 def bumper_gap(a: VehicleView, b: VehicleView) -> float:
     return max(0.0, abs(a.y - b.y) - (a.length + b.length) / 2.0)
 
@@ -139,8 +123,9 @@ class PerceptionNoise:
 
 
 def classify_vicinity(ego_id: str, views, geometry, *, visibility: float,
-                      observer_scale: float = 1.0) -> Vicinity:
-    """Partition surrounding vehicles into per-lane leader/follower slots.
+                      observer_scale: float = 1.0):
+    """Partition surrounding vehicles into per-lane leader/follower slots:
+    {lane: (leader, follower)}, each a Neighbor or None, in lane order.
 
     A vehicle registers in its own lane and, when observer_scale > 1, in
     any lane its magnified rectangle laterally overlaps (boundary
@@ -179,4 +164,4 @@ def classify_vicinity(ego_id: str, views, geometry, *, visibility: float,
                 gap, other = hit
                 entries.append(_new_neighbor((other.vehicle_id, gap)))
         slots[lane] = tuple(entries)
-    return Vicinity(slots)
+    return slots

@@ -154,11 +154,11 @@ def build_entry_bimatrix(ego: VehicleView, target_lane: int, p2: VehicleView,
     bim = PayoffBimatrix()
     origin = ego.lane
     for fa in (STRAIGHT, LEFT):
-        u2_after_entry = _competitor_utility(p2, p2_profile, views, geometry, fa,
-                                             ghost if fa == STRAIGHT else None,
-                                             origin)
         u2_after_stay = _competitor_utility(p2, p2_profile, views, geometry, fa,
                                             None, origin)
+        # Vacating does not depend on whether the ego enters.
+        u2_after_entry = u2_after_stay if fa == LEFT else _competitor_utility(
+            p2, p2_profile, views, geometry, fa, ghost, origin)
         u1 = entry_vs_stay.utility if fa == STRAIGHT else entry_vs_vacate.utility
         bim.set(LEFT, fa, u1 + risk_discount, u2_after_entry)
         bim.set(STRAIGHT, fa, u_stay, u2_after_stay)
@@ -244,7 +244,7 @@ def acceleration_game(ego: VehicleView, views: List[VehicleView],
     directive is only abandoned for a clearly better one.
     """
     target = geometry.merge_target_lane
-    tol = cfg.risk_tolerance(profile.aggressiveness)
+    tol = profile.risk_tolerance
     current = evaluate_slot(ego, views, target, profile)
     if current.feasible(tol) and ego.y < geometry.entrance_end:
         # The slot beside us is already good: hold position in it.
@@ -256,8 +256,8 @@ def acceleration_game(ego: VehicleView, views: List[VehicleView],
 
     scored = {}
     for directive in (DECELERATE, ACCELERATE):
-        a_nom = (cfg.nominal_accel(profile) if directive == ACCELERATE
-                 else cfg.nominal_decel(profile))
+        a_nom = (profile.nominal_accel if directive == ACCELERATE
+                 else profile.nominal_decel)
         accel = a_nom if directive == ACCELERATE else -a_nom
         horizon = min(cfg.prediction_horizon,
                       _time_to_reach(ego.v, accel,
@@ -332,7 +332,7 @@ def lane_change_safe(ego: VehicleView, views: List[VehicleView],
 
 def discretionary_lane_change(ego: VehicleView, views: List[VehicleView],
                               profile: DriverProfile, geometry: LaneGeometry,
-                              profiles, cfg,
+                              profiles,
                               own_gap: Optional[float]) -> Optional[int]:
     """Optional change to an adjacent mainline lane for better headway.
 
@@ -342,9 +342,8 @@ def discretionary_lane_change(ego: VehicleView, views: List[VehicleView],
     """
     vis = profile.visibility_range
     u_stay = headway_utility(own_gap if own_gap is not None else vis, profile)
-    margin = cfg.hysteresis(profile.aggressiveness)
     best_lane = None
-    best_gain = margin
+    best_gain = profile.hysteresis
     for cand in (ego.lane - 1, ego.lane + 1):
         if cand not in geometry.mainline_lanes or cand == ego.lane:
             continue
@@ -474,7 +473,7 @@ def decide(ego: VehicleView, views: List[VehicleView], brain: BrainState,
         threat_memo_speed=threat.v if threat else 0.0)
 
     target = discretionary_lane_change(ego, views, profile, geometry,
-                                       profiles, cfg, own_gap)
+                                       profiles, own_gap)
     if target is not None:
         return brain._replace(maneuver=CHANGE, target_lane=target,
                               maneuver_start_x=ego.x, directive=HOLD,
@@ -485,7 +484,7 @@ def decide(ego: VehicleView, views: List[VehicleView], brain: BrainState,
 
 def _merge_lane_epoch(ego, views, brain, profile, geometry, profiles, cfg):
     dist_to_end = distance_to_merge_end(ego, geometry)
-    tol = cfg.risk_tolerance(profile.aggressiveness)
+    tol = profile.risk_tolerance
     action, p2_id = merging_game(ego, views, profile, dist_to_end,
                                  geometry, profiles, risk_discount=tol)
     if action == LEFT:

@@ -4,7 +4,7 @@ from dataclasses import dataclass, replace, field
 import json
 import math
 import random
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .config import Q_RANGE, ConfigError, RunConfig, check, check_field
 from .driver import (ControlBounds, ControllerGains, DriverProfile,
@@ -415,37 +415,9 @@ def _boxed_gap_ref(leader_gap, follower_gap, follow_ref) -> float:
     return min(follow_ref, max(free * 0.5, 1.0))
 
 
-class DirectiveBounds(NamedTuple):
-    """The constants of a decision vehicle's directive commands and slot
-    keeping: they depend only on the run's config and the vehicle's q, so a
-    run derives them once per vehicle (see directive_bounds)."""
-    accel: float          # command of an accelerate directive (m/s^2)
-    decel: float          # command of a decelerate directive (m/s^2, <= 0)
-    slot_rear_min: float  # least room kept behind the ego in a slot (m)
-    slot_ride: float      # share of a slot's free room kept ahead of the ego
-
-
-def directive_bounds(veh: SimVehicle, cfg: RunConfig) -> DirectiveBounds:
-    """The directive and slot constants of this vehicle in a run with this
-    config.
-
-    Aggressive drivers push harder on an accelerate directive, brake less
-    on a decelerate one and ride the back of a slot, but never so far back
-    that the slot stops being enterable for them.
-    """
-    profile = veh.profile
-    return DirectiveBounds(
-        accel=cfg.nominal_accel(profile),
-        decel=-cfg.nominal_decel(profile),
-        slot_rear_min=max(1.0, profile.lane_change_clearance
-                          - 0.8 * cfg.risk_tolerance(veh.q)),
-        slot_ride=cfg.slot_ride_fraction(veh.q))
-
-
-def _slot_gap_ref(ego, veh, slot_gap, views_by_id, follow_ref,
-                  directive: DirectiveBounds) -> float:
+def _slot_gap_ref(ego, veh, slot_gap, views_by_id, follow_ref) -> float:
     """Leader-gap target while aligning with an insertion slot, given the
-    bumper gap to the slot leader and the vehicle's directive_bounds.
+    bumper gap to the slot leader.
 
     Aggressive drivers ride the back of the slot, leaving the vehicle
     they cut ahead of very little headway.
@@ -454,7 +426,8 @@ def _slot_gap_ref(ego, veh, slot_gap, views_by_id, follow_ref,
     if follower is None:
         return follow_ref
     free = slot_gap + bumper_gap(ego, follower)
-    front_ref = min(free * directive.slot_ride, free - directive.slot_rear_min)
+    profile = veh.profile
+    front_ref = min(free * profile.slot_ride, free - profile.slot_rear_min)
     return min(follow_ref, max(front_ref, 1.0))
 
 
@@ -469,10 +442,9 @@ class Attention:
 def _controls_for(veh: SimVehicle, ego: VehicleView, views_by_id,
                   attention: Attention, geometry: LaneGeometry,
                   cfg: RunConfig, gains: ControllerGains,
-                  bounds: ControlBounds,
-                  directive: DirectiveBounds) -> Controls:
+                  bounds: ControlBounds) -> Controls:
     """Steering toward the target lane and the bounded longitudinal command,
-    given the vehicle's control_bounds and directive_bounds."""
+    given the vehicle's control_bounds."""
     brain, profile, st = veh.brain, veh.profile, veh.state
     v = st.v_long
     changing = brain.maneuver in (MERGE, CHANGE)
@@ -490,17 +462,16 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views_by_id,
     if slot_leader is not None:
         slot_gap = bumper_gap(ego, slot_leader)
         slot_rel = slot_leader.v - v
-        slot_ref = _slot_gap_ref(ego, veh, slot_gap, views_by_id, follow_ref,
-                                 directive)
+        slot_ref = _slot_gap_ref(ego, veh, slot_gap, views_by_id, follow_ref)
     # The cruise command's own-lane leader, whose gap and reference the
     # safety loop below reuses.
     cruise_leader = None
 
     # Base command: directive, slot keeping, or plain cruise.
     if merging_phase and brain.directive == ACCELERATE:
-        base = directive.accel
+        base = profile.nominal_accel
     elif merging_phase and brain.directive == DECELERATE:
-        base = directive.decel
+        base = -profile.nominal_decel
         if brain.guard:
             room = geometry.hard_end - st.y - veh.params.length / 2.0 - 1.0
             if room > 0.1:
@@ -602,21 +573,19 @@ def _decide(world, decision_vehicles, views, attentions) -> None:
         noise = world.noise.get(veh.vehicle_id)
         seen = views if noise is None else noise.observe(veh.vehicle_id, views)
         ego = next(v for v in seen if v.vehicle_id == veh.vehicle_id)
-        vic = classify_vicinity(
+        slots = classify_vicinity(
             veh.vehicle_id, seen, geometry,
             visibility=veh.profile.visibility_range,
             observer_scale=veh.profile.bound_scale)
         threat = entrance_threat(ego, seen, geometry, cfg)
-        own_gap = None
-        own_leader = vic.leader(veh.brain.current_lane)
-        if own_leader is not None:
-            own_gap = own_leader.gap
+        own_leader = slots[veh.brain.current_lane][0]
+        own_gap = own_leader.gap if own_leader is not None else None
         veh.brain = decide(ego, seen, veh.brain, veh.profile, geometry,
                            world.profiles, cfg, own_gap=own_gap, threat=threat)
-        own_follower = vic.follower(veh.brain.current_lane)
+        own_follower = slots[veh.brain.current_lane][1]
         attentions[veh.vehicle_id] = Attention(
-            lane_leaders={lane: vic.leader(lane).vehicle_id
-                          for lane in vic.lanes() if vic.leader(lane)},
+            lane_leaders={lane: leader.vehicle_id
+                          for lane, (leader, _) in slots.items() if leader},
             own_follower_id=own_follower.vehicle_id if own_follower else None,
             threat_id=threat.vehicle_id if threat else None)
 
@@ -644,8 +613,7 @@ def _record(log, vehicles, views, t) -> None:
 
 def _advance(world, views, attentions, bounds, bands, log, t) -> None:
     """Control and integrate every vehicle over the step from t, given each
-    decision vehicle's (control_bounds, directive_bounds) by id and the
-    run's lane_bands.
+    decision vehicle's control_bounds by id and the run's lane_bands.
 
     Controls read the start-of-step `views`; world.views gets a new list
     with each vehicle's view of its new state.  A scripted vehicle only
@@ -664,7 +632,7 @@ def _advance(world, views, attentions, bounds, bands, log, t) -> None:
             continue
         controls = _controls_for(
             veh, view, views_by_id, attentions[vid], geometry, cfg,
-            world.gains, *bounds[vid])
+            world.gains, bounds[vid])
         try:
             veh.state = s = step(veh.state, veh.params, controls, dt)
         except ValueError as exc:
@@ -747,8 +715,7 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
     decision_vehicles = [v for v in world.vehicles if v.kind == DECISION]
     decision_slots = [i for i, v in enumerate(world.vehicles)
                       if v.kind == DECISION]
-    bounds = {v.vehicle_id: (control_bounds(v.profile, world.gains, v.params),
-                             directive_bounds(v, cfg))
+    bounds = {v.vehicle_id: control_bounds(v.profile, world.gains, v.params)
               for v in decision_vehicles}
     bands = lane_bands(geometry)
     # States may have been set since the world was built.

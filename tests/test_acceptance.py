@@ -11,7 +11,7 @@ import time
 import pytest
 
 from mergesim.config import RunConfig
-from mergesim.dynamics import Controls, VehicleState, lateral_derivative, step
+from mergesim.dynamics import Controls, VehicleState, step
 from mergesim.game import ACTIONS, solve_stackelberg
 from mergesim.metrics import (aggressiveness_sweep, grid_to_csv,
                               lane_change_count, lateral_disturbance,
@@ -19,6 +19,7 @@ from mergesim.metrics import (aggressiveness_sweep, grid_to_csv,
 from mergesim.perception import collision_index, index_from_separations
 from mergesim.world import load_scenario, run
 
+from dynamics_reference import lateral_derivative
 from test_game import bimatrix, brute_force_solution
 from test_metrics import speed_series, synthetic_log
 from test_perception import polygons_intersect, random_rect

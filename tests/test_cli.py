@@ -581,6 +581,15 @@ class TestSweepCommand:
         assert len(first) == 1 + 9
         assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
 
+    @pytest.mark.parametrize("override", ["merging=0.1", "nobody=0.3"])
+    def test_refuses_q_overrides(self, tmp_path, capsys, override):
+        out = tmp_path / "grid"
+        assert run_cli("sweep", "--grid", "0.5:0.5:1", "--q", override,
+                       "--output", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: q_overrides: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_rejects_malformed_grid(self, capsys):
         assert run_cli("sweep", "--grid", "1:0:0.5") == 2
         assert run_cli("sweep", "--grid", "0:0.5") == 2

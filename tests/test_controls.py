@@ -1,12 +1,13 @@
 """_controls_for against a copy of the control law that derives its bounds
 on every call.
 
-world.run derives each decision vehicle's ControlBounds and DirectiveBounds
-once, at the start of the run.  The oracle below is the control law as it
-read before that: it recomputes the acceleration, brake and steering bounds
-from the profile, the gains and the vehicle params inside every PD-law
-call, and the directive commands and slot constants from the config and q
-at every step.  The two must give bit-identical Controls for every state,
+world.run derives each decision vehicle's ControlBounds once, at the start
+of the run, and RunConfig.profile derives its directive commands and slot
+constants.  The oracle below is the control law as it read before that: it
+recomputes the acceleration, brake and steering bounds from the profile,
+the gains and the vehicle params inside every PD-law call, and the
+directive commands and slot constants from the config's fields and q at
+every step.  The two must give bit-identical Controls for every state,
 latch, attention and set of neighbours.
 """
 
@@ -22,7 +23,9 @@ from mergesim.planner import (ACCELERATE, CHANGE, DECELERATE, HOLD, KEEP,
                               MERGE, BrainState)
 from mergesim.road import LaneGeometry
 from mergesim.world import (DECISION, Attention, SimVehicle, _boxed_gap_ref,
-                            _controls_for, directive_bounds)
+                            _controls_for)
+
+from dynamics_reference import speed
 
 GEOMETRY = LaneGeometry()
 LANES = range(len(GEOMETRY.centers))
@@ -67,9 +70,13 @@ def oracle_slot_gap_ref(ego, veh, slot_gap, views_by_id, follow_ref, cfg):
     if follower is None:
         return follow_ref
     free = slot_gap + bumper_gap(ego, follower)
+    q = veh.q
+    risk_tolerance = cfg.risk_tolerance_max * max(0.0, 2.0 * q - 1.0)
     rear_min = max(1.0, veh.profile.lane_change_clearance
-                   - 0.8 * cfg.risk_tolerance(veh.q))
-    front_ref = min(free * cfg.slot_ride_fraction(veh.q), free - rear_min)
+                   - 0.8 * risk_tolerance)
+    slot_ride = (cfg.slot_ride_cautious
+                 + (cfg.slot_ride_aggressive - cfg.slot_ride_cautious) * q * q)
+    front_ref = min(free * slot_ride, free - rear_min)
     return min(follow_ref, max(front_ref, 1.0))
 
 
@@ -80,7 +87,7 @@ def oracle_controls_for(veh, ego, views_by_id, attention, geometry, cfg,
     changing = brain.maneuver in (MERGE, CHANGE)
     lane_target = brain.target_lane if changing else brain.current_lane
     e_lat = st_.x - geometry.centers[lane_target]
-    e_rate = st_.speed * math.sin(st_.heading)
+    e_rate = speed(st_) * math.sin(st_.heading)
     steer = oracle_steering_command(profile, gains, e_lat, e_rate, veh.params,
                                     v)
 
@@ -97,10 +104,13 @@ def oracle_controls_for(veh, ego, views_by_id, attention, geometry, cfg,
                                        follow_ref, cfg)
     cruise_leader = None
 
+    directive_accel = cfg.nominal_accel_g * GRAVITY
     if merging_phase and brain.directive == ACCELERATE:
-        base = cfg.nominal_accel(profile)
+        scale = cfg.directive_accel_gain + profile.aggressiveness
+        base = min(directive_accel * scale, profile.accel_limit)
     elif merging_phase and brain.directive == DECELERATE:
-        base = -cfg.nominal_decel(profile)
+        scale = 1.0 + cfg.directive_accel_gain - profile.aggressiveness
+        base = -min(directive_accel * scale, profile.accel_limit)
         if brain.guard:
             room = geometry.hard_end - st_.y - veh.params.length / 2.0 - 1.0
             if room > 0.1:
@@ -171,7 +181,12 @@ _configs = st.builds(
     dist_front=st.floats(0.8, 1.8), dist_rear=st.floats(0.8, 2.0),
     kp_long=st.floats(0.0, 2.0), kd_long=st.floats(0.0, 2.0),
     kp_lat=st.floats(0.0, 2.0), kd_lat=st.floats(0.0, 2.0),
-    speed_weight=st.floats(0.0, 1.0))
+    speed_weight=st.floats(0.0, 1.0),
+    nominal_accel_g=st.floats(0.01, 1.0),
+    directive_accel_gain=st.floats(0.0, 3.0),
+    risk_tolerance_max=st.floats(0.0, 40.0),
+    slot_ride_cautious=st.floats(0.0, 1.0),
+    slot_ride_aggressive=st.floats(0.0, 1.0))
 
 _states = st.builds(
     VehicleState, x=st.floats(-1.0, 11.0), y=st.floats(-50.0, 180.0),
@@ -275,8 +290,7 @@ def test_controls_are_bit_identical_to_the_per_call_bounds(
     views_by_id["ego"] = ego
 
     got = _controls_for(veh, ego, views_by_id, attention, GEOMETRY, cfg,
-                        gains, control_bounds(profile, gains, params),
-                        directive_bounds(veh, cfg))
+                        gains, control_bounds(profile, gains, params))
     want = oracle_controls_for(veh, ego, views_by_id, attention, GEOMETRY,
                                cfg, gains)
     assert (got.accel.hex(), got.steer.hex()) == tuple(w.hex() for w in want)

@@ -2,7 +2,7 @@ from dataclasses import replace
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mergesim.config import ConfigError, RunConfig
 from mergesim.driver import (blended_error, control_bounds,
@@ -34,6 +34,22 @@ def steer(profile, gains, e_lat, e_lat_rate, params, v):
 def steer_limit(lat_accel_limit, v, params):
     profile = make_profile(lat_accel_limit=lat_accel_limit)
     return steering_limit(control_bounds(profile, GAINS, params), v, params)
+
+
+# Configs that vary every field a decision constant of the profile reads.
+_DECISION_CONFIGS = st.builds(
+    RunConfig,
+    nominal_accel_g=st.floats(0.01, 1.0),
+    directive_accel_gain=st.floats(0.0, 3.0),
+    risk_tolerance_max=st.floats(0.0, 40.0),
+    slot_ride_cautious=st.floats(0.0, 1.0),
+    slot_ride_aggressive=st.floats(0.0, 1.0),
+    hysteresis_base=st.floats(0.0, 40.0),
+    hysteresis_curve=st.floats(0.0, 40.0),
+    clearance_diagonals=st.floats(0.0, 4.0),
+    accel_limit_g_cautious=st.floats(0.01, 1.0),
+    accel_limit_g_aggressive=st.floats(0.01, 1.0),
+    body_length=st.floats(3.0, 12.0), body_width=st.floats(1.0, 3.0))
 
 
 class TestProfileFromQ:
@@ -72,6 +88,35 @@ class TestProfileFromQ:
             a, b = CFG.profile(q), CFG.profile(q + 1e-6)
             assert abs(a.prediction_time - b.prediction_time) < 1e-4
             assert abs(a.accel_limit - b.accel_limit) < 1e-4
+
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=_DECISION_CONFIGS, q=st.floats(0.0, 1.0))
+    def test_decision_constants_follow_their_formulas(self, cfg, q):
+        """Each decision constant bit for bit, at q and at every value of
+        the 0:1:0.1 sweep axis, written out from the config's fields."""
+        for q in (q, *(i / 10 for i in range(11))):
+            accel_limit = (cfg.accel_limit_g_cautious
+                           + (cfg.accel_limit_g_aggressive
+                              - cfg.accel_limit_g_cautious) * q) * GRAVITY
+            clearance = cfg.clearance_diagonals * math.hypot(
+                cfg.body_length, cfg.body_width)
+            risk = cfg.risk_tolerance_max * max(0.0, 2.0 * q - 1.0)
+            directive = cfg.nominal_accel_g * GRAVITY
+            want = {
+                "risk_tolerance": risk,
+                "hysteresis": max(0.0, cfg.hysteresis_base
+                                  - cfg.hysteresis_curve * q ** 3),
+                "nominal_accel": min(
+                    directive * (cfg.directive_accel_gain + q), accel_limit),
+                "nominal_decel": min(
+                    directive * (1.0 + cfg.directive_accel_gain - q),
+                    accel_limit),
+                "slot_ride": cfg.slot_ride_cautious + (
+                    cfg.slot_ride_aggressive - cfg.slot_ride_cautious) * q * q,
+                "slot_rear_min": max(1.0, clearance - 0.8 * risk)}
+            profile = cfg.profile(q)
+            assert {name: getattr(profile, name).hex() for name in want} == \
+                {name: value.hex() for name, value in want.items()}
 
 
 class TestLongitudinalAccel:

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from mergesim.config import RunConfig
-from mergesim.dynamics import (LOW_SPEED_FLOOR, Controls, VehicleState,
-                               lateral_derivative, lateral_matrices,
-                               pose_derivative, step)
+from mergesim.dynamics import LOW_SPEED_FLOOR, Controls, VehicleState, step
+
+from dynamics_reference import (lateral_derivative, lateral_matrices,
+                                pose_derivative)
 
 PARAMS = RunConfig().vehicle_params()
 

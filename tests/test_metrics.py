@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+from unittest import mock
 
 import pytest
 
@@ -136,6 +137,22 @@ class TestSweep:
             aggressiveness_sweep("scenario1", (), (0.5,), RunConfig())
         with pytest.raises(ConfigError):
             aggressiveness_sweep("scenario1", (0.5, 1.2), (0.5,), RunConfig())
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_refuses_q_overrides_before_any_cell_runs(self, jobs):
+        # Each cell sets the q of merging and vehicle4, so an override would
+        # be dropped; an unknown id would never be checked.
+        cfg = RunConfig(q_overrides={"merging": 0.1, "nobody": 0.3})
+        with mock.patch("multiprocessing.Pool") as pool, \
+                mock.patch("mergesim.metrics.measure_cell") as cell:
+            with pytest.raises(ConfigError) as info:
+                aggressiveness_sweep("scenario1", (0.5,), (0.5, 1.0), cfg,
+                                     jobs=jobs)
+        assert str(info.value) == (
+            "q_overrides: a sweep sets the q of 'merging' and 'vehicle4' per "
+            "cell and takes no overrides, got ['merging', 'nobody']")
+        pool.assert_not_called()
+        cell.assert_not_called()
 
     def test_collision_flags_cell_but_returns_grid(self):
         base = {"geometry": {"lane_centers": [0.0, 3.3, 6.6, 9.9],

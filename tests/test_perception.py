@@ -238,9 +238,9 @@ def view(vid, x, y, v, heading=0.0, lane=None):
 def test_alone_vehicle_has_empty_slots():
     vic = classify_vicinity("ego", [view("ego", 9.9, 10.0, 19.4)], GEOMETRY,
                             visibility=100.0)
-    for lane in vic.lanes():
-        assert vic.leader(lane) is None
-        assert vic.follower(lane) is None
+    for lane in sorted(vic):
+        assert vic[lane][0] is None
+        assert vic[lane][1] is None
 
 
 def test_first_scenario_snapshot_slots():
@@ -253,8 +253,8 @@ def test_first_scenario_snapshot_slots():
         view("ego", 9.9, 10.0, 19.4),
     ]
     vic = classify_vicinity("ego", views, GEOMETRY, visibility=100.0)
-    leader = vic.leader(2)
-    follower = vic.follower(2)
+    leader = vic[2][0]
+    follower = vic[2][1]
     assert leader.vehicle_id == "vehicle3"
     assert leader.gap == pytest.approx(20.0 - 4.5)
     assert follower.vehicle_id == "vehicle4"
@@ -266,24 +266,24 @@ def test_nearest_leader_wins():
              view("near", 6.6, 30.0, 20.0),
              view("far", 6.6, 60.0, 20.0)]
     vic = classify_vicinity("ego", views, GEOMETRY, visibility=100.0)
-    assert vic.leader(2).vehicle_id == "near"
+    assert vic[2][0].vehicle_id == "near"
 
 
 def test_visibility_excludes_distant_vehicles():
     views = [view("ego", 6.6, 0.0, 20.0), view("ghost", 6.6, 200.0, 20.0)]
     vic = classify_vicinity("ego", views, GEOMETRY, visibility=100.0)
-    assert vic.leader(2) is None
+    assert vic[2][0] is None
 
 
 def test_boundary_recognition_straddles_lanes():
     views = [view("ego", 6.6, 0.0, 20.0), view("edge", 9.3, 20.0, 20.0)]
     plain = classify_vicinity("ego", views, GEOMETRY, visibility=100.0,
                               observer_scale=1.0)
-    assert plain.leader(2) is None          # squarely in the merge lane
+    assert plain[2][0] is None          # squarely in the merge lane
     grown = classify_vicinity("ego", views, GEOMETRY, visibility=100.0,
                               observer_scale=1.3)
-    assert grown.leader(2).vehicle_id == "edge"  # magnified bounds straddle
-    assert grown.leader(3).vehicle_id == "edge"  # still in its own lane too
+    assert grown[2][0].vehicle_id == "edge"  # magnified bounds straddle
+    assert grown[3][0].vehicle_id == "edge"  # still in its own lane too
 
 
 def test_noise_moves_only_others_along_the_road_in_seeded_order():

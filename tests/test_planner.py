@@ -140,7 +140,7 @@ class TestDiscretionary:
         profiles = {v.vehicle_id: CFG.profile(0.5) for v in (ego, lead, twin)}
         assert discretionary_lane_change(ego, [ego, lead, twin],
                                          CFG.profile(0.5), GEOMETRY,
-                                         profiles, CFG, own_gap=55.5) is None
+                                         profiles, own_gap=55.5) is None
 
     def test_tight_leader_with_open_lane_changes(self):
         ego = view("ego", 6.6, 0.0, 22.2)
@@ -148,7 +148,7 @@ class TestDiscretionary:
         profiles = {v.vehicle_id: CFG.profile(0.5) for v in (ego, lead)}
         target = discretionary_lane_change(ego, [ego, lead],
                                            CFG.profile(0.5), GEOMETRY,
-                                           profiles, CFG, own_gap=3.5)
+                                           profiles, own_gap=3.5)
         assert target == 1
 
     def test_fast_close_follower_blocks_change(self):
@@ -159,7 +159,7 @@ class TestDiscretionary:
                     for v in (ego, lead, chaser)}
         target = discretionary_lane_change(ego, [ego, lead, chaser],
                                            CFG.profile(0.5), GEOMETRY,
-                                           profiles, CFG, own_gap=3.5)
+                                           profiles, own_gap=3.5)
         # Entering ahead of a fast, close follower is dominated: the
         # squeeze penalty exceeds any headway gain.
         assert target is None

@@ -121,7 +121,7 @@ def test_views_and_states_after_a_run_keep_their_types():
     assert {type(veh.state) for veh in world.vehicles} == {VehicleState}
     vicinity = classify_vicinity("merging", views, world.geometry,
                                  visibility=100.0)
-    neighbours = [vicinity.leader(lane) for lane in vicinity.lanes()]
+    neighbours = [vicinity[lane][0] for lane in sorted(vicinity)]
     assert {type(n) for n in neighbours if n is not None} == {Neighbor}
     profile = world.vehicles[-1].profile
     assert type(evaluate_slot(views[-1], views, 2, profile)) is SlotEval
