@@ -7,8 +7,7 @@ of) room.  The leader commits first; the follower best-responds; the
 leader secures against the worst tied response.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .driver import DriverProfile
 
@@ -20,16 +19,11 @@ ACTIONS = (STRAIGHT, LEFT)
 IMPOSSIBLE = -1.0e18  # utility of an action a player physically cannot take
 
 
-@dataclass
-class PayoffBimatrix:
-    """Leader and follower utilities over the 2x2 joint action space."""
-    leader: Dict[Tuple[str, str], float] = field(default_factory=dict)
-    follower: Dict[Tuple[str, str], float] = field(default_factory=dict)
-
-    def set(self, leader_action: str, follower_action: str,
-            u_leader: float, u_follower: float) -> None:
-        self.leader[(leader_action, follower_action)] = u_leader
-        self.follower[(leader_action, follower_action)] = u_follower
+class PayoffBimatrix(NamedTuple):
+    """Leader and follower utilities over the 2x2 joint action space, by
+    (leader action, follower action)."""
+    leader: Dict[Tuple[str, str], float]
+    follower: Dict[Tuple[str, str], float]
 
 
 def headway_utility(gap: float, profile: DriverProfile) -> float:
@@ -66,18 +60,18 @@ def solve_stackelberg(bimatrix: PayoffBimatrix) -> Tuple[str, str]:
     The follower's best-response set may hold ties; the leader evaluates
     each of its actions against the worst tied response and plays the
     secure maximum.  Remaining ties fall to the safer straight action for
-    both players.
+    both players: of two responses tied on both payoffs the follower goes
+    straight, and the leader leaves straight only for a strictly higher
+    secured value.
     """
-    best_pair = None
-    best_value = None
-    for leader_action in ACTIONS:
-        top = max(bimatrix.follower[(leader_action, fa)] for fa in ACTIONS)
-        responses = [fa for fa in ACTIONS
-                     if bimatrix.follower[(leader_action, fa)] == top]
-        worst = min(responses,
-                    key=lambda fa: bimatrix.leader[(leader_action, fa)])
-        value = bimatrix.leader[(leader_action, worst)]
+    leader, follower = bimatrix.leader, bimatrix.follower
+    best_pair = best_value = None
+    for action in ACTIONS:
+        keep, leave = follower[action, STRAIGHT], follower[action, LEFT]
+        response = LEFT if leave > keep or (
+            leave == keep and leader[action, LEFT] < leader[action, STRAIGHT]
+        ) else STRAIGHT
+        value = leader[action, response]
         if best_value is None or value > best_value:
-            best_pair = (leader_action, worst)
-            best_value = value
+            best_pair, best_value = (action, response), value
     return best_pair

@@ -122,12 +122,18 @@ def sweep_scenario(base: dict, q_merge: float, q_mainline: float,
     return data
 
 
+def _refuse_overrides(cfg: RunConfig) -> None:
+    if cfg.q_overrides:
+        raise ConfigError(
+            f"q_overrides: a sweep sets the q of 'merging' and 'vehicle4' "
+            f"per cell and takes no overrides, got {sorted(cfg.q_overrides)}")
+
+
 def measure_cell(base: dict, q_merge: float, q_mainline: float,
                  cfg: RunConfig, mainline_id: str = "vehicle4") -> DisturbanceReport:
-    cell_cfg = copy.deepcopy(cfg)
-    cell_cfg.q_overrides = {}
+    _refuse_overrides(cfg)
     world = load_scenario(sweep_scenario(base, q_merge, q_mainline,
-                                         mainline_id=mainline_id), cell_cfg)
+                                         mainline_id=mainline_id), cfg)
     v0 = next(v.v_preset for v in world.vehicles if v.vehicle_id == mainline_id)
     log = run(world)
     return DisturbanceReport(
@@ -145,12 +151,10 @@ def aggressiveness_sweep(base_scenario, q_merge_grid, q_mainline_grid,
 
     Cells are independent runs; a collision flags its cell but the grid is
     still returned in full.  Each cell sets the q of merging and vehicle4,
-    so a config with q_overrides is refused rather than ignored.
+    so a config with q_overrides is refused, before any cell runs, rather
+    than ignored.
     """
-    if cfg.q_overrides:
-        raise ConfigError(
-            f"q_overrides: a sweep sets the q of 'merging' and 'vehicle4' "
-            f"per cell and takes no overrides, got {sorted(cfg.q_overrides)}")
+    _refuse_overrides(cfg)
     q_merge_grid = tuple(q_merge_grid)
     q_mainline_grid = tuple(q_mainline_grid)
     for name, axis in (("q_merge_grid", q_merge_grid),

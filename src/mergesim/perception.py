@@ -130,38 +130,34 @@ def classify_vicinity(ego_id: str, views, geometry, *, visibility: float,
     A vehicle registers in its own lane and, when observer_scale > 1, in
     any lane its magnified rectangle laterally overlaps (boundary
     recognition of straddling vehicles).  The nearest qualifying vehicle
-    ahead/behind per lane wins the slot; anything farther than the
-    visibility range is ignored.
+    ahead/behind per lane wins the slot, the first of equal gaps in view
+    order; anything farther than the visibility range is ignored.
     """
     ego = next(v for v in views if v.vehicle_id == ego_id)
+    centers = geometry.centers
     half_band = geometry.lane_width / 2.0
-    best = {}  # (lane, is_leader) -> (gap, view)
+    magnified = observer_scale > 1.0
+    # Per lane, the (gap, view) of the nearest vehicle ahead and behind.
+    ahead = [None] * len(centers)
+    behind = [None] * len(centers)
     for other in views:
         if other.vehicle_id == ego_id:
             continue
         gap = bumper_gap(ego, other)
         if gap > visibility:
             continue
-        lanes = {other.lane}
-        if observer_scale > 1.0 or abs(other.heading) > 1e-9:
-            reach = lateral_reach(other, observer_scale)
-            for lane, center in enumerate(geometry.centers):
-                if abs(other.x - center) <= half_band + reach:
-                    lanes.add(lane)
-        is_leader = other.y > ego.y
-        for lane in lanes:
-            key = (lane, is_leader)
-            if key not in best or gap < best[key][0]:
-                best[key] = (gap, other)
-    slots = {}
-    for lane in range(len(geometry.centers)):
-        entries = []
-        for is_leader in (True, False):
-            hit = best.get((lane, is_leader))
-            if hit is None:
-                entries.append(None)
-            else:
-                gap, other = hit
-                entries.append(_new_neighbor((other.vehicle_id, gap)))
-        slots[lane] = tuple(entries)
-    return slots
+        best = ahead if other.y > ego.y else behind
+        hit = best[other.lane]
+        if hit is None or gap < hit[0]:
+            best[other.lane] = (gap, other)
+        if magnified or abs(other.heading) > 1e-9:
+            # A lane met twice keeps its first entry: the gap is the same.
+            band = half_band + lateral_reach(other, observer_scale)
+            for lane, center in enumerate(centers):
+                if abs(other.x - center) <= band:
+                    hit = best[lane]
+                    if hit is None or gap < hit[0]:
+                        best[lane] = (gap, other)
+    return {lane: (lead and _new_neighbor((lead[1].vehicle_id, lead[0])),
+                   follow and _new_neighbor((follow[1].vehicle_id, follow[0])))
+            for lane, (lead, follow) in enumerate(zip(ahead, behind))}

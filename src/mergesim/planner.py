@@ -116,26 +116,6 @@ def _escape_lane(p2_lane: int, entering_from: int,
     return esc if esc in geometry.mainline_lanes else None
 
 
-def _competitor_utility(p2: VehicleView, p2_profile: DriverProfile,
-                        views: List[VehicleView], geometry: LaneGeometry,
-                        action: str, entrant: Optional[VehicleView],
-                        entering_from: int) -> float:
-    """Follower-player utility for staying put or vacating sideways."""
-    if action == STRAIGHT:
-        crowd = list(views)
-        if entrant is not None:
-            crowd = crowd + [entrant]
-        leader, _ = slot_around(p2, crowd, p2.lane)
-        front = bumper_gap(p2, leader) if leader else p2_profile.visibility_range
-        return headway_utility(front, p2_profile)
-    esc = _escape_lane(p2.lane, entering_from, geometry)
-    if esc is None:
-        return IMPOSSIBLE
-    ghost = p2._replace(x=geometry.centers[esc], lane=esc)
-    side = evaluate_slot(ghost, views, esc, p2_profile, exclude=(p2.vehicle_id,))
-    return side.utility
-
-
 def build_entry_bimatrix(ego: VehicleView, target_lane: int, p2: VehicleView,
                          views: List[VehicleView], geometry: LaneGeometry,
                          profile: DriverProfile, p2_profile: DriverProfile,
@@ -147,22 +127,36 @@ def build_entry_bimatrix(ego: VehicleView, target_lane: int, p2: VehicleView,
     drivers shrug off part of the squeeze penalty when the change is
     mandatory.
     """
-    ghost = ego._replace(x=geometry.centers[target_lane], lane=target_lane)
-    entry_vs_stay = evaluate_slot(ghost, views, target_lane, profile)
-    entry_vs_vacate = evaluate_slot(ghost, views, target_lane, profile,
-                                    exclude=(p2.vehicle_id,))
-    bim = PayoffBimatrix()
-    origin = ego.lane
-    for fa in (STRAIGHT, LEFT):
-        u2_after_stay = _competitor_utility(p2, p2_profile, views, geometry, fa,
-                                            None, origin)
-        # Vacating does not depend on whether the ego enters.
-        u2_after_entry = u2_after_stay if fa == LEFT else _competitor_utility(
-            p2, p2_profile, views, geometry, fa, ghost, origin)
-        u1 = entry_vs_stay.utility if fa == STRAIGHT else entry_vs_vacate.utility
-        bim.set(LEFT, fa, u1 + risk_discount, u2_after_entry)
-        bim.set(STRAIGHT, fa, u_stay, u2_after_stay)
-    return bim
+    # A slot is judged by the ego's id, y, length and speed alone, so the
+    # entrant needs no move onto the target lane, nor the competitor onto
+    # its escape lane.
+    enter_vs_keep = evaluate_slot(ego, views, target_lane, profile).utility
+    enter_vs_vacate = evaluate_slot(ego, views, target_lane, profile,
+                                    exclude=(p2.vehicle_id,)).utility
+    # The competitor keeping its lane has the room to its leader, which the
+    # entrant takes over when it would be the nearer one ahead (a strictly
+    # smaller y: slot_around keeps the first of equals, and the entrant
+    # comes after every view).
+    leader, _ = slot_around(p2, views, p2.lane)
+    keep = headway_utility(
+        bumper_gap(p2, leader) if leader else p2_profile.visibility_range,
+        p2_profile)
+    if (target_lane == p2.lane and ego.vehicle_id != p2.vehicle_id
+            and ego.y > p2.y and (leader is None or ego.y < leader.y)):
+        keep_entered = headway_utility(bumper_gap(p2, ego), p2_profile)
+    else:
+        keep_entered = keep
+    # Vacating, away from the entrant, does not depend on whether it enters.
+    esc = _escape_lane(p2.lane, ego.lane, geometry)
+    vacate = IMPOSSIBLE if esc is None else evaluate_slot(
+        p2, views, esc, p2_profile, exclude=(p2.vehicle_id,)).utility
+    return PayoffBimatrix(
+        leader={(LEFT, STRAIGHT): enter_vs_keep + risk_discount,
+                (STRAIGHT, STRAIGHT): u_stay,
+                (LEFT, LEFT): enter_vs_vacate + risk_discount,
+                (STRAIGHT, LEFT): u_stay},
+        follower={(LEFT, STRAIGHT): keep_entered, (STRAIGHT, STRAIGHT): keep,
+                  (LEFT, LEFT): vacate, (STRAIGHT, LEFT): vacate})
 
 
 def nearest_in_lane(ego: VehicleView, views: List[VehicleView], lane: int,
@@ -347,11 +341,10 @@ def discretionary_lane_change(ego: VehicleView, views: List[VehicleView],
     for cand in (ego.lane - 1, ego.lane + 1):
         if cand not in geometry.mainline_lanes or cand == ego.lane:
             continue
-        _, follower = slot_around(
-            ego._replace(x=geometry.centers[cand], lane=cand), views, cand)
+        # A slot needs no ghost ego (see build_entry_bimatrix).
+        _, follower = slot_around(ego, views, cand)
         if follower is None:
-            ghost = ego._replace(x=geometry.centers[cand], lane=cand)
-            u_change = evaluate_slot(ghost, views, cand, profile).utility
+            u_change = evaluate_slot(ego, views, cand, profile).utility
         else:
             bim = build_entry_bimatrix(ego, cand, follower, views, geometry,
                                        profile, profiles[follower.vehicle_id],
@@ -466,20 +459,18 @@ def decide(ego: VehicleView, views: List[VehicleView], brain: BrainState,
                                  profiles, cfg)
 
     evading = sinking_threat(ego, threat, brain, profile, cfg)
-    if evading:
-        own_gap = 0.0  # the current slot is about to be taken
+    target = discretionary_lane_change(
+        ego, views, profile, geometry, profiles,
+        0.0 if evading else own_gap)  # an evaded slot is about to be taken
     brain = brain._replace(
-        evading=evading, threat_memo_id=threat.vehicle_id if threat else None,
+        directive=HOLD, target_lane=target, evading=evading,
+        threat_memo_id=threat.vehicle_id if threat else None,
         threat_memo_speed=threat.v if threat else 0.0)
-
-    target = discretionary_lane_change(ego, views, profile, geometry,
-                                       profiles, own_gap)
-    if target is not None:
-        return brain._replace(maneuver=CHANGE, target_lane=target,
-                              maneuver_start_x=ego.x, directive=HOLD,
-                              competing_id=None, slot_leader_id=None,
-                              slot_follower_id=None)
-    return brain._replace(maneuver=KEEP, directive=HOLD, target_lane=None)
+    if target is None:
+        return brain
+    return brain._replace(maneuver=CHANGE, maneuver_start_x=ego.x,
+                          competing_id=None, slot_leader_id=None,
+                          slot_follower_id=None)
 
 
 def _merge_lane_epoch(ego, views, brain, profile, geometry, profiles, cfg):

@@ -1,10 +1,10 @@
 """World assembly, per-step control, fixed-step simulation and logging."""
 
-from dataclasses import dataclass, replace, field
+from dataclasses import dataclass, replace
 import json
 import math
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .config import Q_RANGE, ConfigError, RunConfig, check, check_field
 from .driver import (ControlBounds, ControllerGains, DriverProfile,
@@ -415,36 +415,35 @@ def _boxed_gap_ref(leader_gap, follower_gap, follow_ref) -> float:
     return min(follow_ref, max(free * 0.5, 1.0))
 
 
-def _slot_gap_ref(ego, veh, slot_gap, views_by_id, follow_ref) -> float:
+def _slot_gap_ref(ego, veh, slot_gap, views, slot_of, follow_ref) -> float:
     """Leader-gap target while aligning with an insertion slot, given the
     bumper gap to the slot leader.
 
     Aggressive drivers ride the back of the slot, leaving the vehicle
     they cut ahead of very little headway.
     """
-    follower = views_by_id.get(veh.brain.slot_follower_id)
-    if follower is None:
+    k = slot_of.get(veh.brain.slot_follower_id)
+    if k is None:
         return follow_ref
-    free = slot_gap + bumper_gap(ego, follower)
+    free = slot_gap + bumper_gap(ego, views[k])
     profile = veh.profile
     front_ref = min(free * profile.slot_ride, free - profile.slot_rear_min)
     return min(follow_ref, max(front_ref, 1.0))
 
 
-@dataclass
-class Attention:
-    """Ids picked at the decision epoch, re-resolved to fresh state each step."""
-    lane_leaders: Dict[int, str] = field(default_factory=dict)
-    own_follower_id: Optional[str] = None
-    threat_id: Optional[str] = None
+class Attention(NamedTuple):
+    """Slots (indices in world.vehicles) picked at the decision epoch."""
+    lane_leaders: Dict[int, int]  # lane -> slot
+    own_follower: Optional[int]
+    threat: Optional[int]
 
 
-def _controls_for(veh: SimVehicle, ego: VehicleView, views_by_id,
-                  attention: Attention, geometry: LaneGeometry,
-                  cfg: RunConfig, gains: ControllerGains,
-                  bounds: ControlBounds) -> Controls:
+def _controls_for(veh: SimVehicle, ego: VehicleView, views: List[VehicleView],
+                  slot_of: Dict[str, int], attention: Attention,
+                  geometry: LaneGeometry, cfg: RunConfig,
+                  gains: ControllerGains, bounds: ControlBounds) -> Controls:
     """Steering toward the target lane and the bounded longitudinal command,
-    given the vehicle's control_bounds."""
+    given the run's id -> slot map and the vehicle's control_bounds."""
     brain, profile, st = veh.brain, veh.profile, veh.state
     v = st.v_long
     changing = brain.maneuver in (MERGE, CHANGE)
@@ -455,14 +454,15 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views_by_id,
 
     merging_phase = brain.needs_merge
     follow_ref = profile.lane_change_clearance + profile.follow_headway * v
-    follower = views_by_id.get(attention.own_follower_id)
-    follower_gap = bumper_gap(ego, follower) if follower is not None else None
-    slot_leader = (views_by_id.get(brain.slot_leader_id) if merging_phase
-                   else None)
+    k = attention.own_follower
+    follower_gap = None if k is None else bumper_gap(ego, views[k])
+    k = slot_of.get(brain.slot_leader_id) if merging_phase else None
+    slot_leader = None if k is None else views[k]
     if slot_leader is not None:
         slot_gap = bumper_gap(ego, slot_leader)
         slot_rel = slot_leader.v - v
-        slot_ref = _slot_gap_ref(ego, veh, slot_gap, views_by_id, follow_ref)
+        slot_ref = _slot_gap_ref(ego, veh, slot_gap, views, slot_of,
+                                 follow_ref)
     # The cruise command's own-lane leader, whose gap and reference the
     # safety loop below reuses.
     cruise_leader = None
@@ -482,9 +482,9 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views_by_id,
         base = longitudinal_accel(bounds, gains, slot_gap - slot_ref, slot_rel)
     else:
         speed_err = brain.v_ref - v
-        cruise_leader = views_by_id.get(
-            attention.lane_leaders.get(brain.current_lane))
-        if cruise_leader is not None:
+        k = attention.lane_leaders.get(brain.current_lane)
+        if k is not None:
+            cruise_leader = views[k]
             cruise_gap = bumper_gap(ego, cruise_leader)
             cruise_ref = _boxed_gap_ref(cruise_gap, follower_gap, follow_ref)
         if cruise_leader is not None and cruise_gap < cruise_ref:
@@ -502,7 +502,8 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views_by_id,
     if changing and brain.target_lane not in (None, brain.current_lane):
         lanes += (brain.target_lane,)
     for lane in lanes:
-        leader = views_by_id.get(attention.lane_leaders.get(lane))
+        k = attention.lane_leaders.get(lane)
+        leader = None if k is None else views[k]
         if leader is None or leader is slot_leader:
             continue  # the slot leader is held at the slot reference above
         if leader is cruise_leader:
@@ -511,8 +512,8 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views_by_id,
             gap = bumper_gap(ego, leader)
             ref = _boxed_gap_ref(gap, follower_gap, follow_ref)
         base = min(base, _brake_channel(bounds, gains, gap, leader.v - v, ref))
-    threat = views_by_id.get(attention.threat_id)
-    if threat is not None:
+    if attention.threat is not None:
+        threat = views[attention.threat]
         ahead = threat.y - ego.y > (threat.length + ego.length) / 2.0
         if ahead or brain.evading:
             ref = (profile.lane_change_clearance
@@ -531,33 +532,39 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views_by_id,
 
 
 def _collision_pairs(views: List[VehicleView]) -> List[tuple]:
-    """(i, j, reach_y, reach_x), i < j in order, for each pair that can
-    collide during a run; its rectangles cannot meet while their centres are
-    more than reach_y apart along the road or reach_x across it.
+    """(i, j, reach_y, reach_x, half_lengths), i < j in order, for each pair
+    that can collide during a run; its rectangles cannot meet while their
+    centres are more than reach_y apart along the road or reach_x across it.
 
     A scripted vehicle keeps its lateral position and heading for the whole
     run, so two scripted vehicles at heading 0 with a positive gap along the
     width axis can never touch: that gap depends only on their constant
-    lateral offset and half widths.  Every other pair is kept.
+    lateral offset and half widths.  Every other pair is kept, with the
+    half lengths of such a scripted pair (else None).
     """
     pairs = []
     for i, a in enumerate(views):
         for j in range(i + 1, len(views)):
             b = views[j]
-            if (a.kind == SCRIPTED and b.kind == SCRIPTED
-                    and a.heading == 0.0 and b.heading == 0.0
-                    and pose_gaps(a.rect().pose(), b.rect().pose())[1] > 0):
+            fixed = (a.kind == SCRIPTED and b.kind == SCRIPTED
+                     and a.heading == 0.0 and b.heading == 0.0)
+            if fixed and pose_gaps(a.rect().pose(), b.rect().pose())[1] > 0:
                 continue
             pairs.append((i, j, (a.length + b.length) / 2.0 + 2.0,
-                          (a.width + b.width) / 2.0 + 2.0))
+                          (a.width + b.width) / 2.0 + 2.0,
+                          (a.length / 2.0, b.length / 2.0) if fixed else None))
     return pairs
 
 
 def _find_collision(views: List[VehicleView], pairs: List[tuple]):
-    """Ids of the first pair, in `pairs` order, whose rectangles overlap."""
-    for i, j, reach_y, reach_x in pairs:
+    """Ids of the first pair, in `pairs` order, whose rectangles overlap.
+    At headings of +-0.0, pose_gaps's first gap is exactly (abs(dy) - hla)
+    - hlb (floored at 0): a pair with half lengths skips while it is > 0."""
+    for i, j, reach_y, reach_x, half_lengths in pairs:
         a, b = views[i], views[j]
-        if abs(a.y - b.y) > reach_y:
+        dy = abs(a.y - b.y)
+        if dy > reach_y or (half_lengths is not None and
+                            (dy - half_lengths[0]) - half_lengths[1] > 0.0):
             continue
         if abs(a.x - b.x) > reach_x:
             continue
@@ -566,13 +573,16 @@ def _find_collision(views: List[VehicleView], pairs: List[tuple]):
     return None
 
 
-def _decide(world, decision_vehicles, views, attentions) -> None:
-    """Decision epoch: perceive, play the games, pick whom to attend to."""
+def _decide(world, decision_slots, views, slot_of, attentions) -> None:
+    """Decision epoch: perceive, play the games, pick whom to attend to.
+    A vehicle's view, noisy view and attention share its slot (its index
+    in world.vehicles, by id in `slot_of`)."""
     geometry, cfg = world.geometry, world.cfg
-    for veh in decision_vehicles:
+    for i in decision_slots:
+        veh = world.vehicles[i]
         noise = world.noise.get(veh.vehicle_id)
         seen = views if noise is None else noise.observe(veh.vehicle_id, views)
-        ego = next(v for v in seen if v.vehicle_id == veh.vehicle_id)
+        ego = seen[i]
         slots = classify_vicinity(
             veh.vehicle_id, seen, geometry,
             visibility=veh.profile.visibility_range,
@@ -583,11 +593,11 @@ def _decide(world, decision_vehicles, views, attentions) -> None:
         veh.brain = decide(ego, seen, veh.brain, veh.profile, geometry,
                            world.profiles, cfg, own_gap=own_gap, threat=threat)
         own_follower = slots[veh.brain.current_lane][1]
-        attentions[veh.vehicle_id] = Attention(
-            lane_leaders={lane: leader.vehicle_id
-                          for lane, (leader, _) in slots.items() if leader},
-            own_follower_id=own_follower.vehicle_id if own_follower else None,
-            threat_id=threat.vehicle_id if threat else None)
+        attentions[i] = Attention(
+            {lane: slot_of[leader.vehicle_id]
+             for lane, (leader, _) in slots.items() if leader},
+            slot_of[own_follower.vehicle_id] if own_follower else None,
+            slot_of[threat.vehicle_id] if threat else None)
 
 
 # The flags column of a row, by the latch's (guard, forced_stop).
@@ -611,9 +621,9 @@ def _record(log, vehicles, views, t) -> None:
                     _FLAGS[brain.guard, brain.forced_stop]))
 
 
-def _advance(world, views, attentions, bounds, bands, log, t) -> None:
+def _advance(world, views, slot_of, attentions, bounds, bands, log, t):
     """Control and integrate every vehicle over the step from t, given each
-    decision vehicle's control_bounds by id and the run's lane_bands.
+    decision vehicle's attention by slot and control_bounds by id.
 
     Controls read the start-of-step `views`; world.views gets a new list
     with each vehicle's view of its new state.  A scripted vehicle only
@@ -622,16 +632,15 @@ def _advance(world, views, attentions, bounds, bands, log, t) -> None:
     moved view keeps its lane while x stays inside that lane's band.
     """
     cfg, dt, geometry = world.cfg, world.cfg.dt, world.geometry
-    views_by_id = {v.vehicle_id: v for v in views}
     moved = []
-    for veh, view in zip(world.vehicles, views):
+    for veh, view, attention in zip(world.vehicles, views, attentions):
         vid, x, y, v, heading, length, width, lane, kind, q = view
         if kind == SCRIPTED:
             moved.append(_new_view((vid, x, y + veh.v_preset * dt, v, heading,
                                     length, width, lane, kind, q)))
             continue
         controls = _controls_for(
-            veh, view, views_by_id, attentions[vid], geometry, cfg,
+            veh, view, views, slot_of, attention, geometry, cfg,
             world.gains, bounds[vid])
         try:
             veh.state = s = step(veh.state, veh.params, controls, dt)
@@ -715,13 +724,14 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
     decision_vehicles = [v for v in world.vehicles if v.kind == DECISION]
     decision_slots = [i for i, v in enumerate(world.vehicles)
                       if v.kind == DECISION]
+    slot_of = {v.vehicle_id: i for i, v in enumerate(world.vehicles)}
     bounds = {v.vehicle_id: control_bounds(v.profile, world.gains, v.params)
               for v in decision_vehicles}
     bands = lane_bands(geometry)
     # States may have been set since the world was built.
     world.views = [v.view(geometry) for v in world.vehicles]
     pairs = _collision_pairs(world.views)
-    attentions: Dict[str, Attention] = {}
+    attentions: List[Optional[Attention]] = [None] * len(world.vehicles)
     quiet = 0.0
 
     try:
@@ -729,9 +739,9 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
             t = step_index * dt
             views = world.snapshot()
             if step_index % steps_per_epoch == 0:
-                _decide(world, decision_vehicles, views, attentions)
+                _decide(world, decision_slots, views, slot_of, attentions)
             _record(log, world.vehicles, views, t)
-            _advance(world, views, attentions, bounds, bands, log, t)
+            _advance(world, views, slot_of, attentions, bounds, bands, log, t)
             log.end_time = t_end = t + dt
 
             moved = world.snapshot()

@@ -27,6 +27,16 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def read_text(path):
+    with open(path) as fh:
+        return fh.read()
+
+
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def wall_scenario_file(tmp_path):
     """Merge lane blocked by a solid platoon: guaranteed forced stop."""
     vehicles = [{"id": "merging", "x0_m": 9.9, "y0_m": 10.0,
@@ -64,9 +74,9 @@ class TestRunCommand:
         out = str(tmp_path / "s1")
         assert run_cli("run", "--scenario", "scenario1",
                        "--q", "merging=0.9", "--output", out) == 0
-        header = open(out + ".csv").readline().strip()
+        header = read_text(out + ".csv").splitlines()[0]
         assert header == ",".join(TRAJECTORY_COLUMNS)
-        summary = json.load(open(out + ".summary.json"))
+        summary = json.loads(read_text(out + ".summary.json"))
         assert summary["vehicles"]["merging"]["merge_time"] is not None
         assert summary["collision"] is None
         text = capsys.readouterr().out
@@ -76,10 +86,10 @@ class TestRunCommand:
         out = str(tmp_path / "s1")
         run_cli("run", "--scenario", "scenario1", "--q", "merging=0.9",
                 "--output", out)
-        summary = json.load(open(out + ".summary.json"))
+        summary = json.loads(read_text(out + ".summary.json"))
         merge_time = summary["vehicles"]["merging"]["merge_time"]
         rows = [line.split(",") for line in
-                open(out + ".csv").read().splitlines()[1:]]
+                read_text(out + ".csv").splitlines()[1:]]
         at_merge = {r[1]: float(r[3]) for r in rows
                     if abs(float(r[0]) - merge_time) < 1e-9}
         assert at_merge["merging"] > at_merge["vehicle4"]
@@ -88,7 +98,7 @@ class TestRunCommand:
         out = str(tmp_path / "s1c")
         run_cli("run", "--scenario", "scenario1", "--q", "merging=0.1",
                 "--output", out)
-        summary = json.load(open(out + ".summary.json"))
+        summary = json.loads(read_text(out + ".summary.json"))
         assert summary["vehicles"]["merging"]["final_lane"] == 1
 
     def test_rejects_bad_dt(self, capsys):
@@ -112,16 +122,15 @@ class TestRunCommand:
             run_cli("run", "--scenario", "scenario2", "--q", "merging=0.5",
                     "--seed", "11", "--output", out)
             outs.append(out)
-        assert open(outs[0] + ".csv", "rb").read() == \
-            open(outs[1] + ".csv", "rb").read()
-        assert open(outs[0] + ".summary.json", "rb").read() == \
-            open(outs[1] + ".summary.json", "rb").read()
+        assert read_bytes(outs[0] + ".csv") == read_bytes(outs[1] + ".csv")
+        assert read_bytes(outs[0] + ".summary.json") == \
+            read_bytes(outs[1] + ".summary.json")
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MERGE_SIM_SEED", "77")
         out = str(tmp_path / "seeded")
         run_cli("run", "--scenario", "scenario1", "--output", out)
-        summary = json.load(open(out + ".summary.json"))
+        summary = json.loads(read_text(out + ".summary.json"))
         assert summary["config"]["seed"] == 77
 
     def test_dump_config_round_trip(self, capsys):
@@ -184,8 +193,7 @@ PINNED_DIGESTS = {
 
 
 def _sha256(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    return hashlib.sha256(read_bytes(path)).hexdigest()
 
 
 @pytest.mark.parametrize("scenario, q, noise", [
@@ -287,7 +295,7 @@ class TestRejectsBadInput:
          "vehicles[1]: overlaps vehicles[0] ('slow') at the start"),
     ])
     def test_malformed_scenario(self, tmp_path, capsys, mutate, message):
-        good = json.loads(open(crash_scenario_file(tmp_path)).read())
+        good = json.loads(read_text(crash_scenario_file(tmp_path)))
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(mutate(good)))
         out = str(tmp_path / "x")
@@ -339,7 +347,7 @@ class TestRejectsBadInput:
             f"q_overrides['merging']: must be in [0, 1], got {q}"
 
     def test_top_speed_is_accepted(self, tmp_path):
-        data = json.loads(open(crash_scenario_file(tmp_path)).read())
+        data = json.loads(read_text(crash_scenario_file(tmp_path)))
         data["vehicles"][0]["v0_kmh"] = MAX_SPEED_KMH
         world = load_scenario(data, RunConfig())
         assert world.vehicles[0].v_preset == MAX_SPEED_KMH / 3.6
@@ -576,10 +584,10 @@ class TestSweepCommand:
                            "--grid", "0:1:0.5", "--seed", "4",
                            "--output", out) == 0
             outs.append(out + ".csv")
-        first = open(outs[0]).read().splitlines()
+        first = read_text(outs[0]).splitlines()
         assert first[0] == ",".join(GRID_COLUMNS)
         assert len(first) == 1 + 9
-        assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+        assert read_bytes(outs[0]) == read_bytes(outs[1])
 
     @pytest.mark.parametrize("override", ["merging=0.1", "nobody=0.3"])
     def test_refuses_q_overrides(self, tmp_path, capsys, override):
@@ -615,7 +623,7 @@ class TestPlotCommand:
         run_cli("run", "--scenario", "scenario1", "--output", out)
         svg_path = str(tmp_path / "traj.svg")
         assert run_cli("plot", out + ".csv", "--output", svg_path) == 0
-        svg = open(svg_path).read()
+        svg = read_text(svg_path)
         assert svg.count("<polyline") == 6
         assert svg.startswith("<svg")
 
@@ -624,7 +632,7 @@ class TestPlotCommand:
         path.write_text(",".join(TRAJECTORY_COLUMNS) + "\n")
         svg_path = str(tmp_path / "empty.svg")
         assert run_cli("plot", str(path), "--output", svg_path) == 0
-        svg = open(svg_path).read()
+        svg = read_text(svg_path)
         assert "<svg" in svg and svg.count("<polyline") == 0
 
     def test_byte_identical_rerenders(self, tmp_path):
@@ -633,7 +641,7 @@ class TestPlotCommand:
         a, b = str(tmp_path / "a.svg"), str(tmp_path / "b.svg")
         run_cli("plot", out + ".csv", "--output", a)
         run_cli("plot", out + ".csv", "--output", b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert read_bytes(a) == read_bytes(b)
 
     @pytest.mark.parametrize("mutate, message", [
         (lambda s: {**s, "geometry": {**s["geometry"], "lane_centers": 5}},
@@ -652,7 +660,7 @@ class TestPlotCommand:
         out = str(tmp_path / "traj")
         run_cli("run", "--scenario", "scenario1", "--output", out,
                 "--t-max", "1")
-        summary = json.load(open(out + ".summary.json"))
+        summary = json.loads(read_text(out + ".summary.json"))
         with open(out + ".summary.json", "w") as fh:
             json.dump(mutate(summary), fh)
         capsys.readouterr()

@@ -1,6 +1,7 @@
 """Collision checking over the run-start pair list, on generated scenarios."""
 
 from contextlib import contextmanager
+import math
 from unittest import mock
 
 import pytest
@@ -9,11 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 from mergesim import world as world_module
 from mergesim.config import ConfigError, RunConfig
 from mergesim.dynamics import GRAVITY
-from mergesim.perception import OrientedRect, rects_intersect
+from mergesim.perception import (OrientedRect, VehicleView, pose_gaps,
+                                 rects_intersect)
 from mergesim.world import (DECISION, KMH, SCRIPTED, _collision_pairs,
-                            load_scenario, run)
+                            _find_collision, load_scenario, run)
 
 BODY_WIDTH = RunConfig().body_width
+BODY_LENGTH = RunConfig().body_length
 
 
 def all_pairs_collision(views):
@@ -32,8 +35,8 @@ def all_pairs_collision(views):
 
 
 def index_pairs(pairs):
-    """The (i, j) of each (i, j, reach_y, reach_x) pair-list entry."""
-    return [(i, j) for i, j, _, _ in pairs]
+    """The (i, j) of each pair-list entry."""
+    return [(i, j) for i, j, *_ in pairs]
 
 
 @contextmanager
@@ -99,7 +102,8 @@ _kinds = st.sampled_from((SCRIPTED, DECISION))
 def generated_scenarios(draw):
     """2-6 vehicles on 2-4 lanes whose spacing lies above or below one body
     width, optionally with a faster scripted follower in a lead vehicle's
-    lane, and a short run time."""
+    lane and a pair of scripted vehicles in one lane a few ulps from
+    touching, and a short run time."""
     lanes = draw(st.integers(2, 4))
     spacing = draw(st.one_of(
         st.floats(1.0, BODY_WIDTH - 0.05), st.floats(BODY_WIDTH + 0.05, 4.0),
@@ -115,6 +119,19 @@ def generated_scenarios(draw):
         _, lane, y0, v0, _, _ = vehicles[0]
         vehicles.append(("follower", lane, y0 - draw(st.floats(5.0, 25.0)),
                          v0 + draw(st.floats(20.0, 60.0)), SCRIPTED, 0.5))
+    if len(vehicles) <= 4 and draw(st.booleans()):
+        # Bumper to bumper: one body length apart, give or take a few ulps
+        # (touching or overlapping pairs are refused at load), the rear one
+        # as fast or faster.
+        lane = draw(st.integers(0, lanes - 1))
+        y0, v0 = draw(st.floats(-60.0, 120.0)), draw(st.floats(40.0, 130.0))
+        y1 = y0 - BODY_LENGTH
+        for _ in range(draw(st.integers(0, 4))):
+            y1 = math.nextafter(y1, -math.inf)
+        vehicles.append(("pair_front", lane, y0, v0, SCRIPTED, 0.5))
+        vehicles.append(("pair_rear", lane, y1,
+                         v0 + draw(st.sampled_from((0.0, 0.01, 5.0))),
+                         SCRIPTED, 0.5))
     t_max = draw(st.sampled_from((0.5, 1.0, 2.0, 3.0)))
     return scenario(spacing, vehicles, lanes), t_max
 
@@ -186,6 +203,38 @@ def test_pair_list_matches_all_pairs_on_generated_scenarios(case):
         decision_ids = {v["id"] for v in data["vehicles"]
                         if v["kind"] == DECISION}
         assert unmerged_past_hard_end(first, decision_ids) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=st.floats(-200.0, 200.0), dx=st.floats(-1.0, 1.0),
+       lengths=st.tuples(st.floats(2.0, 8.0), st.floats(2.0, 8.0)),
+       ulps=st.integers(-4, 4),
+       headings=st.tuples(st.sampled_from((0.0, -0.0)),
+                          st.sampled_from((0.0, -0.0))),
+       behind=st.booleans())
+def test_same_lane_scripted_prefilter_is_exact_near_touching(
+        y, dx, lengths, ulps, headings, behind):
+    # Two scripted vehicles a few ulps from touching end to end: the
+    # prefilter's gap along the road is pose_gaps's, bit for bit, and the
+    # collision check agrees with the all-pairs reference.
+    la, lb = lengths
+    offset = la / 2.0 + lb / 2.0
+    for _ in range(abs(ulps)):
+        offset = math.nextafter(offset, math.copysign(math.inf, ulps))
+    a = VehicleView("a", 3.3, y, 20.0, headings[0], la, BODY_WIDTH, 1)
+    b = VehicleView("b", 3.3 + dx, y - offset if behind else y + offset, 20.0,
+                    headings[1], lb, BODY_WIDTH, 1)
+    views = [a, b]
+    pairs = _collision_pairs(views)
+    assert [p[4] for p in pairs] == [(la / 2.0, lb / 2.0)]
+    gap = (abs(a.y - b.y) - la / 2.0) - lb / 2.0
+    assert max(0.0, gap).hex() == \
+        pose_gaps(a.rect().pose(), b.rect().pose())[0].hex()
+    with mock.patch.object(world_module, "rects_intersect",
+                           wraps=rects_intersect) as full_test:
+        assert _find_collision(views, pairs) == all_pairs_collision(views)
+    # The full test runs exactly while that gap is not positive.
+    assert full_test.call_count == (0 if gap > 0.0 else 1)
 
 
 class TestPairList:

@@ -8,10 +8,13 @@ recomputes the acceleration, brake and steering bounds from the profile,
 the gains and the vehicle params inside every PD-law call, and the
 directive commands and slot constants from the config's fields and q at
 every step.  The two must give bit-identical Controls for every state,
-latch, attention and set of neighbours.
+latch, attention and set of neighbours.  The oracle also reads the
+attention as vehicle ids through a dict of views by id, as the control law
+did before it read views by slot index.
 """
 
 import math
+from typing import NamedTuple, Optional
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -167,6 +170,13 @@ def oracle_controls_for(veh, ego, views_by_id, attention, geometry, cfg,
     return min(max(base, lo), hi), steer
 
 
+class IdAttention(NamedTuple):
+    """The attention as the oracle reads it: vehicle ids, not slots."""
+    lane_leaders: dict = {}
+    own_follower_id: Optional[str] = None
+    threat_id: Optional[str] = None
+
+
 # --- generated inputs ------------------------------------------------------
 
 OTHER_IDS = ("leader_a", "leader_b", "slot_leader", "slot_follower",
@@ -221,7 +231,7 @@ _neighbours = st.dictionaries(
 
 
 _attention = st.builds(
-    Attention,
+    IdAttention,
     lane_leaders=st.dictionaries(st.sampled_from(LANES),
                                  st.sampled_from(OTHER_IDS + ("absent",))),
     own_follower_id=_ids, threat_id=_ids)
@@ -235,7 +245,7 @@ _attention = st.builds(
          state=VehicleState(x=9.9, y=165.0, v_long=5.0),
          brain=BrainState(3, 19.4, needs_merge=True, directive=DECELERATE,
                           guard=True),
-         attention=Attention(), others={})
+         attention=IdAttention(), others={})
 # A lane change boxed in by the slot leader, a leader in the target lane
 # and a threat ahead.
 @example(cfg=RunConfig(), q=0.9,
@@ -243,7 +253,7 @@ _attention = st.builds(
          brain=BrainState(3, 19.4, needs_merge=True, maneuver=MERGE,
                           target_lane=2, slot_leader_id="slot_leader",
                           slot_follower_id="slot_follower"),
-         attention=Attention({2: "leader_a", 3: "slot_leader"}, "follower",
+         attention=IdAttention({2: "leader_a", 3: "slot_leader"}, "follower",
                              "threat"),
          others={"slot_leader": (2, 0.0, 8.0, 18.0, 0.0),
                  "slot_follower": (2, 0.0, -9.0, 22.0, 0.0),
@@ -257,7 +267,7 @@ _attention = st.builds(
 @example(cfg=RunConfig(), q=0.5,
          state=VehicleState(x=6.6, y=40.0, v_long=20.0, v_lat=0.1),
          brain=BrainState(2, 22.0),
-         attention=Attention({2: "leader_a"}, "follower"),
+         attention=IdAttention({2: "leader_a"}, "follower"),
          others={"leader_a": (2, 0.0, 15.0, 18.0, 0.0),
                  "follower": (2, 0.0, -10.0, 21.0, 0.0)})
 @example(cfg=RunConfig(), q=0.3,
@@ -265,7 +275,7 @@ _attention = st.builds(
          brain=BrainState(3, 19.4, needs_merge=True, directive=HOLD,
                           slot_leader_id="slot_leader",
                           slot_follower_id="slot_follower"),
-         attention=Attention({2: "leader_a", 3: "leader_b"}),
+         attention=IdAttention({2: "leader_a", 3: "leader_b"}),
          others={"slot_leader": (2, 0.0, 6.0, 20.0, 0.0),
                  "slot_follower": (2, 0.0, -8.0, 19.0, 0.0),
                  "leader_a": (2, 0.0, 6.0, 20.0, 0.0),
@@ -274,7 +284,7 @@ _attention = st.builds(
          state=VehicleState(x=9.9, y=150.0, v_long=12.0),
          brain=BrainState(3, 19.4, needs_merge=True, directive=DECELERATE,
                           guard=True),
-         attention=Attention({3: "leader_b"}),
+         attention=IdAttention({3: "leader_b"}),
          others={"leader_b": (3, 0.0, 12.0, 10.0, 0.0)})
 def test_controls_are_bit_identical_to_the_per_call_bounds(
         cfg, q, state, brain, attention, others):
@@ -283,13 +293,19 @@ def test_controls_are_bit_identical_to_the_per_call_bounds(
     gains = cfg.gains()
     veh = SimVehicle("ego", DECISION, params, state, 19.4, q, profile, brain)
     ego = veh.view(GEOMETRY)
-    views_by_id = {
-        vid: VehicleView(vid, GEOMETRY.centers[lane] + dx, state.y + dy, v,
-                         heading, 4.5, 1.8, lane)
-        for vid, (lane, dx, dy, v, heading) in others.items()}
-    views_by_id["ego"] = ego
+    views = [ego] + [
+        VehicleView(vid, GEOMETRY.centers[lane] + dx, state.y + dy, v,
+                    heading, 4.5, 1.8, lane)
+        for vid, (lane, dx, dy, v, heading) in others.items()]
+    views_by_id = {v.vehicle_id: v for v in views}
+    # The same attention by slot; an id with no view is no vehicle.
+    slot_of = {v.vehicle_id: k for k, v in enumerate(views)}
+    slots = Attention(
+        {lane: slot_of[vid] for lane, vid in attention.lane_leaders.items()
+         if vid in slot_of},
+        slot_of.get(attention.own_follower_id), slot_of.get(attention.threat_id))
 
-    got = _controls_for(veh, ego, views_by_id, attention, GEOMETRY, cfg,
+    got = _controls_for(veh, ego, views, slot_of, slots, GEOMETRY, cfg,
                         gains, control_bounds(profile, gains, params))
     want = oracle_controls_for(veh, ego, views_by_id, attention, GEOMETRY,
                                cfg, gains)

@@ -79,11 +79,10 @@ def test_net_utility():
 
 
 def bimatrix(u1, u2):
-    bim = PayoffBimatrix()
-    for pair in ((LEFT, LEFT), (LEFT, STRAIGHT), (STRAIGHT, LEFT),
-                 (STRAIGHT, STRAIGHT)):
-        bim.set(pair[0], pair[1], u1[pair], u2[pair])
-    return bim
+    pairs = ((LEFT, LEFT), (LEFT, STRAIGHT), (STRAIGHT, LEFT),
+             (STRAIGHT, STRAIGHT))
+    return PayoffBimatrix(leader={pair: u1[pair] for pair in pairs},
+                          follower={pair: u2[pair] for pair in pairs})
 
 
 def brute_force_solution(bim):

@@ -1,3 +1,4 @@
+import copy
 import multiprocessing
 import os
 from unittest import mock
@@ -10,7 +11,8 @@ from mergesim.metrics import (aggressiveness_sweep, grid_to_csv,
                               longitudinal_disturbance, measure_cell,
                               sweep_scenario)
 from mergesim.road import LaneGeometry
-from mergesim.world import BUILTIN_SCENARIOS, TrajectoryLog, load_scenario, run
+from mergesim.world import (BUILTIN_SCENARIOS, TrajectoryLog, load_scenario,
+                            run, scenario_definition)
 
 GEOMETRY = LaneGeometry()
 
@@ -153,6 +155,22 @@ class TestSweep:
             "cell and takes no overrides, got ['merging', 'nobody']")
         pool.assert_not_called()
         cell.assert_not_called()
+
+    def test_measure_cell_refuses_q_overrides(self):
+        # A cell sets the q of merging and vehicle4 itself: it once dropped
+        # the overrides silently and ran.
+        cfg = RunConfig(q_overrides={"nobody": 0.3}, t_max=1.0)
+        with pytest.raises(ConfigError) as info:
+            measure_cell(scenario_definition("scenario1"), 0.5, 0.5, cfg)
+        assert str(info.value) == (
+            "q_overrides: a sweep sets the q of 'merging' and 'vehicle4' per "
+            "cell and takes no overrides, got ['nobody']")
+
+    def test_measure_cell_leaves_its_config_as_it_was(self):
+        cfg = RunConfig(t_max=1.0)
+        before = copy.deepcopy(cfg)
+        measure_cell(scenario_definition("scenario1"), 0.5, 0.5, cfg)
+        assert cfg == before
 
     def test_collision_flags_cell_but_returns_grid(self):
         base = {"geometry": {"lane_centers": [0.0, 3.3, 6.6, 9.9],
