@@ -1,7 +1,8 @@
 """Run configuration: every tunable constant in one flat, serializable record.
 
-RunConfig is the only calibration table: the driver profiles, controller
-gains and vehicle parameters of a run are all derived from its fields.
+RunConfig is the only calibration table: the driver profiles, with their
+controller gains and bounds, and the vehicle parameters of a run are all
+derived from its fields.
 Each field declares its valid range next to its default; check() is the
 one checker of config, scenario and command-line values.
 """
@@ -11,7 +12,7 @@ import math
 import os
 
 from .dynamics import GRAVITY, VehicleParams
-from .driver import ControllerGains, DriverProfile
+from .driver import DriverProfile
 
 Q_RANGE = "[0, 1]"  # an aggressiveness index
 
@@ -120,22 +121,17 @@ class RunConfig:
             mass=self.mass, yaw_inertia=self.yaw_inertia,
             dist_front=self.dist_front, dist_rear=self.dist_rear,
             corner_stiff_front=self.corner_stiff, corner_stiff_rear=self.corner_stiff,
-            width=self.body_width, length=self.body_length,
-            understeer_gradient=self.understeer_gradient)
-
-    def gains(self) -> ControllerGains:
-        return ControllerGains(
-            kp_long=self.kp_long, kd_long=self.kd_long,
-            kp_lat=self.kp_lat, kd_lat=self.kd_lat,
-            accel_cap=self.accel_cap_g * GRAVITY,
-            steer_cap=math.radians(self.steer_cap_deg),
-            brake_factor=self.brake_factor)
+            width=self.body_width, length=self.body_length)
 
     def profile(self, q: float) -> DriverProfile:
         """Expand the aggressiveness index into a full behavioral profile.
 
         Every map runs linearly from its cautious value at q=0 to its
         aggressive value at q=1, except the decision constants noted below.
+        Acceleration is limited by the driver's comfort bound and the
+        vehicle's physical bound; comfortable deceleration is clamped at
+        brake_factor times the comfort bound, and emergency braking may use
+        the whole physical bound.
         """
         check("q", q, float, Q_RANGE)
 
@@ -150,6 +146,7 @@ class RunConfig:
         # squeeze below the sufficient lane-change clearance.
         risk_tolerance = self.risk_tolerance_max * max(0.0, 2.0 * q - 1.0)
         directive_accel = self.nominal_accel_g * GRAVITY
+        accel_cap = self.accel_cap_g * GRAVITY
         return DriverProfile(
             aggressiveness=q,
             visibility_scale=lerp(self.visibility_scale_cautious,
@@ -157,8 +154,6 @@ class RunConfig:
             prediction_time=lerp(self.prediction_time_cautious,
                                  self.prediction_time_aggressive),
             accel_limit=accel_limit,
-            lat_accel_limit=lerp(self.lat_accel_g_cautious,
-                                 self.lat_accel_g_aggressive) * GRAVITY,
             bound_scale=1.0 + (self.bound_scale_max - 1.0) * q,
             visibility_range=self.visibility_range,
             lane_change_clearance=clearance,
@@ -183,7 +178,19 @@ class RunConfig:
             slot_ride=(self.slot_ride_cautious
                        + (self.slot_ride_aggressive
                           - self.slot_ride_cautious) * q * q),
-            slot_rear_min=max(1.0, clearance - 0.8 * risk_tolerance))
+            slot_rear_min=max(1.0, clearance - 0.8 * risk_tolerance),
+            kp_long=self.kp_long, kd_long=self.kd_long,
+            kp_lat=self.kp_lat, kd_lat=self.kd_lat,
+            steer_cap=math.radians(self.steer_cap_deg),
+            accel_hi=min(accel_limit, accel_cap),
+            brake_lo=-min(accel_limit * self.brake_factor, accel_cap),
+            guard_lo=-accel_cap,
+            steer_scale=57.3 * (self.dist_front + self.dist_rear) * GRAVITY,
+            # The limit in m/s^2, rounded as such, then in g.
+            lat_accel_g=lerp(self.lat_accel_g_cautious,
+                             self.lat_accel_g_aggressive) * GRAVITY / GRAVITY,
+            understeer_gradient=self.understeer_gradient,
+            speed_weight=self.speed_weight)
 
     # Serialization ------------------------------------------------------
 

@@ -2,22 +2,20 @@
 
 A DriverProfile holds every behavioral parameter one driver needs: comfort
 limits, look-ahead time, usable headway, perception magnification,
-lane-change clearance, and the decision constants: the tolerated squeeze
-(risk_tolerance), the discretionary-change margin (hysteresis), the
-commands of the accelerate and decelerate directives (nominal_accel,
-nominal_decel) and the slot-keeping constants (slot_ride, slot_rear_min).
-RunConfig.profile expands a single aggressiveness index in [0, 1]
+lane-change clearance, the decision constants (the tolerated squeeze
+risk_tolerance, the discretionary-change margin hysteresis, the commands
+of the accelerate and decelerate directives nominal_accel and
+nominal_decel, and the slot-keeping constants slot_ride and slot_rear_min)
+and the constants of its PD laws: their gains, the acceleration, brake and
+steering bounds, and the vehicle constants of the lateral acceleration
+gain.  RunConfig.profile expands a single aggressiveness index in [0, 1]
 (0 = completely cautious, 1 = completely aggressive) into one.  The PD laws
 below turn tracking errors into acceleration and steering commands bounded
-by the ControlBounds that the profile, the ControllerGains of the run and
-the vehicle's parameters fix.
+by the profile alone.
 """
 
 from dataclasses import dataclass
 import math
-from typing import NamedTuple
-
-from .dynamics import GRAVITY, VehicleParams
 
 
 @dataclass(frozen=True)
@@ -26,7 +24,6 @@ class DriverProfile:
     visibility_scale: float      # caps usable headway (fraction of range)
     prediction_time: float       # s
     accel_limit: float           # m/s^2
-    lat_accel_limit: float       # m/s^2
     bound_scale: float           # perceived-rectangle magnification, >= 1
     visibility_range: float      # m
     lane_change_clearance: float  # m, room needed to change lanes
@@ -37,59 +34,29 @@ class DriverProfile:
     nominal_decel: float         # m/s^2, brake of a decelerate directive
     slot_ride: float             # share of a slot's free room kept ahead
     slot_rear_min: float         # m, least room kept behind in a slot
+    kp_long: float               # longitudinal proportional gain (1/s)
+    kd_long: float               # longitudinal derivative gain
+    kp_lat: float                # lateral proportional gain (rad/m)
+    kd_lat: float                # lateral derivative gain (rad s/m)
+    steer_cap: float             # rad, physical steering bound
+    accel_hi: float              # m/s^2, comfort and physical acceleration bound
+    brake_lo: float              # m/s^2, comfort deceleration bound (negative)
+    guard_lo: float              # m/s^2, emergency deceleration: the physical cap
+    steer_scale: float           # 57.3 L g of the lateral acceleration gain
+    lat_accel_g: float           # g, lateral acceleration limit
+    understeer_gradient: float   # deg/g
+    speed_weight: float          # weighted-mean share of the speed channel
 
 
-@dataclass(frozen=True)
-class ControllerGains:
-    kp_long: float       # longitudinal proportional gain (1/s on velocity error)
-    kd_long: float       # longitudinal derivative gain
-    kp_lat: float        # lateral proportional gain (rad/m)
-    kd_lat: float        # lateral derivative gain (rad s/m)
-    accel_cap: float     # physical acceleration bound (m/s^2)
-    steer_cap: float     # physical steering bound (rad)
-    brake_factor: float  # deceleration limit = brake_factor * comfort limit
-
-
-class ControlBounds(NamedTuple):
-    """The constants of one vehicle's PD laws: they depend only on its
-    DriverProfile, the run's ControllerGains and its VehicleParams, so a
-    run derives them once per vehicle (see control_bounds)."""
-    accel_hi: float     # comfort and physical acceleration bound (m/s^2)
-    brake_lo: float     # comfort deceleration bound (m/s^2, negative)
-    guard_lo: float     # emergency deceleration bound: the physical cap
-    steer_scale: float  # 57.3 L g of the lateral acceleration gain
-    lat_accel_g: float  # lateral acceleration limit (g)
-
-
-def control_bounds(profile: DriverProfile, gains: ControllerGains,
-                   params: VehicleParams) -> ControlBounds:
-    """The bounds of a driver with this profile in a vehicle with these
-    gains and params.
-
-    Acceleration is limited by the driver's comfort bound and the vehicle's
-    physical bound; comfortable deceleration is clamped symmetrically at
-    brake_factor times the comfort bound, and emergency braking may use the
-    whole physical bound.
-    """
-    return ControlBounds(
-        accel_hi=min(profile.accel_limit, gains.accel_cap),
-        brake_lo=-min(profile.accel_limit * gains.brake_factor,
-                      gains.accel_cap),
-        guard_lo=-gains.accel_cap,
-        steer_scale=57.3 * params.wheelbase * GRAVITY,
-        lat_accel_g=profile.lat_accel_limit / GRAVITY)
-
-
-def longitudinal_accel(bounds: ControlBounds, gains: ControllerGains,
-                       error: float, error_rate: float) -> float:
+def longitudinal_accel(profile: DriverProfile, error: float,
+                       error_rate: float) -> float:
     """Saturated PD acceleration command, clamped to the comfort bounds
     [brake_lo, accel_hi]."""
-    raw = gains.kp_long * error + gains.kd_long * error_rate
-    return min(max(raw, bounds.brake_lo), bounds.accel_hi)
+    raw = profile.kp_long * error + profile.kd_long * error_rate
+    return min(max(raw, profile.brake_lo), profile.accel_hi)
 
 
-def steering_limit(bounds: ControlBounds, v: float,
-                   params: VehicleParams) -> float:
+def steering_limit(profile: DriverProfile, v: float) -> float:
     """Steering angle (rad) at which lateral acceleration hits its limit.
 
     Uses the lateral acceleration gain of a understeering vehicle,
@@ -100,17 +67,16 @@ def steering_limit(bounds: ControlBounds, v: float,
     """
     if v <= 0.0:
         return math.inf
-    gain = v * v / (bounds.steer_scale
-                    + params.understeer_gradient * v * v)  # g per deg
+    gain = v * v / (profile.steer_scale
+                    + profile.understeer_gradient * v * v)  # g per deg
     if gain == 0.0:
         return math.inf
-    delta_deg = bounds.lat_accel_g / gain
+    delta_deg = profile.lat_accel_g / gain
     return math.radians(delta_deg)
 
 
-def steering_command(bounds: ControlBounds, gains: ControllerGains,
-                     e_lat: float, e_lat_rate: float,
-                     params: VehicleParams, v: float) -> float:
+def steering_command(profile: DriverProfile, e_lat: float, e_lat_rate: float,
+                     v: float) -> float:
     """Saturated PD steering command.
 
     The bound is the tighter of the disposition-dependent lateral
@@ -119,10 +85,10 @@ def steering_command(bounds: ControlBounds, gains: ControllerGains,
     0, is its own clamp: it is returned, sign and all, before the limit is
     computed.
     """
-    raw = gains.kp_lat * e_lat + gains.kd_lat * e_lat_rate
+    raw = profile.kp_lat * e_lat + profile.kd_lat * e_lat_rate
     if raw == 0.0:
         return raw
-    bound = min(steering_limit(bounds, v, params), gains.steer_cap)
+    bound = min(steering_limit(profile, v), profile.steer_cap)
     return min(max(raw, -bound), bound)
 
 

@@ -41,7 +41,6 @@ class VehicleParams:
     corner_stiff_rear: float
     width: float                # m
     length: float               # m
-    understeer_gradient: float  # deg/g
     # The speed-free parts of lateral_matrices (tests/dynamics_reference.py),
     # derived from the fields above once, when the params are built, for
     # dynamics.step: the numerators of A, and B.
@@ -75,10 +74,6 @@ class VehicleParams:
             self.n11 / mu, self.n12 / mu, self.n21 / iu, self.n22 / iu,
             self.b1, self.b2)))
         object.__setattr__(self, "finite_lateral", finite)
-
-    @property
-    def wheelbase(self) -> float:
-        return self.dist_front + self.dist_rear
 
 
 class Controls(NamedTuple):

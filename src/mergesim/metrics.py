@@ -2,11 +2,17 @@
 
 import copy
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Dict, Optional, Tuple
 
 from .config import Q_RANGE, ConfigError, RunConfig, check, check_field
 from .world import (DECISION, TrajectoryLog, load_scenario,
                     scenario_definition, run)
+
+# The vehicles whose q a sweep sets: the merging vehicle and the adjacent
+# mainline vehicle whose disturbance it measures.
+MERGE_ID = "merging"
+MAINLINE_ID = "vehicle4"
 
 
 @dataclass(frozen=True)
@@ -48,22 +54,12 @@ def _maneuver_segments(rows):
     Yields (start_index, end_index_exclusive, maneuver) for every run of
     'merge' or 'change' rows.
     """
-    start = None
-    kind = None
-    for i, r in enumerate(rows):
-        m = r[7]
-        if m in ("merge", "change"):
-            if start is None:
-                start, kind = i, m
-            elif m != kind:
-                yield start, i, kind
-                start, kind = i, m
-        else:
-            if start is not None:
-                yield start, i, kind
-                start = None
-    if start is not None:
-        yield start, len(rows), kind
+    start = 0
+    for kind, run_rows in groupby(r[7] for r in rows):
+        end = start + sum(1 for _ in run_rows)
+        if kind in ("merge", "change"):
+            yield start, end, kind
+        start = end
 
 
 def lane_change_events(log: TrajectoryLog, vehicle_id: str):
@@ -101,22 +97,20 @@ def lane_change_count(log: TrajectoryLog, vehicle_id: str) -> int:
                if done and kind == "change")
 
 
-def sweep_scenario(base: dict, q_merge: float, q_mainline: float,
-                   merge_id: str = "merging",
-                   mainline_id: str = "vehicle4") -> dict:
+def sweep_scenario(base: dict, q_merge: float, q_mainline: float) -> dict:
     """Scenario variant with a decision-driven adjacent mainline vehicle."""
     data = copy.deepcopy(base)
     found = set()
     for item in data["vehicles"]:
-        if item["id"] == merge_id:
+        if item["id"] == MERGE_ID:
             item["kind"] = DECISION
             item["q"] = q_merge
-            found.add(merge_id)
-        elif item["id"] == mainline_id:
+            found.add(MERGE_ID)
+        elif item["id"] == MAINLINE_ID:
             item["kind"] = DECISION
             item["q"] = q_mainline
-            found.add(mainline_id)
-    missing = {merge_id, mainline_id} - found
+            found.add(MAINLINE_ID)
+    missing = {MERGE_ID, MAINLINE_ID} - found
     if missing:
         raise ConfigError(f"sweep scenario lacks vehicles: {sorted(missing)}")
     return data
@@ -125,21 +119,21 @@ def sweep_scenario(base: dict, q_merge: float, q_mainline: float,
 def _refuse_overrides(cfg: RunConfig) -> None:
     if cfg.q_overrides:
         raise ConfigError(
-            f"q_overrides: a sweep sets the q of 'merging' and 'vehicle4' "
-            f"per cell and takes no overrides, got {sorted(cfg.q_overrides)}")
+            f"q_overrides: a sweep sets the q of {MERGE_ID!r} and "
+            f"{MAINLINE_ID!r} per cell and takes no overrides, "
+            f"got {sorted(cfg.q_overrides)}")
 
 
 def measure_cell(base: dict, q_merge: float, q_mainline: float,
-                 cfg: RunConfig, mainline_id: str = "vehicle4") -> DisturbanceReport:
+                 cfg: RunConfig) -> DisturbanceReport:
     _refuse_overrides(cfg)
-    world = load_scenario(sweep_scenario(base, q_merge, q_mainline,
-                                         mainline_id=mainline_id), cfg)
-    v0 = next(v.v_preset for v in world.vehicles if v.vehicle_id == mainline_id)
+    world = load_scenario(sweep_scenario(base, q_merge, q_mainline), cfg)
+    v0 = next(v.v_preset for v in world.vehicles if v.vehicle_id == MAINLINE_ID)
     log = run(world)
     return DisturbanceReport(
-        d_long=longitudinal_disturbance(log, mainline_id, v0),
-        d_lat=lateral_disturbance(log, mainline_id),
-        lane_changes=lane_change_count(log, mainline_id),
+        d_long=longitudinal_disturbance(log, MAINLINE_ID, v0),
+        d_lat=lateral_disturbance(log, MAINLINE_ID),
+        lane_changes=lane_change_count(log, MAINLINE_ID),
         collision=log.collision is not None,
         forced_stop=log.forced_stop,
         q_merge=q_merge, q_mainline=q_mainline, seed=cfg.seed)

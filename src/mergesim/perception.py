@@ -7,7 +7,7 @@ with separation.
 """
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 
 class OrientedRect(NamedTuple):
@@ -81,7 +81,6 @@ class VehicleView(NamedTuple):
     width: float
     lane: int
     kind: str = "scripted"
-    q: Optional[float] = None
 
     def rect(self) -> OrientedRect:
         return _new_rect((self.x, self.y, self.heading, self.width / 2.0,

@@ -35,7 +35,6 @@ class BrainState(NamedTuple):
     needs_merge: bool = False
     maneuver: str = KEEP              # "merge" | "change" | "keep"
     target_lane: Optional[int] = None
-    maneuver_start_x: float = 0.0
     directive: str = HOLD
     competing_id: Optional[str] = None
     slot_leader_id: Optional[str] = None
@@ -297,19 +296,22 @@ def _time_to_reach(speed: float, accel: float, distance: float) -> float:
     return (math.sqrt(disc) - speed) / accel
 
 
+LANE_CHANGE_MARGIN = 0.1  # m, added to each half extent of the ego's ghost
+
+
 def lane_change_safe(ego: VehicleView, views: List[VehicleView],
                      target_lane: int, profile: DriverProfile,
-                     geometry: LaneGeometry, margin: float = 0.1) -> bool:
+                     geometry: LaneGeometry) -> bool:
     """Veto check: the slot must not be predicted to overlap anyone.
 
-    The ego is placed on the target center and everyone coasts at current
-    speed; overlap at any sampled horizon up to the driver's prediction
-    time rejects the maneuver.
+    The ego, grown by LANE_CHANGE_MARGIN, is placed on the target center
+    and everyone coasts at current speed; overlap at any sampled horizon up
+    to the driver's prediction time rejects the maneuver.
     """
     horizons = (0.0, 0.5 * profile.prediction_time, profile.prediction_time)
     cx = geometry.centers[target_lane]
-    half_w = ego.width / 2.0 + margin
-    half_l = ego.length / 2.0 + margin
+    half_w = ego.width / 2.0 + LANE_CHANGE_MARGIN
+    half_l = ego.length / 2.0 + LANE_CHANGE_MARGIN
     for h in horizons:
         ghost = OrientedRect(cx, ego.y + ego.v * h, 0.0, half_w, half_l)
         for other in views:
@@ -468,9 +470,8 @@ def decide(ego: VehicleView, views: List[VehicleView], brain: BrainState,
         threat_memo_speed=threat.v if threat else 0.0)
     if target is None:
         return brain
-    return brain._replace(maneuver=CHANGE, maneuver_start_x=ego.x,
-                          competing_id=None, slot_leader_id=None,
-                          slot_follower_id=None)
+    return brain._replace(maneuver=CHANGE, competing_id=None,
+                          slot_leader_id=None, slot_follower_id=None)
 
 
 def _merge_lane_epoch(ego, views, brain, profile, geometry, profiles, cfg):
@@ -486,7 +487,7 @@ def _merge_lane_epoch(ego, views, brain, profile, geometry, profiles, cfg):
                                      profile, geometry)):
             return brain._replace(
                 maneuver=MERGE, target_lane=geometry.merge_target_lane,
-                maneuver_start_x=ego.x, directive=HOLD, competing_id=p2_id,
+                directive=HOLD, competing_id=p2_id,
                 slot_leader_id=slot.leader.vehicle_id if slot.leader else None,
                 slot_follower_id=(slot.follower.vehicle_id
                                   if slot.follower else None),

@@ -7,8 +7,7 @@ import random
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .config import Q_RANGE, ConfigError, RunConfig, check, check_field
-from .driver import (ControlBounds, ControllerGains, DriverProfile,
-                     blended_error, control_bounds, longitudinal_accel,
+from .driver import (DriverProfile, blended_error, longitudinal_accel,
                      steering_command)
 from .dynamics import GRAVITY, Controls, VehicleParams, VehicleState, step
 # collision_index is re-exported, not called: perfbench probes the name
@@ -89,7 +88,7 @@ class SimVehicle:
         s = self.state
         return VehicleView(self.vehicle_id, s.x, s.y, s.v_long, s.heading,
                            self.params.length, self.params.width,
-                           lane_of(s.x, geometry), self.kind, self.q)
+                           lane_of(s.x, geometry), self.kind)
 
 
 class TrajectoryLog:
@@ -258,7 +257,6 @@ class World:
         self.cfg = cfg
         self.profiles: Dict[str, DriverProfile] = {
             v.vehicle_id: v.profile for v in vehicles}
-        self.gains: ControllerGains = cfg.gains()
         self.noise: Dict[str, PerceptionNoise] = {}
         if cfg.noise:
             for v in vehicles:
@@ -395,10 +393,10 @@ def load_scenario(source, cfg: RunConfig) -> World:
 # --- per-step control -----------------------------------------------------
 
 
-def _brake_channel(bounds, gains, gap, rel_speed, gap_ref) -> float:
+def _brake_channel(profile, gap, rel_speed, gap_ref) -> float:
     if gap >= gap_ref:
         return math.inf
-    return longitudinal_accel(bounds, gains, gap - gap_ref, rel_speed)
+    return longitudinal_accel(profile, gap - gap_ref, rel_speed)
 
 
 def _boxed_gap_ref(leader_gap, follower_gap, follow_ref) -> float:
@@ -440,17 +438,16 @@ class Attention(NamedTuple):
 
 def _controls_for(veh: SimVehicle, ego: VehicleView, views: List[VehicleView],
                   slot_of: Dict[str, int], attention: Attention,
-                  geometry: LaneGeometry, cfg: RunConfig,
-                  gains: ControllerGains, bounds: ControlBounds) -> Controls:
+                  geometry: LaneGeometry) -> Controls:
     """Steering toward the target lane and the bounded longitudinal command,
-    given the run's id -> slot map and the vehicle's control_bounds."""
+    given the run's id -> slot map."""
     brain, profile, st = veh.brain, veh.profile, veh.state
     v = st.v_long
     changing = brain.maneuver in (MERGE, CHANGE)
     lane_target = brain.target_lane if changing else brain.current_lane
     e_lat = st.x - geometry.centers[lane_target]
     e_rate = math.hypot(v, st.v_lat) * math.sin(st.heading)
-    steer = steering_command(bounds, gains, e_lat, e_rate, veh.params, v)
+    steer = steering_command(profile, e_lat, e_rate, v)
 
     merging_phase = brain.needs_merge
     follow_ref = profile.lane_change_clearance + profile.follow_headway * v
@@ -477,9 +474,9 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views: List[VehicleView],
             if room > 0.1:
                 base = min(base, -v * v / (2.0 * room))
             else:
-                base = bounds.guard_lo
+                base = profile.guard_lo
     elif slot_leader is not None:
-        base = longitudinal_accel(bounds, gains, slot_gap - slot_ref, slot_rel)
+        base = longitudinal_accel(profile, slot_gap - slot_ref, slot_rel)
     else:
         speed_err = brain.v_ref - v
         k = attention.lane_leaders.get(brain.current_lane)
@@ -489,15 +486,15 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views: List[VehicleView],
             cruise_ref = _boxed_gap_ref(cruise_gap, follower_gap, follow_ref)
         if cruise_leader is not None and cruise_gap < cruise_ref:
             err, rate = blended_error(speed_err, cruise_gap - cruise_ref,
-                                      cruise_leader.v - v, cfg.speed_weight)
-            base = longitudinal_accel(bounds, gains, err, rate)
+                                      cruise_leader.v - v,
+                                      profile.speed_weight)
+            base = longitudinal_accel(profile, err, rate)
         else:
-            base = longitudinal_accel(bounds, gains, speed_err, 0.0)
+            base = longitudinal_accel(profile, speed_err, 0.0)
 
     # Safety channels: never outrun anything ahead in the lanes we occupy.
     if slot_leader is not None:
-        base = min(base, _brake_channel(bounds, gains, slot_gap, slot_rel,
-                                        slot_ref))
+        base = min(base, _brake_channel(profile, slot_gap, slot_rel, slot_ref))
     lanes = (brain.current_lane,)
     if changing and brain.target_lane not in (None, brain.current_lane):
         lanes += (brain.target_lane,)
@@ -511,21 +508,20 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views: List[VehicleView],
         else:
             gap = bumper_gap(ego, leader)
             ref = _boxed_gap_ref(gap, follower_gap, follow_ref)
-        base = min(base, _brake_channel(bounds, gains, gap, leader.v - v, ref))
+        base = min(base, _brake_channel(profile, gap, leader.v - v, ref))
     if attention.threat is not None:
         threat = views[attention.threat]
         ahead = threat.y - ego.y > (threat.length + ego.length) / 2.0
         if ahead or brain.evading:
             ref = (profile.lane_change_clearance
                    + profile.prediction_time * max(0.0, v - threat.v))
-            base = min(base, _brake_channel(bounds, gains,
-                                            bumper_gap(ego, threat),
+            base = min(base, _brake_channel(profile, bumper_gap(ego, threat),
                                             threat.v - v, ref))
 
     # Comfort bounds acceleration; emergencies may brake up to the
     # physical cap.
-    lo = bounds.guard_lo if brain.guard else bounds.brake_lo
-    return _new_controls((min(max(base, lo), bounds.accel_hi), steer))
+    lo = profile.guard_lo if brain.guard else profile.brake_lo
+    return _new_controls((min(max(base, lo), profile.accel_hi), steer))
 
 
 # --- simulation loop -------------------------------------------------------
@@ -621,9 +617,9 @@ def _record(log, vehicles, views, t) -> None:
                     _FLAGS[brain.guard, brain.forced_stop]))
 
 
-def _advance(world, views, slot_of, attentions, bounds, bands, log, t):
+def _advance(world, views, slot_of, attentions, bands, log, t):
     """Control and integrate every vehicle over the step from t, given each
-    decision vehicle's attention by slot and control_bounds by id.
+    decision vehicle's attention by slot.
 
     Controls read the start-of-step `views`; world.views gets a new list
     with each vehicle's view of its new state.  A scripted vehicle only
@@ -634,14 +630,13 @@ def _advance(world, views, slot_of, attentions, bounds, bands, log, t):
     cfg, dt, geometry = world.cfg, world.cfg.dt, world.geometry
     moved = []
     for veh, view, attention in zip(world.vehicles, views, attentions):
-        vid, x, y, v, heading, length, width, lane, kind, q = view
+        vid, x, y, v, heading, length, width, lane, kind = view
         if kind == SCRIPTED:
             moved.append(_new_view((vid, x, y + veh.v_preset * dt, v, heading,
-                                    length, width, lane, kind, q)))
+                                    length, width, lane, kind)))
             continue
-        controls = _controls_for(
-            veh, view, views, slot_of, attention, geometry, cfg,
-            world.gains, bounds[vid])
+        controls = _controls_for(veh, view, views, slot_of, attention,
+                                 geometry)
         try:
             veh.state = s = step(veh.state, veh.params, controls, dt)
         except ValueError as exc:
@@ -656,7 +651,7 @@ def _advance(world, views, slot_of, attentions, bounds, bands, log, t):
         if not lo < x < hi:
             lane = lane_of(x, geometry)
         moved.append(_new_view((vid, x, s.y, s.v_long, s.heading, length,
-                                width, lane, kind, q)))
+                                width, lane, kind)))
         if (veh.brain.needs_merge and s.v_long < cfg.stop_speed
                 and not veh.brain.forced_stop):
             veh.brain = veh.brain._replace(forced_stop=True)
@@ -681,14 +676,16 @@ def _complete_maneuvers(world, decision_slots, moved, log, t) -> None:
                                "event": kind, "lane": brain.target_lane})
 
 
-def _settle(world, decision_vehicles, quiet) -> Optional[float]:
-    """Seconds for which every decision vehicle has been settled, given the
-    `quiet` seconds before this step: 0 if one is not, or if there is none;
-    None once settle_time is reached, which ends the run."""
-    if not decision_vehicles:
+def _settle(world, decision_slots, quiet) -> Optional[float]:
+    """Seconds for which every decision vehicle (by slot in world.vehicles)
+    has been settled, given the `quiet` seconds before this step: 0 if one
+    is not, or if there is none; None once settle_time is reached, which
+    ends the run."""
+    if not decision_slots:
         return 0.0
     centers, cfg = world.geometry.centers, world.cfg
-    for veh in decision_vehicles:
+    for i in decision_slots:
+        veh = world.vehicles[i]
         b = veh.brain
         if b.needs_merge or b.maneuver != KEEP:
             return 0.0
@@ -721,12 +718,9 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
         for v in world.vehicles})
     if not world.vehicles:
         return log
-    decision_vehicles = [v for v in world.vehicles if v.kind == DECISION]
     decision_slots = [i for i, v in enumerate(world.vehicles)
                       if v.kind == DECISION]
     slot_of = {v.vehicle_id: i for i, v in enumerate(world.vehicles)}
-    bounds = {v.vehicle_id: control_bounds(v.profile, world.gains, v.params)
-              for v in decision_vehicles}
     bands = lane_bands(geometry)
     # States may have been set since the world was built.
     world.views = [v.view(geometry) for v in world.vehicles]
@@ -741,7 +735,7 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
             if step_index % steps_per_epoch == 0:
                 _decide(world, decision_slots, views, slot_of, attentions)
             _record(log, world.vehicles, views, t)
-            _advance(world, views, slot_of, attentions, bounds, bands, log, t)
+            _advance(world, views, slot_of, attentions, bands, log, t)
             log.end_time = t_end = t + dt
 
             moved = world.snapshot()
@@ -752,7 +746,7 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
                                    "vehicles": list(hit)})
                 break
             _complete_maneuvers(world, decision_slots, moved, log, t_end)
-            quiet = _settle(world, decision_vehicles, quiet)
+            quiet = _settle(world, decision_slots, quiet)
             if quiet is None:
                 break
     finally:

@@ -244,9 +244,8 @@ def decide(ego: VehicleView, views: List[VehicleView], brain: BrainState,
                                        profiles, own_gap)
     if target is not None:
         return brain._replace(maneuver=CHANGE, target_lane=target,
-                              maneuver_start_x=ego.x, directive=HOLD,
-                              competing_id=None, slot_leader_id=None,
-                              slot_follower_id=None)
+                              directive=HOLD, competing_id=None,
+                              slot_leader_id=None, slot_follower_id=None)
     return brain._replace(maneuver=KEEP, directive=HOLD, target_lane=None)
 
 
@@ -263,7 +262,7 @@ def _merge_lane_epoch(ego, views, brain, profile, geometry, profiles, cfg):
                                      profile, geometry)):
             return brain._replace(
                 maneuver=MERGE, target_lane=geometry.merge_target_lane,
-                maneuver_start_x=ego.x, directive=HOLD, competing_id=p2_id,
+                directive=HOLD, competing_id=p2_id,
                 slot_leader_id=slot.leader.vehicle_id if slot.leader else None,
                 slot_follower_id=(slot.follower.vehicle_id
                                   if slot.follower else None),

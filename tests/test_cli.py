@@ -568,7 +568,6 @@ class TestLibraryDefaultIsCliDefault:
         merging = next(v for v in world.vehicles if v.vehicle_id == "merging")
         assert merging.profile == RunConfig().profile(q)
         assert merging.params == RunConfig().vehicle_params()
-        assert world.gains == RunConfig().gains()
 
     def test_missing_geometry_fields_take_lane_geometry_defaults(self):
         assert geometry_from_dict({}) == LaneGeometry()

@@ -1,13 +1,11 @@
 """_controls_for against a copy of the control law that derives its bounds
 on every call.
 
-world.run derives each decision vehicle's ControlBounds once, at the start
-of the run, and RunConfig.profile derives its directive commands and slot
-constants.  The oracle below is the control law as it read before that: it
-recomputes the acceleration, brake and steering bounds from the profile,
-the gains and the vehicle params inside every PD-law call, and the
-directive commands and slot constants from the config's fields and q at
-every step.  The two must give bit-identical Controls for every state,
+RunConfig.profile derives each driver's PD gains and bounds, directive
+commands and slot constants once.  The oracle below is the control law as
+it read before that: it recomputes the gains and the acceleration, brake
+and steering bounds from the config's fields and q inside every PD-law
+call, and the directive commands and slot constants at every step.  The two must give bit-identical Controls for every state,
 latch, attention and set of neighbours.  The oracle also reads the
 attention as vehicle ids through a dict of views by id, as the control law
 did before it read views by slot index.
@@ -19,7 +17,7 @@ from typing import NamedTuple, Optional
 from hypothesis import example, given, settings, strategies as st
 
 from mergesim.config import RunConfig
-from mergesim.driver import blended_error, control_bounds
+from mergesim.driver import blended_error
 from mergesim.dynamics import GRAVITY, VehicleState
 from mergesim.perception import VehicleView, bumper_gap
 from mergesim.planner import (ACCELERATE, CHANGE, DECELERATE, HOLD, KEEP,
@@ -37,35 +35,39 @@ LANES = range(len(GEOMETRY.centers))
 # --- the oracle ------------------------------------------------------------
 
 
-def oracle_longitudinal_accel(profile, gains, error, error_rate):
-    raw = gains.kp_long * error + gains.kd_long * error_rate
-    hi = min(profile.accel_limit, gains.accel_cap)
-    lo = -min(profile.accel_limit * gains.brake_factor, gains.accel_cap)
+def oracle_longitudinal_accel(profile, cfg, error, error_rate):
+    accel_cap = cfg.accel_cap_g * GRAVITY
+    raw = cfg.kp_long * error + cfg.kd_long * error_rate
+    hi = min(profile.accel_limit, accel_cap)
+    lo = -min(profile.accel_limit * cfg.brake_factor, accel_cap)
     return min(max(raw, lo), hi)
 
 
-def oracle_steering_limit(lat_accel_limit, v, params):
+def oracle_steering_limit(lat_accel_limit, v, cfg):
     if v <= 0.0:
         return math.inf
-    gain = v * v / (57.3 * params.wheelbase * GRAVITY
-                    + params.understeer_gradient * v * v)
+    gain = v * v / (57.3 * (cfg.dist_front + cfg.dist_rear) * GRAVITY
+                    + cfg.understeer_gradient * v * v)
     if gain == 0.0:
         return math.inf
     delta_deg = (lat_accel_limit / GRAVITY) / gain
     return math.radians(delta_deg)
 
 
-def oracle_steering_command(profile, gains, e_lat, e_lat_rate, params, v):
-    raw = gains.kp_lat * e_lat + gains.kd_lat * e_lat_rate
-    bound = min(oracle_steering_limit(profile.lat_accel_limit, v, params),
-                gains.steer_cap)
+def oracle_steering_command(profile, cfg, e_lat, e_lat_rate, v):
+    raw = cfg.kp_lat * e_lat + cfg.kd_lat * e_lat_rate
+    lat_accel_limit = (cfg.lat_accel_g_cautious
+                       + (cfg.lat_accel_g_aggressive - cfg.lat_accel_g_cautious)
+                       * profile.aggressiveness) * GRAVITY
+    bound = min(oracle_steering_limit(lat_accel_limit, v, cfg),
+                math.radians(cfg.steer_cap_deg))
     return min(max(raw, -bound), bound)
 
 
-def oracle_brake_channel(profile, gains, gap, rel_speed, gap_ref):
+def oracle_brake_channel(profile, cfg, gap, rel_speed, gap_ref):
     if gap >= gap_ref:
         return math.inf
-    return oracle_longitudinal_accel(profile, gains, gap - gap_ref, rel_speed)
+    return oracle_longitudinal_accel(profile, cfg, gap - gap_ref, rel_speed)
 
 
 def oracle_slot_gap_ref(ego, veh, slot_gap, views_by_id, follow_ref, cfg):
@@ -83,16 +85,14 @@ def oracle_slot_gap_ref(ego, veh, slot_gap, views_by_id, follow_ref, cfg):
     return min(follow_ref, max(front_ref, 1.0))
 
 
-def oracle_controls_for(veh, ego, views_by_id, attention, geometry, cfg,
-                        gains):
+def oracle_controls_for(veh, ego, views_by_id, attention, geometry, cfg):
     brain, profile, st_ = veh.brain, veh.profile, veh.state
     v = st_.v_long
     changing = brain.maneuver in (MERGE, CHANGE)
     lane_target = brain.target_lane if changing else brain.current_lane
     e_lat = st_.x - geometry.centers[lane_target]
     e_rate = speed(st_) * math.sin(st_.heading)
-    steer = oracle_steering_command(profile, gains, e_lat, e_rate, veh.params,
-                                    v)
+    steer = oracle_steering_command(profile, cfg, e_lat, e_rate, v)
 
     merging_phase = brain.needs_merge
     follow_ref = profile.lane_change_clearance + profile.follow_headway * v
@@ -119,9 +119,9 @@ def oracle_controls_for(veh, ego, views_by_id, attention, geometry, cfg,
             if room > 0.1:
                 base = min(base, -v * v / (2.0 * room))
             else:
-                base = -gains.accel_cap
+                base = -(cfg.accel_cap_g * GRAVITY)
     elif slot_leader is not None:
-        base = oracle_longitudinal_accel(profile, gains, slot_gap - slot_ref,
+        base = oracle_longitudinal_accel(profile, cfg, slot_gap - slot_ref,
                                          slot_rel)
     else:
         speed_err = brain.v_ref - v
@@ -133,12 +133,12 @@ def oracle_controls_for(veh, ego, views_by_id, attention, geometry, cfg,
         if cruise_leader is not None and cruise_gap < cruise_ref:
             err, rate = blended_error(speed_err, cruise_gap - cruise_ref,
                                       cruise_leader.v - v, cfg.speed_weight)
-            base = oracle_longitudinal_accel(profile, gains, err, rate)
+            base = oracle_longitudinal_accel(profile, cfg, err, rate)
         else:
-            base = oracle_longitudinal_accel(profile, gains, speed_err, 0.0)
+            base = oracle_longitudinal_accel(profile, cfg, speed_err, 0.0)
 
     if slot_leader is not None:
-        base = min(base, oracle_brake_channel(profile, gains, slot_gap,
+        base = min(base, oracle_brake_channel(profile, cfg, slot_gap,
                                               slot_rel, slot_ref))
     lanes = {brain.current_lane}
     if changing and brain.target_lane is not None:
@@ -152,7 +152,7 @@ def oracle_controls_for(veh, ego, views_by_id, attention, geometry, cfg,
         else:
             gap = bumper_gap(ego, leader)
             ref = _boxed_gap_ref(gap, follower_gap, follow_ref)
-        base = min(base, oracle_brake_channel(profile, gains, gap,
+        base = min(base, oracle_brake_channel(profile, cfg, gap,
                                               leader.v - v, ref))
     threat = views_by_id.get(attention.threat_id)
     if threat is not None:
@@ -160,13 +160,14 @@ def oracle_controls_for(veh, ego, views_by_id, attention, geometry, cfg,
         if ahead or brain.evading:
             ref = (profile.lane_change_clearance
                    + profile.prediction_time * max(0.0, v - threat.v))
-            base = min(base, oracle_brake_channel(profile, gains,
+            base = min(base, oracle_brake_channel(profile, cfg,
                                                   bumper_gap(ego, threat),
                                                   threat.v - v, ref))
 
-    hi = min(profile.accel_limit, gains.accel_cap)
-    lo = -gains.accel_cap if brain.guard else -min(
-        profile.accel_limit * gains.brake_factor, gains.accel_cap)
+    accel_cap = cfg.accel_cap_g * GRAVITY
+    hi = min(profile.accel_limit, accel_cap)
+    lo = -accel_cap if brain.guard else -min(
+        profile.accel_limit * cfg.brake_factor, accel_cap)
     return min(max(base, lo), hi), steer
 
 
@@ -187,6 +188,8 @@ _configs = st.builds(
     RunConfig,
     brake_factor=st.floats(0.2, 3.0), accel_cap_g=st.floats(0.05, 1.0),
     steer_cap_deg=st.floats(1.0, 89.0),
+    lat_accel_g_cautious=st.floats(0.01, 1.0),
+    lat_accel_g_aggressive=st.floats(0.01, 1.0),
     understeer_gradient=st.floats(0.0, 8.0),
     dist_front=st.floats(0.8, 1.8), dist_rear=st.floats(0.8, 2.0),
     kp_long=st.floats(0.0, 2.0), kd_long=st.floats(0.0, 2.0),
@@ -290,7 +293,6 @@ def test_controls_are_bit_identical_to_the_per_call_bounds(
         cfg, q, state, brain, attention, others):
     profile = cfg.profile(q)
     params = cfg.vehicle_params()
-    gains = cfg.gains()
     veh = SimVehicle("ego", DECISION, params, state, 19.4, q, profile, brain)
     ego = veh.view(GEOMETRY)
     views = [ego] + [
@@ -305,8 +307,7 @@ def test_controls_are_bit_identical_to_the_per_call_bounds(
          if vid in slot_of},
         slot_of.get(attention.own_follower_id), slot_of.get(attention.threat_id))
 
-    got = _controls_for(veh, ego, views, slot_of, slots, GEOMETRY, cfg,
-                        gains, control_bounds(profile, gains, params))
+    got = _controls_for(veh, ego, views, slot_of, slots, GEOMETRY)
     want = oracle_controls_for(veh, ego, views_by_id, attention, GEOMETRY,
-                               cfg, gains)
+                               cfg)
     assert (got.accel.hex(), got.steer.hex()) == tuple(w.hex() for w in want)

@@ -5,39 +5,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mergesim.config import ConfigError, RunConfig
-from mergesim.driver import (blended_error, control_bounds,
-                             longitudinal_accel, steering_command,
-                             steering_limit)
+from mergesim.driver import (blended_error, longitudinal_accel,
+                             steering_command, steering_limit)
 from mergesim.dynamics import GRAVITY
 
 CFG = RunConfig()
-GAINS = CFG.gains()
-PARAMS = CFG.vehicle_params()
 
 
-def make_profile(q=0.5, **kw):
-    profile = CFG.profile(q)
-    return profile if not kw else replace(profile, **kw)
+def make_profile(q=0.5, **fields):
+    """The profile at q of the default config with `fields` changed."""
+    return replace(CFG, **fields).profile(q)
 
 
-# The PD laws of a driver with this profile, these gains and these params.
-def accel(profile, gains, error, error_rate):
-    return longitudinal_accel(control_bounds(profile, gains, PARAMS), gains,
-                              error, error_rate)
+def steer_limit(lat_accel_limit, v, **fields):
+    """steering_limit at a lateral acceleration limit in m/s^2, for the
+    profile of a config with `fields` changed."""
+    profile = replace(make_profile(**fields),
+                      lat_accel_g=lat_accel_limit / GRAVITY)
+    return steering_limit(profile, v)
 
 
-def steer(profile, gains, e_lat, e_lat_rate, params, v):
-    return steering_command(control_bounds(profile, gains, params), gains,
-                            e_lat, e_lat_rate, params, v)
-
-
-def steer_limit(lat_accel_limit, v, params):
-    profile = make_profile(lat_accel_limit=lat_accel_limit)
-    return steering_limit(control_bounds(profile, GAINS, params), v, params)
-
-
-# Configs that vary every field a decision constant of the profile reads.
-_DECISION_CONFIGS = st.builds(
+# Configs that vary every field a derived constant of the profile reads.
+_PROFILE_CONFIGS = st.builds(
     RunConfig,
     nominal_accel_g=st.floats(0.01, 1.0),
     directive_accel_gain=st.floats(0.0, 3.0),
@@ -49,7 +38,16 @@ _DECISION_CONFIGS = st.builds(
     clearance_diagonals=st.floats(0.0, 4.0),
     accel_limit_g_cautious=st.floats(0.01, 1.0),
     accel_limit_g_aggressive=st.floats(0.01, 1.0),
-    body_length=st.floats(3.0, 12.0), body_width=st.floats(1.0, 3.0))
+    body_length=st.floats(3.0, 12.0), body_width=st.floats(1.0, 3.0),
+    kp_long=st.floats(0.0, 5.0), kd_long=st.floats(0.0, 5.0),
+    kp_lat=st.floats(0.0, 5.0), kd_lat=st.floats(0.0, 5.0),
+    accel_cap_g=st.floats(0.01, 1.0), steer_cap_deg=st.floats(0.5, 89.5),
+    brake_factor=st.floats(0.1, 3.0),
+    dist_front=st.floats(0.5, 2.5), dist_rear=st.floats(0.5, 2.5),
+    lat_accel_g_cautious=st.floats(0.01, 1.0),
+    lat_accel_g_aggressive=st.floats(0.01, 1.0),
+    understeer_gradient=st.floats(0.0, 10.0),
+    speed_weight=st.floats(0.0, 1.0))
 
 
 class TestProfileFromQ:
@@ -90,10 +88,11 @@ class TestProfileFromQ:
             assert abs(a.accel_limit - b.accel_limit) < 1e-4
 
     @settings(max_examples=300, deadline=None)
-    @given(cfg=_DECISION_CONFIGS, q=st.floats(0.0, 1.0))
+    @given(cfg=_PROFILE_CONFIGS, q=st.floats(0.0, 1.0))
     def test_decision_constants_follow_their_formulas(self, cfg, q):
-        """Each decision constant bit for bit, at q and at every value of
-        the 0:1:0.1 sweep axis, written out from the config's fields."""
+        """Each decision and PD-law constant bit for bit, at q and at every
+        value of the 0:1:0.1 sweep axis, written out from the config's
+        fields."""
         for q in (q, *(i / 10 for i in range(11))):
             accel_limit = (cfg.accel_limit_g_cautious
                            + (cfg.accel_limit_g_aggressive
@@ -102,6 +101,10 @@ class TestProfileFromQ:
                 cfg.body_length, cfg.body_width)
             risk = cfg.risk_tolerance_max * max(0.0, 2.0 * q - 1.0)
             directive = cfg.nominal_accel_g * GRAVITY
+            accel_cap = cfg.accel_cap_g * GRAVITY
+            lat_accel_limit = (cfg.lat_accel_g_cautious
+                               + (cfg.lat_accel_g_aggressive
+                                  - cfg.lat_accel_g_cautious) * q) * GRAVITY
             want = {
                 "risk_tolerance": risk,
                 "hysteresis": max(0.0, cfg.hysteresis_base
@@ -113,7 +116,18 @@ class TestProfileFromQ:
                     accel_limit),
                 "slot_ride": cfg.slot_ride_cautious + (
                     cfg.slot_ride_aggressive - cfg.slot_ride_cautious) * q * q,
-                "slot_rear_min": max(1.0, clearance - 0.8 * risk)}
+                "slot_rear_min": max(1.0, clearance - 0.8 * risk),
+                "kp_long": cfg.kp_long, "kd_long": cfg.kd_long,
+                "kp_lat": cfg.kp_lat, "kd_lat": cfg.kd_lat,
+                "steer_cap": math.radians(cfg.steer_cap_deg),
+                "accel_hi": min(accel_limit, accel_cap),
+                "brake_lo": -min(accel_limit * cfg.brake_factor, accel_cap),
+                "guard_lo": -accel_cap,
+                "steer_scale": 57.3 * (cfg.dist_front + cfg.dist_rear)
+                * GRAVITY,
+                "lat_accel_g": lat_accel_limit / GRAVITY,
+                "understeer_gradient": cfg.understeer_gradient,
+                "speed_weight": cfg.speed_weight}
             profile = cfg.profile(q)
             assert {name: getattr(profile, name).hex() for name in want} == \
                 {name: value.hex() for name, value in want.items()}
@@ -121,35 +135,33 @@ class TestProfileFromQ:
 
 class TestLongitudinalAccel:
     def test_zero_error_zero_output(self):
-        assert accel(make_profile(), GAINS, 0.0, 0.0) == 0.0
+        assert longitudinal_accel(make_profile(), 0.0, 0.0) == 0.0
 
     def test_comfort_limit_selected(self):
-        profile = make_profile(0.0)  # accel limit 0.1 g = 0.981
-        gains = replace(GAINS, kp_long=1.0, kd_long=0.0)
-        assert accel(profile, gains, 5.0, 0.0) == pytest.approx(0.981)
+        # accel limit 0.1 g = 0.981
+        profile = make_profile(0.0, kp_long=1.0, kd_long=0.0)
+        assert longitudinal_accel(profile, 5.0, 0.0) == pytest.approx(0.981)
 
     def test_direct_pd_value(self):
-        profile = make_profile(1.0)
-        gains = replace(GAINS, kp_long=0.5, kd_long=0.0, accel_cap=100.0)
-        assert accel(profile, gains, 2.0, 0.0) == pytest.approx(1.0)
+        profile = make_profile(1.0, kp_long=0.5, kd_long=0.0, accel_cap_g=1.0)
+        assert longitudinal_accel(profile, 2.0, 0.0) == pytest.approx(1.0)
 
     def test_symmetric_braking_clamp(self):
-        profile = make_profile(0.0)
-        gains = replace(GAINS, kp_long=1.0, kd_long=0.0)
-        assert accel(profile, gains, -50.0, 0.0) == pytest.approx(-0.981)
+        profile = make_profile(0.0, kp_long=1.0, kd_long=0.0)
+        assert longitudinal_accel(profile, -50.0, 0.0) == \
+            pytest.approx(-0.981)
 
     @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(0, 1))
     def test_bounded_by_limits(self, e, e_dot, q):
         profile = CFG.profile(q)
-        gains = GAINS
-        a = accel(profile, gains, e, e_dot)
-        assert abs(a) <= min(profile.accel_limit, gains.accel_cap) + 1e-12
+        a = longitudinal_accel(profile, e, e_dot)
+        assert abs(a) <= min(profile.accel_limit,
+                             CFG.accel_cap_g * GRAVITY) + 1e-12
 
 
 class TestSteering:
     def test_zero_error_zero_output(self):
-        params = PARAMS
-        assert steer(make_profile(), GAINS, 0.0, 0.0, params, 20.0) == 0.0
+        assert steering_command(make_profile(), 0.0, 0.0, 20.0) == 0.0
 
     @pytest.mark.parametrize("e_lat, e_rate", [
         (0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0)])
@@ -158,48 +170,40 @@ class TestSteering:
                                                          v):
         # A zero raw command returns before the limit; the clamp of the
         # full law, min(max(raw, -bound), bound), returns raw itself.
-        raw = GAINS.kp_lat * e_lat + GAINS.kd_lat * e_rate
-        bound = min(steer_limit(make_profile().lat_accel_limit, v, PARAMS),
-                    GAINS.steer_cap)
-        got = steer(make_profile(), GAINS, e_lat, e_rate, PARAMS, v)
+        raw = CFG.kp_lat * e_lat + CFG.kd_lat * e_rate
+        profile = make_profile()
+        bound = min(steering_limit(profile, v), profile.steer_cap)
+        got = steering_command(profile, e_lat, e_rate, v)
         assert got.hex() == min(max(raw, -bound), bound).hex() == raw.hex()
 
     def test_clamped_at_lateral_limit(self):
-        params = PARAMS
-        profile = make_profile(0.5)
-        gains = replace(GAINS, kp_lat=10.0, kd_lat=0.0)
-        limit = min(steer_limit(profile.lat_accel_limit, 25.0, params),
-                    gains.steer_cap)
-        assert steer(profile, gains, 3.3, 0.0, params, 25.0) == \
+        profile = make_profile(0.5, kp_lat=10.0, kd_lat=0.0)
+        limit = min(steering_limit(profile, 25.0), profile.steer_cap)
+        assert steering_command(profile, 3.3, 0.0, 25.0) == \
             pytest.approx(limit)
-        assert steer(profile, gains, -3.3, 0.0, params, 25.0) == \
+        assert steering_command(profile, -3.3, 0.0, 25.0) == \
             pytest.approx(-limit)
 
     def test_direct_pd_value(self):
-        params = PARAMS
-        profile = make_profile(1.0)
-        gains = replace(GAINS, kp_lat=0.05, kd_lat=0.0, steer_cap=10.0)
+        profile = make_profile(1.0, kp_lat=0.05, kd_lat=0.0,
+                               steer_cap_deg=89.0)
         # slow enough that the lateral-acceleration limit is huge
-        assert steer(profile, gains, 1.0, 0.0, params, 1.0) == \
+        assert steering_command(profile, 1.0, 0.0, 1.0) == \
             pytest.approx(0.05)
 
     @given(st.floats(-100, 100), st.floats(-50, 50), st.floats(0, 1),
            st.floats(0.5, 40.0))
     def test_bounded(self, e, e_dot, q, v):
-        params = PARAMS
         profile = CFG.profile(q)
-        gains = GAINS
-        delta = steer(profile, gains, e, e_dot, params, v)
-        bound = min(steer_limit(profile.lat_accel_limit, v, params),
-                    gains.steer_cap)
+        delta = steering_command(profile, e, e_dot, v)
+        bound = min(steering_limit(profile, v), profile.steer_cap)
         assert abs(delta) <= bound + 1e-12
 
 
 class TestSteeringLimit:
     def test_known_value(self):
-        params = replace(PARAMS, dist_front=1.2, dist_rear=1.5,
-                         understeer_gradient=0.0)  # wheelbase 2.7
-        got = steer_limit(0.3 * GRAVITY, 20.0, params)
+        got = steer_limit(0.3 * GRAVITY, 20.0, dist_front=1.2, dist_rear=1.5,
+                          understeer_gradient=0.0)  # wheelbase 2.7
         # independent evaluation of the lateral acceleration gain relation
         gain = 20.0 ** 2 / (57.3 * 2.7 * GRAVITY)
         want = math.radians(0.3 / gain)
@@ -207,16 +211,16 @@ class TestSteeringLimit:
         assert got == pytest.approx(0.019868, abs=1e-4)
 
     def test_inactive_at_standstill(self):
-        assert steer_limit(3.0, 0.0, PARAMS) == math.inf
-        assert steer_limit(3.0, -1.0, PARAMS) == math.inf
+        assert steer_limit(3.0, 0.0) == math.inf
+        assert steer_limit(3.0, -1.0) == math.inf
 
     @pytest.mark.parametrize("v", [1e-200, 5e-324])
     def test_inactive_where_the_gain_underflows(self, v):
         # v * v underflows to 0, so the gain vanishes as at standstill.
         assert v * v == 0.0
-        assert steer_limit(3.0, v, PARAMS) == math.inf
-        assert steer(make_profile(), GAINS, 5.0, 0.0, PARAMS, v) == \
-            GAINS.steer_cap
+        assert steer_limit(3.0, v) == math.inf
+        assert steering_command(make_profile(), 5.0, 0.0, v) == \
+            math.radians(CFG.steer_cap_deg)
 
     def test_monotone_in_understeer_gradient(self):
         import random
@@ -228,11 +232,10 @@ class TestSteeringLimit:
             k0, k1 = sorted((rng.uniform(0, 4), rng.uniform(0, 4)))
             if k1 - k0 < 1e-6:
                 continue
-            p0 = replace(PARAMS, dist_front=lf, dist_rear=lr,
-                         understeer_gradient=k0)
-            p1 = replace(PARAMS, dist_front=lf, dist_rear=lr,
-                         understeer_gradient=k1)
-            assert steer_limit(a_yl, v, p1) > steer_limit(a_yl, v, p0)
+            assert steer_limit(a_yl, v, dist_front=lf, dist_rear=lr,
+                               understeer_gradient=k1) > \
+                steer_limit(a_yl, v, dist_front=lf, dist_rear=lr,
+                            understeer_gradient=k0)
 
     def test_matches_independent_evaluation(self):
         import random
@@ -240,14 +243,14 @@ class TestSteeringLimit:
         for _ in range(300):
             v = rng.uniform(0.5, 45.0)
             a_yl = rng.uniform(0.2, 6.0)
-            params = replace(PARAMS, dist_front=rng.uniform(0.8, 1.8),
-                             dist_rear=rng.uniform(0.9, 2.0),
-                             understeer_gradient=rng.uniform(0.0, 5.0))
-            gain = v * v / (57.3 * params.wheelbase * GRAVITY
-                            + params.understeer_gradient * v * v)
+            fields = dict(dist_front=rng.uniform(0.8, 1.8),
+                          dist_rear=rng.uniform(0.9, 2.0),
+                          understeer_gradient=rng.uniform(0.0, 5.0))
+            gain = v * v / (57.3 * (fields["dist_front"] + fields["dist_rear"])
+                            * GRAVITY + fields["understeer_gradient"] * v * v)
             want = math.radians((a_yl / GRAVITY) / gain)
-            assert steer_limit(a_yl, v, params) == pytest.approx(want,
-                                                                 abs=1e-12)
+            assert steer_limit(a_yl, v, **fields) == pytest.approx(want,
+                                                                   abs=1e-12)
 
 
 def test_blended_error_weights():

@@ -12,11 +12,14 @@ from mergesim.game import (ACTIONS, LEFT, STRAIGHT, PayoffBimatrix,
 def profile(scale=0.65, visibility=100.0, prediction=1.0, clearance=10.0):
     return DriverProfile(
         aggressiveness=0.5, visibility_scale=scale, prediction_time=prediction,
-        accel_limit=2.0, lat_accel_limit=2.5, bound_scale=1.15,
+        accel_limit=2.0, bound_scale=1.15,
         visibility_range=visibility, lane_change_clearance=clearance,
         follow_headway=0.35, risk_tolerance=0.0, hysteresis=14.675,
         nominal_accel=1.4715, nominal_decel=1.4715, slot_ride=0.4375,
-        slot_rear_min=clearance)
+        slot_rear_min=clearance, kp_long=0.3, kd_long=0.6, kp_lat=0.25,
+        kd_lat=0.15, steer_cap=0.5236, accel_hi=2.0, brake_lo=-2.0,
+        guard_lo=-4.905, steer_scale=1573.9, lat_accel_g=0.255,
+        understeer_gradient=2.0, speed_weight=0.5)
 
 
 class TestHeadwayUtility:

@@ -1,0 +1,40 @@
+"""Every name a mergesim module imports is used in that module.
+
+A fold that moves the last reader of a name elsewhere tends to leave the
+import behind; this catches it with the standard library's ast alone.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mergesim"
+
+# Imported and never called, on purpose: perfbench probes the name
+# mergesim.world.collision_index.
+RE_EXPORTS = {("world", "collision_index")}
+
+
+def unused_imports(source: str):
+    """Names bound by an import statement that no expression reads."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    unused = [name for name in unused_imports(path.read_text())
+              if (path.stem, name) not in RE_EXPORTS]
+    assert unused == []
+
+
+def test_an_unused_import_is_found():
+    assert unused_imports("import math\nfrom typing import List, Optional\n"
+                          "x: Optional[int] = math.pi\n") == ["List"]

@@ -6,8 +6,9 @@ from unittest import mock
 import pytest
 
 from mergesim.config import ConfigError, RunConfig
-from mergesim.metrics import (aggressiveness_sweep, grid_to_csv,
-                              lane_change_count, lateral_disturbance,
+from mergesim.metrics import (_maneuver_segments, aggressiveness_sweep,
+                              grid_to_csv, lane_change_count,
+                              lane_change_events, lateral_disturbance,
                               longitudinal_disturbance, measure_cell,
                               sweep_scenario)
 from mergesim.road import LaneGeometry
@@ -124,6 +125,26 @@ class TestLateralDisturbance:
         assert lateral_disturbance(log, "v") == pytest.approx(1.2, abs=0.05)
         assert lane_change_count(log, "v") == 0
 
+    def test_merge_straight_into_a_change_cut_off_by_the_end(self):
+        samples = [(round(i * 0.01, 6), 22.2, 9.9, 3, "keep") for i in range(10)]
+        for k in range(20):  # merge from lane 3 to lane 2, no keep row after
+            x = 9.9 - 3.3 * (k + 1) / 20.0
+            samples.append((round((10 + k) * 0.01, 6), 22.2, x,
+                            3 if x > 8.25 else 2, "merge"))
+        for k in range(20):  # the run ends 1.6 m into a change
+            samples.append((round((30 + k) * 0.01, 6), 22.2,
+                            6.6 - 1.6 * k / 19.0, 2, "change"))
+        log = synthetic_log(samples)
+        assert list(_maneuver_segments(log.vehicle_rows("v"))) == [
+            (10, 30, "merge"), (30, 50, "change")]
+        (merge, merged, merge_done), (change, changed, change_done) = \
+            lane_change_events(log, "v")
+        assert (merge, merge_done, change, change_done) == \
+            ("merge", True, "change", False)
+        assert merged == pytest.approx(3.3)
+        assert changed == pytest.approx(1.6)
+        assert lane_change_count(log, "v") == 0
+
 
 class TestSweep:
     def test_grid_cardinality_and_determinism(self):
@@ -212,9 +233,11 @@ class TestSweep:
         assert aggressive[1].d_long <= aggressive[2].d_long
 
     def test_sweep_scenario_requires_known_ids(self):
+        base = copy.deepcopy(BUILTIN_SCENARIOS["scenario1"])
+        base["vehicles"] = [v for v in base["vehicles"]
+                            if v["id"] != "vehicle4"]
         with pytest.raises(ConfigError):
-            sweep_scenario(BUILTIN_SCENARIOS["scenario1"], 0.5, 0.5,
-                           mainline_id="vehicle99")
+            sweep_scenario(base, 0.5, 0.5)
 
     def test_parallel_sweep_matches_serial(self):
         cfg = RunConfig()

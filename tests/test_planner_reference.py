@@ -63,7 +63,7 @@ def _views(draw, min_size=2):
         out.append(VehicleView(
             f"v{k}", x, draw(_ys), draw(st.floats(0.0, 40.0)),
             draw(_headings), draw(_lengths), 1.8, lane_of(x, GEOMETRY),
-            "decision", 0.5))
+            "decision"))
     return out
 
 

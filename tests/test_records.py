@@ -34,13 +34,12 @@ RECORDS = [
     (VehicleView,
      [("vehicle_id", REQUIRED), ("x", REQUIRED), ("y", REQUIRED),
       ("v", REQUIRED), ("heading", REQUIRED), ("length", REQUIRED),
-      ("width", REQUIRED), ("lane", REQUIRED), ("kind", "scripted"),
-      ("q", None)],
-     VehicleView("ego", 6.6, 5.0, 22.0, 0.0, 4.5, 1.8, 2, "decision", 0.5)),
+      ("width", REQUIRED), ("lane", REQUIRED), ("kind", "scripted")],
+     VehicleView("ego", 6.6, 5.0, 22.0, 0.0, 4.5, 1.8, 2, "decision")),
     (BrainState,
      [("current_lane", REQUIRED), ("v_ref", REQUIRED),
       ("needs_merge", False), ("maneuver", KEEP), ("target_lane", None),
-      ("maneuver_start_x", 0.0), ("directive", HOLD), ("competing_id", None),
+      ("directive", HOLD), ("competing_id", None),
       ("slot_leader_id", None), ("slot_follower_id", None), ("guard", False),
       ("forced_stop", False), ("evading", False), ("threat_memo_id", None),
       ("threat_memo_speed", 0.0)],
