@@ -44,7 +44,7 @@ def build_config(args) -> RunConfig:
     data = {}
     if args.config:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
         except (OSError, ValueError) as exc:  # ValueError: not JSON text
             raise ConfigError(f"config file {args.config}: cannot read ({exc})")
@@ -213,7 +213,7 @@ def _geometry_for_plot(args) -> LaneGeometry:
     if summary_path is None:
         return LaneGeometry()
     try:
-        with open(summary_path) as fh:
+        with open(summary_path, encoding="utf-8") as fh:
             summary = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read geometry from {summary_path}: {exc}")

@@ -73,7 +73,7 @@ class RunConfig:
     directive_switch_margin: float = ranged(3.0, "[0, inf)")  # m, advantage needed to flip a directive
     risk_tolerance_max: float = ranged(12.0, "[0, inf)")  # m, admissible squeeze at q=1 (0 at q=0)
     hysteresis_base: float = ranged(16.8, "[0, inf)")  # m, discretionary-change margin at q=0
-    hysteresis_curve: float = ranged(17.0, "[0, inf)")  # m, quadratic margin reduction with q
+    hysteresis_curve: float = ranged(17.0, "[0, inf)")  # m, cubic margin reduction with q
     lane_settle_tol: float = ranged(0.2, "(0, inf)")  # m, |lateral error| ending a maneuver
     settle_speed_tol: float = ranged(0.3, "[0, inf)")  # m/s, speed tolerance for quiescence
     settle_time: float = ranged(2.0, "[0, inf)")  # s of quiescence before early termination

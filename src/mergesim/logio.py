@@ -25,7 +25,7 @@ def write_atomic(path: str, text: str) -> None:
     except OSError as exc:  # names the part of the path in the way
         raise ConfigError(f"cannot write {path}: {exc}")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException as exc:
@@ -41,7 +41,7 @@ def read_trajectory(path: str):
     cannot be read as text raises ConfigError naming it."""
     rows = []
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"trajectory file {path}: cannot read ({exc})")

@@ -48,16 +48,17 @@ def longitudinal_disturbance(log: TrajectoryLog, vehicle_id: str,
     return total
 
 
-def _maneuver_segments(rows):
-    """Maximal runs of steps spent in a lateral maneuver.
-
-    Yields (start_index, end_index_exclusive, maneuver) for every run of
-    'merge' or 'change' rows.
-    """
+def _maneuver_segments(rows, cuts):
+    """Maximal runs of steps spent in one lateral maneuver: (start_index,
+    end_index_exclusive, maneuver) for every run of 'merge' or 'change'
+    rows, also ended before each row index in `cuts`."""
     start = 0
     for kind, run_rows in groupby(r[7] for r in rows):
         end = start + sum(1 for _ in run_rows)
         if kind in ("merge", "change"):
+            for cut in sorted(c for c in cuts if start < c < end):
+                yield start, cut, kind
+                start = cut
             yield start, end, kind
         start = end
 
@@ -67,12 +68,21 @@ def lane_change_events(log: TrajectoryLog, vehicle_id: str):
 
     A completed segment settles on a new lane and contributes the exact
     center-to-center offset; a segment cut off by the end of the run
-    contributes whatever lateral motion it actually caused.
+    contributes whatever lateral motion it actually caused.  Segments also
+    end at the vehicle's completion events, so a maneuver begun at the epoch
+    right after one completed counts on its own.
     """
     rows = log.vehicle_rows(vehicle_id)
     centers = log.geometry.centers
     out = []
-    for start, end, kind in _maneuver_segments(rows):
+    # The row after each completion: rows lie on a uniform grid, and an
+    # event's t (its step's t + dt) may differ from that row's in the last
+    # bit.  With one row, no cut falls inside a segment.
+    dt = rows[1][0] - rows[0][0] if len(rows) > 1 else 1.0
+    cuts = [round((e["t"] - rows[0][0]) / dt) for e in log.events
+            if e.get("vehicle") == vehicle_id
+            and e["event"] in ("merge_complete", "change_complete")]
+    for start, end, kind in _maneuver_segments(rows, cuts):
         start_lane = rows[start][6]
         if end < len(rows):
             end_lane = rows[end][6]

@@ -17,7 +17,7 @@ from .driver import DriverProfile
 from .game import (LEFT, STRAIGHT, IMPOSSIBLE, PayoffBimatrix, headway_utility,
                    merge_cost_left, merge_cost_stay, net_utility, solve_stackelberg)
 from .perception import OrientedRect, VehicleView, bumper_gap, rects_intersect
-from .road import LaneGeometry, distance_to_merge_end
+from .road import LaneGeometry, distance_to_merge_end, room_to_hard_end
 
 ACCELERATE = "accel"
 DECELERATE = "decel"
@@ -26,6 +26,8 @@ HOLD = "hold"
 MERGE = "merge"
 CHANGE = "change"
 KEEP = "keep"
+
+COMFORT_GUARD_G = 0.3  # g, braking at which a decel directive keeps a stop in reach
 
 
 class BrainState(NamedTuple):
@@ -450,9 +452,9 @@ def decide(ego: VehicleView, views: List[VehicleView], brain: BrainState,
            profile: DriverProfile, geometry: LaneGeometry, profiles,
            cfg, own_gap: Optional[float] = None,
            threat: Optional[VehicleView] = None) -> BrainState:
-    """One decision epoch for one vehicle; returns the updated latch."""
-    # A running lateral maneuver is never reversed, only completed.
-    brain = complete_maneuver(ego, views, brain, geometry, cfg)
+    """One decision epoch for one vehicle; returns the updated latch.  A
+    running lateral maneuver is never reversed: only the step loop's
+    complete_maneuver ends it."""
     if brain.maneuver != KEEP:
         return brain
 
@@ -502,11 +504,11 @@ def _merge_lane_epoch(ego, views, brain, profile, geometry, profiles, cfg):
         # A decel directive, or a hold with no slot in hand and none
         # promised, keeps a stop in reach: brake in time to stop.
         room = dist_to_end
-        if room < (stopping_distance(ego.v, 0.3 * GRAVITY)
+        if room < (stopping_distance(ego.v, COMFORT_GUARD_G * GRAVITY)
                    + profile.lane_change_clearance):
             directive, guard = DECELERATE, True
         # Backstop against the pavement end, with full braking authority.
-        hard_room = geometry.hard_end - ego.y - ego.length / 2.0 - 1.0
+        hard_room = room_to_hard_end(ego.y, ego.length, geometry)
         if hard_room < stopping_distance(ego.v, cfg.accel_cap_g * GRAVITY):
             directive, guard = DECELERATE, True
     return brain._replace(maneuver=KEEP, directive=directive,

@@ -87,6 +87,11 @@ def lane_bands(geometry: LaneGeometry) -> List[Tuple[float, float]]:
     return bands
 
 
+def room_to_hard_end(y: float, length: float, geometry: LaneGeometry) -> float:
+    """Meters from the nose of a vehicle centred at y to 1 m short of hard_end."""
+    return geometry.hard_end - y - length / 2.0 - 1.0
+
+
 def distance_to_merge_end(view, geometry: LaneGeometry) -> float:
     """Remaining meters of merge entrance ahead of a merge-lane vehicle."""
     if view.lane != geometry.merge_lane:

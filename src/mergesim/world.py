@@ -18,7 +18,7 @@ from .perception import (PerceptionNoise, VehicleView, bumper_gap,
 from .planner import (ACCELERATE, CHANGE, DECELERATE, KEEP, MERGE,
                       BrainState, complete_maneuver, decide, entrance_threat,
                       stopping_distance)
-from .road import LaneGeometry, lane_bands, lane_of
+from .road import LaneGeometry, lane_bands, lane_of, room_to_hard_end
 
 SCRIPTED = "scripted"
 DECISION = "decision"
@@ -285,7 +285,7 @@ def scenario_definition(source) -> dict:
     if check("scenario", source, str) in BUILTIN_SCENARIOS:
         return BUILTIN_SCENARIOS[source]
     try:
-        with open(source) as fh:
+        with open(source, encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"scenario: no built-in or file named {source!r}")
@@ -381,7 +381,7 @@ def load_scenario(source, cfg: RunConfig) -> World:
     # A vehicle that has to merge must be able to stop before the end of
     # the pavement, braking at the physical cap from its start speed.
     for i, veh in enumerate(vehicles):
-        room = geometry.hard_end - veh.state.y - veh.params.length / 2.0 - 1.0
+        room = room_to_hard_end(veh.state.y, veh.params.length, geometry)
         need = stopping_distance(veh.v_preset, cfg.accel_cap_g * GRAVITY)
         _require(not veh.brain.needs_merge or room > need,
                  f"vehicles[{i}]: must be able to stop before hard_end "
@@ -470,7 +470,7 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views: List[VehicleView],
     elif merging_phase and brain.directive == DECELERATE:
         base = -profile.nominal_decel
         if brain.guard:
-            room = geometry.hard_end - st.y - veh.params.length / 2.0 - 1.0
+            room = room_to_hard_end(st.y, veh.params.length, geometry)
             if room > 0.1:
                 base = min(base, -v * v / (2.0 * room))
             else:
@@ -601,40 +601,30 @@ _FLAGS = {(False, False): "", (True, False): "guard",
           (False, True): "forced_stop", (True, True): "guard;forced_stop"}
 
 
-def _record(log, vehicles, views, t) -> None:
-    """One row per vehicle: its view at the start of the step at t.  A
-    scripted vehicle's brain never changes, so its decision fields are
-    empty."""
-    for veh, view in zip(vehicles, views):
-        if veh.kind == SCRIPTED:
-            log.append((t, view.vehicle_id, view.x, view.y, view.v,
-                        view.heading, view.lane, "", "", "", ""))
-            continue
-        brain = veh.brain
-        log.append((t, view.vehicle_id, view.x, view.y, view.v, view.heading,
-                    view.lane, brain.maneuver, brain.directive,
-                    brain.competing_id or "",
-                    _FLAGS[brain.guard, brain.forced_stop]))
-
-
 def _advance(world, views, slot_of, attentions, bands, log, t):
-    """Control and integrate every vehicle over the step from t, given each
-    decision vehicle's attention by slot.
+    """Log, control and integrate every vehicle over the step from t,
+    given each decision vehicle's attention by slot.
 
-    Controls read the start-of-step `views`; world.views gets a new list
-    with each vehicle's view of its new state.  A scripted vehicle only
-    moves along the road at its preset speed, so its view is its previous
-    one with a new y, and it gets no new state (run writes the y back).  A
-    moved view keeps its lane while x stays inside that lane's band.
+    A row holds the start-of-step view and the brain before any forced stop
+    is latched; a scripted row has empty decision fields.  Controls read
+    the start-of-step `views`; world.views gets a new list with each
+    vehicle's view of its new state.  A scripted vehicle's view is its
+    previous one with a new y, and it gets no new state (run writes the y
+    back).  A moved view keeps its lane while x stays inside its band.
     """
     cfg, dt, geometry = world.cfg, world.cfg.dt, world.geometry
     moved = []
     for veh, view, attention in zip(world.vehicles, views, attentions):
         vid, x, y, v, heading, length, width, lane, kind = view
         if kind == SCRIPTED:
+            log.append((t, vid, x, y, v, heading, lane, "", "", "", ""))
             moved.append(_new_view((vid, x, y + veh.v_preset * dt, v, heading,
                                     length, width, lane, kind)))
             continue
+        brain = veh.brain
+        log.append((t, vid, x, y, v, heading, lane, brain.maneuver,
+                    brain.directive, brain.competing_id or "",
+                    _FLAGS[brain.guard, brain.forced_stop]))
         controls = _controls_for(veh, view, views, slot_of, attention,
                                  geometry)
         try:
@@ -652,47 +642,39 @@ def _advance(world, views, slot_of, attentions, bands, log, t):
             lane = lane_of(x, geometry)
         moved.append(_new_view((vid, x, s.y, s.v_long, s.heading, length,
                                 width, lane, kind)))
-        if (veh.brain.needs_merge and s.v_long < cfg.stop_speed
-                and not veh.brain.forced_stop):
-            veh.brain = veh.brain._replace(forced_stop=True)
+        if (brain.needs_merge and s.v_long < cfg.stop_speed
+                and not brain.forced_stop):
+            veh.brain = brain._replace(forced_stop=True)
             log.forced_stop = True
             log.events.append({"t": t, "vehicle": vid,
                                "event": "forced_stop"})
     world.views = moved
 
 
-def _complete_maneuvers(world, decision_slots, moved, log, t) -> None:
-    """End, and log at t, each maneuver that the moved poses complete;
-    `decision_slots` are the decision vehicles' indices in world.vehicles."""
+def _complete_and_settle(world, decision_slots, moved, log, t,
+                         quiet) -> Optional[float]:
+    """End, and log at t, each maneuver that the moved poses complete, and
+    return the seconds for which every decision vehicle (by slot in
+    world.vehicles) has been settled, given the `quiet` seconds before this
+    step: 0 if one is not, or if there is none; None once settle_time is
+    reached, which ends the run."""
     geometry, cfg = world.geometry, world.cfg
+    settled = bool(decision_slots)
     for i in decision_slots:
-        veh = world.vehicles[i]
+        veh, ego = world.vehicles[i], moved[i]
         brain = veh.brain
-        veh.brain = complete_maneuver(moved[i], moved, brain, geometry, cfg)
-        if veh.brain is not brain:
+        veh.brain = b = complete_maneuver(ego, moved, brain, geometry, cfg)
+        if b is not brain:
             kind = ("merge_complete" if brain.maneuver == MERGE
                     else "change_complete")
             log.events.append({"t": t, "vehicle": veh.vehicle_id,
                                "event": kind, "lane": brain.target_lane})
-
-
-def _settle(world, decision_slots, quiet) -> Optional[float]:
-    """Seconds for which every decision vehicle (by slot in world.vehicles)
-    has been settled, given the `quiet` seconds before this step: 0 if one
-    is not, or if there is none; None once settle_time is reached, which
-    ends the run."""
-    if not decision_slots:
+        if settled and (b.needs_merge or b.maneuver != KEEP or abs(
+                ego.x - geometry.centers[b.current_lane]) > cfg.lane_settle_tol
+                or abs(ego.v - b.v_ref) > cfg.settle_speed_tol):
+            settled = False
+    if not settled:
         return 0.0
-    centers, cfg = world.geometry.centers, world.cfg
-    for i in decision_slots:
-        veh = world.vehicles[i]
-        b = veh.brain
-        if b.needs_merge or b.maneuver != KEEP:
-            return 0.0
-        if abs(veh.state.x - centers[b.current_lane]) > cfg.lane_settle_tol:
-            return 0.0
-        if abs(veh.state.v_long - b.v_ref) > cfg.settle_speed_tol:
-            return 0.0
     quiet += cfg.dt
     return None if quiet >= cfg.settle_time else quiet
 
@@ -700,11 +682,11 @@ def _settle(world, decision_slots, quiet) -> Optional[float]:
 def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
     """Advance the world at a fixed step until t_max, a collision, or rest.
 
-    Each step records the state at its start, then moves every vehicle;
-    collisions, maneuver completions and settling are judged on the moved
-    poses.  Decisions fire on epoch boundaries.  Scripted vehicles move only
-    their views; their states get the views' y when the run returns or
-    raises.
+    Each step logs every vehicle's start-of-step state as it moves it;
+    collisions, then maneuver completions and settling, are judged on the
+    moved poses.  Decisions fire on epoch boundaries.  Scripted vehicles
+    move only their views; their states get the views' y when the run
+    returns or raises.
     """
     cfg = world.cfg
     if t_max is None:
@@ -734,7 +716,6 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
             views = world.snapshot()
             if step_index % steps_per_epoch == 0:
                 _decide(world, decision_slots, views, slot_of, attentions)
-            _record(log, world.vehicles, views, t)
             _advance(world, views, slot_of, attentions, bands, log, t)
             log.end_time = t_end = t + dt
 
@@ -745,8 +726,8 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
                 log.events.append({"t": t_end, "event": "collision",
                                    "vehicles": list(hit)})
                 break
-            _complete_maneuvers(world, decision_slots, moved, log, t_end)
-            quiet = _settle(world, decision_slots, quiet)
+            quiet = _complete_and_settle(world, decision_slots, moved, log,
+                                         t_end, quiet)
             if quiet is None:
                 break
     finally:

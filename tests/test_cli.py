@@ -1,5 +1,6 @@
 import argparse
 from contextlib import redirect_stderr, redirect_stdout
+import copy
 from dataclasses import fields
 import hashlib
 import io
@@ -7,6 +8,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 
@@ -18,8 +21,8 @@ from mergesim.cli import (MAX_GRID_POINTS, _add_common, build_config, main,
 from mergesim.config import ConfigError, RunConfig
 from mergesim.metrics import GRID_COLUMNS, aggressiveness_sweep, grid_to_csv
 from mergesim.road import LaneGeometry
-from mergesim.world import (MAX_SPEED_KMH, TRAJECTORY_COLUMNS,
-                            geometry_from_dict, load_scenario,
+from mergesim.world import (BUILTIN_SCENARIOS, MAX_SPEED_KMH,
+                            TRAJECTORY_COLUMNS, geometry_from_dict, load_scenario,
                             run as run_world)
 
 
@@ -723,6 +726,43 @@ class TestFileErrors:
             capsys, tmp_path, ("plot", out + ".csv", "--output", str(target)),
             f"cannot write {target}: ")
         assert list(target.iterdir()) == []
+
+
+class TestUtf8Files:
+    """Scenario, config, trajectory and summary files are read and written
+    as UTF-8 whatever the locale."""
+
+    @pytest.mark.parametrize("ensure_ascii", [True, False],
+                             ids=["escaped", "raw"])
+    def test_non_ascii_id_under_the_c_locale(self, tmp_path, ensure_ascii):
+        data = copy.deepcopy(BUILTIN_SCENARIOS["scenario1"])
+        data["vehicles"][0]["id"] = "v\u00e9hicule1"
+        scenario = tmp_path / "scenario.json"
+        scenario.write_bytes(
+            json.dumps(data, ensure_ascii=ensure_ascii).encode("utf-8"))
+        config = tmp_path / "config.json"
+        config.write_bytes(json.dumps({"q_overrides": {"v\u00e9hicule1": 0.5}},
+                                      ensure_ascii=ensure_ascii).encode("utf-8"))
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith(("LC_", "LANG", "PYTHONUTF8",
+                                    "PYTHONIOENCODING"))}
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "src")
+        env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+        out = str(tmp_path / "traj")
+
+        def mergesim(*argv):
+            return subprocess.run(
+                [sys.executable, "-X", "utf8=0", "-m", "mergesim.cli", *argv],
+                env=env, capture_output=True, text=True, errors="replace")
+
+        done = mergesim("run", "--scenario", str(scenario), "--config",
+                        str(config), "--t-max", "0.5", "--output", out)
+        assert done.returncode == 0, done.stderr
+        with open(out + ".csv", encoding="utf-8") as fh:
+            assert ",v\u00e9hicule1," in fh.read()
+        done = mergesim("plot", out + ".csv")
+        assert done.returncode == 0, done.stderr
 
 
 class TestDumpConfigCommand:

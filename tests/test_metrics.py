@@ -135,7 +135,7 @@ class TestLateralDisturbance:
             samples.append((round((30 + k) * 0.01, 6), 22.2,
                             6.6 - 1.6 * k / 19.0, 2, "change"))
         log = synthetic_log(samples)
-        assert list(_maneuver_segments(log.vehicle_rows("v"))) == [
+        assert list(_maneuver_segments(log.vehicle_rows("v"), [])) == [
             (10, 30, "merge"), (30, 50, "change")]
         (merge, merged, merge_done), (change, changed, change_done) = \
             lane_change_events(log, "v")
@@ -144,6 +144,44 @@ class TestLateralDisturbance:
         assert merged == pytest.approx(3.3)
         assert changed == pytest.approx(1.6)
         assert lane_change_count(log, "v") == 0
+
+    def test_back_to_back_changes_split_at_the_completion_event(self):
+        # A change to lane 1 completes in the step from t = 0.59, and the
+        # next epoch starts a change back to lane 2 before the row at 0.60
+        # is taken, so every row from 0.10 to 1.09 reads "change".
+        samples = [(round(i * 0.01, 6), 22.2, 6.6, 2, "keep")
+                   for i in range(10)]
+        for k in range(50):
+            x = 6.6 - 3.3 * k / 50.0
+            samples.append((round((10 + k) * 0.01, 6), 22.2, x,
+                            2 if x > 4.95 else 1, "change"))
+        for k in range(50):
+            x = 3.3 + 3.3 * k / 50.0
+            samples.append((round((60 + k) * 0.01, 6), 22.2, x,
+                            2 if x > 4.95 else 1, "change"))
+        samples += [(round((110 + k) * 0.01, 6), 22.2, 6.6, 2, "keep")
+                    for k in range(10)]
+        log = synthetic_log(samples)
+        log.end_time = 1.2
+        # Without the event the two changes read as one that returned to
+        # its start lane.
+        assert lane_change_count(log, "v") == 0
+        log.events.append({"t": 59 * 0.01 + 0.01, "vehicle": "v",
+                           "event": "change_complete", "lane": 1})
+        assert list(_maneuver_segments(log.vehicle_rows("v"), [60])) == [
+            (10, 60, "change"), (60, 110, "change")]
+        assert lane_change_count(log, "v") == 2
+        assert lateral_disturbance(log, "v") == pytest.approx(6.6)
+
+    def test_each_completed_change_counts_once_under_noise(self):
+        # At q 1.0 under noise the merger weaves, and some changes start at
+        # the epoch right after the one before completed.
+        cfg = RunConfig(noise=True, seed=0, q_overrides={"merging": 1.0})
+        log = run(load_scenario("scenario1", cfg))
+        completed = [e for e in log.events if e.get("vehicle") == "merging"
+                     and e["event"] == "change_complete"]
+        assert len(completed) == 27
+        assert lane_change_count(log, "merging") == 27
 
 
 class TestSweep:

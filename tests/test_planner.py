@@ -4,7 +4,8 @@ from mergesim.config import RunConfig
 from mergesim.game import LEFT, STRAIGHT
 from mergesim.perception import VehicleView
 from mergesim.planner import (ACCELERATE, DECELERATE, HOLD, KEEP, MERGE,
-                              BrainState, acceleration_game, decide,
+                              BrainState, acceleration_game,
+                              complete_maneuver, decide,
                               discretionary_lane_change, lane_change_safe,
                               merging_game, predict_states)
 from mergesim.road import LaneGeometry, lane_of
@@ -183,12 +184,21 @@ class TestDecide:
         second = decide(ego, views, brain, profile, GEOMETRY, profiles, CFG)
         assert first == second
 
-    def test_settling_completes_merge(self):
+    def test_settled_maneuver_is_left_to_the_step_loop(self):
         ego = view("ego", 6.65, 100.0, 22.0)  # within the settle band
         brain = BrainState(current_lane=3, v_ref=19.4, needs_merge=True,
                            maneuver=MERGE, target_lane=2)
         profile = CFG.profile(0.5)
         out = decide(ego, [ego], brain, profile, GEOMETRY, {"ego": profile}, CFG)
+        assert out is brain
+
+
+class TestCompleteManeuver:
+    def test_settling_completes_merge(self):
+        ego = view("ego", 6.65, 100.0, 22.0)  # within the settle band
+        brain = BrainState(current_lane=3, v_ref=19.4, needs_merge=True,
+                           maneuver=MERGE, target_lane=2)
+        out = complete_maneuver(ego, [ego], brain, GEOMETRY, CFG)
         assert out.maneuver == KEEP
         assert out.current_lane == 2
         assert not out.needs_merge
