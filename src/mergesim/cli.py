@@ -262,6 +262,10 @@ def main(argv=None) -> int:
     p_dump.set_defaults(func=cmd_dump_config)
 
     args = parser.parse_args(argv)
+    # Escape what an ASCII terminal cannot show, as stderr does; the
+    # StringIO a caller may redirect stdout to has no reconfigure.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         return args.func(args)
     except (ConfigError, TrajectoryFileError) as exc:

@@ -1,12 +1,12 @@
 """Game-theoretic decision layer.
 
 Merge-lane vehicles run a merging game against the nearest mainline
-competitor every decision epoch; while the answer is "stay", a pair of
-hypothetical games on predicted states picks an accelerate/decelerate/hold
-directive and re-designates the competing vehicle.  Mainline decision
-vehicles run discretionary lane-change games against adjacent-lane
-followers.  All decisions are pure functions of the snapshot plus a small
-latch record, so identical inputs always reproduce identical choices.
+competitor every decision epoch; unless they merge or hold beside a
+feasible slot, hypothetical games on predicted states pick an
+accelerate/decelerate/hold directive and re-designate the competitor.
+Mainline decision vehicles run discretionary lane-change games against
+adjacent-lane followers.  All decisions are pure functions of the snapshot
+plus a small latch record, so identical inputs reproduce identical choices.
 """
 
 import math
@@ -229,7 +229,7 @@ class Directive(NamedTuple):
 def acceleration_game(ego: VehicleView, views: List[VehicleView],
                       profile: DriverProfile, geometry: LaneGeometry,
                       cfg, incumbent: str = HOLD) -> Directive:
-    """Pick accelerate/decelerate/hold while merging is not yet sensible.
+    """Pick accelerate/decelerate, or hold when neither leads to a slot.
 
     Each hypothetical directive is scored on the predicted configuration,
     with the look-ahead capped at the moment the ego would reach the
@@ -240,15 +240,6 @@ def acceleration_game(ego: VehicleView, views: List[VehicleView],
     """
     target = geometry.merge_target_lane
     tol = profile.risk_tolerance
-    current = evaluate_slot(ego, views, target, profile)
-    if current.feasible(tol) and ego.y < geometry.entrance_end:
-        # The slot beside us is already good: hold position in it.
-        p2 = nearest_in_lane(ego, views, target, profile.visibility_range)
-        return Directive(
-            HOLD, p2.vehicle_id if p2 else None,
-            current.leader.vehicle_id if current.leader else None,
-            current.follower.vehicle_id if current.follower else None)
-
     scored = {}
     for directive in (DECELERATE, ACCELERATE):
         a_nom = (profile.nominal_accel if directive == ACCELERATE
@@ -477,42 +468,45 @@ def decide(ego: VehicleView, views: List[VehicleView], brain: BrainState,
 
 
 def _merge_lane_epoch(ego, views, brain, profile, geometry, profiles, cfg):
+    """One merge-lane epoch; the first rule that applies decides it:
+    1. merge: the merging game says go, and the slot beside can be taken
+       now (inside the merge window, feasible and lane_change_safe);
+    2. hold beside: the slot beside is feasible, short of the entrance end;
+    3. directive game: acceleration_game's accelerate or decelerate;
+    4. no slot: hold.
+    A decelerate, or a hold with no competitor, becomes guarded braking
+    once a stop at COMFORT_GUARD_G before the merge end (the comfort
+    guard), or at accel_cap_g before the pavement end (the backstop), is
+    about to fall out of reach."""
+    target = geometry.merge_target_lane
     dist_to_end = distance_to_merge_end(ego, geometry)
     tol = profile.risk_tolerance
     action, p2_id = merging_game(ego, views, profile, dist_to_end,
                                  geometry, profiles, risk_discount=tol)
-    if action == LEFT:
-        in_window = geometry.merge_start <= ego.y < geometry.entrance_end
-        slot = evaluate_slot(ego, views, geometry.merge_target_lane, profile)
-        if (in_window and slot.feasible(tol)
-                and lane_change_safe(ego, views, geometry.merge_target_lane,
-                                     profile, geometry)):
-            return brain._replace(
-                maneuver=MERGE, target_lane=geometry.merge_target_lane,
-                directive=HOLD, competing_id=p2_id,
-                slot_leader_id=slot.leader.vehicle_id if slot.leader else None,
-                slot_follower_id=(slot.follower.vehicle_id
-                                  if slot.follower else None),
-                guard=False)
-
-    plan = acceleration_game(ego, views, profile, geometry, cfg,
-                             incumbent=brain.directive)
-    directive = plan.name
+    slot = evaluate_slot(ego, views, target, profile)
+    beside = slot.feasible(tol)
+    leader_id = slot.leader.vehicle_id if slot.leader else None
+    follower_id = slot.follower.vehicle_id if slot.follower else None
+    if (action == LEFT and beside
+            and geometry.merge_start <= ego.y < geometry.entrance_end
+            and lane_change_safe(ego, views, target, profile, geometry)):
+        return brain._replace(
+            maneuver=MERGE, target_lane=target, directive=HOLD,
+            competing_id=p2_id, slot_leader_id=leader_id,
+            slot_follower_id=follower_id, guard=False)
+    if beside and ego.y < geometry.entrance_end:
+        directive, competing_id = HOLD, p2_id
+    else:
+        directive, competing_id, leader_id, follower_id = acceleration_game(
+            ego, views, profile, geometry, cfg, incumbent=brain.directive)
     guard = False
-    if directive == DECELERATE or (directive == HOLD
-                                   and plan.competing_id is None):
-        # A decel directive, or a hold with no slot in hand and none
-        # promised, keeps a stop in reach: brake in time to stop.
-        room = dist_to_end
-        if room < (stopping_distance(ego.v, COMFORT_GUARD_G * GRAVITY)
-                   + profile.lane_change_clearance):
-            directive, guard = DECELERATE, True
-        # Backstop against the pavement end, with full braking authority.
-        hard_room = room_to_hard_end(ego.y, ego.length, geometry)
-        if hard_room < stopping_distance(ego.v, cfg.accel_cap_g * GRAVITY):
-            directive, guard = DECELERATE, True
-    return brain._replace(maneuver=KEEP, directive=directive,
-                          competing_id=plan.competing_id or p2_id,
-                          slot_leader_id=plan.slot_leader_id,
-                          slot_follower_id=plan.slot_follower_id,
-                          guard=guard, target_lane=None)
+    if directive == DECELERATE or (directive == HOLD and competing_id is None):
+        comfort_stop = (stopping_distance(ego.v, COMFORT_GUARD_G * GRAVITY)
+                        + profile.lane_change_clearance)
+        guard = (dist_to_end < comfort_stop
+                 or room_to_hard_end(ego.y, ego.length, geometry)
+                 < stopping_distance(ego.v, cfg.accel_cap_g * GRAVITY))
+    return brain._replace(
+        maneuver=KEEP, directive=DECELERATE if guard else directive,
+        competing_id=competing_id or p2_id, slot_leader_id=leader_id,
+        slot_follower_id=follower_id, guard=guard, target_lane=None)

@@ -6,9 +6,10 @@ per-neighbour lane set and (lane, is_leader) dict, the bimatrix filled by
 eight set calls, solve_stackelberg over generators and a lambda,
 build_entry_bimatrix with _competitor_utility, discretionary_lane_change
 with its ghost ego on each candidate lane, and decide with its two latch
-updates.  merging_game and _merge_lane_epoch are copied unchanged so that
-decide below plays every game through the copies here.  Tests compare the
-simulator against these.
+updates.  merging_game, acceleration_game (with its hold-beside branch)
+and _merge_lane_epoch are copied unchanged so that decide below plays
+every game through the copies here.  Tests compare the simulator
+against these.
 """
 
 from dataclasses import dataclass, field
@@ -20,10 +21,11 @@ from mergesim.game import (ACTIONS, IMPOSSIBLE, LEFT, STRAIGHT,
                            headway_utility)
 from mergesim.perception import (VehicleView, _new_neighbor, bumper_gap,
                                  lateral_reach)
-from mergesim.planner import (CHANGE, DECELERATE, HOLD, KEEP, MERGE,
-                              BrainState, _escape_lane, acceleration_game,
-                              complete_maneuver, evaluate_slot,
-                              lane_change_safe, nearest_in_lane,
+from mergesim.planner import (ACCELERATE, CHANGE, DECELERATE, HOLD, KEEP,
+                              MERGE, BrainState, Directive, _escape_lane,
+                              _time_to_reach, complete_maneuver,
+                              evaluate_slot, lane_change_safe,
+                              nearest_in_lane, predict_states,
                               sinking_threat, slot_around, stay_utility,
                               stopping_distance)
 from mergesim.road import LaneGeometry, distance_to_merge_end
@@ -178,6 +180,65 @@ def merging_game(ego: VehicleView, views: List[VehicleView],
                                risk_discount=risk_discount)
     action, _ = solve_stackelberg(bim)
     return action, p2.vehicle_id
+
+
+def acceleration_game(ego: VehicleView, views: List[VehicleView],
+                      profile: DriverProfile, geometry: LaneGeometry,
+                      cfg, incumbent: str = HOLD) -> Directive:
+    """Pick accelerate/decelerate/hold while merging is not yet sensible.
+
+    Each hypothetical directive is scored on the predicted configuration,
+    with the look-ahead capped at the moment the ego would reach the
+    entrance end.  The slot around the predicted ego must be enterable
+    (open front, tolerable squeeze); among enterable slots the higher net
+    utility wins.  Ties fall to decelerating, and an already-chosen
+    directive is only abandoned for a clearly better one.
+    """
+    target = geometry.merge_target_lane
+    tol = profile.risk_tolerance
+    current = evaluate_slot(ego, views, target, profile)
+    if current.feasible(tol) and ego.y < geometry.entrance_end:
+        # The slot beside us is already good: hold position in it.
+        p2 = nearest_in_lane(ego, views, target, profile.visibility_range)
+        return Directive(
+            HOLD, p2.vehicle_id if p2 else None,
+            current.leader.vehicle_id if current.leader else None,
+            current.follower.vehicle_id if current.follower else None)
+
+    scored = {}
+    for directive in (DECELERATE, ACCELERATE):
+        a_nom = (profile.nominal_accel if directive == ACCELERATE
+                 else profile.nominal_decel)
+        accel = a_nom if directive == ACCELERATE else -a_nom
+        horizon = min(cfg.prediction_horizon,
+                      _time_to_reach(ego.v, accel,
+                                     geometry.entrance_end - ego.y))
+        if horizon <= 0.0:
+            continue  # already past the last possible merge point
+        pred = predict_states(views, ego.vehicle_id, directive, profile,
+                              horizon, a_nom)
+        pego = next(v for v in pred if v.vehicle_id == ego.vehicle_id)
+        slot = evaluate_slot(pego, pred, target, profile)
+        if not slot.feasible(tol):
+            continue
+        p2p = nearest_in_lane(pego, pred, target, profile.visibility_range)
+        scored[directive] = (slot.utility, Directive(
+            directive, p2p.vehicle_id if p2p else None,
+            slot.leader.vehicle_id if slot.leader else None,
+            slot.follower.vehicle_id if slot.follower else None))
+    if not scored:
+        return Directive(HOLD)
+    if len(scored) == 2:
+        if incumbent in scored:
+            # Stick with the committed directive unless clearly beaten.
+            other = ACCELERATE if incumbent == DECELERATE else DECELERATE
+            if scored[other][0] > scored[incumbent][0] + cfg.directive_switch_margin:
+                return scored[other][1]
+            return scored[incumbent][1]
+        if scored[ACCELERATE][0] > scored[DECELERATE][0]:
+            return scored[ACCELERATE][1]
+        return scored[DECELERATE][1]
+    return next(iter(scored.values()))[1]
 
 
 def discretionary_lane_change(ego: VehicleView, views: List[VehicleView],

@@ -198,8 +198,30 @@ def test_acceptance_7_disturbance_sweep():
     elapsed = time.perf_counter() - start
     assert len(full.cells) == 121
     assert elapsed < 60.0
+    assert not any(r.collision or r.forced_stop for r in full.cells.values())
+    # vehicle4 changes lanes once, one lane spacing, whenever the merger
+    # is cautious (q_merge <= 0.4) or aggressive (q_merge >= 0.9).
+    outer, normal_axis = axis[:5] + axis[9:], axis[5:9]
+    for qm in outer:
+        for ql in axis:
+            report = full.report(qm, ql)
+            assert report.lane_changes == 1, (qm, ql)
+            assert report.d_lat == pytest.approx(3.3), (qm, ql)
+    # In every q_mainline row the smallest d_long lies at a normal merger
+    # and is below every d_long at a cautious or aggressive one.
+    for ql in axis:
+        d_long = {qm: full.report(qm, ql).d_long for qm in axis}
+        best = min(axis, key=d_long.get)
+        assert best in normal_axis, ql
+        assert 0.6 < d_long[best] < 1.0, ql
+        assert d_long[best] < min(d_long[qm] for qm in outer), ql
+    cautious = {qm: full.report(qm, 0.0) for qm in axis}
+    assert min(axis, key=lambda qm: cautious[qm].d_long) == 0.7
+    assert all(cautious[qm].d_lat == 0.0 for qm in normal_axis)
     announce(7, "cautious row minimized at normal merging in both measures; "
-                f"normal row lateral minimum at 0.5; 11x11 sweep {elapsed:.0f} s")
+                "normal row lateral minimum at 0.5; on all 121 cells every "
+                "row's d_long minimum at q_merge 0.5-0.8 and one lane change "
+                f"at q_merge <= 0.4 or >= 0.9; 11x11 sweep {elapsed:.0f} s")
 
 
 def test_acceptance_8_metric_correctness():

@@ -732,16 +732,25 @@ class TestUtf8Files:
     """Scenario, config, trajectory and summary files are read and written
     as UTF-8 whatever the locale."""
 
-    @pytest.mark.parametrize("ensure_ascii", [True, False],
-                             ids=["escaped", "raw"])
-    def test_non_ascii_id_under_the_c_locale(self, tmp_path, ensure_ascii):
+    # A scripted vehicle's id reaches only the files; a decision vehicle's
+    # id is also printed to the ASCII terminal, backslash-escaped.
+    @pytest.mark.parametrize(
+        "ensure_ascii, old_id, new_id",
+        [(True, "vehicle1", "v\u00e9hicule1"),
+         (False, "vehicle1", "v\u00e9hicule1"),
+         (True, "merging", "m\u00e9rging"),
+         (False, "merging", "m\u00e9rging")],
+        ids=["escaped", "raw", "decision-escaped", "decision-raw"])
+    def test_non_ascii_id_under_the_c_locale(self, tmp_path, ensure_ascii,
+                                             old_id, new_id):
         data = copy.deepcopy(BUILTIN_SCENARIOS["scenario1"])
-        data["vehicles"][0]["id"] = "v\u00e9hicule1"
+        vehicle = next(v for v in data["vehicles"] if v["id"] == old_id)
+        vehicle["id"] = new_id
         scenario = tmp_path / "scenario.json"
         scenario.write_bytes(
             json.dumps(data, ensure_ascii=ensure_ascii).encode("utf-8"))
         config = tmp_path / "config.json"
-        config.write_bytes(json.dumps({"q_overrides": {"v\u00e9hicule1": 0.5}},
+        config.write_bytes(json.dumps({"q_overrides": {new_id: 0.5}},
                                       ensure_ascii=ensure_ascii).encode("utf-8"))
         env = {k: v for k, v in os.environ.items()
                if not k.startswith(("LC_", "LANG", "PYTHONUTF8",
@@ -760,7 +769,10 @@ class TestUtf8Files:
                         str(config), "--t-max", "0.5", "--output", out)
         assert done.returncode == 0, done.stderr
         with open(out + ".csv", encoding="utf-8") as fh:
-            assert ",v\u00e9hicule1," in fh.read()
+            assert f",{new_id}," in fh.read()
+        escaped = new_id.encode("ascii", "backslashreplace").decode("ascii")
+        assert (f"  {escaped}: q=0.5, " in done.stdout) == (
+            vehicle["kind"] == "decision")
         done = mergesim("plot", out + ".csv")
         assert done.returncode == 0, done.stderr
 

@@ -1,15 +1,20 @@
+from unittest import mock
+
 import pytest
 
+from mergesim import world as world_module
 from mergesim.config import RunConfig
 from mergesim.game import LEFT, STRAIGHT
 from mergesim.perception import VehicleView
+from mergesim.metrics import sweep_scenario
 from mergesim.planner import (ACCELERATE, DECELERATE, HOLD, KEEP, MERGE,
                               BrainState, acceleration_game,
                               complete_maneuver, decide,
-                              discretionary_lane_change, lane_change_safe,
-                              merging_game, predict_states)
+                              discretionary_lane_change, evaluate_slot,
+                              lane_change_safe, merging_game,
+                              predict_states)
 from mergesim.road import LaneGeometry, lane_of
-from mergesim.world import load_scenario, run
+from mergesim.world import BUILTIN_SCENARIOS, load_scenario, run
 
 GEOMETRY = LaneGeometry()
 CFG = RunConfig()
@@ -230,3 +235,47 @@ class TestEndOfLaneGuard:
             if r[6] == GEOMETRY.merge_lane:
                 assert r[3] + 4.5 / 2.0 <= hard_end + 1e-6
         assert rows[-1][4] < 1.0  # braked to rest
+
+
+class TestHoldBesideLivelock:
+    """The merger that holds beside a slot it may never take (ROADMAP
+    item 6), as it behaves today: scenario2 as the sweep builds it,
+    q_merge 1.0, q_mainline 0.5, noise off.  A fix of that item moves it.
+    """
+
+    def test_holds_beside_vehicle5_until_guarded_to_a_forced_stop(self):
+        real_decide = world_module.decide
+        epochs = []  # (y, latch, slot beside feasible, lane_change_safe)
+
+        def decide(ego, views, brain, profile, geometry, *args, **kwargs):
+            got = real_decide(ego, views, brain, profile, geometry, *args,
+                              **kwargs)
+            if (ego.vehicle_id == "merging" and brain.maneuver == KEEP
+                    and ego.lane == geometry.merge_lane):
+                target = geometry.merge_target_lane
+                slot = evaluate_slot(ego, views, target, profile)
+                epochs.append((ego.y, got,
+                               slot.feasible(profile.risk_tolerance),
+                               lane_change_safe(ego, views, target, profile,
+                                                geometry)))
+            return got
+
+        data = sweep_scenario(BUILTIN_SCENARIOS["scenario2"], 1.0, 0.5)
+        with mock.patch.object(world_module, "decide", decide):
+            log = run(load_scenario(data, RunConfig()))
+
+        held = [e for e in epochs if 27.49 <= e[0] < 147.77]
+        assert len(held) == 57
+        for y, latch, feasible, safe in held:
+            assert (latch.directive, latch.guard) == (HOLD, False), y
+            assert (latch.slot_leader_id, latch.slot_follower_id,
+                    latch.competing_id) == ("vehicle4", "vehicle5",
+                                            "vehicle5"), y
+            assert feasible and not safe, y
+        guarded = [e for e in epochs if e[1].guard]
+        assert guarded[0][0] == pytest.approx(147.77, abs=0.005)
+        assert all(latch.directive == DECELERATE for _, latch, _, _ in guarded)
+        assert [e for e in epochs if e[0] >= 147.77] == guarded
+        assert log.forced_stop and log.collision is None
+        assert [(e["t"], e["event"]) for e in log.events] == [
+            (11.38, "forced_stop")]
