@@ -53,7 +53,10 @@ def longitudinal_accel(profile: DriverProfile, error: float,
     """Saturated PD acceleration command, clamped to the comfort bounds
     [brake_lo, accel_hi]."""
     raw = profile.kp_long * error + profile.kd_long * error_rate
-    return min(max(raw, profile.brake_lo), profile.accel_hi)
+    lo, hi = profile.brake_lo, profile.accel_hi
+    if lo > raw:
+        raw = lo
+    return hi if hi < raw else raw
 
 
 def steering_limit(profile: DriverProfile, v: float) -> float:
@@ -88,8 +91,12 @@ def steering_command(profile: DriverProfile, e_lat: float, e_lat_rate: float,
     raw = profile.kp_lat * e_lat + profile.kd_lat * e_lat_rate
     if raw == 0.0:
         return raw
-    bound = min(steering_limit(profile, v), profile.steer_cap)
-    return min(max(raw, -bound), bound)
+    limit, cap = steering_limit(profile, v), profile.steer_cap
+    bound = cap if cap < limit else limit
+    lo = -bound
+    if lo > raw:
+        raw = lo
+    return bound if bound < raw else raw
 
 
 def blended_error(speed_error: float, gap_error: float, gap_error_rate: float,

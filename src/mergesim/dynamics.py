@@ -92,6 +92,9 @@ def step(state: VehicleState, params: VehicleParams, controls: Controls,
     building the stage states.  Raises ValueError if the new state is not
     finite.
 
+    The stage weights are written 2.0, not 2: the product is the same
+    float, and CPython 3.11 specialises float * float but not int * float.
+
     An exactly straight step, with heading, v_lat and yaw_rate +0.0, zero
     steer and finite_lateral params, skips the lateral stages: each of
     their rates is a signed zero, so every stage's heading, v_lat and
@@ -123,15 +126,15 @@ def step(state: VehicleState, params: VehicleParams, controls: Controls,
     du3 = 0.0 if braking and u3 <= 0.0 else accel
     u4 = u1 + du3 * dt
     du4 = 0.0 if braking and u4 <= 0.0 else accel
-    v_long = u1 + sixth * (du1 + 2 * du2 + 2 * du3 + du4)
+    v_long = u1 + sixth * (du1 + 2.0 * du2 + 2.0 * du3 + du4)
 
     if (steer == 0.0 and h1 == 0.0 and w1 == 0.0 and r1 == 0.0
             and params.finite_lateral
             and copysign(1.0, h1) == copysign(1.0, w1) == copysign(1.0, r1)
             == 1.0):
         x = state.x + 0.0
-        y = state.y + sixth * (hypot(u1, 0.0) + 2 * hypot(u2, 0.0)
-                               + 2 * hypot(u3, 0.0) + hypot(u4, 0.0))
+        y = state.y + sixth * (hypot(u1, 0.0) + 2.0 * hypot(u2, 0.0)
+                               + 2.0 * hypot(u3, 0.0) + hypot(u4, 0.0))
         heading = v_lat = yaw_rate = 0.0
     else:
         m, iz = params.mass, params.yaw_inertia
@@ -178,11 +181,11 @@ def step(state: VehicleState, params: VehicleParams, controls: Controls,
             dw4 = n11 / mu * w4 + (n12 / mu - u4) * r4 + b1_steer
             dr4 = n21 / iu * w4 + n22 / iu * r4 + b2_steer
 
-        x = state.x + sixth * (px1 + 2 * px2 + 2 * px3 + px4)
-        y = state.y + sixth * (py1 + 2 * py2 + 2 * py3 + py4)
-        heading = h1 + sixth * (r1 + 2 * r2 + 2 * r3 + r4)
-        v_lat = w1 + sixth * (dw1 + 2 * dw2 + 2 * dw3 + dw4)
-        yaw_rate = r1 + sixth * (dr1 + 2 * dr2 + 2 * dr3 + dr4)
+        x = state.x + sixth * (px1 + 2.0 * px2 + 2.0 * px3 + px4)
+        y = state.y + sixth * (py1 + 2.0 * py2 + 2.0 * py3 + py4)
+        heading = h1 + sixth * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+        v_lat = w1 + sixth * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
+        yaw_rate = r1 + sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4)
     if v_long < 0.0:
         v_long = v_lat = yaw_rate = 0.0
     # A plant too light for dt leaves RK4's stability region and

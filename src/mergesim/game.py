@@ -28,7 +28,8 @@ class PayoffBimatrix(NamedTuple):
 
 def headway_utility(gap: float, profile: DriverProfile) -> float:
     """Reward for free space ahead, capped by the usable visibility range."""
-    return min(gap, profile.visibility_scale * profile.visibility_range)
+    cap = profile.visibility_scale * profile.visibility_range
+    return cap if cap < gap else gap
 
 
 def merge_cost_left(gap_behind: float, closing_speed: float,

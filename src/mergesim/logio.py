@@ -1,7 +1,6 @@
 """Atomic text output and trajectory-file parsing."""
 
 import os
-import tempfile
 
 from .config import ConfigError
 from .world import TRAJECTORY_COLUMNS
@@ -17,11 +16,14 @@ class TrajectoryFileError(ValueError):
 
 def write_atomic(path: str, text: str) -> None:
     """Write via a temp file and rename, so readers never see partial files.
+    The file gets the mode open() gives a new file, 0o666 less the umask.
     A path that cannot be written raises ConfigError naming it."""
     directory = os.path.dirname(os.path.abspath(path))
+    # Not tempfile.mkstemp: its 0o600 would survive the rename.
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
     try:
         os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:  # names the part of the path in the way
         raise ConfigError(f"cannot write {path}: {exc}")
     try:

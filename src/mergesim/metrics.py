@@ -41,7 +41,7 @@ def longitudinal_disturbance(log: TrajectoryLog, vehicle_id: str,
                              v0: float) -> float:
     """Trapezoidal integral of the speed deficit below v0 over the run."""
     rows = log.vehicle_rows(vehicle_id)
-    deficit = [max(v0 - r[4], 0.0) for r in rows]
+    deficit = [0.0 if 0.0 > d else d for d in [v0 - r[4] for r in rows]]
     total = 0.0
     for i in range(1, len(deficit)):
         total += 0.5 * (deficit[i - 1] + deficit[i]) * (rows[i][0] - rows[i - 1][0])

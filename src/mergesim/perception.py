@@ -43,10 +43,12 @@ def pose_gaps(a, b):
     # rectangle's axes onto the other's.
     dot = abs(sb * sa + cb * ca)
     cross = abs(cb * sa - sb * ca)
-    return (max(0.0, abs(dx * sa + dy * ca) - hla - (hlb * dot + hwb * cross)),
-            max(0.0, abs(dx * ca - dy * sa) - hwa - (hlb * cross + hwb * dot)),
-            max(0.0, abs(dx * sb + dy * cb) - hlb - (hla * dot + hwa * cross)),
-            max(0.0, abs(dx * cb - dy * sb) - hwb - (hla * cross + hwa * dot)))
+    g0 = abs(dx * sa + dy * ca) - hla - (hlb * dot + hwb * cross)
+    g1 = abs(dx * ca - dy * sa) - hwa - (hlb * cross + hwb * dot)
+    g2 = abs(dx * sb + dy * cb) - hlb - (hla * dot + hwa * cross)
+    g3 = abs(dx * cb - dy * sb) - hwb - (hla * cross + hwa * dot)
+    return (g0 if g0 > 0.0 else 0.0, g1 if g1 > 0.0 else 0.0,
+            g2 if g2 > 0.0 else 0.0, g3 if g3 > 0.0 else 0.0)
 
 
 def index_from_separations(gap_a: float, gap_b: float) -> float:
@@ -96,7 +98,8 @@ _new_neighbor = Neighbor._make
 
 
 def bumper_gap(a: VehicleView, b: VehicleView) -> float:
-    return max(0.0, abs(a.y - b.y) - (a.length + b.length) / 2.0)
+    gap = abs(a.y - b.y) - (a.length + b.length) / 2.0
+    return gap if gap > 0.0 else 0.0
 
 
 def lateral_reach(view: VehicleView, scale: float = 1.0) -> float:

@@ -105,7 +105,9 @@ def stay_utility(ego: VehicleView, views: List[VehicleView],
     leader, _ = slot_around(ego, views, geometry.merge_lane)
     ahead = dist_to_end
     if leader is not None:
-        ahead = min(ahead, bumper_gap(ego, leader))
+        gap = bumper_gap(ego, leader)
+        if gap < ahead:
+            ahead = gap
     u_pos = headway_utility(ahead, profile)
     return net_utility(u_pos, merge_cost_stay(dist_to_end, ego.v, profile))
 
@@ -202,7 +204,8 @@ def predict_states(views: List[VehicleView], ego_id: str, directive: str,
     Speeds floor at zero."""
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    accel = min(nominal_accel, profile.accel_limit)
+    limit = profile.accel_limit
+    accel = limit if limit < nominal_accel else nominal_accel
     out = []
     for v in views:
         if v.vehicle_id == ego_id and directive in (ACCELERATE, DECELERATE):
@@ -245,9 +248,9 @@ def acceleration_game(ego: VehicleView, views: List[VehicleView],
         a_nom = (profile.nominal_accel if directive == ACCELERATE
                  else profile.nominal_decel)
         accel = a_nom if directive == ACCELERATE else -a_nom
-        horizon = min(cfg.prediction_horizon,
-                      _time_to_reach(ego.v, accel,
-                                     geometry.entrance_end - ego.y))
+        reach = _time_to_reach(ego.v, accel, geometry.entrance_end - ego.y)
+        cap = cfg.prediction_horizon
+        horizon = reach if reach < cap else cap
         if horizon <= 0.0:
             continue  # already past the last possible merge point
         pred = predict_states(views, ego.vehicle_id, directive, profile,
@@ -389,9 +392,10 @@ def merged_speed_ref(preset_ref: float, speed_now: float,
                      leader_speed: Optional[float]) -> float:
     """Cruise reference after completing a merge: adopt the flow speed,
     never below the preset, never beyond what the slot leader allows."""
-    achievable = speed_now if leader_speed is None else min(speed_now,
-                                                            leader_speed)
-    return max(preset_ref, achievable)
+    achievable = speed_now
+    if leader_speed is not None and leader_speed < speed_now:
+        achievable = leader_speed
+    return achievable if achievable > preset_ref else preset_ref
 
 
 def complete_maneuver(ego: VehicleView, views: List[VehicleView],

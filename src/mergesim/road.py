@@ -96,4 +96,5 @@ def distance_to_merge_end(view, geometry: LaneGeometry) -> float:
     """Remaining meters of merge entrance ahead of a merge-lane vehicle."""
     if view.lane != geometry.merge_lane:
         raise ValueError(f"{view.vehicle_id}: not in the merge lane")
-    return max(0.0, geometry.entrance_end - view.y)
+    remaining = geometry.entrance_end - view.y
+    return remaining if remaining > 0.0 else 0.0

@@ -393,12 +393,6 @@ def load_scenario(source, cfg: RunConfig) -> World:
 # --- per-step control -----------------------------------------------------
 
 
-def _brake_channel(profile, gap, rel_speed, gap_ref) -> float:
-    if gap >= gap_ref:
-        return math.inf
-    return longitudinal_accel(profile, gap - gap_ref, rel_speed)
-
-
 def _boxed_gap_ref(leader_gap, follower_gap, follow_ref) -> float:
     """Leader-gap reference when boxed between two vehicles, given the
     bumper gaps to both (None where there is no vehicle).
@@ -409,8 +403,9 @@ def _boxed_gap_ref(leader_gap, follower_gap, follow_ref) -> float:
     """
     if follower_gap is None or leader_gap is None:
         return follow_ref
-    free = leader_gap + follower_gap
-    return min(follow_ref, max(free * 0.5, 1.0))
+    half = (leader_gap + follower_gap) * 0.5
+    ref = 1.0 if 1.0 > half else half
+    return ref if ref < follow_ref else follow_ref
 
 
 def _slot_gap_ref(ego, veh, slot_gap, views, slot_of, follow_ref) -> float:
@@ -425,8 +420,11 @@ def _slot_gap_ref(ego, veh, slot_gap, views, slot_of, follow_ref) -> float:
         return follow_ref
     free = slot_gap + bumper_gap(ego, views[k])
     profile = veh.profile
-    front_ref = min(free * profile.slot_ride, free - profile.slot_rear_min)
-    return min(follow_ref, max(front_ref, 1.0))
+    ride, rear = free * profile.slot_ride, free - profile.slot_rear_min
+    ref = rear if rear < ride else ride
+    if 1.0 > ref:
+        ref = 1.0
+    return ref if ref < follow_ref else follow_ref
 
 
 class Attention(NamedTuple):
@@ -472,7 +470,9 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views: List[VehicleView],
         if brain.guard:
             room = room_to_hard_end(st.y, veh.params.length, geometry)
             if room > 0.1:
-                base = min(base, -v * v / (2.0 * room))
+                stop = -v * v / (2.0 * room)
+                if stop < base:
+                    base = stop
             else:
                 base = profile.guard_lo
     elif slot_leader is not None:
@@ -493,8 +493,12 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views: List[VehicleView],
             base = longitudinal_accel(profile, speed_err, 0.0)
 
     # Safety channels: never outrun anything ahead in the lanes we occupy.
-    if slot_leader is not None:
-        base = min(base, _brake_channel(profile, slot_gap, slot_rel, slot_ref))
+    # Each brakes through the PD law only while its gap is short of its
+    # reference.
+    if slot_leader is not None and slot_gap < slot_ref:
+        brake = longitudinal_accel(profile, slot_gap - slot_ref, slot_rel)
+        if brake < base:
+            base = brake
     lanes = (brain.current_lane,)
     if changing and brain.target_lane not in (None, brain.current_lane):
         lanes += (brain.target_lane,)
@@ -508,20 +512,30 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views: List[VehicleView],
         else:
             gap = bumper_gap(ego, leader)
             ref = _boxed_gap_ref(gap, follower_gap, follow_ref)
-        base = min(base, _brake_channel(profile, gap, leader.v - v, ref))
+        if gap < ref:
+            brake = longitudinal_accel(profile, gap - ref, leader.v - v)
+            if brake < base:
+                base = brake
     if attention.threat is not None:
         threat = views[attention.threat]
         ahead = threat.y - ego.y > (threat.length + ego.length) / 2.0
         if ahead or brain.evading:
-            ref = (profile.lane_change_clearance
-                   + profile.prediction_time * max(0.0, v - threat.v))
-            base = min(base, _brake_channel(profile, bumper_gap(ego, threat),
-                                            threat.v - v, ref))
+            closing = v - threat.v
+            ref = (profile.lane_change_clearance + profile.prediction_time
+                   * (closing if closing > 0.0 else 0.0))
+            gap = bumper_gap(ego, threat)
+            if gap < ref:
+                brake = longitudinal_accel(profile, gap - ref, threat.v - v)
+                if brake < base:
+                    base = brake
 
     # Comfort bounds acceleration; emergencies may brake up to the
     # physical cap.
     lo = profile.guard_lo if brain.guard else profile.brake_lo
-    return _new_controls((min(max(base, lo), profile.accel_hi), steer))
+    if lo > base:
+        base = lo
+    hi = profile.accel_hi
+    return _new_controls((hi if hi < base else base, steer))
 
 
 # --- simulation loop -------------------------------------------------------

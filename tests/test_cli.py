@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -84,6 +85,20 @@ class TestRunCommand:
         assert summary["collision"] is None
         text = capsys.readouterr().out
         assert "merged at" in text
+
+    # write_atomic's temp file must not keep a mode of its own.
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_outputs_get_the_mode_open_gives(self, tmp_path, umask, mode):
+        out = str(tmp_path / "s1")
+        old = os.umask(umask)
+        try:
+            assert run_cli("run", "--t-max", "0.1", "--output", out) == 0
+        finally:
+            os.umask(old)
+        for path in (out + ".csv", out + ".summary.json"):
+            assert stat.S_IMODE(os.stat(path).st_mode) == mode
+        assert sorted(os.listdir(tmp_path)) == ["s1.csv", "s1.summary.json"]
 
     def test_aggressive_overtakes_competitor(self, tmp_path):
         out = str(tmp_path / "s1")

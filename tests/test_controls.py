@@ -11,6 +11,7 @@ attention as vehicle ids through a dict of views by id, as the control law
 did before it read views by slot index.
 """
 
+from dataclasses import replace
 import math
 from typing import NamedTuple, Optional
 
@@ -24,9 +25,10 @@ from mergesim.planner import (ACCELERATE, CHANGE, DECELERATE, HOLD, KEEP,
                               MERGE, BrainState)
 from mergesim.road import LaneGeometry
 from mergesim.world import (DECISION, Attention, SimVehicle, _boxed_gap_ref,
-                            _controls_for)
+                            _controls_for, _slot_gap_ref)
 
 from dynamics_reference import speed
+from test_driver import EDGE_FLOATS
 
 GEOMETRY = LaneGeometry()
 LANES = range(len(GEOMETRY.centers))
@@ -311,3 +313,43 @@ def test_controls_are_bit_identical_to_the_per_call_bounds(
     want = oracle_controls_for(veh, ego, views_by_id, attention, GEOMETRY,
                                cfg)
     assert (got.accel.hex(), got.steer.hex()) == tuple(w.hex() for w in want)
+
+
+# --- the gap references' inline clamps -------------------------------------
+
+
+@given(st.data())
+def test_boxed_gap_ref_clamp_is_the_min_max_formula(data):
+    # -leader_gap gives a zero sum, or a NaN one when leader_gap is inf.
+    leader_gap = data.draw(EDGE_FLOATS)
+    follower_gap = data.draw(st.one_of(st.just(-leader_gap), EDGE_FLOATS))
+    half = (leader_gap + follower_gap) * 0.5
+    follow_ref = data.draw(st.one_of(st.sampled_from([half, 1.0]),
+                                     EDGE_FLOATS))
+    want = min(follow_ref, max(half, 1.0))
+    assert _boxed_gap_ref(leader_gap, follower_gap, follow_ref).hex() == \
+        want.hex()
+
+
+@given(st.data())
+def test_slot_gap_ref_clamp_is_the_min_max_formula(data):
+    draw = data.draw
+    cfg = RunConfig()
+    profile = replace(cfg.profile(0.5), slot_ride=draw(EDGE_FLOATS),
+                      slot_rear_min=draw(EDGE_FLOATS))
+    brain = BrainState(3, 19.4, needs_merge=True,
+                       slot_follower_id="slot_follower")
+    veh = SimVehicle("ego", DECISION, cfg.vehicle_params(), VehicleState(),
+                     19.4, 0.5, profile, brain)
+    ego = VehicleView("ego", 9.9, 0.0, 20.0, 0.0, 4.5, 1.8, 3)
+    follower = VehicleView("slot_follower", 6.6, draw(EDGE_FLOATS), 20.0,
+                           0.0, 4.5, 1.8, 2)
+    slot_gap = draw(EDGE_FLOATS)
+    free = slot_gap + bumper_gap(ego, follower)
+    front_ref = min(free * profile.slot_ride, free - profile.slot_rear_min)
+    follow_ref = draw(st.one_of(st.sampled_from([front_ref, 1.0]),
+                                EDGE_FLOATS))
+    want = min(follow_ref, max(front_ref, 1.0))
+    got = _slot_gap_ref(ego, veh, slot_gap, [ego, follower],
+                        {"ego": 0, "slot_follower": 1}, follow_ref)
+    assert got.hex() == want.hex()

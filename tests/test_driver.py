@@ -17,6 +17,13 @@ def make_profile(q=0.5, **fields):
     return replace(CFG, **fields).profile(q)
 
 
+# Floats for the inline clamps: signed zeros and infinities drawn often,
+# and small values that meet each other, and so a bound, exactly.
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 2.0, math.inf, -math.inf]),
+    st.floats(allow_nan=False))
+
+
 def steer_limit(lat_accel_limit, v, **fields):
     """steering_limit at a lateral acceleration limit in m/s^2, for the
     profile of a config with `fields` changed."""
@@ -158,6 +165,20 @@ class TestLongitudinalAccel:
         assert abs(a) <= min(profile.accel_limit,
                              CFG.accel_cap_g * GRAVITY) + 1e-12
 
+    @given(st.data())
+    def test_clamp_is_the_min_max_formula(self, data):
+        draw = data.draw
+        lo = draw(EDGE_FLOATS)
+        hi = draw(st.one_of(st.just(lo), EDGE_FLOATS))
+        profile = replace(CFG.profile(0.5), brake_lo=lo, accel_hi=hi,
+                          kp_long=draw(st.one_of(st.just(1.0), EDGE_FLOATS)),
+                          kd_long=draw(EDGE_FLOATS))
+        error = draw(st.one_of(st.sampled_from([lo, hi]), EDGE_FLOATS))
+        rate = draw(EDGE_FLOATS)
+        raw = profile.kp_long * error + profile.kd_long * rate
+        assert longitudinal_accel(profile, error, rate).hex() == \
+            min(max(raw, lo), hi).hex()
+
 
 class TestSteering:
     def test_zero_error_zero_output(self):
@@ -198,6 +219,24 @@ class TestSteering:
         delta = steering_command(profile, e, e_dot, v)
         bound = min(steering_limit(profile, v), profile.steer_cap)
         assert abs(delta) <= bound + 1e-12
+
+    @given(st.data())
+    def test_clamp_is_the_min_max_formula(self, data):
+        draw = data.draw
+        cap = draw(EDGE_FLOATS)
+        profile = replace(CFG.profile(draw(st.floats(0, 1))), steer_cap=cap,
+                          kp_lat=draw(st.one_of(st.just(1.0), EDGE_FLOATS)),
+                          kd_lat=draw(EDGE_FLOATS))
+        # At v = inf the limit is NaN, and the clamp must let raw through.
+        v = draw(st.one_of(st.just(math.inf), EDGE_FLOATS))
+        limit = steering_limit(profile, v)
+        e_lat = draw(st.one_of(st.sampled_from([cap, -cap, limit, -limit]),
+                               EDGE_FLOATS))
+        e_rate = draw(EDGE_FLOATS)
+        raw = profile.kp_lat * e_lat + profile.kd_lat * e_rate
+        bound = min(limit, cap)
+        want = raw if raw == 0.0 else min(max(raw, -bound), bound)
+        assert steering_command(profile, e_lat, e_rate, v).hex() == want.hex()
 
 
 class TestSteeringLimit:

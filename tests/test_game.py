@@ -8,6 +8,8 @@ from mergesim.game import (ACTIONS, LEFT, STRAIGHT, PayoffBimatrix,
                            headway_utility, merge_cost_left, merge_cost_stay,
                            net_utility, solve_stackelberg)
 
+from test_driver import EDGE_FLOATS
+
 
 def profile(scale=0.65, visibility=100.0, prediction=1.0, clearance=10.0):
     return DriverProfile(
@@ -38,6 +40,14 @@ class TestHeadwayUtility:
         lo, hi = sorted((a, b))
         assert headway_utility(lo, p) <= headway_utility(hi, p)
         assert headway_utility(hi, p) <= 0.65 * 100.0
+
+    @given(st.data())
+    def test_clamp_is_the_min_formula(self, data):
+        scale, visibility = data.draw(EDGE_FLOATS), data.draw(EDGE_FLOATS)
+        cap = scale * visibility
+        gap = data.draw(st.one_of(st.just(cap), EDGE_FLOATS))
+        assert headway_utility(gap, profile(scale, visibility)).hex() == \
+            min(gap, cap).hex()
 
 
 class TestMergeCostLeft:

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mergesim.perception import (OrientedRect, PerceptionNoise,
-                                 VehicleView, classify_vicinity,
+                                 VehicleView, bumper_gap, classify_vicinity,
                                  collision_index, index_from_separations,
                                  pose_gaps, rects_intersect)
 from mergesim.road import LaneGeometry
+
+from test_driver import EDGE_FLOATS
 
 GEOMETRY = LaneGeometry()
 
@@ -193,6 +195,37 @@ def test_pose_kernel_is_bit_identical_to_projection_gap(a, b):
     assert collision_index(a, b) == index_from_separations(
         norm_ab, math.hypot(gaps[2], gaps[3]))
     assert rects_intersect(a, b) == all(g == 0.0 for g in gaps)
+
+
+def max_pose_gaps(a, b):
+    """pose_gaps as written with builtin max."""
+    ax, ay, sa, ca, hwa, hla = a
+    bx, by, sb, cb, hwb, hlb = b
+    dx, dy = bx - ax, by - ay
+    dot = abs(sb * sa + cb * ca)
+    cross = abs(cb * sa - sb * ca)
+    return (max(0.0, abs(dx * sa + dy * ca) - hla - (hlb * dot + hwb * cross)),
+            max(0.0, abs(dx * ca - dy * sa) - hwa - (hlb * cross + hwb * dot)),
+            max(0.0, abs(dx * sb + dy * cb) - hlb - (hla * dot + hwa * cross)),
+            max(0.0, abs(dx * cb - dy * sb) - hwb - (hla * cross + hwa * dot)))
+
+
+_edge_poses = st.tuples(*[EDGE_FLOATS] * 6)
+
+
+@settings(max_examples=500)
+@given(_edge_poses, _edge_poses)
+def test_pose_gaps_clamp_is_the_max_formula(a, b):
+    assert [g.hex() for g in pose_gaps(a, b)] == \
+        [g.hex() for g in max_pose_gaps(a, b)]
+
+
+@given(EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS)
+def test_bumper_gap_clamp_is_the_max_formula(ya, yb, la, lb):
+    a = VehicleView("a", 0.0, ya, 20.0, 0.0, la, 1.8, 0)
+    b = VehicleView("b", 0.0, yb, 20.0, 0.0, lb, 1.8, 0)
+    want = max(0.0, abs(ya - yb) - (la + lb) / 2.0)
+    assert bumper_gap(a, b).hex() == want.hex()
 
 
 def test_rigid_motion_invariance():

@@ -1,5 +1,6 @@
 from dataclasses import replace
 import math
+import sys
 
 from hypothesis import assume, given, settings, strategies as st
 import pytest
@@ -488,3 +489,34 @@ class TestDerivedIcol:
             assert len(log.rows) == vehicles * steps
         logs[0][0].to_csv()
         assert derived  # the counter sits on the path that derives i_col
+
+
+def _run_counting_min_max(world, t_max):
+    """run(world, t_max) and the number of builtin min and max calls it
+    made."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "c_call" and (arg is min or arg is max):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        log = run(world, t_max)
+    finally:
+        sys.setprofile(previous)
+    return log, calls
+
+
+def test_steps_call_no_builtin_min_or_max():
+    """The step path clamps inline: a whole sweep cell calls builtin min and
+    max as often as its first second does, in per-run set-up only."""
+    base = metrics.sweep_scenario(BUILTIN_SCENARIOS["scenario1"], 0.5, 0.75)
+    full, full_calls = _run_counting_min_max(
+        load_scenario(base, RunConfig()), None)
+    short, short_calls = _run_counting_min_max(
+        load_scenario(base, RunConfig()), 1.0)
+    assert short.end_time < 2.0 < full.end_time
+    assert full_calls == short_calls
