@@ -1,6 +1,7 @@
 """World assembly, per-step control, fixed-step simulation and logging."""
 
 from dataclasses import dataclass, replace
+from itertools import accumulate, chain, repeat
 import json
 import math
 import random
@@ -100,6 +101,11 @@ class TrajectoryLog:
     except i_col, which is derived from the logged poses and the vehicle
     sizes on first read (see icol), so runs whose readers never ask for it
     never pay for it.
+
+    `run` fills the rows once its loop ends, through add_steps: each
+    decision vehicle's rows as they were logged, and each scripted
+    vehicle's rows rebuilt from its start view (see run).  `append` adds
+    one row, for callers that build a log row by row.
     """
 
     def __init__(self, geometry: LaneGeometry,
@@ -116,6 +122,11 @@ class TrajectoryLog:
 
     def append(self, row: tuple) -> None:
         self.rows.append(row)
+
+    def add_steps(self, columns) -> None:
+        """Append whole steps from one row iterable per vehicle, in `bodies`
+        order: step k gets row k of each, and the shortest ends the log."""
+        self.rows.extend(chain.from_iterable(zip(*columns)))
 
     def _stride(self, column: list, vehicle_id: str) -> list:
         """The entries of a row-aligned column that belong to one vehicle."""
@@ -340,6 +351,11 @@ def load_scenario(source, cfg: RunConfig) -> World:
         check(where, item, dict)
         vid = item.get("id")
         _require(isinstance(vid, str) and vid, f"{where}.id: missing or empty")
+        # The trajectory CSV holds ids unquoted, and logio.read_trajectory
+        # splits its text into lines and its lines at commas.
+        _require("," not in vid and vid.splitlines() == [vid],
+                 f"{where}.id: must not contain a comma or a line break, "
+                 f"got {vid!r}")
         _require(vid not in seen, f"{where}.id: duplicate id {vid!r}")
         seen.add(vid)
         x0 = check(f"{where}.x0_m", item.get("x0_m", 0.0))
@@ -541,17 +557,51 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views: List[VehicleView],
 # --- simulation loop -------------------------------------------------------
 
 
-def _collision_pairs(views: List[VehicleView]) -> List[tuple]:
+def _drift_bound(a: VehicleView, b: VehicleView, increment: float,
+                 steps: int) -> float:
+    """How far _find_collision's fast-path gap (abs(dy) - hla) - hlb of two
+    scripted vehicles at heading 0 can be from its start value over a run
+    of `steps` steps in which each adds `increment` to its y at every step.
+
+    Let y_max bound every magnitude the sums and the gap reach, and
+    u = ulp(y_max).  Each y + increment rounds by at most u / 2, so the
+    exact dy drifts by at most u a step and steps * u in all.  The gap
+    rounds three times (the difference, then each half length), by at most
+    1.5 u, and it is rounded once at the start and once at the step it is
+    tested.  So a pair whose computed start gap exceeds (steps + 3) * u
+    has a positive computed gap at every step.  Without rounding, |ya| + |yb| + hla + hlb
+    bounds every magnitude, with |y| at most |y0| + steps * |increment|;
+    doubling that covers the drift of at most steps * u for any run shorter
+    than 2**50 steps.
+    """
+    reach = (abs(a.y) + abs(b.y) + 2.0 * steps * abs(increment)
+             + a.length / 2.0 + b.length / 2.0)
+    return (steps + 3) * math.ulp(2.0 * reach)
+
+
+def _collision_pairs(views: List[VehicleView],
+                     increments: Optional[List[Optional[float]]] = None,
+                     steps: int = 0) -> List[tuple]:
     """(i, j, reach_y, reach_x, half_lengths), i < j in order, for each pair
-    that can collide during a run; its rectangles cannot meet while their
-    centres are more than reach_y apart along the road or reach_x across it.
+    that can collide during a run of `steps` steps in which the scripted
+    vehicle in slot i adds increments[i] to its y at every step; its
+    rectangles cannot meet while their centres are more than reach_y apart
+    along the road or reach_x across it.
 
     A scripted vehicle keeps its lateral position and heading for the whole
-    run, so two scripted vehicles at heading 0 with a positive gap along the
-    width axis can never touch: that gap depends only on their constant
-    lateral offset and half widths.  Every other pair is kept, with the
-    half lengths of such a scripted pair (else None).
+    run, so two scripted vehicles at heading 0 are dropped when either gap
+    between them stays positive:
+    - across the road, a positive gap along the width axis, which depends
+      only on their constant lateral offset and half widths;
+    - along the road, equal increments and a start gap (abs(dy) - hla) -
+      hlb, as _find_collision computes it, above _drift_bound: their y
+      sums move apart only by rounding.  Without `increments` this rule
+      drops nothing.
+    Every other pair is kept, with the half lengths of such a scripted
+    pair (else None).
     """
+    if increments is None:
+        increments = [None] * len(views)
     pairs = []
     for i, a in enumerate(views):
         for j in range(i + 1, len(views)):
@@ -559,6 +609,12 @@ def _collision_pairs(views: List[VehicleView]) -> List[tuple]:
             fixed = (a.kind == SCRIPTED and b.kind == SCRIPTED
                      and a.heading == 0.0 and b.heading == 0.0)
             if fixed and pose_gaps(a.rect().pose(), b.rect().pose())[1] > 0:
+                continue
+            increment = increments[i]
+            if (fixed and increment is not None
+                    and increment == increments[j]
+                    and (abs(a.y - b.y) - a.length / 2.0) - b.length / 2.0
+                    > _drift_bound(a, b, increment, steps)):
                 continue
             pairs.append((i, j, (a.length + b.length) / 2.0 + 2.0,
                           (a.width + b.width) / 2.0 + 2.0,
@@ -615,31 +671,30 @@ _FLAGS = {(False, False): "", (True, False): "guard",
           (False, True): "forced_stop", (True, True): "guard;forced_stop"}
 
 
-def _advance(world, views, slot_of, attentions, bands, log, t):
-    """Log, control and integrate every vehicle over the step from t,
-    given each decision vehicle's attention by slot.
+def _advance(world, views, slot_of, attentions, bands, tracks, logged, log,
+             t):
+    """Log, control and integrate every decision vehicle over the step from
+    t, given each one's attention by slot, and move every scripted vehicle.
 
-    A row holds the start-of-step view and the brain before any forced stop
-    is latched; a scripted row has empty decision fields.  Controls read
-    the start-of-step `views`; world.views gets a new list with each
-    vehicle's view of its new state.  A scripted vehicle's view is its
-    previous one with a new y, and it gets no new state (run writes the y
-    back).  A moved view keeps its lane while x stays inside its band.
+    `tracks` holds one iterator per slot: a scripted vehicle's yields its
+    next view (see run), a decision vehicle's yields None.  `logged` pairs
+    each decision slot with the append of its own row list.  A row holds
+    the start-of-step view and the brain before any forced stop is
+    latched.  Controls read the start-of-step `views`; world.views gets a
+    new list with each vehicle's moved view.  A moved view keeps its lane
+    while x stays inside its band.
     """
     cfg, dt, geometry = world.cfg, world.cfg.dt, world.geometry
-    moved = []
-    for veh, view, attention in zip(world.vehicles, views, attentions):
+    vehicles = world.vehicles
+    moved = list(map(next, tracks))
+    for i, append in logged:
+        veh, view = vehicles[i], views[i]
         vid, x, y, v, heading, length, width, lane, kind = view
-        if kind == SCRIPTED:
-            log.append((t, vid, x, y, v, heading, lane, "", "", "", ""))
-            moved.append(_new_view((vid, x, y + veh.v_preset * dt, v, heading,
-                                    length, width, lane, kind)))
-            continue
         brain = veh.brain
-        log.append((t, vid, x, y, v, heading, lane, brain.maneuver,
-                    brain.directive, brain.competing_id or "",
-                    _FLAGS[brain.guard, brain.forced_stop]))
-        controls = _controls_for(veh, view, views, slot_of, attention,
+        append((t, vid, x, y, v, heading, lane, brain.maneuver,
+                brain.directive, brain.competing_id or "",
+                _FLAGS[brain.guard, brain.forced_stop]))
+        controls = _controls_for(veh, view, views, slot_of, attentions[i],
                                  geometry)
         try:
             veh.state = s = step(veh.state, veh.params, controls, dt)
@@ -654,8 +709,8 @@ def _advance(world, views, slot_of, attentions, bands, log, t):
         lo, hi = bands[lane]
         if not lo < x < hi:
             lane = lane_of(x, geometry)
-        moved.append(_new_view((vid, x, s.y, s.v_long, s.heading, length,
-                                width, lane, kind)))
+        moved[i] = _new_view((vid, x, s.y, s.v_long, s.heading, length,
+                              width, lane, kind))
         if (brain.needs_merge and s.v_long < cfg.stop_speed
                 and not brain.forced_stop):
             veh.brain = brain._replace(forced_stop=True)
@@ -693,14 +748,44 @@ def _complete_and_settle(world, decision_slots, moved, log, t,
     return None if quiet >= cfg.settle_time else quiet
 
 
+def _scripted_ys(y0: float, increment: float):
+    """y0, then y + increment at each step, summed one step at a time."""
+    return accumulate(repeat(increment), initial=y0)
+
+
+def _scripted_track(view: VehicleView, increment: float):
+    """The views a scripted vehicle takes after `view`, one per step: each
+    is the previous one with y + increment.  tuple.__new__ is what _make
+    calls, so no Python frame runs per view."""
+    vid, x, y0, v, heading, length, width, lane, kind = view
+    ys = _scripted_ys(y0, increment)
+    next(ys)  # y0 is the start view's own
+    return map(tuple.__new__, repeat(VehicleView), zip(
+        repeat(vid), repeat(x), ys, repeat(v), repeat(heading),
+        repeat(length), repeat(width), repeat(lane), repeat(kind)))
+
+
+def _scripted_rows(view: VehicleView, increment: float, times: List[float]):
+    """The rows of a scripted vehicle that starts at `view`, one per time:
+    its track's y sums, the start view's x, v, heading and lane objects,
+    and empty decision fields."""
+    vid, x, y0, v, heading, _, _, lane, _ = view
+    blank = repeat("")  # one iterator serves all four empty fields
+    return zip(times, repeat(vid), repeat(x), _scripted_ys(y0, increment),
+               repeat(v), repeat(heading), repeat(lane), blank, blank, blank,
+               blank)
+
+
 def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
     """Advance the world at a fixed step until t_max, a collision, or rest.
 
-    Each step logs every vehicle's start-of-step state as it moves it;
-    collisions, then maneuver completions and settling, are judged on the
-    moved poses.  Decisions fire on epoch boundaries.  Scripted vehicles
-    move only their views; their states get the views' y when the run
-    returns or raises.
+    Each step logs every decision vehicle's start-of-step state as it moves
+    it; collisions, then maneuver completions and settling, are judged on
+    the moved poses.  Decisions fire on epoch boundaries.  A scripted
+    vehicle's motion is fixed at the start: it takes its views from one
+    precomputed track, its rows are built from the same y sums once the
+    loop ends, and its state gets its last view's y when the run returns or
+    raises.
     """
     cfg = world.cfg
     if t_max is None:
@@ -718,19 +803,29 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
                       if v.kind == DECISION]
     slot_of = {v.vehicle_id: i for i, v in enumerate(world.vehicles)}
     bands = lane_bands(geometry)
+    n_steps = round(t_max / dt)
     # States may have been set since the world was built.
-    world.views = [v.view(geometry) for v in world.vehicles]
-    pairs = _collision_pairs(world.views)
+    world.views = starts = [v.view(geometry) for v in world.vehicles]
+    increments = [v.v_preset * dt if v.kind == SCRIPTED else None
+                  for v in world.vehicles]
+    pairs = _collision_pairs(starts, increments, n_steps)
+    tracks = [repeat(None) if increment is None
+              else _scripted_track(view, increment)
+              for view, increment in zip(starts, increments)]
+    columns = [[] for _ in world.vehicles]  # a decision vehicle's rows
+    logged = [(i, columns[i].append) for i in decision_slots]
     attentions: List[Optional[Attention]] = [None] * len(world.vehicles)
     quiet = 0.0
+    step_index = -1
 
     try:
-        for step_index in range(round(t_max / dt)):
+        for step_index in range(n_steps):
             t = step_index * dt
             views = world.snapshot()
             if step_index % steps_per_epoch == 0:
                 _decide(world, decision_slots, views, slot_of, attentions)
-            _advance(world, views, slot_of, attentions, bands, log, t)
+            _advance(world, views, slot_of, attentions, bands, tracks, logged,
+                     log, t)
             log.end_time = t_end = t + dt
 
             moved = world.snapshot()
@@ -750,4 +845,10 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
         for veh, view in zip(world.vehicles, world.views):
             if veh.kind == SCRIPTED:
                 veh.state = veh.state._replace(y=view.y)
+    # Every step the loop logged, at the times it logged them.
+    times = [k * dt for k in range(step_index + 1)]
+    for i, increment in enumerate(increments):
+        if increment is not None:
+            columns[i] = _scripted_rows(starts[i], increment, times)
+    log.add_steps(columns)
     return log

@@ -1,14 +1,15 @@
 """Reference readers of a TrajectoryLog, written the slow, obvious way.
 
 i_col is recomputed from VehicleView rectangles, a vehicle's rows and i_col
-are found by checking the id of every row, and the CSV formats every field
-of every row.  Tests compare the log's own readers against these.
+are found by checking the id of every row, the CSV formats every field of
+every row, and a scripted vehicle's rows are replayed one step at a time.
+Tests compare the log's own readers and rows against these.
 """
 
 import math
 
 from mergesim.perception import VehicleView, collision_index
-from mergesim.world import TRAJECTORY_COLUMNS
+from mergesim.world import SCRIPTED, TRAJECTORY_COLUMNS
 
 
 def eager_icol(log, world):
@@ -53,3 +54,28 @@ def formatted_csv(log):
             f"{r[0]:.2f},{r[1]},{r[2]:.6f},{r[3]:.6f},{r[4]:.6f},"
             f"{r[5]:.6f},{r[6]},{r[7]},{r[8]},{r[9]},{icol:.6f},{r[10]}")
     return "\n".join(lines) + "\n"
+
+
+def replayed_scripted_rows(world, start_views, steps):
+    """{id: rows} of each scripted vehicle of `world` over `steps` steps,
+    replayed from its view at the start of the run: the step's time, the
+    start x, speed, heading and lane, a y that gains v_preset * dt at every
+    step, and empty decision fields."""
+    dt = world.cfg.dt
+    out = {}
+    for veh, view in zip(world.vehicles, start_views):
+        if veh.kind != SCRIPTED:
+            continue
+        rows, y = [], view.y
+        for k in range(steps):
+            rows.append((k * dt, view.vehicle_id, view.x, y, view.v,
+                         view.heading, view.lane, "", "", "", ""))
+            y = y + veh.v_preset * dt
+        out[view.vehicle_id] = rows
+    return out
+
+
+def bits(record):
+    """A row or view with each float as its .hex(), so that comparing two
+    tells -0.0 from 0.0."""
+    return tuple(f.hex() if isinstance(f, float) else f for f in record)

@@ -311,6 +311,14 @@ class TestRejectsBadInput:
         (lambda d: {**d, "vehicles": [d["vehicles"][0], {
             **d["vehicles"][1], "y0_m": d["vehicles"][0]["y0_m"] - 4.5}]},
          "vehicles[1]: overlaps vehicles[0] ('slow') at the start"),
+        # The CSV holds ids unquoted: read_trajectory would split these rows
+        # at the comma or the line boundary.
+        *[(lambda d, vid=vid: {**d, "vehicles": [
+            {**d["vehicles"][0], "id": vid}, d["vehicles"][1]]},
+           "vehicles[0].id: must not contain a comma or a line break, "
+           f"got {vid!r}")
+          for vid in ("a,b", ",", "a\nb", "a\r\nb", "a\n", "\ra",
+                      "a\x0bb", "a\x1cb", "a\x85b", "a\u2028b")],
     ])
     def test_malformed_scenario(self, tmp_path, capsys, mutate, message):
         good = json.loads(read_text(crash_scenario_file(tmp_path)))
@@ -790,6 +798,24 @@ class TestUtf8Files:
             vehicle["kind"] == "decision")
         done = mergesim("plot", out + ".csv")
         assert done.returncode == 0, done.stderr
+
+    def test_id_that_would_break_the_csv_exits_2(self, tmp_path):
+        data = copy.deepcopy(BUILTIN_SCENARIOS["scenario1"])
+        data["vehicles"][0]["id"] = "vehicle,1"
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "traj"
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "mergesim.cli", "run", "--scenario",
+             str(scenario), "--t-max", "0.5", "--output", str(out)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True)
+        assert done.returncode == 2
+        assert done.stderr == ("error: vehicles[0].id: must not contain a "
+                               "comma or a line break, got 'vehicle,1'\n")
+        assert os.listdir(tmp_path) == ["scenario.json"]
 
 
 class TestDumpConfigCommand:

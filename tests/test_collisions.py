@@ -13,7 +13,7 @@ from mergesim.dynamics import GRAVITY
 from mergesim.perception import (OrientedRect, VehicleView, pose_gaps,
                                  rects_intersect)
 from mergesim.world import (DECISION, KMH, SCRIPTED, _collision_pairs,
-                            _find_collision, load_scenario, run)
+                            _drift_bound, _find_collision, load_scenario, run)
 
 BODY_WIDTH = RunConfig().body_width
 BODY_LENGTH = RunConfig().body_length
@@ -37,6 +37,20 @@ def all_pairs_collision(views):
 def index_pairs(pairs):
     """The (i, j) of each pair-list entry."""
     return [(i, j) for i, j, *_ in pairs]
+
+
+def run_pairs(world):
+    """The pair list `run` builds when it runs `world` to its t_max."""
+    real = world_module._collision_pairs
+    built = []
+
+    def recording(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    with mock.patch.object(world_module, "_collision_pairs", recording):
+        run(world)
+    return built[0]
 
 
 @contextmanager
@@ -238,18 +252,18 @@ def test_same_lane_scripted_prefilter_is_exact_near_touching(
 
 
 class TestPairList:
-    def test_builtin_scenario_drops_only_scripted_side_by_side_pairs(self):
+    def test_builtin_scenario_drops_every_scripted_pair(self):
         world = load_scenario("scenario1", RunConfig())
-        views = world.snapshot()
-        ids = [v.vehicle_id for v in views]
+        ids = [v.vehicle_id for v in world.snapshot()]
         dropped = {(ids[i], ids[j]) for i in range(len(ids))
                    for j in range(i + 1, len(ids))} - {
-            (ids[i], ids[j]) for i, j in index_pairs(_collision_pairs(views))}
+            (ids[i], ids[j]) for i, j in index_pairs(run_pairs(world))}
         # vehicle1..3 share y = 30 in lanes 0..2; vehicle4 and vehicle5 share
-        # lane 2 with vehicle3 and can meet it.
-        assert dropped == {(a, b) for a in ("vehicle1", "vehicle2")
-                           for b in ("vehicle2", "vehicle3", "vehicle4",
-                                     "vehicle5") if a < b}
+        # lane 2 with vehicle3 at its speed, so they never close on it.
+        scripted = ["vehicle1", "vehicle2", "vehicle3", "vehicle4",
+                    "vehicle5"]
+        assert dropped == {(a, b) for a in scripted for b in scripted
+                           if a < b}
 
     def test_pairs_keep_the_all_pairs_order(self):
         views = load_scenario("scenario2", RunConfig()).snapshot()
@@ -258,10 +272,56 @@ class TestPairList:
         assert all(i < j for i, j in pairs)
 
     def test_scripted_lanes_closer_than_a_body_width_keep_their_pair(self):
+        # b is faster, so only the rule across the road could drop the pair.
         data = scenario(1.5, [("a", 0, 0.0, 80.0, SCRIPTED, 0.5),
-                              ("b", 1, 50.0, 80.0, SCRIPTED, 0.5)])
-        views = load_scenario(data, RunConfig()).snapshot()
-        assert index_pairs(_collision_pairs(views)) == [(0, 1)]
+                              ("b", 1, 50.0, 100.0, SCRIPTED, 0.5)])
+        world = load_scenario(data, RunConfig())
+        assert index_pairs(run_pairs(world)) == [(0, 1)]
+        # At equal speeds they stay 50 m apart along the road.
+        data["vehicles"][1]["v0_kmh"] = 80.0
+        world = load_scenario(data, RunConfig())
+        assert index_pairs(run_pairs(world)) == []
+
+    def test_same_speed_pair_drops_just_above_the_drift_bound(self):
+        dt, steps = RunConfig().dt, round(RunConfig().t_max / RunConfig().dt)
+        speed = 80.0 * KMH
+        increments = [speed * dt] * 2
+        a = VehicleView("a", 6.6, 30.0, speed, 0.0, BODY_LENGTH, BODY_WIDTH, 2)
+
+        def behind(y):
+            return a._replace(vehicle_id="b", y=y)
+
+        def excess(y):
+            """Start gap, as _find_collision computes it, less the bound."""
+            b = behind(y)
+            gap = (abs(a.y - b.y) - a.length / 2.0) - b.length / 2.0
+            return gap - _drift_bound(a, b, increments[0], steps)
+
+        # The last y (walking back from a) whose gap is at most the bound.
+        y = a.y - BODY_LENGTH - _drift_bound(a, behind(a.y - BODY_LENGTH),
+                                             increments[0], steps)
+        while excess(y) > 0.0:
+            y = math.nextafter(y, math.inf)
+        while excess(math.nextafter(y, -math.inf)) <= 0.0:
+            y = math.nextafter(y, -math.inf)
+        at, above = behind(y), behind(math.nextafter(y, -math.inf))
+        assert index_pairs(_collision_pairs([a, at], increments, steps)) == \
+            [(0, 1)]
+        assert _collision_pairs([a, above], increments, steps) == []
+        # Only the same increment, at heading 0 and with increments given.
+        faster = [increments[0], math.nextafter(increments[0], math.inf)]
+        for views, incs in (([a, above], faster),
+                            ([a, above._replace(heading=1e-3)], increments),
+                            ([a._replace(heading=-1e-3), above], increments),
+                            ([a, above._replace(kind=DECISION)], increments),
+                            ([a, above], None)):
+            assert index_pairs(_collision_pairs(views, incs, steps)) == \
+                [(0, 1)]
+        # The bound holds: replayed step by step, the gap stays positive.
+        ya, yb = a.y, above.y
+        for _ in range(steps):
+            ya, yb = ya + increments[0], yb + increments[1]
+            assert (abs(ya - yb) - a.length / 2.0) - above.length / 2.0 > 0.0
 
 
 class TestScriptedCollisions:

@@ -1,0 +1,132 @@
+"""A scripted vehicle's views come from one track built at the start of a
+run, and its rows are built from the same y sums when the loop ends: each
+is checked, bit for bit, against a replay that adds v_preset * dt one step
+at a time, however the run ends."""
+
+from contextlib import contextmanager
+import copy
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mergesim import world as world_module
+from mergesim.config import RunConfig
+from mergesim.perception import VehicleView
+from mergesim.world import BUILTIN_SCENARIOS, SCRIPTED, load_scenario, run
+
+from log_reference import bits, replayed_scripted_rows
+from test_collisions import (cannot_stop_at_start, generated_scenarios,
+                             overlap_at_start, scenario)
+
+
+@contextmanager
+def recorded_views():
+    """Yields a list that gets world.views after every _advance call."""
+    real = world_module._advance
+    seen = []
+
+    def recording(world, *args):
+        real(world, *args)
+        seen.append(world.views)
+
+    with mock.patch.object(world_module, "_advance", recording):
+        yield seen
+
+
+def checked_run(world, t_max=None):
+    """Run `world` and check every scripted vehicle's views, rows and final
+    state against a per-step replay from its start view; returns the log."""
+    geometry, dt = world.geometry, world.cfg.dt
+    starts = [veh.view(geometry) for veh in world.vehicles]
+    with recorded_views() as moved:
+        log = run(world, t_max)
+    n = len(world.vehicles)
+    steps = len(moved)
+    assert steps == round(log.end_time / dt)
+    # Whole steps, step-major, each row stamped with its step's time.
+    assert len(log.rows) == n * steps
+    ids = [veh.vehicle_id for veh in world.vehicles]
+    for k in range(steps):
+        rows = log.rows[k * n:(k + 1) * n]
+        assert [r[1] for r in rows] == ids
+        assert {r[0].hex() for r in rows} == {(k * dt).hex()}
+    replayed = replayed_scripted_rows(world, starts, steps)
+    for i, veh in enumerate(world.vehicles):
+        if veh.kind != SCRIPTED:
+            continue
+        start, vid = starts[i], veh.vehicle_id
+        rows = log.vehicle_rows(vid)
+        assert [bits(r) for r in rows] == [bits(r) for r in replayed[vid]]
+        # The start view's objects, so the CSV formats each once.
+        assert all(r[2] is start.x and r[4] is start.v and r[5] is start.heading
+                   for r in rows)
+        previous = start
+        for views in moved:
+            view = views[i]
+            assert type(view) is VehicleView
+            assert bits(view) == bits(previous._replace(
+                y=previous.y + veh.v_preset * dt))
+            previous = view
+        assert veh.state.y.hex() == previous.y.hex()
+    return log
+
+
+def scripted_only(name):
+    """A built-in scenario without its decision vehicle."""
+    data = copy.deepcopy(BUILTIN_SCENARIOS[name])
+    data["vehicles"] = [v for v in data["vehicles"] if v["kind"] == SCRIPTED]
+    return data
+
+
+@pytest.mark.parametrize("name", ["scenario1", "scenario2"])
+@pytest.mark.parametrize("noise", [False, True])
+def test_builtin_runs_settle_with_replayed_scripted_rows(name, noise):
+    world = load_scenario(name, RunConfig(noise=noise))
+    log = checked_run(world)
+    assert log.collision is None
+    assert log.end_time < world.cfg.t_max  # settled
+
+
+def test_run_cut_at_t_max():
+    world = load_scenario("scenario2", RunConfig())
+    log = checked_run(world, 2.0)
+    assert log.collision is None
+    assert len(log.rows) == 200 * len(world.vehicles)
+
+
+def test_run_ended_by_a_collision_with_the_decision_vehicle():
+    # A plant this light sends the merger into vehicle4.
+    log = checked_run(load_scenario("scenario1", RunConfig(mass=50.0)))
+    assert log.collision["vehicles"] == ["vehicle4", "merging"]
+
+
+def test_scripted_only_run_ended_by_a_collision():
+    data = scenario(3.3, [("slow", 0, 30.0, 50.0, SCRIPTED, 0.5),
+                          ("fast", 0, 0.0, 120.0, SCRIPTED, 0.5)])
+    log = checked_run(load_scenario(data, RunConfig()), 5.0)
+    assert log.collision["vehicles"] == ["slow", "fast"]
+
+
+@pytest.mark.parametrize("name", ["scenario1", "scenario2"])
+def test_scripted_only_run_to_t_max(name):
+    # With no decision vehicle a run never settles early.
+    world = load_scenario(scripted_only(name), RunConfig())
+    log = checked_run(world, 3.0)
+    assert log.collision is None
+    assert len(log.rows) == 300 * len(world.vehicles)
+
+
+def test_second_run_continues_from_the_written_back_states():
+    world = load_scenario("scenario1", RunConfig())
+    checked_run(world, 1.0)
+    checked_run(world, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_scenarios(), st.booleans())
+def test_generated_runs_replay_their_scripted_rows(case, noise):
+    data, t_max = case
+    if overlap_at_start(data) or cannot_stop_at_start(data):
+        return  # rejected at load; see test_collisions
+    checked_run(load_scenario(data, RunConfig(noise=noise)), t_max)
