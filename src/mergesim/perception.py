@@ -1,40 +1,31 @@
 """Vicinity recognition and rectangle-based collision possibility.
 
-Vehicles are oriented rectangles in the road plane.  Collision possibility
-between two rectangles is scored from the projection gaps along the four
-separating-axis candidates: 1 on overlap, decaying exponentially toward 0
-with separation.
+Vehicles are oriented rectangles in the road plane, each held as a flat
+pose (see pose).  Collision possibility between two rectangles is scored
+from the projection gaps along the four separating-axis candidates: 1 on
+overlap, decaying exponentially toward 0 with separation.
 """
 
 import math
 from typing import NamedTuple
 
 
-class OrientedRect(NamedTuple):
-    cx: float           # center, lateral (m)
-    cy: float           # center, longitudinal (m)
-    heading: float      # rad, 0 = pointing down the road (+y)
-    half_width: float
-    half_length: float
-
-    def pose(self):
-        """Flat (cx, cy, sin, cos, half_width, half_length) tuple."""
-        return (self.cx, self.cy, math.sin(self.heading),
-                math.cos(self.heading), self.half_width, self.half_length)
-
-
-# Per-step records are built through _make (see world._new_view).
-_new_rect = OrientedRect._make
+def pose(cx: float, cy: float, heading: float, half_width: float,
+         half_length: float):
+    """The flat pose (cx, cy, sin, cos, half_width, half_length) of the
+    rectangle centred at (cx lateral, cy longitudinal) with that heading
+    (rad, 0 = pointing down the road, +y)."""
+    return (cx, cy, math.sin(heading), math.cos(heading), half_width,
+            half_length)
 
 
 def pose_gaps(a, b):
     """Projection gaps of two poses along all four separating axes.
 
-    A pose is the flat tuple (cx, cy, sin(heading), cos(heading),
-    half_width, half_length), so callers take each heading's sine and
-    cosine once.  Returns the gaps along a's length and width axes, then
-    along b's: each is zero when the two rectangles' projections onto
-    that axis overlap, else the distance between them.
+    A pose holds its heading's sine and cosine (see pose), so callers
+    take them once.  Returns the gaps along a's length and width axes,
+    then along b's: each is zero when the two rectangles' projections
+    onto that axis overlap, else the distance between them.
     """
     ax, ay, sa, ca, hwa, hla = a
     bx, by, sb, cb, hwb, hlb = b
@@ -56,20 +47,16 @@ def index_from_separations(gap_a: float, gap_b: float) -> float:
     return math.exp(-math.sqrt((gap_a * gap_a + gap_b * gap_b) / 2.0))
 
 
-def pose_collision_index(a, b) -> float:
-    """collision_index of two poses (see pose_gaps)."""
+def collision_index(a, b) -> float:
+    """Collision possibility in [0, 1] of two poses: 1 iff they overlap."""
     ga0, ga1, gb0, gb1 = pose_gaps(a, b)
     return index_from_separations(math.hypot(ga0, ga1), math.hypot(gb0, gb1))
 
 
-def collision_index(rect_a: OrientedRect, rect_b: OrientedRect) -> float:
-    """Collision possibility in [0, 1]: 1 iff the rectangles overlap."""
-    return pose_collision_index(rect_a.pose(), rect_b.pose())
-
-
-def rects_intersect(rect_a: OrientedRect, rect_b: OrientedRect) -> bool:
-    """True geometric overlap (separating-axis test on all four axes)."""
-    return pose_gaps(rect_a.pose(), rect_b.pose()) == (0.0, 0.0, 0.0, 0.0)
+def rects_intersect(a, b) -> bool:
+    """True geometric overlap of two poses (separating-axis test on all
+    four axes)."""
+    return pose_gaps(a, b) == (0.0, 0.0, 0.0, 0.0)
 
 
 class VehicleView(NamedTuple):
@@ -84,17 +71,9 @@ class VehicleView(NamedTuple):
     lane: int
     kind: str = "scripted"
 
-    def rect(self) -> OrientedRect:
-        return _new_rect((self.x, self.y, self.heading, self.width / 2.0,
-                          self.length / 2.0))
-
-
-class Neighbor(NamedTuple):
-    vehicle_id: str
-    gap: float        # bumper-to-bumper (m), floored at 0
-
-
-_new_neighbor = Neighbor._make
+    def pose(self):
+        return pose(self.x, self.y, self.heading, self.width / 2.0,
+                    self.length / 2.0)
 
 
 def bumper_gap(a: VehicleView, b: VehicleView) -> float:
@@ -127,7 +106,8 @@ class PerceptionNoise:
 def classify_vicinity(ego_id: str, views, geometry, *, visibility: float,
                       observer_scale: float = 1.0):
     """Partition surrounding vehicles into per-lane leader/follower slots:
-    {lane: (leader, follower)}, each a Neighbor or None, in lane order.
+    one (leader, follower) pair per lane, in lane order, each side the
+    (bumper gap, index in views) of that vehicle or None.
 
     A vehicle registers in its own lane and, when observer_scale > 1, in
     any lane its magnified rectangle laterally overlaps (boundary
@@ -139,10 +119,10 @@ def classify_vicinity(ego_id: str, views, geometry, *, visibility: float,
     centers = geometry.centers
     half_band = geometry.lane_width / 2.0
     magnified = observer_scale > 1.0
-    # Per lane, the (gap, view) of the nearest vehicle ahead and behind.
+    # Per lane, the (gap, index) of the nearest vehicle ahead and behind.
     ahead = [None] * len(centers)
     behind = [None] * len(centers)
-    for other in views:
+    for k, other in enumerate(views):
         if other.vehicle_id == ego_id:
             continue
         gap = bumper_gap(ego, other)
@@ -151,7 +131,7 @@ def classify_vicinity(ego_id: str, views, geometry, *, visibility: float,
         best = ahead if other.y > ego.y else behind
         hit = best[other.lane]
         if hit is None or gap < hit[0]:
-            best[other.lane] = (gap, other)
+            best[other.lane] = (gap, k)
         if magnified or abs(other.heading) > 1e-9:
             # A lane met twice keeps its first entry: the gap is the same.
             band = half_band + lateral_reach(other, observer_scale)
@@ -159,7 +139,5 @@ def classify_vicinity(ego_id: str, views, geometry, *, visibility: float,
                 if abs(other.x - center) <= band:
                     hit = best[lane]
                     if hit is None or gap < hit[0]:
-                        best[lane] = (gap, other)
-    return {lane: (lead and _new_neighbor((lead[1].vehicle_id, lead[0])),
-                   follow and _new_neighbor((follow[1].vehicle_id, follow[0])))
-            for lane, (lead, follow) in enumerate(zip(ahead, behind))}
+                        best[lane] = (gap, k)
+    return list(zip(ahead, behind))

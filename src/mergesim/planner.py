@@ -16,7 +16,7 @@ from .dynamics import GRAVITY
 from .driver import DriverProfile
 from .game import (LEFT, STRAIGHT, IMPOSSIBLE, PayoffBimatrix, headway_utility,
                    merge_cost_left, merge_cost_stay, net_utility, solve_stackelberg)
-from .perception import OrientedRect, VehicleView, bumper_gap, rects_intersect
+from .perception import VehicleView, bumper_gap, pose, rects_intersect
 from .road import LaneGeometry, distance_to_merge_end, room_to_hard_end
 
 ACCELERATE = "accel"
@@ -309,14 +309,14 @@ def lane_change_safe(ego: VehicleView, views: List[VehicleView],
     half_w = ego.width / 2.0 + LANE_CHANGE_MARGIN
     half_l = ego.length / 2.0 + LANE_CHANGE_MARGIN
     for h in horizons:
-        ghost = OrientedRect(cx, ego.y + ego.v * h, 0.0, half_w, half_l)
+        ghost = pose(cx, ego.y + ego.v * h, 0.0, half_w, half_l)
         for other in views:
             if other.vehicle_id == ego.vehicle_id:
                 continue
             if abs(other.x - cx) > geometry.lane_width + 2.0:
                 continue
-            rect = OrientedRect(other.x, other.y + other.v * h, other.heading,
-                                other.width / 2.0, other.length / 2.0)
+            rect = pose(other.x, other.y + other.v * h, other.heading,
+                        other.width / 2.0, other.length / 2.0)
             if rects_intersect(ghost, rect):
                 return False
     return True

@@ -11,11 +11,9 @@ from .config import Q_RANGE, ConfigError, RunConfig, check, check_field
 from .driver import (DriverProfile, blended_error, longitudinal_accel,
                      steering_command)
 from .dynamics import GRAVITY, Controls, VehicleParams, VehicleState, step
-# collision_index is re-exported, not called: perfbench probes the name
-# mergesim.world.collision_index.
 from .perception import (PerceptionNoise, VehicleView, bumper_gap,
-                         classify_vicinity, collision_index,
-                         pose_collision_index, pose_gaps, rects_intersect)
+                         classify_vicinity, collision_index, pose_gaps,
+                         rects_intersect)
 from .planner import (ACCELERATE, CHANGE, DECELERATE, KEEP, MERGE,
                       BrainState, complete_maneuver, decide, entrance_threat,
                       stopping_distance)
@@ -198,7 +196,7 @@ def _icol_column(rows: List[tuple], bodies: Dict[str, Tuple[float, float]]):
     pose_gaps reads two poses only through the offset (bx - ax, by - ay),
     the four sines and cosines and the half sizes, and each slot's half
     sizes are fixed.  So each ordered slot pair keeps the key (offset,
-    sines, cosines) of its last pose_collision_index call and the index it
+    sines, cosines) of its last collision_index call and the index it
     got, and reuses that index while the key is equal: scripted vehicles
     keep their offsets for long stretches.  The reuse is exact: keys
     compare with ==, so two equal keys differ at most in the sign of a
@@ -225,7 +223,7 @@ def _icol_column(rows: List[tuple], bodies: Dict[str, Tuple[float, float]]):
             if seen is not None and seen[0] == key:
                 step_icol[i] = seen[1]
             else:
-                step_icol[i] = index = pose_collision_index(a, b)
+                step_icol[i] = index = collision_index(a, b)
                 last[i][j] = (key, index)
         out.extend(step_icol)
     return out
@@ -385,11 +383,11 @@ def load_scenario(source, cfg: RunConfig) -> World:
     _require(not unknown, f"q_overrides: unknown vehicle ids {sorted(unknown)}")
     world = World(geometry, vehicles, cfg)
     # The run checks poses only after each step, so the start poses are
-    # checked here: rectangles overlap when all four gaps are zero.
-    poses = [v.rect().pose() for v in world.views]
+    # checked here.
+    poses = [v.pose() for v in world.views]
     for j, b in enumerate(poses):
         for i in range(j):
-            _require(max(pose_gaps(poses[i], b)) > 0,
+            _require(not rects_intersect(poses[i], b),
                      f"vehicles[{j}]: overlaps vehicles[{i}] "
                      f"({vehicles[i].vehicle_id!r}) at the start with "
                      f"body_length {params.length:g} m and body_width "
@@ -424,18 +422,16 @@ def _boxed_gap_ref(leader_gap, follower_gap, follow_ref) -> float:
     return ref if ref < follow_ref else follow_ref
 
 
-def _slot_gap_ref(ego, veh, slot_gap, views, slot_of, follow_ref) -> float:
+def _slot_gap_ref(ego, profile, slot_gap, follower, follow_ref) -> float:
     """Leader-gap target while aligning with an insertion slot, given the
-    bumper gap to the slot leader.
+    bumper gap to the slot leader and the slot follower's view (or None).
 
     Aggressive drivers ride the back of the slot, leaving the vehicle
     they cut ahead of very little headway.
     """
-    k = slot_of.get(veh.brain.slot_follower_id)
-    if k is None:
+    if follower is None:
         return follow_ref
-    free = slot_gap + bumper_gap(ego, views[k])
-    profile = veh.profile
+    free = slot_gap + bumper_gap(ego, follower)
     ride, rear = free * profile.slot_ride, free - profile.slot_rear_min
     ref = rear if rear < ride else ride
     if 1.0 > ref:
@@ -448,13 +444,13 @@ class Attention(NamedTuple):
     lane_leaders: Dict[int, int]  # lane -> slot
     own_follower: Optional[int]
     threat: Optional[int]
+    slot_leader: Optional[int]    # the latch's insertion slot
+    slot_follower: Optional[int]
 
 
 def _controls_for(veh: SimVehicle, ego: VehicleView, views: List[VehicleView],
-                  slot_of: Dict[str, int], attention: Attention,
-                  geometry: LaneGeometry) -> Controls:
-    """Steering toward the target lane and the bounded longitudinal command,
-    given the run's id -> slot map."""
+                  attention: Attention, geometry: LaneGeometry) -> Controls:
+    """Steering toward the target lane and the bounded longitudinal command."""
     brain, profile, st = veh.brain, veh.profile, veh.state
     v = st.v_long
     changing = brain.maneuver in (MERGE, CHANGE)
@@ -467,13 +463,14 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views: List[VehicleView],
     follow_ref = profile.lane_change_clearance + profile.follow_headway * v
     k = attention.own_follower
     follower_gap = None if k is None else bumper_gap(ego, views[k])
-    k = slot_of.get(brain.slot_leader_id) if merging_phase else None
+    k = attention.slot_leader if merging_phase else None
     slot_leader = None if k is None else views[k]
     if slot_leader is not None:
         slot_gap = bumper_gap(ego, slot_leader)
         slot_rel = slot_leader.v - v
-        slot_ref = _slot_gap_ref(ego, veh, slot_gap, views, slot_of,
-                                 follow_ref)
+        k = attention.slot_follower
+        slot_ref = _slot_gap_ref(ego, profile, slot_gap,
+                                 None if k is None else views[k], follow_ref)
     # The cruise command's own-lane leader, whose gap and reference the
     # safety loop below reuses.
     cruise_leader = None
@@ -580,8 +577,8 @@ def _drift_bound(a: VehicleView, b: VehicleView, increment: float,
 
 
 def _collision_pairs(views: List[VehicleView],
-                     increments: Optional[List[Optional[float]]] = None,
-                     steps: int = 0) -> List[tuple]:
+                     increments: List[Optional[float]],
+                     steps: int) -> List[tuple]:
     """(i, j, reach_y, reach_x, half_lengths), i < j in order, for each pair
     that can collide during a run of `steps` steps in which the scripted
     vehicle in slot i adds increments[i] to its y at every step; its
@@ -595,20 +592,17 @@ def _collision_pairs(views: List[VehicleView],
       only on their constant lateral offset and half widths;
     - along the road, equal increments and a start gap (abs(dy) - hla) -
       hlb, as _find_collision computes it, above _drift_bound: their y
-      sums move apart only by rounding.  Without `increments` this rule
-      drops nothing.
+      sums move apart only by rounding.
     Every other pair is kept, with the half lengths of such a scripted
     pair (else None).
     """
-    if increments is None:
-        increments = [None] * len(views)
     pairs = []
     for i, a in enumerate(views):
         for j in range(i + 1, len(views)):
             b = views[j]
             fixed = (a.kind == SCRIPTED and b.kind == SCRIPTED
                      and a.heading == 0.0 and b.heading == 0.0)
-            if fixed and pose_gaps(a.rect().pose(), b.rect().pose())[1] > 0:
+            if fixed and pose_gaps(a.pose(), b.pose())[1] > 0:
                 continue
             increment = increments[i]
             if (fixed and increment is not None
@@ -634,7 +628,7 @@ def _find_collision(views: List[VehicleView], pairs: List[tuple]):
             continue
         if abs(a.x - b.x) > reach_x:
             continue
-        if rects_intersect(a.rect(), b.rect()):
+        if rects_intersect(a.pose(), b.pose()):
             return a.vehicle_id, b.vehicle_id
     return None
 
@@ -642,7 +636,8 @@ def _find_collision(views: List[VehicleView], pairs: List[tuple]):
 def _decide(world, decision_slots, views, slot_of, attentions) -> None:
     """Decision epoch: perceive, play the games, pick whom to attend to.
     A vehicle's view, noisy view and attention share its slot (its index
-    in world.vehicles, by id in `slot_of`)."""
+    in world.vehicles); `slot_of` maps the ids of the threat and of the
+    new latch's insertion slot to theirs."""
     geometry, cfg = world.geometry, world.cfg
     for i in decision_slots:
         veh = world.vehicles[i]
@@ -655,15 +650,18 @@ def _decide(world, decision_slots, views, slot_of, attentions) -> None:
             observer_scale=veh.profile.bound_scale)
         threat = entrance_threat(ego, seen, geometry, cfg)
         own_leader = slots[veh.brain.current_lane][0]
-        own_gap = own_leader.gap if own_leader is not None else None
-        veh.brain = decide(ego, seen, veh.brain, veh.profile, geometry,
-                           world.profiles, cfg, own_gap=own_gap, threat=threat)
-        own_follower = slots[veh.brain.current_lane][1]
+        own_gap = own_leader[0] if own_leader is not None else None
+        veh.brain = brain = decide(
+            ego, seen, veh.brain, veh.profile, geometry, world.profiles, cfg,
+            own_gap=own_gap, threat=threat)
+        own_follower = slots[brain.current_lane][1]
         attentions[i] = Attention(
-            {lane: slot_of[leader.vehicle_id]
-             for lane, (leader, _) in slots.items() if leader},
-            slot_of[own_follower.vehicle_id] if own_follower else None,
-            slot_of[threat.vehicle_id] if threat else None)
+            {lane: leader[1] for lane, (leader, _) in enumerate(slots)
+             if leader is not None},
+            own_follower[1] if own_follower is not None else None,
+            slot_of[threat.vehicle_id] if threat else None,
+            slot_of.get(brain.slot_leader_id),
+            slot_of.get(brain.slot_follower_id))
 
 
 # The flags column of a row, by the latch's (guard, forced_stop).
@@ -671,8 +669,7 @@ _FLAGS = {(False, False): "", (True, False): "guard",
           (False, True): "forced_stop", (True, True): "guard;forced_stop"}
 
 
-def _advance(world, views, slot_of, attentions, bands, tracks, logged, log,
-             t):
+def _advance(world, views, attentions, bands, tracks, logged, log, t):
     """Log, control and integrate every decision vehicle over the step from
     t, given each one's attention by slot, and move every scripted vehicle.
 
@@ -694,8 +691,7 @@ def _advance(world, views, slot_of, attentions, bands, tracks, logged, log,
         append((t, vid, x, y, v, heading, lane, brain.maneuver,
                 brain.directive, brain.competing_id or "",
                 _FLAGS[brain.guard, brain.forced_stop]))
-        controls = _controls_for(veh, view, views, slot_of, attentions[i],
-                                 geometry)
+        controls = _controls_for(veh, view, views, attentions[i], geometry)
         try:
             veh.state = s = step(veh.state, veh.params, controls, dt)
         except ValueError as exc:
@@ -824,8 +820,7 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
             views = world.snapshot()
             if step_index % steps_per_epoch == 0:
                 _decide(world, decision_slots, views, slot_of, attentions)
-            _advance(world, views, slot_of, attentions, bands, tracks, logged,
-                     log, t)
+            _advance(world, views, attentions, bands, tracks, logged, log, t)
             log.end_time = t_end = t + dt
 
             moved = world.snapshot()

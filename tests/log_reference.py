@@ -29,7 +29,7 @@ def eager_icol(log, world):
                 continue
             j = min(others, key=lambda k: math.hypot(view.x - views[k].x,
                                                      view.y - views[k].y))
-            out.append(collision_index(view.rect(), views[j].rect()))
+            out.append(collision_index(view.pose(), views[j].pose()))
     return out
 
 

@@ -4,7 +4,9 @@ Each test prints one PASS line on success; run with `pytest -s
 tests/test_acceptance.py` to see the checklist.
 """
 
+import hashlib
 import math
+import os
 import random
 import time
 
@@ -27,6 +29,22 @@ from test_perception import polygons_intersect, random_rect
 
 def announce(number, text):
     print(f"\nACCEPTANCE {number}: PASS — {text}")
+
+
+# The 11x11 grid (`mergesim sweep --grid 0:1:0.1`) of each built-in
+# scenario, pinned byte for byte: a change that moves a grid moves its
+# digest here.
+GRID_AXIS = tuple(i / 10 for i in range(11))
+GRID_SHA256 = {
+    "scenario1":
+        "40844a0ddbc6886de4eb561617321f804726437d82713e56ead4f917c16856fa",
+    "scenario2":
+        "bb1f48918c3b9c53382c927293857245a7278f8450621fd0c88ca70eceb0e37f",
+}
+
+
+def grid_sha256(grid):
+    return hashlib.sha256(grid_to_csv(grid).encode("utf-8")).hexdigest()
 
 
 _RUNS = {}
@@ -77,7 +95,8 @@ def test_acceptance_2_collision_index_correctness():
     rng = random.Random(2718)
     for _ in range(10_000):
         a, b = random_rect(rng, span=6.0), random_rect(rng, span=6.0)
-        assert (collision_index(a, b) == 1.0) == polygons_intersect(a, b)
+        assert (collision_index(a.pose(), b.pose()) == 1.0) == \
+            polygons_intersect(a, b)
     spot = index_from_separations(3.0, 4.0)
     assert spot == pytest.approx(math.exp(-math.sqrt(12.5)), abs=1e-12)
     assert abs(spot - 0.0292) < 1e-4
@@ -192,12 +211,13 @@ def test_acceptance_7_disturbance_sweep():
     assert normal[1].d_lat < min(normal[0].d_lat, normal[2].d_lat)
     assert not any(r.collision for r in grid.cells.values())
 
-    axis = tuple(i / 10 for i in range(11))
+    axis = GRID_AXIS
     start = time.perf_counter()
     full = aggressiveness_sweep("scenario1", axis, axis, cfg, jobs=1)
     elapsed = time.perf_counter() - start
     assert len(full.cells) == 121
     assert elapsed < 60.0
+    assert grid_sha256(full) == GRID_SHA256["scenario1"]
     assert not any(r.collision or r.forced_stop for r in full.cells.values())
     # vehicle4 changes lanes once, one lane spacing, whenever the merger
     # is cautious (q_merge <= 0.4) or aggressive (q_merge >= 0.9).
@@ -222,6 +242,18 @@ def test_acceptance_7_disturbance_sweep():
                 "normal row lateral minimum at 0.5; on all 121 cells every "
                 "row's d_long minimum at q_merge 0.5-0.8 and one lane change "
                 f"at q_merge <= 0.4 or >= 0.9; 11x11 sweep {elapsed:.0f} s")
+
+
+def test_acceptance_7_scenario2_grid_bytes():
+    # The only built-in grid with forced stops (the q_merge 1.0 row) and
+    # collisions (q_merge 0.8).
+    grid = aggressiveness_sweep("scenario2", GRID_AXIS, GRID_AXIS,
+                                RunConfig(), jobs=min(2, os.cpu_count() or 1))
+    assert grid_sha256(grid) == GRID_SHA256["scenario2"]
+    stops = {qm for (qm, _), r in grid.cells.items() if r.forced_stop}
+    collisions = {qm for (qm, _), r in grid.cells.items() if r.collision}
+    assert stops == {1.0} and collisions == {0.8}
+    announce(7, "both 11x11 grids match their pinned sha256")
 
 
 def test_acceptance_8_metric_correctness():

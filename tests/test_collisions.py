@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from mergesim import world as world_module
 from mergesim.config import ConfigError, RunConfig
 from mergesim.dynamics import GRAVITY
-from mergesim.perception import (OrientedRect, VehicleView, pose_gaps,
+from mergesim.perception import (VehicleView, pose, pose_gaps,
                                  rects_intersect)
 from mergesim.world import (DECISION, KMH, SCRIPTED, _collision_pairs,
                             _drift_bound, _find_collision, load_scenario, run)
@@ -29,7 +29,7 @@ def all_pairs_collision(views):
                 continue
             if abs(a.x - b.x) > (a.width + b.width) / 2.0 + 2.0:
                 continue
-            if rects_intersect(a.rect(), b.rect()):
+            if rects_intersect(a.pose(), b.pose()):
                 return a.vehicle_id, b.vehicle_id
     return None
 
@@ -91,8 +91,8 @@ def logged_overlaps(log):
         rects = []
         for r in log.rows[start:start + n]:
             length, width = log.bodies[r[1]]
-            rects.append((r[1], OrientedRect(r[2], r[3], r[5], width / 2.0,
-                                             length / 2.0)))
+            rects.append((r[1], pose(r[2], r[3], r[5], width / 2.0,
+                                     length / 2.0)))
         for i in range(n):
             for j in range(i + 1, n):
                 if rects_intersect(rects[i][1], rects[j][1]):
@@ -153,7 +153,7 @@ def generated_scenarios(draw):
 def overlap_at_start(data):
     """Whether two vehicles of a scenario dict overlap in their start poses."""
     half_w, half_l = BODY_WIDTH / 2.0, RunConfig().body_length / 2.0
-    rects = [OrientedRect(v["x0_m"], v["y0_m"], 0.0, half_w, half_l)
+    rects = [pose(v["x0_m"], v["y0_m"], 0.0, half_w, half_l)
              for v in data["vehicles"]]
     return any(rects_intersect(a, b)
                for i, a in enumerate(rects) for b in rects[i + 1:])
@@ -239,11 +239,11 @@ def test_same_lane_scripted_prefilter_is_exact_near_touching(
     b = VehicleView("b", 3.3 + dx, y - offset if behind else y + offset, 20.0,
                     headings[1], lb, BODY_WIDTH, 1)
     views = [a, b]
-    pairs = _collision_pairs(views)
+    pairs = _collision_pairs(views, [None] * len(views), 0)
     assert [p[4] for p in pairs] == [(la / 2.0, lb / 2.0)]
     gap = (abs(a.y - b.y) - la / 2.0) - lb / 2.0
     assert max(0.0, gap).hex() == \
-        pose_gaps(a.rect().pose(), b.rect().pose())[0].hex()
+        pose_gaps(a.pose(), b.pose())[0].hex()
     with mock.patch.object(world_module, "rects_intersect",
                            wraps=rects_intersect) as full_test:
         assert _find_collision(views, pairs) == all_pairs_collision(views)
@@ -267,7 +267,7 @@ class TestPairList:
 
     def test_pairs_keep_the_all_pairs_order(self):
         views = load_scenario("scenario2", RunConfig()).snapshot()
-        pairs = index_pairs(_collision_pairs(views))
+        pairs = index_pairs(_collision_pairs(views, [None] * len(views), 0))
         assert pairs == sorted(pairs)
         assert all(i < j for i, j in pairs)
 
@@ -308,13 +308,13 @@ class TestPairList:
         assert index_pairs(_collision_pairs([a, at], increments, steps)) == \
             [(0, 1)]
         assert _collision_pairs([a, above], increments, steps) == []
-        # Only the same increment, at heading 0 and with increments given.
+        # Only the same increment, given and at heading 0 on both sides.
         faster = [increments[0], math.nextafter(increments[0], math.inf)]
         for views, incs in (([a, above], faster),
                             ([a, above._replace(heading=1e-3)], increments),
                             ([a._replace(heading=-1e-3), above], increments),
                             ([a, above._replace(kind=DECISION)], increments),
-                            ([a, above], None)):
+                            ([a, above], [None] * 2)):
             assert index_pairs(_collision_pairs(views, incs, steps)) == \
                 [(0, 1)]
         # The bound holds: replayed step by step, the gap stays positive.

@@ -302,14 +302,17 @@ def test_controls_are_bit_identical_to_the_per_call_bounds(
                     heading, 4.5, 1.8, lane)
         for vid, (lane, dx, dy, v, heading) in others.items()]
     views_by_id = {v.vehicle_id: v for v in views}
-    # The same attention by slot; an id with no view is no vehicle.
+    # The same attention by slot, with the latch's insertion slot resolved
+    # as the epoch does; an id with no view is no vehicle.
     slot_of = {v.vehicle_id: k for k, v in enumerate(views)}
     slots = Attention(
         {lane: slot_of[vid] for lane, vid in attention.lane_leaders.items()
          if vid in slot_of},
-        slot_of.get(attention.own_follower_id), slot_of.get(attention.threat_id))
+        slot_of.get(attention.own_follower_id),
+        slot_of.get(attention.threat_id), slot_of.get(brain.slot_leader_id),
+        slot_of.get(brain.slot_follower_id))
 
-    got = _controls_for(veh, ego, views, slot_of, slots, GEOMETRY)
+    got = _controls_for(veh, ego, views, slots, GEOMETRY)
     want = oracle_controls_for(veh, ego, views_by_id, attention, GEOMETRY,
                                cfg)
     assert (got.accel.hex(), got.steer.hex()) == tuple(w.hex() for w in want)
@@ -337,10 +340,6 @@ def test_slot_gap_ref_clamp_is_the_min_max_formula(data):
     cfg = RunConfig()
     profile = replace(cfg.profile(0.5), slot_ride=draw(EDGE_FLOATS),
                       slot_rear_min=draw(EDGE_FLOATS))
-    brain = BrainState(3, 19.4, needs_merge=True,
-                       slot_follower_id="slot_follower")
-    veh = SimVehicle("ego", DECISION, cfg.vehicle_params(), VehicleState(),
-                     19.4, 0.5, profile, brain)
     ego = VehicleView("ego", 9.9, 0.0, 20.0, 0.0, 4.5, 1.8, 3)
     follower = VehicleView("slot_follower", 6.6, draw(EDGE_FLOATS), 20.0,
                            0.0, 4.5, 1.8, 2)
@@ -350,6 +349,5 @@ def test_slot_gap_ref_clamp_is_the_min_max_formula(data):
     follow_ref = draw(st.one_of(st.sampled_from([front_ref, 1.0]),
                                 EDGE_FLOATS))
     want = min(follow_ref, max(front_ref, 1.0))
-    got = _slot_gap_ref(ego, veh, slot_gap, [ego, follower],
-                        {"ego": 0, "slot_follower": 1}, follow_ref)
+    got = _slot_gap_ref(ego, profile, slot_gap, follower, follow_ref)
     assert got.hex() == want.hex()

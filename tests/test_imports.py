@@ -11,10 +11,6 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mergesim"
 
-# Imported and never called, on purpose: perfbench probes the name
-# mergesim.world.collision_index.
-RE_EXPORTS = {("world", "collision_index")}
-
 
 def unused_imports(source: str):
     """Names bound by an import statement that no expression reads."""
@@ -30,9 +26,7 @@ def unused_imports(source: str):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
-    unused = [name for name in unused_imports(path.read_text())
-              if (path.stem, name) not in RE_EXPORTS]
-    assert unused == []
+    assert unused_imports(path.read_text()) == []
 
 
 def test_an_unused_import_is_found():

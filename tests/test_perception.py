@@ -1,13 +1,14 @@
 import math
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mergesim.perception import (OrientedRect, PerceptionNoise,
-                                 VehicleView, bumper_gap, classify_vicinity,
-                                 collision_index, index_from_separations,
-                                 pose_gaps, rects_intersect)
+from mergesim.perception import (PerceptionNoise, VehicleView, bumper_gap,
+                                 classify_vicinity, collision_index,
+                                 index_from_separations, pose, pose_gaps,
+                                 rects_intersect)
 from mergesim.road import LaneGeometry
 
 from test_driver import EDGE_FLOATS
@@ -16,6 +17,19 @@ GEOMETRY = LaneGeometry()
 
 
 # --- independent oracles -----------------------------------------------------
+
+
+class Rect(NamedTuple):
+    """A rectangle by its heading, as the oracles read it; pose() is what
+    the kernels take."""
+    cx: float
+    cy: float
+    heading: float      # rad, 0 = pointing down the road (+y)
+    half_width: float
+    half_length: float
+
+    def pose(self):
+        return pose(*self)
 
 
 def axes(rect):
@@ -110,30 +124,30 @@ def polygons_intersect(rect_a, rect_b):
 
 
 def random_rect(rng, span=10.0):
-    return OrientedRect(cx=rng.uniform(-span, span), cy=rng.uniform(-span, span),
-                        heading=rng.uniform(0, 2 * math.pi),
-                        half_width=rng.uniform(0.2, 3.0),
-                        half_length=rng.uniform(0.2, 3.0))
+    return Rect(cx=rng.uniform(-span, span), cy=rng.uniform(-span, span),
+                heading=rng.uniform(0, 2 * math.pi),
+                half_width=rng.uniform(0.2, 3.0),
+                half_length=rng.uniform(0.2, 3.0))
 
 
 # --- projection gaps and the collision index ---------------------------------
 
 
 def test_unit_squares_gap():
-    a = OrientedRect(0.0, 0.0, 0.0, 0.5, 0.5)
-    b = OrientedRect(3.0, 0.0, 0.0, 0.5, 0.5)
+    a = Rect(0.0, 0.0, 0.0, 0.5, 0.5)
+    b = Rect(3.0, 0.0, 0.0, 0.5, 0.5)
     # axis 1 is the width axis = across the road = the x direction here
     assert projection_gap(a, b, 1) == pytest.approx(2.0)
     assert projection_gap(a, b, 0) == pytest.approx(0.0)
 
 
 def test_overlap_gives_zero_on_all_axes():
-    a = OrientedRect(0.0, 0.0, 0.4, 1.0, 2.0)
-    b = OrientedRect(0.5, 0.5, 1.2, 1.0, 2.0)
+    a = Rect(0.0, 0.0, 0.4, 1.0, 2.0)
+    b = Rect(0.5, 0.5, 1.2, 1.0, 2.0)
     for axis in (0, 1):
         assert projection_gap(a, b, axis) == 0.0
         assert projection_gap(b, a, axis) == 0.0
-    assert collision_index(a, b) == 1.0
+    assert collision_index(a.pose(), b.pose()) == 1.0
 
 
 def test_projection_gap_matches_corner_oracle():
@@ -149,17 +163,18 @@ def test_collision_index_spot_values():
     assert index_from_separations(3.0, 4.0) == pytest.approx(
         math.exp(-math.sqrt(12.5)), abs=1e-12)
     assert index_from_separations(3.0, 4.0) == pytest.approx(0.0292, abs=1e-4)
-    a = OrientedRect(0.0, 0.0, 0.0, 0.5, 0.5)
-    b = OrientedRect(3.0, 0.0, 0.0, 0.5, 0.5)
+    a = Rect(0.0, 0.0, 0.0, 0.5, 0.5)
+    b = Rect(3.0, 0.0, 0.0, 0.5, 0.5)
     # both rectangles see gaps (2, 0): index exp(-2)
-    assert collision_index(a, b) == pytest.approx(math.exp(-2.0), abs=1e-12)
+    assert collision_index(a.pose(), b.pose()) == pytest.approx(
+        math.exp(-2.0), abs=1e-12)
 
 
 def test_collision_index_limits():
-    a = OrientedRect(0.0, 0.0, 0.0, 1.0, 2.0)
-    far = OrientedRect(500.0, 500.0, 1.0, 1.0, 2.0)
-    assert collision_index(a, far) < 1e-6
-    assert collision_index(a, a) == 1.0
+    a = Rect(0.0, 0.0, 0.0, 1.0, 2.0)
+    far = Rect(500.0, 500.0, 1.0, 1.0, 2.0)
+    assert collision_index(a.pose(), far.pose()) < 1e-6
+    assert collision_index(a.pose(), a.pose()) == 1.0
 
 
 def test_index_one_iff_geometric_intersection():
@@ -167,8 +182,8 @@ def test_index_one_iff_geometric_intersection():
     agree = 0
     for _ in range(10_000):
         a, b = random_rect(rng, span=6.0), random_rect(rng, span=6.0)
-        touches = collision_index(a, b) == 1.0
-        assert touches == rects_intersect(a, b)
+        touches = collision_index(a.pose(), b.pose()) == 1.0
+        assert touches == rects_intersect(a.pose(), b.pose())
         assert touches == polygons_intersect(a, b)
         agree += 1
     assert agree == 10_000
@@ -176,7 +191,7 @@ def test_index_one_iff_geometric_intersection():
 
 _coord = st.floats(-12.0, 12.0, allow_nan=False)
 _half = st.floats(0.05, 5.0, allow_nan=False)
-_rects = st.builds(OrientedRect, cx=_coord, cy=_coord,
+_rects = st.builds(Rect, cx=_coord, cy=_coord,
                    heading=st.floats(-math.pi, math.pi, allow_nan=False),
                    half_width=_half, half_length=_half)
 
@@ -192,9 +207,9 @@ def test_pose_kernel_is_bit_identical_to_projection_gap(a, b):
     assert pose_gaps(a.pose(), b.pose()) == gaps
     norm_ab = math.hypot(gaps[0], gaps[1])
     assert rect_gap_norm(a, b) == norm_ab
-    assert collision_index(a, b) == index_from_separations(
+    assert collision_index(a.pose(), b.pose()) == index_from_separations(
         norm_ab, math.hypot(gaps[2], gaps[3]))
-    assert rects_intersect(a, b) == all(g == 0.0 for g in gaps)
+    assert rects_intersect(a.pose(), b.pose()) == all(g == 0.0 for g in gaps)
 
 
 def max_pose_gaps(a, b):
@@ -232,7 +247,7 @@ def test_rigid_motion_invariance():
     rng = random.Random(3)
     for _ in range(200):
         a, b = random_rect(rng), random_rect(rng)
-        base = collision_index(a, b)
+        base = collision_index(a.pose(), b.pose())
         dx, dy = rng.uniform(-50, 50), rng.uniform(-50, 50)
         phi = rng.uniform(0, 2 * math.pi)
         px, py = rng.uniform(-5, 5), rng.uniform(-5, 5)
@@ -243,18 +258,18 @@ def test_rigid_motion_invariance():
             cx, cy = r.cx - px, r.cy - py
             rx = cx * math.cos(phi) + cy * math.sin(phi) + px + dx
             ry = -cx * math.sin(phi) + cy * math.cos(phi) + py + dy
-            return OrientedRect(rx, ry, r.heading + phi,
-                                r.half_width, r.half_length)
+            return Rect(rx, ry, r.heading + phi, r.half_width, r.half_length)
 
-        assert collision_index(moved(a), moved(b)) == pytest.approx(base, abs=1e-9)
+        assert collision_index(moved(a).pose(), moved(b).pose()) == \
+            pytest.approx(base, abs=1e-9)
 
 
 def test_monotone_in_separation():
-    a = OrientedRect(0.0, 0.0, 0.0, 0.9, 2.25)
+    a = Rect(0.0, 0.0, 0.0, 0.9, 2.25)
     last = 1.0
     for d in [0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0]:
-        b = OrientedRect(0.0, 4.5 + d, 0.0, 0.9, 2.25)
-        value = collision_index(a, b)
+        b = Rect(0.0, 4.5 + d, 0.0, 0.9, 2.25)
+        value = collision_index(a.pose(), b.pose())
         assert value <= last + 1e-12
         last = value
 
@@ -271,9 +286,7 @@ def view(vid, x, y, v, heading=0.0, lane=None):
 def test_alone_vehicle_has_empty_slots():
     vic = classify_vicinity("ego", [view("ego", 9.9, 10.0, 19.4)], GEOMETRY,
                             visibility=100.0)
-    for lane in sorted(vic):
-        assert vic[lane][0] is None
-        assert vic[lane][1] is None
+    assert vic == [(None, None)] * len(GEOMETRY.centers)
 
 
 def test_first_scenario_snapshot_slots():
@@ -286,12 +299,11 @@ def test_first_scenario_snapshot_slots():
         view("ego", 9.9, 10.0, 19.4),
     ]
     vic = classify_vicinity("ego", views, GEOMETRY, visibility=100.0)
-    leader = vic[2][0]
-    follower = vic[2][1]
-    assert leader.vehicle_id == "vehicle3"
-    assert leader.gap == pytest.approx(20.0 - 4.5)
-    assert follower.vehicle_id == "vehicle4"
-    assert follower.gap == pytest.approx(5.0 - 4.5)
+    (leader_gap, leader), (follower_gap, follower) = vic[2]
+    assert views[leader].vehicle_id == "vehicle3"
+    assert leader_gap == pytest.approx(20.0 - 4.5)
+    assert views[follower].vehicle_id == "vehicle4"
+    assert follower_gap == pytest.approx(5.0 - 4.5)
 
 
 def test_nearest_leader_wins():
@@ -299,7 +311,7 @@ def test_nearest_leader_wins():
              view("near", 6.6, 30.0, 20.0),
              view("far", 6.6, 60.0, 20.0)]
     vic = classify_vicinity("ego", views, GEOMETRY, visibility=100.0)
-    assert vic[2][0].vehicle_id == "near"
+    assert views[vic[2][0][1]].vehicle_id == "near"
 
 
 def test_visibility_excludes_distant_vehicles():
@@ -315,8 +327,8 @@ def test_boundary_recognition_straddles_lanes():
     assert plain[2][0] is None          # squarely in the merge lane
     grown = classify_vicinity("ego", views, GEOMETRY, visibility=100.0,
                               observer_scale=1.3)
-    assert grown[2][0].vehicle_id == "edge"  # magnified bounds straddle
-    assert grown[3][0].vehicle_id == "edge"  # still in its own lane too
+    assert grown[2][0][1] == 1  # magnified bounds straddle
+    assert grown[3][0][1] == 1  # still in its own lane too
 
 
 def test_noise_moves_only_others_along_the_road_in_seeded_order():

@@ -2,18 +2,20 @@
 
 classify_vicinity, the 2x2 game and decide must give the same results as
 the copies there: floats bit for bit (compared by float.hex), neighbours
-and latches by equality.  The inputs lean on the cases where the two forms
+and latches by equality.  The reference names each neighbour by id; the
+adapter below maps it to the (gap, index in views) slot that
+classify_vicinity returns.  The inputs lean on the cases where the two forms
 could part: equal positions and gaps, vehicles straddling lanes, magnified
 observers, payoff ties, signed zeros and impossible actions.
 """
 
+from collections import namedtuple
 from contextlib import contextmanager
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-import planner_reference as ref
-from mergesim import world as world_module
+from mergesim import perception, world as world_module
 from mergesim.config import ConfigError, RunConfig
 from mergesim.game import (IMPOSSIBLE, LEFT, STRAIGHT, PayoffBimatrix,
                            solve_stackelberg)
@@ -25,6 +27,13 @@ from mergesim.world import BUILTIN_SCENARIOS, load_scenario, run
 
 from test_collisions import generated_scenarios
 
+# The reference builds each neighbour through the (vehicle_id, gap) record
+# constructor that perception exported when it was written.
+Neighbor = namedtuple("Neighbor", "vehicle_id gap")
+with mock.patch.object(perception, "_new_neighbor", Neighbor._make,
+                       create=True):
+    import planner_reference as ref
+
 GEOMETRY = LaneGeometry()
 CFG = RunConfig()
 PAIRS = ((LEFT, LEFT), (LEFT, STRAIGHT), (STRAIGHT, LEFT),
@@ -33,9 +42,18 @@ PAIRS = ((LEFT, LEFT), (LEFT, STRAIGHT), (STRAIGHT, LEFT),
 
 def vicinity_key(slots):
     """A vicinity with each gap as its float.hex, for exact comparison."""
-    return {lane: tuple(None if n is None else (n.vehicle_id, n.gap.hex())
-                        for n in pair)
-            for lane, pair in slots.items()}
+    return [tuple(None if side is None else (side[0].hex(), side[1])
+                  for side in pair)
+            for pair in slots]
+
+
+def reference_slots(vicinity, views):
+    """The reference's {lane: (leader, follower)} of Neighbors as slots:
+    one pair per lane in lane order, each side (gap, index in views)."""
+    index = {v.vehicle_id: k for k, v in enumerate(views)}
+    return [tuple(None if n is None else (n.gap, index[n.vehicle_id])
+                  for n in pair)
+            for pair in vicinity.values()]
 
 
 def payoff_key(bim):
@@ -77,8 +95,8 @@ def test_classify_vicinity_matches_reference(views, data, visibility, scale):
                             observer_scale=scale)
     want = ref.classify_vicinity(ego, views, GEOMETRY, visibility=visibility,
                                  observer_scale=scale)
-    assert list(got) == list(want)  # lane order
-    assert vicinity_key(got) == vicinity_key(want)
+    assert list(want) == list(range(len(GEOMETRY.centers)))  # lane order
+    assert vicinity_key(got) == vicinity_key(reference_slots(want, views))
 
 
 _payoffs = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, IMPOSSIBLE)),
@@ -139,10 +157,10 @@ def epochs_checked_against_reference():
         latches.append(got)
         return got
 
-    def vicinity(*args, **kwargs):
-        got = real_vicinity(*args, **kwargs)
-        assert vicinity_key(got) == vicinity_key(
-            ref.classify_vicinity(*args, **kwargs))
+    def vicinity(ego_id, views, *args, **kwargs):
+        got = real_vicinity(ego_id, views, *args, **kwargs)
+        want = ref.classify_vicinity(ego_id, views, *args, **kwargs)
+        assert vicinity_key(got) == vicinity_key(reference_slots(want, views))
         return got
 
     with mock.patch.object(world_module, "decide", decide), \

@@ -2,7 +2,8 @@
 named tuples.
 
 Each keeps the fields, the field order and the defaults it had as a frozen
-dataclass, so positional and keyword construction read the same.
+dataclass (Attention was a named tuple from the start), so positional and
+keyword construction read the same.
 """
 
 import pytest
@@ -10,11 +11,10 @@ import pytest
 from mergesim import world as world_module
 from mergesim.config import RunConfig
 from mergesim.dynamics import Controls, VehicleState, step
-from mergesim.perception import (Neighbor, OrientedRect, VehicleView,
-                                 classify_vicinity)
+from mergesim.perception import VehicleView
 from mergesim.planner import (ACCELERATE, HOLD, KEEP, BrainState, Directive,
                               SlotEval, evaluate_slot)
-from mergesim.world import load_scenario, run
+from mergesim.world import Attention, load_scenario, run
 
 REQUIRED = object()  # a field without a default
 
@@ -27,10 +27,6 @@ RECORDS = [
     (Controls,
      [("accel", 0.0), ("steer", 0.0)],
      Controls(accel=0.5, steer=-0.02)),
-    (OrientedRect,
-     [("cx", REQUIRED), ("cy", REQUIRED), ("heading", REQUIRED),
-      ("half_width", REQUIRED), ("half_length", REQUIRED)],
-     OrientedRect(3.3, 10.0, 0.05, 0.9, 2.25)),
     (VehicleView,
      [("vehicle_id", REQUIRED), ("x", REQUIRED), ("y", REQUIRED),
       ("v", REQUIRED), ("heading", REQUIRED), ("length", REQUIRED),
@@ -44,9 +40,6 @@ RECORDS = [
       ("forced_stop", False), ("evading", False), ("threat_memo_id", None),
       ("threat_memo_speed", 0.0)],
      BrainState(3, 19.4, needs_merge=True, competing_id="vehicle4")),
-    (Neighbor,
-     [("vehicle_id", REQUIRED), ("gap", REQUIRED)],
-     Neighbor("vehicle4", 12.5)),
     (SlotEval,
      [("leader", REQUIRED), ("front_gap", REQUIRED), ("follower", REQUIRED),
       ("rear_gap", REQUIRED), ("squeeze", REQUIRED), ("utility", REQUIRED)],
@@ -55,6 +48,11 @@ RECORDS = [
      [("name", REQUIRED), ("competing_id", None), ("slot_leader_id", None),
       ("slot_follower_id", None)],
      Directive(ACCELERATE, "vehicle4", "vehicle3", "vehicle4")),
+    (Attention,
+     [("lane_leaders", REQUIRED), ("own_follower", REQUIRED),
+      ("threat", REQUIRED), ("slot_leader", REQUIRED),
+      ("slot_follower", REQUIRED)],
+     Attention({2: 2, 3: 0}, 3, None, 2, 3)),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
@@ -116,12 +114,7 @@ def test_views_and_states_after_a_run_keep_their_types():
     run(world, t_max=550 * world.cfg.dt)  # mid-merge
     views = world.snapshot()
     assert {type(v) for v in views} == {VehicleView}
-    assert {type(v.rect()) for v in views} == {OrientedRect}
     assert {type(veh.state) for veh in world.vehicles} == {VehicleState}
-    vicinity = classify_vicinity("merging", views, world.geometry,
-                                 visibility=100.0)
-    neighbours = [vicinity[lane][0] for lane in sorted(vicinity)]
-    assert {type(n) for n in neighbours if n is not None} == {Neighbor}
     profile = world.vehicles[-1].profile
     assert type(evaluate_slot(views[-1], views, 2, profile)) is SlotEval
 

@@ -216,7 +216,7 @@ class TestRun:
                      for r in rows]
             for a in range(len(views)):
                 for b in range(a + 1, len(views)):
-                    assert not rects_intersect(views[a].rect(), views[b].rect())
+                    assert not rects_intersect(views[a].pose(), views[b].pose())
 
     def test_decision_epoch_must_divide(self):
         with pytest.raises(ConfigError):
@@ -234,6 +234,43 @@ class TestRun:
             "scenario1", RunConfig(q_overrides={"merging": 0.5}, noise=True,
                                    noise_sigma=0.5, seed=10)))
         assert other.rows != logs[0].rows
+
+
+def checked_slot_steps(world):
+    """Run `world`, checking at every merging decision-vehicle step that
+    its attention's insertion slot is what a lookup of the latch's ids at
+    that step finds; returns how many checked steps had a slot leader."""
+    slot_of = {v.vehicle_id: k for k, v in enumerate(world.vehicles)}
+    real = world_module._controls_for
+    with_leader = 0
+
+    def checking(veh, ego, views, attention, geometry):
+        nonlocal with_leader
+        brain = veh.brain
+        if brain.needs_merge:
+            assert attention.slot_leader == slot_of.get(brain.slot_leader_id)
+            assert attention.slot_follower == \
+                slot_of.get(brain.slot_follower_id)
+            with_leader += attention.slot_leader is not None
+        return real(veh, ego, views, attention, geometry)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(world_module, "_controls_for", checking)
+        run(world)
+    return with_leader
+
+
+class TestEpochSlots:
+    @pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 1.0])
+    def test_builtin_merges(self, scenario, q):
+        cfg = RunConfig(q_overrides={"merging": q})
+        assert checked_slot_steps(load_scenario(scenario, cfg)) > 0
+
+    def test_scenario2_livelock_cell(self):
+        data = metrics.sweep_scenario(BUILTIN_SCENARIOS["scenario2"], 1.0, 0.5)
+        world = load_scenario(data, RunConfig())
+        assert checked_slot_steps(world) > 0
 
 
 def settled_end_time(settle_time):
@@ -462,13 +499,13 @@ class TestDerivedIcol:
 
     def test_sweep_never_derives_icol(self, monkeypatch):
         derived = []
-        real = world_module.pose_collision_index
+        real = world_module.collision_index
 
         def counting(a, b):
             derived.append(1)
             return real(a, b)
 
-        monkeypatch.setattr(world_module, "pose_collision_index", counting)
+        monkeypatch.setattr(world_module, "collision_index", counting)
         logs = []
         real_run = metrics.run
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mergesim.cli import _sat_distance
 from mergesim.config import RunConfig
-from mergesim.perception import OrientedRect, collision_index
+from mergesim.perception import collision_index, pose
 from mergesim.road import LaneGeometry
 from mergesim.world import TrajectoryLog, load_scenario, run
 
@@ -74,8 +74,8 @@ def test_pair_cache_misses_when_any_key_field_changes():
         t = step * 0.01
         log.append((t, "a", ax, ay, 20.0, ah, 0, "", "", "", ""))
         log.append((t, "b", bx, by, 20.0, bh, 0, "", "", "", ""))
-        index = collision_index(OrientedRect(ax, ay, ah, 0.9, 2.25),
-                                OrientedRect(bx, by, bh, 1.0, 2.0))
+        index = collision_index(pose(ax, ay, ah, 0.9, 2.25),
+                                pose(bx, by, bh, 1.0, 2.0))
         want += [index, index]
     assert log.icol() == want
     # Each step but the cache hit changes the index, so a stale reuse shows.
