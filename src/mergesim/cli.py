@@ -85,14 +85,14 @@ def _summarize(log, world, cfg) -> dict:
     geometry = world.geometry
     vehicles = {}
     for veh in world.vehicles:
-        rows = log.vehicle_rows(veh.vehicle_id)
+        last = log.last_row(veh.vehicle_id)
         entry = {
             "kind": veh.kind,
             "q": veh.q if veh.kind == DECISION else None,
-            "final_lane": rows[-1][6],
-            "final_x_lat": round(rows[-1][2], 4),
-            "final_y_long": round(rows[-1][3], 4),
-            "final_v": round(rows[-1][4], 4),
+            "final_lane": last[6],
+            "final_x_lat": round(last[2], 4),
+            "final_y_long": round(last[3], 4),
+            "final_v": round(last[4], 4),
             # _sat_distance is non-increasing, so the largest index maps
             # to the smallest distance.
             "min_gap_m": round(

@@ -1,9 +1,13 @@
 """Atomic text output and trajectory-file parsing."""
 
+import math
 import os
 
 from .config import ConfigError
 from .world import TRAJECTORY_COLUMNS
+
+# The columns read_trajectory parses as floats; each must be finite.
+FLOAT_COLUMNS = ("t", "x_lat", "y_long", "v", "theta", "i_col")
 
 
 class TrajectoryFileError(ValueError):
@@ -40,7 +44,9 @@ def write_atomic(path: str, text: str) -> None:
 
 def read_trajectory(path: str):
     """Rows of a trajectory CSV as dicts with typed fields.  A file that
-    cannot be read as text raises ConfigError naming it."""
+    cannot be read as text raises ConfigError naming it; a malformed line,
+    or a float field that is not finite, raises TrajectoryFileError naming
+    the line (and the column)."""
     rows = []
     try:
         with open(path, encoding="utf-8") as fh:
@@ -60,14 +66,19 @@ def read_trajectory(path: str):
             raise TrajectoryFileError(
                 number, f"expected {len(TRAJECTORY_COLUMNS)} fields, got {len(parts)}")
         try:
-            rows.append({
+            row = {
                 "t": float(parts[0]), "id": parts[1],
                 "x_lat": float(parts[2]), "y_long": float(parts[3]),
                 "v": float(parts[4]), "theta": float(parts[5]),
                 "lane": int(parts[6]), "maneuver": parts[7],
                 "accel_directive": parts[8], "competing_id": parts[9],
                 "i_col": float(parts[10]), "flags": parts[11],
-            })
+            }
         except ValueError as exc:
             raise TrajectoryFileError(number, str(exc))
+        for name in FLOAT_COLUMNS:
+            if not math.isfinite(row[name]):
+                raise TrajectoryFileError(
+                    number, f"{name}: must be finite, got {row[name]!r}")
+        rows.append(row)
     return rows

@@ -1,9 +1,11 @@
 """World assembly, per-step control, fixed-step simulation and logging."""
 
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain, repeat
+from collections import deque
+from itertools import accumulate, chain, islice, repeat
 import json
 import math
+from operator import sub
 import random
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -93,49 +95,62 @@ class SimVehicle:
 class TrajectoryLog:
     """Complete per-step record of a run on a uniform time grid.
 
-    `bodies` maps each vehicle id to its (length, width).  Rows come in
-    whole steps, one per vehicle in `bodies` order, so a vehicle's rows are
-    a stride of the log.  Each row holds every TRAJECTORY_COLUMNS field
-    except i_col, which is derived from the logged poses and the vehicle
-    sizes on first read (see icol), so runs whose readers never ask for it
-    never pay for it.
+    `bodies` maps each vehicle id to its (length, width).  The log keeps
+    one column per vehicle, in `bodies` order: the list of rows it logged,
+    or for a scripted vehicle a _Scripted, which builds its rows when read.
+    `rows` interleaves the columns a whole step at a time on first read.
+    Each row holds every TRAJECTORY_COLUMNS field except i_col, which is
+    derived from the poses and the vehicle sizes on first read (see icol),
+    so runs whose readers never ask for it never pay for it.
 
-    `run` fills the rows once its loop ends, through add_steps: each
-    decision vehicle's rows as they were logged, and each scripted
-    vehicle's rows rebuilt from its start view (see run).  `append` adds
-    one row, for callers that build a log row by row.
+    `run` fills the columns: each decision vehicle appends its rows as it
+    moves, and each scripted vehicle's column is set once the loop ends.
+    `append` adds one row to its vehicle's column, for callers that build a
+    log row by row.
     """
 
     def __init__(self, geometry: LaneGeometry,
                  bodies: Dict[str, Tuple[float, float]]):
         self.geometry = geometry
         self.bodies = bodies
-        self.rows: List[tuple] = []
+        self.columns: list = [[] for _ in bodies]
         self.events: List[dict] = []
         self.collision: Optional[dict] = None
         self.forced_stop: bool = False
         self.end_time: float = 0.0
-        self._icol: List[float] = []
         self._slot = {vid: k for k, vid in enumerate(bodies)}
+        self._rows: Optional[List[tuple]] = None
+        self._icol: Optional[List[List[float]]] = None  # one list per column
 
     def append(self, row: tuple) -> None:
-        self.rows.append(row)
+        self.columns[self._slot[row[1]]].append(row)
+        self._rows = self._icol = None
 
-    def add_steps(self, columns) -> None:
-        """Append whole steps from one row iterable per vehicle, in `bodies`
-        order: step k gets row k of each, and the shortest ends the log."""
-        self.rows.extend(chain.from_iterable(zip(*columns)))
+    @property
+    def rows(self) -> List[tuple]:
+        """Every row, step-major."""
+        if self._rows is None:
+            self._rows = list(chain.from_iterable(zip(*self.columns)))
+        return self._rows
 
-    def _stride(self, column: list, vehicle_id: str) -> list:
-        """The entries of a row-aligned column that belong to one vehicle."""
+    def _slot_with_rows(self, vehicle_id: str) -> int:
         k = self._slot.get(vehicle_id)
-        out = [] if k is None else column[k::len(self._slot)]
-        if not out:
+        if k is None or not len(self.columns[k]):
             raise KeyError(f"no such vehicle in log: {vehicle_id!r}")
-        return out
+        return k
 
     def vehicle_rows(self, vehicle_id: str) -> List[tuple]:
-        return self._stride(self.rows, vehicle_id)
+        return list(self.columns[self._slot_with_rows(vehicle_id)])
+
+    def last_row(self, vehicle_id: str) -> tuple:
+        """A vehicle's last row, read without a copy of its column."""
+        return deque(self.columns[self._slot_with_rows(vehicle_id)],
+                     maxlen=1)[0]
+
+    def _icol_columns(self) -> List[List[float]]:
+        if self._icol is None:
+            self._icol = _icol_columns(self.columns, self.bodies)
+        return self._icol
 
     def icol(self) -> List[float]:
         """The i_col column, aligned with rows.
@@ -143,55 +158,91 @@ class TrajectoryLog:
         Each vehicle's collision index against its nearest neighbour (by
         centre distance) at the same step; 0 for a vehicle alone.
         """
-        if len(self._icol) != len(self.rows):
-            self._icol = _icol_column(self.rows, self.bodies)
-        return self._icol
+        return list(chain.from_iterable(zip(*self._icol_columns())))
 
     def vehicle_icol(self, vehicle_id: str) -> List[float]:
-        return self._stride(self.icol(), vehicle_id)
+        return self._icol_columns()[self._slot_with_rows(vehicle_id)][:]
 
     def to_csv(self) -> str:
-        """The log as CSV text, one line per row.
+        """The log as CSV text, one line per row, built column by column.
 
-        Each step's time is formatted once.  A vehicle's x_lat, v, theta
-        and i_col text is reused while its row holds the very same float
-        object as its previous row: a scripted vehicle carries the same x,
-        speed and heading objects for the whole run, and a reused index
-        (see _icol_column) is the same object.  An equal but distinct float
-        is formatted anew, since 0.0 == -0.0 yet the two print differently.
+        Each step's time is formatted once, and so is the text of a
+        scripted vehicle's id, x_lat, v, theta and lane.  A decision
+        vehicle's x_lat, v and theta text is reused while its row holds the
+        very same float object as its previous row, and any vehicle's i_col
+        text while its index is the same object (a reused index, see
+        _icol_columns).  An equal but distinct float is formatted anew,
+        since 0.0 == -0.0 yet the two print differently.
         """
-        rows, n = self.rows, len(self.bodies)
-        icol = self.icol()
-        times = [f"{r[0]:.2f}" for r in rows[::n]] if n else []
-        columns = []  # each vehicle's lines, one per step
-        for k in range(n):
-            x = v = theta = c = None  # no row holds None: the first formats
-            lines = []
-            for t, r, index in zip(times, rows[k::n], icol[k::n]):
-                if r[2] is not x:
-                    x = r[2]
-                    x_text = f"{x:.6f}"
-                if r[4] is not v:
-                    v = r[4]
-                    v_text = f"{v:.6f}"
-                if r[5] is not theta:
-                    theta = r[5]
-                    theta_text = f"{theta:.6f}"
-                if index is not c:
-                    c = index
-                    c_text = f"{c:.6f}"
-                lines.append(
-                    f"{t},{r[1]},{x_text},{r[3]:.6f},{v_text},{theta_text},"
-                    f"{r[6]},{r[7]},{r[8]},{r[9]},{c_text},{r[10]}")
-            columns.append(lines)
+        columns, icol = self.columns, self._icol_columns()
+        times = [f"{r[0]:.2f}" for r in (columns[0] if columns else [])]
         lines = [",".join(TRAJECTORY_COLUMNS)]
-        for step in zip(*columns):
-            lines.extend(step)
+        lines.extend(chain.from_iterable(zip(*[
+            _scripted_lines(column, times, index)
+            if type(column) is _Scripted else _logged_lines(column, times, index)
+            for column, index in zip(columns, icol)])))
         return "\n".join(lines) + "\n"
 
 
-def _icol_column(rows: List[tuple], bodies: Dict[str, Tuple[float, float]]):
-    """i_col for every row, one whole step of len(bodies) rows at a time.
+class _Scripted:
+    """A scripted vehicle's column of rows, built on each read from the view
+    it starts from, the y it gains at every step, and the times of the
+    steps, which every scripted column of a run shares."""
+
+    def __init__(self, start: VehicleView, increment: float,
+                 times: List[float]):
+        self.start, self.increment, self.times = start, increment, times
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def ys(self):
+        """Its y at each step: the sums of _scripted_ys."""
+        return islice(_scripted_ys(self.start.y, self.increment),
+                      len(self.times))
+
+    def __iter__(self):
+        """Its rows: the start view's x, v, heading and lane objects, its
+        y sums, and empty decision fields."""
+        vid, x, _, v, heading, _, _, lane, _ = self.start
+        blank = repeat("")  # one iterator serves all four empty fields
+        return zip(self.times, repeat(vid), repeat(x), self.ys(), repeat(v),
+                   repeat(heading), repeat(lane), blank, blank, blank, blank)
+
+
+def _texts(values) -> List[str]:
+    """The %.6f text of each value, formatted again only when the value is
+    not the previous one's object."""
+    out = []
+    last = None  # no value is None: the first formats
+    for value in values:
+        if value is not last:
+            last = value
+            text = f"{value:.6f}"
+        out.append(text)
+    return out
+
+
+def _scripted_lines(column: _Scripted, times: List[str],
+                    icol: List[float]) -> List[str]:
+    vid, x, _, v, heading, _, _, lane, _ = column.start
+    head, tail = f",{vid},{x:.6f},", f",{v:.6f},{heading:.6f},{lane},,,,"
+    return list(map("".join, zip(
+        times, repeat(head), map(format, column.ys(), repeat(".6f")),
+        repeat(tail), _texts(icol), repeat(","))))
+
+
+def _logged_lines(rows: List[tuple], times: List[str],
+                  icol: List[float]) -> List[str]:
+    x, v, theta = (_texts([r[k] for r in rows]) for k in (2, 4, 5))
+    return [f"{t},{r[1]},{x_text},{r[3]:.6f},{v_text},{theta_text},"
+            f"{r[6]},{r[7]},{r[8]},{r[9]},{c_text},{r[10]}"
+            for t, r, x_text, v_text, theta_text, c_text
+            in zip(times, rows, x, v, theta, _texts(icol))]
+
+
+def _icol_columns(columns: list, bodies: Dict[str, Tuple[float, float]]):
+    """i_col of each column at every whole step, one list per column.
 
     pose_gaps reads two poses only through the offset (bx - ax, by - ay),
     the four sines and cosines and the half sizes, and each slot's half
@@ -201,60 +252,89 @@ def _icol_column(rows: List[tuple], bodies: Dict[str, Tuple[float, float]]):
     keep their offsets for long stretches.  The reuse is exact: keys
     compare with ==, so two equal keys differ at most in the sign of a
     zero, and such a zero reaches the index only through abs().
+
+    The poses are read from one list per field and vehicle; a scripted
+    vehicle's x, sine and cosine lists repeat one object.
     """
-    n = len(bodies)
-    steps = zip(*[_poses(rows[k::n], length, width)
-                  for k, (length, width) in enumerate(bodies.values())])
-    last = [[None] * n for _ in range(n)]  # (key, index) by slot pair
-    out: List[float] = []
-    for poses in steps:
-        nearest = _nearest_pairs(poses)
-        step_icol = [0.0] * n
-        for i, j in enumerate(nearest):
-            if j is None:
-                continue
-            if j < i and nearest[j] == i:
+    steps = min(map(len, columns), default=0)
+    xs, ys, sines, cosines = [], [], [], []
+    for column in columns:
+        if type(column) is not _Scripted:
+            rows = column[:steps]
+            headings = [r[5] for r in rows]
+            xs.append([r[2] for r in rows])
+            ys.append([r[3] for r in rows])
+            sines.append(list(map(math.sin, headings)))
+            cosines.append(list(map(math.cos, headings)))
+        else:
+            start = column.start
+            xs.append([start.x] * steps)
+            ys.append(list(column.ys()))
+            sines.append([math.sin(start.heading)] * steps)
+            cosines.append([math.cos(start.heading)] * steps)
+    halves = [(width / 2.0, length / 2.0) for length, width in bodies.values()]
+    nearest = _nearest_pairs(xs, ys)
+    out: List[List[float]] = []
+    for i, near in enumerate(nearest):
+        if near is None:
+            out.append([0.0] * steps)
+            continue
+        xi, yi, si, ci = xs[i], ys[i], sines[i], cosines[i]
+        icol = []
+        last = [None] * len(nearest)  # (key, index) by the other slot
+        for t, j in enumerate(near):
+            if j < i and nearest[j][t] == i:
                 # The index is symmetric in its two rectangles.
-                step_icol[i] = step_icol[j]
+                icol.append(out[j][t])
                 continue
-            a, b = poses[i], poses[j]
-            key = (b[0] - a[0], b[1] - a[1], a[2], a[3], b[2], b[3])
-            seen = last[i][j]
+            xj, yj = xs[j][t], ys[j][t]
+            key = (xj - xi[t], yj - yi[t], si[t], ci[t], sines[j][t],
+                   cosines[j][t])
+            seen = last[j]
             if seen is not None and seen[0] == key:
-                step_icol[i] = seen[1]
+                icol.append(seen[1])
             else:
-                step_icol[i] = index = collision_index(a, b)
-                last[i][j] = (key, index)
-        out.extend(step_icol)
+                index = collision_index(
+                    (xi[t], yi[t], key[2], key[3], *halves[i]),
+                    (xj, yj, key[4], key[5], *halves[j]))
+                last[j] = (key, index)
+                icol.append(index)
+        out.append(icol)
     return out
 
 
-def _poses(rows: List[tuple], length: float, width: float):
-    """The pose (see pose_gaps) of each of one vehicle's rows.  A scripted
-    vehicle's heading is one object for the whole run, so a row whose
-    heading is its previous row's object reuses that sine and cosine."""
-    half_width, half_length = width / 2.0, length / 2.0
-    theta = None
-    for r in rows:
-        if r[5] is not theta:
-            theta = r[5]
-            sin, cos = math.sin(theta), math.cos(theta)
-        yield r[2], r[3], sin, cos, half_width, half_length
+def _nearest_pairs(xs: List[List[float]], ys: List[List[float]]):
+    """The slot of each vehicle's nearest other vehicle, by centre
+    distance, at every step: one list per vehicle, or None for a vehicle
+    alone.  A tie goes to the first in slot order.
 
-
-def _nearest_pairs(poses: List[tuple]):
-    """Index of the nearest other vehicle for every (x, y, ...) pose."""
-    n = len(poses)
-    nearest = [None] * n
-    best = [math.inf] * n
+    Every pair's distance column is built once, from its lower slot's x
+    and y minus the other's.  A candidate whose smallest distance exceeds
+    another candidate's largest is never the nearest, so it is dropped;
+    the rest are compared step by step, and tuple.index of the min takes
+    the first of equal distances.
+    """
+    n = len(xs)
+    if n < 2:
+        return [None] * n
+    dist = {}  # (distance column, its min, its max) by slot pair
     for i in range(n):
-        xi, yi = poses[i][0], poses[i][1]
         for j in range(i + 1, n):
-            d = math.hypot(xi - poses[j][0], yi - poses[j][1])
-            if d < best[i]:
-                best[i], nearest[i] = d, j
-            if d < best[j]:
-                best[j], nearest[j] = d, i
+            d = list(map(math.hypot, map(sub, xs[i], xs[j]),
+                         map(sub, ys[i], ys[j])))
+            dist[i, j] = dist[j, i] = (d, min(d, default=0.0),
+                                       max(d, default=0.0))
+    nearest = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        bound = min([dist[i, j][2] for j in others])
+        others = [j for j in others if dist[i, j][1] <= bound]
+        if len(others) == 1:
+            nearest.append([others[0]] * len(xs[i]))
+            continue
+        steps = list(zip(*[dist[i, j][0] for j in others]))
+        nearest.append(list(map(others.__getitem__,
+                                map(tuple.index, steps, map(min, steps)))))
     return nearest
 
 
@@ -761,17 +841,6 @@ def _scripted_track(view: VehicleView, increment: float):
         repeat(length), repeat(width), repeat(lane), repeat(kind)))
 
 
-def _scripted_rows(view: VehicleView, increment: float, times: List[float]):
-    """The rows of a scripted vehicle that starts at `view`, one per time:
-    its track's y sums, the start view's x, v, heading and lane objects,
-    and empty decision fields."""
-    vid, x, y0, v, heading, _, _, lane, _ = view
-    blank = repeat("")  # one iterator serves all four empty fields
-    return zip(times, repeat(vid), repeat(x), _scripted_ys(y0, increment),
-               repeat(v), repeat(heading), repeat(lane), blank, blank, blank,
-               blank)
-
-
 def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
     """Advance the world at a fixed step until t_max, a collision, or rest.
 
@@ -779,9 +848,10 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
     it; collisions, then maneuver completions and settling, are judged on
     the moved poses.  Decisions fire on epoch boundaries.  A scripted
     vehicle's motion is fixed at the start: it takes its views from one
-    precomputed track, its rows are built from the same y sums once the
-    loop ends, and its state gets its last view's y when the run returns or
-    raises.
+    precomputed track, its log column holds its start view and the times
+    of the steps once the loop ends (its rows come from the same y sums
+    when read), and its state gets its last view's y when the run returns
+    or raises.
     """
     cfg = world.cfg
     if t_max is None:
@@ -808,8 +878,7 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
     tracks = [repeat(None) if increment is None
               else _scripted_track(view, increment)
               for view, increment in zip(starts, increments)]
-    columns = [[] for _ in world.vehicles]  # a decision vehicle's rows
-    logged = [(i, columns[i].append) for i in decision_slots]
+    logged = [(i, log.columns[i].append) for i in decision_slots]
     attentions: List[Optional[Attention]] = [None] * len(world.vehicles)
     quiet = 0.0
     step_index = -1
@@ -844,6 +913,5 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
     times = [k * dt for k in range(step_index + 1)]
     for i, increment in enumerate(increments):
         if increment is not None:
-            columns[i] = _scripted_rows(starts[i], increment, times)
-    log.add_steps(columns)
+            log.columns[i] = _Scripted(starts[i], increment, times)
     return log

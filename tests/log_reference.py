@@ -1,6 +1,7 @@
 """Reference readers of a TrajectoryLog, written the slow, obvious way.
 
-i_col is recomputed from VehicleView rectangles, a vehicle's rows and i_col
+i_col is recomputed from VehicleView rectangles, nearest neighbours are
+found by scanning every vehicle at every step, a vehicle's rows and i_col
 are found by checking the id of every row, the CSV formats every field of
 every row, and a scripted vehicle's rows are replayed one step at a time.
 Tests compare the log's own readers and rows against these.
@@ -30,6 +31,29 @@ def eager_icol(log, world):
             j = min(others, key=lambda k: math.hypot(view.x - views[k].x,
                                                      view.y - views[k].y))
             out.append(collision_index(view.pose(), views[j].pose()))
+    return out
+
+
+def first_nearest(xs, ys):
+    """Reference nearest neighbours: at each step, each vehicle scans every
+    other in slot order and keeps one only while it is strictly closer by
+    centre distance, so a tie goes to the first in slot order.  One list of
+    slots per vehicle, or None for a vehicle alone."""
+    n = len(xs)
+    out = []
+    for i in range(n):
+        if n < 2:
+            out.append(None)
+            continue
+        column = []
+        for t in range(len(xs[i])):
+            best, nearest = math.inf, None
+            for j in range(n):
+                d = math.hypot(xs[i][t] - xs[j][t], ys[i][t] - ys[j][t])
+                if j != i and d < best:
+                    best, nearest = d, j
+            column.append(nearest)
+        out.append(column)
     return out
 
 

@@ -2,7 +2,6 @@ import argparse
 from contextlib import redirect_stderr, redirect_stdout
 import copy
 from dataclasses import fields
-import hashlib
 import io
 import json
 import math
@@ -20,11 +19,16 @@ from hypothesis import event, given, settings, strategies as st
 from mergesim.cli import (MAX_GRID_POINTS, _add_common, build_config, main,
                           parse_grid)
 from mergesim.config import ConfigError, RunConfig
+from mergesim.logio import FLOAT_COLUMNS
 from mergesim.metrics import GRID_COLUMNS, aggressiveness_sweep, grid_to_csv
 from mergesim.road import LaneGeometry
 from mergesim.world import (BUILTIN_SCENARIOS, MAX_SPEED_KMH,
                             TRAJECTORY_COLUMNS, geometry_from_dict, load_scenario,
                             run as run_world)
+
+import golden
+
+GOLDEN = golden.load()
 
 
 def run_cli(*argv):
@@ -167,67 +171,26 @@ class TestRunCommand:
         assert capsys.readouterr().out == out
 
 
-# sha256 of the trajectory CSV and the summary of `mergesim run` for the
-# built-in scenarios, without noise and with `--noise --seed 0`, copied from
-# perfbench/expected.json.
-PINNED_DIGESTS = {
-    ("scenario1", 0.1, False): (
-        "adde3af92455089ebfa2d24fc38c223487aa0db5a7fda19505ce96f6b1992aba",
-        "8ea50e6b080da59ca40364c764b8d91ea27fbfa50561f4a28d1253df0c86f292"),
-    ("scenario1", 0.5, False): (
-        "09798e6c39c1839bb8a8b2c671c3a21c3c5e7bcdb1bf9c2ecf9df466b4378e1b",
-        "545fd171540e0f08857427809587c8c53791b6a744c4caa6c37b0a03fdc2364b"),
-    ("scenario1", 0.9, False): (
-        "5e8bb9a89279697e24514c3fe9ff6ee5753d001845e12dba14ef128d9a5d33a5",
-        "119acaad3b4736975c9985f3a96375d432edb17e8a69aa9130a33d2c2cef66cc"),
-    ("scenario2", 0.1, False): (
-        "ba422ab06ead2f5b3bc99d28eaf7ea70b7dd157448dc4f50d8cd71d6117eda3d",
-        "1c531684c522046d2ca74cc66ffc2b25f65fce9783bc338c4f6bac8ba8759b3d"),
-    ("scenario2", 0.5, False): (
-        "d318e2e9767076d263044ef8d89a01ce2dde95436616d8290ca5fe3174f19540",
-        "a15d9ac0e52907e81fd3b6f32f23d771fa251b340147babb4b923e40b7a20433"),
-    ("scenario2", 0.9, False): (
-        "459dd1972b8e5c1f88c9d460f751bfef030c2bc61fdec59fa4f1014968923aea",
-        "8990e281b743f82066f3c78f5589dce2b3942a225f42d40f973a700aead0bbe1"),
-    ("scenario1", 0.1, True): (
-        "adde3af92455089ebfa2d24fc38c223487aa0db5a7fda19505ce96f6b1992aba",
-        "4329c33fbcf66993a1988c8b44fc5c4013f8e0b314dcc461a4eedbceb52221c2"),
-    ("scenario1", 0.5, True): (
-        "574dd5052836906c52ff4a9c09feec8d0381348f4cc3ddccb3719e3614cac027",
-        "7be6d8960588f4baeb3eb41a6550993f8fb48376df4faaa9fa1fc80213b3f34d"),
-    ("scenario1", 0.9, True): (
-        "5e8bb9a89279697e24514c3fe9ff6ee5753d001845e12dba14ef128d9a5d33a5",
-        "690a5f376f845fdad0b8bbd68cce4227a8cec7e731e5b5f19e72986b89018c92"),
-    ("scenario2", 0.1, True): (
-        "54d637cfefce6ad9de8694ed39a11eb0b40027335620166bbdea9ed0665f641c",
-        "1e31024c067692c3f164a42976bbea73048c59f822a2d8945cd0000d160e4eae"),
-    ("scenario2", 0.5, True): (
-        "d318e2e9767076d263044ef8d89a01ce2dde95436616d8290ca5fe3174f19540",
-        "0842d473454aa04d2e88c3caea91091625c13a3c5ee174bcc7d8554a16b1c35d"),
-    ("scenario2", 0.9, True): (
-        "b821be70a8a262b3411bfb1575dd3d8bba3b15fbadaceae23605b842f39536e7",
-        "552012d2770fb7a6b753fec58f58177d0ab141d7ca7e8fd8d983919edc997a26"),
-}
+@pytest.mark.parametrize("key, scenario, q, seed", golden.RUNS,
+                         ids=[run[0] for run in golden.RUNS])
+def test_run_outputs_match_golden_manifest(tmp_path, key, scenario, q, seed):
+    # Every built-in run: both scenarios, five merger q, clean and with
+    # noise at three seeds.  tests/golden.py regenerates the manifest.
+    assert golden.run_outputs(scenario, q, seed, str(tmp_path)) == \
+        GOLDEN[key]
 
 
-def _sha256(path):
-    return hashlib.sha256(read_bytes(path)).hexdigest()
-
-
-@pytest.mark.parametrize("scenario, q, noise", [
-    pytest.param(*key, id=f"{key[0]}-{key[1]}" + ("-noise" if key[2] else ""))
-    for key in sorted(PINNED_DIGESTS)])
-def test_run_outputs_match_pinned_digests(tmp_path, monkeypatch, scenario, q,
-                                          noise):
-    monkeypatch.delenv("MERGE_SIM_SEED", raising=False)
-    base = str(tmp_path / "out")
-    argv = ["run", "--scenario", scenario, "--q", f"merging={q}",
-            "--output", base]
-    if noise:
-        argv += ["--noise", "--seed", "0"]
-    assert run_cli(*argv) == 0
-    assert (_sha256(base + ".csv"), _sha256(base + ".summary.json")) == \
-        PINNED_DIGESTS[(scenario, q, noise)]
+def test_golden_manifest_agrees_with_perfbench_pins():
+    # perfbench pins the clean runs and the noisy runs at its default seed
+    # 0 of three merger q; each is one manifest entry.
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                           "expected.json"), encoding="utf-8") as fh:
+        pins = json.load(fh)["run"]
+    assert len(pins) == 12
+    for key, outputs in pins.items():
+        assert GOLDEN[key + "-seed0" if key.endswith("-noise") else key] == \
+            outputs, key
+    assert sorted(GOLDEN) == sorted(run[0] for run in golden.RUNS)
 
 
 # The corner cells of the 5x5 scenario1 grid at seed 0, copied from
@@ -699,6 +662,26 @@ class TestPlotCommand:
         path.write_text(",".join(TRAJECTORY_COLUMNS) + "\n1,2,3\n")
         assert run_cli("plot", str(path)) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", FLOAT_COLUMNS)
+    def test_non_finite_value_reports_line_and_column(self, tmp_path, capsys,
+                                                      column, value):
+        out = str(tmp_path / "traj")
+        assert run_cli("run", "--scenario", "scenario1", "--output", out,
+                       "--t-max", "0.05") == 0
+        lines = read_text(out + ".csv").splitlines()
+        fields = lines[2].split(",")  # line 3 of the file
+        fields[TRAJECTORY_COLUMNS.index(column)] = value
+        lines[2] = ",".join(fields)
+        with open(out + ".csv", "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("plot", out + ".csv") == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            f"error: line 3: {column}: must be finite, got {value}\n"
+        assert not os.path.exists(out + ".svg")
 
 
 class TestFileErrors:

@@ -1,7 +1,8 @@
 """A scripted vehicle's views come from one track built at the start of a
-run, and its rows are built from the same y sums when the loop ends: each
-is checked, bit for bit, against a replay that adds v_preset * dt one step
-at a time, however the run ends."""
+run, and its log column builds its rows from the same y sums when they are
+read: each is checked, bit for bit, against a replay that adds
+v_preset * dt one step at a time, however the run ends, and the log's
+interleaved rows against its columns."""
 
 from contextlib import contextmanager
 import copy
@@ -36,7 +37,8 @@ def recorded_views():
 
 def checked_run(world, t_max=None):
     """Run `world` and check every scripted vehicle's views, rows and final
-    state against a per-step replay from its start view; returns the log."""
+    state against a per-step replay from its start view, and the log's
+    interleaved rows against its columns; returns the log."""
     geometry, dt = world.geometry, world.cfg.dt
     starts = [veh.view(geometry) for veh in world.vehicles]
     with recorded_views() as moved:
@@ -44,20 +46,34 @@ def checked_run(world, t_max=None):
     n = len(world.vehicles)
     steps = len(moved)
     assert steps == round(log.end_time / dt)
-    # Whole steps, step-major, each row stamped with its step's time.
-    assert len(log.rows) == n * steps
+    replayed = replayed_scripted_rows(world, starts, steps)
+    # Each column holds a vehicle's rows: a scripted vehicle's are built
+    # when read (here before log.rows exists), a decision vehicle's are the
+    # rows it logged.
+    columns = []
+    for veh, column in zip(world.vehicles, log.columns):
+        vid = veh.vehicle_id
+        if veh.kind == SCRIPTED:
+            assert [bits(r) for r in log.vehicle_rows(vid)] == \
+                [bits(r) for r in replayed[vid]]
+            assert bits(log.last_row(vid)) == bits(replayed[vid][-1])
+            column = replayed[vid]
+        assert len(column) == steps
+        columns.append(column)
+    # log.rows interleaves the columns: whole steps, step-major, each row
+    # stamped with its step's time.
+    assert [bits(r) for r in log.rows] == \
+        [bits(r) for step in zip(*columns) for r in step]
     ids = [veh.vehicle_id for veh in world.vehicles]
     for k in range(steps):
         rows = log.rows[k * n:(k + 1) * n]
         assert [r[1] for r in rows] == ids
         assert {r[0].hex() for r in rows} == {(k * dt).hex()}
-    replayed = replayed_scripted_rows(world, starts, steps)
     for i, veh in enumerate(world.vehicles):
         if veh.kind != SCRIPTED:
             continue
         start, vid = starts[i], veh.vehicle_id
         rows = log.vehicle_rows(vid)
-        assert [bits(r) for r in rows] == [bits(r) for r in replayed[vid]]
         # The start view's objects, so the CSV formats each once.
         assert all(r[2] is start.x and r[4] is start.v and r[5] is start.heading
                    for r in rows)

@@ -1,19 +1,24 @@
-"""The write path of a run: i_col, per-vehicle reads, the CSV and min_gap_m,
-each against the slow reference readers of log_reference."""
+"""The write path of a run: the column log, its interleaved rows, i_col and
+its nearest neighbours, per-vehicle reads, the CSV and min_gap_m, each
+against the slow reference readers of log_reference."""
 
+import copy
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+from mergesim import world as world_module
 from mergesim.cli import _sat_distance
 from mergesim.config import RunConfig
 from mergesim.perception import collision_index, pose
 from mergesim.road import LaneGeometry
-from mergesim.world import TrajectoryLog, load_scenario, run
+from mergesim.world import (BUILTIN_SCENARIOS, TrajectoryLog, _nearest_pairs,
+                            load_scenario, run)
 
-from log_reference import (eager_icol, formatted_csv, scanned_icol,
-                           scanned_rows)
+from log_reference import (eager_icol, first_nearest, formatted_csv,
+                           scanned_icol, scanned_rows)
 from test_collisions import (cannot_stop_at_start, generated_scenarios,
                              overlap_at_start)
 
@@ -97,7 +102,9 @@ class TestEmptyLogs:
         log = TrajectoryLog(GEOMETRY, {})
         with pytest.raises(KeyError):
             log.vehicle_rows("a")
-        assert log.icol() == []
+        with pytest.raises(KeyError):
+            log.last_row("a")
+        assert log.rows == [] and log.icol() == []
         assert log.to_csv() == formatted_csv(log)
 
 
@@ -133,3 +140,134 @@ def test_min_gap_is_the_distance_of_the_largest_index(column):
     [1e-300, 0.0], [1.0 - 2.0 ** -53, 1e-300], [0.0], [1.0, 1.0]])
 def test_min_gap_at_the_edges_of_the_index(column):
     assert _sat_distance(max(column)) == min(map(_sat_distance, column))
+
+
+# --- the column log (see also test_scripted_tracks.checked_run) -------------
+
+
+def test_scripted_id_with_percent_signs():
+    # A scripted vehicle's line text is built once around its id; the id
+    # must come out as it is, whatever characters it holds.
+    data = copy.deepcopy(BUILTIN_SCENARIOS["scenario1"])
+    data["vehicles"][0]["id"] = "v%s%%d{0}"
+    data["vehicles"][1]["id"] = "%"
+    world = load_scenario(data, RunConfig(t_max=1.0))
+    log = run(world)
+    check_readers(log, world)
+    assert log.to_csv().splitlines()[1].split(",")[1] == "v%s%%d{0}"
+
+
+class TestAppendedLogs:
+    def test_rows_interleave_in_bodies_order(self):
+        # Rows appended in any order land in their vehicle's column.
+        log = TrajectoryLog(GEOMETRY, {"a": (4.5, 1.8), "b": (4.0, 2.0)})
+        a_rows = [(k * 0.01, "a", 0.0, 10.0 + k, 20.0, 0.0, 0, "", "", "", "")
+                  for k in range(3)]
+        b_rows = [(k * 0.01, "b", 3.3, 20.0 - k, 20.0, 0.1, 1, "", "", "", "")
+                  for k in range(3)]
+        for a, b in zip(a_rows, b_rows):
+            log.append(b)
+            log.append(a)
+        assert log.rows == [r for pair in zip(a_rows, b_rows) for r in pair]
+        assert log.vehicle_rows("a") == a_rows
+        assert log.vehicle_rows("b") == b_rows
+        assert log.last_row("b") is b_rows[-1]
+        want = [collision_index(pose(a[2], a[3], a[5], 0.9, 2.25),
+                                pose(b[2], b[3], b[5], 1.0, 2.0))
+                for a, b in zip(a_rows, b_rows)]
+        assert log.vehicle_icol("a") == log.vehicle_icol("b") == want
+        assert log.to_csv() == formatted_csv(log)
+
+    def test_vehicle_rows_do_not_depend_on_what_was_read(self):
+        # rows holds whole steps only; a vehicle's rows are its column.
+        log = TrajectoryLog(GEOMETRY, {"a": (4.5, 1.8), "b": (4.0, 2.0)})
+        a_rows = [(k * 0.01, "a", 0.0, 10.0 + k, 20.0, 0.0, 0, "", "", "", "")
+                  for k in range(3)]
+        for row in a_rows:
+            log.append(row)
+        log.append((0.0, "b", 3.3, 20.0, 20.0, 0.0, 1, "", "", "", ""))
+        assert log.vehicle_rows("a") == a_rows
+        assert len(log.rows) == 2
+        assert log.vehicle_rows("a") == a_rows
+        assert log.last_row("a") is a_rows[-1]
+
+    def test_append_after_a_read_is_seen(self):
+        log = TrajectoryLog(GEOMETRY, {"a": (4.5, 1.8)})
+        log.append((0.0, "a", 0.0, 1.0, 20.0, 0.0, 0, "", "", "", ""))
+        assert len(log.rows) == 1 and log.icol() == [0.0]
+        log.append((0.01, "a", 0.0, 1.2, 20.0, 0.0, 0, "", "", "", ""))
+        assert len(log.rows) == 2 and log.icol() == [0.0, 0.0]
+        assert log.to_csv() == formatted_csv(log)
+
+    def test_one_vehicle_scores_zero(self):
+        log = TrajectoryLog(GEOMETRY, {"a": (4.5, 1.8)})
+        for k in range(4):
+            log.append((k * 0.01, "a", 0.0, k * 0.2, 20.0, 0.0, 0, "keep",
+                        "hold", "", ""))
+        assert log.icol() == log.vehicle_icol("a") == [0.0] * 4
+        assert log.vehicle_rows("a") == scanned_rows(log, "a")
+        assert log.to_csv() == formatted_csv(log)
+
+
+# --- nearest neighbours ------------------------------------------------------
+
+
+# Few distinct coordinates, so that exact ties between candidates are common,
+# and one far value, so that some candidates are never nearest and are
+# dropped before the steps are compared.
+_coordinates = st.sampled_from((0.0, -0.0, 1.0, 3.3, 6.6, -3.3, 500.0))
+
+
+@st.composite
+def _columns(draw):
+    """x and y columns of 2-6 vehicles over 1-6 steps."""
+    n, steps = draw(st.integers(2, 6)), draw(st.integers(1, 6))
+    column = st.lists(_coordinates, min_size=steps, max_size=steps)
+    return ([draw(column) for _ in range(n)],
+            [draw(column) for _ in range(n)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_columns())
+def test_nearest_pairs_is_the_first_minimum_in_slot_order(columns):
+    xs, ys = columns
+    want = first_nearest(xs, ys)
+    assert _nearest_pairs(xs, ys) == want
+    for i in range(len(xs)):
+        for t in range(len(xs[i])):
+            d = [math.hypot(xs[i][t] - xs[j][t], ys[i][t] - ys[j][t])
+                 for j in range(len(xs)) if j != i]
+            if d.count(min(d)) > 1:
+                event("tie")
+
+
+def test_nearest_pairs_of_no_or_one_vehicle():
+    assert _nearest_pairs([], []) == []
+    assert _nearest_pairs([[0.0, 1.0]], [[2.0, 3.0]]) == [None]
+    assert _nearest_pairs([[], []], [[], []]) == [[], []]
+
+
+def test_scenario1_tie_goes_to_the_first_slot():
+    # vehicle2 drives 3.3 m from vehicle1 and from vehicle3 at every step,
+    # with the same y sums; its nearest is vehicle1, the first in slot order.
+    real = world_module._nearest_pairs
+    seen = []
+
+    def recording(xs, ys):
+        seen.append((xs, ys, real(xs, ys)))
+        return seen[-1][2]
+
+    world = load_scenario("scenario1", RunConfig())
+    log = run(world)
+    with mock.patch.object(world_module, "_nearest_pairs", recording):
+        log.icol()
+    (xs, ys, nearest), = seen
+    ids = [veh.vehicle_id for veh in world.vehicles]
+    one, two, three = (ids.index(v) for v in ("vehicle1", "vehicle2",
+                                              "vehicle3"))
+    for t in range(len(xs[two])):
+        assert math.hypot(xs[two][t] - xs[one][t], ys[two][t] - ys[one][t]) \
+            == math.hypot(xs[two][t] - xs[three][t],
+                          ys[two][t] - ys[three][t]) == 3.3
+    assert nearest[two] == [one] * len(xs[two])
+    assert nearest == first_nearest(xs, ys)
