@@ -166,8 +166,8 @@ MAX_GRID_POINTS = 101  # q values per --grid axis
 
 
 def parse_grid(raw: str):
-    """q values from START:STOP:STEP; their count is checked against
-    MAX_GRID_POINTS before any value is built."""
+    """q values from START:STOP:STEP, none past STOP; their count is
+    checked against MAX_GRID_POINTS before any value is built."""
     parts = raw.split(":")
     if len(parts) != 3:
         raise ConfigError(f"--grid expects start:stop:step, got {raw!r}")
@@ -176,10 +176,11 @@ def parse_grid(raw: str):
     check("--grid stop", stop, float, f"[{start!r}, 1]")
     check("--grid step", step_size, float, "(0, inf)")
     intervals = (stop - start) / step_size
-    count = round(intervals) if math.isfinite(intervals) else intervals
+    count = (math.floor(intervals + 1e-9) if math.isfinite(intervals)
+             else intervals)
     check("--grid points", count + 1, float, f"[1, {MAX_GRID_POINTS}]")
-    values = [round(start + i * step_size, 10) for i in range(count + 1)]
-    return tuple(v for v in values if v <= 1.0 + 1e-9)
+    return tuple(min(round(start + i * step_size, 10), stop)
+                 for i in range(count + 1))
 
 
 def cmd_sweep(args) -> int:

@@ -148,7 +148,6 @@ class RunConfig:
         directive_accel = self.nominal_accel_g * GRAVITY
         accel_cap = self.accel_cap_g * GRAVITY
         return DriverProfile(
-            aggressiveness=q,
             visibility_scale=lerp(self.visibility_scale_cautious,
                                   self.visibility_scale_aggressive),
             prediction_time=lerp(self.prediction_time_cautious,

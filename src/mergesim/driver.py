@@ -20,7 +20,6 @@ import math
 
 @dataclass(frozen=True)
 class DriverProfile:
-    aggressiveness: float        # q in [0, 1]
     visibility_scale: float      # caps usable headway (fraction of range)
     prediction_time: float       # s
     accel_limit: float           # m/s^2

@@ -66,34 +66,32 @@ def _maneuver_segments(rows, cuts):
 def lane_change_events(log: TrajectoryLog, vehicle_id: str):
     """(maneuver, lateral displacement, completed) per maneuver segment.
 
-    A completed segment settles on a new lane and contributes the exact
-    center-to-center offset; a segment cut off by the end of the run
-    contributes whatever lateral motion it actually caused.  Segments also
-    end at the vehicle's completion events, so a maneuver begun at the epoch
-    right after one completed counts on its own.
+    Segments end at the vehicle's completion events, which the step loop
+    logs when complete_maneuver ends a maneuver, so a maneuver begun at the
+    epoch right after one completed counts on its own.  A segment that ends
+    at a completion event is completed and contributes the exact offset
+    from the center of the lane it started in to that of the event's lane;
+    any other segment (cut off by the end of the run) contributes whatever
+    lateral motion it actually caused.
     """
     rows = log.vehicle_rows(vehicle_id)
     centers = log.geometry.centers
     out = []
-    # The row after each completion: rows lie on a uniform grid, and an
-    # event's t (its step's t + dt) may differ from that row's in the last
-    # bit.  With one row, no cut falls inside a segment.
+    # The lane reached, by the row after each completion: rows lie on a
+    # uniform grid, and an event's t (its step's t + dt) may differ from
+    # that row's in the last bit.  With one row, no cut falls inside a
+    # segment.
     dt = rows[1][0] - rows[0][0] if len(rows) > 1 else 1.0
-    cuts = [round((e["t"] - rows[0][0]) / dt) for e in log.events
-            if e.get("vehicle") == vehicle_id
-            and e["event"] in ("merge_complete", "change_complete")]
-    for start, end, kind in _maneuver_segments(rows, cuts):
-        start_lane = rows[start][6]
-        if end < len(rows):
-            end_lane = rows[end][6]
-            moved = abs(centers[end_lane] - centers[start_lane])
-            completed = end_lane != start_lane
-            if not completed:
-                moved = abs(rows[end][2] - rows[start][2])
+    reached = {round((e["t"] - rows[0][0]) / dt): e["lane"]
+               for e in log.events if e.get("vehicle") == vehicle_id
+               and e["event"] in ("merge_complete", "change_complete")}
+    for start, end, kind in _maneuver_segments(rows, reached):
+        lane = reached.get(end)
+        if lane is not None:
+            moved = abs(centers[lane] - centers[rows[start][6]])
         else:
-            completed = False
-            moved = abs(rows[-1][2] - rows[start][2])
-        out.append((kind, moved, completed))
+            moved = abs(rows[end - 1][2] - rows[start][2])
+        out.append((kind, moved, lane is not None))
     return out
 
 

@@ -634,79 +634,35 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views: List[VehicleView],
 # --- simulation loop -------------------------------------------------------
 
 
-def _drift_bound(a: VehicleView, b: VehicleView, increment: float,
-                 steps: int) -> float:
-    """How far _find_collision's fast-path gap (abs(dy) - hla) - hlb of two
-    scripted vehicles at heading 0 can be from its start value over a run
-    of `steps` steps in which each adds `increment` to its y at every step.
-
-    Let y_max bound every magnitude the sums and the gap reach, and
-    u = ulp(y_max).  Each y + increment rounds by at most u / 2, so the
-    exact dy drifts by at most u a step and steps * u in all.  The gap
-    rounds three times (the difference, then each half length), by at most
-    1.5 u, and it is rounded once at the start and once at the step it is
-    tested.  So a pair whose computed start gap exceeds (steps + 3) * u
-    has a positive computed gap at every step.  Without rounding, |ya| + |yb| + hla + hlb
-    bounds every magnitude, with |y| at most |y0| + steps * |increment|;
-    doubling that covers the drift of at most steps * u for any run shorter
-    than 2**50 steps.
-    """
-    reach = (abs(a.y) + abs(b.y) + 2.0 * steps * abs(increment)
-             + a.length / 2.0 + b.length / 2.0)
-    return (steps + 3) * math.ulp(2.0 * reach)
-
-
-def _collision_pairs(views: List[VehicleView],
-                     increments: List[Optional[float]],
-                     steps: int) -> List[tuple]:
-    """(i, j, reach_y, reach_x, half_lengths), i < j in order, for each pair
-    that can collide during a run of `steps` steps in which the scripted
-    vehicle in slot i adds increments[i] to its y at every step; its
-    rectangles cannot meet while their centres are more than reach_y apart
-    along the road or reach_x across it.
+def _collision_pairs(views: List[VehicleView]) -> List[tuple]:
+    """(i, j, reach), i < j in order, for each pair that can collide.  The
+    reach is the sum of the two half diagonals: no point of a rectangle
+    lies farther than its half diagonal from its centre, so a pair whose
+    centres are more than reach apart along either axis cannot meet.
 
     A scripted vehicle keeps its lateral position and heading for the whole
-    run, so two scripted vehicles at heading 0 are dropped when either gap
-    between them stays positive:
-    - across the road, a positive gap along the width axis, which depends
-      only on their constant lateral offset and half widths;
-    - along the road, equal increments and a start gap (abs(dy) - hla) -
-      hlb, as _find_collision computes it, above _drift_bound: their y
-      sums move apart only by rounding.
-    Every other pair is kept, with the half lengths of such a scripted
-    pair (else None).
+    run, so a pair of scripted vehicles at heading 0 with a positive gap
+    across the road, which depends only on their lateral offset and half
+    widths, is dropped.
     """
     pairs = []
     for i, a in enumerate(views):
         for j in range(i + 1, len(views)):
             b = views[j]
-            fixed = (a.kind == SCRIPTED and b.kind == SCRIPTED
-                     and a.heading == 0.0 and b.heading == 0.0)
-            if fixed and pose_gaps(a.pose(), b.pose())[1] > 0:
+            if (a.kind == SCRIPTED and b.kind == SCRIPTED
+                    and a.heading == 0.0 and b.heading == 0.0
+                    and pose_gaps(a.pose(), b.pose())[1] > 0):
                 continue
-            increment = increments[i]
-            if (fixed and increment is not None
-                    and increment == increments[j]
-                    and (abs(a.y - b.y) - a.length / 2.0) - b.length / 2.0
-                    > _drift_bound(a, b, increment, steps)):
-                continue
-            pairs.append((i, j, (a.length + b.length) / 2.0 + 2.0,
-                          (a.width + b.width) / 2.0 + 2.0,
-                          (a.length / 2.0, b.length / 2.0) if fixed else None))
+            pairs.append((i, j, math.hypot(a.length, a.width) / 2.0
+                          + math.hypot(b.length, b.width) / 2.0))
     return pairs
 
 
 def _find_collision(views: List[VehicleView], pairs: List[tuple]):
-    """Ids of the first pair, in `pairs` order, whose rectangles overlap.
-    At headings of +-0.0, pose_gaps's first gap is exactly (abs(dy) - hla)
-    - hlb (floored at 0): a pair with half lengths skips while it is > 0."""
-    for i, j, reach_y, reach_x, half_lengths in pairs:
+    """Ids of the first pair, in `pairs` order, whose rectangles overlap."""
+    for i, j, reach in pairs:
         a, b = views[i], views[j]
-        dy = abs(a.y - b.y)
-        if dy > reach_y or (half_lengths is not None and
-                            (dy - half_lengths[0]) - half_lengths[1] > 0.0):
-            continue
-        if abs(a.x - b.x) > reach_x:
+        if abs(a.y - b.y) > reach or abs(a.x - b.x) > reach:
             continue
         if rects_intersect(a.pose(), b.pose()):
             return a.vehicle_id, b.vehicle_id
@@ -874,7 +830,7 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
     world.views = starts = [v.view(geometry) for v in world.vehicles]
     increments = [v.v_preset * dt if v.kind == SCRIPTED else None
                   for v in world.vehicles]
-    pairs = _collision_pairs(starts, increments, n_steps)
+    pairs = _collision_pairs(starts)
     tracks = [repeat(None) if increment is None
               else _scripted_track(view, increment)
               for view, increment in zip(starts, increments)]

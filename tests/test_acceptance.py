@@ -23,7 +23,7 @@ from mergesim.world import load_scenario, run
 
 from dynamics_reference import lateral_derivative
 from test_game import bimatrix, brute_force_solution
-from test_metrics import speed_series, synthetic_log
+from test_metrics import complete, speed_series, synthetic_log
 from test_perception import polygons_intersect, random_rect
 
 
@@ -281,6 +281,8 @@ def test_acceptance_8_metric_correctness():
                                 lane if frac < 0.5 else nxt[0], "change"))
                 i += 1
     two_log = synthetic_log(samples)
+    complete(two_log, 1.5, 1)
+    complete(two_log, 3.0, 0)
     assert lateral_disturbance(two_log, "v") == pytest.approx(6.6)
     assert lane_change_count(two_log, "v") == 2
     announce(8, "speed-deficit integral exact on never-decelerating vehicles "

@@ -601,6 +601,15 @@ class TestSweepCommand:
     def test_parse_grid_values(self):
         assert parse_grid("0:1:0.5") == (0.0, 0.5, 1.0)
         assert parse_grid("0:1:0.1") == tuple(i / 10 for i in range(11))
+        assert len(parse_grid("0:1:0.01")) == 101
+        assert len(parse_grid("0.5:1:0.005")) == 101
+        # The grid stops at STOP, even where the last step falls short of it.
+        assert parse_grid("0:0.5:0.3") == (0.0, 0.3)
+        assert parse_grid("0:0.95:0.5") == (0.0, 0.5)
+        assert parse_grid("0.2:0.2:0.5") == (0.2,)
+        # A step a hair above STOP / 10 still gives 11 points, the last at
+        # STOP rather than past it.
+        assert parse_grid("0:1:0.100000000009")[-1] == 1.0
         with pytest.raises(ConfigError):
             parse_grid("0:1:0")
 

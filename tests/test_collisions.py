@@ -10,25 +10,21 @@ from hypothesis import example, given, settings, strategies as st
 from mergesim import world as world_module
 from mergesim.config import ConfigError, RunConfig
 from mergesim.dynamics import GRAVITY
-from mergesim.perception import (VehicleView, pose, pose_gaps,
-                                 rects_intersect)
+from mergesim.perception import VehicleView, pose, rects_intersect
 from mergesim.world import (DECISION, KMH, SCRIPTED, _collision_pairs,
-                            _drift_bound, _find_collision, load_scenario, run)
+                            _find_collision, load_scenario, run)
 
 BODY_WIDTH = RunConfig().body_width
 BODY_LENGTH = RunConfig().body_length
 
 
 def all_pairs_collision(views):
-    """Reference: the first overlapping pair over every (i, j), i < j."""
+    """Reference: the first overlapping pair over every (i, j), i < j, by
+    the full rectangle test alone."""
     n = len(views)
     for i in range(n):
         for j in range(i + 1, n):
             a, b = views[i], views[j]
-            if abs(a.y - b.y) > (a.length + b.length) / 2.0 + 2.0:
-                continue
-            if abs(a.x - b.x) > (a.width + b.width) / 2.0 + 2.0:
-                continue
             if rects_intersect(a.pose(), b.pose()):
                 return a.vehicle_id, b.vehicle_id
     return None
@@ -219,109 +215,61 @@ def test_pair_list_matches_all_pairs_on_generated_scenarios(case):
         assert unmerged_past_hard_end(first, decision_ids) == []
 
 
-@settings(max_examples=300, deadline=None)
-@given(y=st.floats(-200.0, 200.0), dx=st.floats(-1.0, 1.0),
-       lengths=st.tuples(st.floats(2.0, 8.0), st.floats(2.0, 8.0)),
-       ulps=st.integers(-4, 4),
-       headings=st.tuples(st.sampled_from((0.0, -0.0)),
-                          st.sampled_from((0.0, -0.0))),
-       behind=st.booleans())
-def test_same_lane_scripted_prefilter_is_exact_near_touching(
-        y, dx, lengths, ulps, headings, behind):
-    # Two scripted vehicles a few ulps from touching end to end: the
-    # prefilter's gap along the road is pose_gaps's, bit for bit, and the
-    # collision check agrees with the all-pairs reference.
-    la, lb = lengths
-    offset = la / 2.0 + lb / 2.0
-    for _ in range(abs(ulps)):
-        offset = math.nextafter(offset, math.copysign(math.inf, ulps))
-    a = VehicleView("a", 3.3, y, 20.0, headings[0], la, BODY_WIDTH, 1)
-    b = VehicleView("b", 3.3 + dx, y - offset if behind else y + offset, 20.0,
-                    headings[1], lb, BODY_WIDTH, 1)
-    views = [a, b]
-    pairs = _collision_pairs(views, [None] * len(views), 0)
-    assert [p[4] for p in pairs] == [(la / 2.0, lb / 2.0)]
-    gap = (abs(a.y - b.y) - la / 2.0) - lb / 2.0
-    assert max(0.0, gap).hex() == \
-        pose_gaps(a.pose(), b.pose())[0].hex()
-    with mock.patch.object(world_module, "rects_intersect",
-                           wraps=rects_intersect) as full_test:
-        assert _find_collision(views, pairs) == all_pairs_collision(views)
-    # The full test runs exactly while that gap is not positive.
-    assert full_test.call_count == (0 if gap > 0.0 else 1)
-
-
 class TestPairList:
-    def test_builtin_scenario_drops_every_scripted_pair(self):
+    def test_builtin_scenario_drops_scripted_pairs_across_the_road(self):
         world = load_scenario("scenario1", RunConfig())
         ids = [v.vehicle_id for v in world.snapshot()]
         dropped = {(ids[i], ids[j]) for i in range(len(ids))
                    for j in range(i + 1, len(ids))} - {
             (ids[i], ids[j]) for i, j in index_pairs(run_pairs(world))}
-        # vehicle1..3 share y = 30 in lanes 0..2; vehicle4 and vehicle5 share
-        # lane 2 with vehicle3 at its speed, so they never close on it.
-        scripted = ["vehicle1", "vehicle2", "vehicle3", "vehicle4",
-                    "vehicle5"]
-        assert dropped == {(a, b) for a in scripted for b in scripted
-                           if a < b}
+        # vehicle1..3 share y = 30 in lanes 0..2, and vehicle4 and vehicle5
+        # are in lane 2: every scripted pair in two lanes is dropped, and the
+        # three in lane 2 stay.
+        lanes = {"vehicle1": 0, "vehicle2": 1, "vehicle3": 2, "vehicle4": 2,
+                 "vehicle5": 2}
+        assert dropped == {(a, b) for a in lanes for b in lanes
+                           if a < b and lanes[a] != lanes[b]}
 
     def test_pairs_keep_the_all_pairs_order(self):
         views = load_scenario("scenario2", RunConfig()).snapshot()
-        pairs = index_pairs(_collision_pairs(views, [None] * len(views), 0))
+        pairs = index_pairs(_collision_pairs(views))
         assert pairs == sorted(pairs)
         assert all(i < j for i, j in pairs)
 
     def test_scripted_lanes_closer_than_a_body_width_keep_their_pair(self):
-        # b is faster, so only the rule across the road could drop the pair.
+        # Only the rule across the road could drop a scripted pair, and
+        # lanes 1.5 m apart leave no gap between 1.8 m bodies, whatever the
+        # speeds.
         data = scenario(1.5, [("a", 0, 0.0, 80.0, SCRIPTED, 0.5),
                               ("b", 1, 50.0, 100.0, SCRIPTED, 0.5)])
         world = load_scenario(data, RunConfig())
         assert index_pairs(run_pairs(world)) == [(0, 1)]
-        # At equal speeds they stay 50 m apart along the road.
         data["vehicles"][1]["v0_kmh"] = 80.0
         world = load_scenario(data, RunConfig())
-        assert index_pairs(run_pairs(world)) == []
+        assert index_pairs(run_pairs(world)) == [(0, 1)]
 
-    def test_same_speed_pair_drops_just_above_the_drift_bound(self):
-        dt, steps = RunConfig().dt, round(RunConfig().t_max / RunConfig().dt)
-        speed = 80.0 * KMH
-        increments = [speed * dt] * 2
-        a = VehicleView("a", 6.6, 30.0, speed, 0.0, BODY_LENGTH, BODY_WIDTH, 2)
-
-        def behind(y):
-            return a._replace(vehicle_id="b", y=y)
-
-        def excess(y):
-            """Start gap, as _find_collision computes it, less the bound."""
-            b = behind(y)
-            gap = (abs(a.y - b.y) - a.length / 2.0) - b.length / 2.0
-            return gap - _drift_bound(a, b, increments[0], steps)
-
-        # The last y (walking back from a) whose gap is at most the bound.
-        y = a.y - BODY_LENGTH - _drift_bound(a, behind(a.y - BODY_LENGTH),
-                                             increments[0], steps)
-        while excess(y) > 0.0:
-            y = math.nextafter(y, math.inf)
-        while excess(math.nextafter(y, -math.inf)) <= 0.0:
-            y = math.nextafter(y, -math.inf)
-        at, above = behind(y), behind(math.nextafter(y, -math.inf))
-        assert index_pairs(_collision_pairs([a, at], increments, steps)) == \
-            [(0, 1)]
-        assert _collision_pairs([a, above], increments, steps) == []
-        # Only the same increment, given and at heading 0 on both sides.
-        faster = [increments[0], math.nextafter(increments[0], math.inf)]
-        for views, incs in (([a, above], faster),
-                            ([a, above._replace(heading=1e-3)], increments),
-                            ([a._replace(heading=-1e-3), above], increments),
-                            ([a, above._replace(kind=DECISION)], increments),
-                            ([a, above], [None] * 2)):
-            assert index_pairs(_collision_pairs(views, incs, steps)) == \
-                [(0, 1)]
-        # The bound holds: replayed step by step, the gap stays positive.
-        ya, yb = a.y, above.y
-        for _ in range(steps):
-            ya, yb = ya + increments[0], yb + increments[1]
-            assert (abs(ya - yb) - a.length / 2.0) - above.length / 2.0 > 0.0
+    @settings(max_examples=300, deadline=None)
+    @given(sizes=st.lists(st.tuples(st.floats(1.0, 16.0), st.floats(0.5, 3.0)),
+                          min_size=2, max_size=2),
+           headings=st.lists(st.floats(-math.pi, math.pi), min_size=2,
+                             max_size=2),
+           offset=st.tuples(st.floats(-12.0, 12.0), st.floats(-20.0, 20.0)))
+    # Two overlaps beyond the half widths plus 2 m across that an earlier
+    # reach skipped: a 12 m body turned 0.37 rad and a car 3.84 m across and
+    # 3.3 m along, and two 12 m bodies at the 0.2375 rad the built-in grids
+    # reach, 3.9 m across and 10 m along.
+    @example(sizes=[(12.0, BODY_WIDTH), (BODY_LENGTH, BODY_WIDTH)],
+             headings=[0.37, 0.0], offset=(3.84, 3.3))
+    @example(sizes=[(12.0, BODY_WIDTH), (12.0, BODY_WIDTH)],
+             headings=[0.2375, 0.2375], offset=(3.9, 10.0))
+    def test_reach_never_skips_an_overlap(self, sizes, headings, offset):
+        (la, wa), (lb, wb) = sizes
+        a = VehicleView("a", 0.0, 0.0, 20.0, headings[0], la, wa, 0, DECISION)
+        b = VehicleView("b", offset[0], offset[1], 20.0, headings[1], lb, wb,
+                        1, DECISION)
+        views = [a, b]
+        assert _find_collision(views, _collision_pairs(views)) == \
+            all_pairs_collision(views)
 
 
 class TestScriptedCollisions:

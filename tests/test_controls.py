@@ -56,11 +56,11 @@ def oracle_steering_limit(lat_accel_limit, v, cfg):
     return math.radians(delta_deg)
 
 
-def oracle_steering_command(profile, cfg, e_lat, e_lat_rate, v):
+def oracle_steering_command(q, cfg, e_lat, e_lat_rate, v):
     raw = cfg.kp_lat * e_lat + cfg.kd_lat * e_lat_rate
     lat_accel_limit = (cfg.lat_accel_g_cautious
                        + (cfg.lat_accel_g_aggressive - cfg.lat_accel_g_cautious)
-                       * profile.aggressiveness) * GRAVITY
+                       * q) * GRAVITY
     bound = min(oracle_steering_limit(lat_accel_limit, v, cfg),
                 math.radians(cfg.steer_cap_deg))
     return min(max(raw, -bound), bound)
@@ -94,7 +94,7 @@ def oracle_controls_for(veh, ego, views_by_id, attention, geometry, cfg):
     lane_target = brain.target_lane if changing else brain.current_lane
     e_lat = st_.x - geometry.centers[lane_target]
     e_rate = speed(st_) * math.sin(st_.heading)
-    steer = oracle_steering_command(profile, cfg, e_lat, e_rate, v)
+    steer = oracle_steering_command(veh.q, cfg, e_lat, e_rate, v)
 
     merging_phase = brain.needs_merge
     follow_ref = profile.lane_change_clearance + profile.follow_headway * v
@@ -111,10 +111,10 @@ def oracle_controls_for(veh, ego, views_by_id, attention, geometry, cfg):
 
     directive_accel = cfg.nominal_accel_g * GRAVITY
     if merging_phase and brain.directive == ACCELERATE:
-        scale = cfg.directive_accel_gain + profile.aggressiveness
+        scale = cfg.directive_accel_gain + veh.q
         base = min(directive_accel * scale, profile.accel_limit)
     elif merging_phase and brain.directive == DECELERATE:
-        scale = 1.0 + cfg.directive_accel_gain - profile.aggressiveness
+        scale = 1.0 + cfg.directive_accel_gain - veh.q
         base = -min(directive_accel * scale, profile.accel_limit)
         if brain.guard:
             room = geometry.hard_end - st_.y - veh.params.length / 2.0 - 1.0

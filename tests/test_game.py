@@ -13,9 +13,9 @@ from test_driver import EDGE_FLOATS
 
 def profile(scale=0.65, visibility=100.0, prediction=1.0, clearance=10.0):
     return DriverProfile(
-        aggressiveness=0.5, visibility_scale=scale, prediction_time=prediction,
-        accel_limit=2.0, bound_scale=1.15,
-        visibility_range=visibility, lane_change_clearance=clearance,
+        visibility_scale=scale, prediction_time=prediction, accel_limit=2.0,
+        bound_scale=1.15, visibility_range=visibility,
+        lane_change_clearance=clearance,
         follow_headway=0.35, risk_tolerance=0.0, hysteresis=14.675,
         nominal_accel=1.4715, nominal_decel=1.4715, slot_ride=0.4375,
         slot_rear_min=clearance, kp_long=0.3, kd_long=0.6, kp_lat=0.25,

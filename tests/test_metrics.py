@@ -26,6 +26,12 @@ def synthetic_log(samples, vid="v"):
     return log
 
 
+def complete(log, t, lane, event="change_complete", vid="v"):
+    """Log the completion event the step loop logs for a maneuver that
+    completes in the step ending at t, on `lane`."""
+    log.events.append({"t": t, "vehicle": vid, "event": event, "lane": lane})
+
+
 def speed_series(fn, duration, dt=0.01):
     return [(round(i * dt, 6), fn(i * dt), 6.6, 2, "keep")
             for i in range(int(duration / dt) + 1)]
@@ -93,6 +99,7 @@ class TestLateralDisturbance:
             else:
                 samples.append((t, 22.2, 3.3, 1, "keep"))
         log = synthetic_log(samples)
+        complete(log, 1.5, 1)
         assert lateral_disturbance(log, "v") == pytest.approx(3.3)
         assert lane_change_count(log, "v") == 1
 
@@ -113,6 +120,8 @@ class TestLateralDisturbance:
                                     lane if frac < 0.5 else nxt[0], "change"))
                     i += 1
         log = synthetic_log(samples)
+        complete(log, 1.5, 1)
+        complete(log, 3.0, 0)
         assert lateral_disturbance(log, "v") == pytest.approx(6.6)
         assert lane_change_count(log, "v") == 2
 
@@ -135,6 +144,7 @@ class TestLateralDisturbance:
             samples.append((round((30 + k) * 0.01, 6), 22.2,
                             6.6 - 1.6 * k / 19.0, 2, "change"))
         log = synthetic_log(samples)
+        complete(log, 0.3, 2, event="merge_complete")
         assert list(_maneuver_segments(log.vehicle_rows("v"), [])) == [
             (10, 30, "merge"), (30, 50, "change")]
         (merge, merged, merge_done), (change, changed, change_done) = \
@@ -163,11 +173,11 @@ class TestLateralDisturbance:
                     for k in range(10)]
         log = synthetic_log(samples)
         log.end_time = 1.2
-        # Without the event the two changes read as one that returned to
-        # its start lane.
+        # Without the events the rows read as one change that never
+        # completed.
         assert lane_change_count(log, "v") == 0
-        log.events.append({"t": 59 * 0.01 + 0.01, "vehicle": "v",
-                           "event": "change_complete", "lane": 1})
+        complete(log, 59 * 0.01 + 0.01, 1)
+        complete(log, 109 * 0.01 + 0.01, 2)
         assert list(_maneuver_segments(log.vehicle_rows("v"), [60])) == [
             (10, 60, "change"), (60, 110, "change")]
         assert lane_change_count(log, "v") == 2
@@ -182,6 +192,23 @@ class TestLateralDisturbance:
                      and e["event"] == "change_complete"]
         assert len(completed) == 27
         assert lane_change_count(log, "merging") == 27
+
+    @pytest.mark.parametrize("tol", [1.7, 2.0, 3.0])
+    def test_a_completion_event_completes_its_change(self, tol):
+        # A settle band wider than half a lane lets complete_maneuver end
+        # vehicle4's change before its lane column moves: the change still
+        # counts, with the full offset between the two lane centers.
+        base = scenario_definition("scenario1")
+        centers = GEOMETRY.centers
+        for q_merge, q_mainline in ((0.5, 0.7), (0.5, 1.0), (1.0, 1.0)):
+            log = run(load_scenario(sweep_scenario(base, q_merge, q_mainline),
+                                    RunConfig(lane_settle_tol=tol)))
+            done = [e for e in log.events if e.get("vehicle") == "vehicle4"
+                    and e["event"] == "change_complete"]
+            assert [e["lane"] for e in done] == [1]
+            assert lane_change_count(log, "vehicle4") == 1
+            assert lateral_disturbance(log, "vehicle4") == \
+                abs(centers[2] - centers[1])
 
 
 class TestSweep:
