@@ -29,12 +29,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", help="built-in name or scenario file")
     parser.add_argument("--q", action="append", default=[], metavar="ID=VALUE",
                         help="aggressiveness override per vehicle id")
-    parser.add_argument("--dt", type=float)
-    parser.add_argument("--epoch", type=float)
-    parser.add_argument("--t-max", dest="t_max", type=float)
-    parser.add_argument("--seed", type=int)
+    parser.add_argument("--dt")
+    parser.add_argument("--epoch")
+    parser.add_argument("--t-max", dest="t_max")
+    parser.add_argument("--seed")
     parser.add_argument("--noise", action="store_true", default=None)
-    parser.add_argument("--noise-sigma", dest="noise_sigma", type=float)
+    parser.add_argument("--noise-sigma", dest="noise_sigma")
     parser.add_argument("--out-dir", dest="out_dir")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override any config field")
@@ -52,11 +52,6 @@ def build_config(args) -> RunConfig:
             raise ConfigError(
                 f"config file {args.config}: top level must be an object")
     cfg = RunConfig.from_dict(data)
-    for name in ("scenario", "dt", "epoch", "t_max", "seed", "noise",
-                 "noise_sigma", "out_dir", "jobs"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, value)
     env_seed = os.environ.get("MERGE_SIM_SEED")
     if args.seed is None and env_seed is not None and "seed" not in data:
         cfg.seed = check("MERGE_SIM_SEED", parse_text(env_seed, int), int)
@@ -65,6 +60,11 @@ def build_config(args) -> RunConfig:
         if not _ or not vid:
             raise ConfigError(f"--q expects ID=VALUE, got {raw!r}")
         cfg.q_overrides[vid] = parse_text(value, float)
+    # Named flags are read as --set reads its values, and before them, so
+    # validate() checks them and a bad one ends in one error line.
+    pairs = [(key, getattr(args, key)) for key in (
+        "scenario", "dt", "epoch", "t_max", "seed", "noise", "noise_sigma",
+        "out_dir", "jobs") if getattr(args, key, None) is not None]
     for raw in args.set:
         key, _, value = raw.partition("=")
         declared = RunConfig.__dataclass_fields__.get(key)
@@ -73,7 +73,10 @@ def build_config(args) -> RunConfig:
         if declared.type is dict:  # q_overrides, the one field of this kind
             raise ConfigError(f"--set: {key} takes no single value; give "
                               "each override as --q ID=VALUE")
-        setattr(cfg, key, parse_text(value, declared.type))
+        pairs.append((key, value))
+    for key, value in pairs:
+        setattr(cfg, key, parse_text(
+            value, RunConfig.__dataclass_fields__[key].type))
     return cfg.validate()
 
 
@@ -166,8 +169,8 @@ MAX_GRID_POINTS = 101  # q values per --grid axis
 
 
 def parse_grid(raw: str):
-    """q values from START:STOP:STEP, none past STOP; their count is
-    checked against MAX_GRID_POINTS before any value is built."""
+    """Distinct q values from START:STOP:STEP, none past STOP; their count
+    is checked against MAX_GRID_POINTS before any value is built."""
     parts = raw.split(":")
     if len(parts) != 3:
         raise ConfigError(f"--grid expects start:stop:step, got {raw!r}")
@@ -179,19 +182,23 @@ def parse_grid(raw: str):
     count = (math.floor(intervals + 1e-9) if math.isfinite(intervals)
              else intervals)
     check("--grid points", count + 1, float, f"[1, {MAX_GRID_POINTS}]")
-    return tuple(min(round(start + i * step_size, 10), stop)
-                 for i in range(count + 1))
+    values = tuple(min(round(start + i * step_size, 10), stop)
+                   for i in range(count + 1))
+    if len(set(values)) < len(values):
+        raise ConfigError(f"--grid step: must tell q values apart at 10 "
+                          f"decimals, got {step_size!r}")
+    return values
 
 
 def cmd_sweep(args) -> int:
     cfg = build_config(args)
     grid_axis = parse_grid(args.grid)
-    grid = aggressiveness_sweep(cfg.scenario, grid_axis, grid_axis, cfg,
-                                jobs=cfg.jobs)
+    reports = aggressiveness_sweep(cfg.scenario, grid_axis, grid_axis, cfg,
+                                   jobs=cfg.jobs)
     base = args.output or os.path.join(cfg.out_dir, "sweep")
     path = base + ".csv"
-    write_atomic(path, grid_to_csv(grid))
-    print(f"grid: {path} ({len(grid.cells)} cells)")
+    write_atomic(path, grid_to_csv(reports))
+    print(f"grid: {path} ({len(reports)} cells)")
     return EXIT_OK
 
 
@@ -248,7 +255,7 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="aggressiveness grid sweep")
     _add_common(p_sweep)
     p_sweep.add_argument("--grid", required=True, metavar="START:STOP:STEP")
-    p_sweep.add_argument("--jobs", type=int)
+    p_sweep.add_argument("--jobs")
     p_sweep.add_argument("--output", help="output basename")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -152,7 +152,6 @@ class RunConfig:
                                   self.visibility_scale_aggressive),
             prediction_time=lerp(self.prediction_time_cautious,
                                  self.prediction_time_aggressive),
-            accel_limit=accel_limit,
             bound_scale=1.0 + (self.bound_scale_max - 1.0) * q,
             visibility_range=self.visibility_range,
             lane_change_clearance=clearance,

@@ -22,7 +22,6 @@ import math
 class DriverProfile:
     visibility_scale: float      # caps usable headway (fraction of range)
     prediction_time: float       # s
-    accel_limit: float           # m/s^2
     bound_scale: float           # perceived-rectangle magnification, >= 1
     visibility_range: float      # m
     lane_change_clearance: float  # m, room needed to change lanes

@@ -1,9 +1,8 @@
 """Mainline disturbance measures and the aggressiveness-grid sweep."""
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
-from typing import Dict, Optional, Tuple
 
 from .config import Q_RANGE, ConfigError, RunConfig, check, check_field
 from .world import (DECISION, TrajectoryLog, load_scenario,
@@ -20,21 +19,11 @@ class DisturbanceReport:
     d_long: float            # m, integrated speed deficit
     d_lat: float             # m, lateral displacement over lane changes
     lane_changes: int
-    collision: bool = False
-    forced_stop: bool = False
-    q_merge: Optional[float] = None
-    q_mainline: Optional[float] = None
-    seed: int = 0
-
-
-@dataclass
-class DisturbanceGrid:
-    q_merge_axis: Tuple[float, ...]
-    q_mainline_axis: Tuple[float, ...]
-    cells: Dict[Tuple[float, float], DisturbanceReport] = field(default_factory=dict)
-
-    def report(self, q_merge: float, q_mainline: float) -> DisturbanceReport:
-        return self.cells[(q_merge, q_mainline)]
+    collision: bool
+    forced_stop: bool
+    q_merge: float
+    q_mainline: float
+    seed: int
 
 
 def longitudinal_disturbance(log: TrajectoryLog, vehicle_id: str,
@@ -101,8 +90,10 @@ def lateral_disturbance(log: TrajectoryLog, vehicle_id: str) -> float:
 
 
 def lane_change_count(log: TrajectoryLog, vehicle_id: str) -> int:
-    return sum(1 for kind, _, done in lane_change_events(log, vehicle_id)
-               if done and kind == "change")
+    """Completed changes: the change_complete events that also complete
+    their segments in lane_change_events."""
+    return sum(1 for e in log.events if e.get("vehicle") == vehicle_id
+               and e["event"] == "change_complete")
 
 
 def sweep_scenario(base: dict, q_merge: float, q_mainline: float) -> dict:
@@ -148,13 +139,14 @@ def measure_cell(base: dict, q_merge: float, q_mainline: float,
 
 
 def aggressiveness_sweep(base_scenario, q_merge_grid, q_mainline_grid,
-                         cfg: RunConfig, jobs: int = 1) -> DisturbanceGrid:
-    """Disturbance of the adjacent mainline vehicle per aggressiveness pair.
+                         cfg: RunConfig, jobs: int = 1) -> list:
+    """The DisturbanceReport of each aggressiveness pair, q_mainline outer
+    and q_merge inner, as grid_to_csv writes them.
 
-    Cells are independent runs; a collision flags its cell but the grid is
-    still returned in full.  Each cell sets the q of merging and vehicle4,
-    so a config with q_overrides is refused, before any cell runs, rather
-    than ignored.
+    Cells are independent runs; a collision flags its cell but every cell
+    is still returned.  Each cell sets the q of merging and vehicle4, so a
+    config with q_overrides is refused, before any cell runs, rather than
+    ignored.
     """
     _refuse_overrides(cfg)
     q_merge_grid = tuple(q_merge_grid)
@@ -167,21 +159,15 @@ def aggressiveness_sweep(base_scenario, q_merge_grid, q_mainline_grid,
             check(f"{name}[{i}]", q, float, Q_RANGE)
     check_field(RunConfig, "jobs", jobs)
     base = scenario_definition(base_scenario)
-    grid = DisturbanceGrid(q_merge_grid, q_mainline_grid)
-    pairs = [(qm, ql) for ql in q_mainline_grid for qm in q_merge_grid]
+    cells = [(base, qm, ql, cfg) for ql in q_mainline_grid
+             for qm in q_merge_grid]
     # More workers than cells would only start idle processes.
-    workers = min(jobs, len(pairs))
+    workers = min(jobs, len(cells))
     if workers > 1:
         import multiprocessing
         with multiprocessing.Pool(workers) as pool:
-            reports = pool.starmap(
-                _cell_job, [(base, qm, ql, cfg) for qm, ql in pairs])
-        for (qm, ql), report in zip(pairs, reports):
-            grid.cells[(qm, ql)] = report
-    else:
-        for qm, ql in pairs:
-            grid.cells[(qm, ql)] = measure_cell(base, qm, ql, cfg)
-    return grid
+            return pool.starmap(_cell_job, cells)
+    return [measure_cell(*cell) for cell in cells]
 
 
 def _cell_job(base, qm, ql, cfg):
@@ -192,12 +178,10 @@ GRID_COLUMNS = ("q_merge", "q_mainline", "d_long_m", "d_lat_m",
                 "lane_changes", "collision", "forced_stop", "seed")
 
 
-def grid_to_csv(grid: DisturbanceGrid) -> str:
+def grid_to_csv(reports) -> str:
     lines = [",".join(GRID_COLUMNS)]
-    for ql in grid.q_mainline_axis:
-        for qm in grid.q_merge_axis:
-            r = grid.report(qm, ql)
-            lines.append(f"{qm:.3f},{ql:.3f},{r.d_long:.6f},{r.d_lat:.6f},"
-                         f"{r.lane_changes},{int(r.collision)},"
-                         f"{int(r.forced_stop)},{r.seed}")
+    for r in reports:
+        lines.append(f"{r.q_merge:.3f},{r.q_mainline:.3f},{r.d_long:.6f},"
+                     f"{r.d_lat:.6f},{r.lane_changes},{int(r.collision)},"
+                     f"{int(r.forced_stop)},{r.seed}")
     return "\n".join(lines) + "\n"

@@ -197,19 +197,17 @@ def merging_game(ego: VehicleView, views: List[VehicleView],
 
 
 def predict_states(views: List[VehicleView], ego_id: str, directive: str,
-                   profile: DriverProfile, horizon: float,
-                   nominal_accel: float) -> List[VehicleView]:
+                   horizon: float, nominal_accel: float) -> List[VehicleView]:
     """Constant-speed propagation of everyone except the ego, which applies
-    a constant +/- nominal acceleration (clamped to its comfort bound).
+    a constant +/- nominal acceleration (the profile's nominal_accel or
+    nominal_decel, which RunConfig.profile caps at the comfort bound).
     Speeds floor at zero."""
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    limit = profile.accel_limit
-    accel = limit if limit < nominal_accel else nominal_accel
     out = []
     for v in views:
         if v.vehicle_id == ego_id and directive in (ACCELERATE, DECELERATE):
-            a = accel if directive == ACCELERATE else -accel
+            a = nominal_accel if directive == ACCELERATE else -nominal_accel
             if a < 0 and v.v + a * horizon < 0:
                 dy = v.v * v.v / (2.0 * -a)
                 speed = 0.0
@@ -253,8 +251,8 @@ def acceleration_game(ego: VehicleView, views: List[VehicleView],
         horizon = reach if reach < cap else cap
         if horizon <= 0.0:
             continue  # already past the last possible merge point
-        pred = predict_states(views, ego.vehicle_id, directive, profile,
-                              horizon, a_nom)
+        pred = predict_states(views, ego.vehicle_id, directive, horizon,
+                              a_nom)
         pego = next(v for v in pred if v.vehicle_id == ego.vehicle_id)
         slot = evaluate_slot(pego, pred, target, profile)
         if not slot.feasible(tol):
@@ -308,13 +306,14 @@ def lane_change_safe(ego: VehicleView, views: List[VehicleView],
     cx = geometry.centers[target_lane]
     half_w = ego.width / 2.0 + LANE_CHANGE_MARGIN
     half_l = ego.length / 2.0 + LANE_CHANGE_MARGIN
+    # Everyone coasts along the road, so a vehicle whose bounding circle
+    # cannot reach the ghost across the road never overlaps it.
+    near = [other for other in views if other.vehicle_id != ego.vehicle_id
+            and abs(other.x - cx) <= half_w + math.hypot(other.length,
+                                                         other.width) / 2.0]
     for h in horizons:
         ghost = pose(cx, ego.y + ego.v * h, 0.0, half_w, half_l)
-        for other in views:
-            if other.vehicle_id == ego.vehicle_id:
-                continue
-            if abs(other.x - cx) > geometry.lane_width + 2.0:
-                continue
+        for other in near:
             rect = pose(other.x, other.y + other.v * h, other.heading,
                         other.width / 2.0, other.length / 2.0)
             if rects_intersect(ghost, rect):

@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""The pinned outputs of every built-in `mergesim run`, kept in golden.json.
+"""The pinned outputs of every built-in `mergesim run` and of both built-in
+11x11 grids, kept in golden.json.
 
     PYTHONPATH=src python3 tests/golden.py
 
-runs each of RUNS through the command line, rewrites golden.json next to
-this file with the sha256 of each run's trajectory CSV and summary JSON and
-its exit code, and prints every run whose entry moved.  Rewrite it only for
-a change that is meant to alter simulated behaviour; test_cli checks that
-each run still matches its entry.
+runs each of RUNS through the command line and sweeps each of SCENARIOS over
+GRID_AXIS at seed 0, rewrites golden.json next to this file with the sha256
+of each run's trajectory CSV and summary JSON and its exit code and with the
+CSV line of each grid cell, and prints every run that moved and, for a grid
+that moved, each moved cell's old and new line.  Rewrite it only for a
+change that is meant to alter simulated behaviour; test_cli checks that each
+run still matches its entry and test_acceptance each grid.
 """
 
 from contextlib import redirect_stderr, redirect_stdout
@@ -19,6 +22,8 @@ import sys
 import tempfile
 
 from mergesim.cli import main
+from mergesim.config import RunConfig
+from mergesim.metrics import aggressiveness_sweep, grid_to_csv
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 SCENARIOS = ("scenario1", "scenario2")
@@ -29,6 +34,7 @@ RUNS = tuple(
     (f"{scenario}-q{q}-" + ("clean" if seed is None else f"noise-seed{seed}"),
      scenario, q, seed)
     for scenario in SCENARIOS for q in MERGER_QS for seed in NOISE_SEEDS)
+GRID_AXIS = tuple(i / 10 for i in range(11))  # `mergesim sweep --grid 0:1:0.1`
 
 
 def run_outputs(scenario: str, q: float, seed, workdir: str) -> dict:
@@ -50,6 +56,14 @@ def run_outputs(scenario: str, q: float, seed, workdir: str) -> dict:
     return {**digests, "exit_code": code}
 
 
+def grid_lines(scenario: str) -> list:
+    """The CSV lines of the cells of a scenario's grid at seed 0, in file
+    order and without the header."""
+    reports = aggressiveness_sweep(scenario, GRID_AXIS, GRID_AXIS,
+                                   RunConfig())
+    return grid_to_csv(reports).splitlines()[1:]
+
+
 def load() -> dict:
     with open(PATH, encoding="utf-8") as fh:
         return json.load(fh)
@@ -57,17 +71,34 @@ def load() -> dict:
 
 def regenerate() -> int:
     old = load() if os.path.exists(PATH) else {}
-    new = {}
+    old_runs, old_grids = old.get("runs", {}), old.get("grids", {})
+    new = {"runs": {}, "grids": {}}
     with tempfile.TemporaryDirectory() as workdir:
         for key, scenario, q, seed in RUNS:
-            new[key] = run_outputs(scenario, q, seed, workdir)
-    moved = [key for key, _, _, _ in RUNS if old.get(key) != new[key]]
+            new["runs"][key] = run_outputs(scenario, q, seed, workdir)
+    for scenario in SCENARIOS:
+        new["grids"][scenario] = grid_lines(scenario)
     with open(PATH, "w", encoding="utf-8") as fh:
         json.dump(new, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    moved = [key for key, _, _, _ in RUNS
+             if old_runs.get(key) != new["runs"][key]]
     for key in moved:
-        print(f"moved: {key}" if key in old else f"new: {key}")
-    print(f"wrote {PATH}: {len(moved)} of {len(RUNS)} runs moved")
+        print(f"moved: {key}" if key in old_runs else f"new: {key}")
+    print(f"{len(moved)} of {len(RUNS)} runs moved")
+    for scenario, lines in new["grids"].items():
+        before = old_grids.get(scenario, [])
+        moved = 0
+        for i, line in enumerate(lines):
+            was = before[i] if i < len(before) else None
+            if was != line:
+                moved += 1
+                row, col = divmod(i, len(GRID_AXIS))
+                print(f"moved: {scenario} grid cell q_merge={GRID_AXIS[col]} "
+                      f"q_mainline={GRID_AXIS[row]}\n  old: {was}\n"
+                      f"  new: {line}")
+        print(f"{moved} of {len(lines)} {scenario} grid cells moved")
+    print(f"wrote {PATH}")
     return 0
 
 

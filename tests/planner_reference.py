@@ -215,8 +215,8 @@ def acceleration_game(ego: VehicleView, views: List[VehicleView],
                                      geometry.entrance_end - ego.y))
         if horizon <= 0.0:
             continue  # already past the last possible merge point
-        pred = predict_states(views, ego.vehicle_id, directive, profile,
-                              horizon, a_nom)
+        pred = predict_states(views, ego.vehicle_id, directive, horizon,
+                              a_nom)
         pego = next(v for v in pred if v.vehicle_id == ego.vehicle_id)
         slot = evaluate_slot(pego, pred, target, profile)
         if not slot.feasible(tol):

@@ -4,7 +4,6 @@ Each test prints one PASS line on success; run with `pytest -s
 tests/test_acceptance.py` to see the checklist.
 """
 
-import hashlib
 import math
 import os
 import random
@@ -21,6 +20,7 @@ from mergesim.metrics import (aggressiveness_sweep, grid_to_csv,
 from mergesim.perception import collision_index, index_from_separations
 from mergesim.world import load_scenario, run
 
+import golden
 from dynamics_reference import lateral_derivative
 from test_game import bimatrix, brute_force_solution
 from test_metrics import complete, speed_series, synthetic_log
@@ -32,19 +32,18 @@ def announce(number, text):
 
 
 # The 11x11 grid (`mergesim sweep --grid 0:1:0.1`) of each built-in
-# scenario, pinned byte for byte: a change that moves a grid moves its
-# digest here.
-GRID_AXIS = tuple(i / 10 for i in range(11))
-GRID_SHA256 = {
-    "scenario1":
-        "40844a0ddbc6886de4eb561617321f804726437d82713e56ead4f917c16856fa",
-    "scenario2":
-        "bb1f48918c3b9c53382c927293857245a7278f8450621fd0c88ca70eceb0e37f",
-}
+# scenario is pinned cell by cell in golden.json: a change that moves a
+# grid moves its lines there (tests/golden.py rewrites them). The header
+# is pinned here as written text, so a renamed or reordered column fails.
+GRID_AXIS = golden.GRID_AXIS
+PINNED_GRIDS = golden.load()["grids"]
+GRID_HEADER = ("q_merge,q_mainline,d_long_m,d_lat_m,lane_changes,collision,"
+               "forced_stop,seed")
 
 
-def grid_sha256(grid):
-    return hashlib.sha256(grid_to_csv(grid).encode("utf-8")).hexdigest()
+def assert_pinned_grid(scenario, reports):
+    assert grid_to_csv(reports) == "\n".join(
+        [GRID_HEADER, *PINNED_GRIDS[scenario]]) + "\n"
 
 
 _RUNS = {}
@@ -197,45 +196,44 @@ def test_acceptance_6_ordering_and_no_collisions():
 
 
 def test_acceptance_7_disturbance_sweep():
-    cfg = RunConfig()
-    grid = aggressiveness_sweep("scenario1", (0.0, 0.5, 1.0), (0.0, 0.5, 1.0),
-                                cfg)
+    # The one serial sweep of the scenario1 grid; its 3x3 corner and middle
+    # cells give the row shapes as well.
+    start = time.perf_counter()
+    full = aggressiveness_sweep("scenario1", GRID_AXIS, GRID_AXIS,
+                                RunConfig(), jobs=1)
+    elapsed = time.perf_counter() - start
+    assert len(full) == 121
+    assert elapsed < 60.0
+    assert_pinned_grid("scenario1", full)
+    cells = {(r.q_merge, r.q_mainline): r for r in full}
 
     def row(ql):
-        return [grid.report(qm, ql) for qm in (0.0, 0.5, 1.0)]
+        return [cells[(qm, ql)] for qm in (0.0, 0.5, 1.0)]
 
     cautious = row(0.0)
     assert cautious[1].d_long < min(cautious[0].d_long, cautious[2].d_long)
     assert cautious[1].d_lat < min(cautious[0].d_lat, cautious[2].d_lat)
     normal = row(0.5)
     assert normal[1].d_lat < min(normal[0].d_lat, normal[2].d_lat)
-    assert not any(r.collision for r in grid.cells.values())
-
-    axis = GRID_AXIS
-    start = time.perf_counter()
-    full = aggressiveness_sweep("scenario1", axis, axis, cfg, jobs=1)
-    elapsed = time.perf_counter() - start
-    assert len(full.cells) == 121
-    assert elapsed < 60.0
-    assert grid_sha256(full) == GRID_SHA256["scenario1"]
-    assert not any(r.collision or r.forced_stop for r in full.cells.values())
+    assert not any(r.collision or r.forced_stop for r in full)
     # vehicle4 changes lanes once, one lane spacing, whenever the merger
     # is cautious (q_merge <= 0.4) or aggressive (q_merge >= 0.9).
+    axis = GRID_AXIS
     outer, normal_axis = axis[:5] + axis[9:], axis[5:9]
     for qm in outer:
         for ql in axis:
-            report = full.report(qm, ql)
+            report = cells[(qm, ql)]
             assert report.lane_changes == 1, (qm, ql)
             assert report.d_lat == pytest.approx(3.3), (qm, ql)
     # In every q_mainline row the smallest d_long lies at a normal merger
     # and is below every d_long at a cautious or aggressive one.
     for ql in axis:
-        d_long = {qm: full.report(qm, ql).d_long for qm in axis}
+        d_long = {qm: cells[(qm, ql)].d_long for qm in axis}
         best = min(axis, key=d_long.get)
         assert best in normal_axis, ql
         assert 0.6 < d_long[best] < 1.0, ql
         assert d_long[best] < min(d_long[qm] for qm in outer), ql
-    cautious = {qm: full.report(qm, 0.0) for qm in axis}
+    cautious = {qm: cells[(qm, 0.0)] for qm in axis}
     assert min(axis, key=lambda qm: cautious[qm].d_long) == 0.7
     assert all(cautious[qm].d_lat == 0.0 for qm in normal_axis)
     announce(7, "cautious row minimized at normal merging in both measures; "
@@ -247,13 +245,13 @@ def test_acceptance_7_disturbance_sweep():
 def test_acceptance_7_scenario2_grid_bytes():
     # The only built-in grid with forced stops (the q_merge 1.0 row) and
     # collisions (q_merge 0.8).
-    grid = aggressiveness_sweep("scenario2", GRID_AXIS, GRID_AXIS,
-                                RunConfig(), jobs=min(2, os.cpu_count() or 1))
-    assert grid_sha256(grid) == GRID_SHA256["scenario2"]
-    stops = {qm for (qm, _), r in grid.cells.items() if r.forced_stop}
-    collisions = {qm for (qm, _), r in grid.cells.items() if r.collision}
+    reports = aggressiveness_sweep("scenario2", GRID_AXIS, GRID_AXIS,
+                                   RunConfig(), jobs=min(2, os.cpu_count() or 1))
+    assert_pinned_grid("scenario2", reports)
+    stops = {r.q_merge for r in reports if r.forced_stop}
+    collisions = {r.q_merge for r in reports if r.collision}
     assert stops == {1.0} and collisions == {0.8}
-    announce(7, "both 11x11 grids match their pinned sha256")
+    announce(7, "both 11x11 grids match their pinned lines")
 
 
 def test_acceptance_8_metric_correctness():

@@ -29,6 +29,9 @@ from mergesim.world import (BUILTIN_SCENARIOS, MAX_SPEED_KMH,
 import golden
 
 GOLDEN = golden.load()
+with open(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                       "expected.json"), encoding="utf-8") as _fh:
+    PERFBENCH_PINS = json.load(_fh)
 
 
 def run_cli(*argv):
@@ -177,36 +180,35 @@ def test_run_outputs_match_golden_manifest(tmp_path, key, scenario, q, seed):
     # Every built-in run: both scenarios, five merger q, clean and with
     # noise at three seeds.  tests/golden.py regenerates the manifest.
     assert golden.run_outputs(scenario, q, seed, str(tmp_path)) == \
-        GOLDEN[key]
+        GOLDEN["runs"][key]
 
 
 def test_golden_manifest_agrees_with_perfbench_pins():
     # perfbench pins the clean runs and the noisy runs at its default seed
     # 0 of three merger q; each is one manifest entry.
-    with open(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                           "expected.json"), encoding="utf-8") as fh:
-        pins = json.load(fh)["run"]
+    pins = PERFBENCH_PINS["run"]
     assert len(pins) == 12
     for key, outputs in pins.items():
-        assert GOLDEN[key + "-seed0" if key.endswith("-noise") else key] == \
-            outputs, key
-    assert sorted(GOLDEN) == sorted(run[0] for run in golden.RUNS)
-
-
-# The corner cells of the 5x5 scenario1 grid at seed 0, copied from
-# sweep.grid_csv in perfbench/expected.json.
-PINNED_CORNER_LINES = (
-    "0.000,0.000,6.374703,3.300000,1,0,0,0",
-    "1.000,0.000,4.897259,3.300000,1,0,0,0",
-    "0.000,1.000,9.863915,3.300000,1,0,0,0",
-    "1.000,1.000,6.158976,3.300000,1,0,0,0",
-)
+        assert GOLDEN["runs"][key + "-seed0" if key.endswith("-noise")
+                              else key] == outputs, key
+    assert sorted(GOLDEN["runs"]) == sorted(run[0] for run in golden.RUNS)
+    assert sorted(GOLDEN["grids"]) == sorted(golden.SCENARIOS)
 
 
 def test_sweep_corner_cells_match_pinned_grid():
-    grid = aggressiveness_sweep("scenario1", (0.0, 1.0), (0.0, 1.0),
-                                RunConfig(seed=0).validate(), jobs=1)
-    assert tuple(grid_to_csv(grid).splitlines()[1:]) == PINNED_CORNER_LINES
+    # A cell does not depend on the rest of its grid: the 2x2 grid of the
+    # q extremes is the four corners of the pinned 11x11 scenario1 grid,
+    # and so are the corners of perfbench's pinned 5x5 grid, whose header
+    # the CSV also keeps.
+    pinned = GOLDEN["grids"]["scenario1"]
+    corners = [pinned[i] for i in (0, 10, 110, 120)]
+    reports = aggressiveness_sweep("scenario1", (0.0, 1.0), (0.0, 1.0),
+                                   RunConfig(seed=0).validate(), jobs=1)
+    header, *lines = grid_to_csv(reports).splitlines()
+    bench_header, *bench = PERFBENCH_PINS["sweep"]["grid_csv"].splitlines()
+    assert header == bench_header
+    assert lines == corners
+    assert [bench[i] for i in (0, 4, 20, 24)] == corners
 
 
 class TestRejectsBadInput:
@@ -384,6 +386,17 @@ class TestRangeChecks:
         assert run_cli("run", "--t-max", "1", "--output", out, *argv) == 2
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("run", "--dt", "abc"), "dt: must be a number, got 'abc'"),
+        (("run", "--seed", "1.5"), "seed: must be an integer, got '1.5'"),
+        (("sweep", "--grid", "0.5:0.5:1", "--jobs", "x"),
+         "jobs: must be an integer, got 'x'")])
+    def test_named_flags_are_checked_like_set(self, tmp_path, capsys, argv,
+                                              message):
+        assert run_cli(*argv, "--output", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not os.listdir(tmp_path)
 
     def test_tiny_dt_is_rejected_without_running(self, capsys):
         # At dt = 1e-9 a run would take 4e10 steps: never start one.
@@ -612,6 +625,11 @@ class TestSweepCommand:
         assert parse_grid("0:1:0.100000000009")[-1] == 1.0
         with pytest.raises(ConfigError):
             parse_grid("0:1:0")
+        # Values are rounded to 10 decimals; a step below that would repeat
+        # them, and the sweep would run each repeated cell again.
+        for raw in ("0:1e-12:1e-14", "0.5:0.5000000001:1e-12"):
+            with pytest.raises(ConfigError, match=r"^--grid step: "):
+                parse_grid(raw)
 
 
 class TestPlotCommand:

@@ -37,11 +37,17 @@ LANES = range(len(GEOMETRY.centers))
 # --- the oracle ------------------------------------------------------------
 
 
-def oracle_longitudinal_accel(profile, cfg, error, error_rate):
+def oracle_accel_limit(q, cfg):
+    return (cfg.accel_limit_g_cautious
+            + (cfg.accel_limit_g_aggressive - cfg.accel_limit_g_cautious)
+            * q) * GRAVITY
+
+
+def oracle_longitudinal_accel(q, cfg, error, error_rate):
     accel_cap = cfg.accel_cap_g * GRAVITY
     raw = cfg.kp_long * error + cfg.kd_long * error_rate
-    hi = min(profile.accel_limit, accel_cap)
-    lo = -min(profile.accel_limit * cfg.brake_factor, accel_cap)
+    hi = min(oracle_accel_limit(q, cfg), accel_cap)
+    lo = -min(oracle_accel_limit(q, cfg) * cfg.brake_factor, accel_cap)
     return min(max(raw, lo), hi)
 
 
@@ -66,10 +72,10 @@ def oracle_steering_command(q, cfg, e_lat, e_lat_rate, v):
     return min(max(raw, -bound), bound)
 
 
-def oracle_brake_channel(profile, cfg, gap, rel_speed, gap_ref):
+def oracle_brake_channel(q, cfg, gap, rel_speed, gap_ref):
     if gap >= gap_ref:
         return math.inf
-    return oracle_longitudinal_accel(profile, cfg, gap - gap_ref, rel_speed)
+    return oracle_longitudinal_accel(q, cfg, gap - gap_ref, rel_speed)
 
 
 def oracle_slot_gap_ref(ego, veh, slot_gap, views_by_id, follow_ref, cfg):
@@ -88,7 +94,8 @@ def oracle_slot_gap_ref(ego, veh, slot_gap, views_by_id, follow_ref, cfg):
 
 
 def oracle_controls_for(veh, ego, views_by_id, attention, geometry, cfg):
-    brain, profile, st_ = veh.brain, veh.profile, veh.state
+    brain, profile, st_, q = veh.brain, veh.profile, veh.state, veh.q
+    accel_limit = oracle_accel_limit(q, cfg)
     v = st_.v_long
     changing = brain.maneuver in (MERGE, CHANGE)
     lane_target = brain.target_lane if changing else brain.current_lane
@@ -112,10 +119,10 @@ def oracle_controls_for(veh, ego, views_by_id, attention, geometry, cfg):
     directive_accel = cfg.nominal_accel_g * GRAVITY
     if merging_phase and brain.directive == ACCELERATE:
         scale = cfg.directive_accel_gain + veh.q
-        base = min(directive_accel * scale, profile.accel_limit)
+        base = min(directive_accel * scale, accel_limit)
     elif merging_phase and brain.directive == DECELERATE:
         scale = 1.0 + cfg.directive_accel_gain - veh.q
-        base = -min(directive_accel * scale, profile.accel_limit)
+        base = -min(directive_accel * scale, accel_limit)
         if brain.guard:
             room = geometry.hard_end - st_.y - veh.params.length / 2.0 - 1.0
             if room > 0.1:
@@ -123,7 +130,7 @@ def oracle_controls_for(veh, ego, views_by_id, attention, geometry, cfg):
             else:
                 base = -(cfg.accel_cap_g * GRAVITY)
     elif slot_leader is not None:
-        base = oracle_longitudinal_accel(profile, cfg, slot_gap - slot_ref,
+        base = oracle_longitudinal_accel(q, cfg, slot_gap - slot_ref,
                                          slot_rel)
     else:
         speed_err = brain.v_ref - v
@@ -135,13 +142,13 @@ def oracle_controls_for(veh, ego, views_by_id, attention, geometry, cfg):
         if cruise_leader is not None and cruise_gap < cruise_ref:
             err, rate = blended_error(speed_err, cruise_gap - cruise_ref,
                                       cruise_leader.v - v, cfg.speed_weight)
-            base = oracle_longitudinal_accel(profile, cfg, err, rate)
+            base = oracle_longitudinal_accel(q, cfg, err, rate)
         else:
-            base = oracle_longitudinal_accel(profile, cfg, speed_err, 0.0)
+            base = oracle_longitudinal_accel(q, cfg, speed_err, 0.0)
 
     if slot_leader is not None:
-        base = min(base, oracle_brake_channel(profile, cfg, slot_gap,
-                                              slot_rel, slot_ref))
+        base = min(base, oracle_brake_channel(q, cfg, slot_gap, slot_rel,
+                                              slot_ref))
     lanes = {brain.current_lane}
     if changing and brain.target_lane is not None:
         lanes.add(brain.target_lane)
@@ -154,22 +161,22 @@ def oracle_controls_for(veh, ego, views_by_id, attention, geometry, cfg):
         else:
             gap = bumper_gap(ego, leader)
             ref = _boxed_gap_ref(gap, follower_gap, follow_ref)
-        base = min(base, oracle_brake_channel(profile, cfg, gap,
-                                              leader.v - v, ref))
+        base = min(base, oracle_brake_channel(q, cfg, gap, leader.v - v,
+                                              ref))
     threat = views_by_id.get(attention.threat_id)
     if threat is not None:
         ahead = threat.y - ego.y > (threat.length + ego.length) / 2.0
         if ahead or brain.evading:
             ref = (profile.lane_change_clearance
                    + profile.prediction_time * max(0.0, v - threat.v))
-            base = min(base, oracle_brake_channel(profile, cfg,
+            base = min(base, oracle_brake_channel(q, cfg,
                                                   bumper_gap(ego, threat),
                                                   threat.v - v, ref))
 
     accel_cap = cfg.accel_cap_g * GRAVITY
-    hi = min(profile.accel_limit, accel_cap)
+    hi = min(accel_limit, accel_cap)
     lo = -accel_cap if brain.guard else -min(
-        profile.accel_limit * cfg.brake_factor, accel_cap)
+        accel_limit * cfg.brake_factor, accel_cap)
     return min(max(base, lo), hi), steer
 
 

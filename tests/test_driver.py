@@ -64,8 +64,9 @@ class TestProfileFromQ:
         assert CFG.profile(0.5).bound_scale == pytest.approx(1.15)
 
     def test_accel_limit_endpoints(self):
-        assert CFG.profile(0.0).accel_limit == pytest.approx(0.1 * GRAVITY)
-        assert CFG.profile(1.0).accel_limit == pytest.approx(0.3 * GRAVITY)
+        # The comfort bound; the physical accel_cap_g (0.5 g) lies above it.
+        assert CFG.profile(0.0).accel_hi == pytest.approx(0.1 * GRAVITY)
+        assert CFG.profile(1.0).accel_hi == pytest.approx(0.3 * GRAVITY)
 
     def test_prediction_time_midpoint(self):
         cfg = RunConfig(prediction_time_cautious=2.2,
@@ -82,17 +83,17 @@ class TestProfileFromQ:
         profiles = [CFG.profile(q) for q in qs]
         for a, b in zip(profiles, profiles[1:]):
             assert b.prediction_time <= a.prediction_time
-            assert b.accel_limit >= a.accel_limit
+            assert b.accel_hi >= a.accel_hi
             assert b.bound_scale >= a.bound_scale
         for p in profiles:
             assert 1.0 <= p.bound_scale <= 1.3
-            assert 0.1 * GRAVITY - 1e-12 <= p.accel_limit <= 0.3 * GRAVITY + 1e-12
+            assert 0.1 * GRAVITY - 1e-12 <= p.accel_hi <= 0.3 * GRAVITY + 1e-12
 
     def test_continuity(self):
         for q in (0.0, 0.25, 0.5, 0.999):
             a, b = CFG.profile(q), CFG.profile(q + 1e-6)
             assert abs(a.prediction_time - b.prediction_time) < 1e-4
-            assert abs(a.accel_limit - b.accel_limit) < 1e-4
+            assert abs(a.accel_hi - b.accel_hi) < 1e-4
 
     @settings(max_examples=300, deadline=None)
     @given(cfg=_PROFILE_CONFIGS, q=st.floats(0.0, 1.0))
@@ -162,7 +163,7 @@ class TestLongitudinalAccel:
     def test_bounded_by_limits(self, e, e_dot, q):
         profile = CFG.profile(q)
         a = longitudinal_accel(profile, e, e_dot)
-        assert abs(a) <= min(profile.accel_limit,
+        assert abs(a) <= min((0.1 + 0.2 * q) * GRAVITY,
                              CFG.accel_cap_g * GRAVITY) + 1e-12
 
     @given(st.data())

@@ -13,7 +13,7 @@ from test_driver import EDGE_FLOATS
 
 def profile(scale=0.65, visibility=100.0, prediction=1.0, clearance=10.0):
     return DriverProfile(
-        visibility_scale=scale, prediction_time=prediction, accel_limit=2.0,
+        visibility_scale=scale, prediction_time=prediction,
         bound_scale=1.15, visibility_range=visibility,
         lane_change_clearance=clearance,
         follow_headway=0.35, risk_tolerance=0.0, hysteresis=14.675,

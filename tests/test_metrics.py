@@ -4,16 +4,20 @@ import os
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
 
 from mergesim.config import ConfigError, RunConfig
-from mergesim.metrics import (_maneuver_segments, aggressiveness_sweep,
-                              grid_to_csv, lane_change_count,
-                              lane_change_events, lateral_disturbance,
-                              longitudinal_disturbance, measure_cell,
-                              sweep_scenario)
+from mergesim.metrics import (MAINLINE_ID, MERGE_ID, _maneuver_segments,
+                              aggressiveness_sweep, grid_to_csv,
+                              lane_change_count, lane_change_events,
+                              lateral_disturbance, longitudinal_disturbance,
+                              measure_cell, sweep_scenario)
 from mergesim.road import LaneGeometry
-from mergesim.world import (BUILTIN_SCENARIOS, TrajectoryLog, load_scenario,
-                            run, scenario_definition)
+from mergesim.world import (BUILTIN_SCENARIOS, DECISION, TrajectoryLog,
+                            load_scenario, run, scenario_definition)
+
+from test_collisions import (cannot_stop_at_start, generated_scenarios,
+                             overlap_at_start)
 
 GEOMETRY = LaneGeometry()
 
@@ -211,12 +215,59 @@ class TestLateralDisturbance:
                 abs(centers[2] - centers[1])
 
 
+def completed_change_segments(log, vehicle_id):
+    return sum(1 for kind, _, done in lane_change_events(log, vehicle_id)
+               if done and kind == "change")
+
+
+def counted_from_events(log, vehicle_id):
+    """lane_change_count, with the row reader barred."""
+    with mock.patch.object(TrajectoryLog, "vehicle_rows",
+                           side_effect=AssertionError("reads rows")):
+        return lane_change_count(log, vehicle_id)
+
+
+class TestChangeCountIsTheCompletedSegments:
+    """Each change_complete event ends one change segment and marks it
+    completed, so counting the events counts the completed segments."""
+
+    @pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
+    def test_on_the_5x5_grid(self, scenario):
+        base = scenario_definition(scenario)
+        axis = (0.0, 0.25, 0.5, 0.75, 1.0)
+        total = 0
+        for q_merge in axis:
+            for q_mainline in axis:
+                log = run(load_scenario(
+                    sweep_scenario(base, q_merge, q_mainline), RunConfig()))
+                for vid in (MERGE_ID, MAINLINE_ID):
+                    count = counted_from_events(log, vid)
+                    assert count == completed_change_segments(log, vid), \
+                        (q_merge, q_mainline, vid)
+                    total += count
+        assert total > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(generated_scenarios())
+    def test_on_generated_scenarios(self, case):
+        data, t_max = case
+        if overlap_at_start(data) or cannot_stop_at_start(data):
+            return  # rejected at load; see test_collisions
+        log = run(load_scenario(data, RunConfig()), t_max)
+        for item in data["vehicles"]:
+            if item["kind"] == DECISION:
+                assert counted_from_events(log, item["id"]) == \
+                    completed_change_segments(log, item["id"])
+
+
 class TestSweep:
     def test_grid_cardinality_and_determinism(self):
         cfg = RunConfig()
         axis = (0.0, 0.5, 1.0)
         first = aggressiveness_sweep("scenario1", axis, axis, cfg)
-        assert len(first.cells) == 9
+        # One report per cell, q_mainline outer and q_merge inner.
+        assert [(r.q_merge, r.q_mainline) for r in first] == \
+            [(qm, ql) for ql in axis for qm in axis]
         second = aggressiveness_sweep("scenario1", axis, axis, cfg)
         assert grid_to_csv(first) == grid_to_csv(second)
 
@@ -279,11 +330,12 @@ class TestSweep:
 
     def test_row_shapes_match_published_claims(self):
         cfg = RunConfig()
-        grid = aggressiveness_sweep("scenario1", (0.0, 0.5, 1.0),
-                                    (0.0, 0.5, 1.0), cfg)
+        reports = aggressiveness_sweep("scenario1", (0.0, 0.5, 1.0),
+                                       (0.0, 0.5, 1.0), cfg)
+        cells = {(r.q_merge, r.q_mainline): r for r in reports}
 
         def row(ql):
-            return [grid.report(qm, ql) for qm in (0.0, 0.5, 1.0)]
+            return [cells[(qm, ql)] for qm in (0.0, 0.5, 1.0)]
 
         cautious = row(0.0)
         assert cautious[1].d_long < cautious[0].d_long

@@ -5,10 +5,11 @@ import pytest
 from mergesim import world as world_module
 from mergesim.config import RunConfig
 from mergesim.game import LEFT, STRAIGHT
-from mergesim.perception import VehicleView
+from mergesim.perception import VehicleView, pose, rects_intersect
 from mergesim.metrics import sweep_scenario
-from mergesim.planner import (ACCELERATE, DECELERATE, HOLD, KEEP, MERGE,
-                              BrainState, acceleration_game,
+from mergesim.planner import (ACCELERATE, DECELERATE, HOLD, KEEP,
+                              LANE_CHANGE_MARGIN, MERGE, BrainState,
+                              acceleration_game,
                               complete_maneuver, decide,
                               discretionary_lane_change, evaluate_slot,
                               lane_change_safe, merging_game,
@@ -32,35 +33,31 @@ def scenario_views(name):
 class TestPredictStates:
     def test_zero_horizon_is_identity(self):
         views = [view("a", 6.6, 10.0, 20.0), view("b", 9.9, 0.0, 19.0)]
-        pred = predict_states(views, "b", ACCELERATE, CFG.profile(0.5),
-                              0.0, 1.5)
+        pred = predict_states(views, "b", ACCELERATE, 0.0, 1.5)
         assert [(v.y, v.v) for v in pred] == [(10.0, 20.0), (0.0, 19.0)]
 
     def test_constant_speed_propagation(self):
         views = [view("a", 6.6, 10.0, 22.2)]
-        pred = predict_states(views, "none", ACCELERATE, CFG.profile(0.5),
-                              2.0, 1.5)
+        pred = predict_states(views, "none", ACCELERATE, 2.0, 1.5)
         assert pred[0].y == pytest.approx(10.0 + 44.4)
         assert pred[0].v == pytest.approx(22.2)
 
     def test_ego_constant_acceleration(self):
         views = [view("ego", 9.9, 0.0, 19.4)]
-        profile = CFG.profile(1.0)  # comfort limit far above 1.5
-        pred = predict_states(views, "ego", ACCELERATE, profile, 2.0, 1.5)
+        pred = predict_states(views, "ego", ACCELERATE, 2.0, 1.5)
         assert pred[0].y == pytest.approx(41.8)
         assert pred[0].v == pytest.approx(22.4)
 
     def test_speed_floors_at_zero(self):
         views = [view("ego", 9.9, 0.0, 1.0)]
-        pred = predict_states(views, "ego", DECELERATE, CFG.profile(1.0),
-                              5.0, 1.0)
+        pred = predict_states(views, "ego", DECELERATE, 5.0, 1.0)
         assert pred[0].v == 0.0
         assert pred[0].y == pytest.approx(0.5)
 
     def test_rejects_negative_horizon(self):
         with pytest.raises(ValueError):
             predict_states([view("ego", 9.9, 0.0, 1.0)], "ego", ACCELERATE,
-                           CFG.profile(0.5), -1.0, 1.0)
+                           -1.0, 1.0)
 
 
 class TestMergingGame:
@@ -121,6 +118,20 @@ class TestLaneChangeSafety:
         blocker = view("blocker", 6.6, 60.0, 20.0)  # exactly alongside
         assert not lane_change_safe(ego, [ego, blocker], 2,
                                     CFG.profile(0.9), GEOMETRY)
+
+    def test_vetoes_a_long_turned_body_more_than_a_lane_away(self):
+        # A 12 m body at 0.7 rad, its centre 5.4 m across from the target
+        # centre and 4 m behind the ego, reaches 4.55 m toward it: one
+        # front corner lies inside the ghost at horizon 0.  A reach of
+        # lane_width + 2 m (5.3 m) once skipped it.
+        ego = view("ego", 9.9, 60.0, 20.0)
+        turned = VehicleView("turned", 6.6 - 5.4, 56.0, 20.0, 0.7, 12.0, 1.8,
+                             0)
+        ghost = pose(6.6, 60.0, 0.0, 0.9 + LANE_CHANGE_MARGIN,
+                     2.25 + LANE_CHANGE_MARGIN)
+        assert rects_intersect(ghost, pose(turned.x, turned.y, 0.7, 0.9, 6.0))
+        assert not lane_change_safe(ego, [ego, turned], 2, CFG.profile(0.9),
+                                    GEOMETRY)
 
     def test_accepts_clear_lane(self):
         ego = view("ego", 9.9, 60.0, 20.0)
