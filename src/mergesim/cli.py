@@ -88,7 +88,7 @@ def _summarize(log, world, cfg) -> dict:
     geometry = world.geometry
     vehicles = {}
     for veh in world.vehicles:
-        last = log.last_row(veh.vehicle_id)
+        last = log.vehicle_rows(veh.vehicle_id)[-1]
         entry = {
             "kind": veh.kind,
             "q": veh.q if veh.kind == DECISION else None,

@@ -99,17 +99,15 @@ def lane_change_count(log: TrajectoryLog, vehicle_id: str) -> int:
 def sweep_scenario(base: dict, q_merge: float, q_mainline: float) -> dict:
     """Scenario variant with a decision-driven adjacent mainline vehicle."""
     data = copy.deepcopy(base)
+    qs = {MERGE_ID: q_merge, MAINLINE_ID: q_mainline}
     found = set()
-    for item in data["vehicles"]:
-        if item["id"] == MERGE_ID:
-            item["kind"] = DECISION
-            item["q"] = q_merge
-            found.add(MERGE_ID)
-        elif item["id"] == MAINLINE_ID:
-            item["kind"] = DECISION
-            item["q"] = q_mainline
-            found.add(MAINLINE_ID)
-    missing = {MERGE_ID, MAINLINE_ID} - found
+    items = check("vehicles", data.get("vehicles", []), list)
+    for i, item in enumerate(items):
+        vid = check(f"vehicles[{i}]", item, dict).get("id")
+        if vid in (MERGE_ID, MAINLINE_ID):  # compared: an id may not hash
+            item["kind"], item["q"] = DECISION, qs[vid]
+            found.add(vid)
+    missing = qs.keys() - found
     if missing:
         raise ConfigError(f"sweep scenario lacks vehicles: {sorted(missing)}")
     return data

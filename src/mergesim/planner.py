@@ -119,12 +119,13 @@ def _escape_lane(p2_lane: int, entering_from: int,
     return esc if esc in geometry.mainline_lanes else None
 
 
-def build_entry_bimatrix(ego: VehicleView, target_lane: int, p2: VehicleView,
-                         views: List[VehicleView], geometry: LaneGeometry,
-                         profile: DriverProfile, p2_profile: DriverProfile,
-                         u_stay: float,
+def build_entry_bimatrix(ego: VehicleView, target_lane: int, slot: SlotEval,
+                         p2: VehicleView, views: List[VehicleView],
+                         geometry: LaneGeometry, profile: DriverProfile,
+                         p2_profile: DriverProfile, u_stay: float,
                          risk_discount: float = 0.0) -> PayoffBimatrix:
-    """Joint payoffs for one vehicle entering a lane against one competitor.
+    """Joint payoffs for one vehicle entering a lane against one competitor,
+    given evaluate_slot's judgement of the slot beside it in that lane.
 
     risk_discount is added to the entering side's utility: aggressive
     drivers shrug off part of the squeeze penalty when the change is
@@ -133,7 +134,6 @@ def build_entry_bimatrix(ego: VehicleView, target_lane: int, p2: VehicleView,
     # A slot is judged by the ego's id, y, length and speed alone, so the
     # entrant needs no move onto the target lane, nor the competitor onto
     # its escape lane.
-    enter_vs_keep = evaluate_slot(ego, views, target_lane, profile).utility
     enter_vs_vacate = evaluate_slot(ego, views, target_lane, profile,
                                     exclude=(p2.vehicle_id,)).utility
     # The competitor keeping its lane has the room to its leader, which the
@@ -154,7 +154,7 @@ def build_entry_bimatrix(ego: VehicleView, target_lane: int, p2: VehicleView,
     vacate = IMPOSSIBLE if esc is None else evaluate_slot(
         p2, views, esc, p2_profile, exclude=(p2.vehicle_id,)).utility
     return PayoffBimatrix(
-        leader={(LEFT, STRAIGHT): enter_vs_keep + risk_discount,
+        leader={(LEFT, STRAIGHT): slot.utility + risk_discount,
                 (STRAIGHT, STRAIGHT): u_stay,
                 (LEFT, LEFT): enter_vs_vacate + risk_discount,
                 (STRAIGHT, LEFT): u_stay},
@@ -175,11 +175,12 @@ def nearest_in_lane(ego: VehicleView, views: List[VehicleView], lane: int,
     return best
 
 
-def merging_game(ego: VehicleView, views: List[VehicleView],
+def merging_game(ego: VehicleView, views: List[VehicleView], slot: SlotEval,
                  profile: DriverProfile, dist_to_end: float,
                  geometry: LaneGeometry, profiles,
                  risk_discount: float = 0.0) -> Tuple[str, Optional[str]]:
-    """Resolve merge-now vs stay against the current competing vehicle.
+    """Resolve merge-now vs stay against the current competing vehicle,
+    given the slot beside the ego in the merge target lane.
 
     Returns (leader action, competitor id); an empty adjacent lane is an
     immediate merge.
@@ -189,7 +190,7 @@ def merging_game(ego: VehicleView, views: List[VehicleView],
     if p2 is None:
         return LEFT, None
     u_stay = stay_utility(ego, views, dist_to_end, profile, geometry)
-    bim = build_entry_bimatrix(ego, target, p2, views, geometry,
+    bim = build_entry_bimatrix(ego, target, slot, p2, views, geometry,
                                profile, profiles[p2.vehicle_id], u_stay,
                                risk_discount=risk_discount)
     action, _ = solve_stackelberg(bim)
@@ -264,17 +265,16 @@ def acceleration_game(ego: VehicleView, views: List[VehicleView],
             slot.follower.vehicle_id if slot.follower else None))
     if not scored:
         return Directive(HOLD)
-    if len(scored) == 2:
-        if incumbent in scored:
-            # Stick with the committed directive unless clearly beaten.
-            other = ACCELERATE if incumbent == DECELERATE else DECELERATE
-            if scored[other][0] > scored[incumbent][0] + cfg.directive_switch_margin:
-                return scored[other][1]
-            return scored[incumbent][1]
-        if scored[ACCELERATE][0] > scored[DECELERATE][0]:
-            return scored[ACCELERATE][1]
-        return scored[DECELERATE][1]
-    return next(iter(scored.values()))[1]
+    # The committed directive, or decelerating when none is, holds unless the
+    # other beats it: by the switch margin, or by anything when none is.
+    committed = incumbent in (ACCELERATE, DECELERATE)
+    held = incumbent if committed else DECELERATE
+    other = DECELERATE if held == ACCELERATE else ACCELERATE
+    margin = cfg.directive_switch_margin if committed else 0.0
+    if held not in scored or (other in scored and
+                              scored[other][0] > scored[held][0] + margin):
+        held = other
+    return scored[held][1]
 
 
 def _time_to_reach(speed: float, accel: float, distance: float) -> float:
@@ -339,13 +339,14 @@ def discretionary_lane_change(ego: VehicleView, views: List[VehicleView],
         if cand not in geometry.mainline_lanes or cand == ego.lane:
             continue
         # A slot needs no ghost ego (see build_entry_bimatrix).
-        _, follower = slot_around(ego, views, cand)
+        slot = evaluate_slot(ego, views, cand, profile)
+        follower = slot.follower
         if follower is None:
-            u_change = evaluate_slot(ego, views, cand, profile).utility
+            u_change = slot.utility
         else:
-            bim = build_entry_bimatrix(ego, cand, follower, views, geometry,
-                                       profile, profiles[follower.vehicle_id],
-                                       u_stay)
+            bim = build_entry_bimatrix(ego, cand, slot, follower, views,
+                                       geometry, profile,
+                                       profiles[follower.vehicle_id], u_stay)
             action, fa = solve_stackelberg(bim)
             if action != LEFT:
                 continue
@@ -484,9 +485,9 @@ def _merge_lane_epoch(ego, views, brain, profile, geometry, profiles, cfg):
     target = geometry.merge_target_lane
     dist_to_end = distance_to_merge_end(ego, geometry)
     tol = profile.risk_tolerance
-    action, p2_id = merging_game(ego, views, profile, dist_to_end,
-                                 geometry, profiles, risk_discount=tol)
     slot = evaluate_slot(ego, views, target, profile)
+    action, p2_id = merging_game(ego, views, slot, profile, dist_to_end,
+                                 geometry, profiles, risk_discount=tol)
     beside = slot.feasible(tol)
     leader_id = slot.leader.vehicle_id if slot.leader else None
     follower_id = slot.follower.vehicle_id if slot.follower else None

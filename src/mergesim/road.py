@@ -61,30 +61,21 @@ def lane_of(x: float, geometry: LaneGeometry) -> int:
 
 
 def lane_bands(geometry: LaneGeometry) -> List[Tuple[float, float]]:
-    """One open interval (lo, hi) per lane, inside which lane_of is that lane.
+    """One open interval (c - h, c + h) per lane centre c, inside which
+    lane_of is that lane.
 
-    The intervals run between the midpoints of adjacent centres, and the
-    outer two end one span of the centres beyond the outer centres.  Each is
-    pulled in at both ends by a guard: 1e-9, lane_of's tie tolerance, plus
-    64 epsilons of the largest bound, which is more than the rounding of the
-    midpoints and of abs(x - c) for any x inside.  A lane less than two
-    guards from the one before it gets an empty interval, since lane_of
-    never picks it past that one.
+    h is half the closest spacing of the centres less a guard: 1e-9, lane_of's
+    tie tolerance, plus 64 epsilons of the largest |c| plus that spacing,
+    which is more than the rounding of abs(x - c) for any x inside.  So every
+    other centre is more than two guards farther from x than c.  Centres
+    within two guards of each other, or a lone one, give empty intervals.
     """
     centers = geometry.centers
-    span = centers[-1] - centers[0]
-    edges = ([centers[0] - span]
-             + [(a + b) / 2.0 for a, b in zip(centers, centers[1:])]
-             + [centers[-1] + span])
-    guard = 1e-9 + 64 * sys.float_info.epsilon * max(abs(edges[0]),
-                                                     abs(edges[-1]))
-    bands = [(edges[0] + guard, edges[1] - guard)]
-    for i in range(1, len(centers)):
-        lo, hi = edges[i] + guard, edges[i + 1] - guard
-        if centers[i] - centers[i - 1] <= 2.0 * guard:
-            lo = hi
-        bands.append((lo, hi))
-    return bands
+    spacing = min((b - a for a, b in zip(centers, centers[1:])), default=0.0)
+    guard = 1e-9 + 64 * sys.float_info.epsilon * (max(map(abs, centers))
+                                                  + spacing)
+    h = spacing / 2.0 - guard
+    return [(c - h, c + h) for c in centers]
 
 
 def room_to_hard_end(y: float, length: float, geometry: LaneGeometry) -> float:

@@ -1,7 +1,6 @@
 """World assembly, per-step control, fixed-step simulation and logging."""
 
 from dataclasses import dataclass, replace
-from collections import deque
 from itertools import accumulate, chain, islice, repeat
 import json
 import math
@@ -100,8 +99,8 @@ class TrajectoryLog:
     or for a scripted vehicle a _Scripted, which builds its rows when read.
     `rows` interleaves the columns a whole step at a time on first read.
     Each row holds every TRAJECTORY_COLUMNS field except i_col, which is
-    derived from the poses and the vehicle sizes on first read (see icol),
-    so runs whose readers never ask for it never pay for it.
+    derived from the poses and the vehicle sizes on first read (see
+    vehicle_icol), so runs whose readers never ask for it never pay for it.
 
     `run` fills the columns: each decision vehicle appends its rows as it
     moves, and each scripted vehicle's column is set once the loop ends.
@@ -142,37 +141,25 @@ class TrajectoryLog:
     def vehicle_rows(self, vehicle_id: str) -> List[tuple]:
         return list(self.columns[self._slot_with_rows(vehicle_id)])
 
-    def last_row(self, vehicle_id: str) -> tuple:
-        """A vehicle's last row, read without a copy of its column."""
-        return deque(self.columns[self._slot_with_rows(vehicle_id)],
-                     maxlen=1)[0]
-
     def _icol_columns(self) -> List[List[float]]:
         if self._icol is None:
             self._icol = _icol_columns(self.columns, self.bodies)
         return self._icol
 
-    def icol(self) -> List[float]:
-        """The i_col column, aligned with rows.
-
-        Each vehicle's collision index against its nearest neighbour (by
-        centre distance) at the same step; 0 for a vehicle alone.
-        """
-        return list(chain.from_iterable(zip(*self._icol_columns())))
-
     def vehicle_icol(self, vehicle_id: str) -> List[float]:
+        """A vehicle's collision index against its nearest neighbour (by
+        centre distance) at each of its rows; 0 for a vehicle alone."""
         return self._icol_columns()[self._slot_with_rows(vehicle_id)][:]
 
     def to_csv(self) -> str:
         """The log as CSV text, one line per row, built column by column.
 
         Each step's time is formatted once, and so is the text of a
-        scripted vehicle's id, x_lat, v, theta and lane.  A decision
-        vehicle's x_lat, v and theta text is reused while its row holds the
-        very same float object as its previous row, and any vehicle's i_col
-        text while its index is the same object (a reused index, see
-        _icol_columns).  An equal but distinct float is formatted anew,
-        since 0.0 == -0.0 yet the two print differently.
+        scripted vehicle's id, x_lat, v, theta and lane.  A vehicle's i_col
+        text is reused while its index is the same float object as in its
+        previous row (a reused index, see _icol_columns).  An equal but
+        distinct float is formatted anew, since 0.0 == -0.0 yet the two
+        print differently.
         """
         columns, icol = self.columns, self._icol_columns()
         times = [f"{r[0]:.2f}" for r in (columns[0] if columns else [])]
@@ -234,11 +221,9 @@ def _scripted_lines(column: _Scripted, times: List[str],
 
 def _logged_lines(rows: List[tuple], times: List[str],
                   icol: List[float]) -> List[str]:
-    x, v, theta = (_texts([r[k] for r in rows]) for k in (2, 4, 5))
-    return [f"{t},{r[1]},{x_text},{r[3]:.6f},{v_text},{theta_text},"
+    return [f"{t},{r[1]},{r[2]:.6f},{r[3]:.6f},{r[4]:.6f},{r[5]:.6f},"
             f"{r[6]},{r[7]},{r[8]},{r[9]},{c_text},{r[10]}"
-            for t, r, x_text, v_text, theta_text, c_text
-            in zip(times, rows, x, v, theta, _texts(icol))]
+            for t, r, c_text in zip(times, rows, _texts(icol))]
 
 
 def _icol_columns(columns: list, bodies: Dict[str, Tuple[float, float]]):

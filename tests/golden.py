@@ -7,10 +7,11 @@
 runs each of RUNS through the command line and sweeps each of SCENARIOS over
 GRID_AXIS at seed 0, rewrites golden.json next to this file with the sha256
 of each run's trajectory CSV and summary JSON and its exit code and with the
-CSV line of each grid cell, and prints every run that moved and, for a grid
-that moved, each moved cell's old and new line.  Rewrite it only for a
-change that is meant to alter simulated behaviour; test_cli checks that each
-run still matches its entry and test_acceptance each grid.
+CSV line of each grid cell, and prints every run that moved, with how it now
+ends, and, for a grid that moved, each moved cell's old and new line.
+Rewrite it only for a change that is meant to alter simulated behaviour;
+test_cli checks that each run still matches its entry and test_acceptance
+each grid.
 """
 
 from contextlib import redirect_stderr, redirect_stdout
@@ -41,7 +42,7 @@ def run_outputs(scenario: str, q: float, seed, workdir: str) -> dict:
     """{"csv", "summary", "exit_code"} of one run: the sha256 of its two
     files and its exit code.  The seed is always given, so that
     MERGE_SIM_SEED cannot reach a clean run's summary."""
-    base = os.path.join(workdir, "out")
+    base = _base(workdir)
     argv = ["run", "--scenario", scenario, "--q", f"merging={q}",
             "--seed", str(seed or 0), "--output", base]
     if seed is not None:
@@ -54,6 +55,19 @@ def run_outputs(scenario: str, q: float, seed, workdir: str) -> dict:
         with open(base + suffix, "rb") as fh:
             digests[part] = hashlib.sha256(fh.read()).hexdigest()
     return {**digests, "exit_code": code}
+
+
+def _base(workdir: str) -> str:
+    return os.path.join(workdir, "out")
+
+
+def outcome(workdir: str) -> str:
+    """How the run whose files run_outputs wrote in workdir ends: its t_end,
+    collision, forced_stop and events, read back from its summary."""
+    with open(_base(workdir) + ".summary.json", encoding="utf-8") as fh:
+        summary = json.load(fh)
+    return ", ".join(f"{key}={json.dumps(summary[key])}" for key in
+                     ("t_end", "collision", "forced_stop", "events"))
 
 
 def grid_lines(scenario: str) -> list:
@@ -73,19 +87,22 @@ def regenerate() -> int:
     old = load() if os.path.exists(PATH) else {}
     old_runs, old_grids = old.get("runs", {}), old.get("grids", {})
     new = {"runs": {}, "grids": {}}
+    moved = 0
     with tempfile.TemporaryDirectory() as workdir:
         for key, scenario, q, seed in RUNS:
-            new["runs"][key] = run_outputs(scenario, q, seed, workdir)
+            rundir = os.path.join(workdir, key)
+            os.mkdir(rundir)
+            new["runs"][key] = run_outputs(scenario, q, seed, rundir)
+            if old_runs.get(key) != new["runs"][key]:
+                moved += 1
+                print(f"moved: {key}" if key in old_runs else f"new: {key}")
+                print(f"  now: {outcome(rundir)}")
+    print(f"{moved} of {len(RUNS)} runs moved")
     for scenario in SCENARIOS:
         new["grids"][scenario] = grid_lines(scenario)
     with open(PATH, "w", encoding="utf-8") as fh:
         json.dump(new, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    moved = [key for key, _, _, _ in RUNS
-             if old_runs.get(key) != new["runs"][key]]
-    for key in moved:
-        print(f"moved: {key}" if key in old_runs else f"new: {key}")
-    print(f"{len(moved)} of {len(RUNS)} runs moved")
     for scenario, lines in new["grids"].items():
         before = old_grids.get(scenario, [])
         moved = 0

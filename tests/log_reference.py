@@ -13,15 +13,15 @@ from mergesim.perception import VehicleView, collision_index
 from mergesim.world import SCRIPTED, TRAJECTORY_COLUMNS
 
 
-def eager_icol(log, world):
-    """Reference i_col from VehicleView rectangles: per step, the nearest
-    other vehicle by centre distance, then collision_index of the two."""
-    params = {v.vehicle_id: v.params for v in world.vehicles}
-    n = len(world.vehicles)
+def eager_icol(log):
+    """Reference i_col, aligned with log.rows, from VehicleView rectangles
+    with the sizes in log.bodies: per step, the nearest other vehicle by
+    centre distance, then collision_index of the two."""
+    n = len(log.bodies)
     out = []
-    for start in range(0, len(log.rows), n):
-        views = [VehicleView(r[1], r[2], r[3], r[4], r[5],
-                             params[r[1]].length, params[r[1]].width, r[6])
+    for start in range(0, len(log.rows), max(n, 1)):
+        views = [VehicleView(r[1], r[2], r[3], r[4], r[5], *log.bodies[r[1]],
+                             r[6])
                  for r in log.rows[start:start + n]]
         for i, view in enumerate(views):
             others = [k for k in range(n) if k != i]
@@ -67,13 +67,14 @@ def scanned_rows(log, vehicle_id):
 
 def scanned_icol(log, vehicle_id):
     """The i_col of one vehicle's rows, found by checking every row's id."""
-    return [c for r, c in zip(log.rows, log.icol()) if r[1] == vehicle_id]
+    return [c for r, c in zip(log.rows, eager_icol(log))
+            if r[1] == vehicle_id]
 
 
 def formatted_csv(log):
     """The trajectory CSV with every field of every row formatted."""
     lines = [",".join(TRAJECTORY_COLUMNS)]
-    for r, icol in zip(log.rows, log.icol()):
+    for r, icol in zip(log.rows, eager_icol(log)):
         lines.append(
             f"{r[0]:.2f},{r[1]},{r[2]:.6f},{r[3]:.6f},{r[4]:.6f},"
             f"{r[5]:.6f},{r[6]},{r[7]},{r[8]},{r[9]},{icol:.6f},{r[10]}")

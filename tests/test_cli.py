@@ -599,6 +599,24 @@ class TestSweepCommand:
         assert len(err) == 1 and err[0].startswith("error: q_overrides: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("data, message", [
+        ({"geometry": {}}, "sweep scenario lacks vehicles"),
+        ({"vehicles": [{"x0_m": 0.0}]}, "sweep scenario lacks vehicles"),
+        ({"vehicles": [{"id": ["a"]}]}, "sweep scenario lacks vehicles"),
+        ({"vehicles": [5]}, "vehicles[0]: must be an object"),
+        ({"vehicles": {"a": 1}}, "vehicles: must be a list")])
+    def test_malformed_vehicle_list_exits_2(self, tmp_path, capsys, data,
+                                            message):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert run_cli("sweep", "--scenario", str(path), "--grid",
+                       "0.5:0.5:1", "--output", str(tmp_path / "grid")) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_rejects_malformed_grid(self, capsys):
         assert run_cli("sweep", "--grid", "1:0:0.5") == 2
         assert run_cli("sweep", "--grid", "0:0.5") == 2

@@ -1,9 +1,11 @@
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mergesim import world as world_module
-from mergesim.config import RunConfig
+from mergesim import planner, world as world_module
+from mergesim.config import ConfigError, RunConfig
 from mergesim.game import LEFT, STRAIGHT
 from mergesim.perception import VehicleView, pose, rects_intersect
 from mergesim.metrics import sweep_scenario
@@ -16,6 +18,8 @@ from mergesim.planner import (ACCELERATE, DECELERATE, HOLD, KEEP,
                               predict_states)
 from mergesim.road import LaneGeometry, lane_of
 from mergesim.world import BUILTIN_SCENARIOS, load_scenario, run
+
+from test_collisions import generated_scenarios
 
 GEOMETRY = LaneGeometry()
 CFG = RunConfig()
@@ -63,8 +67,10 @@ class TestPredictStates:
 class TestMergingGame:
     def test_empty_adjacent_lane_merges(self):
         ego = view("ego", 9.9, 60.0, 20.0)
-        action, competitor = merging_game(ego, [ego], CFG.profile(0.5),
-                                          90.0, GEOMETRY, {})
+        profile = CFG.profile(0.5)
+        slot = evaluate_slot(ego, [ego], GEOMETRY.merge_target_lane, profile)
+        action, competitor = merging_game(ego, [ego], slot, profile, 90.0,
+                                          GEOMETRY, {})
         assert action == LEFT and competitor is None
 
     def test_first_epochs_stay(self):
@@ -72,8 +78,11 @@ class TestMergingGame:
         views, profiles = scenario_views("scenario1")
         ego = next(v for v in views if v.vehicle_id == "merging")
         for q in (0.1, 0.5, 0.9):
+            profile = CFG.profile(q)
+            slot = evaluate_slot(ego, views, GEOMETRY.merge_target_lane,
+                                 profile)
             action, competitor = merging_game(
-                ego, views, CFG.profile(q), 140.0, GEOMETRY, profiles)
+                ego, views, slot, profile, 140.0, GEOMETRY, profiles)
             assert action == STRAIGHT
             assert competitor == "vehicle4"
 
@@ -290,3 +299,66 @@ class TestHoldBesideLivelock:
         assert log.forced_stop and log.collision is None
         assert [(e["t"], e["event"]) for e in log.events] == [
             (11.38, "forced_stop")]
+
+
+@contextmanager
+def slots_judged_once():
+    """Fail on a second evaluate_slot call for the same slot within one
+    _merge_lane_epoch or discretionary_lane_change call: the same ego id
+    and y, lane and exclusions, on the same views (a stopped ego's predicted
+    y is its own, among vehicles that moved).  Yields the count of the calls
+    checked, by the name of the function that made them."""
+    real_evaluate_slot = planner.evaluate_slot
+    checked = {}
+    under_way = []  # (name, keys seen) of the call that is running
+
+    def evaluate_slot(ego, views, lane, profile, exclude=()):
+        if under_way:
+            name, seen = under_way[-1]
+            key = (ego.vehicle_id, ego.y, lane, exclude, tuple(views))
+            assert key not in seen, (name, key[:4])
+            seen.add(key)
+            checked[name] = checked.get(name, 0) + 1
+        return real_evaluate_slot(ego, views, lane, profile, exclude)
+
+    def scoped(name):
+        real = getattr(planner, name)
+
+        def call(*args, **kwargs):
+            under_way.append((name, set()))
+            try:
+                return real(*args, **kwargs)
+            finally:
+                under_way.pop()
+        return mock.patch.object(planner, name, call)
+
+    with mock.patch.object(planner, "evaluate_slot", evaluate_slot), \
+            scoped("_merge_lane_epoch"), scoped("discretionary_lane_change"):
+        yield checked
+
+
+class TestSlotJudgedOnce:
+    def test_builtin_runs_and_a_sweep_cell(self):
+        # vehicle4 decides in a sweep cell: discretionary changes with a
+        # follower in the candidate lane.
+        worlds = [load_scenario(name, RunConfig(q_overrides={"merging": q}))
+                  for name in ("scenario1", "scenario2")
+                  for q in (0.1, 0.5, 0.9)]
+        worlds.append(load_scenario(sweep_scenario(
+            BUILTIN_SCENARIOS["scenario1"], 0.5, 0.75), RunConfig()))
+        with slots_judged_once() as checked:
+            for world in worlds:
+                run(world)
+        assert checked["_merge_lane_epoch"] > 0
+        assert checked["discretionary_lane_change"] > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=generated_scenarios(), noise=st.booleans())
+    def test_generated_scenarios(self, case, noise):
+        data, t_max = case
+        try:
+            world = load_scenario(data, RunConfig(noise=noise, seed=3))
+        except ConfigError:
+            return  # overlapping or unstoppable at the start
+        with slots_judged_once():
+            run(world, t_max)

@@ -21,7 +21,7 @@ from mergesim.game import (IMPOSSIBLE, LEFT, STRAIGHT, PayoffBimatrix,
                            solve_stackelberg)
 from mergesim.perception import VehicleView, classify_vicinity
 from mergesim.metrics import sweep_scenario
-from mergesim.planner import build_entry_bimatrix
+from mergesim.planner import build_entry_bimatrix, evaluate_slot
 from mergesim.road import LaneGeometry, lane_of
 from mergesim.world import BUILTIN_SCENARIOS, load_scenario, run
 
@@ -122,9 +122,10 @@ def test_build_entry_bimatrix_matches_reference(views, data, qs, u_stay, risk):
     ego, p2 = data.draw(st.permutations(views))[:2]
     target = data.draw(st.sampled_from(GEOMETRY.mainline_lanes))
     profile, p2_profile = CFG.profile(qs[0]), CFG.profile(qs[1])
-    args = (ego, target, p2, views, GEOMETRY, profile, p2_profile, u_stay)
-    got = build_entry_bimatrix(*args, risk_discount=risk)
-    want = ref.build_entry_bimatrix(*args, risk_discount=risk)
+    args = (p2, views, GEOMETRY, profile, p2_profile, u_stay)
+    slot = evaluate_slot(ego, views, target, profile)
+    got = build_entry_bimatrix(ego, target, slot, *args, risk_discount=risk)
+    want = ref.build_entry_bimatrix(ego, target, *args, risk_discount=risk)
     assert payoff_key(got) == payoff_key(want)
     assert solve_stackelberg(got) == ref.solve_stackelberg(want)
 
@@ -137,9 +138,11 @@ def test_entrant_level_with_the_competitors_leader_does_not_lead():
              VehicleView("p2", 6.6, 0.0, 20.0, 0.0, 4.5, 1.8, 2),
              VehicleView("lead", 6.6, 10.0, 20.0, 0.0, 6.0, 1.8, 2)]
     profile = CFG.profile(0.5)
-    args = (views[0], 2, views[1], views, GEOMETRY, profile, profile, 1.0)
-    got = build_entry_bimatrix(*args)
-    assert payoff_key(got) == payoff_key(ref.build_entry_bimatrix(*args))
+    args = (views[1], views, GEOMETRY, profile, profile, 1.0)
+    slot = evaluate_slot(views[0], views, 2, profile)
+    got = build_entry_bimatrix(views[0], 2, slot, *args)
+    assert payoff_key(got) == payoff_key(
+        ref.build_entry_bimatrix(views[0], 2, *args))
     assert got.follower[LEFT, STRAIGHT] == 10.0 - (4.5 + 6.0) / 2.0
 
 

@@ -489,13 +489,15 @@ class TestDerivedIcol:
         cfg = RunConfig(q_overrides={"merging": q}, noise=noise)
         world = load_scenario(scenario, cfg)
         log = run(world)
-        assert log.icol() == eager_icol(log, world)
+        want, n = eager_icol(log), len(world.vehicles)
+        for k, veh in enumerate(world.vehicles):
+            assert log.vehicle_icol(veh.vehicle_id) == want[k::n]
 
     def test_lone_vehicle_scores_zero(self):
         scenario = minimal_scenario([{"id": "a", "x0_m": 0.0, "y0_m": 0.0,
                                       "v0_kmh": 80.0, "kind": SCRIPTED}])
         log = run(load_scenario(scenario, RunConfig(t_max=1.0)))
-        assert log.icol() == [0.0] * len(log.rows)
+        assert log.vehicle_icol("a") == [0.0] * len(log.rows)
 
     def test_sweep_never_derives_icol(self, monkeypatch):
         derived = []

@@ -15,10 +15,10 @@ from mergesim.config import RunConfig
 from mergesim.perception import collision_index, pose
 from mergesim.road import LaneGeometry
 from mergesim.world import (BUILTIN_SCENARIOS, TrajectoryLog, _nearest_pairs,
-                            load_scenario, run)
+                            _texts, load_scenario, run)
 
-from log_reference import (eager_icol, first_nearest, formatted_csv,
-                           scanned_icol, scanned_rows)
+from log_reference import (first_nearest, formatted_csv, scanned_icol,
+                           scanned_rows)
 from test_collisions import (cannot_stop_at_start, generated_scenarios,
                              overlap_at_start)
 
@@ -27,7 +27,6 @@ GEOMETRY = LaneGeometry()
 
 def check_readers(log, world):
     """Every reader of `log` agrees with its reference."""
-    assert log.icol() == eager_icol(log, world)
     for veh in world.vehicles:
         vid = veh.vehicle_id
         assert log.vehicle_rows(vid) == scanned_rows(log, vid)
@@ -81,11 +80,10 @@ def test_pair_cache_misses_when_any_key_field_changes():
         log.append((t, "b", bx, by, 20.0, bh, 0, "", "", "", ""))
         index = collision_index(pose(ax, ay, ah, 0.9, 2.25),
                                 pose(bx, by, bh, 1.0, 2.0))
-        want += [index, index]
-    assert log.icol() == want
+        want.append(index)
+    assert log.vehicle_icol("a") == log.vehicle_icol("b") == want
     # Each step but the cache hit changes the index, so a stale reuse shows.
-    per_step = want[::2]
-    assert [b != a for a, b in zip(per_step, per_step[1:])] == \
+    assert [b != a for a, b in zip(want, want[1:])] == \
         [True] * 6 + [False] + [True] * 2
 
 
@@ -103,23 +101,27 @@ class TestEmptyLogs:
         with pytest.raises(KeyError):
             log.vehicle_rows("a")
         with pytest.raises(KeyError):
-            log.last_row("a")
-        assert log.rows == [] and log.icol() == []
+            log.vehicle_icol("a")
+        assert log.rows == []
         assert log.to_csv() == formatted_csv(log)
 
 
 def test_csv_text_is_reused_only_for_the_same_float_object():
     # 0.0 == -0.0, yet they print differently: a memo keyed on equality
-    # would print the second row's zeros as 0.000000.
+    # would print the second value as 0.000000.  Only i_col text is reused,
+    # so the signed zeros are fed to the i_col column.
     zero, minus_zero = float("0.0"), float("-0.0")
+    values = [zero, minus_zero, minus_zero]
+    want = ["0.000000", "-0.000000", "-0.000000"]
+    assert _texts(values) == want
     log = TrajectoryLog(GEOMETRY, {"a": (4.5, 1.8)})
-    for t, value in ((0.0, zero), (0.01, minus_zero), (0.02, minus_zero)):
+    for t, value in zip((0.0, 0.01, 0.02), values):
         log.append((t, "a", value, 0.0, value, value, 0, "", "", "", ""))
-    lines = log.to_csv().splitlines()[1:]
-    fields = [line.split(",") for line in lines]
-    assert [f[2] for f in fields] == ["0.000000", "-0.000000", "-0.000000"]
-    assert [f[4] for f in fields] == ["0.000000", "-0.000000", "-0.000000"]
-    assert [f[5] for f in fields] == ["0.000000", "-0.000000", "-0.000000"]
+    with mock.patch.object(TrajectoryLog, "_icol_columns",
+                           lambda self: [values]):
+        fields = [line.split(",") for line in log.to_csv().splitlines()[1:]]
+    for k in (2, 4, 5, 10):  # x_lat, v, theta and i_col
+        assert [f[k] for f in fields] == want
     assert log.to_csv() == formatted_csv(log)
 
 
@@ -171,7 +173,6 @@ class TestAppendedLogs:
         assert log.rows == [r for pair in zip(a_rows, b_rows) for r in pair]
         assert log.vehicle_rows("a") == a_rows
         assert log.vehicle_rows("b") == b_rows
-        assert log.last_row("b") is b_rows[-1]
         want = [collision_index(pose(a[2], a[3], a[5], 0.9, 2.25),
                                 pose(b[2], b[3], b[5], 1.0, 2.0))
                 for a, b in zip(a_rows, b_rows)]
@@ -189,14 +190,13 @@ class TestAppendedLogs:
         assert log.vehicle_rows("a") == a_rows
         assert len(log.rows) == 2
         assert log.vehicle_rows("a") == a_rows
-        assert log.last_row("a") is a_rows[-1]
 
     def test_append_after_a_read_is_seen(self):
         log = TrajectoryLog(GEOMETRY, {"a": (4.5, 1.8)})
         log.append((0.0, "a", 0.0, 1.0, 20.0, 0.0, 0, "", "", "", ""))
-        assert len(log.rows) == 1 and log.icol() == [0.0]
+        assert len(log.rows) == 1 and log.vehicle_icol("a") == [0.0]
         log.append((0.01, "a", 0.0, 1.2, 20.0, 0.0, 0, "", "", "", ""))
-        assert len(log.rows) == 2 and log.icol() == [0.0, 0.0]
+        assert len(log.rows) == 2 and log.vehicle_icol("a") == [0.0, 0.0]
         assert log.to_csv() == formatted_csv(log)
 
     def test_one_vehicle_scores_zero(self):
@@ -204,7 +204,7 @@ class TestAppendedLogs:
         for k in range(4):
             log.append((k * 0.01, "a", 0.0, k * 0.2, 20.0, 0.0, 0, "keep",
                         "hold", "", ""))
-        assert log.icol() == log.vehicle_icol("a") == [0.0] * 4
+        assert log.vehicle_icol("a") == [0.0] * 4
         assert log.vehicle_rows("a") == scanned_rows(log, "a")
         assert log.to_csv() == formatted_csv(log)
 
@@ -260,7 +260,7 @@ def test_scenario1_tie_goes_to_the_first_slot():
     world = load_scenario("scenario1", RunConfig())
     log = run(world)
     with mock.patch.object(world_module, "_nearest_pairs", recording):
-        log.icol()
+        log.vehicle_icol("vehicle1")
     (xs, ys, nearest), = seen
     ids = [veh.vehicle_id for veh in world.vehicles]
     one, two, three = (ids.index(v) for v in ("vehicle1", "vehicle2",
