@@ -2,9 +2,10 @@
 
 Both players choose between going left (L) and going straight (S).  Each
 joint outcome is scored in meters of headway-equivalent utility: a reward
-for free space ahead minus a penalty for squeezing into (or running out
-of) room.  The leader commits first; the follower best-responds; the
-leader secures against the worst tied response.
+for free space ahead minus one squeeze penalty, for squeezing in ahead of a
+slot's follower and for running out of merge lane alike.  The leader
+commits first; the follower best-responds; the leader secures against the
+worst tied response.
 """
 
 from typing import Dict, NamedTuple, Tuple
@@ -32,27 +33,14 @@ def headway_utility(gap: float, profile: DriverProfile) -> float:
     return cap if cap < gap else gap
 
 
-def merge_cost_left(gap_behind: float, closing_speed: float,
+def squeeze_penalty(room: float, closing_speed: float,
                     profile: DriverProfile) -> float:
-    """Penalty for moving into a lane with a follower gap_behind meters back.
-
-    closing_speed is the follower's speed minus the ego speed (positive
-    when the follower is catching up).  Negative values mean the slot has
-    room to spare.
-    """
+    """Penalty for squeezing into `room` meters while closing on its far
+    end at closing_speed: the follower of a slot closing on the ego, or a
+    merging vehicle closing on its lane end.  Negative values mean there is
+    room to spare."""
     return (profile.lane_change_clearance
-            + closing_speed * profile.prediction_time - gap_behind)
-
-
-def merge_cost_stay(dist_to_end: float, ego_speed: float,
-                    profile: DriverProfile) -> float:
-    """Penalty for a merging vehicle staying put as its lane end nears."""
-    return (profile.lane_change_clearance
-            + ego_speed * profile.prediction_time - dist_to_end)
-
-
-def net_utility(u_pos: float, u_neg: float) -> float:
-    return u_pos - u_neg
+            + closing_speed * profile.prediction_time - room)
 
 
 def solve_stackelberg(bimatrix: PayoffBimatrix) -> Tuple[str, str]:

@@ -8,6 +8,9 @@ from .world import TRAJECTORY_COLUMNS
 
 # The columns read_trajectory parses as floats; each must be finite.
 FLOAT_COLUMNS = ("t", "x_lat", "y_long", "v", "theta", "i_col")
+# The type read_trajectory gives each column, in TRAJECTORY_COLUMNS order.
+_CONVERTERS = tuple(float if name in FLOAT_COLUMNS else int if name == "lane"
+                    else str for name in TRAJECTORY_COLUMNS)
 
 
 class TrajectoryFileError(ValueError):
@@ -65,15 +68,9 @@ def read_trajectory(path: str):
         if len(parts) != len(TRAJECTORY_COLUMNS):
             raise TrajectoryFileError(
                 number, f"expected {len(TRAJECTORY_COLUMNS)} fields, got {len(parts)}")
-        try:
-            row = {
-                "t": float(parts[0]), "id": parts[1],
-                "x_lat": float(parts[2]), "y_long": float(parts[3]),
-                "v": float(parts[4]), "theta": float(parts[5]),
-                "lane": int(parts[6]), "maneuver": parts[7],
-                "accel_directive": parts[8], "competing_id": parts[9],
-                "i_col": float(parts[10]), "flags": parts[11],
-            }
+        try:  # in column order: the first bad field is the one reported
+            row = {name: convert(part) for name, convert, part
+                   in zip(TRAJECTORY_COLUMNS, _CONVERTERS, parts)}
         except ValueError as exc:
             raise TrajectoryFileError(number, str(exc))
         for name in FLOAT_COLUMNS:

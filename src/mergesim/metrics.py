@@ -168,6 +168,8 @@ def aggressiveness_sweep(base_scenario, q_merge_grid, q_mainline_grid,
     return [measure_cell(*cell) for cell in cells]
 
 
+# The pool pickles a module-level function by name, and each worker looks up
+# measure_cell at call time, so a wrapper installed on it also times cells.
 def _cell_job(base, qm, ql, cfg):
     return measure_cell(base, qm, ql, cfg)
 

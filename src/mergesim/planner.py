@@ -15,7 +15,7 @@ from typing import List, NamedTuple, Optional, Tuple
 from .dynamics import GRAVITY
 from .driver import DriverProfile
 from .game import (LEFT, STRAIGHT, IMPOSSIBLE, PayoffBimatrix, headway_utility,
-                   merge_cost_left, merge_cost_stay, net_utility, solve_stackelberg)
+                   solve_stackelberg, squeeze_penalty)
 from .perception import VehicleView, bumper_gap, pose, rects_intersect
 from .road import LaneGeometry, distance_to_merge_end, room_to_hard_end
 
@@ -53,7 +53,6 @@ class SlotEval(NamedTuple):
     leader: Optional[VehicleView]
     front_gap: float
     follower: Optional[VehicleView]
-    rear_gap: float
     squeeze: float      # lane-change penalty vs the follower (<= 0 means room to spare)
     utility: float      # net leader utility of taking the slot
 
@@ -87,14 +86,10 @@ def evaluate_slot(ego: VehicleView, views: List[VehicleView], lane: int,
                   exclude: Tuple[str, ...] = ()) -> SlotEval:
     leader, follower = slot_around(ego, views, lane, exclude)
     front = bumper_gap(ego, leader) if leader else profile.visibility_range
-    if follower is not None:
-        rear = bumper_gap(ego, follower)
-        squeeze = merge_cost_left(rear, follower.v - ego.v, profile)
-    else:
-        rear = profile.visibility_range
-        squeeze = 0.0
-    utility = net_utility(headway_utility(front, profile), squeeze)
-    return _new_slot_eval((leader, front, follower, rear, squeeze, utility))
+    squeeze = 0.0 if follower is None else squeeze_penalty(
+        bumper_gap(ego, follower), follower.v - ego.v, profile)
+    utility = headway_utility(front, profile) - squeeze
+    return _new_slot_eval((leader, front, follower, squeeze, utility))
 
 
 def stay_utility(ego: VehicleView, views: List[VehicleView],
@@ -108,8 +103,8 @@ def stay_utility(ego: VehicleView, views: List[VehicleView],
         gap = bumper_gap(ego, leader)
         if gap < ahead:
             ahead = gap
-    u_pos = headway_utility(ahead, profile)
-    return net_utility(u_pos, merge_cost_stay(dist_to_end, ego.v, profile))
+    return (headway_utility(ahead, profile)
+            - squeeze_penalty(dist_to_end, ego.v, profile))
 
 
 def _escape_lane(p2_lane: int, entering_from: int,
@@ -197,24 +192,21 @@ def merging_game(ego: VehicleView, views: List[VehicleView], slot: SlotEval,
     return action, p2.vehicle_id
 
 
-def predict_states(views: List[VehicleView], ego_id: str, directive: str,
-                   horizon: float, nominal_accel: float) -> List[VehicleView]:
+def predict_states(views: List[VehicleView], ego_id: str, accel: float,
+                   horizon: float) -> List[VehicleView]:
     """Constant-speed propagation of everyone except the ego, which applies
-    a constant +/- nominal acceleration (the profile's nominal_accel or
-    nominal_decel, which RunConfig.profile caps at the comfort bound).
-    Speeds floor at zero."""
+    the constant signed acceleration `accel`.  Speeds floor at zero."""
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     out = []
     for v in views:
-        if v.vehicle_id == ego_id and directive in (ACCELERATE, DECELERATE):
-            a = nominal_accel if directive == ACCELERATE else -nominal_accel
-            if a < 0 and v.v + a * horizon < 0:
-                dy = v.v * v.v / (2.0 * -a)
+        if v.vehicle_id == ego_id:
+            if accel < 0 and v.v + accel * horizon < 0:
+                dy = v.v * v.v / (2.0 * -accel)
                 speed = 0.0
             else:
-                dy = v.v * horizon + 0.5 * a * horizon * horizon
-                speed = v.v + a * horizon
+                dy = v.v * horizon + 0.5 * accel * horizon * horizon
+                speed = v.v + accel * horizon
             out.append(v._replace(y=v.y + dy, v=speed))
         else:
             out.append(v._replace(y=v.y + v.v * horizon))
@@ -244,16 +236,14 @@ def acceleration_game(ego: VehicleView, views: List[VehicleView],
     tol = profile.risk_tolerance
     scored = {}
     for directive in (DECELERATE, ACCELERATE):
-        a_nom = (profile.nominal_accel if directive == ACCELERATE
-                 else profile.nominal_decel)
-        accel = a_nom if directive == ACCELERATE else -a_nom
+        accel = (profile.nominal_accel if directive == ACCELERATE
+                 else -profile.nominal_decel)
         reach = _time_to_reach(ego.v, accel, geometry.entrance_end - ego.y)
         cap = cfg.prediction_horizon
         horizon = reach if reach < cap else cap
         if horizon <= 0.0:
             continue  # already past the last possible merge point
-        pred = predict_states(views, ego.vehicle_id, directive, horizon,
-                              a_nom)
+        pred = predict_states(views, ego.vehicle_id, accel, horizon)
         pego = next(v for v in pred if v.vehicle_id == ego.vehicle_id)
         slot = evaluate_slot(pego, pred, target, profile)
         if not slot.feasible(tol):

@@ -103,9 +103,9 @@ class TrajectoryLog:
     vehicle_icol), so runs whose readers never ask for it never pay for it.
 
     `run` fills the columns: each decision vehicle appends its rows as it
-    moves, and each scripted vehicle's column is set once the loop ends.
-    `append` adds one row to its vehicle's column, for callers that build a
-    log row by row.
+    moves, and each scripted vehicle's column is the _Scripted record the
+    run starts with.  `append` adds one row to its vehicle's column, for
+    callers that build a log row by row.
     """
 
     def __init__(self, geometry: LaneGeometry,
@@ -172,9 +172,10 @@ class TrajectoryLog:
 
 
 class _Scripted:
-    """A scripted vehicle's column of rows, built on each read from the view
-    it starts from, the y it gains at every step, and the times of the
-    steps, which every scripted column of a run shares."""
+    """A scripted vehicle's one record for a run: the view it starts from,
+    the y it gains at every step, and the times of the logged steps, which
+    every scripted record of a run shares.  It gives the step loop its
+    views (track) and, as a log column, builds its rows on each read."""
 
     def __init__(self, start: VehicleView, increment: float,
                  times: List[float]):
@@ -184,9 +185,19 @@ class _Scripted:
         return len(self.times)
 
     def ys(self):
-        """Its y at each step: the sums of _scripted_ys."""
-        return islice(_scripted_ys(self.start.y, self.increment),
-                      len(self.times))
+        """The start y, then y + increment at each step, summed one step at
+        a time, without end: each reader takes the steps it needs."""
+        return accumulate(repeat(self.increment), initial=self.start.y)
+
+    def track(self):
+        """Its views after the start view, one per step.  tuple.__new__ is
+        what _make calls, so no Python frame runs per view."""
+        vid, x, _, v, heading, length, width, lane, kind = self.start
+        ys = self.ys()
+        next(ys)  # the start view's own
+        return map(tuple.__new__, repeat(VehicleView), zip(
+            repeat(vid), repeat(x), ys, repeat(v), repeat(heading),
+            repeat(length), repeat(width), repeat(lane), repeat(kind)))
 
     def __iter__(self):
         """Its rows: the start view's x, v, heading and lane objects, its
@@ -254,7 +265,7 @@ def _icol_columns(columns: list, bodies: Dict[str, Tuple[float, float]]):
         else:
             start = column.start
             xs.append([start.x] * steps)
-            ys.append(list(column.ys()))
+            ys.append(list(islice(column.ys(), steps)))
             sines.append([math.sin(start.heading)] * steps)
             cosines.append([math.cos(start.heading)] * steps)
     halves = [(width / 2.0, length / 2.0) for length, width in bodies.values()]
@@ -695,7 +706,7 @@ def _advance(world, views, attentions, bands, tracks, logged, log, t):
     t, given each one's attention by slot, and move every scripted vehicle.
 
     `tracks` holds one iterator per slot: a scripted vehicle's yields its
-    next view (see run), a decision vehicle's yields None.  `logged` pairs
+    next view (its track), a decision vehicle's yields None.  `logged` pairs
     each decision slot with the append of its own row list.  A row holds
     the start-of-step view and the brain before any forced stop is
     latched.  Controls read the start-of-step `views`; world.views gets a
@@ -765,34 +776,17 @@ def _complete_and_settle(world, decision_slots, moved, log, t,
     return None if quiet >= cfg.settle_time else quiet
 
 
-def _scripted_ys(y0: float, increment: float):
-    """y0, then y + increment at each step, summed one step at a time."""
-    return accumulate(repeat(increment), initial=y0)
-
-
-def _scripted_track(view: VehicleView, increment: float):
-    """The views a scripted vehicle takes after `view`, one per step: each
-    is the previous one with y + increment.  tuple.__new__ is what _make
-    calls, so no Python frame runs per view."""
-    vid, x, y0, v, heading, length, width, lane, kind = view
-    ys = _scripted_ys(y0, increment)
-    next(ys)  # y0 is the start view's own
-    return map(tuple.__new__, repeat(VehicleView), zip(
-        repeat(vid), repeat(x), ys, repeat(v), repeat(heading),
-        repeat(length), repeat(width), repeat(lane), repeat(kind)))
-
-
 def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
     """Advance the world at a fixed step until t_max, a collision, or rest.
 
     Each step logs every decision vehicle's start-of-step state as it moves
     it; collisions, then maneuver completions and settling, are judged on
     the moved poses.  Decisions fire on epoch boundaries.  A scripted
-    vehicle's motion is fixed at the start: it takes its views from one
-    precomputed track, its log column holds its start view and the times
-    of the steps once the loop ends (its rows come from the same y sums
-    when read), and its state gets its last view's y when the run returns
-    or raises.
+    vehicle's motion is fixed at the start: one _Scripted record gives its
+    views and is its log column, whose rows come from the same y sums when
+    read, and the loop appends each step's time to the records' shared
+    times as it logs the step.  Its state gets its last view's y when the
+    run returns or raises.
     """
     cfg = world.cfg
     if t_max is None:
@@ -813,20 +807,21 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
     n_steps = round(t_max / dt)
     # States may have been set since the world was built.
     world.views = starts = [v.view(geometry) for v in world.vehicles]
-    increments = [v.v_preset * dt if v.kind == SCRIPTED else None
-                  for v in world.vehicles]
+    times: List[float] = []
+    for i, veh in enumerate(world.vehicles):
+        if veh.kind == SCRIPTED:
+            log.columns[i] = _Scripted(starts[i], veh.v_preset * dt, times)
     pairs = _collision_pairs(starts)
-    tracks = [repeat(None) if increment is None
-              else _scripted_track(view, increment)
-              for view, increment in zip(starts, increments)]
+    tracks = [column.track() if type(column) is _Scripted else repeat(None)
+              for column in log.columns]
     logged = [(i, log.columns[i].append) for i in decision_slots]
     attentions: List[Optional[Attention]] = [None] * len(world.vehicles)
     quiet = 0.0
-    step_index = -1
 
     try:
         for step_index in range(n_steps):
             t = step_index * dt
+            times.append(t)
             views = world.snapshot()
             if step_index % steps_per_epoch == 0:
                 _decide(world, decision_slots, views, slot_of, attentions)
@@ -850,9 +845,4 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
         for veh, view in zip(world.vehicles, world.views):
             if veh.kind == SCRIPTED:
                 veh.state = veh.state._replace(y=view.y)
-    # Every step the loop logged, at the times it logged them.
-    times = [k * dt for k in range(step_index + 1)]
-    for i, increment in enumerate(increments):
-        if increment is not None:
-            log.columns[i] = _Scripted(starts[i], increment, times)
     return log

@@ -12,6 +12,7 @@ every game through the copies here.  Tests compare the simulator
 against these.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -19,8 +20,7 @@ from mergesim.driver import DriverProfile
 from mergesim.dynamics import GRAVITY
 from mergesim.game import (ACTIONS, IMPOSSIBLE, LEFT, STRAIGHT,
                            headway_utility)
-from mergesim.perception import (VehicleView, _new_neighbor, bumper_gap,
-                                 lateral_reach)
+from mergesim.perception import VehicleView, bumper_gap, lateral_reach
 from mergesim.planner import (ACCELERATE, CHANGE, DECELERATE, HOLD, KEEP,
                               MERGE, BrainState, Directive, _escape_lane,
                               _time_to_reach, complete_maneuver,
@@ -30,6 +30,10 @@ from mergesim.planner import (ACCELERATE, CHANGE, DECELERATE, HOLD, KEEP,
                               stopping_distance)
 from mergesim.road import LaneGeometry, distance_to_merge_end
 
+# The (vehicle_id, gap) neighbour record that perception exported when
+# classify_vicinity below was written.
+Neighbor = namedtuple("Neighbor", "vehicle_id gap")
+_new_neighbor = Neighbor._make
 
 
 def classify_vicinity(ego_id: str, views, geometry, *, visibility: float,
@@ -215,8 +219,7 @@ def acceleration_game(ego: VehicleView, views: List[VehicleView],
                                      geometry.entrance_end - ego.y))
         if horizon <= 0.0:
             continue  # already past the last possible merge point
-        pred = predict_states(views, ego.vehicle_id, directive, horizon,
-                              a_nom)
+        pred = predict_states(views, ego.vehicle_id, accel, horizon)
         pego = next(v for v in pred if v.vehicle_id == ego.vehicle_id)
         slot = evaluate_slot(pego, pred, target, profile)
         if not slot.feasible(tol):

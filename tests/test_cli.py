@@ -708,6 +708,24 @@ class TestPlotCommand:
         assert run_cli("plot", str(path)) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"y_long": "north", "lane": "two"},
+         "could not convert string to float: 'north'"),
+        ({"lane": "two", "i_col": "high"},
+         "invalid literal for int() with base 10: 'two'"),
+    ])
+    def test_first_bad_field_is_reported(self, tmp_path, capsys, bad,
+                                         message):
+        fields = ["0.00", "a", "0", "1", "2", "0", "0", "keep", "hold", "",
+                  "0", ""]
+        for column, value in bad.items():
+            fields[TRAJECTORY_COLUMNS.index(column)] = value
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(TRAJECTORY_COLUMNS) + "\n"
+                        + ",".join(fields) + "\n")
+        assert run_cli("plot", str(path)) == 2
+        assert capsys.readouterr().err == f"error: line 2: {message}\n"
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("column", FLOAT_COLUMNS)
     def test_non_finite_value_reports_line_and_column(self, tmp_path, capsys,

@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from mergesim.driver import DriverProfile
 from mergesim.game import (ACTIONS, LEFT, STRAIGHT, PayoffBimatrix,
-                           headway_utility, merge_cost_left, merge_cost_stay,
-                           net_utility, solve_stackelberg)
+                           headway_utility, solve_stackelberg,
+                           squeeze_penalty)
 
 from test_driver import EDGE_FLOATS
 
@@ -50,16 +50,19 @@ class TestHeadwayUtility:
             min(gap, cap).hex()
 
 
-class TestMergeCostLeft:
+class TestSqueezePenalty:
+    # One penalty serves a slot's follower (room: the gap behind, closing
+    # speed: the follower's speed minus the ego's) and the end of the merge
+    # lane (room: the distance to it, closing speed: the ego's speed).
     def test_direct_value(self):
-        assert merge_cost_left(12.0, 5.0, profile(prediction=1.0)) == \
+        assert squeeze_penalty(12.0, 5.0, profile(prediction=1.0)) == \
             pytest.approx(3.0)
 
     def test_exact_balance(self):
-        assert merge_cost_left(10.0, 0.0, profile()) == pytest.approx(0.0)
+        assert squeeze_penalty(10.0, 0.0, profile()) == pytest.approx(0.0)
 
     def test_large_gap_means_no_penalty(self):
-        assert merge_cost_left(1e6, 0.0, profile()) < -1e5
+        assert squeeze_penalty(1e6, 0.0, profile()) < -1e5
 
     @given(st.floats(0, 200), st.floats(0, 200), st.floats(-10, 10))
     def test_strictly_decreasing_in_gap(self, a, b, v_r):
@@ -67,28 +70,20 @@ class TestMergeCostLeft:
         lo, hi = sorted((a, b))
         if hi - lo < 1e-9:
             return
-        assert merge_cost_left(hi, v_r, p) < merge_cost_left(lo, v_r, p)
+        assert squeeze_penalty(hi, v_r, p) < squeeze_penalty(lo, v_r, p)
 
     @given(st.floats(0, 200), st.floats(-10, 10), st.floats(-10, 10))
     def test_nondecreasing_in_closing_speed(self, gap, a, b):
         p = profile()
         lo, hi = sorted((a, b))
-        assert merge_cost_left(gap, hi, p) >= merge_cost_left(gap, lo, p)
+        assert squeeze_penalty(gap, hi, p) >= squeeze_penalty(gap, lo, p)
 
-
-class TestMergeCostStay:
-    def test_direct_value(self):
-        assert merge_cost_stay(25.0, 20.0, profile(prediction=1.0)) == \
+    def test_lane_end_direct_value(self):
+        assert squeeze_penalty(25.0, 20.0, profile(prediction=1.0)) == \
             pytest.approx(5.0)
 
-    def test_cheap_far_from_end(self):
-        assert merge_cost_stay(1e6, 20.0, profile()) < -1e5
-
-
-def test_net_utility():
-    assert net_utility(50.0, 3.0) == 47.0
-    assert net_utility(0.0, 0.0) == 0.0
-    assert net_utility(65.0, -40.0) == 105.0
+    def test_cheap_far_from_lane_end(self):
+        assert squeeze_penalty(1e6, 20.0, profile()) < -1e5
 
 
 def bimatrix(u1, u2):

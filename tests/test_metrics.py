@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 
+from mergesim import metrics
 from mergesim.config import ConfigError, RunConfig
 from mergesim.metrics import (MAINLINE_ID, MERGE_ID, _maneuver_segments,
                               aggressiveness_sweep, grid_to_csv,
@@ -292,6 +293,16 @@ class TestSweep:
             "cell and takes no overrides, got ['merging', 'nobody']")
         pool.assert_not_called()
         cell.assert_not_called()
+
+    def test_pool_workers_call_a_wrapped_measure_cell(self, monkeypatch):
+        # A closure cannot be pickled: the pool gets _cell_job, which looks
+        # the wrapper up in each worker.
+        real = metrics.measure_cell
+        monkeypatch.setattr(metrics, "measure_cell",
+                            lambda *args: real(*args))
+        cfg, axis = RunConfig(t_max=2.0), (0.0, 1.0)
+        assert aggressiveness_sweep("scenario1", axis, axis, cfg, jobs=2) \
+            == aggressiveness_sweep("scenario1", axis, axis, cfg, jobs=1)
 
     def test_measure_cell_refuses_q_overrides(self):
         # A cell sets the q of merging and vehicle4 itself: it once dropped

@@ -37,31 +37,30 @@ def scenario_views(name):
 class TestPredictStates:
     def test_zero_horizon_is_identity(self):
         views = [view("a", 6.6, 10.0, 20.0), view("b", 9.9, 0.0, 19.0)]
-        pred = predict_states(views, "b", ACCELERATE, 0.0, 1.5)
+        pred = predict_states(views, "b", 1.5, 0.0)
         assert [(v.y, v.v) for v in pred] == [(10.0, 20.0), (0.0, 19.0)]
 
     def test_constant_speed_propagation(self):
         views = [view("a", 6.6, 10.0, 22.2)]
-        pred = predict_states(views, "none", ACCELERATE, 2.0, 1.5)
+        pred = predict_states(views, "none", 1.5, 2.0)
         assert pred[0].y == pytest.approx(10.0 + 44.4)
         assert pred[0].v == pytest.approx(22.2)
 
     def test_ego_constant_acceleration(self):
         views = [view("ego", 9.9, 0.0, 19.4)]
-        pred = predict_states(views, "ego", ACCELERATE, 2.0, 1.5)
+        pred = predict_states(views, "ego", 1.5, 2.0)
         assert pred[0].y == pytest.approx(41.8)
         assert pred[0].v == pytest.approx(22.4)
 
     def test_speed_floors_at_zero(self):
         views = [view("ego", 9.9, 0.0, 1.0)]
-        pred = predict_states(views, "ego", DECELERATE, 5.0, 1.0)
+        pred = predict_states(views, "ego", -1.0, 5.0)
         assert pred[0].v == 0.0
         assert pred[0].y == pytest.approx(0.5)
 
     def test_rejects_negative_horizon(self):
         with pytest.raises(ValueError):
-            predict_states([view("ego", 9.9, 0.0, 1.0)], "ego", ACCELERATE,
-                           -1.0, 1.0)
+            predict_states([view("ego", 9.9, 0.0, 1.0)], "ego", 1.0, -1.0)
 
 
 class TestMergingGame:

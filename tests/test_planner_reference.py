@@ -9,13 +9,12 @@ could part: equal positions and gaps, vehicles straddling lanes, magnified
 observers, payoff ties, signed zeros and impossible actions.
 """
 
-from collections import namedtuple
 from contextlib import contextmanager
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from mergesim import perception, world as world_module
+from mergesim import world as world_module
 from mergesim.config import ConfigError, RunConfig
 from mergesim.game import (IMPOSSIBLE, LEFT, STRAIGHT, PayoffBimatrix,
                            solve_stackelberg)
@@ -25,14 +24,8 @@ from mergesim.planner import build_entry_bimatrix, evaluate_slot
 from mergesim.road import LaneGeometry, lane_of
 from mergesim.world import BUILTIN_SCENARIOS, load_scenario, run
 
+import planner_reference as ref
 from test_collisions import generated_scenarios
-
-# The reference builds each neighbour through the (vehicle_id, gap) record
-# constructor that perception exported when it was written.
-Neighbor = namedtuple("Neighbor", "vehicle_id gap")
-with mock.patch.object(perception, "_new_neighbor", Neighbor._make,
-                       create=True):
-    import planner_reference as ref
 
 GEOMETRY = LaneGeometry()
 CFG = RunConfig()

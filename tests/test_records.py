@@ -42,8 +42,8 @@ RECORDS = [
      BrainState(3, 19.4, needs_merge=True, competing_id="vehicle4")),
     (SlotEval,
      [("leader", REQUIRED), ("front_gap", REQUIRED), ("follower", REQUIRED),
-      ("rear_gap", REQUIRED), ("squeeze", REQUIRED), ("utility", REQUIRED)],
-     SlotEval(None, 100.0, None, 100.0, 0.0, 3.5)),
+      ("squeeze", REQUIRED), ("utility", REQUIRED)],
+     SlotEval(None, 100.0, None, 0.0, 3.5)),
     (Directive,
      [("name", REQUIRED), ("competing_id", None), ("slot_leader_id", None),
       ("slot_follower_id", None)],
@@ -101,7 +101,7 @@ LEADER = VehicleView("vehicle3", 6.6, 30.0, 22.0, 0.0, 4.5, 1.8, 2)
     (None, 5.0, -1.0, 0.0, True),       # room to spare behind
 ])
 def test_slot_feasible(leader, front_gap, squeeze, tolerance, feasible):
-    slot = SlotEval(leader, front_gap, None, 10.0, squeeze, 0.0)
+    slot = SlotEval(leader, front_gap, None, squeeze, 0.0)
     assert slot.feasible(tolerance) is feasible
 
 

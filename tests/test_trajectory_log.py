@@ -12,10 +12,12 @@ from hypothesis import event, given, settings, strategies as st
 from mergesim import world as world_module
 from mergesim.cli import _sat_distance
 from mergesim.config import RunConfig
+from mergesim.logio import read_trajectory
 from mergesim.perception import collision_index, pose
 from mergesim.road import LaneGeometry
-from mergesim.world import (BUILTIN_SCENARIOS, TrajectoryLog, _nearest_pairs,
-                            _texts, load_scenario, run)
+from mergesim.world import (BUILTIN_SCENARIOS, TRAJECTORY_COLUMNS,
+                            TrajectoryLog, _nearest_pairs, _texts,
+                            load_scenario, run)
 
 from log_reference import (first_nearest, formatted_csv, scanned_icol,
                            scanned_rows)
@@ -43,6 +45,34 @@ def check_readers(log, world):
 def test_readers_match_the_reference_on_builtin_logs(scenario, noise):
     world = load_scenario(scenario, RunConfig(noise=noise))
     check_readers(run(world), world)
+
+
+@pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
+@pytest.mark.parametrize("noise", [False, True])
+def test_written_csv_reads_back_as_the_log(scenario, noise, tmp_path):
+    # Each parsed row holds its log row's fields: a float as its printed
+    # text read back, lane as an int, the decision fields as text, and i_col
+    # as vehicle_icol at six decimals.
+    world = load_scenario(scenario, RunConfig(noise=noise))
+    log = run(world)
+    path = tmp_path / "traj.csv"
+    path.write_text(log.to_csv(), encoding="utf-8")
+    parsed = read_trajectory(str(path))
+    assert len(parsed) == len(log.rows)
+    icol = {vid: log.vehicle_icol(vid) for vid in log.bodies}
+    n = len(log.bodies)
+    for k, (got, row) in enumerate(zip(parsed, log.rows)):
+        t, vid, x, y, v, theta, lane, maneuver, directive, competing, flags \
+            = row
+        want = {"t": float(f"{t:.2f}"), "id": vid,
+                "x_lat": float(f"{x:.6f}"), "y_long": float(f"{y:.6f}"),
+                "v": float(f"{v:.6f}"), "theta": float(f"{theta:.6f}"),
+                "lane": lane, "maneuver": maneuver,
+                "accel_directive": directive, "competing_id": competing,
+                "i_col": float(f"{icol[vid][k // n]:.6f}"), "flags": flags}
+        assert list(got) == list(TRAJECTORY_COLUMNS)
+        assert got == want
+        assert type(got["lane"]) is int
 
 
 @settings(max_examples=40, deadline=None)
