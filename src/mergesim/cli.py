@@ -10,14 +10,15 @@ import math
 import os
 import sys
 
-from .config import Q_RANGE, ConfigError, RunConfig, check, parse_text
+from .config import (Q_RANGE, ConfigError, RunConfig, check, parse_text,
+                     read_json_object)
 from .logio import TrajectoryFileError, read_trajectory, write_atomic
 from .metrics import (aggressiveness_sweep, grid_to_csv, lane_change_count,
                       longitudinal_disturbance)
 from .road import LaneGeometry
 from .svgplot import render
-from .world import (DECISION, geometry_from_dict, load_scenario,
-                    run as run_world)
+from .world import (DECISION, geometry_from_dict, geometry_to_dict,
+                    load_scenario, run as run_world)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,16 +42,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_config(args) -> RunConfig:
-    data = {}
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError: not JSON text
-            raise ConfigError(f"config file {args.config}: cannot read ({exc})")
-        if not isinstance(data, dict):
-            raise ConfigError(
-                f"config file {args.config}: top level must be an object")
+    data = read_json_object(args.config, "config file") if args.config else {}
     cfg = RunConfig.from_dict(data)
     env_seed = os.environ.get("MERGE_SIM_SEED")
     if args.seed is None and env_seed is not None and "seed" not in data:
@@ -85,7 +77,6 @@ def _sat_distance(i_col: float) -> float:
 
 
 def _summarize(log, world, cfg) -> dict:
-    geometry = world.geometry
     vehicles = {}
     for veh in world.vehicles:
         last = log.vehicle_rows(veh.vehicle_id)[-1]
@@ -117,13 +108,7 @@ def _summarize(log, world, cfg) -> dict:
         "forced_stop": log.forced_stop,
         "events": log.events,
         "vehicles": vehicles,
-        "geometry": {
-            "lane_centers": list(geometry.centers),
-            "lane_width": geometry.lane_width,
-            "merge": {"start": geometry.merge_start,
-                      "entrance_length": geometry.entrance_length,
-                      "extension": geometry.extension},
-        },
+        "geometry": geometry_to_dict(world.geometry),
         "config": cfg.to_dict(),
     }
 
@@ -215,22 +200,16 @@ def cmd_plot(args) -> int:
 def _geometry_for_plot(args) -> LaneGeometry:
     summary_path = args.summary
     if summary_path is None:
-        stem = os.path.splitext(args.trajectory)[0]
-        candidate = stem + ".summary.json"
-        summary_path = candidate if os.path.exists(candidate) else None
-    if summary_path is None:
-        return LaneGeometry()
-    try:
-        with open(summary_path, encoding="utf-8") as fh:
-            summary = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read geometry from {summary_path}: {exc}")
-    if not isinstance(summary, dict) or "geometry" not in summary:
-        raise ConfigError(f"{summary_path}: no geometry object")
+        summary_path = os.path.splitext(args.trajectory)[0] + ".summary.json"
+        if not os.path.exists(summary_path):
+            return LaneGeometry()
+    summary = read_json_object(summary_path, "summary file")
+    if "geometry" not in summary:
+        raise ConfigError(f"summary file {summary_path}: no geometry object")
     try:
         return geometry_from_dict(summary["geometry"])
     except ConfigError as exc:
-        raise ConfigError(f"{summary_path}: {exc}")
+        raise ConfigError(f"summary file {summary_path}: {exc}")
 
 
 def cmd_dump_config(args) -> int:

@@ -8,6 +8,7 @@ one checker of config, scenario and command-line values.
 """
 
 from dataclasses import dataclass, field, asdict, fields
+import json
 import math
 import os
 
@@ -234,6 +235,18 @@ def check(path: str, value, kind=float, interval: str = None):
             what = _WORDS.get(interval, "in " + interval)
             raise ConfigError(f"{path}: must be {what}, got {value!r}")
     return value
+
+
+def read_json_object(path: str, what: str) -> dict:
+    """The JSON object in file `path`, or a ConfigError "<what> <path>: ..."."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 JSON text
+        raise ConfigError(f"{what} {path}: cannot read ({exc})")
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} {path}: top level must be an object")
+    return data
 
 
 def check_field(cls, name: str, value, path: str = None):

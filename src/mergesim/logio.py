@@ -3,14 +3,14 @@
 import math
 import os
 
-from .config import ConfigError
+from .config import ConfigError, check, parse_text
 from .world import TRAJECTORY_COLUMNS
 
 # The columns read_trajectory parses as floats; each must be finite.
 FLOAT_COLUMNS = ("t", "x_lat", "y_long", "v", "theta", "i_col")
 # The type read_trajectory gives each column, in TRAJECTORY_COLUMNS order.
-_CONVERTERS = tuple(float if name in FLOAT_COLUMNS else int if name == "lane"
-                    else str for name in TRAJECTORY_COLUMNS)
+_KINDS = tuple(float if name in FLOAT_COLUMNS else int if name == "lane"
+               else str for name in TRAJECTORY_COLUMNS)
 
 
 class TrajectoryFileError(ValueError):
@@ -47,9 +47,8 @@ def write_atomic(path: str, text: str) -> None:
 
 def read_trajectory(path: str):
     """Rows of a trajectory CSV as dicts with typed fields.  A file that
-    cannot be read as text raises ConfigError naming it; a malformed line,
-    or a float field that is not finite, raises TrajectoryFileError naming
-    the line (and the column)."""
+    cannot be read as text raises ConfigError naming it; a malformed line
+    or field raises TrajectoryFileError naming the line (and the column)."""
     rows = []
     try:
         with open(path, encoding="utf-8") as fh:
@@ -68,14 +67,16 @@ def read_trajectory(path: str):
         if len(parts) != len(TRAJECTORY_COLUMNS):
             raise TrajectoryFileError(
                 number, f"expected {len(TRAJECTORY_COLUMNS)} fields, got {len(parts)}")
-        try:  # in column order: the first bad field is the one reported
-            row = {name: convert(part) for name, convert, part
-                   in zip(TRAJECTORY_COLUMNS, _CONVERTERS, parts)}
-        except ValueError as exc:
-            raise TrajectoryFileError(number, str(exc))
-        for name in FLOAT_COLUMNS:
-            if not math.isfinite(row[name]):
-                raise TrajectoryFileError(
-                    number, f"{name}: must be finite, got {row[name]!r}")
+        row = {}
+        for name, kind, part in zip(TRAJECTORY_COLUMNS, _KINDS, parts):
+            try:
+                row[name] = value = kind(part)
+                if kind is float and not math.isfinite(value):
+                    raise ValueError
+            except ValueError:  # check() says what is wrong with the field
+                try:
+                    check(name, parse_text(part, kind), kind)
+                except ConfigError as exc:
+                    raise TrajectoryFileError(number, str(exc))
         rows.append(row)
     return rows

@@ -2,7 +2,6 @@
 
 import copy
 from dataclasses import dataclass
-from itertools import groupby
 
 from .config import Q_RANGE, ConfigError, RunConfig, check, check_field
 from .world import (DECISION, TrajectoryLog, load_scenario,
@@ -37,56 +36,52 @@ def longitudinal_disturbance(log: TrajectoryLog, vehicle_id: str,
     return total
 
 
-def _maneuver_segments(rows, cuts):
-    """Maximal runs of steps spent in one lateral maneuver: (start_index,
-    end_index_exclusive, maneuver) for every run of 'merge' or 'change'
-    rows, also ended before each row index in `cuts`."""
-    start = 0
-    for kind, run_rows in groupby(r[7] for r in rows):
-        end = start + sum(1 for _ in run_rows)
-        if kind in ("merge", "change"):
-            for cut in sorted(c for c in cuts if start < c < end):
-                yield start, cut, kind
-                start = cut
-            yield start, end, kind
-        start = end
-
-
 def lane_change_events(log: TrajectoryLog, vehicle_id: str):
     """(maneuver, lateral displacement, completed) per maneuver segment.
 
-    Segments end at the vehicle's completion events, which the step loop
-    logs when complete_maneuver ends a maneuver, so a maneuver begun at the
-    epoch right after one completed counts on its own.  A segment that ends
-    at a completion event is completed and contributes the exact offset
-    from the center of the lane it started in to that of the event's lane;
-    any other segment (cut off by the end of the run) contributes whatever
-    lateral motion it actually caused.
+    One forward pass: a segment opens at a 'merge' or 'change' row and
+    closes where the maneuver column changes, at the row a completion event
+    of the vehicle reached, or at the end of the run.  The step loop logs
+    those events when complete_maneuver ends a maneuver, so a maneuver
+    begun at the epoch right after one completed counts on its own.  A
+    segment ending at an event's row is completed and contributes the exact
+    offset from the center of the lane it started in to that of the event's
+    lane; any other segment contributes the lateral motion it caused.
     """
     rows = log.vehicle_rows(vehicle_id)
     centers = log.geometry.centers
     out = []
     # The lane reached, by the row after each completion: rows lie on a
     # uniform grid, and an event's t (its step's t + dt) may differ from
-    # that row's in the last bit.  With one row, no cut falls inside a
+    # that row's in the last bit.  With one row, no event falls inside a
     # segment.
     dt = rows[1][0] - rows[0][0] if len(rows) > 1 else 1.0
     reached = {round((e["t"] - rows[0][0]) / dt): e["lane"]
                for e in log.events if e.get("vehicle") == vehicle_id
                and e["event"] in ("merge_complete", "change_complete")}
-    for start, end, kind in _maneuver_segments(rows, reached):
-        lane = reached.get(end)
-        if lane is not None:
-            moved = abs(centers[lane] - centers[rows[start][6]])
-        else:
-            moved = abs(rows[end - 1][2] - rows[start][2])
-        out.append((kind, moved, lane is not None))
+    start = kind = None  # the open segment's first row and maneuver
+    # The None after the last row closes a segment still open.
+    for end, maneuver in enumerate([r[7] for r in rows] + [None]):
+        if kind is not None and (maneuver != kind or end in reached):
+            lane = reached.get(end)
+            if lane is not None:
+                moved = abs(centers[lane] - centers[rows[start][6]])
+            else:
+                moved = abs(rows[end - 1][2] - rows[start][2])
+            out.append((kind, moved, lane is not None))
+            kind = None
+        if kind is None and maneuver in ("merge", "change"):
+            start, kind = end, maneuver
     return out
 
 
 def lateral_disturbance(log: TrajectoryLog, vehicle_id: str) -> float:
-    """Total lateral displacement across lane-change maneuvers."""
-    return sum(moved for _, moved, _ in lane_change_events(log, vehicle_id))
+    """Total lateral displacement across lane-change maneuvers, added left
+    to right: the builtin sum rounds differently from Python 3.12 on."""
+    total = 0.0
+    for _, moved, _ in lane_change_events(log, vehicle_id):
+        total += moved
+    return total
 
 
 def lane_change_count(log: TrajectoryLog, vehicle_id: str) -> int:

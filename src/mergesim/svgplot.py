@@ -12,6 +12,9 @@ WIDTH = 900
 HEIGHT = 360
 MARGIN = 45.0
 
+# Not xml.sax.saxutils.escape: that module imports urllib.request and ssl.
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
 
 def _span(values, fallback):
     if not values:
@@ -67,24 +70,20 @@ def render(rows: List[dict], geometry: LaneGeometry) -> str:
         parts.append(f'<text x="{xp + 3:.2f}" y="{sy(geometry.centers[-1] + half) - 4:.2f}" '
                      f'font-size="10" fill="#cc8800">{label}</text>')
 
-    by_vehicle: Dict[str, List[dict]] = {}
-    order = []
+    by_vehicle: Dict[str, List[dict]] = {}  # in order of first appearance
     for r in rows:
-        if r["id"] not in by_vehicle:
-            by_vehicle[r["id"]] = []
-            order.append(r["id"])
-        by_vehicle[r["id"]].append(r)
+        by_vehicle.setdefault(r["id"], []).append(r)
 
-    for i, vid in enumerate(order):
+    for i, (vid, track) in enumerate(by_vehicle.items()):
         color = PALETTE[i % len(PALETTE)]
         pts = " ".join(f"{sx(r['y_long']):.2f},{sy(r['x_lat']):.2f}"
-                       for r in by_vehicle[vid])
+                       for r in track)
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
-        last = by_vehicle[vid][-1]
+        last = track[-1]
         parts.append(f'<text x="{sx(last["y_long"]) + 3:.2f}" '
                      f'y="{sy(last["x_lat"]) - 3:.2f}" font-size="10" '
-                     f'fill="{color}">{vid}</text>')
+                     f'fill="{color}">{vid.translate(_XML_TEXT)}</text>')
 
     parts.append(f'<text x="{MARGIN:.2f}" y="{HEIGHT - 10:.2f}" font-size="11" '
                  f'fill="#333333">longitudinal position (m)</text>')

@@ -2,13 +2,14 @@
 
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain, islice, repeat
-import json
 import math
 from operator import sub
+import os
 import random
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .config import Q_RANGE, ConfigError, RunConfig, check, check_field
+from .config import (Q_RANGE, ConfigError, RunConfig, check, check_field,
+                     read_json_object)
 from .driver import (DriverProfile, blended_error, longitudinal_accel,
                      steering_command)
 from .dynamics import GRAVITY, Controls, VehicleParams, VehicleState, step
@@ -369,15 +370,9 @@ def scenario_definition(source) -> dict:
         return source
     if check("scenario", source, str) in BUILTIN_SCENARIOS:
         return BUILTIN_SCENARIOS[source]
-    try:
-        with open(source, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"scenario: no built-in or file named {source!r}")
-    except (OSError, ValueError) as exc:  # ValueError: not JSON text
-        raise ConfigError(f"scenario {source!r}: cannot read ({exc})")
-    _require(isinstance(data, dict), "scenario: top level must be an object")
-    return data
+    _require(os.path.exists(source),
+             f"scenario: no built-in or file named {source!r}")
+    return read_json_object(source, "scenario")
 
 
 def geometry_from_dict(geo) -> LaneGeometry:
@@ -409,6 +404,15 @@ def geometry_from_dict(geo) -> LaneGeometry:
             entrance_length=entrance_length, extension=extension)
     except ValueError as exc:
         raise ConfigError(f"geometry: {exc}")
+
+
+def geometry_to_dict(geometry: LaneGeometry) -> dict:
+    """The "geometry" object that geometry_from_dict reads back."""
+    return {"lane_centers": list(geometry.centers),
+            "lane_width": geometry.lane_width,
+            "merge": {"start": geometry.merge_start,
+                      "entrance_length": geometry.entrance_length,
+                      "extension": geometry.extension}}
 
 
 def load_scenario(source, cfg: RunConfig) -> World:

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 from unittest import mock
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -23,10 +24,11 @@ from mergesim.logio import FLOAT_COLUMNS
 from mergesim.metrics import GRID_COLUMNS, aggressiveness_sweep, grid_to_csv
 from mergesim.road import LaneGeometry
 from mergesim.world import (BUILTIN_SCENARIOS, MAX_SPEED_KMH,
-                            TRAJECTORY_COLUMNS, geometry_from_dict, load_scenario,
-                            run as run_world)
+                            TRAJECTORY_COLUMNS, geometry_from_dict,
+                            geometry_to_dict, load_scenario, run as run_world)
 
 import golden
+from test_collisions import generated_scenarios
 
 GOLDEN = golden.load()
 with open(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -224,7 +226,7 @@ class TestRejectsBadInput:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("mutate, message", [
-        (lambda d: [d], "scenario: top level must be an object"),
+        (lambda d: [d], "scenario <path>: top level must be an object"),
         (lambda d: {**d, "geometry": []}, "geometry: must be an object"),
         (lambda d: {**d, "vehicles": {}}, "vehicles: must be a list"),
         (lambda d: {**d, "vehicles": [1]}, "vehicles[0]: must be an object"),
@@ -292,7 +294,7 @@ class TestRejectsBadInput:
         out = str(tmp_path / "x")
         assert run_cli("run", "--scenario", str(path), "--output", out) == 2
         err = capsys.readouterr().err
-        assert f"error: {message}" in err
+        assert f"error: {message.replace('<path>', str(path))}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("config, message", [
@@ -576,6 +578,23 @@ class TestLibraryDefaultIsCliDefault:
         assert geometry_from_dict({"merge": {}}) == LaneGeometry()
 
 
+class TestGeometryRoundTrip:
+    """The summary's geometry object reads back as the run's geometry."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_builtin(self, name):
+        written = BUILTIN_SCENARIOS[name]["geometry"]
+        geometry = geometry_from_dict(written)
+        assert geometry_to_dict(geometry) == written
+        assert geometry_from_dict(geometry_to_dict(geometry)) == geometry
+
+    @settings(max_examples=40, deadline=None)
+    @given(generated_scenarios())
+    def test_generated(self, case):
+        geometry = geometry_from_dict(case[0]["geometry"])
+        assert geometry_from_dict(geometry_to_dict(geometry)) == geometry
+
+
 class TestSweepCommand:
     def test_grid_rows_and_determinism(self, tmp_path):
         outs = []
@@ -668,6 +687,20 @@ class TestPlotCommand:
         svg = read_text(svg_path)
         assert "<svg" in svg and svg.count("<polyline") == 0
 
+    def test_label_of_an_id_with_markup_characters(self, tmp_path):
+        # A vehicle id may hold any character but a comma or a line break.
+        data = copy.deepcopy(BUILTIN_SCENARIOS["scenario1"])
+        data["vehicles"][0]["id"] = "a<b&c"
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(data))
+        out = str(tmp_path / "traj")
+        assert run_cli("run", "--scenario", str(scenario), "--t-max", "0.5",
+                       "--output", out) == 0
+        assert run_cli("plot", out + ".csv") == 0
+        labels = [e.text for e in ET.parse(out + ".svg").getroot().iter(
+            "{http://www.w3.org/2000/svg}text")]
+        assert "a<b&c" in labels
+
     def test_byte_identical_rerenders(self, tmp_path):
         out = str(tmp_path / "traj")
         run_cli("run", "--scenario", "scenario2", "--output", out)
@@ -686,7 +719,7 @@ class TestPlotCommand:
         (lambda s: {**s, "geometry": [1]}, "geometry: must be an object"),
         (lambda s: {k: v for k, v in s.items() if k != "geometry"},
          "no geometry object"),
-        (lambda s: [s], "no geometry object"),
+        (lambda s: [s], "top level must be an object"),
     ])
     def test_malformed_summary_geometry(self, tmp_path, capsys, mutate,
                                         message):
@@ -699,7 +732,8 @@ class TestPlotCommand:
         capsys.readouterr()
         assert run_cli("plot", out + ".csv") == 2
         err = capsys.readouterr().err
-        assert message in err
+        assert err.startswith(f"error: summary file {out}.summary.json: "
+                              f"{message}")
         assert "Traceback" not in err
 
     def test_malformed_file_reports_line(self, tmp_path, capsys):
@@ -710,9 +744,10 @@ class TestPlotCommand:
 
     @pytest.mark.parametrize("bad, message", [
         ({"y_long": "north", "lane": "two"},
-         "could not convert string to float: 'north'"),
+         "y_long: must be a number, got 'north'"),
         ({"lane": "two", "i_col": "high"},
-         "invalid literal for int() with base 10: 'two'"),
+         "lane: must be an integer, got 'two'"),
+        ({"lane": "0.5"}, "lane: must be an integer, got '0.5'"),
     ])
     def test_first_bad_field_is_reported(self, tmp_path, capsys, bad,
                                          message):
@@ -761,6 +796,35 @@ class TestFileErrors:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert message in lines[0], lines[0]
         assert list(tmp_path.rglob(".tmp-*")) == []
+
+    @pytest.mark.parametrize("what, argv, case", [
+        pytest.param(what, argv, case, id=f"{argv[0]}-{what}-{case}")
+        for what, argv in (
+            ("scenario", ("run", "--output", "{out}", "--scenario", "{F}")),
+            ("config file", ("dump-config", "--config", "{F}")),
+            ("summary file", ("plot", "{T}", "--summary", "{F}")),
+            ("trajectory file", ("plot", "{F}")))
+        for case in ("directory", "non-UTF-8", "JSON array")
+        if case != "JSON array" or what != "trajectory file"])
+    def test_one_error_form_for_every_file_input(self, tmp_path, capsys,
+                                                 what, argv, case):
+        path = tmp_path / "F"
+        if case == "directory":
+            path.mkdir()
+        elif case == "non-UTF-8":
+            path.write_bytes(b'{"\xff": 1}')
+        else:
+            path.write_text("[]")
+        trajectory = tmp_path / "T.csv"
+        trajectory.write_text(",".join(TRAJECTORY_COLUMNS) + "\n")
+        argv = [arg.format(F=path, T=trajectory, out=tmp_path / "x")
+                for arg in argv]
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(f"error: {what} {path}: "), lines[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "T.csv"]
 
     def test_plot_of_a_directory(self, tmp_path, capsys):
         path = tmp_path / "DIR"
