@@ -12,7 +12,7 @@ import sys
 
 from .config import (Q_RANGE, ConfigError, RunConfig, check, parse_text,
                      read_json_object)
-from .logio import TrajectoryFileError, read_trajectory, write_atomic
+from .logio import read_trajectory, write_atomic
 from .metrics import (aggressiveness_sweep, grid_to_csv, lane_change_count,
                       longitudinal_disturbance)
 from .road import LaneGeometry
@@ -114,8 +114,6 @@ def _summarize(log, world, cfg) -> dict:
 
 
 def cmd_run(args) -> int:
-    if args.dump_config:
-        return cmd_dump_config(args)
     cfg = build_config(args)
     world = load_scenario(cfg.scenario, cfg)
     log = run_world(world)
@@ -227,8 +225,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="simulate one scenario")
     _add_common(p_run)
     p_run.add_argument("--output", help="output basename (default from scenario)")
-    p_run.add_argument("--dump-config", action="store_true",
-                       help="print the effective config and exit")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="aggressiveness grid sweep")
@@ -255,7 +251,7 @@ def main(argv=None) -> int:
         sys.stdout.reconfigure(errors="backslashreplace")
     try:
         return args.func(args)
-    except (ConfigError, TrajectoryFileError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -198,9 +198,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        check_keys("config", data, cls.__dataclass_fields__)
         return cls(**data).validate()
 
 
@@ -235,6 +233,13 @@ def check(path: str, value, kind=float, interval: str = None):
             what = _WORDS.get(interval, "in " + interval)
             raise ConfigError(f"{path}: must be {what}, got {value!r}")
     return value
+
+
+def check_keys(path: str, data: dict, known) -> None:
+    """A ConfigError "<path>: unknown keys [...]" for keys not in `known`."""
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {sorted(unknown, key=str)}")
 
 
 def read_json_object(path: str, what: str) -> dict:

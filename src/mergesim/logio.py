@@ -1,4 +1,4 @@
-"""Atomic text output and trajectory-file parsing."""
+"""Atomic text output and trajectory-file parsing; both fail as ConfigError."""
 
 import math
 import os
@@ -11,14 +11,6 @@ FLOAT_COLUMNS = ("t", "x_lat", "y_long", "v", "theta", "i_col")
 # The type read_trajectory gives each column, in TRAJECTORY_COLUMNS order.
 _KINDS = tuple(float if name in FLOAT_COLUMNS else int if name == "lane"
                else str for name in TRAJECTORY_COLUMNS)
-
-
-class TrajectoryFileError(ValueError):
-    """Malformed trajectory file; carries the offending line number."""
-
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -47,8 +39,12 @@ def write_atomic(path: str, text: str) -> None:
 
 def read_trajectory(path: str):
     """Rows of a trajectory CSV as dicts with typed fields.  A file that
-    cannot be read as text raises ConfigError naming it; a malformed line
-    or field raises TrajectoryFileError naming the line (and the column)."""
+    cannot be read as text, or a malformed line or field, raises
+    ConfigError "trajectory file <path>: ..." naming the line (and the
+    column) at fault."""
+    def line_error(number, message):
+        return ConfigError(f"trajectory file {path}: line {number}: {message}")
+
     rows = []
     try:
         with open(path, encoding="utf-8") as fh:
@@ -56,17 +52,17 @@ def read_trajectory(path: str):
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"trajectory file {path}: cannot read ({exc})")
     if not lines:
-        raise TrajectoryFileError(1, "empty file")
+        raise line_error(1, "empty file")
     header = lines[0].split(",")
     if tuple(header) != TRAJECTORY_COLUMNS:
-        raise TrajectoryFileError(1, f"unexpected header {lines[0]!r}")
+        raise line_error(1, f"unexpected header {lines[0]!r}")
     for number, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         parts = line.split(",")
         if len(parts) != len(TRAJECTORY_COLUMNS):
-            raise TrajectoryFileError(
-                number, f"expected {len(TRAJECTORY_COLUMNS)} fields, got {len(parts)}")
+            raise line_error(number, f"expected {len(TRAJECTORY_COLUMNS)} "
+                             f"fields, got {len(parts)}")
         row = {}
         for name, kind, part in zip(TRAJECTORY_COLUMNS, _KINDS, parts):
             try:
@@ -77,6 +73,6 @@ def read_trajectory(path: str):
                 try:
                     check(name, parse_text(part, kind), kind)
                 except ConfigError as exc:
-                    raise TrajectoryFileError(number, str(exc))
+                    raise line_error(number, exc)
         rows.append(row)
     return rows

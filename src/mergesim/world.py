@@ -9,7 +9,7 @@ import random
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .config import (Q_RANGE, ConfigError, RunConfig, check, check_field,
-                     read_json_object)
+                     check_keys, read_json_object)
 from .driver import (DriverProfile, blended_error, longitudinal_accel,
                      steering_command)
 from .dynamics import GRAVITY, Controls, VehicleParams, VehicleState, step
@@ -27,13 +27,9 @@ DECISION = "decision"
 KMH = 1.0 / 3.6
 MAX_SPEED_KMH = 250.0  # fastest start speed a scenario may give a vehicle
 
+# Both run on the default road: a scenario without geometry gets LaneGeometry().
 BUILTIN_SCENARIOS = {
     "scenario1": {
-        "geometry": {
-            "lane_centers": [0.0, 3.3, 6.6, 9.9],
-            "lane_width": 3.3,
-            "merge": {"start": 50.0, "entrance_length": 100.0, "extension": 20.0},
-        },
         "vehicles": [
             {"id": "vehicle1", "x0_m": 0.0, "y0_m": 30.0, "v0_kmh": 80.0, "kind": SCRIPTED},
             {"id": "vehicle2", "x0_m": 3.3, "y0_m": 30.0, "v0_kmh": 80.0, "kind": SCRIPTED},
@@ -45,11 +41,6 @@ BUILTIN_SCENARIOS = {
         ],
     },
     "scenario2": {
-        "geometry": {
-            "lane_centers": [0.0, 3.3, 6.6, 9.9],
-            "lane_width": 3.3,
-            "merge": {"start": 50.0, "entrance_length": 100.0, "extension": 20.0},
-        },
         "vehicles": [
             {"id": "vehicle1", "x0_m": 0.0, "y0_m": 10.0, "v0_kmh": 80.0, "kind": SCRIPTED},
             {"id": "vehicle2", "x0_m": 3.3, "y0_m": 10.0, "v0_kmh": 80.0, "kind": SCRIPTED},
@@ -375,50 +366,52 @@ def scenario_definition(source) -> dict:
     return read_json_object(source, "scenario")
 
 
+# Each number field of LaneGeometry by its path in a "geometry" object.
+_GEOMETRY_PATHS = {"lane_width": ("lane_width",),
+                   "merge_start": ("merge", "start"),
+                   "entrance_length": ("merge", "entrance_length"),
+                   "extension": ("merge", "extension")}
+
+
 def geometry_from_dict(geo) -> LaneGeometry:
     """LaneGeometry from a scenario's "geometry" object, validating every
     field; missing fields take LaneGeometry's defaults."""
     check("geometry", geo, dict)
     merge = check("geometry.merge", geo.get("merge", {}), dict)
     default = LaneGeometry()
+    known = geometry_to_dict(default)
+    check_keys("geometry", geo, known)
+    check_keys("geometry.merge", merge, known["merge"])
     centers = geo.get("lane_centers", default.centers)
     _require(isinstance(centers, (list, tuple)) and len(centers) >= 2,
              "geometry.lane_centers: must be a list of at least 2 numbers, "
              f"got {centers!r}")
     centers = tuple(check(f"geometry.lane_centers[{i}]", c)
                     for i, c in enumerate(centers))
-
-    def number(name, source, key, path):
-        return check_field(LaneGeometry, name,
-                           source.get(key, getattr(default, name)), path)
-
-    lane_width = number("lane_width", geo, "lane_width", "geometry.lane_width")
-    merge_start = number("merge_start", merge, "start", "geometry.merge.start")
-    entrance_length = number("entrance_length", merge, "entrance_length",
-                             "geometry.merge.entrance_length")
-    extension = number("extension", merge, "extension",
-                       "geometry.merge.extension")
+    numbers = {}
+    for name, (*section, key) in _GEOMETRY_PATHS.items():
+        value = (merge if section else geo).get(key, getattr(default, name))
+        numbers[name] = check_field(LaneGeometry, name, value,
+                                    ".".join(["geometry", *section, key]))
     try:
-        return LaneGeometry(
-            centers=centers, lane_width=lane_width, merge_start=merge_start,
-            entrance_length=entrance_length, extension=extension)
+        return LaneGeometry(centers=centers, **numbers)
     except ValueError as exc:
         raise ConfigError(f"geometry: {exc}")
 
 
 def geometry_to_dict(geometry: LaneGeometry) -> dict:
     """The "geometry" object that geometry_from_dict reads back."""
-    return {"lane_centers": list(geometry.centers),
-            "lane_width": geometry.lane_width,
-            "merge": {"start": geometry.merge_start,
-                      "entrance_length": geometry.entrance_length,
-                      "extension": geometry.extension}}
+    out = {"lane_centers": list(geometry.centers), "merge": {}}
+    for name, (*section, key) in _GEOMETRY_PATHS.items():
+        (out["merge"] if section else out)[key] = getattr(geometry, name)
+    return out
 
 
 def load_scenario(source, cfg: RunConfig) -> World:
     """Build a world from a scenario definition, validating every field."""
     cfg.validate()
     data = scenario_definition(source)
+    check_keys("scenario", data, ("geometry", "vehicles"))
     geometry = geometry_from_dict(data.get("geometry", {}))
     params = cfg.vehicle_params()
     vehicles = []
@@ -427,12 +420,13 @@ def load_scenario(source, cfg: RunConfig) -> World:
     for i, item in enumerate(items):
         where = f"vehicles[{i}]"
         check(where, item, dict)
+        check_keys(where, item, ("id", "x0_m", "y0_m", "v0_kmh", "kind", "q"))
         vid = item.get("id")
         _require(isinstance(vid, str) and vid, f"{where}.id: missing or empty")
-        # The trajectory CSV holds ids unquoted, and logio.read_trajectory
-        # splits its text into lines and its lines at commas.
-        _require("," not in vid and vid.splitlines() == [vid],
-                 f"{where}.id: must not contain a comma or a line break, "
+        # read_trajectory splits the CSV at line breaks, none printable, and
+        # at commas, which its ids hold unquoted; an SVG holds no C0 control.
+        _require("," not in vid and vid.isprintable(),
+                 f"{where}.id: must be printable and hold no comma, "
                  f"got {vid!r}")
         _require(vid not in seen, f"{where}.id: duplicate id {vid!r}")
         seen.add(vid)
@@ -543,17 +537,41 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views: List[VehicleView],
     follow_ref = profile.lane_change_clearance + profile.follow_headway * v
     k = attention.own_follower
     follower_gap = None if k is None else bumper_gap(ego, views[k])
+
+    # Safety channels, each a (gap, reference, relative speed): never
+    # outrun anything ahead in the lanes we occupy.  The slot leader is
+    # held at the slot reference, every other lane leader at the boxed one.
+    channels = []
     k = attention.slot_leader if merging_phase else None
     slot_leader = None if k is None else views[k]
     if slot_leader is not None:
-        slot_gap = bumper_gap(ego, slot_leader)
-        slot_rel = slot_leader.v - v
+        gap = bumper_gap(ego, slot_leader)
         k = attention.slot_follower
-        slot_ref = _slot_gap_ref(ego, profile, slot_gap,
-                                 None if k is None else views[k], follow_ref)
-    # The cruise command's own-lane leader, whose gap and reference the
-    # safety loop below reuses.
-    cruise_leader = None
+        ref = _slot_gap_ref(ego, profile, gap,
+                            None if k is None else views[k], follow_ref)
+        channels.append((gap, ref, slot_leader.v - v))
+    own = None  # the own-lane leader's channel, which plain cruise follows
+    lanes = (brain.current_lane,)
+    if changing and brain.target_lane not in (None, brain.current_lane):
+        lanes += (brain.target_lane,)
+    for lane in lanes:
+        k = attention.lane_leaders.get(lane)
+        leader = None if k is None else views[k]
+        if leader is None or leader is slot_leader:
+            continue
+        gap = bumper_gap(ego, leader)
+        channels.append((gap, _boxed_gap_ref(gap, follower_gap, follow_ref),
+                         leader.v - v))
+        if lane == brain.current_lane:
+            own = channels[-1]
+    if attention.threat is not None:
+        threat = views[attention.threat]
+        ahead = threat.y - ego.y > (threat.length + ego.length) / 2.0
+        if ahead or brain.evading:
+            closing = v - threat.v
+            ref = (profile.lane_change_clearance + profile.prediction_time
+                   * (closing if closing > 0.0 else 0.0))
+            channels.append((bumper_gap(ego, threat), ref, threat.v - v))
 
     # Base command: directive, slot keeping, or plain cruise.
     if merging_phase and brain.directive == ACCELERATE:
@@ -569,58 +587,23 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views: List[VehicleView],
             else:
                 base = profile.guard_lo
     elif slot_leader is not None:
-        base = longitudinal_accel(profile, slot_gap - slot_ref, slot_rel)
+        gap, ref, rel = channels[0]
+        base = longitudinal_accel(profile, gap - ref, rel)
+    elif own is not None and own[0] < own[1]:
+        gap, ref, rel = own
+        err, rate = blended_error(brain.v_ref - v, gap - ref, rel,
+                                  profile.speed_weight)
+        base = longitudinal_accel(profile, err, rate)
     else:
-        speed_err = brain.v_ref - v
-        k = attention.lane_leaders.get(brain.current_lane)
-        if k is not None:
-            cruise_leader = views[k]
-            cruise_gap = bumper_gap(ego, cruise_leader)
-            cruise_ref = _boxed_gap_ref(cruise_gap, follower_gap, follow_ref)
-        if cruise_leader is not None and cruise_gap < cruise_ref:
-            err, rate = blended_error(speed_err, cruise_gap - cruise_ref,
-                                      cruise_leader.v - v,
-                                      profile.speed_weight)
-            base = longitudinal_accel(profile, err, rate)
-        else:
-            base = longitudinal_accel(profile, speed_err, 0.0)
+        base = longitudinal_accel(profile, brain.v_ref - v, 0.0)
 
-    # Safety channels: never outrun anything ahead in the lanes we occupy.
-    # Each brakes through the PD law only while its gap is short of its
-    # reference.
-    if slot_leader is not None and slot_gap < slot_ref:
-        brake = longitudinal_accel(profile, slot_gap - slot_ref, slot_rel)
-        if brake < base:
-            base = brake
-    lanes = (brain.current_lane,)
-    if changing and brain.target_lane not in (None, brain.current_lane):
-        lanes += (brain.target_lane,)
-    for lane in lanes:
-        k = attention.lane_leaders.get(lane)
-        leader = None if k is None else views[k]
-        if leader is None or leader is slot_leader:
-            continue  # the slot leader is held at the slot reference above
-        if leader is cruise_leader:
-            gap, ref = cruise_gap, cruise_ref
-        else:
-            gap = bumper_gap(ego, leader)
-            ref = _boxed_gap_ref(gap, follower_gap, follow_ref)
+    # Each channel brakes through the PD law only while its gap is short
+    # of its reference.
+    for gap, ref, rel in channels:
         if gap < ref:
-            brake = longitudinal_accel(profile, gap - ref, leader.v - v)
+            brake = longitudinal_accel(profile, gap - ref, rel)
             if brake < base:
                 base = brake
-    if attention.threat is not None:
-        threat = views[attention.threat]
-        ahead = threat.y - ego.y > (threat.length + ego.length) / 2.0
-        if ahead or brain.evading:
-            closing = v - threat.v
-            ref = (profile.lane_change_clearance + profile.prediction_time
-                   * (closing if closing > 0.0 else 0.0))
-            gap = bumper_gap(ego, threat)
-            if gap < ref:
-                brake = longitudinal_accel(profile, gap - ref, threat.v - v)
-                if brake < base:
-                    base = brake
 
     # Comfort bounds acceleration; emergencies may brake up to the
     # physical cap.

@@ -163,17 +163,13 @@ class TestRunCommand:
     def test_dump_config_round_trip(self, capsys):
         flags = ("--scenario", "scenario2", "--q", "merging=0.25",
                  "--dt", "0.02", "--epoch", "0.2")
-        assert run_cli("run", "--dump-config", *flags) == 0
-        out = capsys.readouterr().out
-        data = json.loads(out)
+        assert run_cli("dump-config", *flags) == 0
+        data = json.loads(capsys.readouterr().out)
         cfg = RunConfig.from_dict(data)
         assert cfg.to_dict() == data
         assert cfg.scenario == "scenario2"
         assert cfg.q_overrides == {"merging": 0.25}
         assert cfg.dt == 0.02
-        # `run --dump-config` and `dump-config` print the same bytes.
-        assert run_cli("dump-config", *flags) == 0
-        assert capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize("key, scenario, q, seed", golden.RUNS,
@@ -279,13 +275,25 @@ class TestRejectsBadInput:
             **d["vehicles"][1], "y0_m": d["vehicles"][0]["y0_m"] - 4.5}]},
          "vehicles[1]: overlaps vehicles[0] ('slow') at the start"),
         # The CSV holds ids unquoted: read_trajectory would split these rows
-        # at the comma or the line boundary.
+        # at the comma or the line boundary.  No unprintable character is
+        # allowed (see test_id_that_svg_cannot_hold_exits_2).
         *[(lambda d, vid=vid: {**d, "vehicles": [
             {**d["vehicles"][0], "id": vid}, d["vehicles"][1]]},
-           "vehicles[0].id: must not contain a comma or a line break, "
-           f"got {vid!r}")
+           f"vehicles[0].id: must be printable and hold no comma, got {vid!r}")
           for vid in ("a,b", ",", "a\nb", "a\r\nb", "a\n", "\ra",
-                      "a\x0bb", "a\x1cb", "a\x85b", "a\u2028b")],
+                      "a\x0bb", "a\x1cb", "a\x85b", "a\u2028b", "a\tb",
+                      "a\xa0b")],
+        # A misspelled key is refused at every level, named by its path.
+        (lambda d: {**d, "vehicle": []}, "scenario: unknown keys ['vehicle']"),
+        (lambda d: {**d, "geometry": {**d["geometry"], "lane_widht": 3.3}},
+         "geometry: unknown keys ['lane_widht']"),
+        (lambda d: {**d, "geometry": {**d["geometry"], "merge": {
+            **d["geometry"]["merge"], "lenght": 1.0}}},
+         "geometry.merge: unknown keys ['lenght']"),
+        (lambda d: {**d, "vehicles": [
+            {k: v for k, v in d["vehicles"][0].items() if k != "y0_m"}
+            | {"y0": 30.0}, d["vehicles"][1]]},
+         "vehicles[0]: unknown keys ['y0']"),
     ])
     def test_malformed_scenario(self, tmp_path, capsys, mutate, message):
         good = json.loads(read_text(crash_scenario_file(tmp_path)))
@@ -578,15 +586,26 @@ class TestLibraryDefaultIsCliDefault:
         assert geometry_from_dict({"merge": {}}) == LaneGeometry()
 
 
+def test_readme_scenario_example_is_valid():
+    # The JSON block under "Scenario files are JSON" in README.md loads,
+    # and its geometry is the default road.
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        text = fh.read().split("Scenario files are JSON:", 1)[1]
+    example = text.split("```json\n", 1)[1].split("```", 1)[0]
+    world = load_scenario(json.loads(example), RunConfig().validate())
+    assert world.geometry == LaneGeometry()
+
+
 class TestGeometryRoundTrip:
     """The summary's geometry object reads back as the run's geometry."""
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
     def test_builtin(self, name):
-        written = BUILTIN_SCENARIOS[name]["geometry"]
-        geometry = geometry_from_dict(written)
-        assert geometry_to_dict(geometry) == written
-        assert geometry_from_dict(geometry_to_dict(geometry)) == geometry
+        # The built-ins run on the default road, which reads back as itself.
+        assert load_scenario(name, RunConfig()).geometry == LaneGeometry()
+        assert geometry_from_dict(geometry_to_dict(LaneGeometry())) == \
+            LaneGeometry()
 
     @settings(max_examples=40, deadline=None)
     @given(generated_scenarios())
@@ -701,6 +720,19 @@ class TestPlotCommand:
             "{http://www.w3.org/2000/svg}text")]
         assert "a<b&c" in labels
 
+    def test_id_that_svg_cannot_hold_exits_2(self, tmp_path, capsys):
+        # XML 1.0 cannot hold U+0001, even escaped: the id is refused.
+        data = copy.deepcopy(BUILTIN_SCENARIOS["scenario1"])
+        data["vehicles"][0]["id"] = "a\x01b"
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(data))
+        assert run_cli("run", "--scenario", str(scenario), "--output",
+                       str(tmp_path / "traj")) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            "error: vehicles[0].id: "), lines
+        assert os.listdir(tmp_path) == ["scenario.json"]
+
     def test_byte_identical_rerenders(self, tmp_path):
         out = str(tmp_path / "traj")
         run_cli("run", "--scenario", "scenario2", "--output", out)
@@ -759,7 +791,8 @@ class TestPlotCommand:
         path.write_text(",".join(TRAJECTORY_COLUMNS) + "\n"
                         + ",".join(fields) + "\n")
         assert run_cli("plot", str(path)) == 2
-        assert capsys.readouterr().err == f"error: line 2: {message}\n"
+        assert capsys.readouterr().err == \
+            f"error: trajectory file {path}: line 2: {message}\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("column", FLOAT_COLUMNS)
@@ -777,8 +810,8 @@ class TestPlotCommand:
         capsys.readouterr()
         assert run_cli("plot", out + ".csv") == 2
         captured = capsys.readouterr()
-        assert captured.err == \
-            f"error: line 3: {column}: must be finite, got {value}\n"
+        assert captured.err == (f"error: trajectory file {out}.csv: line 3: "
+                                f"{column}: must be finite, got {value}\n")
         assert not os.path.exists(out + ".svg")
 
 
@@ -804,8 +837,8 @@ class TestFileErrors:
             ("config file", ("dump-config", "--config", "{F}")),
             ("summary file", ("plot", "{T}", "--summary", "{F}")),
             ("trajectory file", ("plot", "{F}")))
-        for case in ("directory", "non-UTF-8", "JSON array")
-        if case != "JSON array" or what != "trajectory file"])
+        for case in ("directory", "non-UTF-8", "bad line"
+                     if what == "trajectory file" else "JSON array")])
     def test_one_error_form_for_every_file_input(self, tmp_path, capsys,
                                                  what, argv, case):
         path = tmp_path / "F"
@@ -813,6 +846,9 @@ class TestFileErrors:
             path.mkdir()
         elif case == "non-UTF-8":
             path.write_bytes(b'{"\xff": 1}')
+        elif case == "bad line":
+            path.write_text(",".join(TRAJECTORY_COLUMNS) + "\n"
+                            + "0.00,a,0,1,2,0,two,keep,hold,,0,\n")
         else:
             path.write_text("[]")
         trajectory = tmp_path / "T.csv"
@@ -923,8 +959,8 @@ class TestUtf8Files:
             env={**os.environ, "PYTHONPATH": src}, capture_output=True,
             text=True)
         assert done.returncode == 2
-        assert done.stderr == ("error: vehicles[0].id: must not contain a "
-                               "comma or a line break, got 'vehicle,1'\n")
+        assert done.stderr == ("error: vehicles[0].id: must be printable "
+                               "and hold no comma, got 'vehicle,1'\n")
         assert os.listdir(tmp_path) == ["scenario.json"]
 
 
