@@ -235,6 +235,19 @@ def check(path: str, value, kind=float, interval: str = None):
     return value
 
 
+def check_id(path: str, value) -> str:
+    """`value` if it is a vehicle id, else a ConfigError naming `path`.  An
+    id is a non-empty string, printable and with no comma: trajectory files
+    hold ids unquoted and are split at commas and line breaks, none of them
+    printable, and an SVG label holds no C0 control."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{path}: missing or empty")
+    if "," in value or not value.isprintable():
+        raise ConfigError(f"{path}: must be printable and hold no comma, "
+                          f"got {value!r}")
+    return value
+
+
 def check_keys(path: str, data: dict, known) -> None:
     """A ConfigError "<path>: unknown keys [...]" for keys not in `known`."""
     unknown = set(data) - set(known)

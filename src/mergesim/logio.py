@@ -3,7 +3,7 @@
 import math
 import os
 
-from .config import ConfigError, check, parse_text
+from .config import ConfigError, check, check_id, parse_text
 from .world import TRAJECTORY_COLUMNS
 
 # The columns read_trajectory parses as floats; each must be finite.
@@ -41,7 +41,7 @@ def read_trajectory(path: str):
     """Rows of a trajectory CSV as dicts with typed fields.  A file that
     cannot be read as text, or a malformed line or field, raises
     ConfigError "trajectory file <path>: ..." naming the line (and the
-    column) at fault."""
+    column) at fault; an id must pass check_id."""
     def line_error(number, message):
         return ConfigError(f"trajectory file {path}: line {number}: {message}")
 
@@ -64,15 +64,16 @@ def read_trajectory(path: str):
             raise line_error(number, f"expected {len(TRAJECTORY_COLUMNS)} "
                              f"fields, got {len(parts)}")
         row = {}
-        for name, kind, part in zip(TRAJECTORY_COLUMNS, _KINDS, parts):
-            try:
-                row[name] = value = kind(part)
-                if kind is float and not math.isfinite(value):
-                    raise ValueError
-            except ValueError:  # check() says what is wrong with the field
+        try:
+            for name, kind, part in zip(TRAJECTORY_COLUMNS, _KINDS, parts):
                 try:
+                    row[name] = value = kind(part)
+                    if kind is float and not math.isfinite(value):
+                        raise ValueError
+                except ValueError:  # check() says what is wrong with it
                     check(name, parse_text(part, kind), kind)
-                except ConfigError as exc:
-                    raise line_error(number, exc)
+            check_id("id", row["id"])
+        except ConfigError as exc:
+            raise line_error(number, exc)
         rows.append(row)
     return rows

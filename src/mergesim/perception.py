@@ -69,7 +69,6 @@ class VehicleView(NamedTuple):
     length: float
     width: float
     lane: int
-    kind: str = "scripted"
 
     def pose(self):
         return pose(self.x, self.y, self.heading, self.width / 2.0,

@@ -61,10 +61,6 @@ class SlotEval(NamedTuple):
         return front_ok and self.squeeze <= tolerance
 
 
-# Per-step records are built through _make (see world._new_view).
-_new_slot_eval = SlotEval._make
-
-
 def slot_around(ego: VehicleView, views: List[VehicleView], lane: int,
                 exclude: Tuple[str, ...] = ()) -> Tuple[Optional[VehicleView], Optional[VehicleView]]:
     """(leader, follower) in a lane around ego's longitudinal position."""
@@ -89,7 +85,7 @@ def evaluate_slot(ego: VehicleView, views: List[VehicleView], lane: int,
     squeeze = 0.0 if follower is None else squeeze_penalty(
         bumper_gap(ego, follower), follower.v - ego.v, profile)
     utility = headway_utility(front, profile) - squeeze
-    return _new_slot_eval((leader, front, follower, squeeze, utility))
+    return SlotEval(leader, front, follower, squeeze, utility)
 
 
 def stay_utility(ego: VehicleView, views: List[VehicleView],
@@ -172,10 +168,10 @@ def nearest_in_lane(ego: VehicleView, views: List[VehicleView], lane: int,
 
 def merging_game(ego: VehicleView, views: List[VehicleView], slot: SlotEval,
                  profile: DriverProfile, dist_to_end: float,
-                 geometry: LaneGeometry, profiles,
-                 risk_discount: float = 0.0) -> Tuple[str, Optional[str]]:
+                 geometry: LaneGeometry, profiles) -> Tuple[str, Optional[str]]:
     """Resolve merge-now vs stay against the current competing vehicle,
-    given the slot beside the ego in the merge target lane.
+    given the slot beside the ego in the merge target lane.  The merge is
+    mandatory, so the ego's risk tolerance discounts the entering side.
 
     Returns (leader action, competitor id); an empty adjacent lane is an
     immediate merge.
@@ -187,7 +183,7 @@ def merging_game(ego: VehicleView, views: List[VehicleView], slot: SlotEval,
     u_stay = stay_utility(ego, views, dist_to_end, profile, geometry)
     bim = build_entry_bimatrix(ego, target, slot, p2, views, geometry,
                                profile, profiles[p2.vehicle_id], u_stay,
-                               risk_discount=risk_discount)
+                               risk_discount=profile.risk_tolerance)
     action, _ = solve_stackelberg(bim)
     return action, p2.vehicle_id
 
@@ -296,14 +292,10 @@ def lane_change_safe(ego: VehicleView, views: List[VehicleView],
     cx = geometry.centers[target_lane]
     half_w = ego.width / 2.0 + LANE_CHANGE_MARGIN
     half_l = ego.length / 2.0 + LANE_CHANGE_MARGIN
-    # Everyone coasts along the road, so a vehicle whose bounding circle
-    # cannot reach the ghost across the road never overlaps it.
-    near = [other for other in views if other.vehicle_id != ego.vehicle_id
-            and abs(other.x - cx) <= half_w + math.hypot(other.length,
-                                                         other.width) / 2.0]
+    others = [other for other in views if other.vehicle_id != ego.vehicle_id]
     for h in horizons:
         ghost = pose(cx, ego.y + ego.v * h, 0.0, half_w, half_l)
-        for other in near:
+        for other in others:
             rect = pose(other.x, other.y + other.v * h, other.heading,
                         other.width / 2.0, other.length / 2.0)
             if rects_intersect(ghost, rect):
@@ -326,7 +318,7 @@ def discretionary_lane_change(ego: VehicleView, views: List[VehicleView],
     best_lane = None
     best_gain = profile.hysteresis
     for cand in (ego.lane - 1, ego.lane + 1):
-        if cand not in geometry.mainline_lanes or cand == ego.lane:
+        if cand not in geometry.mainline_lanes:
             continue
         # A slot needs no ghost ego (see build_entry_bimatrix).
         slot = evaluate_slot(ego, views, cand, profile)
@@ -477,7 +469,7 @@ def _merge_lane_epoch(ego, views, brain, profile, geometry, profiles, cfg):
     tol = profile.risk_tolerance
     slot = evaluate_slot(ego, views, target, profile)
     action, p2_id = merging_game(ego, views, slot, profile, dist_to_end,
-                                 geometry, profiles, risk_discount=tol)
+                                 geometry, profiles)
     beside = slot.feasible(tol)
     leader_id = slot.leader.vehicle_id if slot.leader else None
     follower_id = slot.follower.vehicle_id if slot.follower else None

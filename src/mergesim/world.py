@@ -9,7 +9,7 @@ import random
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .config import (Q_RANGE, ConfigError, RunConfig, check, check_field,
-                     check_keys, read_json_object)
+                     check_id, check_keys, read_json_object)
 from .driver import (DriverProfile, blended_error, longitudinal_accel,
                      steering_command)
 from .dynamics import GRAVITY, Controls, VehicleParams, VehicleState, step
@@ -80,7 +80,7 @@ class SimVehicle:
         s = self.state
         return VehicleView(self.vehicle_id, s.x, s.y, s.v_long, s.heading,
                            self.params.length, self.params.width,
-                           lane_of(s.x, geometry), self.kind)
+                           lane_of(s.x, geometry))
 
 
 class TrajectoryLog:
@@ -184,17 +184,17 @@ class _Scripted:
     def track(self):
         """Its views after the start view, one per step.  tuple.__new__ is
         what _make calls, so no Python frame runs per view."""
-        vid, x, _, v, heading, length, width, lane, kind = self.start
+        vid, x, _, v, heading, length, width, lane = self.start
         ys = self.ys()
         next(ys)  # the start view's own
         return map(tuple.__new__, repeat(VehicleView), zip(
             repeat(vid), repeat(x), ys, repeat(v), repeat(heading),
-            repeat(length), repeat(width), repeat(lane), repeat(kind)))
+            repeat(length), repeat(width), repeat(lane)))
 
     def __iter__(self):
         """Its rows: the start view's x, v, heading and lane objects, its
         y sums, and empty decision fields."""
-        vid, x, _, v, heading, _, _, lane, _ = self.start
+        vid, x, _, v, heading, _, _, lane = self.start
         blank = repeat("")  # one iterator serves all four empty fields
         return zip(self.times, repeat(vid), repeat(x), self.ys(), repeat(v),
                    repeat(heading), repeat(lane), blank, blank, blank, blank)
@@ -215,7 +215,7 @@ def _texts(values) -> List[str]:
 
 def _scripted_lines(column: _Scripted, times: List[str],
                     icol: List[float]) -> List[str]:
-    vid, x, _, v, heading, _, _, lane, _ = column.start
+    vid, x, _, v, heading, _, _, lane = column.start
     head, tail = f",{vid},{x:.6f},", f",{v:.6f},{heading:.6f},{lane},,,,"
     return list(map("".join, zip(
         times, repeat(head), map(format, column.ys(), repeat(".6f")),
@@ -421,13 +421,7 @@ def load_scenario(source, cfg: RunConfig) -> World:
         where = f"vehicles[{i}]"
         check(where, item, dict)
         check_keys(where, item, ("id", "x0_m", "y0_m", "v0_kmh", "kind", "q"))
-        vid = item.get("id")
-        _require(isinstance(vid, str) and vid, f"{where}.id: missing or empty")
-        # read_trajectory splits the CSV at line breaks, none printable, and
-        # at commas, which its ids hold unquoted; an SVG holds no C0 control.
-        _require("," not in vid and vid.isprintable(),
-                 f"{where}.id: must be printable and hold no comma, "
-                 f"got {vid!r}")
+        vid = check_id(f"{where}.id", item.get("id"))
         _require(vid not in seen, f"{where}.id: duplicate id {vid!r}")
         seen.add(vid)
         x0 = check(f"{where}.x0_m", item.get("x0_m", 0.0))
@@ -481,35 +475,10 @@ def load_scenario(source, cfg: RunConfig) -> World:
 # --- per-step control -----------------------------------------------------
 
 
-def _boxed_gap_ref(leader_gap, follower_gap, follow_ref) -> float:
-    """Leader-gap reference when boxed between two vehicles, given the
-    bumper gaps to both (None where there is no vehicle).
-
-    A span shorter than two comfortable gaps is straddled at half of its
-    free room rather than braking into the trailing vehicle; open-ended
-    situations keep the plain following reference.
-    """
-    if follower_gap is None or leader_gap is None:
-        return follow_ref
-    half = (leader_gap + follower_gap) * 0.5
-    ref = 1.0 if 1.0 > half else half
-    return ref if ref < follow_ref else follow_ref
-
-
-def _slot_gap_ref(ego, profile, slot_gap, follower, follow_ref) -> float:
-    """Leader-gap target while aligning with an insertion slot, given the
-    bumper gap to the slot leader and the slot follower's view (or None).
-
-    Aggressive drivers ride the back of the slot, leaving the vehicle
-    they cut ahead of very little headway.
-    """
-    if follower is None:
-        return follow_ref
-    free = slot_gap + bumper_gap(ego, follower)
-    ride, rear = free * profile.slot_ride, free - profile.slot_rear_min
-    ref = rear if rear < ride else ride
-    if 1.0 > ref:
-        ref = 1.0
+def _gap_ref(room, follow_ref) -> float:
+    """Leader-gap reference for `room` m of free room: the room, at least
+    1 m, and never more than the plain following reference."""
+    ref = 1.0 if 1.0 > room else room
     return ref if ref < follow_ref else follow_ref
 
 
@@ -541,14 +510,20 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views: List[VehicleView],
     # Safety channels, each a (gap, reference, relative speed): never
     # outrun anything ahead in the lanes we occupy.  The slot leader is
     # held at the slot reference, every other lane leader at the boxed one.
+    # Without a vehicle behind, a reference is the plain following one.
     channels = []
     k = attention.slot_leader if merging_phase else None
     slot_leader = None if k is None else views[k]
     if slot_leader is not None:
         gap = bumper_gap(ego, slot_leader)
         k = attention.slot_follower
-        ref = _slot_gap_ref(ego, profile, gap,
-                            None if k is None else views[k], follow_ref)
+        ref = follow_ref
+        if k is not None:
+            # Aggressive drivers ride the back of the slot, leaving the
+            # vehicle they cut ahead of very little headway.
+            free = gap + bumper_gap(ego, views[k])
+            ride, rear = free * profile.slot_ride, free - profile.slot_rear_min
+            ref = _gap_ref(rear if rear < ride else ride, follow_ref)
         channels.append((gap, ref, slot_leader.v - v))
     own = None  # the own-lane leader's channel, which plain cruise follows
     lanes = (brain.current_lane,)
@@ -560,8 +535,11 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views: List[VehicleView],
         if leader is None or leader is slot_leader:
             continue
         gap = bumper_gap(ego, leader)
-        channels.append((gap, _boxed_gap_ref(gap, follower_gap, follow_ref),
-                         leader.v - v))
+        # Boxed in, a span shorter than two comfortable gaps is straddled at
+        # half its free room rather than braking into the trailing vehicle.
+        ref = follow_ref if follower_gap is None else _gap_ref(
+            (gap + follower_gap) * 0.5, follow_ref)
+        channels.append((gap, ref, leader.v - v))
         if lane == brain.current_lane:
             own = channels[-1]
     if attention.threat is not None:
@@ -617,11 +595,13 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views: List[VehicleView],
 # --- simulation loop -------------------------------------------------------
 
 
-def _collision_pairs(views: List[VehicleView]) -> List[tuple]:
+def _collision_pairs(views: List[VehicleView],
+                     kinds: List[str]) -> List[tuple]:
     """(i, j, reach), i < j in order, for each pair that can collide.  The
     reach is the sum of the two half diagonals: no point of a rectangle
     lies farther than its half diagonal from its centre, so a pair whose
     centres are more than reach apart along either axis cannot meet.
+    `kinds` holds each view's vehicle kind.
 
     A scripted vehicle keeps its lateral position and heading for the whole
     run, so a pair of scripted vehicles at heading 0 with a positive gap
@@ -632,7 +612,7 @@ def _collision_pairs(views: List[VehicleView]) -> List[tuple]:
     for i, a in enumerate(views):
         for j in range(i + 1, len(views)):
             b = views[j]
-            if (a.kind == SCRIPTED and b.kind == SCRIPTED
+            if (kinds[i] == SCRIPTED and kinds[j] == SCRIPTED
                     and a.heading == 0.0 and b.heading == 0.0
                     and pose_gaps(a.pose(), b.pose())[1] > 0):
                 continue
@@ -705,7 +685,7 @@ def _advance(world, views, attentions, bands, tracks, logged, log, t):
     moved = list(map(next, tracks))
     for i, append in logged:
         veh, view = vehicles[i], views[i]
-        vid, x, y, v, heading, length, width, lane, kind = view
+        vid, x, y, v, heading, length, width, lane = view
         brain = veh.brain
         append((t, vid, x, y, v, heading, lane, brain.maneuver,
                 brain.directive, brain.competing_id or "",
@@ -725,7 +705,7 @@ def _advance(world, views, attentions, bands, tracks, logged, log, t):
         if not lo < x < hi:
             lane = lane_of(x, geometry)
         moved[i] = _new_view((vid, x, s.y, s.v_long, s.heading, length,
-                              width, lane, kind))
+                              width, lane))
         if (brain.needs_merge and s.v_long < cfg.stop_speed
                 and not brain.forced_stop):
             veh.brain = brain._replace(forced_stop=True)
@@ -798,7 +778,7 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
     for i, veh in enumerate(world.vehicles):
         if veh.kind == SCRIPTED:
             log.columns[i] = _Scripted(starts[i], veh.v_preset * dt, times)
-    pairs = _collision_pairs(starts)
+    pairs = _collision_pairs(starts, [v.kind for v in world.vehicles])
     tracks = [column.track() if type(column) is _Scripted else repeat(None)
               for column in log.columns]
     logged = [(i, log.columns[i].append) for i in decision_slots]

@@ -733,6 +733,21 @@ class TestPlotCommand:
             "error: vehicles[0].id: "), lines
         assert os.listdir(tmp_path) == ["scenario.json"]
 
+    @pytest.mark.parametrize("vid, message", [
+        ("a\x01b", "must be printable and hold no comma, got 'a\\x01b'"),
+        ("", "missing or empty")])
+    def test_hand_written_id_that_svg_cannot_hold_exits_2(
+            self, tmp_path, capsys, vid, message):
+        # The scenario's id rule holds for a trajectory file's id column.
+        path = tmp_path / "hand.csv"
+        path.write_text(",".join(TRAJECTORY_COLUMNS) + "\n" + "".join(
+            f"{t},{vid},6.6,{y},20,0,2,keep,hold,,0,\n"
+            for t, y in (("0.00", 0), ("0.01", 0.2), ("0.02", 0.4))))
+        assert run_cli("plot", str(path)) == 2
+        assert capsys.readouterr().err == \
+            f"error: trajectory file {path}: line 2: id: {message}\n"
+        assert os.listdir(tmp_path) == ["hand.csv"]
+
     def test_byte_identical_rerenders(self, tmp_path):
         out = str(tmp_path / "traj")
         run_cli("run", "--scenario", "scenario2", "--output", out)

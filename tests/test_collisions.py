@@ -231,8 +231,9 @@ class TestPairList:
                            if a < b and lanes[a] != lanes[b]}
 
     def test_pairs_keep_the_all_pairs_order(self):
-        views = load_scenario("scenario2", RunConfig()).snapshot()
-        pairs = index_pairs(_collision_pairs(views))
+        world = load_scenario("scenario2", RunConfig())
+        pairs = index_pairs(_collision_pairs(
+            world.snapshot(), [v.kind for v in world.vehicles]))
         assert pairs == sorted(pairs)
         assert all(i < j for i, j in pairs)
 
@@ -264,11 +265,12 @@ class TestPairList:
              headings=[0.2375, 0.2375], offset=(3.9, 10.0))
     def test_reach_never_skips_an_overlap(self, sizes, headings, offset):
         (la, wa), (lb, wb) = sizes
-        a = VehicleView("a", 0.0, 0.0, 20.0, headings[0], la, wa, 0, DECISION)
+        a = VehicleView("a", 0.0, 0.0, 20.0, headings[0], la, wa, 0)
         b = VehicleView("b", offset[0], offset[1], 20.0, headings[1], lb, wb,
-                        1, DECISION)
+                        1)
         views = [a, b]
-        assert _find_collision(views, _collision_pairs(views)) == \
+        pairs = _collision_pairs(views, [DECISION, DECISION])
+        assert _find_collision(views, pairs) == \
             all_pairs_collision(views)
 
 

@@ -11,7 +11,6 @@ attention as vehicle ids through a dict of views by id, as the control law
 did before it read views by slot index.
 """
 
-from dataclasses import replace
 import math
 from typing import NamedTuple, Optional
 
@@ -24,8 +23,8 @@ from mergesim.perception import VehicleView, bumper_gap
 from mergesim.planner import (ACCELERATE, CHANGE, DECELERATE, HOLD, KEEP,
                               MERGE, BrainState)
 from mergesim.road import LaneGeometry
-from mergesim.world import (DECISION, Attention, SimVehicle, _boxed_gap_ref,
-                            _controls_for, _slot_gap_ref)
+from mergesim.world import (DECISION, Attention, SimVehicle, _controls_for,
+                            _gap_ref)
 
 from dynamics_reference import speed
 from test_driver import EDGE_FLOATS
@@ -76,6 +75,12 @@ def oracle_brake_channel(q, cfg, gap, rel_speed, gap_ref):
     if gap >= gap_ref:
         return math.inf
     return oracle_longitudinal_accel(q, cfg, gap - gap_ref, rel_speed)
+
+
+def oracle_boxed_gap_ref(leader_gap, follower_gap, follow_ref):
+    if follower_gap is None:
+        return follow_ref
+    return min(follow_ref, max((leader_gap + follower_gap) * 0.5, 1.0))
 
 
 def oracle_slot_gap_ref(ego, veh, slot_gap, views_by_id, follow_ref, cfg):
@@ -138,7 +143,8 @@ def oracle_controls_for(veh, ego, views_by_id, attention, geometry, cfg):
             attention.lane_leaders.get(brain.current_lane))
         if cruise_leader is not None:
             cruise_gap = bumper_gap(ego, cruise_leader)
-            cruise_ref = _boxed_gap_ref(cruise_gap, follower_gap, follow_ref)
+            cruise_ref = oracle_boxed_gap_ref(cruise_gap, follower_gap,
+                                              follow_ref)
         if cruise_leader is not None and cruise_gap < cruise_ref:
             err, rate = blended_error(speed_err, cruise_gap - cruise_ref,
                                       cruise_leader.v - v, cfg.speed_weight)
@@ -160,7 +166,7 @@ def oracle_controls_for(veh, ego, views_by_id, attention, geometry, cfg):
             gap, ref = cruise_gap, cruise_ref
         else:
             gap = bumper_gap(ego, leader)
-            ref = _boxed_gap_ref(gap, follower_gap, follow_ref)
+            ref = oracle_boxed_gap_ref(gap, follower_gap, follow_ref)
         base = min(base, oracle_brake_channel(q, cfg, gap, leader.v - v,
                                               ref))
     threat = views_by_id.get(attention.threat_id)
@@ -325,36 +331,14 @@ def test_controls_are_bit_identical_to_the_per_call_bounds(
     assert (got.accel.hex(), got.steer.hex()) == tuple(w.hex() for w in want)
 
 
-# --- the gap references' inline clamps -------------------------------------
+# --- the gap reference's clamp ---------------------------------------------
 
 
 @given(st.data())
-def test_boxed_gap_ref_clamp_is_the_min_max_formula(data):
-    # -leader_gap gives a zero sum, or a NaN one when leader_gap is inf.
-    leader_gap = data.draw(EDGE_FLOATS)
-    follower_gap = data.draw(st.one_of(st.just(-leader_gap), EDGE_FLOATS))
-    half = (leader_gap + follower_gap) * 0.5
-    follow_ref = data.draw(st.one_of(st.sampled_from([half, 1.0]),
+def test_gap_ref_clamp_is_the_min_max_formula(data):
+    # Infinite gaps give an infinite room, or a NaN one when they cancel.
+    room = data.draw(st.one_of(st.just(math.nan), EDGE_FLOATS))
+    follow_ref = data.draw(st.one_of(st.sampled_from([room, 1.0]),
                                      EDGE_FLOATS))
-    want = min(follow_ref, max(half, 1.0))
-    assert _boxed_gap_ref(leader_gap, follower_gap, follow_ref).hex() == \
-        want.hex()
-
-
-@given(st.data())
-def test_slot_gap_ref_clamp_is_the_min_max_formula(data):
-    draw = data.draw
-    cfg = RunConfig()
-    profile = replace(cfg.profile(0.5), slot_ride=draw(EDGE_FLOATS),
-                      slot_rear_min=draw(EDGE_FLOATS))
-    ego = VehicleView("ego", 9.9, 0.0, 20.0, 0.0, 4.5, 1.8, 3)
-    follower = VehicleView("slot_follower", 6.6, draw(EDGE_FLOATS), 20.0,
-                           0.0, 4.5, 1.8, 2)
-    slot_gap = draw(EDGE_FLOATS)
-    free = slot_gap + bumper_gap(ego, follower)
-    front_ref = min(free * profile.slot_ride, free - profile.slot_rear_min)
-    follow_ref = draw(st.one_of(st.sampled_from([front_ref, 1.0]),
-                                EDGE_FLOATS))
-    want = min(follow_ref, max(front_ref, 1.0))
-    got = _slot_gap_ref(ego, profile, slot_gap, follower, follow_ref)
-    assert got.hex() == want.hex()
+    want = min(follow_ref, max(room, 1.0))
+    assert _gap_ref(room, follow_ref).hex() == want.hex()

@@ -1,8 +1,10 @@
-"""Every name a mergesim module imports is used in that module, and every
+"""Every name a mergesim module imports is used in that module, every
+top-level name it defines is read somewhere in the package, and every
 symbol the benchmark's probes wrap still exists.
 
 A fold that moves the last reader of a name elsewhere tends to leave the
-import behind; this catches it with the standard library's ast alone.
+import, or the name itself, behind; this catches both with the standard
+library's ast alone.
 """
 
 import ast
@@ -35,6 +37,50 @@ def test_module_uses_every_name_it_imports(path):
 def test_an_unused_import_is_found():
     assert unused_imports("import math\nfrom typing import List, Optional\n"
                           "x: Optional[int] = math.pi\n") == ["List"]
+
+
+def top_level_names(tree):
+    """(name, defining statement) of each function, class and assigned name
+    at the top level of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def unread_names(sources):
+    """"module:name" of each top-level name of `sources` (module -> text)
+    that no expression reads outside the statement that defines it."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)]
+    unread = []
+    for module, tree in trees.items():
+        for name, node in top_level_names(tree):
+            own = {id(n) for n in ast.walk(node)}
+            if not any(read.id == name and id(read) not in own
+                       for read in reads):
+                unread.append(f"{module}:{name}")
+    return unread
+
+
+def test_package_reads_every_name_it_defines():
+    # A public symbol with no reader in src/ is a candidate for deletion.
+    assert unread_names({path.stem: path.read_text()
+                         for path in sorted(SRC.glob("*.py"))}) == []
+
+
+def test_an_unread_name_is_found():
+    sources = {"a": "LIMIT = 1\ndef f(n):\n    return f(n - 1)\n"
+                    "def g():\n    return LIMIT\n",
+               "b": "from .a import g\nclass C:\n    x = g()\n"}
+    assert unread_names(sources) == ["a:f", "b:C"]
 
 
 def test_every_benchmark_probe_resolves():

@@ -73,8 +73,7 @@ def _views(draw, min_size=2):
         x = draw(_xs)
         out.append(VehicleView(
             f"v{k}", x, draw(_ys), draw(st.floats(0.0, 40.0)),
-            draw(_headings), draw(_lengths), 1.8, lane_of(x, GEOMETRY),
-            "decision"))
+            draw(_headings), draw(_lengths), 1.8, lane_of(x, GEOMETRY)))
     return out
 
 

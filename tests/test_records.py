@@ -30,8 +30,8 @@ RECORDS = [
     (VehicleView,
      [("vehicle_id", REQUIRED), ("x", REQUIRED), ("y", REQUIRED),
       ("v", REQUIRED), ("heading", REQUIRED), ("length", REQUIRED),
-      ("width", REQUIRED), ("lane", REQUIRED), ("kind", "scripted")],
-     VehicleView("ego", 6.6, 5.0, 22.0, 0.0, 4.5, 1.8, 2, "decision")),
+      ("width", REQUIRED), ("lane", REQUIRED)],
+     VehicleView("ego", 6.6, 5.0, 22.0, 0.0, 4.5, 1.8, 2)),
     (BrainState,
      [("current_lane", REQUIRED), ("v_ref", REQUIRED),
       ("needs_merge", False), ("maneuver", KEEP), ("target_lane", None),
