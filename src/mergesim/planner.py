@@ -51,14 +51,9 @@ class BrainState(NamedTuple):
 class SlotEval(NamedTuple):
     """Quality of one insertion slot around a (possibly hypothetical) ego."""
     leader: Optional[VehicleView]
-    front_gap: float
     follower: Optional[VehicleView]
-    squeeze: float      # lane-change penalty vs the follower (<= 0 means room to spare)
     utility: float      # net leader utility of taking the slot
-
-    def feasible(self, tolerance: float) -> bool:
-        front_ok = self.leader is None or self.front_gap > 0.0
-        return front_ok and self.squeeze <= tolerance
+    feasible: bool      # open front and a squeeze within the risk tolerance
 
 
 def slot_around(ego: VehicleView, views: List[VehicleView], lane: int,
@@ -84,8 +79,9 @@ def evaluate_slot(ego: VehicleView, views: List[VehicleView], lane: int,
     front = bumper_gap(ego, leader) if leader else profile.visibility_range
     squeeze = 0.0 if follower is None else squeeze_penalty(
         bumper_gap(ego, follower), follower.v - ego.v, profile)
-    utility = headway_utility(front, profile) - squeeze
-    return SlotEval(leader, front, follower, squeeze, utility)
+    return SlotEval(leader, follower, headway_utility(front, profile) - squeeze,
+                    (leader is None or front > 0.0)
+                    and squeeze <= profile.risk_tolerance)
 
 
 def stay_utility(ego: VehicleView, views: List[VehicleView],
@@ -143,7 +139,7 @@ def build_entry_bimatrix(ego: VehicleView, target_lane: int, slot: SlotEval,
     # Vacating, away from the entrant, does not depend on whether it enters.
     esc = _escape_lane(p2.lane, ego.lane, geometry)
     vacate = IMPOSSIBLE if esc is None else evaluate_slot(
-        p2, views, esc, p2_profile, exclude=(p2.vehicle_id,)).utility
+        p2, views, esc, p2_profile).utility
     return PayoffBimatrix(
         leader={(LEFT, STRAIGHT): slot.utility + risk_discount,
                 (STRAIGHT, STRAIGHT): u_stay,
@@ -229,7 +225,6 @@ def acceleration_game(ego: VehicleView, views: List[VehicleView],
     directive is only abandoned for a clearly better one.
     """
     target = geometry.merge_target_lane
-    tol = profile.risk_tolerance
     scored = {}
     for directive in (DECELERATE, ACCELERATE):
         accel = (profile.nominal_accel if directive == ACCELERATE
@@ -242,7 +237,7 @@ def acceleration_game(ego: VehicleView, views: List[VehicleView],
         pred = predict_states(views, ego.vehicle_id, accel, horizon)
         pego = next(v for v in pred if v.vehicle_id == ego.vehicle_id)
         slot = evaluate_slot(pego, pred, target, profile)
-        if not slot.feasible(tol):
+        if not slot.feasible:
             continue
         p2p = nearest_in_lane(pego, pred, target, profile.visibility_range)
         scored[directive] = (slot.utility, Directive(
@@ -466,11 +461,10 @@ def _merge_lane_epoch(ego, views, brain, profile, geometry, profiles, cfg):
     about to fall out of reach."""
     target = geometry.merge_target_lane
     dist_to_end = distance_to_merge_end(ego, geometry)
-    tol = profile.risk_tolerance
     slot = evaluate_slot(ego, views, target, profile)
     action, p2_id = merging_game(ego, views, slot, profile, dist_to_end,
                                  geometry, profiles)
-    beside = slot.feasible(tol)
+    beside = slot.feasible
     leader_id = slot.leader.vehicle_id if slot.leader else None
     follower_id = slot.follower.vehicle_id if slot.follower else None
     if (action == LEFT and beside

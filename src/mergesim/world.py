@@ -1,6 +1,6 @@
 """World assembly, per-step control, fixed-step simulation and logging."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 import math
 from operator import sub
@@ -743,8 +743,8 @@ def _complete_and_settle(world, decision_slots, moved, log, t,
     return None if quiet >= cfg.settle_time else quiet
 
 
-def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
-    """Advance the world at a fixed step until t_max, a collision, or rest.
+def run(world: World) -> TrajectoryLog:
+    """Advance the world at a fixed step until cfg.t_max, a collision, or rest.
 
     Each step logs every decision vehicle's start-of-step state as it moves
     it; collisions, then maneuver completions and settling, are judged on
@@ -756,9 +756,7 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
     run returns or raises.
     """
     cfg = world.cfg
-    if t_max is None:
-        t_max = cfg.t_max
-    replace(cfg, t_max=t_max).validate()
+    cfg.validate()
     dt = cfg.dt
     geometry = world.geometry
     steps_per_epoch = round(cfg.epoch / dt)
@@ -771,7 +769,7 @@ def run(world: World, t_max: Optional[float] = None) -> TrajectoryLog:
                       if v.kind == DECISION]
     slot_of = {v.vehicle_id: i for i, v in enumerate(world.vehicles)}
     bands = lane_bands(geometry)
-    n_steps = round(t_max / dt)
+    n_steps = round(cfg.t_max / dt)
     # States may have been set since the world was built.
     world.views = starts = [v.view(geometry) for v in world.vehicles]
     times: List[float] = []

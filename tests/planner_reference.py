@@ -199,9 +199,8 @@ def acceleration_game(ego: VehicleView, views: List[VehicleView],
     directive is only abandoned for a clearly better one.
     """
     target = geometry.merge_target_lane
-    tol = profile.risk_tolerance
     current = evaluate_slot(ego, views, target, profile)
-    if current.feasible(tol) and ego.y < geometry.entrance_end:
+    if current.feasible and ego.y < geometry.entrance_end:
         # The slot beside us is already good: hold position in it.
         p2 = nearest_in_lane(ego, views, target, profile.visibility_range)
         return Directive(
@@ -222,7 +221,7 @@ def acceleration_game(ego: VehicleView, views: List[VehicleView],
         pred = predict_states(views, ego.vehicle_id, accel, horizon)
         pego = next(v for v in pred if v.vehicle_id == ego.vehicle_id)
         slot = evaluate_slot(pego, pred, target, profile)
-        if not slot.feasible(tol):
+        if not slot.feasible:
             continue
         p2p = nearest_in_lane(pego, pred, target, profile.visibility_range)
         scored[directive] = (slot.utility, Directive(
@@ -321,7 +320,7 @@ def _merge_lane_epoch(ego, views, brain, profile, geometry, profiles, cfg):
     if action == LEFT:
         in_window = geometry.merge_start <= ego.y < geometry.entrance_end
         slot = evaluate_slot(ego, views, geometry.merge_target_lane, profile)
-        if (in_window and slot.feasible(tol)
+        if (in_window and slot.feasible
                 and lane_change_safe(ego, views, geometry.merge_target_lane,
                                      profile, geometry)):
             return brain._replace(

@@ -430,8 +430,9 @@ class TestRangeChecks:
 
     def test_run_checks_its_t_max(self):
         world = load_scenario("scenario1", RunConfig())
+        world.cfg.t_max = 601.0
         with pytest.raises(ConfigError, match=r"^t_max: must be in \(0, 600\]"):
-            run_world(world, t_max=601.0)
+            run_world(world)
 
     def test_sweep_checks_jobs_without_starting_a_pool(self):
         with mock.patch("multiprocessing.Pool") as pool:

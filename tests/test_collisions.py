@@ -195,7 +195,7 @@ def test_pair_list_matches_all_pairs_on_generated_scenarios(case):
     logs = []
     for _ in range(2):
         with checked_against_all_pairs() as seen:
-            logs.append(run(load_scenario(data, RunConfig()), t_max))
+            logs.append(run(load_scenario(data, RunConfig(t_max=t_max))))
         # One collision check per step, and the run stops at the first hit.
         steps = round(logs[-1].end_time / 0.01)
         assert len(seen) == steps
@@ -281,7 +281,7 @@ class TestScriptedCollisions:
         data = scenario(1.5, [("ahead", 0, 20.0, 60.0, SCRIPTED, 0.5),
                               ("behind", 1, 0.0, 100.0, SCRIPTED, 0.5)])
         with checked_against_all_pairs() as seen:
-            log = run(load_scenario(data, RunConfig()), 5.0)
+            log = run(load_scenario(data, RunConfig(t_max=5.0)))
         assert log.collision is not None
         assert log.collision["vehicles"] == ["ahead", "behind"]
         assert seen[-1][1] == ("ahead", "behind")
@@ -305,7 +305,7 @@ class TestScriptedCollisions:
                               ("fast", 0, 0.0, 120.0, SCRIPTED, 0.5),
                               ("fast_side", 1, 0.0, 120.0, SCRIPTED, 0.5)])
         with checked_against_all_pairs() as seen:
-            log = run(load_scenario(data, RunConfig()), 5.0)
+            log = run(load_scenario(data, RunConfig(t_max=5.0)))
         # only same-lane pairs
         assert index_pairs(seen[0][0]) == [(0, 2), (1, 3)]
         assert log.collision["vehicles"] == ["slow", "fast"]
@@ -316,6 +316,6 @@ class TestScriptedCollisions:
         data = scenario(3.3, [("ahead", 0, 20.0, 60.0, SCRIPTED, 0.5),
                               ("behind", 1, 0.0, 100.0, SCRIPTED, 0.5)])
         with checked_against_all_pairs() as seen:
-            log = run(load_scenario(data, RunConfig()), 5.0)
+            log = run(load_scenario(data, RunConfig(t_max=5.0)))
         assert log.collision is None
         assert seen[0][0] == []

@@ -267,7 +267,7 @@ class TestChangeCountIsTheCompletedSegments:
         data, t_max = case
         if overlap_at_start(data) or cannot_stop_at_start(data):
             return  # rejected at load; see test_collisions
-        log = run(load_scenario(data, RunConfig()), t_max)
+        log = run(load_scenario(data, RunConfig(t_max=t_max)))
         for item in data["vehicles"]:
             if item["kind"] == DECISION:
                 assert counted_from_events(log, item["id"]) == \

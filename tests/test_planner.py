@@ -273,8 +273,7 @@ class TestHoldBesideLivelock:
                     and ego.lane == geometry.merge_lane):
                 target = geometry.merge_target_lane
                 slot = evaluate_slot(ego, views, target, profile)
-                epochs.append((ego.y, got,
-                               slot.feasible(profile.risk_tolerance),
+                epochs.append((ego.y, got, slot.feasible,
                                lane_change_safe(ego, views, target, profile,
                                                 geometry)))
             return got
@@ -356,8 +355,9 @@ class TestSlotJudgedOnce:
     def test_generated_scenarios(self, case, noise):
         data, t_max = case
         try:
-            world = load_scenario(data, RunConfig(noise=noise, seed=3))
+            world = load_scenario(data, RunConfig(noise=noise, seed=3,
+                                                  t_max=t_max))
         except ConfigError:
             return  # overlapping or unstoppable at the start
         with slots_judged_once():
-            run(world, t_max)
+            run(world)

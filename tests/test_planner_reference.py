@@ -167,13 +167,13 @@ def epochs_checked_against_reference():
 @given(case=generated_scenarios(), noise=st.booleans())
 def test_decide_matches_reference_on_generated_scenarios(case, noise):
     data, t_max = case
-    cfg = RunConfig(noise=noise, seed=11)
+    cfg = RunConfig(noise=noise, seed=11, t_max=t_max)
     try:
         world = load_scenario(data, cfg)
     except ConfigError:
         return  # overlapping or unstoppable at the start: refused at load
     with epochs_checked_against_reference():
-        run(world, t_max)
+        run(world)
 
 
 def test_decide_matches_reference_through_builtin_merges():

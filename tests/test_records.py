@@ -1,19 +1,20 @@
 """The records the step loop and the decision epochs build are immutable
 named tuples.
 
-Each keeps the fields, the field order and the defaults it had as a frozen
-dataclass (Attention was a named tuple from the start), so positional and
+RECORDS pins each one's fields, field order and defaults, so positional and
 keyword construction read the same.
 """
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from mergesim import world as world_module
 from mergesim.config import RunConfig
 from mergesim.dynamics import Controls, VehicleState, step
-from mergesim.perception import VehicleView
+from mergesim.game import squeeze_penalty
+from mergesim.perception import VehicleView, bumper_gap
 from mergesim.planner import (ACCELERATE, HOLD, KEEP, BrainState, Directive,
-                              SlotEval, evaluate_slot)
+                              SlotEval, evaluate_slot, slot_around)
 from mergesim.world import Attention, load_scenario, run
 
 REQUIRED = object()  # a field without a default
@@ -41,9 +42,9 @@ RECORDS = [
       ("threat_memo_speed", 0.0)],
      BrainState(3, 19.4, needs_merge=True, competing_id="vehicle4")),
     (SlotEval,
-     [("leader", REQUIRED), ("front_gap", REQUIRED), ("follower", REQUIRED),
-      ("squeeze", REQUIRED), ("utility", REQUIRED)],
-     SlotEval(None, 100.0, None, 0.0, 3.5)),
+     [("leader", REQUIRED), ("follower", REQUIRED), ("utility", REQUIRED),
+      ("feasible", REQUIRED)],
+     SlotEval(None, None, 3.5, True)),
     (Directive,
      [("name", REQUIRED), ("competing_id", None), ("slot_leader_id", None),
       ("slot_follower_id", None)],
@@ -88,21 +89,57 @@ def test_replace_returns_a_new_record(cls, spec, sample):
     assert tuple(sample) == before
 
 
+PROFILE = RunConfig().profile(0.5)  # risk_tolerance 0.0
+EGO = VehicleView("ego", 9.9, 50.0, 22.0, 0.0, 4.5, 1.8, 3)
 
-LEADER = VehicleView("vehicle3", 6.6, 30.0, 22.0, 0.0, 4.5, 1.8, 2)
+
+def in_lane_2(vehicle_id, y):
+    """A vehicle at the ego's speed in the slot's lane."""
+    return VehicleView(vehicle_id, 6.6, y, EGO.v, 0.0, 4.5, 1.8, 2)
 
 
-@pytest.mark.parametrize("leader, front_gap, squeeze, tolerance, feasible", [
-    (None, 0.0, 0.0, 0.0, True),        # no leader: any front gap will do
-    (LEADER, 0.0, 0.0, 0.0, False),     # a leader needs room in front
-    (LEADER, 0.1, 0.0, 0.0, True),
-    (LEADER, 5.0, 2.0, 2.0, True),      # the squeeze may reach the tolerance
-    (LEADER, 5.0, 2.5, 2.0, False),
-    (None, 5.0, -1.0, 0.0, True),       # room to spare behind
+# Centre to centre, a follower at the ego's speed this far back leaves a room
+# of exactly the clearance: a squeeze of exactly 0.0, the tolerance at q 0.5.
+AT_TOLERANCE = in_lane_2("follower",
+                         EGO.y - EGO.length - PROFILE.lane_change_clearance)
+AHEAD = in_lane_2("leader", EGO.y + 9.5)  # a front gap of 5 m
+
+
+@pytest.mark.parametrize("others, feasible", [
+    ([], True),                                       # no leader
+    ([in_lane_2("leader", EGO.y + 4.5)], False),      # a front gap of 0
+    ([in_lane_2("leader", EGO.y + 4.6)], True),       # a front gap of 0.1 m
+    ([AHEAD, AT_TOLERANCE], True),                    # squeeze at the tolerance
+    ([AHEAD, AT_TOLERANCE._replace(y=AT_TOLERANCE.y + 0.5)], False),
+    ([in_lane_2("follower", AT_TOLERANCE.y - 5.0)], True),  # room to spare
 ])
-def test_slot_feasible(leader, front_gap, squeeze, tolerance, feasible):
-    slot = SlotEval(leader, front_gap, None, squeeze, 0.0)
-    assert slot.feasible(tolerance) is feasible
+def test_slot_feasible(others, feasible):
+    assert bumper_gap(EGO, AT_TOLERANCE) == PROFILE.lane_change_clearance
+    slot = evaluate_slot(EGO, [EGO, *others], 2, PROFILE)
+    assert slot.feasible is feasible
+
+
+_ys = st.one_of(st.floats(-80.0, 80.0), st.sampled_from((0.0, 4.5, -4.5)))
+_views = st.builds(VehicleView, st.sampled_from(("a", "b", "c", "d", "ego")),
+                   st.just(6.6), _ys, st.floats(0.0, 40.0), st.just(0.0),
+                   st.sampled_from((4.5, 5.0)), st.just(1.8),
+                   st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ego=_views, others=st.lists(_views, max_size=5),
+       lane=st.integers(1, 3),
+       q=st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.5, 1.0))))
+def test_slot_verdict_is_the_rule(ego, others, lane, q):
+    # An open front and a squeeze within the driver's risk tolerance.
+    profile = RunConfig().profile(q)
+    views = [*others, ego]
+    leader, follower = slot_around(ego, views, lane)
+    front_open = leader is None or bumper_gap(ego, leader) > 0.0
+    squeeze = 0.0 if follower is None else squeeze_penalty(
+        bumper_gap(ego, follower), follower.v - ego.v, profile)
+    assert evaluate_slot(ego, views, lane, profile).feasible is (
+        front_open and squeeze <= profile.risk_tolerance)
 
 
 # The step loop builds its records through _make; == compares them as plain
@@ -110,8 +147,8 @@ def test_slot_feasible(leader, front_gap, squeeze, tolerance, feasible):
 
 
 def test_views_and_states_after_a_run_keep_their_types():
-    world = load_scenario("scenario1", RunConfig())
-    run(world, t_max=550 * world.cfg.dt)  # mid-merge
+    world = load_scenario("scenario1", RunConfig(t_max=5.5))
+    run(world)  # 550 steps: mid-merge
     views = world.snapshot()
     assert {type(v) for v in views} == {VehicleView}
     assert {type(veh.state) for veh in world.vehicles} == {VehicleState}
@@ -141,6 +178,6 @@ def test_a_run_steps_and_controls_with_records_of_their_types(monkeypatch):
     monkeypatch.setattr(world_module, "step", typed(world_module.step))
     monkeypatch.setattr(world_module, "_controls_for",
                         typed(world_module._controls_for))
-    world = load_scenario("scenario1", RunConfig())
-    run(world, t_max=600 * world.cfg.dt)  # through the merge: both paths
+    world = load_scenario("scenario1", RunConfig(t_max=6.0))
+    run(world)  # 600 steps: through the merge, both paths
     assert set(seen) == {("step", VehicleState), ("_controls_for", Controls)}

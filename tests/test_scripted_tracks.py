@@ -35,14 +35,14 @@ def recorded_views():
         yield seen
 
 
-def checked_run(world, t_max=None):
+def checked_run(world):
     """Run `world` and check every scripted vehicle's views, rows and final
     state against a per-step replay from its start view, and the log's
     interleaved rows against its columns; returns the log."""
     geometry, dt = world.geometry, world.cfg.dt
     starts = [veh.view(geometry) for veh in world.vehicles]
     with recorded_views() as moved:
-        log = run(world, t_max)
+        log = run(world)
     n = len(world.vehicles)
     steps = len(moved)
     assert steps == round(log.end_time / dt)
@@ -104,8 +104,8 @@ def test_builtin_runs_settle_with_replayed_scripted_rows(name, noise):
 
 
 def test_run_cut_at_t_max():
-    world = load_scenario("scenario2", RunConfig())
-    log = checked_run(world, 2.0)
+    world = load_scenario("scenario2", RunConfig(t_max=2.0))
+    log = checked_run(world)
     assert log.collision is None
     assert len(log.rows) == 200 * len(world.vehicles)
 
@@ -119,23 +119,23 @@ def test_run_ended_by_a_collision_with_the_decision_vehicle():
 def test_scripted_only_run_ended_by_a_collision():
     data = scenario(3.3, [("slow", 0, 30.0, 50.0, SCRIPTED, 0.5),
                           ("fast", 0, 0.0, 120.0, SCRIPTED, 0.5)])
-    log = checked_run(load_scenario(data, RunConfig()), 5.0)
+    log = checked_run(load_scenario(data, RunConfig(t_max=5.0)))
     assert log.collision["vehicles"] == ["slow", "fast"]
 
 
 @pytest.mark.parametrize("name", ["scenario1", "scenario2"])
 def test_scripted_only_run_to_t_max(name):
     # With no decision vehicle a run never settles early.
-    world = load_scenario(scripted_only(name), RunConfig())
-    log = checked_run(world, 3.0)
+    world = load_scenario(scripted_only(name), RunConfig(t_max=3.0))
+    log = checked_run(world)
     assert log.collision is None
     assert len(log.rows) == 300 * len(world.vehicles)
 
 
 def test_second_run_continues_from_the_written_back_states():
-    world = load_scenario("scenario1", RunConfig())
-    checked_run(world, 1.0)
-    checked_run(world, 1.0)
+    world = load_scenario("scenario1", RunConfig(t_max=1.0))
+    checked_run(world)
+    checked_run(world)
 
 
 @settings(max_examples=40, deadline=None)
@@ -144,4 +144,4 @@ def test_generated_runs_replay_their_scripted_rows(case, noise):
     data, t_max = case
     if overlap_at_start(data) or cannot_stop_at_start(data):
         return  # rejected at load; see test_collisions
-    checked_run(load_scenario(data, RunConfig(noise=noise)), t_max)
+    checked_run(load_scenario(data, RunConfig(noise=noise, t_max=t_max)))

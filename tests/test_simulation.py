@@ -188,8 +188,9 @@ class TestRun:
 
     def test_rejects_bad_t_max(self):
         world = load_scenario("scenario1", RunConfig())
+        world.cfg.t_max = 0.0
         with pytest.raises(ConfigError):
-            run(world, t_max=0.0)
+            run(world)
 
     @pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
     @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
@@ -283,7 +284,8 @@ class TestSettle:
         scenario = minimal_scenario([
             {"id": "a", "x0_m": 0.0, "y0_m": 0.0, "v0_kmh": 80.0},
             {"id": "b", "x0_m": 3.3, "y0_m": 20.0, "v0_kmh": 90.0}])
-        log = run(load_scenario(scenario, RunConfig(settle_time=0.0)), 3.0)
+        log = run(load_scenario(scenario, RunConfig(settle_time=0.0,
+                                                    t_max=3.0)))
         assert len(log.rows) == 2 * 300
         assert log.end_time == pytest.approx(3.0)
 
@@ -322,9 +324,9 @@ class TestViews:
         assert all(a is b for a, b in zip(first, second))
 
     def test_moved_vehicles_get_fresh_views(self):
-        world = load_scenario("scenario1", RunConfig())
+        world = load_scenario("scenario1", RunConfig(t_max=0.01))
         before = world.snapshot()
-        run(world, t_max=world.cfg.dt)  # one step: every vehicle moves
+        run(world)  # one step: every vehicle moves
         after = world.snapshot()
         kinds = set()
         for veh, old, new in zip(world.vehicles, before, after):
@@ -363,13 +365,13 @@ class TestViews:
     @pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
     @pytest.mark.parametrize("steps", [1, 2, 550, 700, 850])
     def test_views_track_states_on_builtin_scenarios(self, scenario, steps):
-        world = load_scenario(scenario, RunConfig())
-        run(world, t_max=steps * world.cfg.dt)
+        world = load_scenario(scenario, RunConfig(t_max=steps * 0.01))
+        run(world)
         assert_views_track_states(world)
 
     def test_a_tracked_view_can_be_mid_lane_change(self):
-        world = load_scenario("scenario1", RunConfig())
-        run(world, t_max=550 * world.cfg.dt)
+        world = load_scenario("scenario1", RunConfig(t_max=5.5))
+        run(world)  # 550 steps
         merging = world.vehicles[-1]
         view = world.snapshot()[-1]
         assert merging.brain.maneuver == MERGE
@@ -381,17 +383,18 @@ class TestViews:
     def test_views_track_states_on_generated_scenarios(self, case, steps):
         data, t_max = case
         assume(not overlap_at_start(data) and not cannot_stop_at_start(data))
-        world = load_scenario(data, RunConfig())
-        run(world, t_max if steps is None else steps * world.cfg.dt)
+        world = load_scenario(data, RunConfig(
+            t_max=t_max if steps is None else steps * 0.01))
+        run(world)
         assert_views_track_states(world)
 
     def test_a_state_set_before_the_run_is_the_first_row(self):
-        world = load_scenario("scenario1", RunConfig())
+        world = load_scenario("scenario1", RunConfig(t_max=0.01))
         scripted, merging = world.vehicles[0], world.vehicles[-1]
         scripted.state = scripted.state._replace(y=12.5, v_long=20.0)
         merging.state = merging.state._replace(x=8.0, y=11.0, heading=0.02,
                                                v_long=18.0)
-        log = run(world, t_max=world.cfg.dt)
+        log = run(world)  # one step
         first = log.rows[:len(world.vehicles)]
         assert first[0][1:7] == ("vehicle1", 0.0, 12.5, 20.0, 0.0, 0)
         assert first[-1][1:7] == ("merging", 8.0, 11.0, 18.0, 0.02,
@@ -429,9 +432,9 @@ class TestScriptedStateWriteBack:
     """A run moves a scripted vehicle's view only; its state gets the
     view's y when the run ends, however it ends."""
 
-    def run_and_check(self, world, t_max=None):
+    def run_and_check(self, world):
         starts = [veh.state for veh in world.vehicles]
-        log = run(world, t_max)
+        log = run(world)
         assert_scripted_states_summed(
             world, starts, len(log.rows) // len(world.vehicles))
         return log
@@ -443,8 +446,8 @@ class TestScriptedStateWriteBack:
         assert log.end_time < world.cfg.t_max - world.cfg.dt
 
     def test_after_t_max(self):
-        world = load_scenario("scenario1", RunConfig())
-        log = self.run_and_check(world, 3.0)
+        world = load_scenario("scenario1", RunConfig(t_max=3.0))
+        log = self.run_and_check(world)
         assert log.collision is None
         assert len(log.rows) == 300 * len(world.vehicles)
 
@@ -530,9 +533,8 @@ class TestDerivedIcol:
         assert derived  # the counter sits on the path that derives i_col
 
 
-def _run_counting_min_max(world, t_max):
-    """run(world, t_max) and the number of builtin min and max calls it
-    made."""
+def _run_counting_min_max(world):
+    """run(world) and the number of builtin min and max calls it made."""
     calls = 0
 
     def count(frame, event, arg):
@@ -543,7 +545,7 @@ def _run_counting_min_max(world, t_max):
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
-        log = run(world, t_max)
+        log = run(world)
     finally:
         sys.setprofile(previous)
     return log, calls
@@ -554,8 +556,8 @@ def test_steps_call_no_builtin_min_or_max():
     max as often as its first second does, in per-run set-up only."""
     base = metrics.sweep_scenario(BUILTIN_SCENARIOS["scenario1"], 0.5, 0.75)
     full, full_calls = _run_counting_min_max(
-        load_scenario(base, RunConfig()), None)
+        load_scenario(base, RunConfig()))
     short, short_calls = _run_counting_min_max(
-        load_scenario(base, RunConfig()), 1.0)
+        load_scenario(base, RunConfig(t_max=1.0)))
     assert short.end_time < 2.0 < full.end_time
     assert full_calls == short_calls

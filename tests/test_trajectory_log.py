@@ -81,8 +81,8 @@ def test_readers_match_the_reference_on_generated_logs(case):
     data, t_max = case
     if overlap_at_start(data) or cannot_stop_at_start(data):
         return  # rejected at load; see test_collisions
-    world = load_scenario(data, RunConfig())
-    check_readers(run(world, t_max), world)
+    world = load_scenario(data, RunConfig(t_max=t_max))
+    check_readers(run(world), world)
 
 
 def test_pair_cache_misses_when_any_key_field_changes():
