@@ -12,7 +12,7 @@ import sys
 
 from .config import (Q_RANGE, ConfigError, RunConfig, check, parse_text,
                      read_json_object)
-from .logio import read_trajectory, write_atomic
+from .logio import open_atomic, read_trajectory, write_atomic
 from .metrics import (aggressiveness_sweep, grid_to_csv, lane_change_count,
                       longitudinal_disturbance)
 from .road import LaneGeometry
@@ -79,7 +79,7 @@ def _sat_distance(i_col: float) -> float:
 def _summarize(log, world, cfg) -> dict:
     vehicles = {}
     for veh in world.vehicles:
-        last = log.vehicle_rows(veh.vehicle_id)[-1]
+        last = log.last_row(veh.vehicle_id)
         entry = {
             "kind": veh.kind,
             "q": veh.q if veh.kind == DECISION else None,
@@ -90,7 +90,7 @@ def _summarize(log, world, cfg) -> dict:
             # _sat_distance is non-increasing, so the largest index maps
             # to the smallest distance.
             "min_gap_m": round(
-                _sat_distance(max(log.vehicle_icol(veh.vehicle_id))), 4),
+                _sat_distance(log.max_icol(veh.vehicle_id)), 4),
         }
         if veh.kind == DECISION:
             merge_events = [e for e in log.events
@@ -122,7 +122,8 @@ def cmd_run(args) -> int:
     traj_path = base + ".csv"
     summary_path = base + ".summary.json"
     summary = _summarize(log, world, cfg)
-    write_atomic(traj_path, log.to_csv())
+    with open_atomic(traj_path) as fh:
+        log.to_csv(fh)
     write_atomic(summary_path,
                  json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"trajectory: {traj_path}")

@@ -1,5 +1,6 @@
 """Atomic text output and trajectory-file parsing; both fail as ConfigError."""
 
+from contextlib import contextmanager
 import math
 import os
 
@@ -13,8 +14,11 @@ _KINDS = tuple(float if name in FLOAT_COLUMNS else int if name == "lane"
                else str for name in TRAJECTORY_COLUMNS)
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Write via a temp file and rename, so readers never see partial files.
+@contextmanager
+def open_atomic(path: str):
+    """A text handle onto a temp file beside `path`, renamed onto it when
+    the with-body ends, so readers never see a partial file; on any
+    exception, also one raised mid-stream, the temp file is removed.
     The file gets the mode open() gives a new file, 0o666 less the umask.
     A path that cannot be written raises ConfigError naming it."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -27,7 +31,7 @@ def write_atomic(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException as exc:
         if os.path.exists(tmp):
@@ -35,6 +39,12 @@ def write_atomic(path: str, text: str) -> None:
         if isinstance(exc, OSError):
             raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
         raise
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write `text` to `path` through open_atomic."""
+    with open_atomic(path) as fh:
+        fh.write(text)
 
 
 def read_trajectory(path: str):

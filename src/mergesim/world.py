@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 import math
-from operator import sub
+from operator import itemgetter, sub
 import os
 import random
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -58,6 +58,9 @@ BUILTIN_SCENARIOS = {
 # class, which costs more per record.
 _new_view = VehicleView._make
 _new_controls = Controls._make
+
+# Steps the write path holds at a time, in deriving i_col and in the CSV.
+BLOCK = 256
 
 TRAJECTORY_COLUMNS = ("t", "id", "x_lat", "y_long", "v", "theta", "lane",
                       "maneuver", "accel_directive", "competing_id", "i_col",
@@ -143,24 +146,46 @@ class TrajectoryLog:
         centre distance) at each of its rows; 0 for a vehicle alone."""
         return self._icol_columns()[self._slot_with_rows(vehicle_id)][:]
 
-    def to_csv(self) -> str:
-        """The log as CSV text, one line per row, built column by column.
+    def last_row(self, vehicle_id: str) -> tuple:
+        """A vehicle's last row, read without copying its column; a
+        scripted column builds its rows one at a time as they are read."""
+        column = self.columns[self._slot_with_rows(vehicle_id)]
+        if type(column) is _Scripted:
+            return next(islice(column, len(column) - 1, None))
+        return column[-1]
+
+    def max_icol(self, vehicle_id: str) -> float:
+        """The largest of a vehicle's vehicle_icol, without copying it."""
+        return max(self._icol_columns()[self._slot_with_rows(vehicle_id)])
+
+    def to_csv(self, fh) -> None:
+        """Write the log to the text handle `fh` as CSV, one line per row:
+        the header, then BLOCK steps of step-major lines per write, built
+        column by column.
 
         Each step's time is formatted once, and so is the text of a
         scripted vehicle's id, x_lat, v, theta and lane.  A vehicle's i_col
         text is reused while its index is the same float object as in its
         previous row (a reused index, see _icol_columns).  An equal but
         distinct float is formatted anew, since 0.0 == -0.0 yet the two
-        print differently.
+        print differently; so is each block's first.
         """
         columns, icol = self.columns, self._icol_columns()
-        times = [f"{r[0]:.2f}" for r in (columns[0] if columns else [])]
-        lines = [",".join(TRAJECTORY_COLUMNS)]
-        lines.extend(chain.from_iterable(zip(*[
-            _scripted_lines(column, times, index)
-            if type(column) is _Scripted else _logged_lines(column, times, index)
-            for column, index in zip(columns, icol)])))
-        return "\n".join(lines) + "\n"
+        fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
+        steps = len(icol[0]) if icol else 0
+        stamps = map(itemgetter(0), columns[0] if columns else ())
+        # One running source per column: a scripted one's y sums, or rows.
+        sources = [column.ys() if type(column) is _Scripted else iter(column)
+                   for column in columns]
+        for lo in range(0, steps, BLOCK):
+            size = min(BLOCK, steps - lo)
+            times = [f"{t:.2f}" for t in islice(stamps, size)]
+            fh.write("".join(chain.from_iterable(zip(*[
+                _scripted_lines(column.start, islice(source, size), times,
+                                index[lo:lo + size])
+                if type(column) is _Scripted else
+                _logged_lines(islice(source, size), times, index[lo:lo + size])
+                for column, source, index in zip(columns, sources, icol)]))))
 
 
 class _Scripted:
@@ -213,19 +238,18 @@ def _texts(values) -> List[str]:
     return out
 
 
-def _scripted_lines(column: _Scripted, times: List[str],
+def _scripted_lines(start: VehicleView, ys, times: List[str],
                     icol: List[float]) -> List[str]:
-    vid, x, _, v, heading, _, _, lane = column.start
+    vid, x, _, v, heading, _, _, lane = start
     head, tail = f",{vid},{x:.6f},", f",{v:.6f},{heading:.6f},{lane},,,,"
     return list(map("".join, zip(
-        times, repeat(head), map(format, column.ys(), repeat(".6f")),
-        repeat(tail), _texts(icol), repeat(","))))
+        times, repeat(head), map(format, ys, repeat(".6f")),
+        repeat(tail), _texts(icol), repeat(",\n"))))
 
 
-def _logged_lines(rows: List[tuple], times: List[str],
-                  icol: List[float]) -> List[str]:
+def _logged_lines(rows, times: List[str], icol: List[float]) -> List[str]:
     return [f"{t},{r[1]},{r[2]:.6f},{r[3]:.6f},{r[4]:.6f},{r[5]:.6f},"
-            f"{r[6]},{r[7]},{r[8]},{r[9]},{c_text},{r[10]}"
+            f"{r[6]},{r[7]},{r[8]},{r[9]},{c_text},{r[10]}\n"
             for t, r, c_text in zip(times, rows, _texts(icol))]
 
 
@@ -241,53 +265,60 @@ def _icol_columns(columns: list, bodies: Dict[str, Tuple[float, float]]):
     compare with ==, so two equal keys differ at most in the sign of a
     zero, and such a zero reaches the index only through abs().
 
-    The poses are read from one list per field and vehicle; a scripted
-    vehicle's x, sine and cosine lists repeat one object.
+    The poses are read BLOCK steps at a time, from one list per field and
+    vehicle; a scripted vehicle's x, sine and cosine lists repeat one
+    object, and its y list continues one running ys().  Each block finds
+    its nearest pairs on its own, which is exact on any step range, and
+    the pair keys carry from block to block.
     """
     steps = min(map(len, columns), default=0)
-    xs, ys, sines, cosines = [], [], [], []
-    for column in columns:
-        if type(column) is not _Scripted:
-            rows = column[:steps]
-            headings = [r[5] for r in rows]
-            xs.append([r[2] for r in rows])
-            ys.append([r[3] for r in rows])
-            sines.append(list(map(math.sin, headings)))
-            cosines.append(list(map(math.cos, headings)))
-        else:
-            start = column.start
-            xs.append([start.x] * steps)
-            ys.append(list(islice(column.ys(), steps)))
-            sines.append([math.sin(start.heading)] * steps)
-            cosines.append([math.cos(start.heading)] * steps)
     halves = [(width / 2.0, length / 2.0) for length, width in bodies.values()]
-    nearest = _nearest_pairs(xs, ys)
-    out: List[List[float]] = []
-    for i, near in enumerate(nearest):
-        if near is None:
-            out.append([0.0] * steps)
-            continue
-        xi, yi, si, ci = xs[i], ys[i], sines[i], cosines[i]
-        icol = []
-        last = [None] * len(nearest)  # (key, index) by the other slot
-        for t, j in enumerate(near):
-            if j < i and nearest[j][t] == i:
-                # The index is symmetric in its two rectangles.
-                icol.append(out[j][t])
-                continue
-            xj, yj = xs[j][t], ys[j][t]
-            key = (xj - xi[t], yj - yi[t], si[t], ci[t], sines[j][t],
-                   cosines[j][t])
-            seen = last[j]
-            if seen is not None and seen[0] == key:
-                icol.append(seen[1])
+    sources = [column.ys() if type(column) is _Scripted else None
+               for column in columns]
+    out: List[List[float]] = [[] for _ in columns]
+    last = [[None] * len(columns) for _ in columns]  # (key, index) by pair
+    for lo in range(0, steps, BLOCK):
+        size = min(BLOCK, steps - lo)
+        xs, ys, sines, cosines = [], [], [], []
+        for column, source in zip(columns, sources):
+            if source is None:
+                rows = column[lo:lo + size]
+                headings = [r[5] for r in rows]
+                xs.append([r[2] for r in rows])
+                ys.append([r[3] for r in rows])
+                sines.append(list(map(math.sin, headings)))
+                cosines.append(list(map(math.cos, headings)))
             else:
-                index = collision_index(
-                    (xi[t], yi[t], key[2], key[3], *halves[i]),
-                    (xj, yj, key[4], key[5], *halves[j]))
-                last[j] = (key, index)
-                icol.append(index)
-        out.append(icol)
+                start = column.start
+                xs.append([start.x] * size)
+                ys.append(list(islice(source, size)))
+                sines.append([math.sin(start.heading)] * size)
+                cosines.append([math.cos(start.heading)] * size)
+        nearest = _nearest_pairs(xs, ys)
+        for i, near in enumerate(nearest):
+            icol = out[i]
+            if near is None:
+                icol.extend([0.0] * size)
+                continue
+            xi, yi, si, ci = xs[i], ys[i], sines[i], cosines[i]
+            pair = last[i]
+            for t, j in enumerate(near):
+                if j < i and nearest[j][t] == i:
+                    # The index is symmetric in its two rectangles.
+                    icol.append(out[j][lo + t])
+                    continue
+                xj, yj = xs[j][t], ys[j][t]
+                key = (xj - xi[t], yj - yi[t], si[t], ci[t], sines[j][t],
+                       cosines[j][t])
+                seen = pair[j]
+                if seen is not None and seen[0] == key:
+                    icol.append(seen[1])
+                else:
+                    index = collision_index(
+                        (xi[t], yi[t], key[2], key[3], *halves[i]),
+                        (xj, yj, key[4], key[5], *halves[j]))
+                    pair[j] = (key, index)
+                    icol.append(index)
     return out
 
 

@@ -25,6 +25,7 @@ from dynamics_reference import lateral_derivative
 from test_game import bimatrix, brute_force_solution
 from test_metrics import complete, speed_series, synthetic_log
 from test_perception import polygons_intersect, random_rect
+from test_trajectory_log import csv_text
 
 
 def announce(number, text):
@@ -292,7 +293,7 @@ def test_acceptance_9_determinism():
     for _ in range(2):
         cfg = RunConfig(q_overrides={"merging": 0.9}, seed=5)
         log = run(load_scenario("scenario1", cfg))
-        csvs.append(log.to_csv().encode())
+        csvs.append(csv_text(log).encode())
     assert csvs[0] == csvs[1]
     grids = []
     for _ in range(2):

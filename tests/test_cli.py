@@ -2,6 +2,7 @@ import argparse
 from contextlib import redirect_stderr, redirect_stdout
 import copy
 from dataclasses import fields
+import errno
 import io
 import json
 import math
@@ -23,8 +24,9 @@ from mergesim.config import ConfigError, RunConfig
 from mergesim.logio import FLOAT_COLUMNS
 from mergesim.metrics import GRID_COLUMNS, aggressiveness_sweep, grid_to_csv
 from mergesim.road import LaneGeometry
-from mergesim.world import (BUILTIN_SCENARIOS, MAX_SPEED_KMH,
-                            TRAJECTORY_COLUMNS, geometry_from_dict,
+from mergesim.world import (BLOCK, BUILTIN_SCENARIOS, MAX_SPEED_KMH,
+                            TRAJECTORY_COLUMNS, TrajectoryLog,
+                            geometry_from_dict,
                             geometry_to_dict, load_scenario, run as run_world)
 
 import golden
@@ -95,19 +97,22 @@ class TestRunCommand:
         text = capsys.readouterr().out
         assert "merged at" in text
 
-    # write_atomic's temp file must not keep a mode of its own.
+    # Neither write_atomic's temp file nor that of the streamed CSV may keep
+    # a mode of its own.  The run spans more than one block of CSV writes.
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                              ids=["umask022", "umask077"])
     def test_outputs_get_the_mode_open_gives(self, tmp_path, umask, mode):
         out = str(tmp_path / "s1")
         old = os.umask(umask)
         try:
-            assert run_cli("run", "--t-max", "0.1", "--output", out) == 0
+            assert run_cli("run", "--t-max", "3", "--output", out) == 0
         finally:
             os.umask(old)
         for path in (out + ".csv", out + ".summary.json"):
             assert stat.S_IMODE(os.stat(path).st_mode) == mode
         assert sorted(os.listdir(tmp_path)) == ["s1.csv", "s1.summary.json"]
+        rows = read_text(out + ".csv").count("\n") - 1
+        assert rows > BLOCK * len(BUILTIN_SCENARIOS["scenario1"]["vehicles"])
 
     def test_aggressive_overtakes_competitor(self, tmp_path):
         out = str(tmp_path / "s1")
@@ -901,6 +906,52 @@ class TestFileErrors:
             (command, "--t-max", "0.1", "--output", out, *extra),
             f"cannot write {out}.csv: ")
         assert blocker.read_text() == ""
+
+    @staticmethod
+    def fail_after_first_block(monkeypatch, tmp_path, exc):
+        """Make to_csv raise `exc` from its write after the header and the
+        first block; returns the sizes of the temp files at that moment."""
+        real = TrajectoryLog.to_csv
+        seen = []
+
+        class Failing:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, text):
+                if self.writes == 2:
+                    self.fh.flush()
+                    seen.extend(p.stat().st_size
+                                for p in tmp_path.glob(".tmp-*"))
+                    raise exc
+                self.writes += 1
+                return self.fh.write(text)
+
+        monkeypatch.setattr(TrajectoryLog, "to_csv",
+                            lambda log, fh: real(log, Failing(fh)))
+        return seen
+
+    def test_exception_mid_stream_leaves_no_file(self, tmp_path,
+                                                 monkeypatch):
+        seen = self.fail_after_first_block(monkeypatch, tmp_path,
+                                           RuntimeError("mid-stream"))
+        out = str(tmp_path / "s1")
+        with pytest.raises(RuntimeError, match="mid-stream"):
+            run_cli("run", "--t-max", "3", "--output", out)
+        assert len(seen) == 1 and seen[0] > 0  # the stream had begun
+        assert list(tmp_path.iterdir()) == []
+
+    def test_os_error_mid_stream_is_one_error_line(self, tmp_path, capsys,
+                                                   monkeypatch):
+        seen = self.fail_after_first_block(
+            monkeypatch, tmp_path,
+            OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+        out = str(tmp_path / "s1")
+        self.assert_one_error(
+            capsys, tmp_path, ("run", "--t-max", "3", "--output", out),
+            f"cannot write {out}.csv: {os.strerror(errno.ENOSPC)}")
+        assert len(seen) == 1 and seen[0] > 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_plot_output_onto_a_directory(self, tmp_path, capsys):
         out = str(tmp_path / "traj")

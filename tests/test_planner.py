@@ -13,9 +13,9 @@ from mergesim.planner import (ACCELERATE, DECELERATE, HOLD, KEEP,
                               LANE_CHANGE_MARGIN, MERGE, BrainState,
                               acceleration_game,
                               complete_maneuver, decide,
-                              discretionary_lane_change, evaluate_slot,
-                              lane_change_safe, merging_game,
-                              predict_states)
+                              discretionary_lane_change, entrance_threat,
+                              evaluate_slot, lane_change_safe, merging_game,
+                              predict_states, sinking_threat)
 from mergesim.road import LaneGeometry, lane_of
 from mergesim.world import BUILTIN_SCENARIOS, load_scenario, run
 
@@ -215,6 +215,41 @@ class TestDecide:
         profile = CFG.profile(0.5)
         out = decide(ego, [ego], brain, profile, GEOMETRY, {"ego": profile}, CFG)
         assert out is brain
+
+
+class TestRampThreats:
+    """Which ramp vehicle a target-lane driver watches, and when it gives
+    way: the margin ahead of its nose and the nearest of several."""
+
+    def sinking(self, dy_ahead):
+        # A ramp vehicle 1 m/s slower than the ego, seen braking at 10 m/s^2
+        # over the last epoch, whose projection at the prediction horizon
+        # sits dy_ahead ahead of the ego's centre; |dy| stays below
+        # evade_near.
+        profile = CFG.profile(0.5)
+        ego = view("ego", 6.6, 100.0, 25.0)
+        dy = dy_ahead + (ego.v - 24.0) * profile.prediction_time
+        threat = view("ramp", 9.9, ego.y + dy, 24.0)
+        assert abs(dy) < CFG.evade_near
+        brain = BrainState(current_lane=2, v_ref=ego.v,
+                           threat_memo_id="ramp",
+                           threat_memo_speed=24.0 + CFG.epoch * 10.0)
+        return sinking_threat(ego, threat, brain, profile, CFG)
+
+    def test_sinking_threat_margin_is_two_metres_ahead_of_the_nose(self):
+        length = view("ego", 6.6, 0.0, 0.0).length
+        assert self.sinking(length + 1.0)
+        assert self.sinking(length + 2.0 - 1e-6)
+        assert not self.sinking(length + 2.0 + 1e-6)
+
+    def test_entrance_threat_is_the_nearest_ramp_vehicle(self):
+        ego = view("ego", 6.6, 80.0, 22.0)
+        near = view("near", 9.9, 83.0, 20.0)
+        far = view("far", 9.9, 100.0, 20.0)
+        assert ego.lane == GEOMETRY.merge_target_lane
+        assert near.lane == far.lane == GEOMETRY.merge_lane
+        for views in ([ego, near, far], [ego, far, near]):
+            assert entrance_threat(ego, views, GEOMETRY, CFG) is near
 
 
 class TestCompleteManeuver:

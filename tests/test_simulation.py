@@ -17,6 +17,7 @@ from mergesim.world import (BUILTIN_SCENARIOS, DECISION, SCRIPTED,
 from log_reference import eager_icol
 from test_collisions import (cannot_stop_at_start, generated_scenarios,
                              overlap_at_start)
+from test_trajectory_log import csv_text
 
 GEOMETRY = LaneGeometry()
 
@@ -183,7 +184,7 @@ class TestRun:
             cfg = RunConfig(q_overrides={"merging": 0.5}, seed=3)
             logs.append(run(load_scenario("scenario1", cfg)))
         assert logs[0].rows == logs[1].rows
-        assert logs[0].to_csv() == logs[1].to_csv()
+        assert csv_text(logs[0]) == csv_text(logs[1])
         assert logs[0].events == logs[1].events
 
     def test_rejects_bad_t_max(self):
@@ -529,7 +530,7 @@ class TestDerivedIcol:
         for log, vehicles in logs:
             steps = round(log.end_time / cfg.dt)
             assert len(log.rows) == vehicles * steps
-        logs[0][0].to_csv()
+        csv_text(logs[0][0])
         assert derived  # the counter sits on the path that derives i_col
 
 

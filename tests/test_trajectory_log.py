@@ -3,7 +3,9 @@ its nearest neighbours, per-vehicle reads, the CSV and min_gap_m, each
 against the slow reference readers of log_reference."""
 
 import copy
+import io
 import math
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -15,7 +17,7 @@ from mergesim.config import RunConfig
 from mergesim.logio import read_trajectory
 from mergesim.perception import collision_index, pose
 from mergesim.road import LaneGeometry
-from mergesim.world import (BUILTIN_SCENARIOS, TRAJECTORY_COLUMNS,
+from mergesim.world import (BLOCK, BUILTIN_SCENARIOS, TRAJECTORY_COLUMNS,
                             TrajectoryLog, _nearest_pairs, _texts,
                             load_scenario, run)
 
@@ -27,17 +29,26 @@ from test_collisions import (cannot_stop_at_start, generated_scenarios,
 GEOMETRY = LaneGeometry()
 
 
+def csv_text(log) -> str:
+    """The CSV that log.to_csv writes, as one string."""
+    sink = io.StringIO()
+    log.to_csv(sink)
+    return sink.getvalue()
+
+
 def check_readers(log, world):
     """Every reader of `log` agrees with its reference."""
     for veh in world.vehicles:
         vid = veh.vehicle_id
         assert log.vehicle_rows(vid) == scanned_rows(log, vid)
         assert log.vehicle_icol(vid) == scanned_icol(log, vid)
-    with pytest.raises(KeyError):
-        log.vehicle_rows("nobody")
-    with pytest.raises(KeyError):
-        log.vehicle_icol("nobody")
-    assert log.to_csv() == formatted_csv(log)
+        assert log.last_row(vid) == scanned_rows(log, vid)[-1]
+        assert log.max_icol(vid) == max(scanned_icol(log, vid))
+    for reader in (log.vehicle_rows, log.vehicle_icol, log.last_row,
+                   log.max_icol):
+        with pytest.raises(KeyError):
+            reader("nobody")
+    assert csv_text(log) == formatted_csv(log)
 
 
 @pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
@@ -56,7 +67,7 @@ def test_written_csv_reads_back_as_the_log(scenario, noise, tmp_path):
     world = load_scenario(scenario, RunConfig(noise=noise))
     log = run(world)
     path = tmp_path / "traj.csv"
-    path.write_text(log.to_csv(), encoding="utf-8")
+    path.write_text(csv_text(log), encoding="utf-8")
     parsed = read_trajectory(str(path))
     assert len(parsed) == len(log.rows)
     icol = {vid: log.vehicle_icol(vid) for vid in log.bodies}
@@ -124,7 +135,7 @@ class TestEmptyLogs:
             log.vehicle_rows("a")
         with pytest.raises(KeyError):
             log.vehicle_icol("a")
-        assert log.to_csv() == formatted_csv(log)
+        assert csv_text(log) == formatted_csv(log)
 
     def test_no_vehicles(self):
         log = TrajectoryLog(GEOMETRY, {})
@@ -133,7 +144,7 @@ class TestEmptyLogs:
         with pytest.raises(KeyError):
             log.vehicle_icol("a")
         assert log.rows == []
-        assert log.to_csv() == formatted_csv(log)
+        assert csv_text(log) == formatted_csv(log)
 
 
 def test_csv_text_is_reused_only_for_the_same_float_object():
@@ -149,10 +160,10 @@ def test_csv_text_is_reused_only_for_the_same_float_object():
         log.append((t, "a", value, 0.0, value, value, 0, "", "", "", ""))
     with mock.patch.object(TrajectoryLog, "_icol_columns",
                            lambda self: [values]):
-        fields = [line.split(",") for line in log.to_csv().splitlines()[1:]]
+        fields = [line.split(",") for line in csv_text(log).splitlines()[1:]]
     for k in (2, 4, 5, 10):  # x_lat, v, theta and i_col
         assert [f[k] for f in fields] == want
-    assert log.to_csv() == formatted_csv(log)
+    assert csv_text(log) == formatted_csv(log)
 
 
 _indices = st.one_of(st.sampled_from((0.0, 1.0, 1.0 - 2.0 ** -53, 1e-300,
@@ -174,6 +185,53 @@ def test_min_gap_at_the_edges_of_the_index(column):
     assert _sat_distance(max(column)) == min(map(_sat_distance, column))
 
 
+# --- the write path's memory -------------------------------------------------
+
+
+MB = 1 << 20
+
+
+def long_log():
+    """scenario1 kept running for 200 s: 20,000 steps of six vehicles."""
+    log = run(load_scenario("scenario1",
+                            RunConfig(t_max=200.0, settle_time=1000.0)))
+    assert len(log.vehicle_rows("merging")) == 20_000
+    return log
+
+
+def traced_peak(fn):
+    """(memory still held, peak) of what fn allocates, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_icol_peaks_near_the_lists_it_keeps():
+    # The poses and nearest pairs are held one block of steps at a time.
+    log = long_log()
+    kept, peak = traced_peak(lambda: log.max_icol("merging"))
+    assert kept > MB  # six lists of 20,000 indices
+    assert peak - kept < MB
+
+
+def test_csv_is_written_in_bounded_memory():
+    class Sink:
+        lines = 0
+
+        def write(self, text):
+            self.lines += text.count("\n")
+
+    log = long_log()
+    log.max_icol("merging")  # i_col derived before tracing
+    sink = Sink()
+    _, peak = traced_peak(lambda: log.to_csv(sink))
+    assert sink.lines == 1 + 6 * 20_000
+    assert peak < MB
+
+
 # --- the column log (see also test_scripted_tracks.checked_run) -------------
 
 
@@ -186,7 +244,7 @@ def test_scripted_id_with_percent_signs():
     world = load_scenario(data, RunConfig(t_max=1.0))
     log = run(world)
     check_readers(log, world)
-    assert log.to_csv().splitlines()[1].split(",")[1] == "v%s%%d{0}"
+    assert csv_text(log).splitlines()[1].split(",")[1] == "v%s%%d{0}"
 
 
 class TestAppendedLogs:
@@ -207,7 +265,7 @@ class TestAppendedLogs:
                                 pose(b[2], b[3], b[5], 1.0, 2.0))
                 for a, b in zip(a_rows, b_rows)]
         assert log.vehicle_icol("a") == log.vehicle_icol("b") == want
-        assert log.to_csv() == formatted_csv(log)
+        assert csv_text(log) == formatted_csv(log)
 
     def test_vehicle_rows_do_not_depend_on_what_was_read(self):
         # rows holds whole steps only; a vehicle's rows are its column.
@@ -227,7 +285,7 @@ class TestAppendedLogs:
         assert len(log.rows) == 1 and log.vehicle_icol("a") == [0.0]
         log.append((0.01, "a", 0.0, 1.2, 20.0, 0.0, 0, "", "", "", ""))
         assert len(log.rows) == 2 and log.vehicle_icol("a") == [0.0, 0.0]
-        assert log.to_csv() == formatted_csv(log)
+        assert csv_text(log) == formatted_csv(log)
 
     def test_one_vehicle_scores_zero(self):
         log = TrajectoryLog(GEOMETRY, {"a": (4.5, 1.8)})
@@ -236,7 +294,7 @@ class TestAppendedLogs:
                         "hold", "", ""))
         assert log.vehicle_icol("a") == [0.0] * 4
         assert log.vehicle_rows("a") == scanned_rows(log, "a")
-        assert log.to_csv() == formatted_csv(log)
+        assert csv_text(log) == formatted_csv(log)
 
 
 # --- nearest neighbours ------------------------------------------------------
@@ -280,6 +338,8 @@ def test_nearest_pairs_of_no_or_one_vehicle():
 def test_scenario1_tie_goes_to_the_first_slot():
     # vehicle2 drives 3.3 m from vehicle1 and from vehicle3 at every step,
     # with the same y sums; its nearest is vehicle1, the first in slot order.
+    # i_col finds nearest pairs one block of steps at a time: the blocks
+    # cover the run in order, and every block is checked.
     real = world_module._nearest_pairs
     seen = []
 
@@ -291,13 +351,22 @@ def test_scenario1_tie_goes_to_the_first_slot():
     log = run(world)
     with mock.patch.object(world_module, "_nearest_pairs", recording):
         log.vehicle_icol("vehicle1")
-    (xs, ys, nearest), = seen
+    steps = len(log.rows) // len(world.vehicles)
+    assert [len(xs[0]) for xs, _, _ in seen] == [
+        min(BLOCK, steps - lo) for lo in range(0, steps, BLOCK)]
+    assert len(seen) > 1
     ids = [veh.vehicle_id for veh in world.vehicles]
+    for k, vid in enumerate(ids):
+        rows = log.vehicle_rows(vid)
+        assert [x for xs, _, _ in seen for x in xs[k]] == [r[2] for r in rows]
+        assert [y for _, ys, _ in seen for y in ys[k]] == [r[3] for r in rows]
     one, two, three = (ids.index(v) for v in ("vehicle1", "vehicle2",
                                               "vehicle3"))
-    for t in range(len(xs[two])):
-        assert math.hypot(xs[two][t] - xs[one][t], ys[two][t] - ys[one][t]) \
-            == math.hypot(xs[two][t] - xs[three][t],
-                          ys[two][t] - ys[three][t]) == 3.3
-    assert nearest[two] == [one] * len(xs[two])
-    assert nearest == first_nearest(xs, ys)
+    for xs, ys, nearest in seen:
+        for t in range(len(xs[two])):
+            assert math.hypot(xs[two][t] - xs[one][t],
+                              ys[two][t] - ys[one][t]) \
+                == math.hypot(xs[two][t] - xs[three][t],
+                              ys[two][t] - ys[three][t]) == 3.3
+        assert nearest[two] == [one] * len(xs[two])
+        assert nearest == first_nearest(xs, ys)
