@@ -52,14 +52,14 @@ def build_config(args) -> RunConfig:
         if not _ or not vid:
             raise ConfigError(f"--q expects ID=VALUE, got {raw!r}")
         cfg.q_overrides[vid] = parse_text(value, float)
-    # Named flags are read as --set reads its values, and before them, so
-    # validate() checks them and a bad one ends in one error line.
-    pairs = [(key, getattr(args, key)) for key in (
-        "scenario", "dt", "epoch", "t_max", "seed", "noise", "noise_sigma",
-        "out_dir", "jobs") if getattr(args, key, None) is not None]
+    fields = RunConfig.__dataclass_fields__
+    # Flags set the fields their dests name, before --set and parsed as it
+    # parses, so validate() checks them and a bad one ends in one error line.
+    pairs = [(key, getattr(args, key)) for key in fields
+             if getattr(args, key, None) is not None]
     for raw in args.set:
         key, _, value = raw.partition("=")
-        declared = RunConfig.__dataclass_fields__.get(key)
+        declared = fields.get(key)
         if not _ or declared is None:
             raise ConfigError(f"--set: unknown config field {key!r}")
         if declared.type is dict:  # q_overrides, the one field of this kind
@@ -67,8 +67,7 @@ def build_config(args) -> RunConfig:
                               "each override as --q ID=VALUE")
         pairs.append((key, value))
     for key, value in pairs:
-        setattr(cfg, key, parse_text(
-            value, RunConfig.__dataclass_fields__[key].type))
+        setattr(cfg, key, parse_text(value, fields[key].type))
     return cfg.validate()
 
 
@@ -80,6 +79,7 @@ def _summarize(log, world, cfg) -> dict:
     vehicles = {}
     for veh in world.vehicles:
         last = log.last_row(veh.vehicle_id)
+        i_col = log.max_icol(veh.vehicle_id)
         entry = {
             "kind": veh.kind,
             "q": veh.q if veh.kind == DECISION else None,
@@ -87,10 +87,9 @@ def _summarize(log, world, cfg) -> dict:
             "final_x_lat": round(last[2], 4),
             "final_y_long": round(last[3], 4),
             "final_v": round(last[4], 4),
-            # _sat_distance is non-increasing, so the largest index maps
-            # to the smallest distance.
-            "min_gap_m": round(
-                _sat_distance(log.max_icol(veh.vehicle_id)), 4),
+            # _sat_distance is non-increasing, so the largest index maps to
+            # the smallest distance; at 0.0 no vehicle came within range.
+            "min_gap_m": round(_sat_distance(i_col), 4) if i_col else None,
         }
         if veh.kind == DECISION:
             merge_events = [e for e in log.events
@@ -134,9 +133,12 @@ def cmd_run(args) -> int:
         merge_time = entry.get("merge_time")
         merged = f"merged at t={merge_time:.2f}s" if merge_time is not None \
             else "did not merge"
+        gap = entry["min_gap_m"]
+        gap = ("no other vehicle came within range" if gap is None
+               else f"min gap {gap:.2f} m")
         print(f"  {vid}: q={entry['q']}, {merged}, final lane "
               f"{entry['final_lane']}, lane changes {entry['lane_changes']}, "
-              f"min gap {entry['min_gap_m']:.2f} m")
+              f"{gap}")
     if log.collision:
         pair = " / ".join(log.collision["vehicles"])
         print(f"COLLISION at t={log.collision['t']:.2f}s between {pair}",

@@ -27,10 +27,6 @@ class VehicleState(NamedTuple):
     yaw_rate: float = 0.0  # rad/s
 
 
-# Per-step records are built through _make (see world._new_view).
-_new_state = VehicleState._make
-
-
 @dataclass(frozen=True)
 class VehicleParams:
     mass: float                 # kg
@@ -192,4 +188,6 @@ def step(state: VehicleState, params: VehicleParams, controls: Controls,
     # overflows within a few steps; stop at the first non-finite state.
     if not math.isfinite(x + y + heading + v_long + v_lat + yaw_rate):
         raise ValueError("non-finite state")
-    return _new_state((x, y, heading, v_long, v_lat, yaw_rate))
+    # A per-step record (see the note on records in world.py).
+    return tuple.__new__(VehicleState,
+                         (x, y, heading, v_long, v_lat, yaw_rate))

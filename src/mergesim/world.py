@@ -53,11 +53,9 @@ BUILTIN_SCENARIOS = {
     },
 }
 
-# The step loop builds its records through _make: it takes one tuple and
-# checks its length, and skips the generated __new__'s call through the
-# class, which costs more per record.
-_new_view = VehicleView._make
-_new_controls = Controls._make
+# A record built once per vehicle per step (a view, a Controls, a
+# VehicleState) is built as tuple.__new__(Class, fields), its fields in the
+# class's order: calling the class would run a Python frame per record.
 
 # Steps the write path holds at a time, in deriving i_col and in the CSV.
 BLOCK = 256
@@ -207,8 +205,7 @@ class _Scripted:
         return accumulate(repeat(self.increment), initial=self.start.y)
 
     def track(self):
-        """Its views after the start view, one per step.  tuple.__new__ is
-        what _make calls, so no Python frame runs per view."""
+        """Its views after the start view, one per step."""
         vid, x, _, v, heading, length, width, lane = self.start
         ys = self.ys()
         next(ys)  # the start view's own
@@ -620,7 +617,7 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views: List[VehicleView],
     if lo > base:
         base = lo
     hi = profile.accel_hi
-    return _new_controls((hi if hi < base else base, steer))
+    return tuple.__new__(Controls, (hi if hi < base else base, steer))
 
 
 # --- simulation loop -------------------------------------------------------
@@ -735,8 +732,8 @@ def _advance(world, views, attentions, bands, tracks, logged, log, t):
         lo, hi = bands[lane]
         if not lo < x < hi:
             lane = lane_of(x, geometry)
-        moved[i] = _new_view((vid, x, s.y, s.v_long, s.heading, length,
-                              width, lane))
+        moved[i] = tuple.__new__(VehicleView, (
+            vid, x, s.y, s.v_long, s.heading, length, width, lane))
         if (brain.needs_merge and s.v_long < cfg.stop_speed
                 and not brain.forced_stop):
             veh.brain = brain._replace(forced_stop=True)

@@ -176,6 +176,28 @@ class TestRunCommand:
         assert cfg.q_overrides == {"merging": 0.25}
         assert cfg.dt == 0.02
 
+    # i_col underflows to 0.0 beyond about 745 m: with no other vehicle
+    # within that range, the index gives no distance to report.
+    @pytest.mark.parametrize("others", [[], [
+        {"id": "far", "x0_m": 0.0, "y0_m": 1000.0, "v0_kmh": 70.0,
+         "kind": "scripted"}]], ids=["alone", "far"])
+    def test_no_vehicle_in_range_reports_no_gap(self, tmp_path, capsys,
+                                                others):
+        path = tmp_path / "lone.json"
+        path.write_text(json.dumps({"vehicles": [
+            {"id": "merging", "x0_m": 9.9, "y0_m": 0.0, "v0_kmh": 70.0,
+             "kind": "decision", "q": 0.5}, *others]}))
+        out = str(tmp_path / "lone")
+        assert run_cli("run", "--scenario", str(path), "--t-max", "5",
+                       "--output", out) == 0
+        summary = json.loads(read_text(out + ".summary.json"))
+        for entry in summary["vehicles"].values():
+            assert entry["min_gap_m"] is None
+        text = capsys.readouterr().out
+        assert text.splitlines()[-1].startswith("  merging: q=0.5, ")
+        assert text.endswith(", no other vehicle came within range\n")
+        assert "min gap" not in text
+
 
 @pytest.mark.parametrize("key, scenario, q, seed", golden.RUNS,
                          ids=[run[0] for run in golden.RUNS])
@@ -405,6 +427,9 @@ class TestRangeChecks:
     @pytest.mark.parametrize("argv, message", [
         (("run", "--dt", "abc"), "dt: must be a number, got 'abc'"),
         (("run", "--seed", "1.5"), "seed: must be an integer, got '1.5'"),
+        # Flags are read in the fields' order, not the command line's.
+        (("run", "--seed", "1.5", "--dt", "abc"),
+         "dt: must be a number, got 'abc'"),
         (("sweep", "--grid", "0.5:0.5:1", "--jobs", "x"),
          "jobs: must be an integer, got 'x'")])
     def test_named_flags_are_checked_like_set(self, tmp_path, capsys, argv,
@@ -1051,3 +1076,44 @@ class TestDumpConfigCommand:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"not_a_field": 1}))
         assert run_cli("dump-config", "--config", str(path)) == 2
+
+
+class TestNamedFlags:
+    """A flag whose dest names a RunConfig field sets that field."""
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (("--scenario", "scenario2"), "scenario", "scenario2"),
+        (("--dt", "0.02"), "dt", 0.02),
+        (("--epoch", "0.2"), "epoch", 0.2),
+        (("--t-max", "12.5"), "t_max", 12.5),
+        (("--seed", "7"), "seed", 7),
+        (("--noise",), "noise", True),
+        (("--noise-sigma", "0.25"), "noise_sigma", 0.25),
+        (("--out-dir", "elsewhere"), "out_dir", "elsewhere")])
+    def test_each_flag_sets_its_field(self, capsys, argv, key, value):
+        assert run_cli("dump-config", *argv) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data == {**RunConfig().to_dict(), key: value}
+
+    @staticmethod
+    def namespace(**flags):
+        return argparse.Namespace(**{"config": None, "seed": None, "q": [],
+                                     "set": [], **flags})
+
+    def test_sweep_jobs_sets_its_field(self):
+        jobs = os.cpu_count() or 1
+        assert build_config(self.namespace(jobs=str(jobs))).jobs == jobs
+        with pytest.raises(ConfigError, match=r"^jobs: must be in \[1, "):
+            build_config(self.namespace(jobs="0"))
+
+    def test_any_dest_that_names_a_field_is_read(self):
+        assert build_config(self.namespace(settle_time="5")).settle_time == 5.0
+
+    def test_other_flags_are_not_fields(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("{}")
+        cfg = build_config(self.namespace(
+            config=str(path), q=["merging=0.2"], output="out",
+            grid="0:1:0.1"))
+        assert cfg.to_dict() == {**RunConfig().to_dict(),
+                                 "q_overrides": {"merging": 0.2}}

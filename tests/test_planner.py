@@ -1,4 +1,5 @@
 from contextlib import contextmanager
+import math
 from unittest import mock
 
 import pytest
@@ -396,3 +397,25 @@ class TestSlotJudgedOnce:
             return  # overlapping or unstoppable at the start
         with slots_judged_once():
             run(world)
+
+
+class TestBoundaryValues:
+    """What the planner gives where a comparison's boundary is met exactly."""
+
+    def test_a_standing_vehicle_never_reaches(self):
+        assert planner._time_to_reach(0.0, 0.0, 5.0) == math.inf
+
+    def test_no_deceleration_never_stops(self):
+        assert planner.stopping_distance(10.0, 0.0) == math.inf
+
+    def test_nearest_in_lane_takes_the_later_of_a_tie(self):
+        ego = view("ego", 6.6, 50.0, 20.0)
+        behind, ahead = view("b", 6.6, 40.0, 20.0), view("a", 6.6, 60.0, 20.0)
+        nearest = planner.nearest_in_lane
+        assert nearest(ego, [behind, ahead], ego.lane, 100.0) is ahead
+        assert nearest(ego, [ahead, behind], ego.lane, 100.0) is behind
+
+    def test_nearest_in_lane_sees_as_far_as_visibility(self):
+        ego = view("ego", 6.6, 50.0, 20.0)
+        edge = view("e", 6.6, 60.0, 20.0)
+        assert planner.nearest_in_lane(ego, [ego, edge], ego.lane, 10.0) is edge
