@@ -75,11 +75,12 @@ def _sat_distance(i_col: float) -> float:
     return -math.log(max(i_col, 1e-300)) if i_col < 1.0 else 0.0
 
 
-def _summarize(log, world, cfg) -> dict:
+def _summarize(log, world, cfg, peaks) -> dict:
+    """A run's summary, given the i_col peaks that log.to_csv returned."""
     vehicles = {}
     for veh in world.vehicles:
         last = log.last_row(veh.vehicle_id)
-        i_col = log.max_icol(veh.vehicle_id)
+        i_col = peaks[veh.vehicle_id]
         entry = {
             "kind": veh.kind,
             "q": veh.q if veh.kind == DECISION else None,
@@ -120,9 +121,9 @@ def cmd_run(args) -> int:
         cfg.out_dir, os.path.splitext(os.path.basename(cfg.scenario))[0])
     traj_path = base + ".csv"
     summary_path = base + ".summary.json"
-    summary = _summarize(log, world, cfg)
     with open_atomic(traj_path) as fh:
-        log.to_csv(fh)
+        peaks = log.to_csv(fh)
+    summary = _summarize(log, world, cfg, peaks)
     write_atomic(summary_path,
                  json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"trajectory: {traj_path}")

@@ -36,7 +36,7 @@ class RunConfig:
     q_overrides: dict = field(default_factory=dict)  # vehicle id -> q
     dt: float = ranged(0.01, "[0.0025, 0.04]")  # s, physics step
     epoch: float = ranged(0.1, "(0, 600]")  # s, decision period (multiple of dt)
-    t_max: float = ranged(40.0, "(0, 600]")  # s
+    t_max: float = ranged(40.0, "(0, 600]")  # s, run length (multiple of dt)
     seed: int = 0
     noise: bool = False                  # perception noise toggle
     noise_sigma: float = ranged(0.5, "[0, inf)")  # m, gap noise scale at q=0
@@ -102,13 +102,12 @@ class RunConfig:
             check_field(RunConfig, f.name, getattr(self, f.name))
         for vid, q in self.q_overrides.items():
             check(f"q_overrides[{vid!r}]", q, float, Q_RANGE)
-        ratio = self.epoch / self.dt
-        if not (abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1):
-            raise ConfigError(f"epoch: must be a whole multiple of dt "
-                              f"({self.dt!r}), got {self.epoch!r}")
-        if self.t_max < self.dt:
-            raise ConfigError(f"t_max: must be at least dt ({self.dt!r}), "
-                              f"got {self.t_max!r}")
+        for name in ("epoch", "t_max"):
+            value = getattr(self, name)
+            ratio = value / self.dt
+            if not (abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1):
+                raise ConfigError(f"{name}: must be a whole multiple of dt "
+                                  f"({self.dt!r}), got {value!r}")
         wheelbase = self.dist_front + self.dist_rear
         if not wheelbase < self.body_length:
             raise ConfigError(f"dist_front + dist_rear: must be below "

@@ -92,8 +92,8 @@ class TrajectoryLog:
     or for a scripted vehicle a _Scripted, which builds its rows when read.
     `rows` interleaves the columns a whole step at a time on first read.
     Each row holds every TRAJECTORY_COLUMNS field except i_col, which is
-    derived from the poses and the vehicle sizes on first read (see
-    vehicle_icol), so runs whose readers never ask for it never pay for it.
+    derived from the poses and the vehicle sizes as the CSV is written
+    (see _blocks), so runs that write no CSV never pay for it.
 
     `run` fills the columns: each decision vehicle appends its rows as it
     moves, and each scripted vehicle's column is the _Scripted record the
@@ -112,11 +112,10 @@ class TrajectoryLog:
         self.end_time: float = 0.0
         self._slot = {vid: k for k, vid in enumerate(bodies)}
         self._rows: Optional[List[tuple]] = None
-        self._icol: Optional[List[List[float]]] = None  # one list per column
 
     def append(self, row: tuple) -> None:
         self.columns[self._slot[row[1]]].append(row)
-        self._rows = self._icol = None
+        self._rows = None
 
     @property
     def rows(self) -> List[tuple]:
@@ -134,16 +133,6 @@ class TrajectoryLog:
     def vehicle_rows(self, vehicle_id: str) -> List[tuple]:
         return list(self.columns[self._slot_with_rows(vehicle_id)])
 
-    def _icol_columns(self) -> List[List[float]]:
-        if self._icol is None:
-            self._icol = _icol_columns(self.columns, self.bodies)
-        return self._icol
-
-    def vehicle_icol(self, vehicle_id: str) -> List[float]:
-        """A vehicle's collision index against its nearest neighbour (by
-        centre distance) at each of its rows; 0 for a vehicle alone."""
-        return self._icol_columns()[self._slot_with_rows(vehicle_id)][:]
-
     def last_row(self, vehicle_id: str) -> tuple:
         """A vehicle's last row, read without copying its column; a
         scripted column builds its rows one at a time as they are read."""
@@ -152,38 +141,32 @@ class TrajectoryLog:
             return next(islice(column, len(column) - 1, None))
         return column[-1]
 
-    def max_icol(self, vehicle_id: str) -> float:
-        """The largest of a vehicle's vehicle_icol, without copying it."""
-        return max(self._icol_columns()[self._slot_with_rows(vehicle_id)])
-
-    def to_csv(self, fh) -> None:
-        """Write the log to the text handle `fh` as CSV, one line per row:
-        the header, then BLOCK steps of step-major lines per write, built
-        column by column.
+    def to_csv(self, fh) -> Dict[str, float]:
+        """Write the log to the text handle `fh` as CSV, one line per row,
+        and return each vehicle's largest i_col (none for a log without a
+        whole step): the header, then BLOCK steps of step-major lines per
+        write, built column by column from what _blocks read for the block.
 
         Each step's time is formatted once, and so is the text of a
         scripted vehicle's id, x_lat, v, theta and lane.  A vehicle's i_col
         text is reused while its index is the same float object as in its
-        previous row (a reused index, see _icol_columns).  An equal but
-        distinct float is formatted anew, since 0.0 == -0.0 yet the two
-        print differently; so is each block's first.
+        previous row (a reused index, see _blocks).  An equal but distinct
+        float is formatted anew, since 0.0 == -0.0 yet the two print
+        differently; so is each block's first.
         """
-        columns, icol = self.columns, self._icol_columns()
+        columns = self.columns
         fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-        steps = len(icol[0]) if icol else 0
         stamps = map(itemgetter(0), columns[0] if columns else ())
-        # One running source per column: a scripted one's y sums, or rows.
-        sources = [column.ys() if type(column) is _Scripted else iter(column)
-                   for column in columns]
-        for lo in range(0, steps, BLOCK):
-            size = min(BLOCK, steps - lo)
-            times = [f"{t:.2f}" for t in islice(stamps, size)]
+        tops = []  # each block's largest index per column
+        for reads, icol in _blocks(columns, self.bodies):
+            times = [f"{t:.2f}" for t in islice(stamps, len(icol[0]))]
             fh.write("".join(chain.from_iterable(zip(*[
-                _scripted_lines(column.start, islice(source, size), times,
-                                index[lo:lo + size])
+                _scripted_lines(column.start, read, times, index)
                 if type(column) is _Scripted else
-                _logged_lines(islice(source, size), times, index[lo:lo + size])
-                for column, source, index in zip(columns, sources, icol)]))))
+                _logged_lines(read, times, index)
+                for column, read, index in zip(columns, reads, icol)]))))
+            tops.append(list(map(max, icol)))
+        return dict(zip(self.bodies, map(max, zip(*tops))))
 
 
 class _Scripted:
@@ -250,8 +233,9 @@ def _logged_lines(rows, times: List[str], icol: List[float]) -> List[str]:
             for t, r, c_text in zip(times, rows, _texts(icol))]
 
 
-def _icol_columns(columns: list, bodies: Dict[str, Tuple[float, float]]):
-    """i_col of each column at every whole step, one list per column.
+def _blocks(columns: list, bodies: Dict[str, Tuple[float, float]]):
+    """(reads, icol) for each block of up to BLOCK whole steps: per column,
+    the block's rows or, for a scripted one, its y sums, and its i_col.
 
     pose_gaps reads two poses only through the offset (bx - ax, by - ay),
     the four sines and cosines and the half sizes, and each slot's half
@@ -262,24 +246,24 @@ def _icol_columns(columns: list, bodies: Dict[str, Tuple[float, float]]):
     compare with ==, so two equal keys differ at most in the sign of a
     zero, and such a zero reaches the index only through abs().
 
-    The poses are read BLOCK steps at a time, from one list per field and
-    vehicle; a scripted vehicle's x, sine and cosine lists repeat one
-    object, and its y list continues one running ys().  Each block finds
-    its nearest pairs on its own, which is exact on any step range, and
-    the pair keys carry from block to block.
+    The poses are read from one list per field and vehicle; a scripted
+    vehicle's x, sine and cosine lists repeat one object, and its y sums
+    continue one running ys() over the run.  Each block finds its nearest
+    pairs on its own, which is exact on any step range, and the pair keys
+    carry from block to block.
     """
     steps = min(map(len, columns), default=0)
     halves = [(width / 2.0, length / 2.0) for length, width in bodies.values()]
     sources = [column.ys() if type(column) is _Scripted else None
                for column in columns]
-    out: List[List[float]] = [[] for _ in columns]
     last = [[None] * len(columns) for _ in columns]  # (key, index) by pair
     for lo in range(0, steps, BLOCK):
         size = min(BLOCK, steps - lo)
-        xs, ys, sines, cosines = [], [], [], []
+        reads, xs, ys, sines, cosines = [], [], [], [], []
         for column, source in zip(columns, sources):
             if source is None:
                 rows = column[lo:lo + size]
+                reads.append(rows)
                 headings = [r[5] for r in rows]
                 xs.append([r[2] for r in rows])
                 ys.append([r[3] for r in rows])
@@ -287,11 +271,13 @@ def _icol_columns(columns: list, bodies: Dict[str, Tuple[float, float]]):
                 cosines.append(list(map(math.cos, headings)))
             else:
                 start = column.start
+                reads.append(list(islice(source, size)))
                 xs.append([start.x] * size)
-                ys.append(list(islice(source, size)))
+                ys.append(reads[-1])
                 sines.append([math.sin(start.heading)] * size)
                 cosines.append([math.cos(start.heading)] * size)
         nearest = _nearest_pairs(xs, ys)
+        out: List[List[float]] = [[] for _ in columns]
         for i, near in enumerate(nearest):
             icol = out[i]
             if near is None:
@@ -302,7 +288,7 @@ def _icol_columns(columns: list, bodies: Dict[str, Tuple[float, float]]):
             for t, j in enumerate(near):
                 if j < i and nearest[j][t] == i:
                     # The index is symmetric in its two rectangles.
-                    icol.append(out[j][lo + t])
+                    icol.append(out[j][t])
                     continue
                 xj, yj = xs[j][t], ys[j][t]
                 key = (xj - xi[t], yj - yi[t], si[t], ci[t], sines[j][t],
@@ -316,7 +302,7 @@ def _icol_columns(columns: list, bodies: Dict[str, Tuple[float, float]]):
                         (xj, yj, key[4], key[5], *halves[j]))
                     pair[j] = (key, index)
                     icol.append(index)
-    return out
+        yield reads, out
 
 
 def _nearest_pairs(xs: List[List[float]], ys: List[List[float]]):

@@ -4,13 +4,25 @@ i_col is recomputed from VehicleView rectangles, nearest neighbours are
 found by scanning every vehicle at every step, a vehicle's rows and i_col
 are found by checking the id of every row, the CSV formats every field of
 every row, and a scripted vehicle's rows are replayed one step at a time.
-Tests compare the log's own readers and rows against these.
+Tests compare the log's own readers and rows against these; derived_icol
+reads the log's own i_col for them.
 """
 
 import math
 
+from mergesim import world as world_module
 from mergesim.perception import VehicleView, collision_index
 from mergesim.world import SCRIPTED, TRAJECTORY_COLUMNS
+
+
+def derived_icol(log):
+    """{id: i_col at each whole step} as the write path derives it, joined
+    from the blocks world._blocks yields: the exact floats to_csv formats."""
+    out = {vid: [] for vid in log.bodies}
+    for _, icol in world_module._blocks(log.columns, log.bodies):
+        for column, index in zip(out.values(), icol):
+            column.extend(index)
+    return out
 
 
 def eager_icol(log):

@@ -403,7 +403,8 @@ class TestRangeChecks:
         (("--set", "noise=True"), "noise: must be true or false, got 'True'"),
         (("--set", "dt=0.03"),
          "epoch: must be a whole multiple of dt (0.03), got 0.1"),
-        (("--set", "t_max=0.004"), "t_max: must be at least dt (0.01), got 0.004"),
+        (("--set", "t_max=0.004"),
+         "t_max: must be a whole multiple of dt (0.01), got 0.004"),
         (("--set", "dist_front=3"), "dist_front + dist_rear: must be below "
          "body_length (4.5), got 4.6"),
         # --set cannot give a dict field a value; the message must not call
@@ -436,6 +437,15 @@ class TestRangeChecks:
                                               message):
         assert run_cli(*argv, "--output", str(tmp_path / "x")) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not os.listdir(tmp_path)
+
+    def test_t_max_is_a_whole_number_of_steps(self, tmp_path, capsys):
+        # round(t_max / dt) steps would end 0.015 s at t_end 0.02 s, past
+        # t_max, and 0.025 s half a step short.
+        out = str(tmp_path / "x")
+        assert run_cli("run", "--t-max", "0.015", "--output", out) == 2
+        assert capsys.readouterr().err == \
+            "error: t_max: must be a whole multiple of dt (0.01), got 0.015\n"
         assert not os.listdir(tmp_path)
 
     def test_tiny_dt_is_rejected_without_running(self, capsys):
@@ -525,6 +535,9 @@ _JSON_VALUES = st.one_of(
     st.dictionaries(st.sampled_from(("merging", "vehicle1", "nobody")),
                     st.one_of(st.floats(), st.booleans()), max_size=2))
 _REJECTED_T_MAX = st.sampled_from(("0", "-1", "nan", "inf", "601", "x"))
+# Whole numbers of 0.01 s default steps up to 1 s: most floats in range are
+# no multiple of dt and are refused.
+_STEPPED_T_MAX = st.integers(1, 100).map(lambda k: repr(k * 0.01))
 
 
 def inside_range(key):
@@ -546,7 +559,8 @@ def generated_inputs(draw):
     """(--set pairs, --config object) over up to three fields each.  Values
     are arbitrary text or JSON, or lie inside the field's range.  Only t_max
     values that are rejected or at most 1 s are passed by --set, which
-    overrides --t-max 1, so no run covers more than 1 s."""
+    overrides --t-max 1, so no run covers more than 1 s; some of them are
+    whole numbers of steps, so that those runs run."""
     sets, config = {}, {}
     for key in draw(st.lists(st.sampled_from(_FIELD_NAMES), max_size=3,
                              unique=True)):
@@ -556,7 +570,7 @@ def generated_inputs(draw):
             sets[key] = draw(_SET_TEXT)
         elif key == "t_max":
             sets[key] = draw(st.one_of(inside_range(key).map(repr),
-                                       _REJECTED_T_MAX))
+                                       _STEPPED_T_MAX, _REJECTED_T_MAX))
         else:
             sets[key] = draw(st.one_of(inside_range(key).map(repr), _SET_TEXT))
     for key in draw(st.lists(st.sampled_from(_FIELD_NAMES), max_size=3,

@@ -1,6 +1,7 @@
 """Every name a mergesim module imports is used in that module, every
-top-level name it defines is read somewhere in the package, and every
-symbol the benchmark's probes wrap still exists.
+top-level name it defines is read somewhere in the package, every method
+and property of its classes is read somewhere in the package or the
+benchmark, and every symbol the benchmark's probes wrap still exists.
 
 A fold that moves the last reader of a name elsewhere tends to leave the
 import, or the name itself, behind; this catches both with the standard
@@ -81,6 +82,55 @@ def test_an_unread_name_is_found():
                     "def g():\n    return LIMIT\n",
                "b": "from .a import g\nclass C:\n    x = g()\n"}
     assert unread_names(sources) == ["a:f", "b:C"]
+
+
+def unread_methods(sources, readers=()):
+    """"module:Class.name" of each method or property, dunders aside, of a
+    top-level class of `sources` (module -> text) whose name no attribute
+    read in `sources` or in `readers` (more texts) takes outside its own
+    definition.  Names are matched alone, whatever object they are read
+    from."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = [node for tree in [*trees.values(), *map(ast.parse, readers)]
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)]
+    unread = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or (
+                        node.name.startswith("__")
+                        and node.name.endswith("__")):
+                    continue
+                own = {id(n) for n in ast.walk(node)}
+                if not any(read.attr == node.name and id(read) not in own
+                           for read in reads):
+                    unread.append(f"{module}:{cls.name}.{node.name}")
+    return unread
+
+
+def test_package_or_benchmark_reads_every_method_it_defines():
+    # The benchmark's reads count: `rows` is read only by perfbench.
+    assert unread_methods(
+        {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))},
+        [path.read_text() for path in sorted(ROOT.glob("perfbench/*.py"))]
+    ) == []
+
+
+def test_an_unread_method_is_found():
+    sources = {"a": "class C:\n"
+                    "    def used(self):\n        return self.spare\n"
+                    "    def spare(self):\n        return self.spare()\n"
+                    "    def alone(self):\n        return self.alone()\n"
+                    "    @property\n    def size(self):\n        return 1\n"
+                    "    def __len__(self):\n        return 0\n"
+                    "def size():\n    return C().used()\n",
+               "b": "class D:\n    def outside(self):\n        pass\n"}
+    assert unread_methods(sources) == ["a:C.alone", "a:C.size", "b:D.outside"]
+    assert unread_methods(sources, ["d.outside\nd.size\n"]) == ["a:C.alone"]
 
 
 def test_every_benchmark_probe_resolves():

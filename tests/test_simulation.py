@@ -14,7 +14,7 @@ from mergesim.road import (LaneGeometry, distance_to_merge_end, lane_bands,
 from mergesim.world import (BUILTIN_SCENARIOS, DECISION, SCRIPTED,
                             load_scenario, run)
 
-from log_reference import eager_icol
+from log_reference import derived_icol, eager_icol
 from test_collisions import (cannot_stop_at_start, generated_scenarios,
                              overlap_at_start)
 from test_trajectory_log import csv_text
@@ -494,14 +494,15 @@ class TestDerivedIcol:
         world = load_scenario(scenario, cfg)
         log = run(world)
         want, n = eager_icol(log), len(world.vehicles)
+        icol = derived_icol(log)
         for k, veh in enumerate(world.vehicles):
-            assert log.vehicle_icol(veh.vehicle_id) == want[k::n]
+            assert icol[veh.vehicle_id] == want[k::n]
 
     def test_lone_vehicle_scores_zero(self):
         scenario = minimal_scenario([{"id": "a", "x0_m": 0.0, "y0_m": 0.0,
                                       "v0_kmh": 80.0, "kind": SCRIPTED}])
         log = run(load_scenario(scenario, RunConfig(t_max=1.0)))
-        assert log.vehicle_icol("a") == [0.0] * len(log.rows)
+        assert derived_icol(log) == {"a": [0.0] * len(log.rows)}
 
     def test_sweep_never_derives_icol(self, monkeypatch):
         derived = []

@@ -1,6 +1,6 @@
 """The write path of a run: the column log, its interleaved rows, i_col and
-its nearest neighbours, per-vehicle reads, the CSV and min_gap_m, each
-against the slow reference readers of log_reference."""
+its nearest neighbours, per-vehicle reads, the CSV with its i_col peaks and
+min_gap_m, each against the slow reference readers of log_reference."""
 
 import copy
 import io
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from mergesim import world as world_module
-from mergesim.cli import _sat_distance
+from mergesim.cli import _sat_distance, main
 from mergesim.config import RunConfig
 from mergesim.logio import read_trajectory
 from mergesim.perception import collision_index, pose
@@ -21,34 +21,42 @@ from mergesim.world import (BLOCK, BUILTIN_SCENARIOS, TRAJECTORY_COLUMNS,
                             TrajectoryLog, _nearest_pairs, _texts,
                             load_scenario, run)
 
-from log_reference import (first_nearest, formatted_csv, scanned_icol,
-                           scanned_rows)
+from log_reference import (derived_icol, first_nearest, formatted_csv,
+                           scanned_icol, scanned_rows)
 from test_collisions import (cannot_stop_at_start, generated_scenarios,
                              overlap_at_start)
 
 GEOMETRY = LaneGeometry()
 
 
+def written(log):
+    """(CSV text, i_col peaks) that log.to_csv writes and returns."""
+    sink = io.StringIO()
+    peaks = log.to_csv(sink)
+    return sink.getvalue(), peaks
+
+
 def csv_text(log) -> str:
     """The CSV that log.to_csv writes, as one string."""
-    sink = io.StringIO()
-    log.to_csv(sink)
-    return sink.getvalue()
+    return written(log)[0]
 
 
 def check_readers(log, world):
-    """Every reader of `log` agrees with its reference."""
+    """Every reader of `log`, and the CSV with its peaks, agrees with its
+    reference."""
+    text, peaks = written(log)
+    icol = derived_icol(log)
     for veh in world.vehicles:
         vid = veh.vehicle_id
         assert log.vehicle_rows(vid) == scanned_rows(log, vid)
-        assert log.vehicle_icol(vid) == scanned_icol(log, vid)
+        assert icol[vid] == scanned_icol(log, vid)
         assert log.last_row(vid) == scanned_rows(log, vid)[-1]
-        assert log.max_icol(vid) == max(scanned_icol(log, vid))
-    for reader in (log.vehicle_rows, log.vehicle_icol, log.last_row,
-                   log.max_icol):
+        assert peaks[vid] == max(scanned_icol(log, vid))
+    assert list(peaks) == list(log.bodies)
+    for reader in (log.vehicle_rows, log.last_row):
         with pytest.raises(KeyError):
             reader("nobody")
-    assert csv_text(log) == formatted_csv(log)
+    assert text == formatted_csv(log)
 
 
 @pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
@@ -63,14 +71,14 @@ def test_readers_match_the_reference_on_builtin_logs(scenario, noise):
 def test_written_csv_reads_back_as_the_log(scenario, noise, tmp_path):
     # Each parsed row holds its log row's fields: a float as its printed
     # text read back, lane as an int, the decision fields as text, and i_col
-    # as vehicle_icol at six decimals.
+    # as the derived index at six decimals.
     world = load_scenario(scenario, RunConfig(noise=noise))
     log = run(world)
     path = tmp_path / "traj.csv"
     path.write_text(csv_text(log), encoding="utf-8")
     parsed = read_trajectory(str(path))
     assert len(parsed) == len(log.rows)
-    icol = {vid: log.vehicle_icol(vid) for vid in log.bodies}
+    icol = derived_icol(log)
     n = len(log.bodies)
     for k, (got, row) in enumerate(zip(parsed, log.rows)):
         t, vid, x, y, v, theta, lane, maneuver, directive, competing, flags \
@@ -122,7 +130,8 @@ def test_pair_cache_misses_when_any_key_field_changes():
         index = collision_index(pose(ax, ay, ah, 0.9, 2.25),
                                 pose(bx, by, bh, 1.0, 2.0))
         want.append(index)
-    assert log.vehicle_icol("a") == log.vehicle_icol("b") == want
+    icol = derived_icol(log)
+    assert icol["a"] == icol["b"] == want
     # Each step but the cache hit changes the index, so a stale reuse shows.
     assert [b != a for a, b in zip(want, want[1:])] == \
         [True] * 6 + [False] + [True] * 2
@@ -133,24 +142,22 @@ class TestEmptyLogs:
         log = TrajectoryLog(GEOMETRY, {"a": (4.5, 1.8)})
         with pytest.raises(KeyError):
             log.vehicle_rows("a")
-        with pytest.raises(KeyError):
-            log.vehicle_icol("a")
-        assert csv_text(log) == formatted_csv(log)
+        assert derived_icol(log) == {"a": []}
+        assert written(log) == (formatted_csv(log), {})
 
     def test_no_vehicles(self):
         log = TrajectoryLog(GEOMETRY, {})
         with pytest.raises(KeyError):
             log.vehicle_rows("a")
-        with pytest.raises(KeyError):
-            log.vehicle_icol("a")
         assert log.rows == []
-        assert csv_text(log) == formatted_csv(log)
+        assert written(log) == (formatted_csv(log), {})
 
 
 def test_csv_text_is_reused_only_for_the_same_float_object():
     # 0.0 == -0.0, yet they print differently: a memo keyed on equality
     # would print the second value as 0.000000.  Only i_col text is reused,
-    # so the signed zeros are fed to the i_col column.
+    # so the signed zeros are fed to the i_col column, in place of the
+    # indices of the one block that _blocks yields.
     zero, minus_zero = float("0.0"), float("-0.0")
     values = [zero, minus_zero, minus_zero]
     want = ["0.000000", "-0.000000", "-0.000000"]
@@ -158,8 +165,13 @@ def test_csv_text_is_reused_only_for_the_same_float_object():
     log = TrajectoryLog(GEOMETRY, {"a": (4.5, 1.8)})
     for t, value in zip((0.0, 0.01, 0.02), values):
         log.append((t, "a", value, 0.0, value, value, 0, "", "", "", ""))
-    with mock.patch.object(TrajectoryLog, "_icol_columns",
-                           lambda self: [values]):
+    real = world_module._blocks
+
+    def signed(columns, bodies):
+        for reads, _ in real(columns, bodies):
+            yield reads, [values]
+
+    with mock.patch.object(world_module, "_blocks", signed):
         fields = [line.split(",") for line in csv_text(log).splitlines()[1:]]
     for k in (2, 4, 5, 10):  # x_lat, v, theta and i_col
         assert [f[k] for f in fields] == want
@@ -209,15 +221,10 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_icol_peaks_near_the_lists_it_keeps():
-    # The poses and nearest pairs are held one block of steps at a time.
-    log = long_log()
-    kept, peak = traced_peak(lambda: log.max_icol("merging"))
-    assert kept > MB  # six lists of 20,000 indices
-    assert peak - kept < MB
-
-
-def test_csv_is_written_in_bounded_memory():
+def test_csv_and_its_icol_are_written_in_bounded_memory():
+    # i_col is derived as the CSV is written: the poses, nearest pairs,
+    # indices and line text are held one block of steps at a time, and
+    # only each block's peaks outlive it.
     class Sink:
         lines = 0
 
@@ -225,11 +232,11 @@ def test_csv_is_written_in_bounded_memory():
             self.lines += text.count("\n")
 
     log = long_log()
-    log.max_icol("merging")  # i_col derived before tracing
     sink = Sink()
-    _, peak = traced_peak(lambda: log.to_csv(sink))
+    kept, peak = traced_peak(lambda: log.to_csv(sink))
     assert sink.lines == 1 + 6 * 20_000
     assert peak < MB
+    assert kept < MB / 10
 
 
 # --- the column log (see also test_scripted_tracks.checked_run) -------------
@@ -264,7 +271,8 @@ class TestAppendedLogs:
         want = [collision_index(pose(a[2], a[3], a[5], 0.9, 2.25),
                                 pose(b[2], b[3], b[5], 1.0, 2.0))
                 for a, b in zip(a_rows, b_rows)]
-        assert log.vehicle_icol("a") == log.vehicle_icol("b") == want
+        icol = derived_icol(log)
+        assert icol["a"] == icol["b"] == want
         assert csv_text(log) == formatted_csv(log)
 
     def test_vehicle_rows_do_not_depend_on_what_was_read(self):
@@ -282,9 +290,9 @@ class TestAppendedLogs:
     def test_append_after_a_read_is_seen(self):
         log = TrajectoryLog(GEOMETRY, {"a": (4.5, 1.8)})
         log.append((0.0, "a", 0.0, 1.0, 20.0, 0.0, 0, "", "", "", ""))
-        assert len(log.rows) == 1 and log.vehicle_icol("a") == [0.0]
+        assert len(log.rows) == 1 and derived_icol(log) == {"a": [0.0]}
         log.append((0.01, "a", 0.0, 1.2, 20.0, 0.0, 0, "", "", "", ""))
-        assert len(log.rows) == 2 and log.vehicle_icol("a") == [0.0, 0.0]
+        assert len(log.rows) == 2 and derived_icol(log) == {"a": [0.0, 0.0]}
         assert csv_text(log) == formatted_csv(log)
 
     def test_one_vehicle_scores_zero(self):
@@ -292,9 +300,29 @@ class TestAppendedLogs:
         for k in range(4):
             log.append((k * 0.01, "a", 0.0, k * 0.2, 20.0, 0.0, 0, "keep",
                         "hold", "", ""))
-        assert log.vehicle_icol("a") == [0.0] * 4
+        assert derived_icol(log) == {"a": [0.0] * 4}
         assert log.vehicle_rows("a") == scanned_rows(log, "a")
         assert csv_text(log) == formatted_csv(log)
+
+
+def test_run_derives_icol_in_one_pass(tmp_path, monkeypatch, capsys):
+    # mergesim run finds each block's nearest pairs once, in the pass that
+    # writes the CSV; its summary reads the peaks that pass returns.
+    real = world_module._nearest_pairs
+    sizes = []
+
+    def counting(xs, ys):
+        sizes.append(len(xs[0]))
+        return real(xs, ys)
+
+    monkeypatch.setattr(world_module, "_nearest_pairs", counting)
+    out = tmp_path / "run"
+    assert main(["run", "--scenario", "scenario1", "--output", str(out)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "run.csv").read_text().count("\n")
+    steps = (lines - 1) // len(BUILTIN_SCENARIOS["scenario1"]["vehicles"])
+    assert steps > BLOCK
+    assert sizes == [min(BLOCK, steps - lo) for lo in range(0, steps, BLOCK)]
 
 
 # --- nearest neighbours ------------------------------------------------------
@@ -350,7 +378,7 @@ def test_scenario1_tie_goes_to_the_first_slot():
     world = load_scenario("scenario1", RunConfig())
     log = run(world)
     with mock.patch.object(world_module, "_nearest_pairs", recording):
-        log.vehicle_icol("vehicle1")
+        csv_text(log)
     steps = len(log.rows) // len(world.vehicles)
     assert [len(xs[0]) for xs, _, _ in seen] == [
         min(BLOCK, steps - lo) for lo in range(0, steps, BLOCK)]
