@@ -72,7 +72,10 @@ def build_config(args) -> RunConfig:
 
 
 def _sat_distance(i_col: float) -> float:
-    return -math.log(max(i_col, 1e-300)) if i_col < 1.0 else 0.0
+    """-ln i_col: 0 from 1 up, inf at 0.0, where exp(-d) underflowed."""
+    if i_col >= 1.0:
+        return 0.0
+    return -math.log(i_col) if i_col > 0.0 else math.inf
 
 
 def _summarize(log, world, cfg, peaks) -> dict:

@@ -4,7 +4,7 @@ from dataclasses import dataclass, fields
 import sys
 from typing import List, Tuple
 
-from .config import check_field, ranged
+from .config import ConfigError, check_field, ranged
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,8 @@ class LaneGeometry:
         for f in fields(self)[1:]:  # the numbers after centers
             check_field(LaneGeometry, f.name, getattr(self, f.name))
         if any(a >= b for a, b in zip(self.centers, self.centers[1:])):
-            raise ValueError("lane centers must be strictly increasing")
+            raise ConfigError("lane_centers: must be strictly increasing, "
+                              f"got {list(self.centers)}")
 
     @property
     def merge_lane(self) -> int:

@@ -90,7 +90,7 @@ class TrajectoryLog:
     `bodies` maps each vehicle id to its (length, width).  The log keeps
     one column per vehicle, in `bodies` order: the list of rows it logged,
     or for a scripted vehicle a _Scripted, which builds its rows when read.
-    `rows` interleaves the columns a whole step at a time on first read.
+    `rows` interleaves the columns a whole step at a time on each read.
     Each row holds every TRAJECTORY_COLUMNS field except i_col, which is
     derived from the poses and the vehicle sizes as the CSV is written
     (see _blocks), so runs that write no CSV never pay for it.
@@ -111,18 +111,14 @@ class TrajectoryLog:
         self.forced_stop: bool = False
         self.end_time: float = 0.0
         self._slot = {vid: k for k, vid in enumerate(bodies)}
-        self._rows: Optional[List[tuple]] = None
 
     def append(self, row: tuple) -> None:
         self.columns[self._slot[row[1]]].append(row)
-        self._rows = None
 
     @property
     def rows(self) -> List[tuple]:
-        """Every row, step-major."""
-        if self._rows is None:
-            self._rows = list(chain.from_iterable(zip(*self.columns)))
-        return self._rows
+        """Every row, step-major, built anew from the columns."""
+        return list(chain.from_iterable(zip(*self.columns)))
 
     def _slot_with_rows(self, vehicle_id: str) -> int:
         k = self._slot.get(vehicle_id)
@@ -409,8 +405,8 @@ def geometry_from_dict(geo) -> LaneGeometry:
                                     ".".join(["geometry", *section, key]))
     try:
         return LaneGeometry(centers=centers, **numbers)
-    except ValueError as exc:
-        raise ConfigError(f"geometry: {exc}")
+    except ConfigError as exc:
+        raise ConfigError(f"geometry.{exc}")
 
 
 def geometry_to_dict(geometry: LaneGeometry) -> dict:
@@ -649,8 +645,8 @@ def _find_collision(views: List[VehicleView], pairs: List[tuple]):
 def _decide(world, decision_slots, views, slot_of, attentions) -> None:
     """Decision epoch: perceive, play the games, pick whom to attend to.
     A vehicle's view, noisy view and attention share its slot (its index
-    in world.vehicles); `slot_of` maps the ids of the threat and of the
-    new latch's insertion slot to theirs."""
+    in world.vehicles); `slot_of` (the log's id -> slot map) maps the ids
+    of the threat and of the new latch's insertion slot to theirs."""
     geometry, cfg = world.geometry, world.cfg
     for i in decision_slots:
         veh = world.vehicles[i]
@@ -729,34 +725,6 @@ def _advance(world, views, attentions, bands, tracks, logged, log, t):
     world.views = moved
 
 
-def _complete_and_settle(world, decision_slots, moved, log, t,
-                         quiet) -> Optional[float]:
-    """End, and log at t, each maneuver that the moved poses complete, and
-    return the seconds for which every decision vehicle (by slot in
-    world.vehicles) has been settled, given the `quiet` seconds before this
-    step: 0 if one is not, or if there is none; None once settle_time is
-    reached, which ends the run."""
-    geometry, cfg = world.geometry, world.cfg
-    settled = bool(decision_slots)
-    for i in decision_slots:
-        veh, ego = world.vehicles[i], moved[i]
-        brain = veh.brain
-        veh.brain = b = complete_maneuver(ego, moved, brain, geometry, cfg)
-        if b is not brain:
-            kind = ("merge_complete" if brain.maneuver == MERGE
-                    else "change_complete")
-            log.events.append({"t": t, "vehicle": veh.vehicle_id,
-                               "event": kind, "lane": brain.target_lane})
-        if settled and (b.needs_merge or b.maneuver != KEEP or abs(
-                ego.x - geometry.centers[b.current_lane]) > cfg.lane_settle_tol
-                or abs(ego.v - b.v_ref) > cfg.settle_speed_tol):
-            settled = False
-    if not settled:
-        return 0.0
-    quiet += cfg.dt
-    return None if quiet >= cfg.settle_time else quiet
-
-
 def run(world: World) -> TrajectoryLog:
     """Advance the world at a fixed step until cfg.t_max, a collision, or rest.
 
@@ -781,7 +749,6 @@ def run(world: World) -> TrajectoryLog:
         return log
     decision_slots = [i for i, v in enumerate(world.vehicles)
                       if v.kind == DECISION]
-    slot_of = {v.vehicle_id: i for i, v in enumerate(world.vehicles)}
     bands = lane_bands(geometry)
     n_steps = round(cfg.t_max / dt)
     # States may have been set since the world was built.
@@ -803,7 +770,7 @@ def run(world: World) -> TrajectoryLog:
             times.append(t)
             views = world.snapshot()
             if step_index % steps_per_epoch == 0:
-                _decide(world, decision_slots, views, slot_of, attentions)
+                _decide(world, decision_slots, views, log._slot, attentions)
             _advance(world, views, attentions, bands, tracks, logged, log, t)
             log.end_time = t_end = t + dt
 
@@ -814,9 +781,27 @@ def run(world: World) -> TrajectoryLog:
                 log.events.append({"t": t_end, "event": "collision",
                                    "vehicles": list(hit)})
                 break
-            quiet = _complete_and_settle(world, decision_slots, moved, log,
-                                         t_end, quiet)
-            if quiet is None:
+            # End, and log, each maneuver the moved poses complete; the run
+            # ends once every decision vehicle has settled for settle_time.
+            settled = bool(decision_slots)
+            for i in decision_slots:
+                veh, ego = world.vehicles[i], moved[i]
+                brain = veh.brain
+                veh.brain = b = complete_maneuver(ego, moved, brain, geometry,
+                                                  cfg)
+                if b is not brain:
+                    kind = ("merge_complete" if brain.maneuver == MERGE
+                            else "change_complete")
+                    log.events.append({"t": t_end, "vehicle": veh.vehicle_id,
+                                       "event": kind,
+                                       "lane": brain.target_lane})
+                if settled and (b.needs_merge or b.maneuver != KEEP or abs(
+                        ego.x - geometry.centers[b.current_lane])
+                        > cfg.lane_settle_tol
+                        or abs(ego.v - b.v_ref) > cfg.settle_speed_tol):
+                    settled = False
+            quiet = quiet + dt if settled else 0.0
+            if settled and quiet >= cfg.settle_time:
                 break
     finally:
         # A scripted vehicle's view is its only per-step record: its state

@@ -30,11 +30,12 @@ def eager_icol(log):
     with the sizes in log.bodies: per step, the nearest other vehicle by
     centre distance, then collision_index of the two."""
     n = len(log.bodies)
+    rows = log.rows  # built anew on each read
     out = []
-    for start in range(0, len(log.rows), max(n, 1)):
+    for start in range(0, len(rows), max(n, 1)):
         views = [VehicleView(r[1], r[2], r[3], r[4], r[5], *log.bodies[r[1]],
                              r[6])
-                 for r in log.rows[start:start + n]]
+                 for r in rows[start:start + n]]
         for i, view in enumerate(views):
             others = [k for k in range(n) if k != i]
             if not others:

@@ -198,6 +198,20 @@ class TestRunCommand:
         assert text.endswith(", no other vehicle came within range\n")
         assert "min gap" not in text
 
+    def test_min_gap_of_a_vehicle_700_m_away(self, tmp_path):
+        # i_col is exp(-695.5) here, a normal float: the summary gives its
+        # distance, not the one of a floor on the index.
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"vehicles": [
+            {"id": vid, "x0_m": 0.0, "y0_m": y0, "v0_kmh": 80.0,
+             "kind": "scripted"} for vid, y0 in (("a", 0.0), ("b", 700.0))]}))
+        out = str(tmp_path / "far")
+        assert run_cli("run", "--scenario", str(path), "--t-max", "0.05",
+                       "--output", out) == 0
+        summary = json.loads(read_text(out + ".summary.json"))
+        assert [entry["min_gap_m"] for entry in summary["vehicles"].values()] \
+            == [695.5, 695.5]
+
 
 @pytest.mark.parametrize("key, scenario, q, seed", golden.RUNS,
                          ids=[run[0] for run in golden.RUNS])
@@ -267,6 +281,9 @@ class TestRejectsBadInput:
              "geometry.lane_centers[1]: must be a number"),
             ({"lane_centers": [0.0, float("inf")]},
              "geometry.lane_centers[1]: must be finite"),
+            ({"lane_centers": [0.0, 6.6, 3.3, 9.9]},
+             "geometry.lane_centers: must be strictly increasing, got "
+             "[0.0, 6.6, 3.3, 9.9]"),
             ({"lane_width": -3.3}, "geometry.lane_width: must be positive"),
             ({"lane_width": float("nan")},
              "geometry.lane_width: must be finite"),
@@ -411,6 +428,8 @@ class TestRangeChecks:
         # an object "not an object".
         (("--set", 'q_overrides={"merging":0.2}'), "--set: q_overrides takes "
          "no single value; give each override as --q ID=VALUE"),
+        (("--set", "nosuch=1"), "--set: unknown config field 'nosuch'"),
+        (("--q", "merging"), "--q expects ID=VALUE, got 'merging'"),
         (({"scenario": 0},), "scenario: must be a string, got 0"),
         (({"scenario": None},), "scenario: must be a string, got None"),
         (({"scenario": 12345},), "scenario: must be a string, got 12345"),
@@ -804,6 +823,10 @@ class TestPlotCommand:
     @pytest.mark.parametrize("mutate, message", [
         (lambda s: {**s, "geometry": {**s["geometry"], "lane_centers": 5}},
          "geometry.lane_centers: must be a list"),
+        (lambda s: {**s, "geometry": {**s["geometry"],
+                                      "lane_centers": [0.0, 6.6, 3.3, 9.9]}},
+         "geometry.lane_centers: must be strictly increasing, got "
+         "[0.0, 6.6, 3.3, 9.9]"),
         (lambda s: {**s, "geometry": {**s["geometry"], "lane_width": "3.3"}},
          "geometry.lane_width: must be a number"),
         (lambda s: {**s, "geometry": {**s["geometry"], "merge": None}},
@@ -833,6 +856,30 @@ class TestPlotCommand:
         path.write_text(",".join(TRAJECTORY_COLUMNS) + "\n1,2,3\n")
         assert run_cli("plot", str(path)) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"), ("a,b\n1,2\n", "unexpected header 'a,b'")])
+    def test_bad_first_line_is_reported(self, tmp_path, capsys, text,
+                                        message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert run_cli("plot", str(path)) == 2
+        assert capsys.readouterr().err == \
+            f"error: trajectory file {path}: line 1: {message}\n"
+
+    @pytest.mark.parametrize("keep, tail, polylines", [
+        (None, "\n", 6),  # a blank line after the last row is skipped
+        (2, "", 1)])       # one vehicle at one step: a span of one y
+    def test_plots_of_edge_files(self, tmp_path, keep, tail, polylines):
+        out = str(tmp_path / "traj")
+        assert run_cli("run", "--t-max", "0.05", "--output", out) == 0
+        lines = read_text(out + ".csv").splitlines(keepends=True)
+        path = tmp_path / "edge.csv"
+        path.write_text("".join(lines[:keep]) + tail)
+        svg_path = str(tmp_path / "edge.svg")
+        assert run_cli("plot", str(path), "--summary",
+                       out + ".summary.json", "--output", svg_path) == 0
+        assert read_text(svg_path).count("<polyline") == polylines
 
     @pytest.mark.parametrize("bad, message", [
         ({"y_long": "north", "lane": "two"},

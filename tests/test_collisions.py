@@ -82,17 +82,18 @@ def scenario(spacing, vehicles, lanes=4):
 def logged_overlaps(log):
     """(t, id, id) of every pair of logged rectangles that overlap."""
     n = len(log.bodies)
+    rows = log.rows  # built anew on each read
     out = []
-    for start in range(0, len(log.rows), n):
+    for start in range(0, len(rows), n):
         rects = []
-        for r in log.rows[start:start + n]:
+        for r in rows[start:start + n]:
             length, width = log.bodies[r[1]]
             rects.append((r[1], pose(r[2], r[3], r[5], width / 2.0,
                                      length / 2.0)))
         for i in range(n):
             for j in range(i + 1, n):
                 if rects_intersect(rects[i][1], rects[j][1]):
-                    out.append((log.rows[start][0], rects[i][0], rects[j][0]))
+                    out.append((rows[start][0], rects[i][0], rects[j][0]))
     return out
 
 

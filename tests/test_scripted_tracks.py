@@ -48,7 +48,7 @@ def checked_run(world):
     assert steps == round(log.end_time / dt)
     replayed = replayed_scripted_rows(world, starts, steps)
     # Each column holds a vehicle's rows: a scripted vehicle's are built
-    # when read (here before log.rows exists), a decision vehicle's are the
+    # when read (here before log.rows is read), a decision vehicle's are the
     # rows it logged.
     columns = []
     for veh, column in zip(world.vehicles, log.columns):
@@ -61,11 +61,12 @@ def checked_run(world):
         columns.append(column)
     # log.rows interleaves the columns: whole steps, step-major, each row
     # stamped with its step's time.
-    assert [bits(r) for r in log.rows] == \
+    interleaved = log.rows  # built anew on each read
+    assert [bits(r) for r in interleaved] == \
         [bits(r) for step in zip(*columns) for r in step]
     ids = [veh.vehicle_id for veh in world.vehicles]
     for k in range(steps):
-        rows = log.rows[k * n:(k + 1) * n]
+        rows = interleaved[k * n:(k + 1) * n]
         assert [r[1] for r in rows] == ids
         assert {r[0].hex() for r in rows} == {(k * dt).hex()}
     for i, veh in enumerate(world.vehicles):
@@ -145,3 +146,21 @@ def test_generated_runs_replay_their_scripted_rows(case, noise):
     if overlap_at_start(data) or cannot_stop_at_start(data):
         return  # rejected at load; see test_collisions
     checked_run(load_scenario(data, RunConfig(noise=noise, t_max=t_max)))
+
+
+def test_rows_read_during_a_run_leave_every_step_to_a_later_read():
+    # log.rows is built from the columns on each read: one read from inside
+    # the step loop does not fix what a read after the run gets.
+    world = load_scenario("scenario1", RunConfig(t_max=1.0))
+    real = world_module._advance
+    during = []
+
+    def reading(world, views, attentions, bands, tracks, logged, log, t):
+        real(world, views, attentions, bands, tracks, logged, log, t)
+        if not during:
+            during.append(len(log.rows))
+
+    with mock.patch.object(world_module, "_advance", reading):
+        log = run(world)
+    assert during == [len(world.vehicles)]
+    assert len(log.rows) == 100 * len(world.vehicles)
