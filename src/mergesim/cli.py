@@ -116,12 +116,21 @@ def _summarize(log, world, cfg, peaks) -> dict:
     }
 
 
+def _output_base(args, default: str) -> str:
+    """--output, or `default` without it: the basename that each output
+    file extends with its suffix, so it must name a file."""
+    if args.output and os.path.basename(args.output) in ("", ".", ".."):
+        raise ConfigError(f"--output: must name a file, not a directory, "
+                          f"got {args.output!r}")
+    return args.output or default
+
+
 def cmd_run(args) -> int:
     cfg = build_config(args)
+    base = _output_base(args, os.path.join(
+        cfg.out_dir, os.path.splitext(os.path.basename(cfg.scenario))[0]))
     world = load_scenario(cfg.scenario, cfg)
     log = run_world(world)
-    base = args.output or os.path.join(
-        cfg.out_dir, os.path.splitext(os.path.basename(cfg.scenario))[0])
     traj_path = base + ".csv"
     summary_path = base + ".summary.json"
     with open_atomic(traj_path) as fh:
@@ -183,10 +192,9 @@ def parse_grid(raw: str):
 def cmd_sweep(args) -> int:
     cfg = build_config(args)
     grid_axis = parse_grid(args.grid)
+    path = _output_base(args, os.path.join(cfg.out_dir, "sweep")) + ".csv"
     reports = aggressiveness_sweep(cfg.scenario, grid_axis, grid_axis, cfg,
                                    jobs=cfg.jobs)
-    base = args.output or os.path.join(cfg.out_dir, "sweep")
-    path = base + ".csv"
     write_atomic(path, grid_to_csv(reports))
     print(f"grid: {path} ({len(reports)} cells)")
     return EXIT_OK

@@ -144,11 +144,12 @@ class TrajectoryLog:
         write, built column by column from what _blocks read for the block.
 
         Each step's time is formatted once, and so is the text of a
-        scripted vehicle's id, x_lat, v, theta and lane.  A vehicle's i_col
-        text is reused while its index is the same float object as in its
-        previous row (a reused index, see _blocks).  An equal but distinct
-        float is formatted anew, since 0.0 == -0.0 yet the two print
-        differently; so is each block's first.
+        scripted vehicle's id, x_lat, v, theta and lane, and of each y-sum
+        list _blocks reads for the block, which scripted columns with the
+        same sums share.  A vehicle's i_col text is reused while its index
+        is the same float object as in its previous row (a reused index,
+        see _blocks).  An equal but distinct float is formatted anew, since
+        0.0 == -0.0 yet the two print differently; so is each block's first.
         """
         columns = self.columns
         fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
@@ -156,8 +157,12 @@ class TrajectoryLog:
         tops = []  # each block's largest index per column
         for reads, icol in _blocks(columns, self.bodies):
             times = [f"{t:.2f}" for t in islice(stamps, len(icol[0]))]
+            sums = {id(read): read for column, read in zip(columns, reads)
+                    if type(column) is _Scripted}
+            texts = {k: list(map(format, ys, repeat(".6f")))
+                     for k, ys in sums.items()}
             fh.write("".join(chain.from_iterable(zip(*[
-                _scripted_lines(column.start, read, times, index)
+                _scripted_lines(column.start, texts[id(read)], times, index)
                 if type(column) is _Scripted else
                 _logged_lines(read, times, index)
                 for column, read, index in zip(columns, reads, icol)]))))
@@ -214,13 +219,12 @@ def _texts(values) -> List[str]:
     return out
 
 
-def _scripted_lines(start: VehicleView, ys, times: List[str],
-                    icol: List[float]) -> List[str]:
+def _scripted_lines(start: VehicleView, y_texts: List[str],
+                    times: List[str], icol: List[float]) -> List[str]:
     vid, x, _, v, heading, _, _, lane = start
     head, tail = f",{vid},{x:.6f},", f",{v:.6f},{heading:.6f},{lane},,,,"
-    return list(map("".join, zip(
-        times, repeat(head), map(format, ys, repeat(".6f")),
-        repeat(tail), _texts(icol), repeat(",\n"))))
+    return list(map("".join, zip(times, repeat(head), y_texts, repeat(tail),
+                                 _texts(icol), repeat(",\n"))))
 
 
 def _logged_lines(rows, times: List[str], icol: List[float]) -> List[str]:
@@ -235,29 +239,42 @@ def _blocks(columns: list, bodies: Dict[str, Tuple[float, float]]):
 
     pose_gaps reads two poses only through the offset (bx - ax, by - ay),
     the four sines and cosines and the half sizes, and each slot's half
-    sizes are fixed.  So each ordered slot pair keeps the key (offset,
-    sines, cosines) of its last collision_index call and the index it
-    got, and reuses that index while the key is equal: scripted vehicles
-    keep their offsets for long stretches.  The reuse is exact: keys
-    compare with ==, so two equal keys differ at most in the sign of a
-    zero, and such a zero reaches the index only through abs().
+    sizes are fixed.  So each ordered slot pair keeps the key of its last
+    collision_index call and the index it got, and reuses that index while
+    the key is equal: scripted vehicles keep their offsets for long
+    stretches.  The key is (offset, sines, cosines), or for a pair of
+    scripted vehicles, whose x, sines and cosines never change, the y
+    offset alone.  The reuse is exact: keys compare with ==, so two equal
+    keys differ at most in the sign of a zero, and such a zero reaches the
+    index only through abs().
 
     The poses are read from one list per field and vehicle; a scripted
     vehicle's x, sine and cosine lists repeat one object, and its y sums
-    continue one running ys() over the run.  Each block finds its nearest
-    pairs on its own, which is exact on any step range, and the pair keys
-    carry from block to block.
+    continue one running ys() over the run, which scripted columns with the
+    same start y and increment share.  Each block finds its nearest pairs
+    on its own, which is exact on any step range, and the pair keys carry
+    from block to block.  The index is symmetric in its two rectangles, so
+    the later of two vehicles nearest each other copies the earlier one's
+    index: the whole column when they are for the whole block.
     """
     steps = min(map(len, columns), default=0)
     halves = [(width / 2.0, length / 2.0) for length, width in bodies.values()]
-    sources = [column.ys() if type(column) is _Scripted else None
-               for column in columns]
+    fixed = [type(column) is _Scripted for column in columns]
+    # Scripted columns share their sums when their start y and increment
+    # are equal with the sign of a zero: -0.0 + -0.0 is -0.0, not 0.0.
+    shared = [(c.start.y, c.increment, math.copysign(1.0, c.start.y),
+               math.copysign(1.0, c.increment)) if scripted else None
+              for c, scripted in zip(columns, fixed)]
+    sources = {key: column.ys() for column, key in zip(columns, shared)
+               if key is not None}
     last = [[None] * len(columns) for _ in columns]  # (key, index) by pair
     for lo in range(0, steps, BLOCK):
         size = min(BLOCK, steps - lo)
+        sums = {key: list(islice(source, size))
+                for key, source in sources.items()}
         reads, xs, ys, sines, cosines = [], [], [], [], []
-        for column, source in zip(columns, sources):
-            if source is None:
+        for column, key in zip(columns, shared):
+            if key is None:
                 rows = column[lo:lo + size]
                 reads.append(rows)
                 headings = [r[5] for r in rows]
@@ -267,73 +284,114 @@ def _blocks(columns: list, bodies: Dict[str, Tuple[float, float]]):
                 cosines.append(list(map(math.cos, headings)))
             else:
                 start = column.start
-                reads.append(list(islice(source, size)))
+                reads.append(sums[key])
                 xs.append([start.x] * size)
-                ys.append(reads[-1])
+                ys.append(sums[key])
                 sines.append([math.sin(start.heading)] * size)
                 cosines.append([math.cos(start.heading)] * size)
-        nearest = _nearest_pairs(xs, ys)
-        out: List[List[float]] = [[] for _ in columns]
+        nearest = _nearest_pairs(xs, ys, fixed)
+        out: List[List[float]] = []
         for i, near in enumerate(nearest):
-            icol = out[i]
             if near is None:
-                icol.extend([0.0] * size)
+                out.append([0.0] * size)
+                continue
+            j = near[0]
+            whole = near.count(j) == size
+            if whole and j < i and nearest[j].count(i) == size:
+                out.append(out[j][:])
                 continue
             xi, yi, si, ci = xs[i], ys[i], sines[i], cosines[i]
+            if whole and fixed[i] and fixed[j]:
+                keys = list(map(sub, ys[j], yi))
+            else:
+                keys = [ys[j][t] - yi[t] if fixed[i] and fixed[j] else
+                        (xs[j][t] - xi[t], ys[j][t] - yi[t], si[t], ci[t],
+                         sines[j][t], cosines[j][t])
+                        for t, j in enumerate(near)]
+            icol = []
             pair = last[i]
-            for t, j in enumerate(near):
+            for t, j, key in zip(range(size), near, keys):
                 if j < i and nearest[j][t] == i:
-                    # The index is symmetric in its two rectangles.
                     icol.append(out[j][t])
                     continue
-                xj, yj = xs[j][t], ys[j][t]
-                key = (xj - xi[t], yj - yi[t], si[t], ci[t], sines[j][t],
-                       cosines[j][t])
                 seen = pair[j]
                 if seen is not None and seen[0] == key:
                     icol.append(seen[1])
                 else:
                     index = collision_index(
-                        (xi[t], yi[t], key[2], key[3], *halves[i]),
-                        (xj, yj, key[4], key[5], *halves[j]))
+                        (xi[t], yi[t], si[t], ci[t], *halves[i]),
+                        (xs[j][t], ys[j][t], sines[j][t], cosines[j][t],
+                         *halves[j]))
                     pair[j] = (key, index)
                     icol.append(index)
+            out.append(icol)
         yield reads, out
 
 
-def _nearest_pairs(xs: List[List[float]], ys: List[List[float]]):
+def _nearest_pairs(xs: List[List[float]], ys: List[List[float]],
+                   fixed: List[bool]):
     """The slot of each vehicle's nearest other vehicle, by centre
     distance, at every step: one list per vehicle, or None for a vehicle
     alone.  A tie goes to the first in slot order.
 
-    Every pair's distance column is built once, from its lower slot's x
-    and y minus the other's.  A candidate whose smallest distance exceeds
-    another candidate's largest is never the nearest, so it is dropped;
-    the rest are compared step by step, and tuple.index of the min takes
-    the first of equal distances.
+    A pair's distance column is built at most once, from its lower slot's
+    x and y minus the other's, and bounded by its min and max.  A pair of
+    columns that `fixed` marks scripted is first bounded without one (see
+    _scripted_span).  A candidate whose lower bound exceeds another
+    candidate's upper bound is never the nearest, so it is dropped.  The
+    columns of the rest are compared step by step, and tuple.index of the
+    min takes the first of equal distances.
     """
     n = len(xs)
     if n < 2:
         return [None] * n
-    dist = {}  # (distance column, its min, its max) by slot pair
+    dist = {}  # distance column by slot pair
+    span = {}  # (lower, upper) bound of the distance by slot pair
+
+    def build(i, j):
+        d = list(map(math.hypot, map(sub, xs[i], xs[j]),
+                     map(sub, ys[i], ys[j])))
+        dist[i, j] = dist[j, i] = d
+        span[i, j] = span[j, i] = (min(d, default=0.0), max(d, default=0.0))
+
     for i in range(n):
         for j in range(i + 1, n):
-            d = list(map(math.hypot, map(sub, xs[i], xs[j]),
-                         map(sub, ys[i], ys[j])))
-            dist[i, j] = dist[j, i] = (d, min(d, default=0.0),
-                                       max(d, default=0.0))
+            if fixed[i] and fixed[j] and xs[i]:
+                span[i, j] = span[j, i] = _scripted_span(
+                    xs[i][0] - xs[j][0], ys[i], ys[j])
+            else:
+                build(i, j)
     nearest = []
     for i in range(n):
         others = [j for j in range(n) if j != i]
-        bound = min([dist[i, j][2] for j in others])
-        others = [j for j in others if dist[i, j][1] <= bound]
+        bound = min([span[i, j][1] for j in others])
+        others = [j for j in others if span[i, j][0] <= bound]
         if len(others) == 1:
             nearest.append([others[0]] * len(xs[i]))
             continue
-        steps = list(zip(*[dist[i, j][0] for j in others]))
+        for j in others:
+            if (i, j) not in dist:
+                build(min(i, j), max(i, j))
+        steps = list(zip(*[dist[i, j] for j in others]))
         nearest.append(list(map(others.__getitem__,
                                 map(tuple.index, steps, map(min, steps)))))
     return nearest
+
+
+def _scripted_span(dx: float, yi: List[float], yj: List[float]):
+    """(lower, upper) bound on hypot(dx, yi[t] - yj[t]) over a block of two
+    scripted columns, from their first and last y alone: the offset moves
+    along a line, but for the rounding of each sum (half an ulp of the
+    column's largest |y|, at an end) and of each subtraction (an ulp),
+    which 2 * size ulps per column cover; 1 -+ 2**-50 cover hypot's.
+    """
+    first, last = yi[0] - yj[0], yi[-1] - yj[-1]
+    slack = 2 * len(yi) * (math.ulp(max(abs(yi[0]), abs(yi[-1])))
+                           + math.ulp(max(abs(yj[0]), abs(yj[-1]))))
+    low = min(abs(first), abs(last)) - slack if first * last > 0.0 else 0.0
+    high = max(abs(first), abs(last)) + slack
+    return (math.hypot(dx, low if low > 0.0 else 0.0) * (1.0 - 2.0 ** -50),
+            math.hypot(dx, high) * (1.0 + 2.0 ** -50))
 
 
 class World:
@@ -606,26 +664,41 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views: List[VehicleView],
 
 
 def _collision_pairs(views: List[VehicleView],
-                     kinds: List[str]) -> List[tuple]:
-    """(i, j, reach), i < j in order, for each pair that can collide.  The
-    reach is the sum of the two half diagonals: no point of a rectangle
-    lies farther than its half diagonal from its centre, so a pair whose
-    centres are more than reach apart along either axis cannot meet.
-    `kinds` holds each view's vehicle kind.
+                     increments: List[Optional[float]],
+                     n_steps: int) -> List[tuple]:
+    """(i, j, reach), i < j in order, for each pair that can collide within
+    n_steps steps.  The reach is the sum of the two half diagonals: no
+    point of a rectangle lies farther than its half diagonal from its
+    centre, so a pair whose centres are more than reach apart along either
+    axis cannot meet.  `increments` holds the y each scripted view gains
+    at every step, and None for a decision vehicle.
 
-    A scripted vehicle keeps its lateral position and heading for the whole
-    run, so a pair of scripted vehicles at heading 0 with a positive gap
-    across the road, which depends only on their lateral offset and half
-    widths, is dropped.
+    A scripted vehicle keeps its lateral position, heading and speed for
+    the whole run.  So a pair of scripted vehicles at heading 0 is dropped
+    when it has a positive gap across the road, or a gap along it above a
+    margin both at the start and after n_steps steps, with the two in the
+    same order: that gap moves along a line but for the rounding of the y
+    sums, at most an ulp of |y| + n_steps * |increment| per step and
+    vehicle, and of the gap's own arithmetic, which 16 more ulps cover.
     """
+    ends = [None if inc is None else
+            (v._replace(y=v.y + n_steps * inc),
+             math.ulp(abs(v.y) + n_steps * abs(inc)))
+            for v, inc in zip(views, increments)]
     pairs = []
     for i, a in enumerate(views):
         for j in range(i + 1, len(views)):
             b = views[j]
-            if (kinds[i] == SCRIPTED and kinds[j] == SCRIPTED
-                    and a.heading == 0.0 and b.heading == 0.0
-                    and pose_gaps(a.pose(), b.pose())[1] > 0):
-                continue
+            if (ends[i] is not None and ends[j] is not None
+                    and a.heading == b.heading == 0.0):
+                (a_end, a_ulp), (b_end, b_ulp) = ends[i], ends[j]
+                margin = (n_steps + 16) * (a_ulp + b_ulp)
+                along, across = pose_gaps(a.pose(), b.pose())[:2]
+                if across > 0.0 or (
+                        along > margin
+                        and pose_gaps(a_end.pose(), b_end.pose())[0] > margin
+                        and (a.y < b.y) == (a_end.y < b_end.y)):
+                    continue
             pairs.append((i, j, math.hypot(a.length, a.width) / 2.0
                           + math.hypot(b.length, b.width) / 2.0))
     return pairs
@@ -757,7 +830,9 @@ def run(world: World) -> TrajectoryLog:
     for i, veh in enumerate(world.vehicles):
         if veh.kind == SCRIPTED:
             log.columns[i] = _Scripted(starts[i], veh.v_preset * dt, times)
-    pairs = _collision_pairs(starts, [v.kind for v in world.vehicles])
+    pairs = _collision_pairs(starts, [
+        column.increment if type(column) is _Scripted else None
+        for column in log.columns], n_steps)
     tracks = [column.track() if type(column) is _Scripted else repeat(None)
               for column in log.columns]
     logged = [(i, log.columns[i].append) for i in decision_slots]

@@ -993,6 +993,21 @@ class TestFileErrors:
             f"cannot write {out}.csv: ")
         assert blocker.read_text() == ""
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("name", ["", ".", ".."])
+    def test_output_naming_a_directory(self, tmp_path, capsys, command,
+                                       name):
+        # Each output file extends the basename with its suffix: a
+        # basename ending in a separator would write hidden files named
+        # .csv and .summary.json inside that directory, and one ending in
+        # . or .. files named ..csv or ...csv.
+        extra = ("--grid", "0.5:0.5:1") if command == "sweep" else ()
+        out = os.path.join(str(tmp_path), name)  # ends in a separator at ""
+        self.assert_one_error(
+            capsys, tmp_path, (command, "--output", out, *extra),
+            f"--output: must name a file, not a directory, got {out!r}")
+        assert list(tmp_path.iterdir()) == []
+
     @staticmethod
     def fail_after_first_block(monkeypatch, tmp_path, exc):
         """Make to_csv raise `exc` from its write after the header and the

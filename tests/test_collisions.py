@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from mergesim import world as world_module
 from mergesim.config import ConfigError, RunConfig
 from mergesim.dynamics import GRAVITY
-from mergesim.perception import VehicleView, pose, rects_intersect
+from mergesim.perception import (VehicleView, bumper_gap, pose,
+                                 rects_intersect)
 from mergesim.world import (DECISION, KMH, SCRIPTED, _collision_pairs,
                             _find_collision, load_scenario, run)
 
@@ -217,38 +218,82 @@ def test_pair_list_matches_all_pairs_on_generated_scenarios(case):
 
 
 class TestPairList:
-    def test_builtin_scenario_drops_scripted_pairs_across_the_road(self):
-        world = load_scenario("scenario1", RunConfig())
+    @pytest.mark.parametrize("name", ["scenario1", "scenario2"])
+    def test_builtin_scenario_keeps_only_the_merger_pairs(self, name):
+        # Every scripted vehicle drives at 80 km/h at heading 0: a pair in
+        # two lanes has a gap across the road, and a pair in one lane keeps
+        # its gap along it, so only the merger's five pairs are checked.
+        world = load_scenario(name, RunConfig())
         ids = [v.vehicle_id for v in world.snapshot()]
-        dropped = {(ids[i], ids[j]) for i in range(len(ids))
-                   for j in range(i + 1, len(ids))} - {
-            (ids[i], ids[j]) for i, j in index_pairs(run_pairs(world))}
-        # vehicle1..3 share y = 30 in lanes 0..2, and vehicle4 and vehicle5
-        # are in lane 2: every scripted pair in two lanes is dropped, and the
-        # three in lane 2 stay.
-        lanes = {"vehicle1": 0, "vehicle2": 1, "vehicle3": 2, "vehicle4": 2,
-                 "vehicle5": 2}
-        assert dropped == {(a, b) for a in lanes for b in lanes
-                           if a < b and lanes[a] != lanes[b]}
+        kept = [(ids[i], ids[j]) for i, j in index_pairs(run_pairs(world))]
+        assert kept == [(vid, "merging") for vid in ids[:-1]]
+
+    def test_scripted_pair_half_a_metre_apart_is_dropped(self):
+        # Scenario2's vehicle3 drives 0.5 m ahead of vehicle4's nose at the
+        # same speed, and so never meets it.
+        world = load_scenario("scenario2", RunConfig())
+        views = world.snapshot()
+        ids = [v.vehicle_id for v in views]
+        three, four = ids.index("vehicle3"), ids.index("vehicle4")
+        assert bumper_gap(views[three], views[four]) == 0.5
+        assert views[three].x == views[four].x
+        assert (three, four) not in index_pairs(run_pairs(world))
 
     def test_pairs_keep_the_all_pairs_order(self):
-        world = load_scenario("scenario2", RunConfig())
-        pairs = index_pairs(_collision_pairs(
-            world.snapshot(), [v.kind for v in world.vehicles]))
+        views = load_scenario("scenario2", RunConfig()).snapshot()
+        pairs = index_pairs(_collision_pairs(views, [None] * len(views), 1))
         assert pairs == sorted(pairs)
         assert all(i < j for i, j in pairs)
 
-    def test_scripted_lanes_closer_than_a_body_width_keep_their_pair(self):
-        # Only the rule across the road could drop a scripted pair, and
-        # lanes 1.5 m apart leave no gap between 1.8 m bodies, whatever the
-        # speeds.
+    @pytest.mark.parametrize("contact_step, kept", [(100, True),
+                                                    (101, False)])
+    def test_scripted_pair_is_kept_if_it_closes_within_the_run(
+            self, contact_step, kept):
+        # 100 km/h closes on 80 km/h by 20 km/h * 0.01 s a step; the gap
+        # closes halfway through step contact_step, and t_max 1 s runs 100.
+        closing = 20.0 * KMH * 0.01
+        gap = (contact_step - 0.5) * closing
+        data = scenario(3.3, [("ahead", 0, BODY_LENGTH + gap, 80.0,
+                               SCRIPTED, 0.5),
+                              ("behind", 0, 0.0, 100.0, SCRIPTED, 0.5)])
+        cfg = RunConfig(t_max=1.0)
+        assert index_pairs(run_pairs(load_scenario(data, cfg))) == \
+            ([(0, 1)] if kept else [])
+        with checked_against_all_pairs():
+            log = run(load_scenario(data, cfg))
+        assert log.end_time == pytest.approx(1.0)
+        assert (log.collision is not None) == kept
+
+    def test_scripted_pair_that_touches_by_rounding_alone_is_kept(self):
+        # At equal speeds the gap along the road moves only by the rounding
+        # of the two y sums: these start one ulp apart, and are apart after
+        # 100 steps by their start y plus 100 increments, yet the sums
+        # touch at step 26, which the margin allows for.
+        behind = -74.0
+        ahead = math.nextafter(behind + BODY_LENGTH, math.inf)
+        data = scenario(3.3, [("ahead", 0, ahead, 80.0, SCRIPTED, 0.5),
+                              ("behind", 0, behind, 80.0, SCRIPTED, 0.5)])
+        cfg = RunConfig(t_max=1.0)
+        assert index_pairs(run_pairs(load_scenario(data, cfg))) == [(0, 1)]
+        with checked_against_all_pairs():
+            log = run(load_scenario(data, cfg))
+        assert log.collision["vehicles"] == ["ahead", "behind"]
+        assert log.end_time == pytest.approx(0.26)
+
+    def test_scripted_lanes_closer_than_a_body_width_keep_a_closing_pair(
+            self):
+        # Lanes 1.5 m apart leave no gap across the road between 1.8 m
+        # bodies, so the gap along it decides: the pair is kept while the
+        # faster one closes from behind within the 40 s run, and dropped
+        # once it starts ahead or at the same speed.
         data = scenario(1.5, [("a", 0, 0.0, 80.0, SCRIPTED, 0.5),
-                              ("b", 1, 50.0, 100.0, SCRIPTED, 0.5)])
-        world = load_scenario(data, RunConfig())
-        assert index_pairs(run_pairs(world)) == [(0, 1)]
-        data["vehicles"][1]["v0_kmh"] = 80.0
-        world = load_scenario(data, RunConfig())
-        assert index_pairs(run_pairs(world)) == [(0, 1)]
+                              ("b", 1, -50.0, 100.0, SCRIPTED, 0.5)])
+        assert index_pairs(run_pairs(load_scenario(data, RunConfig()))) == \
+            [(0, 1)]
+        data["vehicles"][1]["y0_m"] = 50.0
+        assert index_pairs(run_pairs(load_scenario(data, RunConfig()))) == []
+        data["vehicles"][1].update(y0_m=-50.0, v0_kmh=80.0)
+        assert index_pairs(run_pairs(load_scenario(data, RunConfig()))) == []
 
     @settings(max_examples=300, deadline=None)
     @given(sizes=st.lists(st.tuples(st.floats(1.0, 16.0), st.floats(0.5, 3.0)),
@@ -270,7 +315,7 @@ class TestPairList:
         b = VehicleView("b", offset[0], offset[1], 20.0, headings[1], lb, wb,
                         1)
         views = [a, b]
-        pairs = _collision_pairs(views, [DECISION, DECISION])
+        pairs = _collision_pairs(views, [None, None], 1)
         assert _find_collision(views, pairs) == \
             all_pairs_collision(views)
 

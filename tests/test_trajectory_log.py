@@ -4,6 +4,7 @@ min_gap_m, each against the slow reference readers of log_reference."""
 
 import copy
 import io
+from itertools import accumulate, islice, repeat
 import math
 import tracemalloc
 from unittest import mock
@@ -15,11 +16,12 @@ from mergesim import world as world_module
 from mergesim.cli import _sat_distance, main
 from mergesim.config import RunConfig
 from mergesim.logio import read_trajectory
-from mergesim.perception import collision_index, pose
+from mergesim.perception import VehicleView, collision_index, pose
 from mergesim.road import LaneGeometry
-from mergesim.world import (BLOCK, BUILTIN_SCENARIOS, TRAJECTORY_COLUMNS,
-                            TrajectoryLog, _nearest_pairs, _texts,
-                            load_scenario, run)
+from mergesim.world import (BLOCK, BUILTIN_SCENARIOS, KMH,
+                            TRAJECTORY_COLUMNS, TrajectoryLog, _nearest_pairs,
+                            _Scripted, _scripted_span, _texts, load_scenario,
+                            run)
 
 from log_reference import (derived_icol, first_nearest, formatted_csv,
                            scanned_icol, scanned_rows)
@@ -178,6 +180,25 @@ def test_csv_text_is_reused_only_for_the_same_float_object():
     assert csv_text(log) == formatted_csv(log)
 
 
+def test_scripted_sums_from_zero_and_minus_zero_keep_their_own_text():
+    # 0.0 == -0.0, yet -0.0 starts different sums and prints differently:
+    # scripted columns share y sums and their text only when their start
+    # y and increment are the same bit for bit.
+    times = [0.0, 0.01, 0.02]
+    log = TrajectoryLog(GEOMETRY, {"a": (4.5, 1.8), "b": (4.5, 1.8),
+                                   "c": (4.5, 1.8)})
+    starts = [("a", 0.0, 0.0, 0.0), ("b", 3.3, -0.0, 0.0),
+              ("c", 6.6, -0.0, -0.0)]
+    log.columns = [_Scripted(VehicleView(vid, x, y, 20.0, 0.0, 4.5, 1.8, 0),
+                             increment, times)
+                   for vid, x, y, increment in starts]
+    text = csv_text(log)
+    assert text == formatted_csv(log)
+    ys = [line.split(",")[3] for line in text.splitlines()[1:]]
+    assert ys == ["0.000000", "-0.000000", "-0.000000"] + \
+        ["0.000000", "0.000000", "-0.000000"] * 2
+
+
 _indices = st.one_of(st.sampled_from((0.0, 1.0, 1.0 - 2.0 ** -53, 1e-300,
                                       5e-324)),
                      st.floats(0.0, 1.0))
@@ -311,9 +332,9 @@ def test_run_derives_icol_in_one_pass(tmp_path, monkeypatch, capsys):
     real = world_module._nearest_pairs
     sizes = []
 
-    def counting(xs, ys):
+    def counting(xs, ys, *args):
         sizes.append(len(xs[0]))
-        return real(xs, ys)
+        return real(xs, ys, *args)
 
     monkeypatch.setattr(world_module, "_nearest_pairs", counting)
     out = tmp_path / "run"
@@ -348,7 +369,7 @@ def _columns(draw):
 def test_nearest_pairs_is_the_first_minimum_in_slot_order(columns):
     xs, ys = columns
     want = first_nearest(xs, ys)
-    assert _nearest_pairs(xs, ys) == want
+    assert _nearest_pairs(xs, ys, [False] * len(xs)) == want
     for i in range(len(xs)):
         for t in range(len(xs[i])):
             d = [math.hypot(xs[i][t] - xs[j][t], ys[i][t] - ys[j][t])
@@ -357,10 +378,56 @@ def test_nearest_pairs_is_the_first_minimum_in_slot_order(columns):
                 event("tie")
 
 
+# Scripted columns: a lane centre as x, and y summed one increment a step,
+# continued from some step of a run as a later block's are.  Start ys one
+# ulp apart, equal increments and lanes one offset apart on both sides make
+# near ties, which the bounds must leave to the step-by-step comparison.
+_increments = st.sampled_from((80.0 * KMH * 0.01, 100.0 * KMH * 0.01,
+                               math.nextafter(80.0 * KMH * 0.01, 1.0)))
+
+
+@st.composite
+def _scripted_columns(draw):
+    """x and y columns of 2-6 scripted vehicles over 1-300 steps, and
+    whether each is marked scripted."""
+    n, steps = draw(st.integers(2, 6)), draw(st.integers(1, 300))
+    skip = draw(st.sampled_from((0, 1, 255, 4000)))
+    base = draw(st.sampled_from((0.0, -0.0, 10.0, -10.0, 30.0, 1000.0)))
+    xs, ys = [], []
+    for _ in range(n):
+        y0 = base + draw(st.sampled_from((0.0, 3.3, -5.0, 5.0, 30.0)))
+        for _ in range(draw(st.integers(0, 2))):
+            y0 = math.nextafter(y0, draw(st.sampled_from((-math.inf,
+                                                          math.inf))))
+        sums = accumulate(repeat(draw(_increments)), initial=y0)
+        ys.append(list(islice(sums, skip, skip + steps)))
+        xs.append([draw(st.sampled_from((0.0, 3.3, 6.6, 9.9)))] * steps)
+    fixed = draw(st.lists(st.booleans() | st.just(True), min_size=n,
+                          max_size=n))
+    return xs, ys, fixed
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scripted_columns())
+def test_nearest_pairs_of_scripted_columns_is_the_first_minimum(columns):
+    xs, ys, fixed = columns
+    assert _nearest_pairs(xs, ys, fixed) == first_nearest(xs, ys)
+    # Each bound holds every distance of its pair's block.
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            low, high = _scripted_span(xs[i][0] - xs[j][0], ys[i], ys[j])
+            d = [math.hypot(xi - xj, yi - yj) for xi, xj, yi, yj
+                 in zip(xs[i], xs[j], ys[i], ys[j])]
+            assert low <= min(d) and max(d) <= high
+            if low > 0.0:
+                event("bounded away from zero")
+
+
 def test_nearest_pairs_of_no_or_one_vehicle():
-    assert _nearest_pairs([], []) == []
-    assert _nearest_pairs([[0.0, 1.0]], [[2.0, 3.0]]) == [None]
-    assert _nearest_pairs([[], []], [[], []]) == [[], []]
+    assert _nearest_pairs([], [], []) == []
+    assert _nearest_pairs([[0.0, 1.0]], [[2.0, 3.0]], [True]) == [None]
+    for fixed in ([False, False], [True, True]):
+        assert _nearest_pairs([[], []], [[], []], fixed) == [[], []]
 
 
 def test_scenario1_tie_goes_to_the_first_slot():
@@ -371,8 +438,8 @@ def test_scenario1_tie_goes_to_the_first_slot():
     real = world_module._nearest_pairs
     seen = []
 
-    def recording(xs, ys):
-        seen.append((xs, ys, real(xs, ys)))
+    def recording(xs, ys, *args):
+        seen.append((xs, ys, real(xs, ys, *args)))
         return seen[-1][2]
 
     world = load_scenario("scenario1", RunConfig())
