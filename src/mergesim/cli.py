@@ -117,8 +117,9 @@ def _summarize(log, world, cfg, peaks) -> dict:
 
 
 def _output_base(args, default: str) -> str:
-    """--output, or `default` without it: the basename that each output
-    file extends with its suffix, so it must name a file."""
+    """--output, or `default` without it: the file that plot writes, or the
+    basename that each output file of run and sweep extends with its
+    suffix, so it must name a file."""
     if args.output and os.path.basename(args.output) in ("", ".", ".."):
         raise ConfigError(f"--output: must name a file, not a directory, "
                           f"got {args.output!r}")
@@ -201,10 +202,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    out = _output_base(args, os.path.splitext(args.trajectory)[0] + ".svg")
     rows = read_trajectory(args.trajectory)
     geometry = _geometry_for_plot(args)
     svg = render(rows, geometry)
-    out = args.output or os.path.splitext(args.trajectory)[0] + ".svg"
     write_atomic(out, svg)
     print(f"svg: {out}")
     return EXIT_OK

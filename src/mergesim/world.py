@@ -664,41 +664,26 @@ def _controls_for(veh: SimVehicle, ego: VehicleView, views: List[VehicleView],
 
 
 def _collision_pairs(views: List[VehicleView],
-                     increments: List[Optional[float]],
-                     n_steps: int) -> List[tuple]:
-    """(i, j, reach), i < j in order, for each pair that can collide within
-    n_steps steps.  The reach is the sum of the two half diagonals: no
-    point of a rectangle lies farther than its half diagonal from its
-    centre, so a pair whose centres are more than reach apart along either
-    axis cannot meet.  `increments` holds the y each scripted view gains
-    at every step, and None for a decision vehicle.
+                     scripted: List[bool]) -> List[tuple]:
+    """(i, j, reach), i < j in order, for each pair that can collide.  The
+    reach is the sum of the two half diagonals: no point of a rectangle
+    lies farther than its half diagonal from its centre, so a pair whose
+    centres are more than reach apart along either axis cannot meet.
+    `scripted` flags each view's vehicle as scripted.
 
-    A scripted vehicle keeps its lateral position, heading and speed for
-    the whole run.  So a pair of scripted vehicles at heading 0 is dropped
-    when it has a positive gap across the road, or a gap along it above a
-    margin both at the start and after n_steps steps, with the two in the
-    same order: that gap moves along a line but for the rounding of the y
-    sums, at most an ulp of |y| + n_steps * |increment| per step and
-    vehicle, and of the gap's own arithmetic, which 16 more ulps cover.
+    A scripted vehicle keeps its lateral position and heading for the whole
+    run, so a pair of scripted vehicles at heading 0 with a positive gap
+    across the road, which depends only on their lateral offset and half
+    widths, is dropped; no speed enters that rule.
     """
-    ends = [None if inc is None else
-            (v._replace(y=v.y + n_steps * inc),
-             math.ulp(abs(v.y) + n_steps * abs(inc)))
-            for v, inc in zip(views, increments)]
     pairs = []
     for i, a in enumerate(views):
         for j in range(i + 1, len(views)):
             b = views[j]
-            if (ends[i] is not None and ends[j] is not None
-                    and a.heading == b.heading == 0.0):
-                (a_end, a_ulp), (b_end, b_ulp) = ends[i], ends[j]
-                margin = (n_steps + 16) * (a_ulp + b_ulp)
-                along, across = pose_gaps(a.pose(), b.pose())[:2]
-                if across > 0.0 or (
-                        along > margin
-                        and pose_gaps(a_end.pose(), b_end.pose())[0] > margin
-                        and (a.y < b.y) == (a_end.y < b_end.y)):
-                    continue
+            if (scripted[i] and scripted[j]
+                    and a.heading == b.heading == 0.0
+                    and pose_gaps(a.pose(), b.pose())[1] > 0.0):
+                continue
             pairs.append((i, j, math.hypot(a.length, a.width) / 2.0
                           + math.hypot(b.length, b.width) / 2.0))
     return pairs
@@ -831,8 +816,7 @@ def run(world: World) -> TrajectoryLog:
         if veh.kind == SCRIPTED:
             log.columns[i] = _Scripted(starts[i], veh.v_preset * dt, times)
     pairs = _collision_pairs(starts, [
-        column.increment if type(column) is _Scripted else None
-        for column in log.columns], n_steps)
+        type(column) is _Scripted for column in log.columns])
     tracks = [column.track() if type(column) is _Scripted else repeat(None)
               for column in log.columns]
     logged = [(i, log.columns[i].append) for i in decision_slots]

@@ -255,6 +255,26 @@ def test_acceptance_7_scenario2_grid_bytes():
     announce(7, "both 11x11 grids match their pinned lines")
 
 
+def test_acceptance_7_grid_has_converged_at_the_default_dt():
+    # Halving dt moves the scenario1 5x5 grid by hundredths of a metre and
+    # no count or flag: the headline grid is not an artefact of the step.
+    axis = (0.0, 0.25, 0.5, 0.75, 1.0)
+    grids = [aggressiveness_sweep("scenario1", axis, axis, RunConfig(dt=dt))
+             for dt in (0.01, 0.005)]
+    worst = 0.0
+    for coarse, fine in zip(*grids):
+        assert (fine.q_merge, fine.q_mainline) == \
+            (coarse.q_merge, coarse.q_mainline)
+        assert (fine.lane_changes, fine.collision, fine.forced_stop) == \
+            (coarse.lane_changes, coarse.collision, coarse.forced_stop), \
+            (coarse.q_merge, coarse.q_mainline)
+        worst = max(worst, abs(fine.d_long - coarse.d_long),
+                    abs(fine.d_lat - coarse.d_lat))
+    assert worst < 0.05
+    announce(7, "the scenario1 5x5 grid at dt 0.005 matches dt 0.01 within "
+                f"{worst:.3f} m, with equal counts and flags")
+
+
 def test_acceptance_8_metric_correctness():
     log, _ = scenario_run("scenario1", 0.5)
     assert longitudinal_disturbance(log, "vehicle3", 80.0 / 3.6) == 0.0

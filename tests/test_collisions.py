@@ -36,6 +36,17 @@ def index_pairs(pairs):
     return [(i, j) for i, j, *_ in pairs]
 
 
+def lane_rule_pairs(views, scripted):
+    """Reference: every (i, j), i < j, but for two scripted vehicles at
+    heading 0 with a positive gap across the road."""
+    return [(i, j) for i in range(len(views))
+            for j in range(i + 1, len(views))
+            if not (scripted[i] and scripted[j]
+                    and views[i].heading == views[j].heading == 0.0
+                    and abs(views[j].x - views[i].x) - views[i].width / 2.0
+                    - views[j].width / 2.0 > 0.0)]
+
+
 def run_pairs(world):
     """The pair list `run` builds when it runs `world` to its t_max."""
     real = world_module._collision_pairs
@@ -196,8 +207,13 @@ def test_pair_list_matches_all_pairs_on_generated_scenarios(case):
         return
     logs = []
     for _ in range(2):
+        world = load_scenario(data, RunConfig(t_max=t_max))
+        expected = lane_rule_pairs(world.snapshot(), [
+            v.kind == SCRIPTED for v in world.vehicles])
         with checked_against_all_pairs() as seen:
-            logs.append(run(load_scenario(data, RunConfig(t_max=t_max))))
+            logs.append(run(world))
+        # The pair list is fixed at the start by the lane rule alone.
+        assert index_pairs(seen[0][0]) == expected
         # One collision check per step, and the run stops at the first hit.
         steps = round(logs[-1].end_time / 0.01)
         assert len(seen) == steps
@@ -219,56 +235,71 @@ def test_pair_list_matches_all_pairs_on_generated_scenarios(case):
 
 class TestPairList:
     @pytest.mark.parametrize("name", ["scenario1", "scenario2"])
-    def test_builtin_scenario_keeps_only_the_merger_pairs(self, name):
-        # Every scripted vehicle drives at 80 km/h at heading 0: a pair in
-        # two lanes has a gap across the road, and a pair in one lane keeps
-        # its gap along it, so only the merger's five pairs are checked.
+    def test_builtin_scenario_keeps_the_merger_and_same_lane_pairs(self,
+                                                                   name):
+        # Every scripted vehicle drives at heading 0: the seven pairs in two
+        # lanes have a gap across the road and are dropped.  The merger's
+        # five pairs and the three pairs in lane 2 are kept, and those three
+        # start, and at equal speeds stay, more than a reach apart.
         world = load_scenario(name, RunConfig())
-        ids = [v.vehicle_id for v in world.snapshot()]
-        kept = [(ids[i], ids[j]) for i, j in index_pairs(run_pairs(world))]
-        assert kept == [(vid, "merging") for vid in ids[:-1]]
+        views = world.snapshot()
+        ids = [v.vehicle_id for v in views]
+        pairs = run_pairs(world)
+        kept = [(ids[i], ids[j]) for i, j in index_pairs(pairs)]
+        same_lane = [("vehicle3", "vehicle4"), ("vehicle3", "vehicle5"),
+                     ("vehicle4", "vehicle5")]
+        assert sorted(kept) == sorted(
+            same_lane + [(vid, "merging") for vid in ids[:-1]])
+        for i, j, reach in pairs:
+            if (ids[i], ids[j]) in same_lane:
+                assert abs(views[i].y - views[j].y) > reach
 
-    def test_scripted_pair_half_a_metre_apart_is_dropped(self):
-        # Scenario2's vehicle3 drives 0.5 m ahead of vehicle4's nose at the
-        # same speed, and so never meets it.
+    def test_scripted_pair_half_a_metre_apart_is_kept_and_out_of_reach(self):
+        # Scenario2's vehicle3 drives 0.5 m ahead of vehicle4's nose in the
+        # same lane: the pair is kept, and the reach test skips it, as
+        # 5 m between centres exceeds the two half diagonals.
         world = load_scenario("scenario2", RunConfig())
         views = world.snapshot()
         ids = [v.vehicle_id for v in views]
         three, four = ids.index("vehicle3"), ids.index("vehicle4")
         assert bumper_gap(views[three], views[four]) == 0.5
         assert views[three].x == views[four].x
-        assert (three, four) not in index_pairs(run_pairs(world))
+        pairs = [p for p in run_pairs(world) if p[:2] == (three, four)]
+        assert len(pairs) == 1
+        assert abs(views[three].y - views[four].y) > pairs[0][2]
+        assert _find_collision(views, pairs) is None
 
     def test_pairs_keep_the_all_pairs_order(self):
-        views = load_scenario("scenario2", RunConfig()).snapshot()
-        pairs = index_pairs(_collision_pairs(views, [None] * len(views), 1))
+        world = load_scenario("scenario2", RunConfig())
+        pairs = index_pairs(_collision_pairs(
+            world.snapshot(), [v.kind == SCRIPTED for v in world.vehicles]))
         assert pairs == sorted(pairs)
         assert all(i < j for i, j in pairs)
 
-    @pytest.mark.parametrize("contact_step, kept", [(100, True),
-                                                    (101, False)])
-    def test_scripted_pair_is_kept_if_it_closes_within_the_run(
-            self, contact_step, kept):
+    @pytest.mark.parametrize("contact_step, collides", [(100, True),
+                                                        (101, False)])
+    def test_same_lane_scripted_pair_is_kept_and_collides_within_the_run(
+            self, contact_step, collides):
         # 100 km/h closes on 80 km/h by 20 km/h * 0.01 s a step; the gap
         # closes halfway through step contact_step, and t_max 1 s runs 100.
+        # The pair is kept either way: its speeds do not enter the rule.
         closing = 20.0 * KMH * 0.01
         gap = (contact_step - 0.5) * closing
         data = scenario(3.3, [("ahead", 0, BODY_LENGTH + gap, 80.0,
                                SCRIPTED, 0.5),
                               ("behind", 0, 0.0, 100.0, SCRIPTED, 0.5)])
         cfg = RunConfig(t_max=1.0)
-        assert index_pairs(run_pairs(load_scenario(data, cfg))) == \
-            ([(0, 1)] if kept else [])
+        assert index_pairs(run_pairs(load_scenario(data, cfg))) == [(0, 1)]
         with checked_against_all_pairs():
             log = run(load_scenario(data, cfg))
         assert log.end_time == pytest.approx(1.0)
-        assert (log.collision is not None) == kept
+        assert (log.collision is not None) == collides
 
     def test_scripted_pair_that_touches_by_rounding_alone_is_kept(self):
         # At equal speeds the gap along the road moves only by the rounding
         # of the two y sums: these start one ulp apart, and are apart after
         # 100 steps by their start y plus 100 increments, yet the sums
-        # touch at step 26, which the margin allows for.
+        # touch at step 26.
         behind = -74.0
         ahead = math.nextafter(behind + BODY_LENGTH, math.inf)
         data = scenario(3.3, [("ahead", 0, ahead, 80.0, SCRIPTED, 0.5),
@@ -280,42 +311,48 @@ class TestPairList:
         assert log.collision["vehicles"] == ["ahead", "behind"]
         assert log.end_time == pytest.approx(0.26)
 
-    def test_scripted_lanes_closer_than_a_body_width_keep_a_closing_pair(
-            self):
+    def test_scripted_lanes_closer_than_a_body_width_keep_their_pair(self):
         # Lanes 1.5 m apart leave no gap across the road between 1.8 m
-        # bodies, so the gap along it decides: the pair is kept while the
-        # faster one closes from behind within the 40 s run, and dropped
-        # once it starts ahead or at the same speed.
-        data = scenario(1.5, [("a", 0, 0.0, 80.0, SCRIPTED, 0.5),
-                              ("b", 1, -50.0, 100.0, SCRIPTED, 0.5)])
-        assert index_pairs(run_pairs(load_scenario(data, RunConfig()))) == \
-            [(0, 1)]
-        data["vehicles"][1]["y0_m"] = 50.0
-        assert index_pairs(run_pairs(load_scenario(data, RunConfig()))) == []
-        data["vehicles"][1].update(y0_m=-50.0, v0_kmh=80.0)
-        assert index_pairs(run_pairs(load_scenario(data, RunConfig()))) == []
+        # bodies, so the pair is kept whether the faster one closes from
+        # behind, starts ahead or drives at the same speed; lanes 3.3 m
+        # apart drop it in every case.
+        for spacing, kept in ((1.5, [(0, 1)]), (3.3, [])):
+            for y0, v0 in ((-50.0, 100.0), (50.0, 100.0), (-50.0, 80.0)):
+                data = scenario(spacing, [("a", 0, 0.0, 80.0, SCRIPTED, 0.5),
+                                          ("b", 1, y0, v0, SCRIPTED, 0.5)])
+                world = load_scenario(data, RunConfig(t_max=1.0))
+                assert index_pairs(run_pairs(world)) == kept
 
     @settings(max_examples=300, deadline=None)
     @given(sizes=st.lists(st.tuples(st.floats(1.0, 16.0), st.floats(0.5, 3.0)),
                           min_size=2, max_size=2),
            headings=st.lists(st.floats(-math.pi, math.pi), min_size=2,
                              max_size=2),
-           offset=st.tuples(st.floats(-12.0, 12.0), st.floats(-20.0, 20.0)))
+           offset=st.tuples(st.floats(-12.0, 12.0), st.floats(-20.0, 20.0)),
+           scripted=st.lists(st.booleans(), min_size=2, max_size=2))
     # Two overlaps beyond the half widths plus 2 m across that an earlier
     # reach skipped: a 12 m body turned 0.37 rad and a car 3.84 m across and
     # 3.3 m along, and two 12 m bodies at the 0.2375 rad the built-in grids
     # reach, 3.9 m across and 10 m along.
     @example(sizes=[(12.0, BODY_WIDTH), (BODY_LENGTH, BODY_WIDTH)],
-             headings=[0.37, 0.0], offset=(3.84, 3.3))
+             headings=[0.37, 0.0], offset=(3.84, 3.3), scripted=[False] * 2)
     @example(sizes=[(12.0, BODY_WIDTH), (12.0, BODY_WIDTH)],
-             headings=[0.2375, 0.2375], offset=(3.9, 10.0))
-    def test_reach_never_skips_an_overlap(self, sizes, headings, offset):
+             headings=[0.2375, 0.2375], offset=(3.9, 10.0),
+             scripted=[False] * 2)
+    # Scripted and apart across the road, but only one at heading 0: kept.
+    @example(sizes=[(BODY_LENGTH, BODY_WIDTH)] * 2, headings=[0.0, 0.37],
+             offset=(3.0, 0.0), scripted=[True] * 2)
+    @example(sizes=[(BODY_LENGTH, BODY_WIDTH)] * 2, headings=[0.37, 0.0],
+             offset=(3.0, 0.0), scripted=[True] * 2)
+    def test_reach_never_skips_an_overlap(self, sizes, headings, offset,
+                                          scripted):
         (la, wa), (lb, wb) = sizes
         a = VehicleView("a", 0.0, 0.0, 20.0, headings[0], la, wa, 0)
         b = VehicleView("b", offset[0], offset[1], 20.0, headings[1], lb, wb,
                         1)
         views = [a, b]
-        pairs = _collision_pairs(views, [None, None], 1)
+        pairs = _collision_pairs(views, scripted)
+        assert index_pairs(pairs) == lane_rule_pairs(views, scripted)
         assert _find_collision(views, pairs) == \
             all_pairs_collision(views)
 
