@@ -254,8 +254,8 @@ def _blocks(columns: list, bodies: Dict[str, Tuple[float, float]]):
     same start y and increment share.  Each block finds its nearest pairs
     on its own, which is exact on any step range, and the pair keys carry
     from block to block.  The index is symmetric in its two rectangles, so
-    the later of two vehicles nearest each other copies the earlier one's
-    index: the whole column when they are for the whole block.
+    at a step where two vehicles are each other's nearest, the later one
+    takes the earlier one's index object and builds no key.
     """
     steps = min(map(len, columns), default=0)
     halves = [(width / 2.0, length / 2.0) for length, width in bodies.values()]
@@ -295,25 +295,16 @@ def _blocks(columns: list, bodies: Dict[str, Tuple[float, float]]):
             if near is None:
                 out.append([0.0] * size)
                 continue
-            j = near[0]
-            whole = near.count(j) == size
-            if whole and j < i and nearest[j].count(i) == size:
-                out.append(out[j][:])
-                continue
             xi, yi, si, ci = xs[i], ys[i], sines[i], cosines[i]
-            if whole and fixed[i] and fixed[j]:
-                keys = list(map(sub, ys[j], yi))
-            else:
-                keys = [ys[j][t] - yi[t] if fixed[i] and fixed[j] else
-                        (xs[j][t] - xi[t], ys[j][t] - yi[t], si[t], ci[t],
-                         sines[j][t], cosines[j][t])
-                        for t, j in enumerate(near)]
             icol = []
             pair = last[i]
-            for t, j, key in zip(range(size), near, keys):
+            for t, j in enumerate(near):
                 if j < i and nearest[j][t] == i:
                     icol.append(out[j][t])
                     continue
+                key = (ys[j][t] - yi[t] if fixed[i] and fixed[j] else
+                       (xs[j][t] - xi[t], ys[j][t] - yi[t], si[t], ci[t],
+                        sines[j][t], cosines[j][t]))
                 seen = pair[j]
                 if seen is not None and seen[0] == key:
                     icol.append(seen[1])

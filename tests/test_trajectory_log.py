@@ -65,7 +65,27 @@ def check_readers(log, world):
 @pytest.mark.parametrize("noise", [False, True])
 def test_readers_match_the_reference_on_builtin_logs(scenario, noise):
     world = load_scenario(scenario, RunConfig(noise=noise))
-    check_readers(run(world), world)
+    log = run(world)
+    check_readers(log, world)
+    # Wherever two vehicles are each other's nearest, the later column holds
+    # the earlier one's index object instead of computing its own.
+    found = []
+
+    def captured(*args):
+        found.append(_nearest_pairs(*args))
+        return found[-1]
+
+    with mock.patch.object(world_module, "_nearest_pairs", captured):
+        blocks = [icol for _, icol in world_module._blocks(log.columns,
+                                                           log.bodies)]
+    mutual = 0
+    for nearest, icol in zip(found, blocks, strict=True):
+        for i, near in enumerate(nearest):
+            for t, j in enumerate(near):
+                if nearest[j][t] == i:
+                    assert icol[i][t] is icol[j][t], (i, j, t)
+                    mutual += 1
+    assert mutual
 
 
 @pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
